@@ -18,7 +18,7 @@ from .isometry import (Elliptic, Identity, IsoClass, Loxodromic, Parabolic,
                        classify, elliptic_boundary, parabolic_subtype)
 from .heisenberg import (CuspParams, HeisPoint, RS1Class, RS1Element,
                          boundary_action, box_distance, dilation_matrix,
-                         heis_mul, orbit_center, orbit_gap_probe,
+                         heis_mul, orbit_center, orbit_gap, orbit_gap_probe,
                          orbit_point, orbit_point_via_matrices, orbit_points,
                          rotation_matrix, rs1_classify, rs1_probe,
                          translation_matrix, write_orbit_csv)

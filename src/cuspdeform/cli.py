@@ -29,7 +29,7 @@ from .bending import (bianchi_family, validate_bianchi_d,
                       verify_bianchi_so41, verify_bianchi_su31)
 from .figure8 import build_family, expected_arc, figure8_report, form_matrix
 from .heisenberg import (HeisPoint, MAX_ORBIT_RADIUS, bent_cusp_U,
-                         cusp_translation_T, orbit_gap_probe, orbit_points,
+                         cusp_translation_T, orbit_gap, orbit_points,
                          write_orbit_csv)
 from .isometry import classify
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
@@ -217,7 +217,7 @@ def cmd_orbit(args) -> int:
         gU = np.asarray(fam.images["u"], dtype=complex)
         p0 = HeisPoint.origin(3)
     pts = orbit_points(gT, gU, p0, args.radius)
-    gap = orbit_gap_probe(gT, gU, p0, args.radius) if len(pts) > 1 else None
+    gap = orbit_gap(pts) if len(pts) > 1 else None
 
     import io
     buf = io.StringIO()

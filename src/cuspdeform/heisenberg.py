@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .matrices import GeometryError
 from .scalars import Angle, Surd
@@ -77,6 +76,31 @@ def box_distance(p: HeisPoint, q: HeisPoint) -> float:
     """Homogeneous box quasi-metric max(|dZ|, |dt|^(1/2))."""
     dz = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p.z, q.z)))
     return max(dz, math.sqrt(abs(p.t - q.t)))
+
+
+def _closest_pair(keys: np.ndarray, dist, dup_tol: float) -> float:
+    """Minimum dist(i, j) > dup_tol over pairs of rows (math.inf if none).
+
+    Every column of keys must bound the metric from below, |keys[i, c] -
+    keys[j, c]| <= dist(i, j); dist maps two index arrays to the distances
+    of the paired rows.  The rows are sorted along the column with the
+    most distinct values, and rows k places apart are compared for
+    k = 1, 2, ... until every key gap at offset k exceeds the best
+    distance so far (Shamos-Hoey sort-and-sweep).
+    """
+    col = max(range(keys.shape[1]), key=lambda c: np.unique(keys[:, c]).size)
+    order = np.argsort(keys[:, col], kind="stable")
+    s = keys[order, col]
+    best = math.inf
+    for k in range(1, len(s)):
+        near = s[k:] - s[:-k] <= best
+        if not near.any():
+            break
+        d = dist(order[:-k][near], order[k:][near])
+        d = d[d > dup_tol]
+        if d.size:
+            best = min(best, float(d.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +166,6 @@ def boundary_action(g: np.ndarray, p: HeisPoint, tol: float = 1e-10) -> HeisPoin
     if abs(v[0].real + zz / 2) > tol * max(1.0, zz):
         raise GeometryError("image is not a boundary point (height drifted)")
     return HeisPoint(z, t)
-
-
-def matrix_action(g: np.ndarray) -> Callable[[HeisPoint], HeisPoint]:
-    return lambda p: boundary_action(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +334,7 @@ def _element_key(m: int, n: int, T: RS1Element, U: RS1Element):
 
 
 def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
-    """Brute-force density probe: the minimum positive pairwise distance
+    """Density probe: the exact minimum positive pairwise distance
     (box metric max(|dx|, arc)) among n_elements group elements T^m U^n,
     with m chosen as the closest return of the translation part.
 
@@ -333,25 +353,18 @@ def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
         x = m * a + n * b
         ang = math.remainder(n * theta, 2 * math.pi)
         pts[key] = (x, ang)
-    uniq = list(pts.values())
-    if len(uniq) < 2:
-        return math.inf
-    xs = np.array([p[0] for p in uniq])
-    angs = np.array([p[1] for p in uniq])
-    emb = np.column_stack([xs, np.cos(angs), np.sin(angs)])
-    tree = cKDTree(emb)
-    k = min(9, len(uniq))
-    _, idx = tree.query(emb, k=k)
-    best = math.inf
-    for i, row in enumerate(idx):
-        for j in np.atleast_1d(row):
-            j = int(j)
-            if j == i:
-                continue
-            dang = abs(math.remainder(angs[i] - angs[j], 2 * math.pi))
-            d = max(abs(xs[i] - xs[j]), dang)
-            best = min(best, d)
-    return best
+    x, ang = np.array(list(pts.values())).reshape(-1, 2).T
+    return _rs1_gap(x, ang)
+
+
+def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
+    """Minimum positive box distance max(|dx|, arc) among points (x, angle);
+    the arc is at least the chord, so x, cos and sin all bound it below."""
+    def dist(i, j):
+        d = np.fmod(np.abs(ang[i] - ang[j]), 2 * math.pi)
+        return np.maximum(np.abs(x[i] - x[j]), np.minimum(d, 2 * math.pi - d))
+    keys = np.column_stack([x, np.cos(ang), np.sin(ang)])
+    return _closest_pair(keys, dist, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,31 +394,24 @@ def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
     return out
 
 
+def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
+              dup_tol: float = 1e-9) -> float:
+    """Minimum positive pairwise box distance among the (m, n, point) rows
+    of orbit_points; pairs closer than dup_tol count as coincident (and
+    are excluded, so the reported gap is the positive one)."""
+    Z = np.array([p.z for _, _, p in pts], dtype=complex)
+    t = np.array([p.t for _, _, p in pts])
+
+    def dist(i, j):
+        dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(Z.shape[1]))
+        return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
+    return _closest_pair(np.column_stack([Z.real, Z.imag]), dist, dup_tol)
+
+
 def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
                     radius: int, dup_tol: float = 1e-9) -> float:
-    """Minimum positive pairwise box distance among the orbit points of
-    word radius `radius`; pairs closer than dup_tol count as coincident
-    (and are excluded, so the reported gap is the positive one)."""
-    pts = orbit_points(gT, gU, p0, radius)
-    k = len(pts[0][2].z)
-    Z = np.array([[w for w in p.z] for _, _, p in pts], dtype=complex)
-    t = np.array([p.t for _, _, p in pts])
-    n = len(pts)
-    best = math.inf
-    chunk = max(1, min(256, n))
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        dz2 = np.zeros((rows.stop - rows.start, n))
-        for c in range(k):
-            diff = Z[rows, c][:, None] - Z[None, :, c]
-            dz2 += np.abs(diff) ** 2
-        dt = np.abs(t[rows][:, None] - t[None, :])
-        dist = np.maximum(np.sqrt(dz2), np.sqrt(dt))
-        iu = np.arange(rows.start, rows.stop)[:, None] != np.arange(n)[None, :]
-        positive = dist[(dist > dup_tol) & iu]
-        if positive.size:
-            best = min(best, float(positive.min()))
-    return best
+    """orbit_gap of the orbit points of word radius `radius`."""
+    return orbit_gap(orbit_points(gT, gU, p0, radius), dup_tol)
 
 
 def pack_csv_coords(p: HeisPoint) -> tuple[float, float, float, float, float]:

@@ -28,7 +28,7 @@ class IndeterminateError(GeometryError):
 
     def __init__(self, message: str, margin: float):
         super().__init__(f"{message} (margin {margin:.3g} < 10)")
-        self.margin = margin
+        self.margin = float(margin)
 
 
 def _promote(entry, ring: str, d: int | None):
@@ -494,10 +494,3 @@ def form_preserved(g: Mat, form: HermForm) -> bool:
     else:
         lhs = g.transpose() @ J @ g.star()
     return lhs == J
-
-
-def det_of(A):
-    """Determinant across backends: exact for Mat, LU for numeric."""
-    if isinstance(A, Mat):
-        return A.det()
-    return complex(np.linalg.det(np.asarray(A, dtype=complex)))

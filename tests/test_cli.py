@@ -1,16 +1,23 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cuspdeform
+from cuspdeform import cli, heisenberg
 from cuspdeform.cli import main, parse_angle, schema_path
 from cuspdeform.scalars import Angle
 
 SCHEMA = json.load(open(schema_path()))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -111,6 +118,23 @@ class TestSweepCommand:
                           "--end", "1", "--count", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bianchi", "--d", "43", "--target", "su31",
+         "--start=-3e-6", "--end", "3e-6"],
+        ["figure8", "--start", repr(math.pi / 2 - 6e-5),
+         "--end", repr(math.pi / 2 + 6e-5)],
+    ])
+    def test_indeterminate_margin_is_a_number(self, argv):
+        code, out, _ = run(["sweep", *argv, "--count", "7"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
+        indeterminate = [r for r in rows if "indeterminate" in r]
+        assert indeterminate
+        for r in rows:
+            assert (r[-1] != "") == (r in indeterminate)
+            if r[-1]:
+                assert float(r[-1]) < 10
+
 
 class TestOrbitCommand:
     def test_row_count_and_gap(self):
@@ -140,6 +164,27 @@ class TestOrbitCommand:
         code, _, _ = run(["orbit", "--d", "2", "--alpha", "1/3pi",
                           "--radius", "51"])
         assert code == 2
+
+    @pytest.mark.parametrize("name, argv", [
+        ("orbit_d2_alpha_1-3pi_r20.csv",
+         ["--d", "2", "--alpha", "1/3pi", "--radius", "20"]),
+        ("orbit_d7_so41_theta_1.0_r20.csv",
+         ["--d", "7", "--target", "so41", "--theta", "1.0", "--radius", "20"]),
+    ])
+    def test_golden_output(self, name, argv):
+        code, out, _ = run(["orbit", *argv])
+        assert code == 0
+        assert out == (GOLDEN / name).read_bytes().decode()
+
+    def test_orbit_enumerated_once(self, monkeypatch):
+        calls = []
+        enumerate_orbit = heisenberg.orbit_points
+        for module in (cli, heisenberg):
+            monkeypatch.setattr(module, "orbit_points", lambda *args:
+                                calls.append(args) or enumerate_orbit(*args))
+        code, _, _ = run(["orbit", "--d", "2", "--alpha", "1/3pi",
+                          "--radius", "3"])
+        assert code == 0 and len(calls) == 1
 
 
 class TestClassifyCommand:
@@ -213,3 +258,16 @@ class TestEnvTolerance:
         monkeypatch.delenv("CUSPDEFORM_TOL")
         args = make_parser().parse_args(["verify", "figure8"])
         assert args.tol == 1e-9
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_neither_scipy_nor_jsonschema(self):
+        src = str(Path(cuspdeform.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, cuspdeform; "
+                "print(sorted({'scipy', 'jsonschema'} & "
+                "{m.split('.')[0] for m in sys.modules}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

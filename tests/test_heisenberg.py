@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from cuspdeform.heisenberg import (CuspParams, GeometryError, HeisPoint,
                                    boundary_action, box_distance,
                                    cusp_translation_T, cusp_translation_U,
                                    dilation_matrix, heis_mul, orbit_center,
-                                   orbit_gap_probe, orbit_point,
+                                   orbit_gap, orbit_gap_probe, orbit_point,
                                    orbit_point_via_matrices, orbit_points,
                                    rotation_matrix, rs1_classify, rs1_probe,
                                    shift_point, translation_matrix,
                                    unshift_point, write_orbit_csv)
+from cuspdeform.heisenberg import _rs1_gap
 from cuspdeform.scalars import Angle, Surd
 
 complexes = st.complex_numbers(min_magnitude=0, max_magnitude=3,
@@ -26,6 +28,29 @@ complexes = st.complex_numbers(min_magnitude=0, max_magnitude=3,
 def points(draw, k=2):
     z = tuple(draw(complexes) for _ in range(k))
     return HeisPoint(z, draw(st.floats(-3, 3)))
+
+
+@st.composite
+def tied_clouds(draw, width):
+    """2-60 rows of `width` floats: one column takes at most two values,
+    and up to five rows are exact duplicates of others."""
+    row = st.lists(st.floats(-3, 3), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=2, max_size=55))
+    col = draw(st.integers(0, width - 1))
+    pool = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=2))
+    for i, r in enumerate(rows):
+        r[col] = pool[i % len(pool)]
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))
+    return rows + [list(rows[i]) for i in dups]
+
+
+def brute_min(points, dist, dup_tol):
+    ds = (dist(p, q) for p, q in itertools.combinations(points, 2))
+    return min((d for d in ds if d > dup_tol), default=math.inf)
+
+
+def same_gap(got, want):
+    return got == want or math.isclose(got, want, rel_tol=1e-12)
 
 
 D2_PARAMS = CuspParams(Surd(1, 2), Surd(0), Surd(-1, 4), Angle.pi_fraction(1, 3))
@@ -207,6 +232,38 @@ class TestGapProbe:
             orbit_points(np.eye(4), np.eye(4), HeisPoint.origin(2), 51)
 
 
+class TestClosestPair:
+    """Both probes' sort-and-sweep kernel against all pairs."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_orbit_gap_matches_all_pairs(self, k, data):
+        if k == 2:  # complex hyperbolic: (z1, z2, t)
+            rows = data.draw(tied_clouds(5))
+            pts = [HeisPoint((complex(a, b), complex(c, d)), t)
+                   for a, b, c, d, t in rows]
+        else:       # real hyperbolic: real Z, t = 0
+            rows = data.draw(tied_clouds(3))
+            pts = [HeisPoint(r, 0.0) for r in rows]
+        dup_tol = data.draw(st.sampled_from([0.0, 1e-9, 0.25]))
+        got = orbit_gap([(0, 0, p) for p in pts], dup_tol)
+        assert type(got) is float
+        assert same_gap(got, brute_min(pts, box_distance, dup_tol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_clouds(2))
+    def test_rs1_gap_matches_all_pairs(self, rows):
+        x, ang = np.array(rows).T
+
+        def box(p, q):
+            arc = abs(math.remainder(p[1] - q[1], 2 * math.pi))
+            return max(abs(p[0] - q[0]), arc)
+        got = _rs1_gap(x, ang)
+        assert type(got) is float
+        assert same_gap(got, brute_min(rows, box, 0.0))
+
+
 class TestRS1:
     def test_trichotomy_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
@@ -228,9 +285,13 @@ class TestRS1:
     def test_probe_agrees_on_three_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
         eps = 1e-2
-        assert rs1_probe(T, RS1Element(Surd(1, 2), Angle.radians(0.7)), 10000) < eps
-        assert rs1_probe(T, RS1Element(Surd(1), Angle.pi_fraction(1, 2)), 10000) >= eps
-        assert rs1_probe(T, RS1Element(Surd(1), Angle.radians(1.0)), 10000) < eps
+        gaps = [rs1_probe(T, RS1Element(Surd(1, 2), Angle.radians(0.7)), 10000),
+                rs1_probe(T, RS1Element(Surd(1), Angle.pi_fraction(1, 2)), 10000),
+                rs1_probe(T, RS1Element(Surd(1), Angle.radians(1.0)), 10000)]
+        assert gaps[0] < eps
+        assert gaps[1] >= eps
+        assert gaps[2] < eps
+        assert all(type(gap) is float for gap in gaps)
 
 
 class TestCsv:
