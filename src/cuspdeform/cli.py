@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,6 +39,15 @@ from .scalars import Angle
 from .words import load_word_list
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational such as ``3/4``; a zero denominator is a
+    ValueError like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_angle(text: str) -> Angle:
     """``2/3pi`` / ``pi`` / ``-1/2pi`` (exact) or plain radians."""
     t = text.strip().lower().replace(" ", "")
@@ -47,13 +57,30 @@ def parse_angle(text: str) -> Angle:
             return Angle.pi_times(1)
         if head == "-":
             return Angle.pi_times(-1)
-        return Angle.pi_times(Fraction(head))
+        return Angle.pi_times(_parse_fraction(head))
     return Angle.radians(float(t))
+
+
+def _parse_tol(text: str) -> float:
+    """A tolerance: a finite positive number."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return tol
 
 
 def _default_tol() -> float:
     env = os.environ.get("CUSPDEFORM_TOL")
-    return float(env) if env else 1e-9
+    if not env:
+        return 1e-9
+    try:
+        return _parse_tol(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CUSPDEFORM_TOL: {exc}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -102,7 +129,7 @@ def cmd_verify(args) -> int:
             if not args.theta:
                 print("usage error: so41 verification needs --theta", file=sys.stderr)
                 return 2
-            pyth = Fraction(args.pythagorean) if args.pythagorean else Fraction(1, 2)
+            pyth = _parse_fraction(args.pythagorean) if args.pythagorean else Fraction(1, 2)
             report = verify_bianchi_so41(args.d, parse_angle(args.theta),
                                          pythagorean=pyth, tol=tol)
         ok = report["pass"]
@@ -238,13 +265,18 @@ def _entries_to_array(entries) -> np.ndarray:
     return np.array([[conv(e) for e in row] for row in entries], dtype=complex)
 
 
+def _load_matrix_doc(path: str) -> dict:
+    with open(path) as fp:
+        doc = json.load(fp)
+    if not isinstance(doc, dict) or "entries" not in doc:
+        raise ValueError(f"{path}: expected a JSON object with 'entries'")
+    return doc
+
+
 def cmd_classify(args) -> int:
-    with open(args.matrix) as fp:
-        mat_doc = json.load(fp)
-    A = _entries_to_array(mat_doc["entries"])
+    A = _entries_to_array(_load_matrix_doc(args.matrix)["entries"])
     if args.form:
-        with open(args.form) as fp:
-            form_doc = json.load(fp)
+        form_doc = _load_matrix_doc(args.form)
         form = HermForm(_entries_to_array(form_doc["entries"]),
                         form_doc.get("convention", CONJ_TRANSPOSE))
     else:
@@ -280,7 +312,7 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--d", type=int, default=2, help="Bianchi discriminant tag")
     pv.add_argument("--target", choices=["su31", "so41"], default="su31")
     pv.add_argument("--words", help="extra trace words, word-list file")
-    pv.add_argument("--tol", type=float, default=tol)
+    pv.add_argument("--tol", type=_parse_tol, default=tol)
     pv.add_argument("--output", help="write the report here instead of stdout")
     pv.set_defaults(func=cmd_verify)
 
@@ -293,7 +325,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="skip grid points this close to signature transitions")
     ps.add_argument("--d", type=int, default=2)
     ps.add_argument("--target", choices=["su31", "so41"], default="su31")
-    ps.add_argument("--tol", type=float, default=tol)
+    ps.add_argument("--tol", type=_parse_tol, default=tol)
     ps.add_argument("--output")
     ps.set_defaults(func=cmd_sweep)
 
@@ -309,21 +341,25 @@ def make_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("classify", help="classify a matrix from a JSON file")
     pc.add_argument("--matrix", required=True, help="JSON file with 'entries'")
     pc.add_argument("--form", help="JSON file with the form (default: Siegel)")
-    pc.add_argument("--tol", type=float, default=tol)
+    pc.add_argument("--tol", type=_parse_tol, default=tol)
     pc.add_argument("--output")
     pc.set_defaults(func=cmd_classify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    try:
+        parser = make_parser()
+    except ValueError as exc:  # a malformed CUSPDEFORM_TOL
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (GeometryError, ValueError) as exc:
+    except (GeometryError, ValueError, OSError) as exc:  # OSError: an input or output path
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,7 +225,10 @@ def parabolicity_report(alpha: Angle, tol: float = 1e-9) -> dict:
 def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
     """Exact traces of the built-in witness words (plus user words) with
     their Z[u, u^-1]-membership verdicts."""
-    fam = build_family(None)
+    return _trace_rows(build_family(None), extra_words)
+
+
+def _trace_rows(fam: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
     out = []
     for w in tuple(TRACE_WITNESS_WORDS) + tuple(extra_words):
         tr = fam.rep.trace(w)
@@ -266,9 +269,7 @@ def figure8_report(alpha: Angle | None = None,
     record("longitudeDet", L.det() == LaurentPoly.one())
     record("detIdentity", sym.form.mat.det() == det_form_laurent())
 
-    ml = sym.rep.evaluate(Word.parse("m") * L_WORD)
-    lm = sym.rep.evaluate(L_WORD * Word.parse("m"))
-    record("peripheralCommute", ml == lm)
+    record("peripheralCommute", sym.M @ L == L @ sym.M)
 
     tr_mn = sym.rep.trace(Word.parse("m.n"))
     record("separatingTrace", tr_mn == LaurentPoly.u() + 6,
@@ -276,7 +277,7 @@ def figure8_report(alpha: Angle | None = None,
 
     traces = {}
     all_integral = True
-    for row in trace_integrality_check(extra_words):
+    for row in _trace_rows(sym, extra_words):
         traces[row["word"]] = str(row["trace"])
         all_integral = all_integral and row["integral"]
     record("traceIntegrality", all_integral)

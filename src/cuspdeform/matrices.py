@@ -9,13 +9,14 @@ one to the other at u = e^{i alpha}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .scalars import Angle, ExtScalar, LaurentPoly, Surd
+from .scalars import Angle, ExtScalar, LaurentPoly, Surd, power
 
 
 class GeometryError(ValueError):
@@ -90,7 +91,14 @@ class Mat:
         return LaurentPoly.zero() if self.ring == "laurent" else ExtScalar.zero(self.d)
 
     def _like(self, rows) -> "Mat":
-        return Mat(rows, self.ring, self.d)
+        """A matrix over this one's ring from ring-operation results,
+        which are in the ring already: no shape check, no promotion."""
+        m = object.__new__(Mat)
+        m.n = len(rows)
+        m.ring = self.ring
+        m.d = self.d
+        m.rows = tuple(map(tuple, rows))
+        return m
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
@@ -124,21 +132,28 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._compat(other)
-        n = self.n
-        cols = list(zip(*other.rows))
+        # Zero entries are skipped: their products add nothing, and a sum
+        # started at its first nonzero term is the same exact value.
+        cols = [{k: b for k, b in enumerate(c) if not b.is_zero}
+                for c in zip(*other.rows)]
+        zero = self._zero()
         out = []
-        for i in range(n):
+        for r in self.rows:
+            terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
             row = []
-            for j in range(n):
-                acc = self._zero()
-                for a, b in zip(self.rows[i], cols[j]):
-                    acc = acc + a * b
-                row.append(acc)
+            for col in cols:
+                acc = None
+                for k, a in terms:
+                    b = col.get(k)
+                    if b is not None:
+                        t = a * b
+                        acc = t if acc is None else acc + t
+                row.append(zero if acc is None else acc)
             out.append(row)
         return self._like(out)
 
     def scale(self, s) -> "Mat":
-        return self._like([[a * s for a in r] for r in self.rows])
+        return Mat([[a * s for a in r] for r in self.rows], self.ring, self.d)
 
     def transpose(self) -> "Mat":
         return self._like(list(zip(*self.rows)))
@@ -221,7 +236,7 @@ class Mat:
             for j in range(n):
                 sub = [[self.rows[r][c] for c in range(n) if c != j]
                        for r in range(n) if r != i]
-                m = Mat(sub, self.ring, self.d).det()
+                m = self._like(sub).det()
                 cof[i][j] = m if (i + j) % 2 == 0 else -m
         adj_rows = [[cof[j][i] * det_inv for j in range(n)] for i in range(n)]
         return self._like(adj_rows)
@@ -229,14 +244,8 @@ class Mat:
     def __pow__(self, k: int) -> "Mat":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Mat.identity(self.n, self.ring, self.d)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
+        return power(self, k, lambda: Mat.identity(self.n, self.ring, self.d),
+                     operator.matmul)
 
     def max_denominator(self) -> int:
         return max(e.max_denominator() for r in self.rows for e in r)

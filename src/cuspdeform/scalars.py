@@ -22,6 +22,7 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -40,6 +41,22 @@ _EXACT_COS = {
     6: {0: 1.0, 1: _SQRT3 / 2, 2: 0.5, 3: 0.0, 4: -0.5, 5: -_SQRT3 / 2,
         6: -1.0, 7: -_SQRT3 / 2, 8: -0.5, 9: 0.0, 10: 0.5, 11: _SQRT3 / 2},
 }
+
+
+def power(base, n: int, one, mul=operator.mul):
+    """base**n for n >= 0 by repeated squaring under ``mul``, with no
+    multiplication by the identity and no squaring past the top bit;
+    ``one()`` is called only for n == 0."""
+    if n < 0:
+        raise ValueError("power() needs n >= 0")
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if not n:
+            return one() if out is None else out
+        base = mul(base, base)
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -143,58 +160,72 @@ class Angle:
 
 
 class LaurentPoly:
-    """Element of Q[u, u^-1]: finitely many exponent -> Fraction terms.
+    """Element of Q[u, u^-1]: finitely many exponent -> rational terms.
 
-    Canonical form stores no zero coefficients, so equality is dict
-    equality.  All arithmetic is exact.
+    Stored as integer numerators ``{exponent: int}`` over one positive
+    integer denominator.  The form is canonical -- no zero numerators,
+    ``gcd(den, *numerators) == 1``, and ``den == 1`` for zero -- so
+    equality is structural.  Ring operations run on plain ints with one
+    gcd pass per result (none when the denominator is 1, as it is for
+    most of Z[u, u^-1, 1/2]).  The public view (``items``, ``coeff``,
+    ``constant_value``, ``sum_coeffs``) is in ``Fraction``s.  All
+    arithmetic is exact.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        c: dict[int, Fraction] = {}
+        terms: dict[int, tuple[int, int]] = {}
+        den = 1
         if coeffs:
             for k, v in coeffs.items():
                 fv = _as_fraction(v)
-                if fv != 0:
-                    c[int(k)] = fv
-        self._c = c
+                if fv:
+                    terms[int(k)] = (fv.numerator, fv.denominator)
+                    den = math.lcm(den, fv.denominator)
+        # over the lcm of reduced denominators the numerators are coprime
+        # to den, so the form is already canonical
+        self._n = {k: p * (den // q) for k, (p, q) in terms.items()}
+        self._d = den
 
     @classmethod
     def const(cls, q: Rational) -> "LaurentPoly":
-        return cls({0: q})
+        if isinstance(q, int):
+            return _canonical({0: int(q)} if q else {}, 1)
+        fq = _as_fraction(q)
+        return _canonical({0: fq.numerator} if fq else {}, fq.denominator)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _canonical({}, 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _canonical({0: 1}, 1)
 
     @classmethod
     def u(cls, k: int = 1) -> "LaurentPoly":
-        return cls({k: 1})
+        return _canonical({int(k): 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
-        return sorted(self._c.items())
+        return sorted((k, Fraction(v, self._d)) for k, v in self._n.items())
 
     def coeff(self, k: int) -> Fraction:
-        return self._c.get(k, Fraction(0))
+        return Fraction(self._n.get(k, 0), self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def is_constant(self) -> bool:
-        return all(k == 0 for k in self._c)
+        return all(k == 0 for k in self._n)
 
     @property
     def is_monomial(self) -> bool:
-        return len(self._c) == 1
+        return len(self._n) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -203,14 +234,15 @@ class LaurentPoly:
 
     def is_integral(self) -> bool:
         """Membership in Z[u, u^-1]: every coefficient an integer."""
-        return all(v.denominator == 1 for v in self._c.values())
+        return self._d == 1
 
     def sum_coeffs(self) -> Fraction:
         """Exact evaluation at u = 1."""
-        return sum(self._c.values(), Fraction(0))
+        return Fraction(sum(self._n.values()), self._d)
 
     def max_denominator(self) -> int:
-        return max((v.denominator for v in self._c.values()), default=1)
+        den = self._d
+        return max((den // math.gcd(v, den) for v in self._n.values()), default=1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -222,18 +254,33 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for k, v in o._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return LaurentPoly(c)
+        b = o._n
+        if not b:
+            return self
+        a = self._n
+        if not a:
+            return o
+        da, db = self._d, o._d
+        if da == db:
+            c = dict(a)
+            for k, v in b.items():
+                c[k] = c.get(k, 0) + v
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            c = {k: v * ma for k, v in a.items()}
+            for k, v in b.items():
+                c[k] = c.get(k, 0) + v * mb
+            da *= ma
+        return _canonical({k: v for k, v in c.items() if v}, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self._c.items()})
+        return _canonical({k: -v for k, v in self._n.items()}, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -248,15 +295,28 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        a = self._n
+        if isinstance(other, int):
+            if not (a and other):
+                return _canonical({}, 1)
+            return _canonical({k: v * other for k, v in a.items()}, self._d)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, Fraction] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in o._c.items():
-                k = k1 + k2
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return LaurentPoly(c)
+        b = o._n
+        if not (a and b):
+            return _canonical({}, 1)
+        if len(b) == 1:
+            ((k2, v2),) = b.items()
+            c = {k1 + k2: v1 * v2 for k1, v1 in a.items()}
+        else:
+            c = {}
+            for k1, v1 in a.items():
+                for k2, v2 in b.items():
+                    k = k1 + k2
+                    c[k] = c.get(k, 0) + v1 * v2
+            c = {k: v for k, v in c.items() if v}
+        return _canonical(c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -265,45 +325,43 @@ class LaurentPoly:
             q = _as_fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return LaurentPoly({k: v / q for k, v in self._c.items()})
+            p, r = q.numerator, q.denominator
+            if p < 0:
+                p, r = -p, -r
+            return _canonical({k: v * r for k, v in self._n.items()}, self._d * p)
         return NotImplemented
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, LaurentPoly.one)
 
     def inverse(self) -> "LaurentPoly":
         """Exact inverse; exists in Q[u,u^-1] only for monomials."""
         if not self.is_monomial:
             raise ZeroDivisionError(f"{self} is not a unit of Q[u,u^-1]")
-        ((k, v),) = self._c.items()
-        return LaurentPoly({-k: Fraction(1) / v})
+        ((k, v),) = self._n.items()
+        return _canonical({-k: self._d if v > 0 else -self._d}, abs(v))
 
     def star(self) -> "LaurentPoly":
         """The involution u -> u^-1 (conjugation on the unit circle)."""
-        return LaurentPoly({-k: v for k, v in self._c.items()})
+        return _canonical({-k: v for k, v in self._n.items()}, self._d)
 
     # -- evaluation --------------------------------------------------------
 
     def eval_unit(self, alpha: Angle) -> complex:
         """Evaluate at u = e^{i*alpha}."""
+        den = self._d
         total = 0j
-        for k, v in self._c.items():
-            total += complex(v) * alpha.times(k).exp_i()
+        for k, v in self._n.items():
+            total += complex(v / den) * alpha.times(k).exp_i()
         return total
 
     def eval_at(self, z: complex) -> complex:
         if z == 0:
             raise ZeroDivisionError("cannot evaluate at u=0")
-        return sum((complex(v) * z ** k for k, v in self._c.items()), 0j)
+        den = self._d
+        return sum((complex(v / den) * z ** k for k, v in self._n.items()), 0j)
 
     # -- misc ---------------------------------------------------------------
 
@@ -312,19 +370,21 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        if self.is_constant:  # equal to an int or Fraction: hash like one
+            return hash(Fraction(self._n.get(0, 0), self._d))
+        return hash((frozenset(self._n.items()), self._d))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
         for k, v in self.items():
@@ -343,6 +403,20 @@ class LaurentPoly:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+def _canonical(nums: dict[int, int], den: int) -> LaurentPoly:
+    """The LaurentPoly nums/den, for zero-free integer numerators and a
+    positive den, divided through by gcd(den, *nums)."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())  # == den when nums is empty
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    p = object.__new__(LaurentPoly)
+    p._n = nums
+    p._d = den
+    return p
 
 
 def _squarefree(k: int) -> tuple[int, int]:
@@ -429,7 +503,7 @@ class Surd:
         return self.q == other.q and self.k == other.k
 
     def __hash__(self) -> int:
-        return hash((self.q, self.k))
+        return hash(self.q) if self.k == 1 else hash((self.q, self.k))
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -465,11 +539,9 @@ class ExtScalar:
                 return LaurentPoly.const(x)
             raise TypeError(f"bad component {x!r}")
 
-        c = [lp(c0), lp(c1), lp(c2), lp(c3)]
-        if d == 2:  # fold the degenerate basis directions
-            c = [c[0] + c[3] * 2, c[1] + c[2], zero, zero]
+        c = (lp(c0), lp(c1), lp(c2), lp(c3))
         self.d = d
-        self.c = tuple(c)
+        self.c = _fold(d, c)
 
     # -- constructors --------------------------------------------------------
 
@@ -520,7 +592,7 @@ class ExtScalar:
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.c)
+        return not any(self.c)
 
     @property
     def is_laurent(self) -> bool:
@@ -543,9 +615,10 @@ class ExtScalar:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return ExtScalar(self.d, other)
+            other = LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
-            return ExtScalar(self.d, other)
+            zero = LaurentPoly.zero()
+            return _ext(self.d, (other, zero, zero, zero))
         if isinstance(other, Surd):
             return ExtScalar.from_surd(other, self.d)
         return None
@@ -556,12 +629,12 @@ class ExtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(self.d, *(a + b for a, b in zip(self.c, o.c)))
+        return _ext(self.d, tuple(a + b for a, b in zip(self.c, o.c)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExtScalar":
-        return ExtScalar(self.d, *(-p for p in self.c))
+        return _ext(self.d, tuple(-p for p in self.c))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -582,33 +655,25 @@ class ExtScalar:
         a0, a1, a2, a3 = self.c
         b0, b1, b2, b3 = o.c
         d = self.d
-        return ExtScalar(
-            d,
+        return _ext(d, (
             a0 * b0 + (a1 * b1) * 2 + (a2 * b2) * d + (a3 * b3) * (2 * d),
             a0 * b1 + a1 * b0 + (a2 * b3 + a3 * b2) * d,
             a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * 2,
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-        )
+        ))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
-            return ExtScalar(self.d, *(p / q for p in self.c))
+            return _ext(self.d, tuple(p / q for p in self.c))
         return NotImplemented
 
     def __pow__(self, n: int) -> "ExtScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExtScalar.one(self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: ExtScalar.one(self.d))
 
     def galois(self, flip2: bool, flipd: bool) -> "ExtScalar":
         """Apply the field automorphism sqrt2 -> +-sqrt2, sqrtd -> +-sqrtd."""
@@ -617,7 +682,7 @@ class ExtScalar:
             c1, c3 = -c1, -c3
         if flipd:
             c2, c3 = -c2, -c3
-        return ExtScalar(self.d, c0, c1, c2, c3)
+        return _ext(self.d, (c0, c1, c2, c3))
 
     def inverse(self) -> "ExtScalar":
         """Exact inverse via the Galois norm; exists iff the norm is a
@@ -631,7 +696,7 @@ class ExtScalar:
 
     def star(self) -> "ExtScalar":
         """u -> u^-1 on every component (the radicals are real)."""
-        return ExtScalar(self.d, *(p.star() for p in self.c))
+        return _ext(self.d, tuple(p.star() for p in self.c))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -644,13 +709,23 @@ class ExtScalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly, Surd)):
-            coerced = self._coerce(other)
+            try:
+                coerced = self._coerce(other)
+            except ValueError:  # a surd off this basis
+                return False
             return self.c == coerced.c
         if not isinstance(other, ExtScalar):
             return NotImplemented
         return self.d == other.d and self.c == other.c
 
     def __hash__(self) -> int:
+        # hash like the int, Fraction, LaurentPoly or Surd this equals
+        if self.is_laurent:
+            return hash(self.c[0])
+        terms = [(i, p) for i, p in enumerate(self.c) if p]
+        if len(terms) == 1 and terms[0][1].is_constant:
+            i, p = terms[0]
+            return hash(Surd(p.constant_value(), (1, 2, self.d, 2 * self.d)[i]))
         return hash((self.d, self.c))
 
     def __repr__(self) -> str:
@@ -667,6 +742,24 @@ class ExtScalar:
                 body = f"({body})*{lab}" if (" " in body or body.startswith("-")) else f"{body}*{lab}"
             parts.append(body)
         return " + ".join(parts) if parts else "0"
+
+
+def _fold(d: int, c: tuple) -> tuple:
+    """For d = 2 the basis degenerates (sqrt d = sqrt2, sqrt(2d) = 2):
+    fold c2 into c1 and 2*c3 into c0 so equality stays canonical."""
+    if d == 2 and (c[2] or c[3]):
+        zero = LaurentPoly.zero()
+        return (c[0] + c[3] * 2, c[1] + c[2], zero, zero)
+    return c
+
+
+def _ext(d: int, c: tuple) -> ExtScalar:
+    """An ExtScalar from four LaurentPoly components, for ring-operation
+    results whose tag d is already validated."""
+    x = object.__new__(ExtScalar)
+    x.d = d
+    x.c = _fold(d, c)
+    return x
 
 
 def conj_scalar(x):

@@ -241,8 +241,10 @@ class Rep:
             raise KeyError(f"word uses symbols not in the representation: {missing}")
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
-            out = Mat.identity(first.n, first.ring, first.d)
-            for sym, exp in w.factors:
+            if not w.factors:
+                return Mat.identity(first.n, first.ring, first.d)
+            out = self._power(*w.factors[0])
+            for sym, exp in w.factors[1:]:
                 out = out @ self._power(sym, exp)
             return out
         n = np.asarray(first).shape[0]

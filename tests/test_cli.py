@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import cuspdeform
-from cuspdeform import cli, heisenberg
+from cuspdeform import cli, figure8, heisenberg
 from cuspdeform.cli import main, parse_angle, schema_path
 from cuspdeform.scalars import Angle
 
@@ -84,6 +84,16 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert "m^2" in doc["traces"]
         assert "m^1.n^1.m^1.n^1" in doc["traces"]
+
+
+    def test_family_built_once(self, monkeypatch):
+        calls = []
+        build = figure8.build_family
+        for module in (cli, figure8):
+            monkeypatch.setattr(module, "build_family", lambda *args, **kwargs:
+                                calls.append(args) or build(*args, **kwargs))
+        code, _, _ = run(["verify", "figure8", "--u-exact"])
+        assert code == 0 and calls == [(None,)]
 
 
 class TestSweepCommand:
@@ -165,14 +175,41 @@ class TestOrbitCommand:
                           "--radius", "51"])
         assert code == 2
 
+    # Generated before the integer-numerator exact kernel landed.  The
+    # README verify/sweep commands, the acceptance CLI_COMMANDS and one
+    # pi-rational verify; the sweep det column pins the summation order.
     @pytest.mark.parametrize("name, argv", [
         ("orbit_d2_alpha_1-3pi_r20.csv",
-         ["--d", "2", "--alpha", "1/3pi", "--radius", "20"]),
+         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "20"]),
         ("orbit_d7_so41_theta_1.0_r20.csv",
-         ["--d", "7", "--target", "so41", "--theta", "1.0", "--radius", "20"]),
+         ["orbit", "--d", "7", "--target", "so41", "--theta", "1.0", "--radius", "20"]),
+        ("verify_figure8_alpha_1-5pi.json", ["verify", "figure8", "--alpha=1/5pi"]),
+        ("verify_figure8_u-exact_words.json",
+         ["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words.txt")]),
+        ("verify_bianchi_d2_su31_u-exact.json",
+         ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact"]),
+        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",
+         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0",
+          "--pythagorean", "1/2"]),
+        ("sweep_figure8_-3_3_360.csv",
+         ["sweep", "figure8", "--start", "-3.0", "--end", "3.0", "--count", "360"]),
+        ("sweep_bianchi_d2_so41_0.1_3.0_36.csv",
+         ["sweep", "bianchi", "--d", "2", "--target", "so41",
+          "--start", "0.1", "--end", "3.0", "--count", "36"]),
+        ("verify_figure8_alpha_0.5.json", ["verify", "figure8", "--alpha", "0.5"]),
+        ("verify_figure8_u-exact.json", ["verify", "figure8", "--u-exact"]),
+        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",   # 1/2 is the default
+         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0"]),
+        ("sweep_figure8_-3_3_60.csv",
+         ["sweep", "figure8", "--start", "-3.0", "--end", "3.0", "--count", "60"]),
+        ("sweep_bianchi_d2_so41_0.1_3.0_12.csv",
+         ["sweep", "bianchi", "--d", "2", "--target", "so41",
+          "--start", "0.1", "--end", "3.0", "--count", "12"]),
+        ("orbit_d2_alpha_1-3pi_r8.csv",
+         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "8"]),
     ])
     def test_golden_output(self, name, argv):
-        code, out, _ = run(["orbit", *argv])
+        code, out, _ = run(argv)
         assert code == 0
         assert out == (GOLDEN / name).read_bytes().decode()
 
@@ -258,6 +295,55 @@ class TestEnvTolerance:
         monkeypatch.delenv("CUSPDEFORM_TOL")
         args = make_parser().parse_args(["verify", "figure8"])
         assert args.tol == 1e-9
+
+
+class TestBadInput:
+    """Malformed input ends in exit 2 and one `usage error:` line (or
+    argparse's own message, before any computation), never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--matrix", "/nonexistent/matrix.json"],
+        ["verify", "figure8", "--u-exact", "--words", "/nonexistent/words.txt"],
+        ["verify", "figure8", "--alpha", "1/0pi"],
+        ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0",
+         "--pythagorean", "1/0"],
+    ])
+    def test_usage_error_line(self, argv):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [{"rows": [[1]]}, [[1]]])
+    def test_matrix_file_without_entries(self, tmp_path, doc):
+        f = tmp_path / "mat.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(["classify", "--matrix", str(f)])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and "'entries'" in err
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "0"])
+    def test_bad_env_tolerance(self, monkeypatch, value):
+        monkeypatch.setenv("CUSPDEFORM_TOL", value)
+        code, out, err = run(["verify", "figure8", "--u-exact"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: CUSPDEFORM_TOL") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "0", "abc"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "figure8", "--alpha", "0.5"],
+        ["sweep", "figure8", "--start", "0", "--end", "1", "--count", "3"],
+        ["classify", "--matrix", "/nonexistent/matrix.json"],
+    ])
+    def test_bad_tol_rejected_at_parse_time(self, monkeypatch, command, value):
+        monkeypatch.setattr(cli, "figure8_report", None)  # never reached
+        code, out, err = run([*command, f"--tol={value}"])
+        assert code == 2 and out == ""
+        assert "argument --tol" in err and "usage error" not in err
+
+    def test_good_tol_still_accepted(self):
+        code, out, _ = run(["verify", "figure8", "--alpha", "0.5", "--tol", "1e-9"])
+        assert code == 0
+        assert out == (GOLDEN / "verify_figure8_alpha_0.5.json").read_bytes().decode()
 
 
 class TestRuntimeDependencies:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,7 @@ from cuspdeform.matrices import (GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, eigen, form_defect,
                                  form_preserved, herm_signature, siegel_form)
 from cuspdeform.heisenberg import dilation_matrix
-from cuspdeform.scalars import Angle, LaurentPoly
+from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly
 
 rng = np.random.default_rng(20260809)
 
@@ -148,3 +150,67 @@ class TestFormDefect:
         g = random_siegel_isometry()
         g[1, 2] += 1e-3
         assert form_defect(g, siegel_form(4)) > 1e-4
+
+
+class TestExactMatAgainstSympy:
+    """Products, powers, determinants and inverses of small exact
+    matrices against sympy (an independent computer-algebra oracle)."""
+
+    @pytest.fixture(autouse=True)
+    def _sympy(self):
+        self.S = pytest.importorskip("sympy")
+        self.u = self.S.Symbol("u")
+
+    def _laurent(self, p):
+        return sum((self.S.Rational(v.numerator, v.denominator) * self.u ** k
+                    for k, v in p.items()), self.S.Integer(0))
+
+    def _entry(self, e):
+        if isinstance(e, LaurentPoly):
+            return self._laurent(e)
+        radicals = (1, self.S.sqrt(2), self.S.sqrt(e.d), self.S.sqrt(2 * e.d))
+        return sum((self._laurent(p) * r for p, r in zip(e.c, radicals)),
+                   self.S.Integer(0))
+
+    def _sym(self, M):
+        return self.S.Matrix([[self._entry(e) for e in row] for row in M.rows])
+
+    def _same(self, A, B):
+        return (A - B).applyfunc(self.S.expand) == self.S.zeros(*A.shape)
+
+    @staticmethod
+    def _random_laurent(rng, terms=2):
+        return LaurentPoly({int(k): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                            for k in rng.integers(-2, 3, size=terms)})
+
+    def _random_unit_mat(self, rng, n, d=None):
+        """L * D * U with unitriangular L, U and a diagonal of units, so
+        the determinant is a unit and the exact inverse exists."""
+        def entry():
+            p = self._random_laurent(rng)
+            if d is None:
+                return p
+            return ExtScalar(d, p, 0, 0, self._random_laurent(rng, 1))
+
+        ring = "laurent" if d is None else "ext"
+        lower = Mat([[entry() if i > j else int(i == j) for j in range(n)]
+                     for i in range(n)], ring, d)
+        upper = Mat([[entry() if i < j else int(i == j) for j in range(n)]
+                     for i in range(n)], ring, d)
+        diag = Mat.diagonal([LaurentPoly({int(k): Fraction(int(s), 2)})
+                             for k, s in zip(rng.integers(-2, 3, size=n),
+                                             rng.choice([-3, -1, 1, 2], size=n))],
+                            ring, d)
+        return lower @ diag @ upper
+
+    @pytest.mark.parametrize("n, d, seed", [(2, None, 1), (3, None, 2), (4, None, 3),
+                                            (2, 7, 4), (3, 7, 5), (2, 2, 6), (2, 6, 7)])
+    def test_matmul_det_inverse(self, n, d, seed):
+        r = np.random.default_rng(seed)
+        A = self._random_unit_mat(r, n, d)
+        B = self._random_unit_mat(r, n, d)
+        SA, SB = self._sym(A), self._sym(B)
+        assert self._same(self._sym(A @ B), SA * SB)
+        assert self.S.expand(self._entry(A.det()) - SA.det(method="berkowitz")) == 0
+        assert self._same(SA * self._sym(A.inverse()), self.S.eye(n))
+        assert self._same(self._sym(A ** 2), SA * SA)

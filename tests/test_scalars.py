@@ -203,3 +203,143 @@ class TestAngle:
         a = Angle.pi_fraction(1, 3)
         assert a.times(4).pi_frac == Fraction(4, 3)
         assert a.times(4).exp_i() == pytest.approx(a.exp_i() ** 4)
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator kernel against a plain dict[int, Fraction] reference
+# ---------------------------------------------------------------------------
+
+coeff_dicts = st.dictionaries(exponents, fractions, max_size=5)
+nonzero_rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool))
+
+
+def _ref(coeffs):
+    return {k: Fraction(v) for k, v in coeffs.items() if v}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, Fraction(0)) + v1 * v2
+    return _ref(out)
+
+
+def _as_ref(p):
+    """The public view of p, checked against the canonical form."""
+    nums, den = p._n, p._d
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v != 0 for v in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert den == 1 or nums
+    return dict(p.items())
+
+
+class TestLaurentKernel:
+    @given(coeff_dicts, coeff_dicts)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_ops_match_reference(self, ca, cb):
+        a, b = LaurentPoly(ca), LaurentPoly(cb)
+        ra, rb = _ref(ca), _ref(cb)
+        assert _as_ref(a) == ra
+        assert _as_ref(a + b) == _ref_add(ra, rb)
+        assert _as_ref(a - b) == _ref_add(ra, {k: -v for k, v in rb.items()})
+        assert _as_ref(-a) == {k: -v for k, v in ra.items()}
+        assert _as_ref(a * b) == _ref_mul(ra, rb)
+        assert _as_ref(a.star()) == {-k: v for k, v in ra.items()}
+
+    @given(coeff_dicts, st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_product(self, ca, n):
+        want = {0: Fraction(1)}
+        for _ in range(n):
+            want = _ref_mul(want, _ref(ca))
+        assert _as_ref(LaurentPoly(ca) ** n) == want
+
+    @given(coeff_dicts, nonzero_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_operands(self, ca, q):
+        a, ra, fq = LaurentPoly(ca), _ref(ca), Fraction(q)
+        assert _as_ref(a * q) == {k: v * fq for k, v in ra.items()}
+        assert _as_ref(q * a) == {k: v * fq for k, v in ra.items()}
+        assert _as_ref(a / q) == {k: v / fq for k, v in ra.items()}
+        assert _as_ref(a + q) == _ref_add(ra, {0: fq})
+        assert _as_ref(q - a) == _ref_add({0: fq}, {k: -v for k, v in ra.items()})
+        assert _as_ref(LaurentPoly.const(q)) == {0: fq}
+
+    @given(st.integers(min_value=-6, max_value=6), nonzero_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_inverse(self, k, q):
+        m = LaurentPoly({k: q})
+        assert _as_ref(m.inverse()) == {-k: 1 / Fraction(q)}
+        assert m * m.inverse() == LaurentPoly.one()
+
+    @given(coeff_dicts)
+    @settings(max_examples=100, deadline=None)
+    def test_public_view(self, ca):
+        a, ra = LaurentPoly(ca), _ref(ca)
+        assert a.coeff(0) == ra.get(0, 0) and type(a.coeff(0)) is Fraction
+        assert a.sum_coeffs() == sum(ra.values(), Fraction(0))
+        assert a.is_integral() == all(v.denominator == 1 for v in ra.values())
+        assert a.max_denominator() == max((v.denominator for v in ra.values()),
+                                          default=1)
+        assert a == LaurentPoly(ra) and hash(a) == hash(LaurentPoly(ra))
+
+    @given(coeff_dicts, angles())
+    @settings(max_examples=100, deadline=None)
+    def test_eval_unit_is_the_fraction_sum(self, ca, alpha):
+        # the same float sum, term by term in the same order, as summing
+        # float(Fraction) coefficients
+        want = 0j
+        for k, v in _ref(ca).items():
+            want += complex(v) * alpha.times(k).exp_i()
+        assert LaurentPoly(ca).eval_unit(alpha) == want
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 0.5})
+        with pytest.raises(TypeError):
+            LaurentPoly.const(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Equal values hash equally
+# ---------------------------------------------------------------------------
+
+class TestHashEquality:
+    def test_examples(self):
+        assert len({3, LaurentPoly.const(3)}) == 1
+        assert len({3, Surd(3)}) == 1
+        assert len({Fraction(1, 2), ExtScalar.rational(Fraction(1, 2), 7)}) == 1
+        assert len({Surd(1, 2), ExtScalar.sqrt2(7)}) == 1
+
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+           st.sampled_from([2, 3, 5, 6, 7, 10, 11]), coeff_dicts)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_values_hash_equally(self, q, d, ca):
+        p = LaurentPoly(ca)
+        values = [q, LaurentPoly.const(q), Surd.rational(q), ExtScalar.rational(q, d),
+                  p, ExtScalar(d, p), ExtScalar(d, 0, p)]
+        if q.denominator == 1:
+            values.append(int(q))
+        for k in (2, d, 2 * d, d // 2 if d % 2 == 0 else 1):
+            values += [Surd(q, k), ExtScalar.from_surd(Surd(q, k), d)]
+        equal_pairs = 0
+        for a in values:
+            for b in values:
+                if a == b:
+                    equal_pairs += 1
+                    assert hash(a) == hash(b), (a, b)
+        assert equal_pairs > len(values)  # the cross-type pairs are exercised
+
+    def test_off_basis_surd_is_unequal(self):
+        assert ExtScalar.sqrt2(7) != Surd(1, 3)
