@@ -26,12 +26,12 @@ from .words import (Presentation, Rep, Word, builtin_presentation,
                     check_relations, commutator, eval_word, load_word_list,
                     trace_word)
 from .figure8 import (Fig8Family, build_family, det_form_closed,
-                      figure8_report, parabolicity_report, signature_sweep,
-                      trace_integrality_check)
+                      figure8_report, figure8_sweep, parabolicity_report,
+                      signature_sweep, trace_integrality_check)
 from .bending import (BendDataAmalgam, BendDataHNN, BianchiFamily,
                       algebra_dimension, bend_amalgam, bend_hnn,
-                      bianchi_family, centralizer, verify_bianchi_so41,
-                      verify_bianchi_su31)
+                      bianchi_family, bianchi_sweep, centralizer,
+                      verify_bianchi_so41, verify_bianchi_su31)
 
 __version__ = "0.1.0"
 

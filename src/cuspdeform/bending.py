@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -381,9 +381,9 @@ def bianchi_family(d: int, target: str = "su31", *,
         form = siegel_form(4, CONJ_TRANSPOSE)
         return BianchiFamily(d, "su31", None, images, form, pres)
     if target == "so41":
-        base = bianchi_lattice_so41(d)
         form = siegel_form(5, CONJ_TRANSPOSE)
         if pythagorean is not None:
+            base = bianchi_lattice_so41(d)
             cs = pythagorean_pair(pythagorean)
             data = BendDataHNN(
                 base={k: v for k, v in base.items() if k != "u"},
@@ -397,18 +397,64 @@ def bianchi_family(d: int, target: str = "su31", *,
             return BianchiFamily(d, "so41", cs, images, form, pres)
         if theta is None:
             raise ValueError("so41 family needs either theta or a pythagorean slope")
-        base_num = {k: v.evaluate() for k, v in base.items()}
-        data = BendDataHNN(
-            base={k: v for k, v in base_num.items() if k != "u"},
-            stable="u",
-            stable_image=base_num["u"],
-            centralizer=lambda th: so41_centralizer(th),
-            edge_gens=("a", "t"),
-            zero_param=Angle.zero(),
-        )
-        images = bend_hnn(data, theta)
+        images = bend_hnn(_so41_bend_data(d), theta)
         return BianchiFamily(d, "so41", theta, images, form, pres)
     raise ValueError(f"unknown target {target!r}")
+
+
+def _so41_bend_data(d: int) -> BendDataHNN:
+    """HNN data of the numeric so41 bending: the lattice evaluated once,
+    bent by the rotation R_34(theta) at any angle theta."""
+    base_num = {k: v.evaluate() for k, v in bianchi_lattice_so41(d).items()}
+    return BendDataHNN(
+        base={k: v for k, v in base_num.items() if k != "u"},
+        stable="u",
+        stable_image=base_num["u"],
+        centralizer=so41_centralizer,
+        edge_gens=("a", "t"),
+        zero_param=Angle.zero(),
+    )
+
+
+@dataclass(frozen=True)
+class BianchiSweepRow:
+    """The class of the bent stable letter at one grid point
+    ("indeterminate", with ``margin``, when too close to call)."""
+
+    param: float
+    class_u: str
+    margin: float | None = None
+
+
+def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
+                  tol: float = 1e-9) -> list[BianchiSweepRow]:
+    """Class of the bent stable letter across a parameter grid (a float
+    is an angle in radians): the deformation angle alpha for su31, the
+    bending angle theta for so41.
+
+    The family is built once.  Per point, su31 evaluates only the bent
+    letter; so41 only composes the rotation with the numeric lattice
+    letter, still checking that it commutes with the edge generators.
+    """
+    if target == "su31":
+        fam = bianchi_family(d, "su31")
+        letter = fam.images["u"].evaluate
+        form = fam.form.numeric()
+    elif target == "so41":
+        data = _so41_bend_data(d)
+        letter = lambda theta: bend_hnn(data, theta)["u"]
+        form = siegel_form(5, CONJ_TRANSPOSE).numeric()
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    rows = []
+    for x in params:
+        angle, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
+        g = letter(angle)
+        try:
+            rows.append(BianchiSweepRow(value, str(classify(g, form, tol=tol))))
+        except IndeterminateError as exc:
+            rows.append(BianchiSweepRow(value, "indeterminate", exc.margin))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +565,17 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
 
     sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
     num = fam.numeric_images(sample)
-    class_u: str
-    if sample.is_zero_mod_2pi():
-        class_u = str(classify(num["u"], fam.form.numeric(), tol=tol))
-    else:
+    try:
         cls = classify(num["u"], fam.form.numeric(), tol=tol)
+    except IndeterminateError as exc:
+        class_u = "indeterminate"
+        _check(checks, "stableLetterParabolic", False,
+               f"class at sample angle: indeterminate, {exc}")
+    else:
         class_u = str(cls)
-        _check(checks, "stableLetterParabolic", cls.kind == "parabolic",
-               f"class at sample angle: {class_u}")
+        if not sample.is_zero_mod_2pi():
+            _check(checks, "stableLetterParabolic", cls.kind == "parabolic",
+                   f"class at sample angle: {class_u}")
 
     dim, margin = algebra_dimension(list(num.values()), tol=tol, return_margin=True)
     _check(checks, "irreducible", dim == 16,
@@ -583,16 +632,21 @@ def verify_bianchi_so41(d: int, theta: Angle,
 
     fam = bianchi_family(d, "so41", theta=theta)
     a, b1, b2 = cusp_surds(d)
-    form_num = fam.form.numeric()
-    cls = classify(fam.images["u"], form_num, tol=tol)
+    try:
+        cls = classify(fam.images["u"], fam.form.numeric(), tol=tol)
+    except IndeterminateError as exc:
+        cls, class_u, info = None, "indeterminate", f"indeterminate, {exc}"
+    else:
+        class_u = info = str(cls)
+    kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         _check(checks, "undeformedUnipotent",
-               cls.kind == "parabolic" and "unipotent" in str(cls), str(cls))
+               kind == "parabolic" and "unipotent" in class_u, info)
     elif b1.is_zero:
-        _check(checks, "stableLetterElliptic", cls.kind == "elliptic", str(cls))
+        _check(checks, "stableLetterElliptic", kind == "elliptic", info)
     else:
         _check(checks, "stableLetterElliptoParabolic",
-               str(cls) == "parabolic(ellipto-parabolic)", str(cls))
+               class_u == "parabolic(ellipto-parabolic)", info)
 
     verdict: str
     if theta.is_zero_mod_2pi():
@@ -616,7 +670,7 @@ def verify_bianchi_so41(d: int, theta: Angle,
         "param": theta.value,
         "relations": relations,
         "traceU": None,
-        "classU": str(cls),
+        "classU": class_u,
         "cusp": {
             "a": a.value, "b1": b1.value, "b2": b2.value,
             "orthogonal": b1.is_zero,

@@ -26,15 +26,15 @@ from importlib import resources
 
 import numpy as np
 
-from .bending import (bianchi_family, validate_bianchi_d,
+from .bending import (bianchi_family, bianchi_sweep, validate_bianchi_d,
                       verify_bianchi_so41, verify_bianchi_su31)
-from .figure8 import build_family, expected_arc, figure8_report, form_matrix
+from .figure8 import figure8_report, figure8_sweep
 from .heisenberg import (HeisPoint, MAX_ORBIT_RADIUS, bent_cusp_U,
                          cusp_translation_T, orbit_gap, orbit_points,
                          write_orbit_csv)
 from .isometry import classify
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
-                       IndeterminateError, herm_signature, siegel_form)
+                       IndeterminateError, siegel_form)
 from .scalars import Angle
 from .words import load_word_list
 
@@ -145,6 +145,10 @@ def _csv_lines(header: str, rows: list[str]) -> str:
     return "\r\n".join([header] + rows) + "\r\n"
 
 
+def _margin_cell(margin: float | None) -> str:
+    return "" if margin is None else repr(margin)
+
+
 def cmd_sweep(args) -> int:
     tol = args.tol
     if args.count < 1:
@@ -156,31 +160,13 @@ def cmd_sweep(args) -> int:
         step = (args.end - args.start) / (args.count - 1)
         grid = [args.start + k * step for k in range(args.count)]
 
-    rows = []
-    failures = 0
     if args.family == "figure8":
-        J = form_matrix()
         header = "alpha,sig_plus,sig_minus,sig_zero,class_m,class_l,det,margin"
-        for a in grid:
-            alpha = Angle.radians(a)
-            want = expected_arc(a, args.exclude_radius)
-            if want is None:
-                continue
-            sig = herm_signature(J.evaluate(alpha), tol=tol)
-            det = float(np.linalg.det(J.evaluate(alpha)).real)
-            cm = cl = ""
-            margin = ""
-            if want == (3, 1) and abs(a) > 1e-12:
-                fam = build_family(alpha)
-                try:
-                    cm = str(classify(fam.M, fam.form, tol=tol))
-                    cl = str(classify(fam.longitude(), fam.form, tol=tol))
-                except IndeterminateError as exc:
-                    cm = cl = "indeterminate"
-                    margin = repr(exc.margin)
-            if (sig.plus, sig.minus) != want:
-                failures += 1
-            rows.append(f"{a!r},{sig.plus},{sig.minus},{sig.zero},{cm},{cl},{det!r},{margin}")
+        sweep = figure8_sweep(grid, args.exclude_radius, tol=tol)
+        rows = [f"{r.alpha!r},{r.signature.plus},{r.signature.minus},"
+                f"{r.signature.zero},{','.join(r.classes or ('', ''))},"
+                f"{r.det_value!r},{_margin_cell(r.margin)}" for r in sweep]
+        failures = sum(not r.on_arc for r in sweep)
     else:
         try:
             validate_bianchi_d(args.d)
@@ -188,26 +174,9 @@ def cmd_sweep(args) -> int:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
         header = "param,class_u,margin"
-        if args.target == "su31":
-            fam = bianchi_family(args.d, "su31")
-            form = fam.form.numeric()
-            for a in grid:
-                alpha = Angle.radians(a)
-                try:
-                    cls = str(classify(fam.numeric_images(alpha)["u"], form, tol=tol))
-                    margin = ""
-                except IndeterminateError as exc:
-                    cls, margin = "indeterminate", repr(exc.margin)
-                rows.append(f"{a!r},{cls},{margin}")
-        else:
-            for a in grid:
-                fam = bianchi_family(args.d, "so41", theta=Angle.radians(a))
-                try:
-                    cls = str(classify(fam.images["u"], fam.form.numeric(), tol=tol))
-                    margin = ""
-                except IndeterminateError as exc:
-                    cls, margin = "indeterminate", repr(exc.margin)
-                rows.append(f"{a!r},{cls},{margin}")
+        rows = [f"{r.param!r},{r.class_u},{_margin_cell(r.margin)}"
+                for r in bianchi_sweep(args.d, args.target, grid, tol=tol)]
+        failures = 0
     _emit(_csv_lines(header, rows), args.output)
     return 0 if failures == 0 else 1
 

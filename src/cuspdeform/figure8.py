@@ -24,7 +24,7 @@ import numpy as np
 
 from .isometry import IndeterminateError, Parabolic, classify
 from .matrices import (GeometryError, HermForm, Mat, Signature,
-                       TRANSPOSE_CONJ, form_preserved, herm_signature)
+                       TRANSPOSE_CONJ, eigen, form_preserved, herm_signature)
 from .scalars import Angle, LaurentPoly
 from .words import (COMMUTATOR_CONVENTION, Rep, Word,
                     builtin_presentation, check_relations)
@@ -141,18 +141,26 @@ def build_family(alpha: Angle | None = None, tol: float = 1e-10) -> Fig8Family:
     parameter; the defining invariants (relation, form invariance) are
     verified at construction and a failure is a transcription bug."""
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
-    pres = builtin_presentation("figure8")
+    relator = builtin_presentation("figure8").relators[0]
     if alpha is None:
         form = HermForm(J_exact, TRANSPOSE_CONJ)
         rep = Rep({"m": M_exact, "n": N_exact}, form)  # validates invariance
-        if not rep.evaluate(pres.relators[0]).is_identity():
+        if not rep.evaluate(relator).is_identity():
             raise AssertionError("internal error: defining relation failed symbolically")
         return Fig8Family(None, M_exact, N_exact, form, rep)
+    form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
+    return _numeric_family(alpha, M_exact, N_exact, form, relator, tol)
+
+
+def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm,
+                    relator: Word, tol: float = 1e-10) -> Fig8Family:
+    """The family at alpha from the exact generators and the form
+    already evaluated there; form invariance and the defining relation
+    are checked as in ``build_family``."""
     M = M_exact.evaluate(alpha)
     N = N_exact.evaluate(alpha)
-    form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
     rep = Rep({"m": M, "n": N}, form, form_tol=tol)
-    defect = float(np.abs(rep.evaluate(pres.relators[0]) - np.eye(4)).max())
+    defect = float(np.abs(rep.evaluate(relator) - np.eye(4)).max())
     if defect > tol:
         raise AssertionError(
             f"internal error: defining relation defect {defect:.3g} at alpha")
@@ -165,16 +173,43 @@ def build_family(alpha: Angle | None = None, tol: float = 1e-10) -> Fig8Family:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point of a figure-eight sweep.  ``classes`` holds the
+    classes of m and the longitude, computed on the signature-(3,1) arc
+    away from alpha = 0 (both "indeterminate", with ``margin``, when a
+    decision was too close to call)."""
+
     alpha: float
     signature: Signature
     expected: tuple[int, int]
     det_value: float
+    classes: tuple[str, str] | None = None
+    margin: float | None = None
+
+    @property
+    def on_arc(self) -> bool:
+        return self.signature.as_tuple() == self.expected + (0,)
 
 
-def expected_arc(alpha_value: float, exclusion: float) -> tuple[int, int] | None:
+ARC_TRANSITIONS = (Fraction(2, 3), Fraction(1), Fraction(4, 3))  # multiples of pi, mod 2
+
+
+def expected_arc(alpha: Angle | float, exclusion: float) -> tuple[int, int] | None:
     """The signature the arc dictates, or None inside an exclusion zone
-    around the transition angles +-2pi/3 and +-pi."""
-    a = abs(math.remainder(alpha_value, 2 * math.pi))
+    around the transition angles +-2pi/3 and +-pi.  A float is an angle
+    in radians.  A pi-rational angle is placed by its exact multiple of
+    pi, so a transition never gets an expectation from rounding."""
+    if isinstance(alpha, Angle):
+        if alpha.is_pi_rational:
+            f = alpha.pi_frac % 2
+            if f in ARC_TRANSITIONS:
+                return None
+            want = ((3, 1) if f < ARC_TRANSITIONS[0] or f > ARC_TRANSITIONS[2]
+                    else (2, 2))
+            if exclusion <= 0 or expected_arc(alpha.value, exclusion) == want:
+                return want
+            return None
+        alpha = alpha.value
+    a = abs(math.remainder(alpha, 2 * math.pi))
     if a < INNER_ARC_BOUND - exclusion:
         return (3, 1)
     if INNER_ARC_BOUND + exclusion < a < math.pi - exclusion:
@@ -182,25 +217,53 @@ def expected_arc(alpha_value: float, exclusion: float) -> tuple[int, int] | None
     return None
 
 
-def signature_sweep(alphas: Iterable[Angle], exclusion: float = 0.01,
-                    tol: float = 1e-9) -> list[SweepRow]:
-    """Signature of the form across a parameter grid, with points inside
-    the exclusion zones skipped.  A signature off its arc raises."""
-    if exclusion <= 0:
-        raise ValueError("exclusion radius must be positive")
-    J = form_matrix()
+def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
+                  tol: float = 1e-9) -> list[SweepRow]:
+    """Signature and determinant of the form across a parameter grid
+    (a float is an angle in radians), skipping the exclusion zones, plus
+    the peripheral classes on the signature-(3,1) arc away from 0.  A
+    signature off its arc is reported in its row (``on_arc``).
+
+    The exact generators and form are built once; at each point the
+    form is evaluated once and serves the signature, the determinant
+    and the numeric family, which still checks form invariance and the
+    defining relation.
+    """
+    M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
+    relator = builtin_presentation("figure8").relators[0]
     rows = []
-    for alpha in alphas:
-        want = expected_arc(alpha.value, exclusion)
+    for x in alphas:
+        alpha, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
+        want = expected_arc(alpha, exclusion)
         if want is None:
             continue
-        Jnum = J.evaluate(alpha)
-        sig = herm_signature(Jnum, tol=tol)
-        if (sig.plus, sig.minus) != want or sig.zero != 0:
+        form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
+        sig = herm_signature(form, tol=tol)
+        det = float(np.linalg.det(form.mat).real)
+        classes = margin = None
+        if want == (3, 1) and abs(value) > 1e-12:
+            fam = _numeric_family(alpha, M_exact, N_exact, form, relator)
+            try:
+                classes = (str(classify(fam.M, fam.form, tol=tol)),
+                           str(classify(fam.longitude(), fam.form, tol=tol)))
+            except IndeterminateError as exc:
+                classes = ("indeterminate", "indeterminate")
+                margin = exc.margin
+        rows.append(SweepRow(value, sig, want, det, classes, margin))
+    return rows
+
+
+def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
+                    tol: float = 1e-9) -> list[SweepRow]:
+    """``figure8_sweep`` with a positive exclusion radius, where a
+    signature off its arc raises."""
+    if exclusion <= 0:
+        raise ValueError("exclusion radius must be positive")
+    rows = figure8_sweep(alphas, exclusion, tol)
+    for r in rows:
+        if not r.on_arc:
             raise GeometryError(
-                f"signature {sig} at alpha={alpha.value!r}, expected {want}")
-        rows.append(SweepRow(alpha.value, sig,
-                             want, float(np.linalg.det(Jnum).real)))
+                f"signature {r.signature} at alpha={r.alpha!r}, expected {r.expected}")
     return rows
 
 
@@ -211,15 +274,17 @@ def parabolicity_report(alpha: Angle, tol: float = 1e-9) -> dict:
     if not a < INNER_ARC_BOUND:
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    fam = build_family(alpha)
+    return _parabolicity(build_family(alpha), tol)
+
+
+def _parabolicity(fam: Fig8Family, tol: float) -> dict:
     L = fam.longitude()
-    from .matrices import eigen  # local import to keep module deps flat
     classes = {
         "m": classify(fam.M, fam.form, tol=tol),
         "l": classify(L, fam.form, tol=tol),
     }
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
-    return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
+    return {"classes": classes, "l_spectrum": spectrum, "alpha": fam.alpha.value}
 
 
 def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
@@ -302,7 +367,7 @@ def figure8_report(alpha: Angle | None = None,
         fam = build_family(alpha)
         sig = herm_signature(fam.form, tol=tol)
         report["signature"] = list(sig.as_tuple())
-        want = expected_arc(alpha.value, 0.0)
+        want = expected_arc(alpha, 0.0)
         if want is not None:
             record("signatureArc", (sig.plus, sig.minus) == want and sig.zero == 0,
                    f"expected {want}")
@@ -314,7 +379,7 @@ def figure8_report(alpha: Angle | None = None,
         a = abs(math.remainder(alpha.value, 2 * math.pi))
         if a < INNER_ARC_BOUND and not alpha.is_zero_mod_2pi():
             try:
-                rep = parabolicity_report(alpha, tol=tol)
+                rep = _parabolicity(fam, tol)
                 cls = rep["classes"]
                 report["classes"] = {k: str(v) for k, v in cls.items()}
                 record("peripheralParabolic",

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (GeometryError, HermForm, IndeterminateError, eigen,
-                       eigenvectors_for, form_defect)
+from .matrices import (EigenData, GeometryError, HermForm, IndeterminateError,
+                       eigen, eigenvectors_for, form_defect)
 
 UNIPOTENT_STEP2 = "unipotent-step2"
 UNIPOTENT_STEP3 = "unipotent-step3"
@@ -95,6 +95,8 @@ def _merge_defective(A: np.ndarray, clusters, tol: float):
                 break
         else:
             groups.append([c])
+    if all(len(g) == 1 for g in groups):
+        return [g[0] for g in groups]
     thr = tol * max(float(np.linalg.norm(A, 2)), 1e-300)
     out = []
     for g in groups:
@@ -125,6 +127,13 @@ def parabolic_subtype(A: np.ndarray, tol: float = 1e-9,
     lift (ellipto-parabolic).
     """
     A = np.asarray(A, dtype=complex)
+    return _parabolic_subtype(A, None, tol, cluster_rtol)
+
+
+def _parabolic_subtype(A: np.ndarray, clusters: list | None, tol: float,
+                       cluster_rtol: float) -> str:
+    """``parabolic_subtype`` reusing the merged eigenvalue ``clusters``
+    of A when the caller has them (None: computed here if needed)."""
     n = A.shape[0]
     lam = complex(np.trace(A)) / n
     if lam != 0:
@@ -136,8 +145,10 @@ def parabolic_subtype(A: np.ndarray, tol: float = 1e-9,
             return UNIPOTENT_STEP2
         if cb <= tol * s2 * max(_norm(N), 1.0):
             return UNIPOTENT_STEP3
-    data = eigen(A, tol=tol, cluster_rtol=cluster_rtol)
-    if len(_merge_defective(A, data.clusters, tol)) > 1:
+    if clusters is None:
+        data = eigen(A, tol=tol, cluster_rtol=cluster_rtol)
+        clusters = _merge_defective(A, data.clusters, tol)
+    if len(clusters) > 1:
         return ELLIPTO_PARABOLIC
     raise IndeterminateError(
         "one-cluster parabolic with no vanishing nilpotent power", 1.0)
@@ -152,7 +163,13 @@ def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = 1e-9,
     contains a null vector iff its Gram matrix is not definite.
     """
     A = np.asarray(A, dtype=complex)
-    data = eigen(A, tol=tol, cluster_rtol=cluster_rtol)
+    return _elliptic_boundary(A, eigen(A, tol=tol, cluster_rtol=cluster_rtol),
+                              form, tol)
+
+
+def _elliptic_boundary(A: np.ndarray, data: EigenData, form: HermForm,
+                       tol: float) -> bool:
+    """``elliptic_boundary`` on the already computed eigenstructure of A."""
     J = form.array()
     for cl in data.clusters:
         basis = eigenvectors_for(A, cl.value, tol=tol)
@@ -220,9 +237,9 @@ def classify(A: np.ndarray, form: HermForm, tol: float = 1e-9,
                 margin)
 
     if not all(c.geo == c.alg for c in clusters):
-        return Parabolic(parabolic_subtype(A, tol=tol, cluster_rtol=cluster_rtol))
+        return Parabolic(_parabolic_subtype(A, clusters, tol, cluster_rtol))
     if nonunit_alg == 0:
-        return Elliptic(elliptic_boundary(A, form, tol=tol, cluster_rtol=cluster_rtol))
+        return Elliptic(_elliptic_boundary(A, data, form, tol))
     if nonunit_alg == 2:
         return Loxodromic()
     raise GeometryError(

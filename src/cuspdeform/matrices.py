@@ -9,6 +9,7 @@ one to the other at u = e^{i alpha}.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ def _promote(entry, ring: str, d: int | None):
 class Mat:
     """Immutable dense square matrix over one exact scalar ring."""
 
-    __slots__ = ("n", "rows", "ring", "d")
+    __slots__ = ("n", "rows", "ring", "d", "_plan")
 
     def __init__(self, rows: Sequence[Sequence], ring: str, d: int | None = None):
         n = len(rows)
@@ -69,6 +70,7 @@ class Mat:
         self.ring = ring
         self.d = d
         self.rows = tuple(tuple(_promote(e, ring, d) for e in r) for r in rows)
+        self._plan = None
 
     @classmethod
     def laurent(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -98,6 +100,7 @@ class Mat:
         m.ring = self.ring
         m.d = self.d
         m.rows = tuple(map(tuple, rows))
+        m._plan = None
         return m
 
     def __getitem__(self, ij: tuple[int, int]):
@@ -264,10 +267,49 @@ class Mat:
 
     def evaluate(self, alpha: Angle | None = None) -> np.ndarray:
         """Numeric matrix at u = e^{i alpha} (alpha may be omitted for
-        constant matrices)."""
+        constant matrices).
+
+        Bit for bit the entrywise ``eval_unit``: each power u^k is
+        ``alpha.times(k).exp_i()``, computed once per call instead of
+        once per term, and every entry is summed in the same order with
+        the same operations.
+        """
+        if self._plan is None:
+            self._plan = self._compile()
+        exponents, terms, surds = self._plan
         a = alpha if alpha is not None else Angle.zero()
-        return np.array([[e.eval_unit(a) for e in r] for r in self.rows],
-                        dtype=complex)
+        powers = {k: a.times(k).exp_i() for k in exponents}
+
+        def poly(entry) -> complex:
+            total = 0j
+            for k, c in entry:
+                total += c * powers[k]
+            return total
+
+        if surds is None:
+            return np.array([[poly(e) for e in r] for r in terms], dtype=complex)
+        s2, sd, s2d = surds
+        return np.array([[poly(c0) + poly(c1) * s2 + poly(c2) * sd + poly(c3) * s2d
+                          for c0, c1, c2, c3 in r] for r in terms], dtype=complex)
+
+    def _compile(self):
+        """The evaluation plan: every exponent that occurs, each entry's
+        ``(k, coefficient)`` terms in ``LaurentPoly`` order (per
+        component for the ext ring) and, for the ext ring, the surd
+        factors sqrt 2, sqrt d, sqrt 2d."""
+        exponents: set[int] = set()
+
+        def terms(p: LaurentPoly) -> tuple:
+            out = tuple(p.unit_terms())
+            exponents.update(k for k, _ in out)
+            return out
+
+        if self.ring == "laurent":
+            plan = tuple(tuple(terms(e) for e in r) for r in self.rows)
+            return exponents, plan, None
+        plan = tuple(tuple(tuple(terms(p) for p in e.c) for e in r) for r in self.rows)
+        d = self.d
+        return exponents, plan, (math.sqrt(2), math.sqrt(d), math.sqrt(2 * d))
 
     def __repr__(self) -> str:
         body = "\n ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)

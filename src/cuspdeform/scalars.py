@@ -351,11 +351,16 @@ class LaurentPoly:
 
     def eval_unit(self, alpha: Angle) -> complex:
         """Evaluate at u = e^{i*alpha}."""
-        den = self._d
         total = 0j
-        for k, v in self._n.items():
-            total += complex(v / den) * alpha.times(k).exp_i()
+        for k, c in self.unit_terms():
+            total += c * alpha.times(k).exp_i()
         return total
+
+    def unit_terms(self) -> list[tuple[int, complex]]:
+        """The ``(exponent, complex coefficient)`` terms that
+        ``eval_unit`` sums, in its order."""
+        den = self._d
+        return [(k, complex(v / den)) for k, v in self._n.items()]
 
     def eval_at(self, z: complex) -> complex:
         if z == 0:

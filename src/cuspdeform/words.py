@@ -225,14 +225,16 @@ class Rep:
 
     def _power(self, sym: str, exp: int):
         g = self.images[sym]
-        if isinstance(g, Mat):
-            if exp >= 0:
-                return g ** exp
+        if exp < 0:
+            # matrix_power inverts first as well, so the cached inverse
+            # gives the same numeric result
             if sym not in self._inv_cache:
-                self._inv_cache[sym] = g.inverse()
-            return self._inv_cache[sym] ** (-exp)
-        g = np.asarray(g, dtype=complex)
-        return np.linalg.matrix_power(g, exp)
+                self._inv_cache[sym] = (g.inverse() if isinstance(g, Mat) else
+                                        np.linalg.inv(np.asarray(g, dtype=complex)))
+            g, exp = self._inv_cache[sym], -exp
+        if isinstance(g, Mat):
+            return g ** exp
+        return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
 
     def evaluate(self, w: Word):
         """Image of a word: the ordered product of generator powers."""

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import cuspdeform
-from cuspdeform import cli, figure8, heisenberg
+from cuspdeform import bending, cli, figure8, heisenberg
 from cuspdeform.cli import main, parse_angle, schema_path
 from cuspdeform.scalars import Angle
 
@@ -67,6 +67,22 @@ class TestVerifyCommand:
         jsonschema.validate(doc, SCHEMA)
         assert doc["cusp"]["verdict"] == "nondiscrete-Z2-rational"
 
+    @pytest.mark.parametrize("argv, check", [
+        (["--d", "2", "--target", "su31", "--alpha=0.0001"], "stableLetterParabolic"),
+        (["--d", "7", "--target", "so41", "--theta=0.0005"],
+         "stableLetterElliptoParabolic"),
+    ])
+    def test_indeterminate_letter_is_a_failed_report(self, argv, check):
+        # a stable-letter class too close to call is a failing check that
+        # carries its margin, in a full report, not a usage error
+        code, out, err = run(["verify", "bianchi", *argv])
+        assert code == 1 and err == ""
+        got = json.loads(out)
+        jsonschema.validate(got, SCHEMA)
+        assert got["classU"] == "indeterminate" and got["pass"] is False
+        assert not got["checks"][check]["pass"]
+        assert "margin" in got["checks"][check]["info"]
+
     def test_not_squarefree_is_usage_error(self):
         code, _, err = run(["verify", "bianchi", "--d", "4"])
         assert code == 2 and "squarefree" in err
@@ -89,11 +105,14 @@ class TestVerifyCommand:
     def test_family_built_once(self, monkeypatch):
         calls = []
         build = figure8.build_family
-        for module in (cli, figure8):
-            monkeypatch.setattr(module, "build_family", lambda *args, **kwargs:
-                                calls.append(args) or build(*args, **kwargs))
-        code, _, _ = run(["verify", "figure8", "--u-exact"])
-        assert code == 0 and calls == [(None,)]
+        monkeypatch.setattr(figure8, "build_family", lambda *args, **kwargs:
+                            calls.append(args) or build(*args, **kwargs))
+        for argv, built in ((["--u-exact"], [(None,)]),
+                            (["--alpha", "0.5"], [(None,), (0.5,)])):  # symbolic, then numeric
+            calls.clear()
+            code, _, _ = run(["verify", "figure8", *argv])
+            assert code == 0
+            assert [tuple(a if a is None else a.value for a in c) for c in calls] == built
 
 
 class TestSweepCommand:
@@ -127,6 +146,22 @@ class TestSweepCommand:
         code, _, _ = run(["sweep", "figure8", "--start", "0",
                           "--end", "1", "--count", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, module, builder", [
+        (["figure8", "--start=-3.0", "--end", "3.0", "--count", "60"],
+         figure8, "form_matrix"),
+        (["bianchi", "--d", "7", "--target", "so41", "--start", "0.1", "--end", "3.0",
+          "--count", "12"], bending, "bianchi_lattice_so41"),
+        (["bianchi", "--d", "7", "--target", "su31", "--start", "0.1", "--end", "3.0",
+          "--count", "12"], bending, "bianchi_lattice_su31"),
+    ])
+    def test_exact_data_built_once(self, monkeypatch, argv, module, builder):
+        calls = []
+        build = getattr(module, builder)
+        monkeypatch.setattr(module, builder, lambda *args:
+                            calls.append(args) or build(*args))
+        code, _, _ = run(["sweep", *argv])
+        assert code == 0 and len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ["bianchi", "--d", "43", "--target", "su31",

@@ -5,14 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspdeform.figure8 import (L_WORD, TRACE_WITNESS_WORDS, build_family,
-                                det_form_closed, det_form_laurent,
-                                figure8_report, form_matrix, generator_m,
+from cuspdeform.figure8 import (ARC_TRANSITIONS, L_WORD, TRACE_WITNESS_WORDS,
+                                build_family, det_form_closed, det_form_laurent,
+                                expected_arc, figure8_report, form_matrix,
+                                generator_m,
                                 longitude_matrix, parabolicity_report,
                                 signature_sweep, trace_integrality_check)
 from cuspdeform.isometry import (ELLIPTO_PARABOLIC, Parabolic,
                                  UNIPOTENT_STEP2, UNIPOTENT_STEP3)
-from cuspdeform.matrices import GeometryError
+from cuspdeform.matrices import GeometryError, herm_signature
 from cuspdeform.scalars import Angle, LaurentPoly
 from cuspdeform.words import Word
 
@@ -85,6 +86,33 @@ class TestSignatureSweep:
         rows = signature_sweep(alphas, exclusion=0.02)
         for r in rows:
             assert r.signature.as_tuple() == r.expected + (0,)
+
+
+class TestArcTransitions:
+    SMALL_PI_FRACTIONS = sorted({Fraction(p, q) for q in range(1, 13)
+                                 for p in range(-2 * q, 2 * q + 1)})
+
+    def test_every_small_pi_fraction_meets_its_arc(self):
+        # the signatureArc check of verify figure8 at every p/q pi, q <= 12
+        J = form_matrix()
+        for f in self.SMALL_PI_FRACTIONS:
+            alpha = Angle.pi_times(f)
+            want = expected_arc(alpha, 0.0)
+            assert (want is None) == (f % 2 in ARC_TRANSITIONS), f
+            if want is not None:
+                sig = herm_signature(J.evaluate(alpha))
+                assert sig.as_tuple() == want + (0,), f
+
+    def test_four_thirds_pi_reports_like_two_thirds_pi(self):
+        # 4pi/3 lies one ulp outside the inner arc in floating point;
+        # it is the transition -2pi/3 and must read like it
+        for sign in (1, -1):
+            near = figure8_report(Angle.pi_times(Fraction(2 * sign, 3)))
+            far = figure8_report(Angle.pi_times(Fraction(4 * sign, 3)))
+            assert "signatureArc" not in far["checks"]
+            assert all(c["pass"] for c in far["checks"].values())
+            assert {k: v for k, v in far.items() if k != "alpha"} == \
+                {k: v for k, v in near.items() if k != "alpha"}
 
 
 class TestParabolicity:

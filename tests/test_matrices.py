@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from cuspdeform.figure8 import det_form_closed, form_matrix, longitude_matrix
@@ -214,3 +215,47 @@ class TestExactMatAgainstSympy:
         assert self.S.expand(self._entry(A.det()) - SA.det(method="berkowitz")) == 0
         assert self._same(SA * self._sym(A.inverse()), self.S.eye(n))
         assert self._same(self._sym(A ** 2), SA * SA)
+
+
+eval_angles = st.one_of(
+    st.none(), st.just(Angle.zero()),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12).map(Angle.pi_times),
+    st.floats(min_value=-10, max_value=10, allow_nan=False).map(Angle.radians))
+
+
+@st.composite
+def exact_mats(draw):
+    """A random 1x1 to 4x4 matrix over Q[u,u^-1] or, for d in {2, 6, 7},
+    over Q(sqrt2, sqrt d) tensor Q[u,u^-1]; entries have up to five
+    terms with exponents in [-6, 6], some of them zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.sampled_from([None, 2, 6, 7]))
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def poly():
+        size = int(r.integers(0, 6))
+        return LaurentPoly({int(k): Fraction(int(p), int(q)) for k, p, q in
+                            zip(r.integers(-6, 7, size), r.integers(-9, 10, size),
+                                r.integers(1, 10, size))})
+
+    def entry():
+        return poly() if d is None else ExtScalar(d, *(poly() for _ in range(4)))
+
+    return Mat([[entry() for _ in range(n)] for _ in range(n)],
+               "laurent" if d is None else "ext", d)
+
+
+class TestCompiledEvaluate:
+    """Mat.evaluate reuses one evaluation plan per matrix; its output is
+    the entrywise eval_unit bit for bit (no tolerance)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_mats(), st.lists(eval_angles, min_size=1, max_size=3))
+    def test_bit_identical_to_entrywise_eval_unit(self, M, alphas):
+        for alpha in alphas:  # the plan built at the first angle serves the rest
+            at = alpha if alpha is not None else Angle.zero()
+            want = np.array([[e.eval_unit(at) for e in row] for row in M.rows],
+                            dtype=complex)
+            got = M.evaluate(alpha)
+            assert (got == want).all()
+            assert got.tobytes() == want.tobytes()  # signed zeros too
