@@ -336,6 +336,7 @@ class BianchiFamily:
     images: dict[str, MatLike]
     form: HermForm
     presentation: Presentation | None
+    unbent_u: MatLike | None = None  # the stable letter's lattice image
 
     @property
     def has_presentation(self) -> bool:
@@ -379,7 +380,7 @@ def bianchi_family(d: int, target: str = "su31", *,
         # zero-parameter sanity lives at u=1, i.e. Z(1) = Id numerically
         images = bend_hnn(data, None)
         form = siegel_form(4, CONJ_TRANSPOSE)
-        return BianchiFamily(d, "su31", None, images, form, pres)
+        return BianchiFamily(d, "su31", None, images, form, pres, base["u"])
     if target == "so41":
         form = siegel_form(5, CONJ_TRANSPOSE)
         if pythagorean is not None:
@@ -394,11 +395,12 @@ def bianchi_family(d: int, target: str = "su31", *,
                 zero_param=(Fraction(1), Fraction(0)),
             )
             images = bend_hnn(data, cs)
-            return BianchiFamily(d, "so41", cs, images, form, pres)
+            return BianchiFamily(d, "so41", cs, images, form, pres, base["u"])
         if theta is None:
             raise ValueError("so41 family needs either theta or a pythagorean slope")
-        images = bend_hnn(_so41_bend_data(d), theta)
-        return BianchiFamily(d, "so41", theta, images, form, pres)
+        data = _so41_bend_data(d)
+        images = bend_hnn(data, theta)
+        return BianchiFamily(d, "so41", theta, images, form, pres, data.stable_image)
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -553,7 +555,7 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     _check(checks, "traceStableLetter", trace_ok, "3 + u separates parameters")
 
     at_one = fam.images["u"].evaluate(Angle.zero())
-    lattice_u = bianchi_lattice_su31(d)["u"].evaluate()
+    lattice_u = fam.unbent_u.evaluate()
     _check(checks, "latticeAtOne",
            bool(np.abs(at_one - lattice_u).max() < 1e-14),
            "bent generator reduces to the lattice at u=1")

@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 every check passed, 1 some check failed, 2 usage error.
 Identical invocations produce byte-identical output.  Angles are
 accepted as rational multiples of pi (``2/3pi``, ``-pi``, ``1/2pi``) or
-raw radians (``0.85``); the default tolerance 1e-9 can be overridden
-with --tol or the CUSPDEFORM_TOL environment variable.
+raw radians (``0.85``); a negative value may follow its option after a
+space (``--alpha -1/2pi``) or an ``=``.  The default tolerance 1e-9 can
+be overridden with --tol or the CUSPDEFORM_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
-from .bending import (bianchi_family, bianchi_sweep, validate_bianchi_d,
-                      verify_bianchi_so41, verify_bianchi_su31)
+from .bending import (bianchi_family, bianchi_sweep, cusp_surds,
+                      validate_bianchi_d, verify_bianchi_so41, verify_bianchi_su31)
 from .figure8 import figure8_report, figure8_sweep
-from .heisenberg import (HeisPoint, MAX_ORBIT_RADIUS, bent_cusp_U,
+from .heisenberg import (CuspParams, HeisPoint, MAX_ORBIT_RADIUS, bent_cusp_U,
                          cusp_translation_T, orbit_gap, orbit_points,
                          write_orbit_csv)
 from .isometry import classify
@@ -199,8 +201,7 @@ def cmd_orbit(args) -> int:
         if not args.alpha:
             print("usage error: su31 orbit needs --alpha", file=sys.stderr)
             return 2
-        fam = bianchi_family(args.d, "su31")
-        params = fam.cusp_params(parse_angle(args.alpha))
+        params = CuspParams(*cusp_surds(args.d), parse_angle(args.alpha))
         gT = cusp_translation_T(params)
         gU = bent_cusp_U(params)
         p0 = HeisPoint.origin(2)
@@ -263,9 +264,18 @@ def cmd_classify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as -1e-6, -1/2pi or -pi
+    as a value, not an option (argparse itself knows only -1 and -1.5)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|pi$)", re.IGNORECASE)
+
+
 def make_parser() -> argparse.ArgumentParser:
     tol = _default_tol()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspdeform",
         description="verification suites for cusped-lattice deformation families")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -49,6 +49,15 @@ class HeisPoint:
         object.__setattr__(self, "t", float(t))
 
     @classmethod
+    def _of(cls, z: tuple[complex, ...], t: float) -> "HeisPoint":
+        """A point from coordinates that already are a tuple of complex
+        and a float (no per-coordinate conversion)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "z", z)
+        object.__setattr__(p, "t", t)
+        return p
+
+    @classmethod
     def origin(cls, k: int = 2) -> "HeisPoint":
         return cls((0,) * k, 0.0)
 
@@ -146,26 +155,41 @@ def standard_lift(p: HeisPoint, height: float = 0.0) -> np.ndarray:
     return np.array([(-zz - height + 1j * p.t) / 2, *p.z, 1.0], dtype=complex)
 
 
-def boundary_action(g: np.ndarray, p: HeisPoint, tol: float = 1e-10) -> HeisPoint:
+BOUNDARY_TOL = 1e-10  # height drift and fixed-point test of a boundary action
+
+
+def boundary_action(g: np.ndarray, p: HeisPoint,
+                    tol: float = BOUNDARY_TOL) -> HeisPoint:
     """Projective action of a p_infinity-stabilizing matrix on the
     punctured boundary, in Heisenberg coordinates."""
+    Z, t = _boundary_images(g, standard_lift(p)[None, :], tol)
+    return HeisPoint(Z[0], t[0])
+
+
+def _boundary_images(g: np.ndarray, lifts: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Heisenberg coordinates (rows of Z, and t) of the images under g of
+    the boundary points whose standard lifts are the rows of `lifts`.
+
+    g must fix the point at infinity; every image must stay in the chart
+    and on the boundary (height drift within tol).  One matrix product
+    serves all rows; a single row is the matrix-vector product g @ lift.
+    """
     g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if len(p.z) != n - 2:
+    if lifts.shape[1] != g.shape[0]:
         raise GeometryError("point dimension does not match the matrix")
     col = g[:, 0]
     if np.abs(col[1:]).max() > tol * max(np.abs(col).max(), 1.0):
         raise GeometryError("matrix does not fix the point at infinity")
-    v = g @ standard_lift(p)
-    if abs(v[-1]) < 1e-14:
+    V = lifts @ g.T
+    if (np.abs(V[:, -1]) < 1e-14).any():
         raise GeometryError("image escaped the Heisenberg chart")
-    v = v / v[-1]
-    z = tuple(v[1:-1])
-    t = 2.0 * v[0].imag
-    zz = sum(abs(w) ** 2 for w in z)
-    if abs(v[0].real + zz / 2) > tol * max(1.0, zz):
+    V = V / V[:, -1:]
+    Z = V[:, 1:-1]
+    zz = (np.abs(Z) ** 2).sum(axis=1)
+    if (np.abs(V[:, 0].real + zz / 2) > tol * np.maximum(1.0, zz)).any():
         raise GeometryError("image is not a boundary point (height drifted)")
-    return HeisPoint(z, t)
+    return Z, 2.0 * V[:, 0].imag
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +345,6 @@ def rs1_classify(T: RS1Element, U: RS1Element) -> RS1Class:
     return RS1Class.NONDISCRETE_Z2_RATIONAL
 
 
-def _element_key(m: int, n: int, T: RS1Element, U: RS1Element):
-    """Exact identity key of T^m U^n (dedupes coincident elements)."""
-    a, b = T.translation, U.translation
-    if a.k == b.k:
-        trans = ((m * a.q + n * b.q, a.k),)
-    else:
-        trans = ((m * a.q, a.k), (n * b.q, b.k))
-    th = U.angle
-    ang = (th.pi_frac * n) % 2 if th.pi_frac is not None else ("raw", n)
-    return (trans, ang)
-
-
 def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
     """Density probe: the exact minimum positive pairwise distance
     (box metric max(|dx|, arc)) among n_elements group elements T^m U^n,
@@ -343,18 +355,37 @@ def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
     """
     a = T.translation.value
     b = U.translation.value
-    theta = U.angle.value
-    pts: dict[object, tuple[float, float]] = {}
-    for n in range(n_elements):
-        m = -round(n * b / a)
-        key = _element_key(m, n, T, U)
-        if key in pts:
-            continue
-        x = m * a + n * b
-        ang = math.remainder(n * theta, 2 * math.pi)
-        pts[key] = (x, ang)
-    x, ang = np.array(list(pts.values())).reshape(-1, 2).T
+    n = np.arange(max(n_elements, 0))
+    m = 0.0 - np.rint(n * b / a)  # an integral float, never -0.0
+    keep = _distinct_elements(m, n, T, U)
+    x = (m * a + n * b)[keep]
+    ang = np.array([math.remainder(v, 2 * math.pi)
+                    for v in (n[keep] * U.angle.value).tolist()])
     return _rs1_gap(x, ang)
+
+
+def _distinct_elements(m: np.ndarray, n: np.ndarray, T: RS1Element,
+                       U: RS1Element) -> np.ndarray | slice:
+    """Indices of the first occurrence, in n order, of each distinct
+    element T^m U^n (m[i], n[i] integral; T = (a, 0), U = (b, theta)).
+
+    Elements can coincide only when a/b is rational (a.k == b.k) and the
+    angle is a rational multiple of pi; otherwise n is determined by the
+    sqrt(b.k) part of the translation or by the raw angle.  When they
+    can, T^m U^n is the integer pair (m A + n B, p n mod 2q), where
+    a.q = A/D, b.q = B/D and theta = (p/q) pi, kept exact in Python ints.
+    """
+    a, b, theta = T.translation, U.translation, U.angle
+    if a.k != b.k or theta.pi_frac is None:
+        return slice(None)
+    den = math.lcm(a.q.denominator, b.q.denominator)
+    A = a.q.numerator * (den // a.q.denominator)
+    B = b.q.numerator * (den // b.q.denominator)
+    p, two_q = theta.pi_frac.numerator, 2 * theta.pi_frac.denominator
+    first: dict[tuple[int, int], int] = {}
+    for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
+        first.setdefault((int(mi) * A + ni * B, p * ni % two_q), i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
@@ -376,8 +407,15 @@ MAX_ORBIT_RADIUS = 50
 
 def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
                  radius: int) -> list[tuple[int, int, HeisPoint]]:
-    """All points T^m U^n p0 with |m|, |n| <= radius, via iterated
-    boundary actions (deterministic (m, n) lexicographic order)."""
+    """All points T^m U^n p0 with |m|, |n| <= radius (deterministic (m, n)
+    lexicographic order).
+
+    The U^n p0 are iterated boundary actions; each T^m then acts on all
+    of their standard lifts in one matrix product, every image passing
+    the checks of boundary_action.  For the Bianchi cusp translations
+    the product rounds as one boundary_action per point does (the tests
+    compare the two bit for bit).
+    """
     if radius < 0 or radius > MAX_ORBIT_RADIUS:
         raise GeometryError(f"word radius must be in [0, {MAX_ORBIT_RADIUS}]")
     gU_inv = np.linalg.inv(gU)
@@ -386,11 +424,14 @@ def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
     for n in range(1, radius + 1):
         un_points[n] = boundary_action(gU, un_points[n - 1])
         un_points[-n] = boundary_action(gU_inv, un_points[-(n - 1)])
+    ns = range(-radius, radius + 1)
+    lifts = np.array([standard_lift(un_points[n]) for n in ns])
     out = []
-    for m in range(-radius, radius + 1):
+    for m in ns:
         gTm = np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m))
-        for n in range(-radius, radius + 1):
-            out.append((m, n, boundary_action(gTm, un_points[n])))
+        Z, t = _boundary_images(gTm, lifts, BOUNDARY_TOL)
+        out.extend((m, n, HeisPoint._of(tuple(z), v))
+                   for n, z, v in zip(ns, Z.tolist(), t.tolist()))
     return out
 
 
@@ -434,8 +475,7 @@ def write_orbit_csv(fp, rows: Iterable[tuple[int, int, HeisPoint]],
     """RFC-4180 dump with mandatory header and an optional trailing gap
     comment (the one place comments are allowed)."""
     fp.write("m,n,re_z1,im_z1,re_z2,im_z2,v\r\n")
-    for m, n, p in rows:
-        vals = pack_csv_coords(p)
-        fp.write(f"{m},{n}," + ",".join(repr(v) for v in vals) + "\r\n")
+    fp.write("".join("%s,%s,%r,%r,%r,%r,%r\r\n" % ((m, n) + pack_csv_coords(p))
+                     for m, n, p in rows))
     if gap is not None:
         fp.write(f"# gap: {gap!r}\r\n")

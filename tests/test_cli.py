@@ -115,6 +115,45 @@ class TestVerifyCommand:
             assert [tuple(a if a is None else a.value for a in c) for c in calls] == built
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--d", "2", "--target", "su31", "--u-exact"],
+        ["--d", "7", "--target", "su31", "--alpha", "1/3pi"],
+    ])
+    def test_lattice_built_once(self, monkeypatch, argv):
+        calls = []
+        build = bending.bianchi_lattice_su31
+        monkeypatch.setattr(bending, "bianchi_lattice_su31", lambda *args:
+                            calls.append(args) or build(*args))
+        code, _, _ = run(["verify", "bianchi", *argv])
+        assert code == 0 and len(calls) == 1
+
+
+class TestNegativeValues:
+    """A leading-minus value reads the same after a space as after '='."""
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["verify", "figure8"], "--alpha", "-1/2pi"),
+        (["verify", "figure8"], "--alpha", "-pi"),
+        (["verify", "figure8"], "--alpha", "-0.5"),
+        (["verify", "bianchi", "--d", "7"], "--alpha", "-1/3pi"),
+        (["verify", "bianchi", "--d", "7", "--target", "so41"], "--theta", "-1e-1"),
+        (["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0"],
+         "--pythagorean", "-1/3"),
+        (["sweep", "figure8", "--end", "1e-6", "--count", "5"], "--start", "-1e-6"),
+        (["sweep", "bianchi", "--start=-3.0", "--count", "5"], "--end", "-1e-1"),
+        (["orbit", "--d", "2", "--radius", "3"], "--alpha", "-1/3pi"),
+        (["orbit", "--d", "7", "--target", "so41", "--radius", "3"], "--theta", "-1.0"),
+    ])
+    def test_space_spelling_matches_equals_spelling(self, argv, option, value):
+        spaced = run([*argv, option, value])
+        assert spaced == run([*argv, f"{option}={value}"])
+        assert spaced[0] in (0, 1) and spaced[2] == ""
+
+    def test_option_still_needs_a_value(self):
+        code, out, err = run(["verify", "figure8", "--alpha", "--tol", "1e-9"])
+        assert code == 2 and out == "" and "expected one argument" in err
+
+
 class TestSweepCommand:
     def test_figure8_sweep_arcs(self):
         code, out, _ = run(["sweep", "figure8", "--start", "-3.0",
@@ -210,6 +249,14 @@ class TestOrbitCommand:
                           "--radius", "51"])
         assert code == 2
 
+    def test_su31_orbit_builds_no_family(self, monkeypatch):
+        calls = []
+        for module in (cli, bending):
+            monkeypatch.setattr(module, "bianchi_family", lambda *args, **kwargs:
+                                calls.append(args))
+        code, _, _ = run(["orbit", "--d", "15", "--alpha", "0.7", "--radius", "3"])
+        assert code == 0 and calls == []
+
     # Generated before the integer-numerator exact kernel landed.  The
     # README verify/sweep commands, the acceptance CLI_COMMANDS and one
     # pi-rational verify; the sweep det column pins the summation order.
@@ -242,6 +289,14 @@ class TestOrbitCommand:
           "--start", "0.1", "--end", "3.0", "--count", "12"]),
         ("orbit_d2_alpha_1-3pi_r8.csv",
          ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "8"]),
+        # Generated before the orbit layer was batched: no gap line at
+        # radius 0, a skew cusp at a raw angle, a pi-rational so41 bend.
+        ("orbit_d2_alpha_1-3pi_r0.csv",
+         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "0"]),
+        ("orbit_d15_alpha_0.7_r10.csv",
+         ["orbit", "--d", "15", "--alpha", "0.7", "--radius", "10"]),
+        ("orbit_d5_so41_theta_1-3pi_r10.csv",
+         ["orbit", "--d", "5", "--target", "so41", "--theta=1/3pi", "--radius", "10"]),
     ])
     def test_golden_output(self, name, argv):
         code, out, _ = run(argv)

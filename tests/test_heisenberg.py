@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspdeform.heisenberg import (CuspParams, GeometryError, HeisPoint,
                                    RS1Class, RS1Element, bent_cusp_U,
@@ -15,9 +15,11 @@ from cuspdeform.heisenberg import (CuspParams, GeometryError, HeisPoint,
                                    orbit_gap, orbit_gap_probe, orbit_point,
                                    orbit_point_via_matrices, orbit_points,
                                    rotation_matrix, rs1_classify, rs1_probe,
-                                   shift_point, translation_matrix,
-                                   unshift_point, write_orbit_csv)
+                                   shift_point, standard_lift,
+                                   translation_matrix, unshift_point,
+                                   write_orbit_csv)
 from cuspdeform.heisenberg import _rs1_gap
+from cuspdeform.bending import bianchi_family, cusp_surds
 from cuspdeform.scalars import Angle, Surd
 
 complexes = st.complex_numbers(min_magnitude=0, max_magnitude=3,
@@ -264,6 +266,50 @@ class TestClosestPair:
         assert same_gap(got, brute_min(rows, box, 0.0))
 
 
+def rs1_reference(T, U, n_elements):
+    """rs1_probe with its Fraction-keyed dedupe, one element at a time."""
+    def key(m, n):
+        a, b = T.translation, U.translation
+        if a.k == b.k:
+            trans = ((m * a.q + n * b.q, a.k),)
+        else:
+            trans = ((m * a.q, a.k), (n * b.q, b.k))
+        th = U.angle
+        return trans, ((th.pi_frac * n) % 2 if th.pi_frac is not None else ("raw", n))
+    a, b, theta = T.translation.value, U.translation.value, U.angle.value
+    pts = {}
+    for n in range(n_elements):
+        m = -round(n * b / a)
+        pts.setdefault(key(m, n), (m * a + n * b,
+                                   math.remainder(n * theta, 2 * math.pi)))
+    x, ang = np.array(list(pts.values())).reshape(-1, 2).T
+    return _rs1_gap(x, ang)
+
+
+@st.composite
+def rs1_generators(draw):
+    """(T, U) in the three trichotomy cases.  Numerators reach 2^62 and
+    multiples of 2^64: integer keys in int64 would wrap, and collide."""
+    size = (st.integers(1, 12) | st.integers(2 ** 40, 2 ** 62)
+            | st.integers(1, 12).map(lambda k: k << 64))
+    case = draw(st.sampled_from(["irrational", "pi-rational", "raw"]))
+    radicands = [1, 2, 3, 5]
+    qa = Fraction(draw(size), draw(size)) * draw(st.sampled_from([1, -1]))
+    ka = draw(st.sampled_from(radicands))
+    if case == "irrational":
+        kb = draw(st.sampled_from([k for k in radicands if k != ka]))
+        qb = Fraction(draw(size), draw(size))
+    else:
+        kb = ka
+        qb = qa * Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+    if case == "raw":
+        theta = Angle.radians(draw(st.floats(-3.1, 3.1).filter(lambda x: x != 0)))
+    else:
+        theta = Angle.pi_times(Fraction(draw(st.integers(-24, 24)),
+                                        draw(st.integers(1, 12))))
+    return RS1Element(Surd(qa, ka), Angle.zero()), RS1Element(Surd(qb, kb), theta)
+
+
 class TestRS1:
     def test_trichotomy_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
@@ -282,6 +328,20 @@ class TestRS1:
         with pytest.raises(GeometryError):
             RS1Element(Surd(0), Angle.zero())
 
+    @settings(max_examples=150, deadline=None)
+    @given(gens=rs1_generators(), n_elements=st.integers(0, 600))
+    @example(gens=(RS1Element(Surd(1 << 64), Angle.zero()),  # A, B = 0 mod 2^64
+                   RS1Element(Surd(Fraction(3 << 64, 7)), Angle.pi_fraction(1, 3))),
+             n_elements=300)
+    @example(gens=(RS1Element(Surd(Fraction(5 << 64, 3), 2), Angle.zero()),
+                   RS1Element(Surd(Fraction(2 << 64, 3), 2), Angle.pi_fraction(1, 4))),
+             n_elements=300)
+    def test_probe_matches_fraction_keyed_reference(self, gens, n_elements):
+        T, U = gens
+        got = rs1_probe(T, U, n_elements)
+        assert type(got) is float
+        assert got.hex() == rs1_reference(T, U, n_elements).hex()
+
     def test_probe_agrees_on_three_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
         eps = 1e-2
@@ -292,6 +352,106 @@ class TestRS1:
         assert gaps[1] >= eps
         assert gaps[2] < eps
         assert all(type(gap) is float for gap in gaps)
+
+
+def act_one(g, p, tol=1e-10):
+    """boundary_action one point at a time: the matrix-vector product and
+    the three checks on Python scalars."""
+    v = g @ standard_lift(p)
+    col = g[:, 0]
+    if np.abs(col[1:]).max() > tol * max(np.abs(col).max(), 1.0):
+        raise GeometryError("matrix does not fix the point at infinity")
+    if abs(v[-1]) < 1e-14:
+        raise GeometryError("image escaped the Heisenberg chart")
+    v = v / v[-1]
+    z = tuple(v[1:-1])
+    zz = sum(abs(w) ** 2 for w in z)
+    if abs(v[0].real + zz / 2) > tol * max(1.0, zz):
+        raise GeometryError("image is not a boundary point (height drifted)")
+    return HeisPoint(z, 2.0 * v[0].imag)
+
+
+def orbit_reference(gT, gU, p0, radius):
+    """orbit_points as one act_one call per point."""
+    gT_inv, gU_inv = np.linalg.inv(gT), np.linalg.inv(gU)
+    un = {0: p0}
+    for n in range(1, radius + 1):
+        un[n] = act_one(gU, un[n - 1])
+        un[-n] = act_one(gU_inv, un[-(n - 1)])
+    span = range(-radius, radius + 1)
+    return [(m, n, act_one(np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m)),
+                           un[n]))
+            for m in span for n in span]
+
+
+def orbit_arrays(pts):
+    """The (m, n) words, Z and t of an orbit, as arrays."""
+    return (np.array([(m, n) for m, n, _ in pts]).reshape(-1, 2),
+            np.array([p.z for _, _, p in pts], dtype=complex),
+            np.array([p.t for _, _, p in pts]))
+
+
+@st.composite
+def orbit_angles(draw):
+    kind = draw(st.sampled_from(["raw", "pi", "near-zero"]))
+    if kind == "pi":
+        return Angle.pi_times(Fraction(draw(st.integers(-24, 24)),
+                                       draw(st.integers(1, 12))))
+    if kind == "near-zero":
+        return Angle.radians(draw(st.sampled_from([-1, 1]))
+                             * 10.0 ** draw(st.integers(-13, -3)))
+    return Angle.radians(draw(st.floats(-3.1, 3.1).filter(lambda x: x != 0)))
+
+
+class TestBatchedOrbit:
+    """orbit_points (one matrix product per T^m) against one boundary
+    action per point, compared bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(target=st.sampled_from(["su31", "so41"]),
+           d=st.sampled_from([2, 5, 6, 7, 11, 15, 19]),
+           angle=orbit_angles(), radius=st.integers(0, 6))
+    def test_matches_per_point_actions(self, target, d, angle, radius):
+        if target == "su31":
+            params = CuspParams(*cusp_surds(d), angle)
+            gT, gU = cusp_translation_T(params), bent_cusp_U(params)
+            p0 = HeisPoint.origin(2)
+        else:
+            fam = bianchi_family(d, "so41", theta=angle)
+            gT = np.asarray(fam.images["t"], dtype=complex)
+            gU = np.asarray(fam.images["u"], dtype=complex)
+            p0 = HeisPoint.origin(3)
+        got = orbit_points(gT, gU, p0, radius)
+        want = orbit_reference(gT, gU, p0, radius)
+        for a, b in zip(orbit_arrays(got), orbit_arrays(want)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()  # signed zeros too
+        for _, _, p in got:
+            assert type(p.t) is float and all(type(w) is complex for w in p.z)
+
+    def test_single_point_action_unchanged(self):
+        g = bent_cusp_U(D7_PARAMS)
+        p = HeisPoint((0.3 + 0.4j, 0.2 - 0.1j), 0.5)
+        for _ in range(20):
+            q = boundary_action(g, p)
+            assert q == act_one(g, p)
+            p = q
+
+    @pytest.mark.parametrize("gT, message", [
+        (np.array([[0, 0, 0, -1], [0, -1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]]),
+         "does not fix the point at infinity"),
+        (np.diag([2.0, 1.0, 1.0, 1.0]), "height drifted"),
+        (np.eye(4)[[0, 1, 3, 2]], "escaped the Heisenberg chart"),
+    ])
+    def test_checks_still_raise(self, gT, message):
+        # U translates along z1: every U^n p0 has z2 = 0, so every image
+        # under the swap of the last two coordinates escapes, and every
+        # one with n != 0 (Z != 0) drifts under the first-coordinate scaling
+        gU = cusp_translation_T(D2_PARAMS)
+        with pytest.raises(GeometryError, match=message):
+            orbit_points(gT.astype(complex), gU, HeisPoint.origin(2), 3)
+        with pytest.raises(GeometryError, match=message):
+            orbit_reference(gT.astype(complex), gU, HeisPoint.origin(2), 3)
 
 
 class TestCsv:
