@@ -12,10 +12,11 @@ probes.
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd
 from .matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
                        HermForm, IndeterminateError, Mat, Signature,
-                       eigen, form_defect, form_preserved, herm_signature,
-                       siegel_form)
+                       eigen, eigen_stack, form_defect, form_preserved,
+                       herm_signature, siegel_form)
 from .isometry import (Elliptic, Identity, IsoClass, Loxodromic, Parabolic,
-                       classify, elliptic_boundary, parabolic_subtype)
+                       classify, classify_stack, elliptic_boundary,
+                       parabolic_subtype)
 from .heisenberg import (CuspParams, HeisPoint, RS1Class, RS1Element,
                          boundary_action, box_distance, dilation_matrix,
                          heis_mul, orbit_center, orbit_gap, orbit_gap_probe,

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .heisenberg import CuspParams, RS1Element, rs1_classify
-from .isometry import classify
+from .isometry import classify, classify_stack, evaluate_blocks, sweep_verdict
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, Mat, siegel_form)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd
@@ -437,6 +437,8 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
     The family is built once.  Per point, su31 evaluates only the bent
     letter; so41 only composes the rotation with the numeric lattice
     letter, still checking that it commutes with the edge generators.
+    Each block of letters (``isometry.SWEEP_BLOCK``) is classified in
+    one stacked pass; the first failure in grid order is the one raised.
     """
     if target == "su31":
         fam = bianchi_family(d, "su31")
@@ -448,14 +450,19 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
         form = siegel_form(5, CONJ_TRANSPOSE).numeric()
     else:
         raise ValueError(f"unknown target {target!r}")
-    rows = []
-    for x in params:
+
+    def evaluate(x):
         angle, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
-        g = letter(angle)
-        try:
-            rows.append(BianchiSweepRow(value, str(classify(g, form, tol=tol))))
-        except IndeterminateError as exc:
-            rows.append(BianchiSweepRow(value, "indeterminate", exc.margin))
+        return value, letter(angle)
+
+    rows = []
+    for points, failure in evaluate_blocks(params, evaluate):
+        if points:
+            results = classify_stack(np.stack([g for _, g in points]), form, tol=tol)
+            for (value, _), result in zip(points, results):
+                rows.append(BianchiSweepRow(value, *sweep_verdict(result)))
+        if failure is not None:
+            raise failure
     return rows
 
 

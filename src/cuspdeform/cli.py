@@ -18,6 +18,7 @@ be overridden with --tol or the CUSPDEFORM_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -75,8 +76,8 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
-def _default_tol() -> float:
-    env = os.environ.get("CUSPDEFORM_TOL")
+def _default_tol(env: str | None) -> float:
+    """The --tol default from the raw CUSPDEFORM_TOL value."""
     if not env:
         return 1e-9
     try:
@@ -274,7 +275,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    tol = _default_tol()
+    """The argument parser.  CUSPDEFORM_TOL sets the --tol default, so it
+    is read on every call (a malformed value raises ValueError); the tree
+    itself is built once per value."""
+    return _build_parser(os.environ.get("CUSPDEFORM_TOL"))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_parser(env: str | None) -> argparse.ArgumentParser:
+    tol = _default_tol(env)
     parser = _Parser(
         prog="cuspdeform",
         description="verification suites for cusped-lattice deformation families")

@@ -22,9 +22,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .isometry import IndeterminateError, Parabolic, classify
+from .isometry import (IndeterminateError, Parabolic, classify, classify_stack,
+                       evaluate_blocks, sweep_verdict)
 from .matrices import (GeometryError, HermForm, Mat, Signature,
-                       TRANSPOSE_CONJ, eigen, form_preserved, herm_signature)
+                       TRANSPOSE_CONJ, eigen, form_preserved, herm_signature,
+                       signatures)
 from .scalars import Angle, LaurentPoly
 from .words import (COMMUTATOR_CONVENTION, Rep, Word,
                     builtin_presentation, check_relations)
@@ -128,10 +130,6 @@ class Fig8Family:
     form: HermForm
     rep: Rep
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.alpha is None
-
     def longitude(self):
         return self.rep.evaluate(L_WORD)
 
@@ -224,32 +222,52 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     the peripheral classes on the signature-(3,1) arc away from 0.  A
     signature off its arc is reported in its row (``on_arc``).
 
-    The exact generators and form are built once; at each point the
-    form is evaluated once and serves the signature, the determinant
-    and the numeric family, which still checks form invariance and the
-    defining relation.
+    The exact generators and form are built once.  At each point the
+    form is evaluated once and, on the arc, the numeric family, which
+    still checks form invariance and the defining relation.  Per block
+    of points (``isometry.SWEEP_BLOCK``) one eigvalsh and one det call
+    give the signatures and determinants, and one stacked
+    classification the peripheral classes.  The first failure in grid
+    order is the one raised.
     """
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
     relator = builtin_presentation("figure8").relators[0]
-    rows = []
-    for x in alphas:
+
+    def evaluate(x):
         alpha, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
         want = expected_arc(alpha, exclusion)
         if want is None:
-            continue
+            return None
         form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
-        sig = herm_signature(form, tol=tol)
-        det = float(np.linalg.det(form.mat).real)
-        classes = margin = None
+        pair = None
         if want == (3, 1) and abs(value) > 1e-12:
             fam = _numeric_family(alpha, M_exact, N_exact, form, relator)
-            try:
-                classes = (str(classify(fam.M, fam.form, tol=tol)),
-                           str(classify(fam.longitude(), fam.form, tol=tol)))
-            except IndeterminateError as exc:
-                classes = ("indeterminate", "indeterminate")
-                margin = exc.margin
-        rows.append(SweepRow(value, sig, want, det, classes, margin))
+            pair = (fam.M, fam.longitude())
+        return value, want, form, pair
+
+    rows = []
+    for points, failure in evaluate_blocks(alphas, evaluate):
+        points = [p for p in points if p is not None]
+        if points:
+            J = np.stack([form.mat for _, _, form, _ in points])
+            dets = np.linalg.det(J).real.tolist()
+            arc = [p for p in points if p[3] is not None]
+            results = classify_stack(np.stack([A for p in arc for A in p[3]]),
+                                     [p[2] for p in arc for _ in p[3]],
+                                     tol=tol) if arc else []
+            pairs = iter(zip(results[0::2], results[1::2]))
+            for (value, want, _, pair), sig, det in zip(points, signatures(J, tol), dets):
+                classes = margin = None
+                if pair is not None:
+                    result_m, result_l = next(pairs)
+                    class_m, margin = sweep_verdict(result_m)
+                    if margin is None:  # the longitude's class counts only then
+                        class_l, margin = sweep_verdict(result_l)
+                    classes = ((class_m, class_l) if margin is None
+                               else ("indeterminate", "indeterminate"))
+                rows.append(SweepRow(value, sig, want, det, classes, margin))
+        if failure is not None:
+            raise failure
     return rows
 
 

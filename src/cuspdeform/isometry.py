@@ -21,11 +21,18 @@ matter near the undeformed parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matrices import (EigenData, GeometryError, HermForm, IndeterminateError,
-                       eigen, eigenvectors_for, form_defect)
+from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenCluster, EigenData,
+                       GeometryError, HermForm, IndeterminateError, eigen,
+                       eigen_stack, eye, finite_rows, form_defects,
+                       row_means, shifted, unwrap)
+
+SWEEP_BLOCK = 64
+"""Grid points a sweep evaluates before it classifies them in one stacked
+pass: larger blocks save little numpy call overhead and cost memory."""
 
 UNIPOTENT_STEP2 = "unipotent-step2"
 UNIPOTENT_STEP3 = "unipotent-step3"
@@ -70,47 +77,63 @@ class Loxodromic(IsoClass):
     kind = "loxodromic"
 
 
-def _norm(A: np.ndarray) -> float:
-    return max(float(np.abs(A).max()), 1e-300)
+def _take(S: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """The rows of a stack given by increasing indices (S itself if all)."""
+    return S if len(rows) == len(S) else S[rows]
 
 
-def _merge_defective(A: np.ndarray, clusters, tol: float):
+def _inf_norms(S: np.ndarray) -> list[float]:
+    """Max-entry norm of each matrix of a nonempty stack, floored at 1e-300."""
+    return [max(v, 1e-300) for v in np.abs(S).max(axis=(1, 2)).tolist()]
+
+
+def _merge_defective(S: np.ndarray, datas: Sequence[EigenData], tol: float):
     """Repair eigenvalue-scatter artifacts: computed eigenvalues of a
     defective matrix spread by ~eps^(1/k), which can fake several
     nearby clusters.  Clusters closer than the scatter radius are
     merged when the merged center really is a (defective) eigenvalue
     (kernel nonempty there); if the merged center carries no kernel the
     nearby clusters were genuinely distinct and stay split.
-    """
-    from .matrices import EigenCluster
 
-    n = A.shape[0]
-    vscale = max(max(abs(c.value) for c in clusters), 1.0)
-    suspect = 4.0 * float(np.finfo(float).eps) ** (1.0 / n) * vscale
-    groups: list[list] = []
-    for c in sorted(clusters, key=lambda c: (c.value.real, c.value.imag)):
-        for g in groups:
-            if any(abs(c.value - w.value) <= suspect for w in g):
-                g.append(c)
-                break
-        else:
-            groups.append([c])
-    if all(len(g) == 1 for g in groups):
-        return [g[0] for g in groups]
-    thr = tol * max(float(np.linalg.norm(A, 2)), 1e-300)
+    Runs on a stack with the eigenstructure of each matrix; one
+    singular-value call serves every merge candidate of the stack.
+    """
+    n = S.shape[-1]
+    spread = 4.0 * float(np.finfo(float).eps) ** (1.0 / n)
+    grouped = []
+    for data in datas:
+        suspect = spread * max(max(abs(c.value) for c in data.clusters), 1.0)
+        groups: list[list] = []
+        for c in sorted(data.clusters, key=lambda c: (c.value.real, c.value.imag)):
+            for g in groups:
+                if any(abs(c.value - w.value) <= suspect for w in g):
+                    g.append(c)
+                    break
+            else:
+                groups.append([c])
+        grouped.append(groups)
+    cands = [(k, g) for k, groups in enumerate(grouped) for g in groups if len(g) > 1]
+    if cands:
+        rows = [k for k, _ in cands]
+        algs = [sum(c.alg for c in g) for _, g in cands]
+        lams = [sum(c.value * c.alg for c in g) / alg for (_, g), alg in zip(cands, algs)]
+        sv = np.linalg.svd(shifted(S[rows], lams), compute_uv=False)
+        thr = np.array([tol * datas[k].norm for k in rows])[:, None]
+        geos = (n - np.sum(sv > thr, axis=1)).tolist()
+        centres = iter(zip(lams, algs, geos))
     out = []
-    for g in groups:
-        if len(g) == 1:
-            out.append(g[0])
-            continue
-        alg = sum(c.alg for c in g)
-        lam = sum(c.value * c.alg for c in g) / alg
-        sv = np.linalg.svd(A - lam * np.eye(n), compute_uv=False)
-        geo = n - int(np.sum(sv > thr))
-        if geo == 0:
-            out.extend(g)  # no kernel at the center: genuinely distinct
-        else:
-            out.append(EigenCluster(lam, alg, geo))
+    for groups in grouped:
+        merged = []
+        for g in groups:
+            if len(g) == 1:
+                merged.append(g[0])
+                continue
+            lam, alg, geo = next(centres)
+            if geo == 0:
+                merged.extend(g)  # no kernel at the center: genuinely distinct
+            else:
+                merged.append(EigenCluster(lam, alg, geo))
+        out.append(merged)
     return out
 
 
@@ -126,31 +149,42 @@ def parabolic_subtype(A: np.ndarray, tol: float = 1e-9,
     cube does; otherwise several genuine clusters mean no unipotent
     lift (ellipto-parabolic).
     """
-    A = np.asarray(A, dtype=complex)
-    return _parabolic_subtype(A, None, tol, cluster_rtol)
+    S = np.asarray(A, dtype=complex)[None]
+    subtype = _unipotent_subtypes(S, tol)[0]
+    if subtype is None:
+        data = eigen(S[0], tol=tol, cluster_rtol=cluster_rtol)
+        subtype = unwrap(_cluster_subtype(_merge_defective(S, [data], tol)[0]))
+    return subtype
 
 
-def _parabolic_subtype(A: np.ndarray, clusters: list | None, tol: float,
-                       cluster_rtol: float) -> str:
-    """``parabolic_subtype`` reusing the merged eigenvalue ``clusters``
-    of A when the caller has them (None: computed here if needed)."""
-    n = A.shape[0]
-    lam = complex(np.trace(A)) / n
-    if lam != 0:
-        N = A / lam - np.eye(n)
-        s2 = max(_norm(N) ** 2, 1.0)
-        sq = float(np.abs(N @ N).max())
-        cb = float(np.abs(N @ N @ N).max())
-        if sq <= tol * s2:
-            return UNIPOTENT_STEP2
-        if cb <= tol * s2 * max(_norm(N), 1.0):
-            return UNIPOTENT_STEP3
-    if clusters is None:
-        data = eigen(A, tol=tol, cluster_rtol=cluster_rtol)
-        clusters = _merge_defective(A, data.clusters, tol)
+def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
+    """The unipotent step of each matrix of a stack, read off the
+    powers of S[k]/lambda - I with lambda = trace/n (None: neither the
+    square nor the cube vanishes, or the trace is zero)."""
+    n = S.shape[-1]
+    lams = [complex(t) / n for t in S.trace(axis1=1, axis2=2).tolist()]
+    rows = [k for k, lam in enumerate(lams) if lam != 0]
+    out: list[str | None] = [None] * len(S)
+    if not rows:
+        return out
+    N = _take(S, rows) / np.array([lams[k] for k in rows])[:, None, None] - eye(n)
+    N2 = N @ N
+    sq = np.abs(N2).max(axis=(1, 2)).tolist()
+    cb = np.abs(N2 @ N).max(axis=(1, 2)).tolist()
+    for k, norm, sq_k, cb_k in zip(rows, _inf_norms(N), sq, cb):
+        s2 = max(norm ** 2, 1.0)
+        if sq_k <= tol * s2:
+            out[k] = UNIPOTENT_STEP2
+        elif cb_k <= tol * s2 * max(norm, 1.0):
+            out[k] = UNIPOTENT_STEP3
+    return out
+
+
+def _cluster_subtype(clusters) -> str | IndeterminateError:
+    """The subtype of a parabolic with no unipotent lift."""
     if len(clusters) > 1:
         return ELLIPTO_PARABOLIC
-    raise IndeterminateError(
+    return IndeterminateError(
         "one-cluster parabolic with no vanishing nilpotent power", 1.0)
 
 
@@ -162,30 +196,48 @@ def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = 1e-9,
     Checked per eigenvalue cluster on the whole eigenspace: the space
     contains a null vector iff its Gram matrix is not definite.
     """
-    A = np.asarray(A, dtype=complex)
-    return _elliptic_boundary(A, eigen(A, tol=tol, cluster_rtol=cluster_rtol),
-                              form, tol)
+    S = np.asarray(A, dtype=complex)[None]
+    data = eigen(S[0], tol=tol, cluster_rtol=cluster_rtol)
+    return _elliptic_boundaries(S, [data], form.array()[None], form.convention, tol)[0]
 
 
-def _elliptic_boundary(A: np.ndarray, data: EigenData, form: HermForm,
-                       tol: float) -> bool:
-    """``elliptic_boundary`` on the already computed eigenstructure of A."""
-    J = form.array()
-    for cl in data.clusters:
-        basis = eigenvectors_for(A, cl.value, tol=tol)
-        if basis.shape[1] == 0:
-            continue
-        if form.convention == "conj-transpose":
-            gram = basis.conj().T @ J @ basis
+def _elliptic_boundaries(S: np.ndarray, datas: Sequence[EigenData], J: np.ndarray,
+                         convention: str, tol: float) -> list[bool]:
+    """``elliptic_boundary`` of every matrix of a stack from its computed
+    eigenstructure, against a stack of one form matrix, or of one per
+    matrix.  One singular-value call yields the kernel of S[k] - lambda I
+    for every (matrix, cluster) pair; the Gram matrices of the kernels of
+    one dimension go through one eigvalsh call."""
+    rows = [k for k, data in enumerate(datas) for _ in data.clusters]
+    out = [False] * len(S)
+    if not rows:
+        return out
+    n = S.shape[-1]
+    lams = [c.value for data in datas for c in data.clusters]
+    _, sv, vh = np.linalg.svd(shifted(S[rows], lams))
+    thr = tol * np.array([datas[k].norm for k in rows])
+    # singular values come largest first: a kernel is the trailing columns
+    dims = np.sum(sv <= thr[:, None], axis=1).tolist()
+    V = np.swapaxes(vh.conj(), 1, 2)
+    for d in sorted(set(dims) - {0}):
+        pairs = [j for j, dim in enumerate(dims) if dim == d]
+        basis = V[pairs][:, :, n - d:]
+        Jp = J if len(J) == 1 else J[[rows[j] for j in pairs]]
+        if convention == CONJ_TRANSPOSE:
+            gram = np.swapaxes(basis.conj(), 1, 2) @ Jp @ basis
         else:
-            gram = basis.T @ J @ basis.conj()
-        gev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        scale = max(float(np.abs(gev).max()), 1.0)
-        if gev.min() < -tol * scale and gev.max() > tol * scale:
-            return True  # indefinite: null cone meets the eigenspace
-        if float(np.abs(gev).min()) <= tol * scale:
-            return True  # degenerate: an eigenvector itself is null
-    return False
+            gram = np.swapaxes(basis, 1, 2) @ Jp @ basis.conj()
+        gev = np.linalg.eigvalsh((gram + np.swapaxes(gram.conj(), 1, 2)) / 2)
+        size = np.abs(gev)
+        for j, lo, hi, top, bottom in zip(pairs, gev[:, 0].tolist(), gev[:, -1].tolist(),
+                                          size.max(axis=1).tolist(),
+                                          size.min(axis=1).tolist()):
+            scale = max(top, 1.0)
+            if lo < -tol * scale and hi > tol * scale:
+                out[rows[j]] = True  # indefinite: null cone meets the eigenspace
+            elif bottom <= tol * scale:
+                out[rows[j]] = True  # degenerate: an eigenvector itself is null
+    return out
 
 
 def classify(A: np.ndarray, form: HermForm, tol: float = 1e-9,
@@ -194,54 +246,173 @@ def classify(A: np.ndarray, form: HermForm, tol: float = 1e-9,
 
     Raises GeometryError if A fails to preserve the form within tol (on
     the natural scale), IndeterminateError if a rank or unit-norm
-    decision lands within 10x of its threshold.
+    decision lands within 10x of its threshold.  The one-matrix case of
+    ``classify_stack``.
     """
-    A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A)):
-        raise GeometryError("matrix has non-finite entries")
-    n = A.shape[0]
-    J = form.array()
-    scale = max(1.0, _norm(A) ** 2 * _norm(J))
-    defect = form_defect(A, form)
-    if defect > tol * scale:
-        raise GeometryError(
-            f"matrix does not preserve the form: defect {defect:.3g} "
-            f"exceeds {tol:.3g} * {scale:.3g}")
+    return unwrap(classify_stack(np.asarray(A, dtype=complex)[None], form,
+                                 tol, cluster_rtol)[0])
+
+
+def _form_matrix(form: HermForm | Sequence[HermForm]) -> tuple[np.ndarray, str]:
+    """The stack of the form matrices (one, or one per matrix) and their
+    common convention."""
+    if isinstance(form, HermForm):
+        return form.array()[None], form.convention
+    conventions = {f.convention for f in form}
+    if len(conventions) != 1:
+        raise ValueError("the forms of a stack must share one convention")
+    return np.stack([f.array() for f in form]), conventions.pop()
+
+
+def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
+                   tol: float = 1e-9,
+                   cluster_rtol: float = 1e-7) -> list[IsoClass | GeometryError]:
+    """``classify`` of every matrix of a stack (N, n, n), against one
+    form or a list of one form per matrix (sharing a convention).
+
+    Entry k is the class of S[k] or the GeometryError (possibly an
+    IndeterminateError) that ``classify`` raises for it.  Each step runs
+    as one numpy call over the matrices it still has to decide: the
+    finiteness check, the form defect, the identity test, the
+    eigenstructure, the merge of scatter artifacts, the unipotent powers
+    and the boundary-elliptic kernels.  The decisions on their results,
+    with their thresholds and margins, are made per matrix.
+    """
+    S = np.asarray(S, dtype=complex)
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise ValueError(f"matrices must be square, got shape {S.shape[1:]}")
+    out: list = [None] * len(S)
+    if len(S) == 0:
+        return out
+    n = S.shape[-1]
+    J, convention = _form_matrix(form)
+    if len(J) not in (1, len(S)):
+        raise ValueError(f"{len(J)} forms for {len(S)} matrices")
+
+    live = []
+    for k, finite in enumerate(finite_rows(S)):
+        if finite:
+            live.append(k)
+        else:
+            out[k] = GeometryError(NON_FINITE)
+    if not live:
+        return out
+    A = _take(S, live)
+    Jl = J if len(J) == 1 else _take(J, live)
+
+    # form invariance, on the natural scale
+    norms = _inf_norms(A)
+    form_norms = _inf_norms(Jl)
+    rows = []
+    for j, defect in enumerate(form_defects(A, Jl, convention)):
+        scale = max(1.0, norms[j] ** 2 * form_norms[j if len(Jl) > 1 else 0])
+        if defect > tol * scale:
+            out[live[j]] = GeometryError(
+                f"matrix does not preserve the form: defect {defect:.3g} "
+                f"exceeds {tol:.3g} * {scale:.3g}")
+        else:
+            rows.append(j)
+    if not rows:
+        return out
+    A, live, norms = _take(A, rows), [live[j] for j in rows], [norms[j] for j in rows]
 
     # scalar multiples of the identity are the identity isometry
-    diag = np.diagonal(A)
-    lam0 = complex(np.mean(diag))
-    if lam0 != 0 and float(np.abs(A - lam0 * np.eye(n)).max()) <= tol * _norm(A):
-        return Identity()
-
-    data = eigen(A, tol=tol, cluster_rtol=cluster_rtol)
-    if data.rank_margin < 10:
-        raise IndeterminateError("diagonalizability decision too close to call",
-                                 data.rank_margin)
-    clusters = _merge_defective(A, data.clusters, tol)
-
-    # unit-norm test per cluster, with its own margin
-    unit_alg = 0
-    nonunit_alg = 0
-    for cl in clusters:
-        dev = abs(abs(cl.value) - 1.0)
-        if dev <= tol:
-            unit_alg += cl.alg
-            margin = tol / max(dev, 1e-300)
+    lam0 = row_means(np.diagonal(A, axis1=1, axis2=2))
+    offsets = np.abs(A - lam0[:, None, None] * eye(n)).max(axis=(1, 2))
+    rows = []
+    for j, (lam, offset) in enumerate(zip(lam0.tolist(), offsets.tolist())):
+        if lam != 0 and offset <= tol * norms[j]:
+            out[live[j]] = Identity()
         else:
-            nonunit_alg += cl.alg
-            margin = dev / tol
-        if margin < 10:
-            raise IndeterminateError(
-                f"eigenvalue {cl.value:.6g} too close to the unit-norm threshold",
-                margin)
+            rows.append(j)
+    if not rows:
+        return out
+    A, live = _take(A, rows), [live[j] for j in rows]
 
-    if not all(c.geo == c.alg for c in clusters):
-        return Parabolic(_parabolic_subtype(A, clusters, tol, cluster_rtol))
-    if nonunit_alg == 0:
-        return Elliptic(_elliptic_boundary(A, data, form, tol))
-    if nonunit_alg == 2:
-        return Loxodromic()
-    raise GeometryError(
-        f"spectrum with {nonunit_alg} non-unit eigenvalues is incompatible "
-        "with a rank-one form isometry")
+    datas = eigen_stack(A, tol=tol, cluster_rtol=cluster_rtol)
+    rows = []
+    for j, data in enumerate(datas):
+        if isinstance(data, IndeterminateError):
+            out[live[j]] = data
+        elif data.rank_margin < 10:
+            out[live[j]] = IndeterminateError(
+                "diagonalizability decision too close to call", data.rank_margin)
+        else:
+            rows.append(j)
+    if not rows:
+        return out
+    A, live, datas = _take(A, rows), [live[j] for j in rows], [datas[j] for j in rows]
+
+    parabolic, elliptic = [], []
+    for j, clusters in enumerate(_merge_defective(A, datas, tol)):
+        # unit-norm test per cluster, with its own margin
+        nonunit_alg = 0
+        for cl in clusters:
+            dev = abs(abs(cl.value) - 1.0)
+            if dev <= tol:
+                margin = tol / max(dev, 1e-300)
+            else:
+                nonunit_alg += cl.alg
+                margin = dev / tol
+            if margin < 10:
+                out[live[j]] = IndeterminateError(
+                    f"eigenvalue {cl.value:.6g} too close to the unit-norm threshold",
+                    margin)
+                break
+        else:
+            if not all(c.geo == c.alg for c in clusters):
+                parabolic.append((j, clusters))
+            elif nonunit_alg == 0:
+                elliptic.append(j)
+            elif nonunit_alg == 2:
+                out[live[j]] = Loxodromic()
+            else:
+                out[live[j]] = GeometryError(
+                    f"spectrum with {nonunit_alg} non-unit eigenvalues is "
+                    "incompatible with a rank-one form isometry")
+
+    if parabolic:
+        rows = [j for j, _ in parabolic]
+        subtypes = _unipotent_subtypes(_take(A, rows), tol)
+        for (j, clusters), subtype in zip(parabolic, subtypes):
+            subtype = subtype or _cluster_subtype(clusters)
+            out[live[j]] = (subtype if isinstance(subtype, Exception)
+                            else Parabolic(subtype))
+    if elliptic:
+        rows = [live[j] for j in elliptic]
+        boundary = _elliptic_boundaries(_take(A, elliptic), [datas[j] for j in elliptic],
+                                        J if len(J) == 1 else J[rows], convention, tol)
+        for k, b in zip(rows, boundary):
+            out[k] = Elliptic(b)
+    return out
+
+
+def evaluate_blocks(points: Iterable,
+                    evaluate: Callable) -> Iterator[tuple[list, Exception | None]]:
+    """Walk a sweep grid in blocks of SWEEP_BLOCK points, applying
+    ``evaluate`` to each point.  Yields, per block, the results in grid
+    order and None; or, at the first point whose evaluation raised, the
+    results of the block's earlier points and that exception, and stops.
+    A sweep classifies the results first and raises the exception only if
+    none of those earlier points failed, so the failure raised is the
+    first one in grid order."""
+    done: list = []
+    try:
+        for x in points:
+            done.append(evaluate(x))
+            if len(done) == SWEEP_BLOCK:
+                yield done, None
+                done = []
+    except Exception as exc:
+        yield done, exc
+        return
+    if done:
+        yield done, None
+
+
+def sweep_verdict(result) -> tuple[str, float | None]:
+    """A sweep cell from a ``classify_stack`` entry: the class, or
+    "indeterminate" with its margin.  Any other error is raised."""
+    if isinstance(result, IndeterminateError):
+        return "indeterminate", result.margin
+    return str(unwrap(result)), None

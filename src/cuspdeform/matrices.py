@@ -9,6 +9,7 @@ one to the other at u = e^{i alpha}.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -418,10 +419,17 @@ def herm_signature(form: HermForm | np.ndarray, tol: float = 1e-9) -> Signature:
         J = form.array()
     else:
         J = HermForm(form).array()  # validates hermitianness
+    return signatures(J[None], tol)[0]
+
+
+def signatures(J: np.ndarray, tol: float = 1e-9) -> list[Signature]:
+    """``herm_signature`` of every hermitian matrix of a stack (N, n, n),
+    from one eigvalsh call."""
     ev = np.linalg.eigvalsh(J)
-    plus = int(np.sum(ev > tol))
-    minus = int(np.sum(ev < -tol))
-    return Signature(plus, minus, len(ev) - plus - minus)
+    n = ev.shape[-1]
+    plus = np.sum(ev > tol, axis=-1).tolist()
+    minus = np.sum(ev < -tol, axis=-1).tolist()
+    return [Signature(p, m, n - p - m) for p, m in zip(plus, minus)]
 
 
 @dataclass(frozen=True)
@@ -435,13 +443,11 @@ class EigenCluster:
 class EigenData:
     clusters: tuple[EigenCluster, ...]
     rank_margin: float  # decisiveness of the worst rank decision, >= 1
+    norm: float  # spectral norm of the matrix; rank thresholds are tol * norm
 
     @property
     def n(self) -> int:
         return sum(c.alg for c in self.clusters)
-
-    def is_diagonalizable(self) -> bool:
-        return all(c.geo == c.alg for c in self.clusters)
 
 
 def _cluster_eigenvalues(ev: np.ndarray, rtol: float) -> list[list[complex]]:
@@ -460,6 +466,61 @@ def _cluster_eigenvalues(ev: np.ndarray, rtol: float) -> list[list[complex]]:
     return groups
 
 
+NON_FINITE = "matrix has non-finite entries"
+
+
+def finite_rows(S: np.ndarray) -> list[bool]:
+    """Whether each matrix of a stack (N, n, n) has finite entries only."""
+    return np.isfinite(S).all(axis=(1, 2)).tolist()
+
+
+def _spectral_norms(S: np.ndarray) -> list[float]:
+    """The spectral norm of each matrix of a finite stack (N, n, n),
+    floored at 1e-300: one singular-value call."""
+    sv = np.linalg.svd(S, compute_uv=False)  # sorted, largest first
+    return [max(v, 1e-300) for v in sv[:, 0].tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def eye(n: int) -> np.ndarray:
+    """The n x n identity (float, read-only, shared)."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+def shifted(S: np.ndarray, lams: Sequence[complex]) -> np.ndarray:
+    """The stack S[k] - lams[k] I."""
+    return S - np.array(lams, dtype=complex)[:, None, None] * eye(S.shape[-1])
+
+
+def row_means(X: np.ndarray) -> np.ndarray:
+    """The mean of each row of a 2-d array, by np.mean's own arithmetic
+    (a sum reduction, then one division) without its Python wrapper: each
+    row gets the bits np.mean gives that row alone."""
+    return np.add.reduce(X, axis=1) / X.shape[1]
+
+
+def _centres(groups: list[list[complex]]) -> list[complex]:
+    """The mean of every group, one reduction per group size."""
+    by_size: dict[int, list[int]] = {}
+    for j, g in enumerate(groups):
+        by_size.setdefault(len(g), []).append(j)
+    out = [0j] * len(groups)
+    for idx in by_size.values():
+        X = np.array([groups[j] for j in idx], dtype=complex)
+        for j, centre in zip(idx, row_means(X).tolist()):
+            out[j] = centre
+    return out
+
+
+def unwrap(result):
+    """A result of a stacked routine: raise it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def eigen(A: np.ndarray, tol: float = 1e-9, cluster_rtol: float = 1e-7) -> EigenData:
     """Clustered spectrum with algebraic and geometric multiplicities.
 
@@ -474,62 +535,86 @@ def eigen(A: np.ndarray, tol: float = 1e-9, cluster_rtol: float = 1e-7) -> Eigen
     Whenever the multiplicities come out inconsistent (a cluster with
     geo < 1 or geo > alg) the radius escalates by 10x, up to 1e-3
     relative, before the result is declared indeterminate.
+
+    The one-matrix case of ``eigen_stack``.
     """
-    A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A)):
-        raise GeometryError("matrix has non-finite entries")
-    n = A.shape[0]
-    ev = np.linalg.eigvals(A)
-    norm = max(float(np.linalg.norm(A, 2)), 1e-300)
-    thr = tol * norm
+    S = np.asarray(A, dtype=complex)[None]
+    if not finite_rows(S)[0]:
+        raise GeometryError(NON_FINITE)
+    return unwrap(eigen_stack(S, tol, cluster_rtol)[0])
 
+
+def eigen_stack(S: np.ndarray, tol: float = 1e-9,
+                cluster_rtol: float = 1e-7) -> list[EigenData | IndeterminateError]:
+    """``eigen`` of every matrix of a stack (N, n, n) of finite matrices:
+    entry k is the EigenData of S[k] or the IndeterminateError that
+    ``eigen`` raises for it.
+
+    One eigvals call and one singular-value call (the spectral norms)
+    serve the stack.  Each clustering radius then costs one
+    singular-value call over every (matrix, cluster centre) pair of the
+    matrices whose multiplicities are still inconsistent.
+    """
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[-1]
+    out: list = [None] * len(S)
+    if len(S) == 0:
+        return out
+    ev = np.linalg.eigvals(S)
+    norms = _spectral_norms(S)
+    thr = [tol * norm for norm in norms]
+    pending = list(range(len(S)))
     rtol = cluster_rtol
-    last: EigenData | None = None
-    while rtol <= 1.1e-3:
-        clusters = []
-        worst = float("inf")
-        for group in _cluster_eigenvalues(ev, rtol):
-            lam = complex(np.mean(group))
-            sv = np.linalg.svd(A - lam * np.eye(n), compute_uv=False)
-            rank = int(np.sum(sv > thr))
-            for s in sv:
-                ratio = (s / thr) if s > thr else (thr / max(s, 1e-300))
-                worst = min(worst, ratio)
-            clusters.append(EigenCluster(lam, len(group), n - rank))
-        last = EigenData(tuple(clusters), worst)
-        if all(1 <= c.geo <= c.alg for c in clusters):
-            return last
+    while pending and rtol <= 1.1e-3:
+        groups = [_cluster_eigenvalues(ev[k], rtol) for k in pending]
+        rows = [k for k, gs in zip(pending, groups) for _ in gs]
+        lams = _centres([g for gs in groups for g in gs])
+        sv = np.linalg.svd(shifted(S[rows], lams), compute_uv=False)
+        t = np.array([thr[k] for k in rows])[:, None]
+        above = sv > t
+        ranks = np.sum(above, axis=1).tolist()
+        # the ratio is s / thr above the threshold, thr / max(s, 1e-300)
+        # below it; fmin ignores a NaN ratio
+        ratios = (np.where(above, sv, t)
+                  / np.where(above, t, np.maximum(sv, 1e-300)))
+        worst = np.fmin.reduce(ratios, axis=1, initial=np.inf).tolist()
+        still, j = [], 0
+        for k, gs in zip(pending, groups):
+            clusters, margin = [], float("inf")
+            for g in gs:
+                clusters.append(EigenCluster(lams[j], len(g), n - ranks[j]))
+                margin = min(margin, worst[j])
+                j += 1
+            out[k] = EigenData(tuple(clusters), margin, norms[k])
+            if not all(1 <= c.geo <= c.alg for c in clusters):
+                still.append(k)
+        pending = still
         rtol *= 10.0
-    raise IndeterminateError(
-        "eigenvalue clustering never reached consistent multiplicities",
-        last.rank_margin if last is not None else 1.0)
-
-
-def eigenvectors_for(A: np.ndarray, lam: complex, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of A - lam I."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    norm = max(float(np.linalg.norm(A, 2)), 1e-300)
-    _, sv, vh = np.linalg.svd(A - lam * np.eye(n))
-    keep = sv <= tol * norm
-    return vh.conj().T[:, keep]
+    for k in pending:
+        out[k] = IndeterminateError(
+            "eigenvalue clustering never reached consistent multiplicities",
+            out[k].rank_margin if out[k] is not None else 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Form invariance
 # ---------------------------------------------------------------------------
 
-def _defect_matrix_numeric(g: np.ndarray, form: HermForm) -> np.ndarray:
-    J = form.array()
-    if form.convention == CONJ_TRANSPOSE:
-        return g.conj().T @ J @ g - J
-    return g.T @ J @ g.conj() - J
-
-
 def form_defect(g: np.ndarray, form: HermForm) -> float:
     """Max-entry absolute deviation of g from preserving the form."""
-    g = np.asarray(g, dtype=complex)
-    return float(np.abs(_defect_matrix_numeric(g, form)).max())
+    return form_defects(np.asarray(g, dtype=complex)[None], form.array(),
+                        form.convention)[0]
+
+
+def form_defects(S: np.ndarray, J: np.ndarray, convention: str) -> list[float]:
+    """``form_defect`` of every matrix of a stack (N, n, n) against the
+    form matrix J (one for all, or a stack of one per matrix)."""
+    if convention == CONJ_TRANSPOSE:
+        defect = np.swapaxes(S.conj(), 1, 2) @ J @ S - J  # g* J g - J
+    else:
+        defect = np.swapaxes(S, 1, 2) @ J @ S.conj() - J  # g^T J conj(g) - J
+    return np.abs(defect).max(axis=(1, 2)).tolist()
 
 
 def form_preserved(g: Mat, form: HermForm) -> bool:

@@ -362,12 +362,6 @@ class LaurentPoly:
         den = self._d
         return [(k, complex(v / den)) for k, v in self._n.items()]
 
-    def eval_at(self, z: complex) -> complex:
-        if z == 0:
-            raise ZeroDivisionError("cannot evaluate at u=0")
-        den = self._d
-        return sum((complex(v / den) * z ** k for k, v in self._n.items()), 0j)
-
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -461,10 +455,6 @@ class Surd:
     @property
     def is_zero(self) -> bool:
         return self.q == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.k == 1
 
     @property
     def value(self) -> float:
@@ -765,18 +755,6 @@ def _ext(d: int, c: tuple) -> ExtScalar:
     x.d = d
     x.c = _fold(d, c)
     return x
-
-
-def conj_scalar(x):
-    """Conjugation across backends: star for exact scalars, complex conj
-    for numerics (valid for exact scalars only on |u| = 1)."""
-    if isinstance(x, (LaurentPoly, ExtScalar)):
-        return x.star()
-    if isinstance(x, complex):
-        return x.conjugate()
-    if isinstance(x, (int, float, Fraction)):
-        return x
-    raise TypeError(f"no conjugation for {type(x).__name__}")
 
 
 def eval_unit(x, alpha: Angle) -> complex:

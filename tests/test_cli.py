@@ -387,6 +387,49 @@ class TestEnvTolerance:
         assert args.tol == 1e-9
 
 
+class TestParserCache:
+    def test_tree_built_once_per_environment(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        monkeypatch.setenv("CUSPDEFORM_TOL", "2.5e-9")  # no other test uses it
+        argv = ["sweep", "figure8", "--start", "0.5", "--end", "0.5", "--count", "1"]
+        assert run(argv)[0] == 0
+        assert built  # the first call under this value builds the tree
+        n_built = len(built)
+        assert run(argv)[0] == 0
+        assert len(built) == n_built
+        assert cli.make_parser().parse_args(["verify", "figure8"]).tol == 2.5e-9
+        monkeypatch.setenv("CUSPDEFORM_TOL", "3.5e-9")
+        assert cli.make_parser().parse_args(["verify", "figure8"]).tol == 3.5e-9
+        monkeypatch.setenv("CUSPDEFORM_TOL", "2.5e-9")
+        n_built = len(built)
+        assert cli.make_parser().parse_args(["verify", "figure8"]).tol == 2.5e-9
+        assert len(built) == n_built
+
+    def test_malformed_value_rejected_on_every_call(self, monkeypatch):
+        monkeypatch.setenv("CUSPDEFORM_TOL", "-2.5e-9")
+        for _ in range(2):
+            code, out, err = run(["sweep", "figure8", "--start", "0", "--end", "1",
+                                  "--count", "3"])
+            assert code == 2 and out == ""
+            assert err.startswith("usage error: CUSPDEFORM_TOL") and err.count("\n") == 1
+
+
+class TestClassifyShape:
+    def test_non_square_matrix_is_a_usage_error(self, tmp_path):
+        f = tmp_path / "mat.json"
+        f.write_text(json.dumps({"entries": [[1, 0, 0], [0, 1, 0]]}))
+        code, out, err = run(["classify", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err == "usage error: matrices must be square, got shape (2, 3)\n"
+
+
 class TestBadInput:
     """Malformed input ends in exit 2 and one `usage error:` line (or
     argparse's own message, before any computation), never a traceback."""
