@@ -24,8 +24,7 @@ from .heisenberg import (CuspParams, HeisPoint, RS1Class, RS1Element,
                          rotation_matrix, rs1_classify, rs1_probe,
                          translation_matrix, write_orbit_csv)
 from .words import (Presentation, Rep, Word, builtin_presentation,
-                    check_relations, commutator, eval_word, load_word_list,
-                    trace_word)
+                    check_relations, commutator, load_word_list)
 from .figure8 import (Fig8Family, build_family, det_form_closed,
                       figure8_report, figure8_sweep, parabolicity_report,
                       signature_sweep, trace_integrality_check)

@@ -31,6 +31,8 @@ from .isometry import classify, classify_stack, evaluate_blocks, sweep_verdict
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, Mat, siegel_form)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd
+from .tolerances import (DECISION_TOL, INDETERMINATE_FACTOR, LATTICE_AT_ONE_TOL,
+                         NORM_FLOOR, STRUCTURE_TOL)
 from .words import Presentation, Rep, builtin_presentation, check_relations
 
 MatLike = Union[Mat, np.ndarray]
@@ -116,20 +118,20 @@ def centralizer(target: str, param) -> MatLike:
 # Generic bending operators
 # ---------------------------------------------------------------------------
 
-def _commutes(g: MatLike, h: MatLike, tol: float = 1e-12) -> bool:
+def _commutes(g: MatLike, h: MatLike) -> bool:
     if isinstance(g, Mat) and isinstance(h, Mat):
         return g @ h == h @ g
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.abs(g).max() * np.abs(h).max()))
-    return float(np.abs(g @ h - h @ g).max()) <= tol * scale
+    return float(np.abs(g @ h - h @ g).max()) <= STRUCTURE_TOL * scale
 
 
-def _is_identity(g: MatLike, tol: float = 1e-12) -> bool:
+def _is_identity(g: MatLike) -> bool:
     if isinstance(g, Mat):
         return g.is_identity()
     g = np.asarray(g, dtype=complex)
-    return float(np.abs(g - np.eye(g.shape[0])).max()) <= tol
+    return float(np.abs(g - np.eye(g.shape[0])).max()) <= STRUCTURE_TOL
 
 
 def _is_identity_at_u1(g: Mat) -> bool:
@@ -429,7 +431,7 @@ class BianchiSweepRow:
 
 
 def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
-                  tol: float = 1e-9) -> list[BianchiSweepRow]:
+                  tol: float = DECISION_TOL) -> list[BianchiSweepRow]:
     """Class of the bent stable letter across a parameter grid (a float
     is an angle in radians): the deformation angle alpha for su31, the
     bending angle theta for so41.
@@ -470,13 +472,14 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
 # Burnside probe
 # ---------------------------------------------------------------------------
 
-def algebra_dimension(gens: Sequence[np.ndarray], tol: float = 1e-9,
+def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
                       return_margin: bool = False):
     """Dimension of the matrix algebra generated by the given matrices,
     by breadth-first span saturation with a numerical rank oracle.
 
     Equals n^2 exactly when the matrices act irreducibly.  A rank
-    decision within 10x of the threshold raises IndeterminateError.
+    decision within INDETERMINATE_FACTOR of the threshold raises
+    IndeterminateError.
     """
     if not gens or len(gens) > 8:
         raise ValueError("between 1 and 8 generators")
@@ -500,7 +503,7 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = 1e-9,
         for q in basis_vecs:  # second pass for orthogonality stability
             w = w - np.vdot(q, w) * q
         r = float(np.linalg.norm(w))
-        margin = min(margin, (r / tol) if r > tol else (tol / max(r, 1e-300)))
+        margin = min(margin, (r / tol) if r > tol else (tol / max(r, NORM_FLOOR)))
         if r > tol:
             basis_vecs.append(w / r)
             return True
@@ -518,7 +521,7 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = 1e-9,
                 if try_add(prod):
                     nxt.append(prod)
         frontier = nxt
-    if margin < 10:
+    if margin < INDETERMINATE_FACTOR:
         raise IndeterminateError("algebra span rank decision too close", margin)
     dim = len(basis_vecs)
     return (dim, margin) if return_margin else dim
@@ -533,7 +536,7 @@ def _check(checks: dict, name: str, ok: bool, info: str = "") -> None:
 
 
 def verify_bianchi_su31(d: int, alpha: Angle | None = None,
-                        tol: float = 1e-9) -> dict:
+                        tol: float = DECISION_TOL) -> dict:
     """Verification report for the SU(3,1) bending family of Bi(d).
 
     Exact at symbolic u: relations (projective law, d in {2,7,11}),
@@ -564,7 +567,7 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     at_one = fam.images["u"].evaluate(Angle.zero())
     lattice_u = fam.unbent_u.evaluate()
     _check(checks, "latticeAtOne",
-           bool(np.abs(at_one - lattice_u).max() < 1e-14),
+           bool(np.abs(at_one - lattice_u).max() < LATTICE_AT_ONE_TOL),
            "bent generator reduces to the lattice at u=1")
 
     a, b1, b2 = cusp_surds(d)
@@ -616,7 +619,7 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
 
 def verify_bianchi_so41(d: int, theta: Angle,
                         pythagorean: Fraction | None = Fraction(1, 2),
-                        tol: float = 1e-9) -> dict:
+                        tol: float = DECISION_TOL) -> dict:
     """Verification report for the SO(4,1) bending family of Bi(d).
 
     Exact checks run at a rational point of the circle (the Pythagorean

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .isometry import classify
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, siegel_form)
 from .scalars import Angle
+from .tolerances import DECISION_TOL
 from .words import load_word_list
 
 
@@ -79,7 +81,7 @@ def _parse_tol(text: str) -> float:
 def _default_tol(env: str | None) -> float:
     """The --tol default from the raw CUSPDEFORM_TOL value."""
     if not env:
-        return 1e-9
+        return DECISION_TOL
     try:
         return _parse_tol(env)
     except argparse.ArgumentTypeError as exc:
@@ -117,27 +119,19 @@ def cmd_verify(args) -> int:
             with open(args.words) as fp:
                 extra = load_word_list(fp)
         report = figure8_report(alpha, extra_words=extra, tol=tol)
-        ok = all(c["pass"] for c in report["checks"].values())
-        report["pass"] = ok
     else:
-        try:
-            validate_bianchi_d(args.d)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        validate_bianchi_d(args.d)
         if args.target == "su31":
             alpha = parse_angle(args.alpha) if args.alpha and not args.u_exact else None
             report = verify_bianchi_su31(args.d, alpha, tol=tol)
         else:
             if not args.theta:
-                print("usage error: so41 verification needs --theta", file=sys.stderr)
-                return 2
+                raise ValueError("so41 verification needs --theta")
             pyth = _parse_fraction(args.pythagorean) if args.pythagorean else Fraction(1, 2)
             report = verify_bianchi_so41(args.d, parse_angle(args.theta),
                                          pythagorean=pyth, tol=tol)
-        ok = report["pass"]
     _emit(_json_text(report), args.output)
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +149,7 @@ def _margin_cell(margin: float | None) -> str:
 def cmd_sweep(args) -> int:
     tol = args.tol
     if args.count < 1:
-        print("usage error: --count must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be >= 1")
     if args.count == 1:
         grid = [0.5 * (args.start + args.end)]
     else:
@@ -171,11 +164,7 @@ def cmd_sweep(args) -> int:
                 f"{r.det_value!r},{_margin_cell(r.margin)}" for r in sweep]
         failures = sum(not r.on_arc for r in sweep)
     else:
-        try:
-            validate_bianchi_d(args.d)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        validate_bianchi_d(args.d)
         header = "param,class_u,margin"
         rows = [f"{r.param!r},{r.class_u},{_margin_cell(r.margin)}"
                 for r in bianchi_sweep(args.d, args.target, grid, tol=tol)]
@@ -189,35 +178,25 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_orbit(args) -> int:
-    try:
-        validate_bianchi_d(args.d)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    validate_bianchi_d(args.d)
     if not 0 <= args.radius <= MAX_ORBIT_RADIUS:
-        print(f"usage error: --radius must be in [0, {MAX_ORBIT_RADIUS}]",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--radius must be in [0, {MAX_ORBIT_RADIUS}]")
     if args.target == "su31":
         if not args.alpha:
-            print("usage error: su31 orbit needs --alpha", file=sys.stderr)
-            return 2
+            raise ValueError("su31 orbit needs --alpha")
         params = CuspParams(*cusp_surds(args.d), parse_angle(args.alpha))
         gT = cusp_translation_T(params)
         gU = bent_cusp_U(params)
         p0 = HeisPoint.origin(2)
     else:
         if not args.theta:
-            print("usage error: so41 orbit needs --theta", file=sys.stderr)
-            return 2
+            raise ValueError("so41 orbit needs --theta")
         fam = bianchi_family(args.d, "so41", theta=parse_angle(args.theta))
         gT = np.asarray(fam.images["t"], dtype=complex)
         gU = np.asarray(fam.images["u"], dtype=complex)
         p0 = HeisPoint.origin(3)
     pts = orbit_points(gT, gU, p0, args.radius)
     gap = orbit_gap(pts) if len(pts) > 1 else None
-
-    import io
     buf = io.StringIO()
     write_orbit_csv(buf, pts, gap=gap)
     _emit(buf.getvalue(), args.output)
@@ -228,28 +207,33 @@ def cmd_orbit(args) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def _entries_to_array(entries) -> np.ndarray:
-    def conv(e):
-        if isinstance(e, (list, tuple)):
-            return complex(e[0], e[1])
-        return complex(e)
-    return np.array([[conv(e) for e in row] for row in entries], dtype=complex)
-
-
-def _load_matrix_doc(path: str) -> dict:
+def _load_matrix(path: str) -> tuple[np.ndarray, dict]:
+    """The matrix of a JSON file with 'entries' (rows of numbers or
+    [re, im] pairs), and the whole document."""
     with open(path) as fp:
         doc = json.load(fp)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'entries'")
-    return doc
+
+    def conv(e):
+        if isinstance(e, (list, tuple)):
+            return complex(e[0], e[1])
+        return complex(e)
+    try:
+        rows = [[conv(e) for e in row] for row in doc["entries"]]
+    except (TypeError, IndexError):
+        rows = None
+    if not rows:
+        raise ValueError(f"{path}: 'entries' must be a nonempty list of rows "
+                         "of numbers or [re, im] pairs")
+    return np.array(rows, dtype=complex), doc
 
 
 def cmd_classify(args) -> int:
-    A = _entries_to_array(_load_matrix_doc(args.matrix)["entries"])
+    A = _load_matrix(args.matrix)[0]
     if args.form:
-        form_doc = _load_matrix_doc(args.form)
-        form = HermForm(_entries_to_array(form_doc["entries"]),
-                        form_doc.get("convention", CONJ_TRANSPOSE))
+        J, form_doc = _load_matrix(args.form)
+        form = HermForm(J, form_doc.get("convention", CONJ_TRANSPOSE))
     else:
         form = siegel_form(A.shape[0], CONJ_TRANSPOSE)
     try:

@@ -28,6 +28,7 @@ from .matrices import (GeometryError, HermForm, Mat, Signature,
                        TRANSPOSE_CONJ, eigen, form_preserved, herm_signature,
                        signatures)
 from .scalars import Angle, LaurentPoly
+from .tolerances import CONSTRUCTION_TOL, DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
 from .words import (COMMUTATOR_CONVENTION, Rep, Word,
                     builtin_presentation, check_relations)
 
@@ -134,10 +135,11 @@ class Fig8Family:
         return self.rep.evaluate(L_WORD)
 
 
-def build_family(alpha: Angle | None = None, tol: float = 1e-10) -> Fig8Family:
+def build_family(alpha: Angle | None = None) -> Fig8Family:
     """Construct the family symbolically (alpha=None) or at a unit
     parameter; the defining invariants (relation, form invariance) are
-    verified at construction and a failure is a transcription bug."""
+    verified at construction, numerically to CONSTRUCTION_TOL, and a
+    failure is a transcription bug."""
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
     relator = builtin_presentation("figure8").relators[0]
     if alpha is None:
@@ -147,19 +149,19 @@ def build_family(alpha: Angle | None = None, tol: float = 1e-10) -> Fig8Family:
             raise AssertionError("internal error: defining relation failed symbolically")
         return Fig8Family(None, M_exact, N_exact, form, rep)
     form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
-    return _numeric_family(alpha, M_exact, N_exact, form, relator, tol)
+    return _numeric_family(alpha, M_exact, N_exact, form, relator)
 
 
 def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm,
-                    relator: Word, tol: float = 1e-10) -> Fig8Family:
+                    relator: Word) -> Fig8Family:
     """The family at alpha from the exact generators and the form
     already evaluated there; form invariance and the defining relation
     are checked as in ``build_family``."""
     M = M_exact.evaluate(alpha)
     N = N_exact.evaluate(alpha)
-    rep = Rep({"m": M, "n": N}, form, form_tol=tol)
+    rep = Rep({"m": M, "n": N}, form)
     defect = float(np.abs(rep.evaluate(relator) - np.eye(4)).max())
-    if defect > tol:
+    if defect > CONSTRUCTION_TOL:
         raise AssertionError(
             f"internal error: defining relation defect {defect:.3g} at alpha")
     return Fig8Family(alpha, M, N, form, rep)
@@ -216,7 +218,7 @@ def expected_arc(alpha: Angle | float, exclusion: float) -> tuple[int, int] | No
 
 
 def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
-                  tol: float = 1e-9) -> list[SweepRow]:
+                  tol: float = DECISION_TOL) -> list[SweepRow]:
     """Signature and determinant of the form across a parameter grid
     (a float is an angle in radians), skipping the exclusion zones, plus
     the peripheral classes on the signature-(3,1) arc away from 0.  A
@@ -240,7 +242,7 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
             return None
         form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
         pair = None
-        if want == (3, 1) and abs(value) > 1e-12:
+        if want == (3, 1) and abs(value) > SWEEP_ZERO_ANGLE:
             fam = _numeric_family(alpha, M_exact, N_exact, form, relator)
             pair = (fam.M, fam.longitude())
         return value, want, form, pair
@@ -272,7 +274,7 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
 
 
 def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
-                    tol: float = 1e-9) -> list[SweepRow]:
+                    tol: float = DECISION_TOL) -> list[SweepRow]:
     """``figure8_sweep`` with a positive exclusion radius, where a
     signature off its arc raises."""
     if exclusion <= 0:
@@ -285,24 +287,21 @@ def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     return rows
 
 
-def parabolicity_report(alpha: Angle, tol: float = 1e-9) -> dict:
+def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     """Classes of the peripheral generators on the signature-(3,1) arc,
     plus the longitude spectrum clusters."""
     a = abs(math.remainder(alpha.value, 2 * math.pi))
     if not a < INNER_ARC_BOUND:
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    return _parabolicity(build_family(alpha), tol)
-
-
-def _parabolicity(fam: Fig8Family, tol: float) -> dict:
+    fam = build_family(alpha)
     L = fam.longitude()
     classes = {
         "m": classify(fam.M, fam.form, tol=tol),
         "l": classify(L, fam.form, tol=tol),
     }
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
-    return {"classes": classes, "l_spectrum": spectrum, "alpha": fam.alpha.value}
+    return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
 
 
 def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
@@ -327,8 +326,9 @@ def _is_special_point(alpha: Angle) -> bool:
 
 def figure8_report(alpha: Angle | None = None,
                    extra_words: Sequence[Word] = (),
-                   tol: float = 1e-9) -> dict:
-    """Full verification report (JSON-ready dict).
+                   tol: float = DECISION_TOL) -> dict:
+    """Full verification report (JSON-ready dict); ``pass`` says whether
+    every check passed.
 
     Exact checks (relation, form invariance, longitude transcription,
     determinant identity, trace integrality, peripheral commutativity)
@@ -392,32 +392,26 @@ def figure8_report(alpha: Angle | None = None,
         closed = det_form_closed(alpha)
         direct = float(np.linalg.det(fam.form.array()).real)
         rel_err = abs(closed - direct) / max(abs(closed), 1.0)
-        record("detClosedForm", rel_err <= 1e-9, f"relative error {rel_err:.3g}")
+        record("detClosedForm", rel_err <= LAW_TOL, f"relative error {rel_err:.3g}")
 
-        a = abs(math.remainder(alpha.value, 2 * math.pi))
-        if a < INNER_ARC_BOUND and not alpha.is_zero_mod_2pi():
+        if abs(math.remainder(alpha.value, 2 * math.pi)) < INNER_ARC_BOUND:
             try:
-                rep = _parabolicity(fam, tol)
-                cls = rep["classes"]
+                cls = {
+                    "m": classify(fam.M, fam.form, tol=tol),
+                    "l": classify(fam.longitude(), fam.form, tol=tol),
+                }
                 report["classes"] = {k: str(v) for k, v in cls.items()}
                 record("peripheralParabolic",
-                       all(isinstance(v, Parabolic) for v in cls.values()))
+                       all(isinstance(v, Parabolic) for v in cls.values()),
+                       "undeformed lattice cusp" if alpha.is_zero_mod_2pi() else "")
             except IndeterminateError as exc:
                 report["classes"] = {"m": "indeterminate", "l": "indeterminate"}
                 record("peripheralParabolic", False, str(exc))
-        elif alpha.is_zero_mod_2pi():
-            cls = {
-                "m": classify(fam.M, fam.form, tol=tol),
-                "l": classify(fam.longitude(), fam.form, tol=tol),
-            }
-            report["classes"] = {k: str(v) for k, v in cls.items()}
-            record("peripheralParabolic",
-                   all(isinstance(v, Parabolic) for v in cls.values()),
-                   "undeformed lattice cusp")
 
         special = _is_special_point(alpha)
         report["specialPoint"] = {
             "is": special,
             "discreteImage": bool(all_integral) if special else None,
         }
+    report["pass"] = all(c["pass"] for c in checks.values())
     return report

@@ -27,6 +27,7 @@ import numpy as np
 
 from .matrices import GeometryError
 from .scalars import Angle, Surd
+from .tolerances import BOUNDARY_TOL, CHART_ESCAPE, DUP_TOL, POINT_TOL, STRUCTURE_TOL
 
 RealLike = Union[float, int, Fraction, Surd]
 
@@ -71,7 +72,7 @@ class HeisPoint:
     def inverse(self) -> "HeisPoint":
         return HeisPoint(tuple(-a for a in self.z), -self.t)
 
-    def approx_equal(self, other: "HeisPoint", tol: float = 1e-10) -> bool:
+    def approx_equal(self, other: "HeisPoint", tol: float = POINT_TOL) -> bool:
         return (len(self.z) == len(other.z)
                 and max(abs(a - b) for a, b in zip(self.z, other.z)) <= tol
                 and abs(self.t - other.t) <= tol)
@@ -131,8 +132,8 @@ def rotation_matrix(U: np.ndarray) -> np.ndarray:
     """Heisenberg rotation by a unitary U acting on the Z factor."""
     U = np.asarray(U, dtype=complex)
     k = U.shape[0]
-    if np.abs(U.conj().T @ U - np.eye(k)).max() > 1e-12:
-        raise GeometryError("rotation block is not unitary within 1e-12")
+    if np.abs(U.conj().T @ U - np.eye(k)).max() > STRUCTURE_TOL:
+        raise GeometryError(f"rotation block is not unitary within {STRUCTURE_TOL:g}")
     g = np.eye(k + 2, dtype=complex)
     g[1:k + 1, 1:k + 1] = U
     return g
@@ -155,39 +156,34 @@ def standard_lift(p: HeisPoint, height: float = 0.0) -> np.ndarray:
     return np.array([(-zz - height + 1j * p.t) / 2, *p.z, 1.0], dtype=complex)
 
 
-BOUNDARY_TOL = 1e-10  # height drift and fixed-point test of a boundary action
-
-
-def boundary_action(g: np.ndarray, p: HeisPoint,
-                    tol: float = BOUNDARY_TOL) -> HeisPoint:
+def boundary_action(g: np.ndarray, p: HeisPoint) -> HeisPoint:
     """Projective action of a p_infinity-stabilizing matrix on the
     punctured boundary, in Heisenberg coordinates."""
-    Z, t = _boundary_images(g, standard_lift(p)[None, :], tol)
+    Z, t = _boundary_images(g, standard_lift(p)[None, :])
     return HeisPoint(Z[0], t[0])
 
 
-def _boundary_images(g: np.ndarray, lifts: np.ndarray,
-                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_images(g: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Heisenberg coordinates (rows of Z, and t) of the images under g of
     the boundary points whose standard lifts are the rows of `lifts`.
 
     g must fix the point at infinity; every image must stay in the chart
-    and on the boundary (height drift within tol).  One matrix product
+    and on the boundary (height drift within BOUNDARY_TOL).  One matrix product
     serves all rows; a single row is the matrix-vector product g @ lift.
     """
     g = np.asarray(g, dtype=complex)
     if lifts.shape[1] != g.shape[0]:
         raise GeometryError("point dimension does not match the matrix")
     col = g[:, 0]
-    if np.abs(col[1:]).max() > tol * max(np.abs(col).max(), 1.0):
+    if np.abs(col[1:]).max() > BOUNDARY_TOL * max(np.abs(col).max(), 1.0):
         raise GeometryError("matrix does not fix the point at infinity")
     V = lifts @ g.T
-    if (np.abs(V[:, -1]) < 1e-14).any():
+    if (np.abs(V[:, -1]) < CHART_ESCAPE).any():
         raise GeometryError("image escaped the Heisenberg chart")
     V = V / V[:, -1:]
     Z = V[:, 1:-1]
     zz = (np.abs(Z) ** 2).sum(axis=1)
-    if (np.abs(V[:, 0].real + zz / 2) > tol * np.maximum(1.0, zz)).any():
+    if (np.abs(V[:, 0].real + zz / 2) > BOUNDARY_TOL * np.maximum(1.0, zz)).any():
         raise GeometryError("image is not a boundary point (height drifted)")
     return Z, 2.0 * V[:, 0].imag
 
@@ -429,14 +425,14 @@ def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
     out = []
     for m in ns:
         gTm = np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m))
-        Z, t = _boundary_images(gTm, lifts, BOUNDARY_TOL)
+        Z, t = _boundary_images(gTm, lifts)
         out.extend((m, n, HeisPoint._of(tuple(z), v))
                    for n, z, v in zip(ns, Z.tolist(), t.tolist()))
     return out
 
 
 def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
-              dup_tol: float = 1e-9) -> float:
+              dup_tol: float = DUP_TOL) -> float:
     """Minimum positive pairwise box distance among the (m, n, point) rows
     of orbit_points; pairs closer than dup_tol count as coincident (and
     are excluded, so the reported gap is the positive one)."""
@@ -450,7 +446,7 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
 
 
 def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
-                    radius: int, dup_tol: float = 1e-9) -> float:
+                    radius: int, dup_tol: float = DUP_TOL) -> float:
     """orbit_gap of the orbit points of word radius `radius`."""
     return orbit_gap(orbit_points(gT, gU, p0, radius), dup_tol)
 

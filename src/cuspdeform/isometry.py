@@ -20,6 +20,7 @@ matter near the undeformed parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,6 +30,7 @@ from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenCluster, EigenData,
                        GeometryError, HermForm, IndeterminateError, eigen,
                        eigen_stack, eye, finite_rows, form_defects,
                        row_means, shifted, unwrap)
+from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
 SWEEP_BLOCK = 64
 """Grid points a sweep evaluates before it classifies them in one stacked
@@ -83,8 +85,17 @@ def _take(S: np.ndarray, rows: Sequence[int]) -> np.ndarray:
 
 
 def _inf_norms(S: np.ndarray) -> list[float]:
-    """Max-entry norm of each matrix of a nonempty stack, floored at 1e-300."""
-    return [max(v, 1e-300) for v in np.abs(S).max(axis=(1, 2)).tolist()]
+    """Max-entry norm of each matrix of a nonempty stack, floored at NORM_FLOOR."""
+    return [max(v, NORM_FLOOR) for v in np.abs(S).max(axis=(1, 2)).tolist()]
+
+
+def _square(x: float) -> float:
+    """x ** 2 (whose last bit can differ from x * x's), or inf where
+    that overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _merge_defective(S: np.ndarray, datas: Sequence[EigenData], tol: float):
@@ -137,8 +148,7 @@ def _merge_defective(S: np.ndarray, datas: Sequence[EigenData], tol: float):
     return out
 
 
-def parabolic_subtype(A: np.ndarray, tol: float = 1e-9,
-                      cluster_rtol: float = 1e-7) -> str:
+def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     """Subtype of a (previously classified) parabolic matrix.
 
     A matrix with a single unit eigenvalue lambda is lambda times a
@@ -152,7 +162,7 @@ def parabolic_subtype(A: np.ndarray, tol: float = 1e-9,
     S = np.asarray(A, dtype=complex)[None]
     subtype = _unipotent_subtypes(S, tol)[0]
     if subtype is None:
-        data = eigen(S[0], tol=tol, cluster_rtol=cluster_rtol)
+        data = eigen(S[0], tol=tol)
         subtype = unwrap(_cluster_subtype(_merge_defective(S, [data], tol)[0]))
     return subtype
 
@@ -172,10 +182,11 @@ def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
     sq = np.abs(N2).max(axis=(1, 2)).tolist()
     cb = np.abs(N2 @ N).max(axis=(1, 2)).tolist()
     for k, norm, sq_k, cb_k in zip(rows, _inf_norms(N), sq, cb):
-        s2 = max(norm ** 2, 1.0)
-        if sq_k <= tol * s2:
+        s2 = max(_square(norm), 1.0)
+        # a threshold that overflowed decides nothing
+        if sq_k <= tol * s2 < math.inf:
             out[k] = UNIPOTENT_STEP2
-        elif cb_k <= tol * s2 * max(norm, 1.0):
+        elif cb_k <= tol * s2 * max(norm, 1.0) < math.inf:
             out[k] = UNIPOTENT_STEP3
     return out
 
@@ -188,8 +199,7 @@ def _cluster_subtype(clusters) -> str | IndeterminateError:
         "one-cluster parabolic with no vanishing nilpotent power", 1.0)
 
 
-def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = 1e-9,
-                      cluster_rtol: float = 1e-7) -> bool:
+def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = DECISION_TOL) -> bool:
     """Whether some fixed direction of an elliptic matrix is form-null,
     i.e. the isometry fixes a boundary point.
 
@@ -197,7 +207,7 @@ def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = 1e-9,
     contains a null vector iff its Gram matrix is not definite.
     """
     S = np.asarray(A, dtype=complex)[None]
-    data = eigen(S[0], tol=tol, cluster_rtol=cluster_rtol)
+    data = eigen(S[0], tol=tol)
     return _elliptic_boundaries(S, [data], form.array()[None], form.convention, tol)[0]
 
 
@@ -240,17 +250,15 @@ def _elliptic_boundaries(S: np.ndarray, datas: Sequence[EigenData], J: np.ndarra
     return out
 
 
-def classify(A: np.ndarray, form: HermForm, tol: float = 1e-9,
-             cluster_rtol: float = 1e-7) -> IsoClass:
+def classify(A: np.ndarray, form: HermForm, tol: float = DECISION_TOL) -> IsoClass:
     """Classify a form-preserving matrix; scalar-multiple invariant.
 
     Raises GeometryError if A fails to preserve the form within tol (on
     the natural scale), IndeterminateError if a rank or unit-norm
-    decision lands within 10x of its threshold.  The one-matrix case of
-    ``classify_stack``.
+    decision lands within INDETERMINATE_FACTOR of its threshold.  The
+    one-matrix case of ``classify_stack``.
     """
-    return unwrap(classify_stack(np.asarray(A, dtype=complex)[None], form,
-                                 tol, cluster_rtol)[0])
+    return unwrap(classify_stack(np.asarray(A, dtype=complex)[None], form, tol)[0])
 
 
 def _form_matrix(form: HermForm | Sequence[HermForm]) -> tuple[np.ndarray, str]:
@@ -265,8 +273,7 @@ def _form_matrix(form: HermForm | Sequence[HermForm]) -> tuple[np.ndarray, str]:
 
 
 def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
-                   tol: float = 1e-9,
-                   cluster_rtol: float = 1e-7) -> list[IsoClass | GeometryError]:
+                   tol: float = DECISION_TOL) -> list[IsoClass | GeometryError]:
     """``classify`` of every matrix of a stack (N, n, n), against one
     form or a list of one form per matrix (sharing a convention).
 
@@ -305,8 +312,11 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
     form_norms = _inf_norms(Jl)
     rows = []
     for j, defect in enumerate(form_defects(A, Jl, convention)):
-        scale = max(1.0, norms[j] ** 2 * form_norms[j if len(Jl) > 1 else 0])
-        if defect > tol * scale:
+        scale = max(1.0, _square(norms[j]) * form_norms[j if len(Jl) > 1 else 0])
+        if not (math.isfinite(defect) and math.isfinite(scale)):
+            out[live[j]] = GeometryError(
+                f"form test out of float range: defect {defect:.3g}, scale {scale:.3g}")
+        elif defect > tol * scale:
             out[live[j]] = GeometryError(
                 f"matrix does not preserve the form: defect {defect:.3g} "
                 f"exceeds {tol:.3g} * {scale:.3g}")
@@ -329,12 +339,12 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
         return out
     A, live = _take(A, rows), [live[j] for j in rows]
 
-    datas = eigen_stack(A, tol=tol, cluster_rtol=cluster_rtol)
+    datas = eigen_stack(A, tol=tol)
     rows = []
     for j, data in enumerate(datas):
         if isinstance(data, IndeterminateError):
             out[live[j]] = data
-        elif data.rank_margin < 10:
+        elif data.rank_margin < INDETERMINATE_FACTOR:
             out[live[j]] = IndeterminateError(
                 "diagonalizability decision too close to call", data.rank_margin)
         else:
@@ -350,11 +360,11 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
         for cl in clusters:
             dev = abs(abs(cl.value) - 1.0)
             if dev <= tol:
-                margin = tol / max(dev, 1e-300)
+                margin = tol / max(dev, NORM_FLOOR)
             else:
                 nonunit_alg += cl.alg
                 margin = dev / tol
-            if margin < 10:
+            if margin < INDETERMINATE_FACTOR:
                 out[live[j]] = IndeterminateError(
                     f"eigenvalue {cl.value:.6g} too close to the unit-norm threshold",
                     margin)

@@ -19,6 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, power
+from .tolerances import (CLUSTER_RTOL, CLUSTER_RTOL_CEILING, DECISION_TOL,
+                         INDETERMINATE_FACTOR, NORM_FLOOR, STRUCTURE_TOL)
 
 
 class GeometryError(ValueError):
@@ -30,7 +32,7 @@ class IndeterminateError(GeometryError):
     must not trust a guess."""
 
     def __init__(self, message: str, margin: float):
-        super().__init__(f"{message} (margin {margin:.3g} < 10)")
+        super().__init__(f"{message} (margin {margin:.3g} < {INDETERMINATE_FACTOR})")
         self.margin = float(margin)
 
 
@@ -155,9 +157,6 @@ class Mat:
                 row.append(zero if acc is None else acc)
             out.append(row)
         return self._like(out)
-
-    def scale(self, s) -> "Mat":
-        return Mat([[a * s for a in r] for r in self.rows], self.ring, self.d)
 
     def transpose(self) -> "Mat":
         return self._like(list(zip(*self.rows)))
@@ -337,7 +336,7 @@ class HermForm:
     """A Hermitian form together with its invariance convention.
 
     Hermitianness (J* = J) is verified at construction: exactly for Mat
-    input, to 1e-12 (relative) for numeric input.
+    input, to STRUCTURE_TOL (relative) for numeric input.
     """
 
     __slots__ = ("mat", "convention")
@@ -353,8 +352,8 @@ class HermForm:
             if not np.all(np.isfinite(J)):
                 raise GeometryError("form matrix has non-finite entries")
             scale = max(np.abs(J).max(), 1.0)
-            if np.abs(J - J.conj().T).max() > 1e-12 * scale:
-                raise GeometryError("form matrix is not hermitian within 1e-12")
+            if np.abs(J - J.conj().T).max() > STRUCTURE_TOL * scale:
+                raise GeometryError(f"form matrix is not hermitian within {STRUCTURE_TOL:g}")
         self.mat = J
         self.convention = convention
 
@@ -373,13 +372,6 @@ class HermForm:
 
     def array(self) -> np.ndarray:
         return _as_numeric(self.mat)
-
-    def pair(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """The sesquilinear pairing <x, y> in this form's convention."""
-        J = self.array()
-        if self.convention == CONJ_TRANSPOSE:
-            return complex(y.conj() @ J @ x)
-        return complex(x @ J @ y.conj())
 
 
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
@@ -410,7 +402,7 @@ class Signature:
         return f"({self.plus},{self.minus},{self.zero})"
 
 
-def herm_signature(form: HermForm | np.ndarray, tol: float = 1e-9) -> Signature:
+def herm_signature(form: HermForm | np.ndarray, tol: float = DECISION_TOL) -> Signature:
     """Counts of eigenvalues above tol, below -tol, within [-tol, tol]."""
     if isinstance(form, HermForm):
         if form.is_exact and not form.mat.is_u_free():
@@ -422,7 +414,7 @@ def herm_signature(form: HermForm | np.ndarray, tol: float = 1e-9) -> Signature:
     return signatures(J[None], tol)[0]
 
 
-def signatures(J: np.ndarray, tol: float = 1e-9) -> list[Signature]:
+def signatures(J: np.ndarray, tol: float = DECISION_TOL) -> list[Signature]:
     """``herm_signature`` of every hermitian matrix of a stack (N, n, n),
     from one eigvalsh call."""
     ev = np.linalg.eigvalsh(J)
@@ -476,9 +468,9 @@ def finite_rows(S: np.ndarray) -> list[bool]:
 
 def _spectral_norms(S: np.ndarray) -> list[float]:
     """The spectral norm of each matrix of a finite stack (N, n, n),
-    floored at 1e-300: one singular-value call."""
+    floored at NORM_FLOOR: one singular-value call."""
     sv = np.linalg.svd(S, compute_uv=False)  # sorted, largest first
-    return [max(v, 1e-300) for v in sv[:, 0].tolist()]
+    return [max(v, NORM_FLOOR) for v in sv[:, 0].tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,31 +513,31 @@ def unwrap(result):
     return result
 
 
-def eigen(A: np.ndarray, tol: float = 1e-9, cluster_rtol: float = 1e-7) -> EigenData:
+def eigen(A: np.ndarray, tol: float = DECISION_TOL) -> EigenData:
     """Clustered spectrum with algebraic and geometric multiplicities.
 
     Geometric multiplicity of a cluster is n - rank(A - lambda I), with
     rank read off singular values at threshold tol * ||A||.  The margin
     records how decisively every singular value cleared (or missed) that
-    threshold; classify() turns margins < 10 into an explicit
-    indeterminate outcome rather than a guess.
+    threshold; classify() turns margins below INDETERMINATE_FACTOR into
+    an explicit indeterminate outcome rather than a guess.
 
     Computed eigenvalues of a defective matrix scatter like eps^(1/k)
-    around the true value, which can exceed the base clustering radius.
-    Whenever the multiplicities come out inconsistent (a cluster with
-    geo < 1 or geo > alg) the radius escalates by 10x, up to 1e-3
-    relative, before the result is declared indeterminate.
+    around the true value, which can exceed the base clustering radius
+    CLUSTER_RTOL.  Whenever the multiplicities come out inconsistent (a
+    cluster with geo < 1 or geo > alg) the radius escalates by 10x, up to
+    CLUSTER_RTOL_CEILING, before the result is declared indeterminate.
 
     The one-matrix case of ``eigen_stack``.
     """
     S = np.asarray(A, dtype=complex)[None]
     if not finite_rows(S)[0]:
         raise GeometryError(NON_FINITE)
-    return unwrap(eigen_stack(S, tol, cluster_rtol)[0])
+    return unwrap(eigen_stack(S, tol)[0])
 
 
-def eigen_stack(S: np.ndarray, tol: float = 1e-9,
-                cluster_rtol: float = 1e-7) -> list[EigenData | IndeterminateError]:
+def eigen_stack(S: np.ndarray,
+                tol: float = DECISION_TOL) -> list[EigenData | IndeterminateError]:
     """``eigen`` of every matrix of a stack (N, n, n) of finite matrices:
     entry k is the EigenData of S[k] or the IndeterminateError that
     ``eigen`` raises for it.
@@ -564,8 +556,8 @@ def eigen_stack(S: np.ndarray, tol: float = 1e-9,
     norms = _spectral_norms(S)
     thr = [tol * norm for norm in norms]
     pending = list(range(len(S)))
-    rtol = cluster_rtol
-    while pending and rtol <= 1.1e-3:
+    rtol = CLUSTER_RTOL
+    while pending and rtol <= CLUSTER_RTOL_CEILING:
         groups = [_cluster_eigenvalues(ev[k], rtol) for k in pending]
         rows = [k for k, gs in zip(pending, groups) for _ in gs]
         lams = _centres([g for gs in groups for g in gs])
@@ -573,10 +565,10 @@ def eigen_stack(S: np.ndarray, tol: float = 1e-9,
         t = np.array([thr[k] for k in rows])[:, None]
         above = sv > t
         ranks = np.sum(above, axis=1).tolist()
-        # the ratio is s / thr above the threshold, thr / max(s, 1e-300)
+        # the ratio is s / thr above the threshold, thr / max(s, NORM_FLOOR)
         # below it; fmin ignores a NaN ratio
         ratios = (np.where(above, sv, t)
-                  / np.where(above, t, np.maximum(sv, 1e-300)))
+                  / np.where(above, t, np.maximum(sv, NORM_FLOOR)))
         worst = np.fmin.reduce(ratios, axis=1, initial=np.inf).tolist()
         still, j = [], 0
         for k, gs in zip(pending, groups):
@@ -609,11 +601,13 @@ def form_defect(g: np.ndarray, form: HermForm) -> float:
 
 def form_defects(S: np.ndarray, J: np.ndarray, convention: str) -> list[float]:
     """``form_defect`` of every matrix of a stack (N, n, n) against the
-    form matrix J (one for all, or a stack of one per matrix)."""
-    if convention == CONJ_TRANSPOSE:
-        defect = np.swapaxes(S.conj(), 1, 2) @ J @ S - J  # g* J g - J
-    else:
-        defect = np.swapaxes(S, 1, 2) @ J @ S.conj() - J  # g^T J conj(g) - J
+    form matrix J (one for all, or a stack of one per matrix).  A product
+    out of float range gives an infinite or NaN defect, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if convention == CONJ_TRANSPOSE:
+            defect = np.swapaxes(S.conj(), 1, 2) @ J @ S - J  # g* J g - J
+        else:
+            defect = np.swapaxes(S, 1, 2) @ J @ S.conj() - J  # g^T J conj(g) - J
     return np.abs(defect).max(axis=(1, 2)).tolist()
 
 

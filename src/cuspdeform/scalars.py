@@ -755,14 +755,3 @@ def _ext(d: int, c: tuple) -> ExtScalar:
     x.d = d
     x.c = _fold(d, c)
     return x
-
-
-def eval_unit(x, alpha: Angle) -> complex:
-    """Evaluate any exact scalar at u = e^{i alpha}."""
-    if isinstance(x, (LaurentPoly, ExtScalar)):
-        return x.eval_unit(alpha)
-    if isinstance(x, Fraction):
-        return complex(x)
-    if isinstance(x, (int, float, complex)):
-        return complex(x)
-    raise TypeError(f"cannot evaluate {type(x).__name__}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .matrices import (GeometryError, HermForm, Mat, form_defect,
                        form_preserved)
+from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
 COMMUTATOR_CONVENTION = "aba^-1b^-1"
 
@@ -185,11 +186,10 @@ MatLike = Union[Mat, np.ndarray]
 @dataclass
 class Rep:
     """Generator images over one backend, with an optional invariant
-    form (validated at construction: exactly or within form_tol)."""
+    form (validated at construction: exactly or within CONSTRUCTION_TOL)."""
 
     images: Mapping[str, MatLike]
     form: HermForm | None = None
-    form_tol: float = 1e-10
     _inv_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,7 +210,7 @@ class Rep:
                             f"generator {sym} does not preserve the form (exact)")
                 else:
                     defect = form_defect(np.asarray(g, dtype=complex), self.form)
-                    if defect > self.form_tol:
+                    if defect > CONSTRUCTION_TOL:
                         raise GeometryError(
                             f"generator {sym} has form defect {defect:.3g}")
 
@@ -262,14 +262,6 @@ class Rep:
         return complex(np.trace(g))
 
 
-def eval_word(rep: Rep, w: Word):
-    return rep.evaluate(w)
-
-
-def trace_word(rep: Rep, w: Word):
-    return rep.trace(w)
-
-
 # ---------------------------------------------------------------------------
 # Relation checking
 # ---------------------------------------------------------------------------
@@ -287,7 +279,7 @@ class RelationResult:
     def passed(self) -> bool:
         if self.exact is not None:
             return bool(self.projective)
-        return self.projective_defect is not None and self.projective_defect <= 1e-9
+        return self.projective_defect is not None and self.projective_defect <= LAW_TOL
 
     def as_dict(self) -> dict:
         return {

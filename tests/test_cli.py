@@ -479,6 +479,69 @@ class TestBadInput:
         assert out == (GOLDEN / "verify_figure8_alpha_0.5.json").read_bytes().decode()
 
 
+class TestUsageMessages:
+    """Every argument check of a subcommand, message pinned byte for byte,
+    checks taken in their order (a bad d before a missing angle, --count
+    before d, d before --radius before the angle)."""
+
+    NOT_SQUAREFREE = "usage error: d={} is not a squarefree positive integer\n"
+    NO_FAMILY = ("usage error: d={} has no modular-surface bending family "
+                 "(its deformations are classified separately)\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["verify", "bianchi", "--d", "4"], NOT_SQUAREFREE.format(4)),
+        (["verify", "bianchi", "--d", "0"], NOT_SQUAREFREE.format(0)),
+        (["verify", "bianchi", "--d", "3"], NO_FAMILY.format(3)),
+        (["verify", "bianchi", "--d", "1"], NO_FAMILY.format(1)),
+        (["verify", "bianchi", "--d", "4", "--target", "so41"], NOT_SQUAREFREE.format(4)),
+        (["verify", "bianchi", "--d", "7", "--target", "so41"],
+         "usage error: so41 verification needs --theta\n"),
+        (["sweep", "figure8", "--start", "0", "--end", "1", "--count", "0"],
+         "usage error: --count must be >= 1\n"),
+        (["sweep", "bianchi", "--d", "4", "--start", "0", "--end", "1", "--count", "0"],
+         "usage error: --count must be >= 1\n"),
+        (["sweep", "bianchi", "--d", "9", "--start", "0", "--end", "1", "--count", "3"],
+         NOT_SQUAREFREE.format(9)),
+        (["orbit", "--d", "8", "--radius", "51"], NOT_SQUAREFREE.format(8)),
+        (["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "51"],
+         "usage error: --radius must be in [0, 50]\n"),
+        (["orbit", "--d", "2", "--alpha", "1/3pi", "--radius=-1"],
+         "usage error: --radius must be in [0, 50]\n"),
+        (["orbit", "--d", "2", "--target", "so41", "--radius", "60"],
+         "usage error: --radius must be in [0, 50]\n"),
+        (["orbit", "--d", "2"], "usage error: su31 orbit needs --alpha\n"),
+        (["orbit", "--d", "2", "--target", "so41"],
+         "usage error: so41 orbit needs --theta\n"),
+    ])
+    def test_message(self, argv, err):
+        assert run(argv) == (2, "", err)
+
+
+class TestClassifyInputs:
+    """Matrix files that once ended in a traceback: malformed entries are
+    a usage error; a finite matrix whose norm squared overflows gets a
+    report, and never passes the form test on an overflowed scale."""
+
+    @pytest.mark.parametrize("entries", [[1, 2, 3], []])
+    def test_malformed_entries(self, tmp_path, entries):
+        f = tmp_path / "mat.json"
+        f.write_text(json.dumps({"entries": entries}))
+        code, out, err = run(["classify", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("diag", [[1e300, 1, 1, 1e-300], [1e200] * 4])
+    def test_huge_entries(self, tmp_path, diag):
+        f = tmp_path / "mat.json"
+        f.write_text(json.dumps({"entries": [[x if i == j else 0 for j in range(4)]
+                                             for i, x in enumerate(diag)]}))
+        code, out, err = run(["classify", "--matrix", str(f)])
+        assert code in (0, 1) and err == ""
+        got = json.loads(out)
+        jsonschema.validate(got, SCHEMA)
+        assert got["class"] != "identity"
+
+
 class TestRuntimeDependencies:
     def test_import_loads_neither_scipy_nor_jsonschema(self):
         src = str(Path(cuspdeform.__file__).parent.parent)

@@ -11,7 +11,7 @@ from cuspdeform.isometry import (ELLIPTO_PARABOLIC, Elliptic, Identity,
                                  UNIPOTENT_STEP3, classify, elliptic_boundary,
                                  parabolic_subtype)
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
-                                 siegel_form)
+                                 IndeterminateError, siegel_form)
 from cuspdeform.scalars import Angle
 
 SIEGEL4 = siegel_form(4)
@@ -120,6 +120,13 @@ class TestParabolicSubtype:
             h = isometry_of(SIEGEL4.array())
             assert parabolic_subtype(h @ g @ np.linalg.inv(h), tol=1e-8) \
                 == UNIPOTENT_STEP3
+
+    def test_overflowed_nilpotent_threshold_decides_nothing(self):
+        # (A - I)^2 is out of float range, and so is its threshold: no
+        # unipotent step is read off an infinite comparison
+        A = np.eye(4) + np.triu(np.full((4, 4), 1e160), 1)
+        with np.errstate(all="ignore"), pytest.raises(IndeterminateError):
+            parabolic_subtype(A)
 
 
 class TestEllipticBoundary:
