@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .heisenberg import CuspParams, RS1Element, rs1_classify
-from .isometry import classify, classify_stack, evaluate_blocks, sweep_verdict
+from .isometry import classify, classify_stack, grid_blocks, sweep_verdict
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
-                       IndeterminateError, Mat, siegel_form)
+                       IndeterminateError, Mat, UnitPowers, siegel_form)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd
 from .tolerances import (DECISION_TOL, INDETERMINATE_FACTOR, LATTICE_AT_ONE_TOL,
                          NORM_FLOOR, STRUCTURE_TOL)
@@ -87,6 +87,18 @@ def so41_centralizer(theta: Angle) -> np.ndarray:
     return g
 
 
+def so41_centralizers(thetas: Sequence[Angle]) -> np.ndarray:
+    """``so41_centralizer`` of each angle of a block, as a stack."""
+    c = [theta.cos() for theta in thetas]
+    s = [theta.sin() for theta in thetas]
+    g = np.tile(np.eye(5), (len(c), 1, 1))
+    g[:, 2, 2] = c
+    g[:, 2, 3] = [-x for x in s]
+    g[:, 3, 2] = s
+    g[:, 3, 3] = c
+    return g
+
+
 def pythagorean_pair(s: Fraction) -> tuple[Fraction, Fraction]:
     """Exact point on the circle: ((1-s^2)/(1+s^2), 2s/(1+s^2))."""
     s = Fraction(s)
@@ -121,10 +133,18 @@ def centralizer(target: str, param) -> MatLike:
 def _commutes(g: MatLike, h: MatLike) -> bool:
     if isinstance(g, Mat) and isinstance(h, Mat):
         return g @ h == h @ g
-    g = np.asarray(g, dtype=complex)
+    return _commuting(np.asarray(g)[None], h)[0]
+
+
+def _commuting(G: np.ndarray, h: MatLike) -> list[bool]:
+    """Whether each matrix of a stack (K, n, n) commutes with h, within
+    STRUCTURE_TOL times the product of their largest entries (at least 1)."""
+    G = np.asarray(G, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.abs(g).max() * np.abs(h).max()))
-    return float(np.abs(g @ h - h @ g).max()) <= STRUCTURE_TOL * scale
+    scales = (np.abs(G).max(axis=(1, 2)) * np.abs(h).max()).tolist()
+    defects = np.abs(G @ h - h @ G).max(axis=(1, 2)).tolist()
+    return [defect <= STRUCTURE_TOL * max(1.0, scale)
+            for defect, scale in zip(defects, scales)]
 
 
 def _is_identity(g: MatLike) -> bool:
@@ -178,14 +198,17 @@ class BendDataHNN:
                                 "at the zero parameter")
 
 
+def _commute_error(sym: str) -> GeometryError:
+    return GeometryError(f"centralizer element fails to commute with edge generator {sym!r}")
+
+
 def bend_hnn(data: BendDataHNN, t) -> dict[str, MatLike]:
     """The bent representation: base generators fixed, stable letter
     composed with the centralizer element at parameter t."""
     g = data.centralizer(t)
     for sym in data.edge_gens:
         if not _commutes(g, data.base[sym]):
-            raise GeometryError(
-                f"centralizer element fails to commute with edge generator {sym!r}")
+            raise _commute_error(sym)
     images = dict(data.base)
     images[data.stable] = (g @ data.stable_image
                            if isinstance(g, Mat) else
@@ -225,8 +248,7 @@ def bend_amalgam(data: BendDataAmalgam, t) -> dict[str, MatLike]:
     g = data.centralizer(t)
     for sym in data.edge_gens:
         if not _commutes(g, data.left[sym]):
-            raise GeometryError(
-                f"centralizer element fails to commute with edge generator {sym!r}")
+            raise _commute_error(sym)
     if isinstance(g, Mat):
         g_inv = g.inverse()
         conj = lambda h: g @ h @ g_inv
@@ -406,6 +428,23 @@ def bianchi_family(d: int, target: str = "su31", *,
     raise ValueError(f"unknown target {target!r}")
 
 
+def _so41_letters(data: BendDataHNN, thetas: Sequence[Angle]
+                  ) -> tuple[np.ndarray, GeometryError | None]:
+    """``bend_hnn(data, theta)["u"]`` at each angle of a block, as one
+    stack: the rotations, their commute checks with the edge generators
+    and the products with the stable letter.  Returns the letters and
+    None; or, at the first angle whose rotation fails to commute, the
+    letters of the earlier angles and the error ``bend_hnn`` raises."""
+    G = so41_centralizers(thetas)
+    stop, failure = len(G), None
+    for sym in data.edge_gens:  # the first failing angle, then symbol
+        for k, ok in enumerate(_commuting(G[:stop], data.base[sym])):
+            if not ok:
+                stop, failure = k, _commute_error(sym)
+                break
+    return G[:stop] @ np.asarray(data.stable_image), failure
+
+
 def _so41_bend_data(d: int) -> BendDataHNN:
     """HNN data of the numeric so41 bending: the lattice evaluated once,
     bent by the rotation R_34(theta) at any angle theta."""
@@ -436,32 +475,32 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
     is an angle in radians): the deformation angle alpha for su31, the
     bending angle theta for so41.
 
-    The family is built once.  Per point, su31 evaluates only the bent
-    letter; so41 only composes the rotation with the numeric lattice
-    letter, still checking that it commutes with the edge generators.
-    Each block of letters (``isometry.SWEEP_BLOCK``) is classified in
-    one stacked pass; the first failure in grid order is the one raised.
+    The family is built once.  Per block of points
+    (``isometry.SWEEP_BLOCK``), su31 evaluates only the bent letter, as
+    one stack; so41 only composes the rotations with the numeric lattice
+    letter, still checking that each commutes with the edge generators.
+    Each block of letters is classified in one stacked pass; the first
+    failure in grid order is the one raised.
     """
     if target == "su31":
         fam = bianchi_family(d, "su31")
-        letter = fam.images["u"].evaluate
+        letters = lambda angles: (fam.images["u"].evaluate_stack(UnitPowers(angles)), None)
         form = fam.form.numeric()
     elif target == "so41":
         data = _so41_bend_data(d)
-        letter = lambda theta: bend_hnn(data, theta)["u"]
+        letters = lambda angles: _so41_letters(data, angles)
         form = siegel_form(5, CONJ_TRANSPOSE).numeric()
     else:
         raise ValueError(f"unknown target {target!r}")
 
-    def evaluate(x):
-        angle, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
-        return value, letter(angle)
-
     rows = []
-    for points, failure in evaluate_blocks(params, evaluate):
-        if points:
-            results = classify_stack(np.stack([g for _, g in points]), form, tol=tol)
-            for (value, _), result in zip(points, results):
+    for angles, values, failure in grid_blocks(params):
+        U, exc = letters(angles)
+        if exc is not None:  # at an earlier point than the grid's failure
+            failure = exc
+        if len(U):
+            results = classify_stack(U, form, tol=tol)
+            for value, result in zip(values, results):
                 rows.append(BianchiSweepRow(value, *sweep_verdict(result)))
         if failure is not None:
             raise failure

@@ -22,10 +22,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .isometry import (IndeterminateError, Parabolic, classify, classify_stack,
-                       evaluate_blocks, sweep_verdict)
+from .isometry import (IndeterminateError, Parabolic, classify, classify_against,
+                       grid_blocks, sweep_verdict)
 from .matrices import (GeometryError, HermForm, Mat, Signature,
-                       TRANSPOSE_CONJ, eigen, form_preserved, herm_signature,
+                       TRANSPOSE_CONJ, UnitPowers, eigen, eye, form_defects,
+                       form_preserved, herm_signature, hermitian_failures,
                        signatures)
 from .scalars import Angle, LaurentPoly
 from .tolerances import CONSTRUCTION_TOL, DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
@@ -167,6 +168,34 @@ def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm,
     return Fig8Family(alpha, M, N, form, rep)
 
 
+def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat, J: np.ndarray,
+                      relator: Word) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    """``_numeric_family`` at each angle of a block, as stacks: the
+    generators evaluated on the block's powers, the form J already
+    evaluated there (a stack), the same checks in the same order per
+    angle, and the relator and longitude products over the stacks.
+
+    Returns the M and longitude stacks and None; or, at the first angle
+    whose check fails, the stacks of the earlier angles and the error
+    ``_numeric_family`` raises there.
+    """
+    M = M_exact.evaluate_stack(powers)
+    N = N_exact.evaluate_stack(powers)
+    rep = Rep({"m": M, "n": N})
+    checks = (form_defects(M, J, TRANSPOSE_CONJ), form_defects(N, J, TRANSPOSE_CONJ),
+              np.abs(rep.evaluate(relator) - eye(4)).max(axis=(1, 2)).tolist())
+    L = rep.evaluate(L_WORD)
+    for k, (defect_m, defect_n, relation) in enumerate(zip(*checks)):
+        for sym, defect in (("m", defect_m), ("n", defect_n)):
+            if defect > CONSTRUCTION_TOL:  # as Rep checks a form
+                return M[:k], L[:k], GeometryError(
+                    f"generator {sym} has form defect {defect:.3g}")
+        if relation > CONSTRUCTION_TOL:
+            return M[:k], L[:k], AssertionError(
+                f"internal error: defining relation defect {relation:.3g} at alpha")
+    return M, L, None
+
+
 # ---------------------------------------------------------------------------
 # Verification operations
 # ---------------------------------------------------------------------------
@@ -224,50 +253,51 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     the peripheral classes on the signature-(3,1) arc away from 0.  A
     signature off its arc is reported in its row (``on_arc``).
 
-    The exact generators and form are built once.  At each point the
-    form is evaluated once and, on the arc, the numeric family, which
-    still checks form invariance and the defining relation.  Per block
-    of points (``isometry.SWEEP_BLOCK``) one eigvalsh and one det call
-    give the signatures and determinants, and one stacked
-    classification the peripheral classes.  The first failure in grid
-    order is the one raised.
+    The exact generators and form are built once.  Per block of points
+    (``isometry.SWEEP_BLOCK``) the form is evaluated as one stack and,
+    at the points on the arc, the numeric family, which still checks
+    form invariance and the defining relation per point; one eigvalsh
+    and one det call give the signatures and determinants, and one
+    stacked classification the peripheral classes.  The first failure
+    in grid order is the one raised.
     """
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
     relator = builtin_presentation("figure8").relators[0]
-
-    def evaluate(x):
-        alpha, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
-        want = expected_arc(alpha, exclusion)
-        if want is None:
-            return None
-        form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
-        pair = None
-        if want == (3, 1) and abs(value) > SWEEP_ZERO_ANGLE:
-            fam = _numeric_family(alpha, M_exact, N_exact, form, relator)
-            pair = (fam.M, fam.longitude())
-        return value, want, form, pair
-
     rows = []
-    for points, failure in evaluate_blocks(alphas, evaluate):
-        points = [p for p in points if p is not None]
-        if points:
-            J = np.stack([form.mat for _, _, form, _ in points])
-            dets = np.linalg.det(J).real.tolist()
-            arc = [p for p in points if p[3] is not None]
-            results = classify_stack(np.stack([A for p in arc for A in p[3]]),
-                                     [p[2] for p in arc for _ in p[3]],
-                                     tol=tol) if arc else []
-            pairs = iter(zip(results[0::2], results[1::2]))
-            for (value, want, _, pair), sig, det in zip(points, signatures(J, tol), dets):
-                classes = margin = None
-                if pair is not None:
-                    result_m, result_l = next(pairs)
-                    class_m, margin = sweep_verdict(result_m)
-                    if margin is None:  # the longitude's class counts only then
-                        class_l, margin = sweep_verdict(result_l)
-                    classes = ((class_m, class_l) if margin is None
-                               else ("indeterminate", "indeterminate"))
-                rows.append(SweepRow(value, sig, want, det, classes, margin))
+    for angles, values, failure in grid_blocks(alphas):
+        wants = [expected_arc(a, exclusion) for a in angles]
+        kept = [k for k, want in enumerate(wants) if want is not None]
+        powers = UnitPowers([angles[k] for k in kept])
+        J = J_exact.evaluate_stack(powers)
+        for j, exc in enumerate(hermitian_failures(J)):
+            if exc is not None:  # the points before it still count
+                kept, J, failure = kept[:j], J[:j], exc
+                break
+        arc = [j for j, k in enumerate(kept)
+               if wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE]
+        M, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc], relator)
+        if exc is not None:  # at an earlier point than any failure above
+            end = arc[len(M)]
+            kept, J, arc, failure = kept[:end], J[:end], arc[:len(M)], exc
+        results = []
+        if arc:
+            # M and the longitude of each point, in turn, against its form
+            S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
+            results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ,
+                                       tol)
+        pairs = iter(zip(results[0::2], results[1::2]))
+        on_arc = set(arc)
+        dets = np.linalg.det(J).real.tolist()
+        for j, (k, sig, det) in enumerate(zip(kept, signatures(J, tol), dets)):
+            classes = margin = None
+            if j in on_arc:
+                result_m, result_l = next(pairs)
+                class_m, margin = sweep_verdict(result_m)
+                if margin is None:  # the longitude's class counts only then
+                    class_l, margin = sweep_verdict(result_l)
+                classes = ((class_m, class_l) if margin is None
+                           else ("indeterminate", "indeterminate"))
+            rows.append(SweepRow(values[k], sig, wants[k], det, classes, margin))
         if failure is not None:
             raise failure
     return rows

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,11 +30,13 @@ from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenCluster, EigenData,
                        GeometryError, HermForm, IndeterminateError, eigen,
                        eigen_stack, eye, finite_rows, form_defects,
                        row_means, shifted, unwrap)
+from .scalars import Angle
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
 SWEEP_BLOCK = 64
-"""Grid points a sweep evaluates before it classifies them in one stacked
-pass: larger blocks save little numpy call overhead and cost memory."""
+"""Grid points a sweep evaluates as one stack and classifies in one
+stacked pass: larger blocks save little numpy call overhead and cost
+memory."""
 
 UNIPOTENT_STEP2 = "unipotent-step2"
 UNIPOTENT_STEP3 = "unipotent-step3"
@@ -285,14 +287,31 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
     and the boundary-elliptic kernels.  The decisions on their results,
     with their thresholds and margins, are made per matrix.
     """
+    S = _square_stack(S)
+    if len(S) == 0:
+        return []
+    J, convention = _form_matrix(form)
+    return classify_against(S, J, convention, tol)
+
+
+def _square_stack(S: np.ndarray) -> np.ndarray:
+    """S as a complex array, checked to be a stack (N, n, n)."""
     S = np.asarray(S, dtype=complex)
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise ValueError(f"matrices must be square, got shape {S.shape[1:]}")
+    return S
+
+
+def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
+                     tol: float = DECISION_TOL) -> list[IsoClass | GeometryError]:
+    """``classify_stack`` against hermitian form matrices given as a
+    stack J (one for all matrices, or one per matrix) under one
+    convention."""
+    S = _square_stack(S)
     out: list = [None] * len(S)
     if len(S) == 0:
         return out
     n = S.shape[-1]
-    J, convention = _form_matrix(form)
     if len(J) not in (1, len(S)):
         raise ValueError(f"{len(J)} forms for {len(S)} matrices")
 
@@ -397,27 +416,30 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
     return out
 
 
-def evaluate_blocks(points: Iterable,
-                    evaluate: Callable) -> Iterator[tuple[list, Exception | None]]:
-    """Walk a sweep grid in blocks of SWEEP_BLOCK points, applying
-    ``evaluate`` to each point.  Yields, per block, the results in grid
-    order and None; or, at the first point whose evaluation raised, the
-    results of the block's earlier points and that exception, and stops.
-    A sweep classifies the results first and raises the exception only if
-    none of those earlier points failed, so the failure raised is the
-    first one in grid order."""
-    done: list = []
+def grid_blocks(points: Iterable[Angle | float]
+                ) -> Iterator[tuple[list[Angle], list, Exception | None]]:
+    """Walk a sweep grid (a float is an angle in radians) in blocks of
+    SWEEP_BLOCK points.  Yields, per block, the angles, their values and
+    None; or, at the first point that is no angle (or whose iteration
+    raised), the block's earlier points and that exception, and stops.
+    A sweep evaluates and classifies the block's points first and raises
+    the exception only if none of them failed, so the failure raised is
+    the first one in grid order."""
+    angles: list[Angle] = []
+    values: list = []
     try:
         for x in points:
-            done.append(evaluate(x))
-            if len(done) == SWEEP_BLOCK:
-                yield done, None
-                done = []
+            angle, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
+            angles.append(angle)
+            values.append(value)
+            if len(angles) == SWEEP_BLOCK:
+                yield angles, values, None
+                angles, values = [], []
     except Exception as exc:
-        yield done, exc
+        yield angles, values, exc
         return
-    if done:
-        yield done, None
+    if angles:
+        yield angles, values, None
 
 
 def sweep_verdict(result) -> tuple[str, float | None]:

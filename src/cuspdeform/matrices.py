@@ -4,7 +4,8 @@ isometry classifier consumes.
 
 Exact matrices are ``Mat`` (entries all LaurentPoly or all ExtScalar);
 numeric matrices are plain numpy complex arrays.  ``Mat.evaluate`` maps
-one to the other at u = e^{i alpha}.
+one to the other at u = e^{i alpha}; ``Mat.evaluate_stack`` maps it to
+the stack of its values at a block of angles, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _promote(entry, ring: str, d: int | None):
 class Mat:
     """Immutable dense square matrix over one exact scalar ring."""
 
-    __slots__ = ("n", "rows", "ring", "d", "_plan")
+    __slots__ = ("n", "rows", "ring", "d", "_plan", "_stack_plan")
 
     def __init__(self, rows: Sequence[Sequence], ring: str, d: int | None = None):
         n = len(rows)
@@ -73,7 +74,7 @@ class Mat:
         self.ring = ring
         self.d = d
         self.rows = tuple(tuple(_promote(e, ring, d) for e in r) for r in rows)
-        self._plan = None
+        self._plan = self._stack_plan = None
 
     @classmethod
     def laurent(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -103,7 +104,7 @@ class Mat:
         m.ring = self.ring
         m.d = self.d
         m.rows = tuple(map(tuple, rows))
-        m._plan = None
+        m._plan = m._stack_plan = None
         return m
 
     def __getitem__(self, ij: tuple[int, int]):
@@ -270,15 +271,15 @@ class Mat:
         constant matrices).
 
         Bit for bit the entrywise ``eval_unit``: each power u^k is
-        ``alpha.times(k).exp_i()``, computed once per call instead of
-        once per term, and every entry is summed in the same order with
-        the same operations.
+        ``unit_power(alpha, k)``, computed once per call instead of once
+        per term, and every entry is summed in the same order with the
+        same operations.
         """
         if self._plan is None:
             self._plan = self._compile()
         exponents, terms, surds = self._plan
         a = alpha if alpha is not None else Angle.zero()
-        powers = {k: a.times(k).exp_i() for k in exponents}
+        powers = {k: unit_power(a, k) for k in exponents}
 
         def poly(entry) -> complex:
             total = 0j
@@ -291,6 +292,43 @@ class Mat:
         s2, sd, s2d = surds
         return np.array([[poly(c0) + poly(c1) * s2 + poly(c2) * sd + poly(c3) * s2d
                           for c0, c1, c2, c3 in r] for r in terms], dtype=complex)
+
+    def evaluate_stack(self, powers: "UnitPowers") -> np.ndarray:
+        """The stack (K, n, n) of ``evaluate`` at each angle of a block,
+        bit for bit.
+
+        Each entry is summed over its terms in ``evaluate``'s order, one
+        term position at a time across the block and the entries, in
+        real and imaginary parts.  A sum started at +0.0 is never -0.0,
+        so adding a zero of either sign changes no bit: the zero cross
+        terms of Python's complex products (every coefficient and surd
+        factor is real) and the zero terms that pad the shorter entries
+        drop out.
+        """
+        if self._stack_plan is None:
+            if self._plan is None:
+                self._plan = self._compile()
+            self._stack_plan = self._compile_stack()
+        exponents, parts, surds = self._stack_plan
+        P = powers.table(exponents)
+        sums = []
+        for index, coef in parts:
+            # (K, terms, entries): the products of every term position
+            re, im = coef * P.real[:, index], coef * P.imag[:, index]
+            total_re = total_im = np.zeros((len(P), self.n * self.n))
+            for t in range(index.shape[0]):
+                total_re = total_re + re[:, t]
+                total_im = total_im + im[:, t]
+            sums.append((total_re, total_im))
+        out_re, out_im = sums[0]
+        if surds is not None:  # p0 + p1 sqrt2 + p2 sqrt d + p3 sqrt 2d
+            for (re, im), s in zip(sums[1:], surds):
+                out_re = out_re + re * s
+                out_im = out_im + im * s
+        out = np.empty((len(P), self.n, self.n), dtype=complex)
+        out.real = out_re.reshape(out.shape)
+        out.imag = out_im.reshape(out.shape)
+        return out
 
     def _compile(self):
         """The evaluation plan: every exponent that occurs, each entry's
@@ -311,9 +349,68 @@ class Mat:
         d = self.d
         return exponents, plan, (math.sqrt(2), math.sqrt(d), math.sqrt(2 * d))
 
+    def _compile_stack(self):
+        """``_compile``'s plan as arrays: the exponents in a fixed order
+        and, per component, the column of each entry's t-th term in that
+        order and its real coefficient, shape (terms, n*n), padded with
+        zero coefficients."""
+        exponents, plan, surds = self._plan
+        exponents = sorted(exponents)
+        column = {k: j for j, k in enumerate(exponents)}
+        entries = [e for r in plan for e in r]
+        components = [entries] if surds is None else list(zip(*entries))
+        parts = []
+        for comp in components:
+            width = max(map(len, comp))
+            index = np.zeros((width, len(comp)), dtype=np.intp)
+            coef = np.zeros((width, len(comp)))
+            for j, entry in enumerate(comp):
+                for t, (k, c) in enumerate(entry):
+                    index[t, j] = column[k]
+                    coef[t, j] = c.real
+            parts.append((index, coef))
+        return exponents, parts, surds
+
     def __repr__(self) -> str:
         body = "\n ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
         return f"Mat({self.ring}, n={self.n})[\n {body}\n]"
+
+
+def unit_power(alpha: Angle, k: int) -> complex:
+    """u^k at u = e^{i alpha}: ``alpha.times(k).exp_i()``, with u^0 the
+    1+0j that it gives (cos 0 = 1.0, sin 0 = +0.0) without the exact
+    angle arithmetic."""
+    return 1 + 0j if k == 0 else alpha.times(k).exp_i()
+
+
+class UnitPowers:
+    """The powers u^k = e^{i k alpha} at each angle of a block, computed
+    once per (angle, exponent) by ``unit_power`` as ``Mat.evaluate``
+    computes them; every matrix evaluated on the block shares them."""
+
+    __slots__ = ("angles", "_columns")
+
+    def __init__(self, angles: Sequence[Angle]):
+        self.angles = list(angles)
+        self._columns: dict[int, np.ndarray] = {}
+
+    def table(self, exponents: Sequence[int]) -> np.ndarray:
+        """The (K, len(exponents)) complex array of the powers."""
+        missing = [k for k in exponents if k not in self._columns]
+        if missing:
+            values = np.array([[unit_power(a, k) for k in missing] for a in self.angles],
+                              dtype=complex).reshape(len(self.angles), len(missing))
+            for j, k in enumerate(missing):
+                self._columns[k] = values[:, j]
+        if not exponents:
+            return np.zeros((len(self.angles), 0), dtype=complex)
+        return np.stack([self._columns[k] for k in exponents], axis=1)
+
+    def take(self, rows: Sequence[int]) -> "UnitPowers":
+        """The powers at the angles of the given rows."""
+        out = UnitPowers([self.angles[j] for j in rows])
+        out._columns = {k: col[rows] for k, col in self._columns.items()}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +421,8 @@ CONJ_TRANSPOSE = "conj-transpose"      # invariance  g* J g  = J   (Siegel model
 TRANSPOSE_CONJ = "transpose-conj"      # invariance  g^T J conj(g) = J
 
 _CONVENTIONS = (CONJ_TRANSPOSE, TRANSPOSE_CONJ)
-
-
-def _as_numeric(J) -> np.ndarray:
-    if isinstance(J, Mat):
-        return J.evaluate()
-    return np.asarray(J, dtype=complex)
+NON_FINITE_FORM = "form matrix has non-finite entries"
+NOT_HERMITIAN = f"form matrix is not hermitian within {STRUCTURE_TOL:g}"
 
 
 class HermForm:
@@ -339,7 +432,7 @@ class HermForm:
     input, to STRUCTURE_TOL (relative) for numeric input.
     """
 
-    __slots__ = ("mat", "convention")
+    __slots__ = ("mat", "convention", "_array")
 
     def __init__(self, J, convention: str = CONJ_TRANSPOSE):
         if convention not in _CONVENTIONS:
@@ -350,12 +443,13 @@ class HermForm:
         else:
             J = np.asarray(J, dtype=complex)
             if not np.all(np.isfinite(J)):
-                raise GeometryError("form matrix has non-finite entries")
+                raise GeometryError(NON_FINITE_FORM)
             scale = max(np.abs(J).max(), 1.0)
             if np.abs(J - J.conj().T).max() > STRUCTURE_TOL * scale:
-                raise GeometryError(f"form matrix is not hermitian within {STRUCTURE_TOL:g}")
+                raise GeometryError(NOT_HERMITIAN)
         self.mat = J
         self.convention = convention
+        self._array = None
 
     @property
     def n(self) -> int:
@@ -371,7 +465,33 @@ class HermForm:
         return self
 
     def array(self) -> np.ndarray:
-        return _as_numeric(self.mat)
+        """The numeric form matrix; an exact one is evaluated once, at
+        u = 1, and kept read-only."""
+        if not isinstance(self.mat, Mat):
+            return self.mat
+        if self._array is None:
+            self._array = self.mat.evaluate()
+            self._array.flags.writeable = False
+        return self._array
+
+
+def hermitian_failures(J: np.ndarray) -> list[GeometryError | None]:
+    """The GeometryError that ``HermForm`` raises for each numeric form
+    matrix of a stack (K, n, n), or None where it is a form: finite and
+    hermitian within STRUCTURE_TOL of its largest entry (at least 1)."""
+    finite = finite_rows(J)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+        scales = np.abs(J).max(axis=(1, 2)).tolist()
+        defects = np.abs(J - np.swapaxes(J.conj(), 1, 2)).max(axis=(1, 2)).tolist()
+    out: list[GeometryError | None] = []
+    for ok, scale, defect in zip(finite, scales, defects):
+        if not ok:
+            out.append(GeometryError(NON_FINITE_FORM))
+        elif defect > STRUCTURE_TOL * max(scale, 1.0):
+            out.append(GeometryError(NOT_HERMITIAN))
+        else:
+            out.append(None)
+    return out
 
 
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
@@ -567,8 +687,9 @@ def eigen_stack(S: np.ndarray,
         ranks = np.sum(above, axis=1).tolist()
         # the ratio is s / thr above the threshold, thr / max(s, NORM_FLOOR)
         # below it; fmin ignores a NaN ratio
-        ratios = (np.where(above, sv, t)
-                  / np.where(above, t, np.maximum(sv, NORM_FLOOR)))
+        with np.errstate(over="ignore"):  # an infinite ratio is decisive
+            ratios = (np.where(above, sv, t)
+                      / np.where(above, t, np.maximum(sv, NORM_FLOOR)))
         worst = np.fmin.reduce(ratios, axis=1, initial=np.inf).tolist()
         still, j = [], 0
         for k, gs in zip(pending, groups):

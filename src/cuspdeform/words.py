@@ -186,7 +186,13 @@ MatLike = Union[Mat, np.ndarray]
 @dataclass
 class Rep:
     """Generator images over one backend, with an optional invariant
-    form (validated at construction: exactly or within CONSTRUCTION_TOL)."""
+    form (validated at construction: exactly or within CONSTRUCTION_TOL).
+
+    Numeric images may also be stacks (K, n, n), one matrix per point of
+    a block, without a form: a word's image is then the stack of its
+    images at each point, bit for bit, since the inverse, the power and
+    the product broadcast over the stack.
+    """
 
     images: Mapping[str, MatLike]
     form: HermForm | None = None
@@ -198,7 +204,7 @@ class Rep:
         kinds = {isinstance(g, Mat) for g in self.images.values()}
         if len(kinds) != 1:
             raise ValueError("all generator images must share one backend")
-        dims = {(g.n if isinstance(g, Mat) else np.asarray(g).shape[0])
+        dims = {(g.n if isinstance(g, Mat) else np.shape(g)[-1])
                 for g in self.images.values()}
         if len(dims) != 1:
             raise ValueError("all generator images must share one dimension")
@@ -221,7 +227,7 @@ class Rep:
     @property
     def dim(self) -> int:
         g = next(iter(self.images.values()))
-        return g.n if isinstance(g, Mat) else np.asarray(g).shape[0]
+        return g.n if isinstance(g, Mat) else np.shape(g)[-1]
 
     def _power(self, sym: str, exp: int):
         g = self.images[sym]
@@ -249,8 +255,7 @@ class Rep:
             for sym, exp in w.factors[1:]:
                 out = out @ self._power(sym, exp)
             return out
-        n = np.asarray(first).shape[0]
-        out = np.eye(n, dtype=complex)
+        out = np.eye(np.shape(first)[-1], dtype=complex)
         for sym, exp in w.factors:
             out = out @ self._power(sym, exp)
         return out

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -540,6 +541,21 @@ class TestClassifyInputs:
         got = json.loads(out)
         jsonschema.validate(got, SCHEMA)
         assert got["class"] != "identity"
+
+
+    def test_no_warning_on_stderr(self, tmp_path):
+        # the rank margin of a zero singular value under a huge threshold
+        # overflows to inf, which is decisive and no warning
+        f = tmp_path / "mat.json"
+        diag = [1e150, 1, 1, 1e-150]
+        f.write_text(json.dumps({"entries": [[x if i == j else 0 for j in range(4)]
+                                             for i, x in enumerate(diag)]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["classify", "--matrix", str(f)])
+        assert code in (0, 1) and err == ""
+        assert [str(w.message) for w in caught] == []
+        jsonschema.validate(json.loads(out), SCHEMA)
 
 
 class TestRuntimeDependencies:

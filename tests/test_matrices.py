@@ -1,3 +1,5 @@
+import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from cuspdeform.figure8 import det_form_closed, form_matrix, longitude_matrix
+from cuspdeform.bending import _so41_bend_data, _so41_letters, bend_hnn
+from cuspdeform.figure8 import (L_WORD, _numeric_families, _numeric_family,
+                                det_form_closed, form_matrix, generator_m,
+                                generator_n, longitude_matrix)
 from cuspdeform.matrices import (GeometryError, HermForm, Mat,
-                                 TRANSPOSE_CONJ, eigen, form_defect,
-                                 form_preserved, herm_signature, siegel_form)
+                                 TRANSPOSE_CONJ, UnitPowers, eigen, form_defect,
+                                 form_preserved, herm_signature, hermitian_failures,
+                                 siegel_form)
+from cuspdeform.words import Rep, builtin_presentation
 from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly
 
@@ -217,10 +224,13 @@ class TestExactMatAgainstSympy:
         assert self._same(self._sym(A ** 2), SA * SA)
 
 
-eval_angles = st.one_of(
-    st.none(), st.just(Angle.zero()),
+block_angle = st.one_of(
+    st.just(Angle.zero()),
     st.fractions(min_value=-4, max_value=4, max_denominator=12).map(Angle.pi_times),
     st.floats(min_value=-10, max_value=10, allow_nan=False).map(Angle.radians))
+eval_angles = st.one_of(st.none(), block_angle)
+# a block of 1 to 70 angles: raw, pi-rational and zero angles mixed
+block_angles = st.lists(block_angle, min_size=1, max_size=70)
 
 
 @st.composite
@@ -259,3 +269,102 @@ class TestCompiledEvaluate:
             got = M.evaluate(alpha)
             assert (got == want).all()
             assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_mats(), block_angles)
+    def test_stack_bit_identical_to_evaluate(self, M, angles):
+        want = np.stack([M.evaluate(a) for a in angles])
+        got = M.evaluate_stack(UnitPowers(angles))
+        assert got.shape == (len(angles), M.n, M.n)
+        assert (got == want).all()
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_angles)
+    def test_stacked_word_products_match_per_point(self, angles):
+        # the figure-eight relator and longitude over stacks of M and N,
+        # against Rep.evaluate at each point, and the block family
+        # against the per-point one (same checks, same failures)
+        M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
+        relator = builtin_presentation("figure8").relators[0]
+        powers = UnitPowers(angles)
+        M, N = M_exact.evaluate_stack(powers), N_exact.evaluate_stack(powers)
+        stacked = Rep({"m": M, "n": N})
+        J = J_exact.evaluate_stack(powers)
+        fam_M, fam_L, failure = _numeric_families(powers, M_exact, N_exact, J, relator)
+        # dense images too, whose products round differently in another order
+        X = np.random.default_rng(len(angles)).normal(size=(2, 4, 4, 2)) @ [1, 1j]
+        dense = Rep({"m": M @ (X[0] + 4 * np.eye(4)), "n": N @ (X[1] + 4 * np.eye(4))})
+        for k, a in enumerate(angles):
+            rep = Rep({"m": M_exact.evaluate(a), "n": N_exact.evaluate(a)})
+            rep_dense = Rep({sym: g[k] for sym, g in dense.images.items()})
+            for w in (relator, L_WORD):
+                assert stacked.evaluate(w)[k].tobytes() == rep.evaluate(w).tobytes()
+                assert dense.evaluate(w)[k].tobytes() == rep_dense.evaluate(w).tobytes()
+            try:
+                fam = _numeric_family(a, M_exact, N_exact,
+                                      HermForm(J_exact.evaluate(a), TRANSPOSE_CONJ), relator)
+            except (AssertionError, GeometryError) as exc:
+                assert (len(fam_M), type(failure), str(failure)) == (k, type(exc), str(exc))
+                break
+            assert fam_M[k].tobytes() == fam.M.tobytes()
+            assert fam_L[k].tobytes() == fam.longitude().tobytes()
+        else:
+            assert (len(fam_M), failure) == (len(angles), None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angles)
+    def test_stacked_so41_letter_matches_bend_hnn(self, d, dense, thetas):
+        data = _so41_bend_data(d)
+        if dense:  # a stable letter whose products round differently in another order
+            X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
+            data = dataclasses.replace(data, stable_image=X)
+        letters, failure = _so41_letters(data, thetas)
+        assert failure is None
+        want = np.stack([bend_hnn(data, theta)["u"] for theta in thetas])
+        assert letters.tobytes() == want.tobytes()
+
+
+class TestHermitianFailures:
+    def test_stack_check_matches_hermform(self):
+        J = siegel_form(4).array()
+        bad = J.copy()
+        bad[0, 1] = 1e-6
+        stack = np.stack([J, bad, np.full((4, 4), np.inf), J * 1e13, bad * 1e7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermitian_failures(stack)
+        for row, failure in zip(stack, got):
+            try:
+                HermForm(row)
+            except GeometryError as exc:
+                assert (type(failure), str(failure)) == (GeometryError, str(exc))
+            else:
+                assert failure is None
+        assert [f is None for f in got] == [True, False, False, True, False]
+
+
+class TestHermFormArray:
+    def test_exact_form_evaluated_once(self, monkeypatch):
+        form = siegel_form(5)
+        calls = []
+        real = Mat.evaluate
+        monkeypatch.setattr(Mat, "evaluate",
+                            lambda self, *args: calls.append(1) or real(self, *args))
+        first, second = form.array(), form.array()
+        assert len(calls) == 1
+        assert second is first and not first.flags.writeable
+        assert (first == real(form.mat)).all()
+
+    def test_numeric_form_is_its_matrix(self):
+        J = siegel_form(4).array().copy()
+        assert HermForm(J).array() is J and J.flags.writeable
+
+    def test_u0_needs_no_exact_angle_arithmetic(self, monkeypatch):
+        # u^0 is 1+0j outright; the other powers still come from the angle
+        seen = []
+        real = Angle.times
+        monkeypatch.setattr(Angle, "times", lambda self, k: seen.append(k) or real(self, k))
+        M = Mat.laurent([[1, LaurentPoly.u()], [LaurentPoly.u(-2), 3]])
+        got = M.evaluate(Angle.radians(0.7))
+        assert sorted(seen) == [-2, 1] and got[0, 0] == 1 and got[1, 1] == 3

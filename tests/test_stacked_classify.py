@@ -7,7 +7,6 @@ message, and the margin bit for bit.
 """
 
 import contextlib
-import dataclasses
 import io
 import math
 from collections import namedtuple
@@ -511,8 +510,8 @@ def _grid(start, end, count):
 
 
 class TestSweepBlocks:
-    """The sweeps evaluate per point and classify per block; a failure is
-    raised only after every earlier point is known not to fail."""
+    """The sweeps evaluate and classify per block; a failure is raised
+    only after every earlier point is known not to fail."""
 
     GRID = _grid(0.1, 1.9, 2 * SWEEP_BLOCK + 10)  # on the (3,1) arc
 
@@ -525,20 +524,25 @@ class TestSweepBlocks:
     ])
     def test_figure8_first_failure_in_grid_order(self, monkeypatch, broken, raising,
                                                   expected):
-        real = figure8._numeric_family
+        real = figure8._numeric_families
         grid = self.GRID
 
-        def family(alpha, *args, **kwargs):
-            if alpha.value == grid[raising]:
-                raise AssertionError("internal error: defining relation defect")
-            fam = real(alpha, *args, **kwargs)
-            if alpha.value == grid[broken]:  # no longer preserves the form
-                return dataclasses.replace(fam, M=2 * fam.M)
-            return fam
+        def families(powers, *args, **kwargs):
+            M, L, failure = real(powers, *args, **kwargs)
+            values = [a.value for a in powers.angles][:len(M)]
+            if grid[broken] in values:  # no longer preserves the form
+                M = M.copy()
+                M[values.index(grid[broken])] *= 2
+            if grid[raising] in values:
+                k = values.index(grid[raising])
+                M, L = M[:k], L[:k]
+                failure = AssertionError("internal error: defining relation defect")
+            return M, L, failure
 
-        monkeypatch.setattr(figure8, "_numeric_family", family)
-        with pytest.raises(expected):
+        monkeypatch.setattr(figure8, "_numeric_families", families)
+        with pytest.raises(expected) as exc:
             figure8_sweep(grid)
+        assert type(exc.value) is expected
 
     @pytest.mark.parametrize("broken, raising, expected", [
         (7, 30, GeometryError),
@@ -548,18 +552,21 @@ class TestSweepBlocks:
     ])
     def test_bianchi_first_failure_in_grid_order(self, monkeypatch, broken, raising,
                                                  expected):
-        real = bending.bend_hnn
+        real = bending._so41_letters
         grid = self.GRID
 
-        def bend(data, theta):
-            if theta.value == grid[raising]:
-                raise ValueError("bending angle rejected")
-            images = real(data, theta)
-            if theta.value == grid[broken]:
-                images = dict(images, u=2 * images["u"])
-            return images
+        def letters(data, thetas):
+            U, failure = real(data, thetas)
+            values = [theta.value for theta in thetas][:len(U)]
+            if grid[broken] in values:
+                U = U.copy()
+                U[values.index(grid[broken])] *= 2
+            if grid[raising] in values:
+                U = U[:values.index(grid[raising])]
+                failure = ValueError("bending angle rejected")
+            return U, failure
 
-        monkeypatch.setattr(bending, "bend_hnn", bend)
+        monkeypatch.setattr(bending, "_so41_letters", letters)
         with pytest.raises(expected) as exc:
             bianchi_sweep(2, "so41", grid)
         assert type(exc.value) is expected
