@@ -78,17 +78,12 @@ def su31_centralizer_exact(d: int) -> Mat:
 
 
 def so41_centralizer(theta: Angle) -> np.ndarray:
-    c, s = theta.cos(), theta.sin()
-    g = np.eye(5)
-    g[2, 2] = c
-    g[2, 3] = -s
-    g[3, 2] = s
-    g[3, 3] = c
-    return g
+    """The rotation R_34(theta)."""
+    return so41_centralizers([theta])[0]
 
 
 def so41_centralizers(thetas: Sequence[Angle]) -> np.ndarray:
-    """``so41_centralizer`` of each angle of a block, as a stack."""
+    """The rotation R_34(theta) at each angle of a block, as a stack."""
     c = [theta.cos() for theta in thetas]
     s = [theta.sin() for theta in thetas]
     g = np.tile(np.eye(5), (len(c), 1, 1))
@@ -423,7 +418,10 @@ def bianchi_family(d: int, target: str = "su31", *,
         if theta is None:
             raise ValueError("so41 family needs either theta or a pythagorean slope")
         data = _so41_bend_data(d)
-        images = bend_hnn(data, theta)
+        U, failure = _so41_letters(data, [theta])
+        if failure is not None:
+            raise failure
+        images = {**data.base, data.stable: U[0]}
         return BianchiFamily(d, "so41", theta, images, form, pres, data.stable_image)
     raise ValueError(f"unknown target {target!r}")
 

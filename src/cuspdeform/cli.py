@@ -226,6 +226,8 @@ def _load_matrix(path: str) -> tuple[np.ndarray, dict]:
     if not rows:
         raise ValueError(f"{path}: 'entries' must be a nonempty list of rows "
                          "of numbers or [re, im] pairs")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{path}: the rows of 'entries' must all have the same length")
     return np.array(rows, dtype=complex), doc
 
 

@@ -149,35 +149,28 @@ def build_family(alpha: Angle | None = None) -> Fig8Family:
         if not rep.evaluate(relator).is_identity():
             raise AssertionError("internal error: defining relation failed symbolically")
         return Fig8Family(None, M_exact, N_exact, form, rep)
-    form = HermForm(J_exact.evaluate(alpha), TRANSPOSE_CONJ)
-    return _numeric_family(alpha, M_exact, N_exact, form, relator)
-
-
-def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm,
-                    relator: Word) -> Fig8Family:
-    """The family at alpha from the exact generators and the form
-    already evaluated there; form invariance and the defining relation
-    are checked as in ``build_family``."""
-    M = M_exact.evaluate(alpha)
-    N = N_exact.evaluate(alpha)
-    rep = Rep({"m": M, "n": N}, form)
-    defect = float(np.abs(rep.evaluate(relator) - np.eye(4)).max())
-    if defect > CONSTRUCTION_TOL:
-        raise AssertionError(
-            f"internal error: defining relation defect {defect:.3g} at alpha")
-    return Fig8Family(alpha, M, N, form, rep)
+    powers = UnitPowers([alpha])
+    J = J_exact.evaluate_stack(powers)
+    form = HermForm(J[0], TRANSPOSE_CONJ)  # the hermitian check comes first
+    M, N, _, failure = _numeric_families(powers, M_exact, N_exact, J, relator)
+    if failure is not None:
+        raise failure
+    return Fig8Family(alpha, M[0], N[0], form, Rep({"m": M[0], "n": N[0]}, form))
 
 
 def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat, J: np.ndarray,
-                      relator: Word) -> tuple[np.ndarray, np.ndarray, Exception | None]:
-    """``_numeric_family`` at each angle of a block, as stacks: the
-    generators evaluated on the block's powers, the form J already
-    evaluated there (a stack), the same checks in the same order per
-    angle, and the relator and longitude products over the stacks.
+                      relator: Word
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
+    """The numeric family at each angle of a block, as stacks: the
+    generators evaluated on the block's powers, checked against the form
+    J already evaluated there (a stack) for invariance of m, then n, and
+    for the defining relation, in that order per angle; and the relator
+    and longitude products over the stacks.
 
-    Returns the M and longitude stacks and None; or, at the first angle
-    whose check fails, the stacks of the earlier angles and the error
-    ``_numeric_family`` raises there.
+    Returns the M, N and longitude stacks and None; or, at the first
+    angle whose check fails, the stacks of the earlier angles and the
+    error for it: a GeometryError for a form defect (the one ``Rep``
+    raises), an AssertionError for the relation.
     """
     M = M_exact.evaluate_stack(powers)
     N = N_exact.evaluate_stack(powers)
@@ -188,12 +181,12 @@ def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat, J: np.ndar
     for k, (defect_m, defect_n, relation) in enumerate(zip(*checks)):
         for sym, defect in (("m", defect_m), ("n", defect_n)):
             if defect > CONSTRUCTION_TOL:  # as Rep checks a form
-                return M[:k], L[:k], GeometryError(
+                return M[:k], N[:k], L[:k], GeometryError(
                     f"generator {sym} has form defect {defect:.3g}")
         if relation > CONSTRUCTION_TOL:
-            return M[:k], L[:k], AssertionError(
+            return M[:k], N[:k], L[:k], AssertionError(
                 f"internal error: defining relation defect {relation:.3g} at alpha")
-    return M, L, None
+    return M, N, L, None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +268,8 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
                 break
         arc = [j for j, k in enumerate(kept)
                if wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE]
-        M, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc], relator)
+        M, _, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc],
+                                         relator)
         if exc is not None:  # at an earlier point than any failure above
             end = arc[len(M)]
             kept, J, arc, failure = kept[:end], J[:end], arc[:len(M)], exc

@@ -314,6 +314,8 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     n = S.shape[-1]
     if len(J) not in (1, len(S)):
         raise ValueError(f"{len(J)} forms for {len(S)} matrices")
+    if J.shape[1:] != (n, n):
+        raise ValueError(f"form of shape {J.shape[1:]} for matrices of shape {(n, n)}")
 
     live = []
     for k, finite in enumerate(finite_rows(S)):

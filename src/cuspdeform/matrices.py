@@ -3,9 +3,9 @@ linear algebra (signatures, eigenstructure, form defects) that the
 isometry classifier consumes.
 
 Exact matrices are ``Mat`` (entries all LaurentPoly or all ExtScalar);
-numeric matrices are plain numpy complex arrays.  ``Mat.evaluate`` maps
-one to the other at u = e^{i alpha}; ``Mat.evaluate_stack`` maps it to
-the stack of its values at a block of angles, bit for bit the same.
+numeric matrices are plain numpy complex arrays.  ``Mat.evaluate_stack``
+maps one to the stack of its values at a block of angles u = e^{i alpha};
+``Mat.evaluate`` is its one-angle case.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _promote(entry, ring: str, d: int | None):
 class Mat:
     """Immutable dense square matrix over one exact scalar ring."""
 
-    __slots__ = ("n", "rows", "ring", "d", "_plan", "_stack_plan")
+    __slots__ = ("n", "rows", "ring", "d", "_plan")
 
     def __init__(self, rows: Sequence[Sequence], ring: str, d: int | None = None):
         n = len(rows)
@@ -74,7 +74,7 @@ class Mat:
         self.ring = ring
         self.d = d
         self.rows = tuple(tuple(_promote(e, ring, d) for e in r) for r in rows)
-        self._plan = self._stack_plan = None
+        self._plan = None
 
     @classmethod
     def laurent(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -104,7 +104,7 @@ class Mat:
         m.ring = self.ring
         m.d = self.d
         m.rows = tuple(map(tuple, rows))
-        m._plan = m._stack_plan = None
+        m._plan = None
         return m
 
     def __getitem__(self, ij: tuple[int, int]):
@@ -268,36 +268,15 @@ class Mat:
 
     def evaluate(self, alpha: Angle | None = None) -> np.ndarray:
         """Numeric matrix at u = e^{i alpha} (alpha may be omitted for
-        constant matrices).
-
-        Bit for bit the entrywise ``eval_unit``: each power u^k is
-        ``unit_power(alpha, k)``, computed once per call instead of once
-        per term, and every entry is summed in the same order with the
-        same operations.
-        """
-        if self._plan is None:
-            self._plan = self._compile()
-        exponents, terms, surds = self._plan
+        constant matrices): the one-angle case of ``evaluate_stack``."""
         a = alpha if alpha is not None else Angle.zero()
-        powers = {k: unit_power(a, k) for k in exponents}
-
-        def poly(entry) -> complex:
-            total = 0j
-            for k, c in entry:
-                total += c * powers[k]
-            return total
-
-        if surds is None:
-            return np.array([[poly(e) for e in r] for r in terms], dtype=complex)
-        s2, sd, s2d = surds
-        return np.array([[poly(c0) + poly(c1) * s2 + poly(c2) * sd + poly(c3) * s2d
-                          for c0, c1, c2, c3 in r] for r in terms], dtype=complex)
+        return self.evaluate_stack(UnitPowers([a]))[0]
 
     def evaluate_stack(self, powers: "UnitPowers") -> np.ndarray:
-        """The stack (K, n, n) of ``evaluate`` at each angle of a block,
-        bit for bit.
+        """The stack (K, n, n) of the numeric matrices at each angle of a
+        block, bit for bit the entrywise ``eval_unit``.
 
-        Each entry is summed over its terms in ``evaluate``'s order, one
+        Each entry is summed over its terms in ``eval_unit``'s order, one
         term position at a time across the block and the entries, in
         real and imaginary parts.  A sum started at +0.0 is never -0.0,
         so adding a zero of either sign changes no bit: the zero cross
@@ -305,11 +284,9 @@ class Mat:
         factor is real) and the zero terms that pad the shorter entries
         drop out.
         """
-        if self._stack_plan is None:
-            if self._plan is None:
-                self._plan = self._compile()
-            self._stack_plan = self._compile_stack()
-        exponents, parts, surds = self._stack_plan
+        if self._plan is None:
+            self._plan = self._compile()
+        exponents, parts, surds = self._plan
         P = powers.table(exponents)
         sums = []
         for index, coef in parts:
@@ -331,34 +308,20 @@ class Mat:
         return out
 
     def _compile(self):
-        """The evaluation plan: every exponent that occurs, each entry's
-        ``(k, coefficient)`` terms in ``LaurentPoly`` order (per
-        component for the ext ring) and, for the ext ring, the surd
-        factors sqrt 2, sqrt d, sqrt 2d."""
-        exponents: set[int] = set()
-
-        def terms(p: LaurentPoly) -> tuple:
-            out = tuple(p.unit_terms())
-            exponents.update(k for k, _ in out)
-            return out
-
+        """The evaluation plan: the exponents that occur, sorted; per
+        component (one for the laurent ring, four for the ext ring) the
+        column of each entry's t-th ``LaurentPoly.unit_terms`` term in
+        that order and its real coefficient, shape (terms, n*n), padded
+        with zero coefficients; and, for the ext ring, the surd factors
+        sqrt 2, sqrt d, sqrt 2d."""
+        entries = [e for r in self.rows for e in r]
         if self.ring == "laurent":
-            plan = tuple(tuple(terms(e) for e in r) for r in self.rows)
-            return exponents, plan, None
-        plan = tuple(tuple(tuple(terms(p) for p in e.c) for e in r) for r in self.rows)
-        d = self.d
-        return exponents, plan, (math.sqrt(2), math.sqrt(d), math.sqrt(2 * d))
-
-    def _compile_stack(self):
-        """``_compile``'s plan as arrays: the exponents in a fixed order
-        and, per component, the column of each entry's t-th term in that
-        order and its real coefficient, shape (terms, n*n), padded with
-        zero coefficients."""
-        exponents, plan, surds = self._plan
-        exponents = sorted(exponents)
+            components, surds = [[e.unit_terms() for e in entries]], None
+        else:
+            components = [[e.c[i].unit_terms() for e in entries] for i in range(4)]
+            surds = (math.sqrt(2), math.sqrt(self.d), math.sqrt(2 * self.d))
+        exponents = sorted({k for comp in components for entry in comp for k, _ in entry})
         column = {k: j for j, k in enumerate(exponents)}
-        entries = [e for r in plan for e in r]
-        components = [entries] if surds is None else list(zip(*entries))
         parts = []
         for comp in components:
             width = max(map(len, comp))
@@ -376,17 +339,10 @@ class Mat:
         return f"Mat({self.ring}, n={self.n})[\n {body}\n]"
 
 
-def unit_power(alpha: Angle, k: int) -> complex:
-    """u^k at u = e^{i alpha}: ``alpha.times(k).exp_i()``, with u^0 the
-    1+0j that it gives (cos 0 = 1.0, sin 0 = +0.0) without the exact
-    angle arithmetic."""
-    return 1 + 0j if k == 0 else alpha.times(k).exp_i()
-
-
 class UnitPowers:
     """The powers u^k = e^{i k alpha} at each angle of a block, computed
-    once per (angle, exponent) by ``unit_power`` as ``Mat.evaluate``
-    computes them; every matrix evaluated on the block shares them."""
+    once per (angle, exponent) and shared by every matrix evaluated on
+    the block."""
 
     __slots__ = ("angles", "_columns")
 
@@ -395,10 +351,18 @@ class UnitPowers:
         self._columns: dict[int, np.ndarray] = {}
 
     def table(self, exponents: Sequence[int]) -> np.ndarray:
-        """The (K, len(exponents)) complex array of the powers."""
+        """The (K, len(exponents)) complex array of the powers.
+
+        Each is ``alpha.times(k).exp_i()``, the power ``eval_unit``
+        takes, with the same bits: u^0 is the 1+0j that it gives; for a
+        raw angle x, x*k is never 0 when k is not, so it is
+        cos(x*k) + i sin(x*k) without the exact angle arithmetic."""
         missing = [k for k in exponents if k not in self._columns]
         if missing:
-            values = np.array([[unit_power(a, k) for k in missing] for a in self.angles],
+            values = np.array([[1 + 0j if k == 0 else
+                                a.times(k).exp_i() if a.raw is None else
+                                complex(math.cos(a.raw * k), math.sin(a.raw * k))
+                                for k in missing] for a in self.angles],
                               dtype=complex).reshape(len(self.angles), len(missing))
             for j, k in enumerate(missing):
                 self._columns[k] = values[:, j]
@@ -442,6 +406,8 @@ class HermForm:
                 raise GeometryError("form matrix is not hermitian (exact check)")
         else:
             J = np.asarray(J, dtype=complex)
+            if J.ndim != 2 or J.shape[0] != J.shape[1]:
+                raise ValueError(f"form matrix must be square, got shape {J.shape}")
             if not np.all(np.isfinite(J)):
                 raise GeometryError(NON_FINITE_FORM)
             scale = max(np.abs(J).max(), 1.0)

@@ -430,6 +430,32 @@ class TestClassifyShape:
         assert (code, out) == (2, "")
         assert err == "usage error: matrices must be square, got shape (2, 3)\n"
 
+    def test_ragged_rows_are_a_usage_error(self, tmp_path):
+        f = tmp_path / "mat.json"
+        f.write_text(json.dumps({"entries": [[1, 0], [0]]}))
+        code, out, err = run(["classify", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: {f}: the rows of 'entries' must all have "
+                       "the same length\n")
+
+    def test_non_square_form_is_a_usage_error(self, tmp_path):
+        mat, form = tmp_path / "mat.json", tmp_path / "form.json"
+        mat.write_text(json.dumps({"entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        form.write_text(json.dumps({"entries": [[1, 0, 0], [0, 1, 0]]}))
+        code, out, err = run(["classify", "--matrix", str(mat), "--form", str(form)])
+        assert (code, out) == (2, "")
+        assert err == "usage error: form matrix must be square, got shape (2, 3)\n"
+
+    def test_form_of_another_size_is_a_usage_error(self, tmp_path):
+        mat, form = tmp_path / "mat.json", tmp_path / "form.json"
+        mat.write_text(json.dumps({"entries": [[2, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 0.5]]}))
+        form.write_text(json.dumps({"entries": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}))
+        code, out, err = run(["classify", "--matrix", str(mat), "--form", str(form)])
+        assert (code, out) == (2, "")
+        assert err == ("usage error: form of shape (3, 3) for matrices of shape "
+                       "(4, 4)\n")
+
 
 class TestBadInput:
     """Malformed input ends in exit 2 and one `usage error:` line (or

@@ -1,21 +1,25 @@
 import dataclasses
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from cuspdeform.bending import _so41_bend_data, _so41_letters, bend_hnn
-from cuspdeform.figure8 import (L_WORD, _numeric_families, _numeric_family,
+from cuspdeform import bending
+from cuspdeform.bending import (_so41_bend_data, _so41_letters, bend_hnn,
+                                bianchi_family)
+from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
 from cuspdeform.matrices import (GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, eigen, form_defect,
                                  form_preserved, herm_signature, hermitian_failures,
                                  siegel_form)
-from cuspdeform.words import Rep, builtin_presentation
+from cuspdeform.tolerances import CONSTRUCTION_TOL
+from cuspdeform.words import Rep, Word, builtin_presentation
 from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly
 
@@ -255,25 +259,43 @@ def exact_mats(draw):
                "laurent" if d is None else "ext", d)
 
 
+def entrywise(M: Mat, alpha: Angle) -> np.ndarray:
+    """M at u = e^{i alpha} by each entry's own eval_unit."""
+    return np.array([[e.eval_unit(alpha) for e in row] for row in M.rows], dtype=complex)
+
+
+def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm,
+                    relator: Word) -> Fig8Family:
+    """The figure-eight family at one angle, built per point with the
+    generators evaluated entrywise: form invariance (by ``Rep``), then
+    the defining relation."""
+    M, N = entrywise(M_exact, alpha), entrywise(N_exact, alpha)
+    rep = Rep({"m": M, "n": N}, form)
+    defect = float(np.abs(rep.evaluate(relator) - np.eye(4)).max())
+    if defect > CONSTRUCTION_TOL:
+        raise AssertionError(
+            f"internal error: defining relation defect {defect:.3g} at alpha")
+    return Fig8Family(alpha, M, N, form, rep)
+
+
 class TestCompiledEvaluate:
-    """Mat.evaluate reuses one evaluation plan per matrix; its output is
-    the entrywise eval_unit bit for bit (no tolerance)."""
+    """Mat.evaluate and Mat.evaluate_stack reuse one evaluation plan per
+    matrix; their output is the entrywise eval_unit bit for bit (no
+    tolerance)."""
 
     @settings(max_examples=200, deadline=None)
     @given(exact_mats(), st.lists(eval_angles, min_size=1, max_size=3))
     def test_bit_identical_to_entrywise_eval_unit(self, M, alphas):
         for alpha in alphas:  # the plan built at the first angle serves the rest
-            at = alpha if alpha is not None else Angle.zero()
-            want = np.array([[e.eval_unit(at) for e in row] for row in M.rows],
-                            dtype=complex)
+            want = entrywise(M, alpha if alpha is not None else Angle.zero())
             got = M.evaluate(alpha)
             assert (got == want).all()
             assert got.tobytes() == want.tobytes()  # signed zeros too
 
     @settings(max_examples=150, deadline=None)
     @given(exact_mats(), block_angles)
-    def test_stack_bit_identical_to_evaluate(self, M, angles):
-        want = np.stack([M.evaluate(a) for a in angles])
+    def test_stack_bit_identical_to_entrywise_eval_unit(self, M, angles):
+        want = np.stack([entrywise(M, a) for a in angles])
         got = M.evaluate_stack(UnitPowers(angles))
         assert got.shape == (len(angles), M.n, M.n)
         assert (got == want).all()
@@ -284,14 +306,15 @@ class TestCompiledEvaluate:
     def test_stacked_word_products_match_per_point(self, angles):
         # the figure-eight relator and longitude over stacks of M and N,
         # against Rep.evaluate at each point, and the block family
-        # against the per-point one (same checks, same failures)
+        # against the per-point reference (same checks, same failures)
         M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
         relator = builtin_presentation("figure8").relators[0]
         powers = UnitPowers(angles)
         M, N = M_exact.evaluate_stack(powers), N_exact.evaluate_stack(powers)
         stacked = Rep({"m": M, "n": N})
         J = J_exact.evaluate_stack(powers)
-        fam_M, fam_L, failure = _numeric_families(powers, M_exact, N_exact, J, relator)
+        fam_M, fam_N, fam_L, failure = _numeric_families(powers, M_exact, N_exact, J,
+                                                         relator)
         # dense images too, whose products round differently in another order
         X = np.random.default_rng(len(angles)).normal(size=(2, 4, 4, 2)) @ [1, 1j]
         dense = Rep({"m": M @ (X[0] + 4 * np.eye(4)), "n": N @ (X[1] + 4 * np.eye(4))})
@@ -301,16 +324,18 @@ class TestCompiledEvaluate:
             for w in (relator, L_WORD):
                 assert stacked.evaluate(w)[k].tobytes() == rep.evaluate(w).tobytes()
                 assert dense.evaluate(w)[k].tobytes() == rep_dense.evaluate(w).tobytes()
+            form = HermForm(entrywise(J_exact, a), TRANSPOSE_CONJ)
+            assert J[k].tobytes() == form.array().tobytes()
             try:
-                fam = _numeric_family(a, M_exact, N_exact,
-                                      HermForm(J_exact.evaluate(a), TRANSPOSE_CONJ), relator)
+                fam = _numeric_family(a, M_exact, N_exact, form, relator)
             except (AssertionError, GeometryError) as exc:
                 assert (len(fam_M), type(failure), str(failure)) == (k, type(exc), str(exc))
                 break
             assert fam_M[k].tobytes() == fam.M.tobytes()
+            assert fam_N[k].tobytes() == fam.N.tobytes()
             assert fam_L[k].tobytes() == fam.longitude().tobytes()
         else:
-            assert (len(fam_M), failure) == (len(angles), None)
+            assert (len(fam_M), len(fam_N), failure) == (len(angles), len(angles), None)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angles)
@@ -323,6 +348,20 @@ class TestCompiledEvaluate:
         assert failure is None
         want = np.stack([bend_hnn(data, theta)["u"] for theta in thetas])
         assert letters.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angle)
+    def test_so41_family_letter_matches_bend_hnn(self, d, dense, theta):
+        data = _so41_bend_data(d)
+        if dense:  # a stable letter whose products round differently in another order
+            X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
+            data = dataclasses.replace(data, stable_image=X)
+        with mock.patch.object(bending, "_so41_bend_data", lambda _: data):
+            fam = bianchi_family(d, "so41", theta=theta)
+        want = bend_hnn(data, theta)
+        assert list(fam.images) == list(want)
+        for sym, g in fam.images.items():
+            assert g.tobytes() == want[sym].tobytes()
 
 
 class TestHermitianFailures:
@@ -361,10 +400,16 @@ class TestHermFormArray:
         assert HermForm(J).array() is J and J.flags.writeable
 
     def test_u0_needs_no_exact_angle_arithmetic(self, monkeypatch):
-        # u^0 is 1+0j outright; the other powers still come from the angle
+        # u^0 is 1+0j outright; the other powers of a pi-rational angle
+        # come from the exact angle arithmetic, those of a raw angle never
         seen = []
         real = Angle.times
         monkeypatch.setattr(Angle, "times", lambda self, k: seen.append(k) or real(self, k))
         M = Mat.laurent([[1, LaurentPoly.u()], [LaurentPoly.u(-2), 3]])
-        got = M.evaluate(Angle.radians(0.7))
+        got = M.evaluate(Angle.pi_fraction(1, 5))
         assert sorted(seen) == [-2, 1] and got[0, 0] == 1 and got[1, 1] == 3
+        seen.clear()
+        raw = Angle.radians(0.7)
+        got = M.evaluate(raw)
+        assert seen == [] and got[0, 0] == 1 and got[1, 1] == 3
+        assert (got[0, 1], got[1, 0]) == (real(raw, 1).exp_i(), real(raw, -2).exp_i())

@@ -528,16 +528,16 @@ class TestSweepBlocks:
         grid = self.GRID
 
         def families(powers, *args, **kwargs):
-            M, L, failure = real(powers, *args, **kwargs)
+            M, N, L, failure = real(powers, *args, **kwargs)
             values = [a.value for a in powers.angles][:len(M)]
             if grid[broken] in values:  # no longer preserves the form
                 M = M.copy()
                 M[values.index(grid[broken])] *= 2
             if grid[raising] in values:
                 k = values.index(grid[raising])
-                M, L = M[:k], L[:k]
+                M, N, L = M[:k], N[:k], L[:k]
                 failure = AssertionError("internal error: defining relation defect")
-            return M, L, failure
+            return M, N, L, failure
 
         monkeypatch.setattr(figure8, "_numeric_families", families)
         with pytest.raises(expected) as exc:
