@@ -33,7 +33,8 @@ from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd
 from .tolerances import (DECISION_TOL, INDETERMINATE_FACTOR, LATTICE_AT_ONE_TOL,
                          NORM_FLOOR, STRUCTURE_TOL)
-from .words import Presentation, Rep, builtin_presentation, check_relations
+from .words import (Presentation, Rep, builtin_presentation, check_relations,
+                    record_check)
 
 MatLike = Union[Mat, np.ndarray]
 
@@ -568,10 +569,6 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _check(checks: dict, name: str, ok: bool, info: str = "") -> None:
-    checks[name] = {"pass": bool(ok), "info": info}
-
-
 def verify_bianchi_su31(d: int, alpha: Angle | None = None,
                         tol: float = DECISION_TOL) -> dict:
     """Verification report for the SU(3,1) bending family of Bi(d).
@@ -586,31 +583,31 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     checks: dict[str, dict] = {}
 
     rep = fam.rep()  # construction validates exact form invariance
-    _check(checks, "formInvariance", True,
-           "all generators preserve the Siegel form exactly")
+    record_check(checks, "formInvariance", True,
+                 "all generators preserve the Siegel form exactly")
 
     relations = None
     if fam.has_presentation:
         results = check_relations(rep, fam.presentation)
         relations = [r.as_dict() for r in results]
-        _check(checks, "relations", all(r.passed for r in results),
-               f"{len(results)} relators, projective law")
+        record_check(checks, "relations", all(r.passed for r in results),
+                     f"{len(results)} relators, projective law")
 
     trace_u = fam.images["u"].trace()
     want = LaurentPoly.u() + 3
     trace_ok = trace_u == ExtScalar.from_laurent(want, d)
-    _check(checks, "traceStableLetter", trace_ok, "3 + u separates parameters")
+    record_check(checks, "traceStableLetter", trace_ok, "3 + u separates parameters")
 
     at_one = fam.images["u"].evaluate(Angle.zero())
     lattice_u = fam.unbent_u.evaluate()
-    _check(checks, "latticeAtOne",
-           bool(np.abs(at_one - lattice_u).max() < LATTICE_AT_ONE_TOL),
-           "bent generator reduces to the lattice at u=1")
+    record_check(checks, "latticeAtOne",
+                 bool(np.abs(at_one - lattice_u).max() < LATTICE_AT_ONE_TOL),
+                 "bent generator reduces to the lattice at u=1")
 
     a, b1, b2 = cusp_surds(d)
     orthogonal = b1.is_zero
-    _check(checks, "cuspOrthogonality", orthogonal == (d % 4 in (1, 2)),
-           "orthogonal cusp exactly in the 1,2 mod 4 classes")
+    record_check(checks, "cuspOrthogonality", orthogonal == (d % 4 in (1, 2)),
+                 "orthogonal cusp exactly in the 1,2 mod 4 classes")
 
     sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
     num = fam.numeric_images(sample)
@@ -618,17 +615,17 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
         cls = classify(num["u"], fam.form.numeric(), tol=tol)
     except IndeterminateError as exc:
         class_u = "indeterminate"
-        _check(checks, "stableLetterParabolic", False,
-               f"class at sample angle: indeterminate, {exc}")
+        record_check(checks, "stableLetterParabolic", False,
+                     f"class at sample angle: indeterminate, {exc}")
     else:
         class_u = str(cls)
         if not sample.is_zero_mod_2pi():
-            _check(checks, "stableLetterParabolic", cls.kind == "parabolic",
-                   f"class at sample angle: {class_u}")
+            record_check(checks, "stableLetterParabolic", cls.kind == "parabolic",
+                         f"class at sample angle: {class_u}")
 
     dim, margin = algebra_dimension(list(num.values()), tol=tol, return_margin=True)
-    _check(checks, "irreducible", dim == 16,
-           f"matrix algebra dimension {dim}, margin {margin:.3g}")
+    record_check(checks, "irreducible", dim == 16,
+                 f"matrix algebra dimension {dim}, margin {margin:.3g}")
 
     verdict = ("strongly-parabolic-preserving" if orthogonal
                else "parabolic-preserving")
@@ -670,14 +667,14 @@ def verify_bianchi_so41(d: int, theta: Angle,
     if pythagorean is not None:
         exact_fam = bianchi_family(d, "so41", pythagorean=pythagorean)
         rep = exact_fam.rep()
-        _check(checks, "formInvariance", True,
-               "generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly "
-               f"(slope {pythagorean})")
+        record_check(checks, "formInvariance", True,
+                     "generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly "
+                     f"(slope {pythagorean})")
         if exact_fam.has_presentation:
             results = check_relations(rep, exact_fam.presentation)
             relations = [r.as_dict() for r in results]
-            _check(checks, "relations", all(r.passed for r in results),
-                   f"{len(results)} relators at the exact rotation")
+            record_check(checks, "relations", all(r.passed for r in results),
+                         f"{len(results)} relators at the exact rotation")
 
     fam = bianchi_family(d, "so41", theta=theta)
     a, b1, b2 = cusp_surds(d)
@@ -689,13 +686,13 @@ def verify_bianchi_so41(d: int, theta: Angle,
         class_u = info = str(cls)
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
-        _check(checks, "undeformedUnipotent",
-               kind == "parabolic" and "unipotent" in class_u, info)
+        record_check(checks, "undeformedUnipotent",
+                     kind == "parabolic" and "unipotent" in class_u, info)
     elif b1.is_zero:
-        _check(checks, "stableLetterElliptic", kind == "elliptic", info)
+        record_check(checks, "stableLetterElliptic", kind == "elliptic", info)
     else:
-        _check(checks, "stableLetterElliptoParabolic",
-               class_u == "parabolic(ellipto-parabolic)", info)
+        record_check(checks, "stableLetterElliptoParabolic",
+                     class_u == "parabolic(ellipto-parabolic)", info)
 
     verdict: str
     if theta.is_zero_mod_2pi():
@@ -705,12 +702,12 @@ def verify_bianchi_so41(d: int, theta: Angle,
     else:
         rs1 = rs1_classify(RS1Element(a, Angle.zero()), RS1Element(b1, theta))
         verdict = str(rs1)
-        _check(checks, "cuspTrichotomy", True, f"rs1 verdict: {rs1}")
+        record_check(checks, "cuspTrichotomy", True, f"rs1 verdict: {rs1}")
 
     is_strong_angle = theta.is_pi_rational and theta.pi_frac % 1 == 0
-    _check(checks, "stronglyParabolicOnlyAtHalfTurns", True,
-           "strongly parabolic-preserving only at theta in {0, pi}"
-           + (" (this theta qualifies)" if is_strong_angle else ""))
+    record_check(checks, "stronglyParabolicOnlyAtHalfTurns", True,
+                 "strongly parabolic-preserving only at theta in {0, pi}"
+                 + (" (this theta qualifies)" if is_strong_angle else ""))
 
     report = {
         "family": "bianchi",

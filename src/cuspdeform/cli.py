@@ -41,7 +41,7 @@ from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, siegel_form)
 from .scalars import Angle
 from .tolerances import DECISION_TOL
-from .words import load_word_list
+from .words import builtin_presentation, load_word_list
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -118,6 +118,11 @@ def cmd_verify(args) -> int:
         if args.words:
             with open(args.words) as fp:
                 extra = load_word_list(fp)
+            generators = set(builtin_presentation("figure8").generators)
+            for w in extra:  # before anything is evaluated
+                if foreign := w.symbols - generators:
+                    raise ValueError(f"{args.words}: word {w} uses symbols not in the "
+                                     f"presentation: {', '.join(sorted(foreign))}")
         report = figure8_report(alpha, extra_words=extra, tol=tol)
     else:
         validate_bianchi_d(args.d)

@@ -22,23 +22,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .isometry import (IndeterminateError, Parabolic, classify, classify_against,
-                       grid_blocks, sweep_verdict)
-from .matrices import (GeometryError, HermForm, Mat, Signature,
-                       TRANSPOSE_CONJ, UnitPowers, eigen, eye, form_defects,
-                       form_preserved, herm_signature, hermitian_failures,
+from .isometry import (IndeterminateError, Parabolic, classify_against, grid_blocks,
+                       sweep_verdict, unwrap)
+from .matrices import (GeometryError, HermForm, Mat, Signature, TRANSPOSE_CONJ,
+                       UnitPowers, eigen, eye, form_defects, hermitian_failures,
                        signatures)
 from .scalars import Angle, LaurentPoly
 from .tolerances import CONSTRUCTION_TOL, DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
-from .words import (COMMUTATOR_CONVENTION, Rep, Word,
-                    builtin_presentation, check_relations)
+from .words import (COMMUTATOR_CONVENTION, Rep, Word, builtin_presentation,
+                    record_check)
 
 _u = LaurentPoly.u
 _c = LaurentPoly.const
-_half = Fraction(1, 2)
 
 M_WORD = Word.gen("m")
 L_WORD = Word.parse("n.m^-1.n^-1.m^2.n^-1.m^-1.n")
+RELATOR = builtin_presentation("figure8").relators[0]
 
 # the nine trace-witness words shipped with the family
 TRACE_WITNESS_WORDS = (
@@ -142,17 +141,16 @@ def build_family(alpha: Angle | None = None) -> Fig8Family:
     verified at construction, numerically to CONSTRUCTION_TOL, and a
     failure is a transcription bug."""
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
-    relator = builtin_presentation("figure8").relators[0]
     if alpha is None:
         form = HermForm(J_exact, TRANSPOSE_CONJ)
         rep = Rep({"m": M_exact, "n": N_exact}, form)  # validates invariance
-        if not rep.evaluate(relator).is_identity():
+        if not rep.evaluate(RELATOR).is_identity():
             raise AssertionError("internal error: defining relation failed symbolically")
         return Fig8Family(None, M_exact, N_exact, form, rep)
     powers = UnitPowers([alpha])
     J = J_exact.evaluate_stack(powers)
     form = HermForm(J[0], TRANSPOSE_CONJ)  # the hermitian check comes first
-    M, N, _, failure = _numeric_families(powers, M_exact, N_exact, J, relator)
+    M, N, _, failure = _numeric_families(powers, M_exact, N_exact, J, RELATOR)
     if failure is not None:
         raise failure
     return Fig8Family(alpha, M[0], N[0], form, Rep({"m": M[0], "n": N[0]}, form))
@@ -246,55 +244,60 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     the peripheral classes on the signature-(3,1) arc away from 0.  A
     signature off its arc is reported in its row (``on_arc``).
 
-    The exact generators and form are built once.  Per block of points
-    (``isometry.SWEEP_BLOCK``) the form is evaluated as one stack and,
-    at the points on the arc, the numeric family, which still checks
-    form invariance and the defining relation per point; one eigvalsh
-    and one det call give the signatures and determinants, and one
-    stacked classification the peripheral classes.  The first failure
-    in grid order is the one raised.
+    The exact generators and form are built once, and the kept points of
+    each block (``isometry.SWEEP_BLOCK``) are one ``_evaluate_block``
+    step.  The first failure in grid order is the one raised.
     """
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
-    relator = builtin_presentation("figure8").relators[0]
     rows = []
     for angles, values, failure in grid_blocks(alphas):
         wants = [expected_arc(a, exclusion) for a in angles]
         kept = [k for k, want in enumerate(wants) if want is not None]
-        powers = UnitPowers([angles[k] for k in kept])
-        J = J_exact.evaluate_stack(powers)
-        for j, exc in enumerate(hermitian_failures(J)):
-            if exc is not None:  # the points before it still count
-                kept, J, failure = kept[:j], J[:j], exc
-                break
-        arc = [j for j, k in enumerate(kept)
-               if wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE]
-        M, _, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc],
-                                         relator)
-        if exc is not None:  # at an earlier point than any failure above
-            end = arc[len(M)]
-            kept, J, arc, failure = kept[:end], J[:end], arc[:len(M)], exc
-        results = []
-        if arc:
-            # M and the longitude of each point, in turn, against its form
-            S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
-            results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ,
-                                       tol)
-        pairs = iter(zip(results[0::2], results[1::2]))
-        on_arc = set(arc)
-        dets = np.linalg.det(J).real.tolist()
-        for j, (k, sig, det) in enumerate(zip(kept, signatures(J, tol), dets)):
+        points, exc = _evaluate_block(
+            M_exact, N_exact, J_exact, [angles[k] for k in kept],
+            [wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE for k in kept], tol)
+        for k, (sig, det, pair) in zip(kept, points):
             classes = margin = None
-            if j in on_arc:
-                result_m, result_l = next(pairs)
-                class_m, margin = sweep_verdict(result_m)
+            if pair is not None:
+                class_m, margin = sweep_verdict(pair[0])
                 if margin is None:  # the longitude's class counts only then
-                    class_l, margin = sweep_verdict(result_l)
+                    class_l, margin = sweep_verdict(pair[1])
                 classes = ((class_m, class_l) if margin is None
                            else ("indeterminate", "indeterminate"))
             rows.append(SweepRow(values[k], sig, wants[k], det, classes, margin))
+        failure = exc or failure  # exc is at an earlier point
         if failure is not None:
             raise failure
     return rows
+
+
+def _evaluate_block(M_exact: Mat, N_exact: Mat, J_exact: Mat, angles: Sequence[Angle],
+                    classify_at: Sequence[bool], tol: float
+                    ) -> tuple[list[tuple], Exception | None]:
+    """The family at a block of angles, as stacks: one eigvalsh and one
+    det call on the form, and one classify_against call for m and the
+    longitude of the numeric family at the angles ``classify_at`` marks.
+    Returns, per angle before the first failure, its signature, its
+    determinant and, if classified, the results for m and the longitude
+    with the longitude matrix; and the failure, or None."""
+    powers = UnitPowers(angles)
+    J = J_exact.evaluate_stack(powers)
+    failure = None
+    for j, exc in enumerate(hermitian_failures(J)):
+        if exc is not None:  # the angles before it still count
+            J, failure = J[:j], exc
+            break
+    arc = [j for j in range(len(J)) if classify_at[j]]
+    M, _, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc], RELATOR)
+    if exc is not None:  # at an earlier angle than any failure above
+        J, arc, failure = J[:arc[len(M)]], arc[:len(M)], exc
+    # M and the longitude of each angle, in turn, against its form
+    S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
+    results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
+    pairs = [None] * len(J)
+    for i, j in enumerate(arc):
+        pairs[j] = (results[2 * i], results[2 * i + 1], L[i])
+    return list(zip(signatures(J, tol), np.linalg.det(J).real.tolist(), pairs)), failure
 
 
 def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
@@ -314,16 +317,15 @@ def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
 def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     """Classes of the peripheral generators on the signature-(3,1) arc,
     plus the longitude spectrum clusters."""
-    a = abs(math.remainder(alpha.value, 2 * math.pi))
-    if not a < INNER_ARC_BOUND:
+    if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    fam = build_family(alpha)
-    L = fam.longitude()
-    classes = {
-        "m": classify(fam.M, fam.form, tol=tol),
-        "l": classify(L, fam.form, tol=tol),
-    }
+    points, failure = _evaluate_block(generator_m(), generator_n(), form_matrix(), [alpha],
+                                      [True], tol)
+    if failure is not None:
+        raise failure
+    result_m, result_l, L = points[0][2]
+    classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
     return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
 
@@ -335,17 +337,8 @@ def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
 
 
 def _trace_rows(fam: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
-    out = []
-    for w in tuple(TRACE_WITNESS_WORDS) + tuple(extra_words):
-        tr = fam.rep.trace(w)
-        out.append({"word": str(w), "trace": tr, "integral": tr.is_integral()})
-    return out
-
-
-def _is_special_point(alpha: Angle) -> bool:
-    if not alpha.is_pi_rational:
-        return False
-    return (alpha.pi_frac % 2) in tuple(f % 2 for f in SPECIAL_DISCRETE_FRACTIONS)
+    traces = [(w, fam.rep.trace(w)) for w in (*TRACE_WITNESS_WORDS, *extra_words)]
+    return [{"word": str(w), "trace": tr, "integral": tr.is_integral()} for w, tr in traces]
 
 
 def figure8_report(alpha: Angle | None = None,
@@ -354,40 +347,32 @@ def figure8_report(alpha: Angle | None = None,
     """Full verification report (JSON-ready dict); ``pass`` says whether
     every check passed.
 
-    Exact checks (relation, form invariance, longitude transcription,
-    determinant identity, trace integrality, peripheral commutativity)
-    always run symbolically; a numeric parameter adds the signature,
-    classification and determinant-law rows at that angle.
+    Exact checks always run symbolically: the construction decides the
+    relation and form invariance, and the longitude transcription,
+    determinant identity, trace integrality and peripheral commutativity
+    follow.  A numeric parameter adds the signature, classification and
+    determinant-law rows at that angle, from the sweep's block step.
     """
-    sym = build_family(None)
-    pres = builtin_presentation("figure8")
+    sym = build_family(None)  # raises unless the relation and form invariance hold
     checks: dict[str, dict] = {}
-
-    def record(name: str, ok: bool, info: str = "") -> None:
-        checks[name] = {"pass": bool(ok), "info": info}
-
-    rel = check_relations(sym.rep, pres)[0]
-    record("relation", bool(rel.exact), f"relator {rel.relator}")
-    record("formInvarianceM", form_preserved(sym.M, sym.form))
-    record("formInvarianceN", form_preserved(sym.N, sym.form))
+    record_check(checks, "relation", True, f"relator {RELATOR}")
+    record_check(checks, "formInvarianceM", True)
+    record_check(checks, "formInvarianceN", True)
 
     L = sym.longitude()
-    record("longitudeTranscription", L == longitude_matrix())
-    record("longitudeDet", L.det() == LaurentPoly.one())
-    record("detIdentity", sym.form.mat.det() == det_form_laurent())
+    record_check(checks, "longitudeTranscription", L == longitude_matrix())
+    record_check(checks, "longitudeDet", L.det() == LaurentPoly.one())
+    record_check(checks, "detIdentity", sym.form.mat.det() == det_form_laurent())
 
-    record("peripheralCommute", sym.M @ L == L @ sym.M)
+    record_check(checks, "peripheralCommute", sym.M @ L == L @ sym.M)
 
-    tr_mn = sym.rep.trace(Word.parse("m.n"))
-    record("separatingTrace", tr_mn == LaurentPoly.u() + 6,
-           "trace of the m*n image is 6+u, injective on the circle")
-
-    traces = {}
-    all_integral = True
-    for row in _trace_rows(sym, extra_words):
-        traces[row["word"]] = str(row["trace"])
-        all_integral = all_integral and row["integral"]
-    record("traceIntegrality", all_integral)
+    rows = _trace_rows(sym, extra_words)
+    record_check(checks, "separatingTrace",
+                 rows[TRACE_WITNESS_WORDS.index(Word.parse("m.n"))]["trace"] == _u() + 6,
+                 "trace of the m*n image is 6+u, injective on the circle")
+    traces = {row["word"]: str(row["trace"]) for row in rows}
+    all_integral = all(row["integral"] for row in rows)
+    record_check(checks, "traceIntegrality", all_integral)
 
     report: dict = {
         "family": "figure8",
@@ -406,36 +391,37 @@ def figure8_report(alpha: Angle | None = None,
     }
 
     if alpha is not None:
-        fam = build_family(alpha)
-        sig = herm_signature(fam.form, tol=tol)
-        report["signature"] = list(sig.as_tuple())
         want = expected_arc(alpha, 0.0)
+        points, failure = _evaluate_block(sym.M, sym.N, sym.form.mat, [alpha],
+                                          [want == (3, 1)], tol)
+        if failure is not None:
+            raise failure
+        sig, det, pair = points[0]
+        report["signature"] = list(sig.as_tuple())
         if want is not None:
-            record("signatureArc", (sig.plus, sig.minus) == want and sig.zero == 0,
-                   f"expected {want}")
+            record_check(checks, "signatureArc",
+                         (sig.plus, sig.minus) == want and sig.zero == 0, f"expected {want}")
         closed = det_form_closed(alpha)
-        direct = float(np.linalg.det(fam.form.array()).real)
-        rel_err = abs(closed - direct) / max(abs(closed), 1.0)
-        record("detClosedForm", rel_err <= LAW_TOL, f"relative error {rel_err:.3g}")
+        rel_err = abs(closed - det) / max(abs(closed), 1.0)
+        record_check(checks, "detClosedForm", rel_err <= LAW_TOL,
+                     f"relative error {rel_err:.3g}")
 
-        if abs(math.remainder(alpha.value, 2 * math.pi)) < INNER_ARC_BOUND:
+        if pair is not None:
             try:
-                cls = {
-                    "m": classify(fam.M, fam.form, tol=tol),
-                    "l": classify(fam.longitude(), fam.form, tol=tol),
-                }
+                cls = {"m": unwrap(pair[0]), "l": unwrap(pair[1])}
                 report["classes"] = {k: str(v) for k, v in cls.items()}
-                record("peripheralParabolic",
-                       all(isinstance(v, Parabolic) for v in cls.values()),
-                       "undeformed lattice cusp" if alpha.is_zero_mod_2pi() else "")
+                record_check(checks, "peripheralParabolic",
+                             all(isinstance(v, Parabolic) for v in cls.values()),
+                             "undeformed lattice cusp" if alpha.is_zero_mod_2pi() else "")
             except IndeterminateError as exc:
                 report["classes"] = {"m": "indeterminate", "l": "indeterminate"}
-                record("peripheralParabolic", False, str(exc))
+                record_check(checks, "peripheralParabolic", False, str(exc))
 
-        special = _is_special_point(alpha)
+        special = alpha.is_pi_rational and (
+            alpha.pi_frac % 2 in {f % 2 for f in SPECIAL_DISCRETE_FRACTIONS})
         report["specialPoint"] = {
             "is": special,
-            "discreteImage": bool(all_integral) if special else None,
+            "discreteImage": all_integral if special else None,
         }
     report["pass"] = all(c["pass"] for c in checks.values())
     return report

@@ -359,11 +359,17 @@ class UnitPowers:
         cos(x*k) + i sin(x*k) without the exact angle arithmetic."""
         missing = [k for k in exponents if k not in self._columns]
         if missing:
-            values = np.array([[1 + 0j if k == 0 else
-                                a.times(k).exp_i() if a.raw is None else
-                                complex(math.cos(a.raw * k), math.sin(a.raw * k))
-                                for k in missing] for a in self.angles],
-                              dtype=complex).reshape(len(self.angles), len(missing))
+            try:
+                values = np.array([[1 + 0j if k == 0 else
+                                    a.times(k).exp_i() if a.raw is None else
+                                    complex(math.cos(a.raw * k), math.sin(a.raw * k))
+                                    for k in missing] for a in self.angles],
+                                  dtype=complex).reshape(len(self.angles), len(missing))
+            except ValueError:  # math.cos of an infinite a.raw * k
+                x, k = next((a.raw, k) for a in self.angles for k in missing
+                            if a.raw is not None and math.isinf(a.raw * k))
+                raise ValueError(f"angle {x!r} is too large: the power u^{k} needs "
+                                 f"{x!r} * {k}, which overflows a float") from None
             for j, k in enumerate(missing):
                 self._columns[k] = values[:, j]
         if not exponents:

@@ -271,6 +271,11 @@ class Rep:
 # Relation checking
 # ---------------------------------------------------------------------------
 
+def record_check(checks: dict, name: str, ok: bool, info: str = "") -> None:
+    """Enter a named check in a report: whether it passed, and on what."""
+    checks[name] = {"pass": bool(ok), "info": info}
+
+
 @dataclass(frozen=True)
 class RelationResult:
     relator: Word

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import cuspdeform
-from cuspdeform import bending, cli, figure8, heisenberg
+from cuspdeform import bending, cli, figure8, heisenberg, matrices, words
 from cuspdeform.cli import main, parse_angle, schema_path
 from cuspdeform.scalars import Angle
 
@@ -104,16 +104,35 @@ class TestVerifyCommand:
 
 
     def test_family_built_once(self, monkeypatch):
+        # the exact family only: the angle is the sweep's one-point step
         calls = []
         build = figure8.build_family
         monkeypatch.setattr(figure8, "build_family", lambda *args, **kwargs:
                             calls.append(args) or build(*args, **kwargs))
-        for argv, built in ((["--u-exact"], [(None,)]),
-                            (["--alpha", "0.5"], [(None,), (0.5,)])):  # symbolic, then numeric
+        for argv in (["--u-exact"], ["--alpha", "0.5"]):
             calls.clear()
             code, _, _ = run(["verify", "figure8", *argv])
             assert code == 0
-            assert [tuple(a if a is None else a.value for a in c) for c in calls] == built
+            assert calls == [(None,)]
+
+    @pytest.mark.parametrize("argv", [["--u-exact"], ["--alpha", "1/5pi"]])
+    def test_exact_identities_decided_once(self, monkeypatch, argv):
+        # the construction's form invariance of m and n and its relator
+        # are the only ones; the report records their verdicts
+        preserved, relators = [], []
+        form_preserved = matrices.form_preserved
+        for module in (matrices, words, figure8, bending):
+            if hasattr(module, "form_preserved"):
+                monkeypatch.setattr(module, "form_preserved", lambda *args:
+                                    preserved.append(args) or form_preserved(*args))
+        relator = words.builtin_presentation("figure8").relators[0]
+        evaluate = words.Rep.evaluate
+        monkeypatch.setattr(words.Rep, "evaluate", lambda rep, w: (
+            relators.append(rep.is_exact) if w == relator else None) or evaluate(rep, w))
+        code, out, _ = run(["verify", "figure8", *argv])
+        assert code == 0 and json.loads(out)["checks"]["relation"]["pass"]
+        assert len(preserved) == 2
+        assert relators.count(True) == 1
 
 
     @pytest.mark.parametrize("argv", [
@@ -472,6 +491,20 @@ class TestBadInput:
         code, out, err = run(argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_word_with_foreign_symbol(self, tmp_path):
+        wf = tmp_path / "words.txt"
+        wf.write_text("m^2\nq^1\n")
+        assert run(["verify", "figure8", "--u-exact", "--words", str(wf)]) == (
+            2, "", f"usage error: {wf}: word q^1 uses symbols not in the presentation: q\n")
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_angle_whose_powers_overflow(self, value):
+        # the family needs u^k for |k| <= 5, and alpha * k overflows
+        code, out, err = run(["verify", "figure8", f"--alpha={value}"])
+        assert code == 2 and out == ""
+        assert err == (f"usage error: angle {float(value)!r} is too large: the power "
+                       f"u^-2 needs {float(value)!r} * -2, which overflows a float\n")
 
     @pytest.mark.parametrize("doc", [{"rows": [[1]]}, [[1]]])
     def test_matrix_file_without_entries(self, tmp_path, doc):

@@ -104,15 +104,22 @@ class TestArcTransitions:
                 assert sig.as_tuple() == want + (0,), f
 
     def test_four_thirds_pi_reports_like_two_thirds_pi(self):
-        # 4pi/3 lies one ulp outside the inner arc in floating point;
-        # it is the transition -2pi/3 and must read like it
+        # 4pi/3 lies one ulp outside the inner arc in floating point, and
+        # 8pi/3, 10pi/3, 14pi/3 one ulp inside it; each is a transition
+        # +-2pi/3 and must read like it
         for sign in (1, -1):
             near = figure8_report(Angle.pi_times(Fraction(2 * sign, 3)))
-            far = figure8_report(Angle.pi_times(Fraction(4 * sign, 3)))
-            assert "signatureArc" not in far["checks"]
-            assert all(c["pass"] for c in far["checks"].values())
-            assert {k: v for k, v in far.items() if k != "alpha"} == \
-                {k: v for k, v in near.items() if k != "alpha"}
+            for far in (4, 8, 10, 14):
+                rep = figure8_report(Angle.pi_times(Fraction(far * sign, 3)))
+                assert "signatureArc" not in rep["checks"]
+                assert all(c["pass"] for c in rep["checks"].values())
+                assert {k: v for k, v in rep.items() if k != "alpha"} == \
+                    {k: v for k, v in near.items() if k != "alpha"}
+
+    @pytest.mark.parametrize("f", [Fraction(2, 3), Fraction(8, 3), Fraction(-8, 3)])
+    def test_parabolicity_report_rejects_transitions(self, f):
+        with pytest.raises(GeometryError, match="only on the"):
+            parabolicity_report(Angle.pi_times(f))
 
 
 class TestParabolicity:
