@@ -117,7 +117,10 @@ def cmd_verify(args) -> int:
         extra = []
         if args.words:
             with open(args.words) as fp:
-                extra = load_word_list(fp)
+                try:
+                    extra = load_word_list(fp)
+                except ValueError as exc:
+                    raise ValueError(f"{args.words}: {exc}") from None
             generators = set(builtin_presentation("figure8").generators)
             for w in extra:  # before anything is evaluated
                 if foreign := w.symbols - generators:

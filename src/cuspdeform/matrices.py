@@ -96,6 +96,9 @@ class Mat:
     def _zero(self):
         return LaurentPoly.zero() if self.ring == "laurent" else ExtScalar.zero(self.d)
 
+    def _one(self):
+        return LaurentPoly.one() if self.ring == "laurent" else ExtScalar.one(self.d)
+
     def _like(self, rows) -> "Mat":
         """A matrix over this one's ring from ring-operation results,
         which are in the ring already: no shape check, no promotion."""
@@ -176,7 +179,7 @@ class Mat:
         return acc
 
     def is_identity(self) -> bool:
-        one = (LaurentPoly.one() if self.ring == "laurent" else ExtScalar.one(self.d))
+        one = self._one()
         for i in range(self.n):
             for j in range(self.n):
                 want = one if i == j else self._zero()
@@ -211,9 +214,7 @@ class Mat:
             cols = [j for j in range(n) if mask & (1 << j)]
             r = n - len(cols)
             if not cols:
-                one = (LaurentPoly.one() if self.ring == "laurent"
-                       else ExtScalar.one(self.d))
-                return one
+                return self._one()
             acc = self._zero()
             sign = 1
             for idx, j in enumerate(cols):
@@ -229,21 +230,40 @@ class Mat:
         return minor((1 << n) - 1)
 
     def inverse(self) -> "Mat":
-        """Exact inverse via adjugate / det; det must be a ring unit."""
-        n = self.n
-        det = self.det()
+        """Exact inverse, adj(A) / det(A); det must be a ring unit."""
+        coeffs, adj = self._charpoly_adjugate()
+        det = coeffs[0] if self.n % 2 == 0 else -coeffs[0]  # (-1)^n c_0
         det_inv = det.inverse()
-        if n == 1:
-            return self._like([[det_inv]])
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = [[self.rows[r][c] for c in range(n) if c != j]
-                       for r in range(n) if r != i]
-                m = self._like(sub).det()
-                cof[i][j] = m if (i + j) % 2 == 0 else -m
-        adj_rows = [[cof[j][i] * det_inv for j in range(n)] for i in range(n)]
-        return self._like(adj_rows)
+        return self._like([[e * det_inv for e in r] for r in adj.rows])
+
+    def _charpoly_adjugate(self) -> tuple[list, "Mat"]:
+        """The coefficients c_0, ..., c_n of det(x I - A) = sum c_k x^k,
+        and adj(A), by Faddeev-LeVerrier: M_1 = I, c_(n-1) = -tr(A) and
+
+            M_k = A M_(k-1) + c_(n-k+1) I,   c_(n-k) = -tr(A M_k) / k,
+
+        with adj(A) = (-1)^(n-1) M_n.  A M_1 is A itself and only the
+        trace of A M_n is needed, so this takes n - 2 matrix products and
+        one trace-only product, and divides only by the integers 2..n."""
+        n = self.n
+        coeffs = [None] * (n + 1)
+        coeffs[n] = self._one()
+        coeffs[n - 1] = -self.trace()
+        M = Mat.identity(1, self.ring, self.d) if n == 1 else None  # M_1
+        AM = self
+        for k in range(2, n + 1):
+            M = AM._plus_scalar(coeffs[n - k + 1])
+            if k < n:
+                AM = self @ M
+                coeffs[n - k] = AM.trace() / -k
+            else:
+                coeffs[0] = _trace_of_product(self, M) / -n
+        return coeffs, (M if n % 2 else -M)
+
+    def _plus_scalar(self, s) -> "Mat":
+        """self + s I."""
+        return self._like([[e + s if i == j else e for j, e in enumerate(r)]
+                           for i, r in enumerate(self.rows)])
 
     def __pow__(self, k: int) -> "Mat":
         if k < 0:
@@ -337,6 +357,17 @@ class Mat:
     def __repr__(self) -> str:
         body = "\n ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)
         return f"Mat({self.ring}, n={self.n})[\n {body}\n]"
+
+
+def _trace_of_product(A: Mat, B: Mat):
+    """tr(A B) without the off-diagonal entries of the product; zero
+    entries of A are skipped."""
+    acc = A._zero()
+    for r, col in zip(A.rows, zip(*B.rows)):
+        for a, b in zip(r, col):
+            if not (a.is_zero or b.is_zero):
+                acc = acc + a * b
+    return acc
 
 
 class UnitPowers:

@@ -21,6 +21,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -521,8 +522,7 @@ class ExtScalar:
     __slots__ = ("d", "c")
 
     def __init__(self, d: int, c0, c1=None, c2=None, c3=None):
-        if d < 2 or _squarefree(d)[0] != 1:
-            raise ValueError(f"d must be squarefree >= 2, got {d}")
+        _check_tag(d)
         zero = LaurentPoly.zero()
 
         def lp(x) -> LaurentPoly:
@@ -587,7 +587,7 @@ class ExtScalar:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not _support(self.c)
 
     @property
     def is_laurent(self) -> bool:
@@ -644,18 +644,37 @@ class ExtScalar:
         return o + (-self)
 
     def __mul__(self, other):
+        """The product by the multiplication table, forming only the
+        component products whose factors are both nonzero.  Each result
+        component is summed in the order, and with the grouping, of
+
+            a0*b0 + (a1*b1)*2 + (a2*b2)*d + (a3*b3)*(2*d)
+            a0*b1 + a1*b0 + (a2*b3 + a3*b2)*d
+            a0*b2 + a2*b0 + (a1*b3 + a3*b1)*2
+            a0*b3 + a3*b0 + a1*b2 + a2*b1
+
+        and a zero term adds nothing, so every component has the terms,
+        in the order, that this dense formula gives."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = o.c
+        a, b = self.c, o.c
+        plan = _product_plan(_support(a), _support(b))
         d = self.d
-        return _ext(d, (
-            a0 * b0 + (a1 * b1) * 2 + (a2 * b2) * d + (a3 * b3) * (2 * d),
-            a0 * b1 + a1 * b0 + (a2 * b3 + a3 * b2) * d,
-            a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * 2,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-        ))
+        scales = (1, 2, d, 2 * d)
+        out = []
+        for groups in plan:
+            acc = None
+            for pairs, code in groups:
+                s = None
+                for i, j in pairs:
+                    t = a[i] * b[j]
+                    s = t if s is None else s + t
+                if code:
+                    s = s * scales[code]
+                acc = s if acc is None else acc + s
+            out.append(_ZERO if acc is None else acc)
+        return _ext(d, tuple(out))
 
     __rmul__ = __mul__
 
@@ -737,6 +756,43 @@ class ExtScalar:
                 body = f"({body})*{lab}" if (" " in body or body.startswith("-")) else f"{body}*{lab}"
             parts.append(body)
         return " + ".join(parts) if parts else "0"
+
+
+_ZERO = LaurentPoly.zero()
+
+
+@functools.lru_cache(maxsize=64)  # a tag is checked once, not per scalar
+def _check_tag(d: int) -> None:
+    if d < 2 or _squarefree(d)[0] != 1:
+        raise ValueError(f"d must be squarefree >= 2, got {d}")
+
+# The basis is 1, sqrt2, sqrt d, sqrt(2d), i.e. sqrt(2^(i&1) d^(i>>1)) for
+# i = 0..3: basis elements i and j multiply to basis element i ^ j times
+# 2 if i & j has bit 0 and d if it has bit 1.  Per result component, its
+# groups of component pairs (i, j); a group is summed, then scaled.
+_PRODUCT_GROUPS = (
+    (((0, 0),), ((1, 1),), ((2, 2),), ((3, 3),)),
+    (((0, 1), (1, 0)), ((2, 3), (3, 2))),
+    (((0, 2), (2, 0)), ((1, 3), (3, 1))),
+    (((0, 3), (3, 0), (1, 2), (2, 1)),),
+)
+
+
+def _support(c: tuple) -> int:
+    """The bit mask of the nonzero components."""
+    return ((1 if c[0]._n else 0) | (2 if c[1]._n else 0)
+            | (4 if c[2]._n else 0) | (8 if c[3]._n else 0))
+
+
+@functools.lru_cache(maxsize=256)  # one entry per pair of supports
+def _product_plan(support_a: int, support_b: int) -> tuple:
+    """Per result component, the groups of ``_PRODUCT_GROUPS`` that keep
+    a pair with both factors nonzero, as (those pairs, scale code i & j)."""
+    return tuple(
+        tuple((live, pairs[0][0] & pairs[0][1]) for pairs in groups
+              if (live := tuple((i, j) for i, j in pairs
+                                if support_a >> i & 1 and support_b >> j & 1)))
+        for groups in _PRODUCT_GROUPS)
 
 
 def _fold(d: int, c: tuple) -> tuple:

@@ -11,6 +11,7 @@ tests validate it against the alternative on the undeformed lattice.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -21,6 +22,8 @@ from .matrices import (GeometryError, HermForm, Mat, form_defect,
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
 COMMUTATOR_CONVENTION = "aba^-1b^-1"
+
+_FACTOR = re.compile(r"([A-Za-z_]\w*)\s*(?:\^\s*([+-]?[0-9]+))?", re.ASCII)
 
 
 class Word:
@@ -55,7 +58,9 @@ class Word:
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Parse `m^1.n^-1.m^2` (exponent defaults to 1; `e`/empty is
-        the identity word)."""
+        the identity word).  A factor is a symbol name (a letter or `_`,
+        then letters, digits or `_`) with an optional `^` and signed
+        integer exponent; any other factor raises ValueError."""
         text = text.strip()
         if text in ("", "e", "1"):
             return cls()
@@ -64,11 +69,12 @@ class Word:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if "^" in chunk:
-                sym, _, exp = chunk.partition("^")
-                factors.append((sym.strip(), int(exp)))
-            else:
-                factors.append((chunk, 1))
+            match = _FACTOR.fullmatch(chunk)
+            if match is None:
+                raise ValueError(f"factor {chunk!r} of word {text!r} is not a symbol "
+                                 f"with an optional integer exponent, like n^-2")
+            sym, exp = match.groups()
+            factors.append((sym, 1 if exp is None else int(exp)))
         return cls(factors)
 
     @property
@@ -167,12 +173,16 @@ def builtin_presentation(name: str, d: int | None = None) -> Presentation:
 
 
 def load_word_list(lines: Iterable[str]) -> list[Word]:
-    """Parse the word-list file format (`#` comments, blank lines ok)."""
+    """Parse the word-list file format (`#` comments, blank lines ok).
+    A malformed word raises ValueError prefixed with its line number."""
     out = []
-    for line in lines:
+    for k, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if body:
-            out.append(Word.parse(body))
+            try:
+                out.append(Word.parse(body))
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
     return out
 
 

@@ -147,6 +147,23 @@ class TestVerifyCommand:
         code, _, _ = run(["verify", "bianchi", *argv])
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("argv, det_callers", [
+        (["bianchi", "--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"], []),
+        (["figure8", "--u-exact"], ["figure8_report", "figure8_report"]),
+    ])
+    def test_det_only_for_determinant_checks(self, monkeypatch, argv, det_callers):
+        # the exact inverses (two per report) take no determinant: only
+        # the longitudeDet and detIdentity checks of figure8 call det
+        callers, inverses = [], []
+        det, inverse = matrices.Mat.det, matrices.Mat.inverse
+        monkeypatch.setattr(matrices.Mat, "det", lambda m: callers.append(
+            sys._getframe(1).f_code.co_name) or det(m))
+        monkeypatch.setattr(matrices.Mat, "inverse", lambda m: inverses.append(m.n)
+                            or inverse(m))
+        code, _, _ = run(["verify", *argv])
+        assert code == 0
+        assert callers == det_callers and len(inverses) == 2
+
 
 class TestNegativeValues:
     """A leading-minus value reads the same after a space as after '='."""
@@ -497,6 +514,17 @@ class TestBadInput:
         wf.write_text("m^2\nq^1\n")
         assert run(["verify", "figure8", "--u-exact", "--words", str(wf)]) == (
             2, "", f"usage error: {wf}: word q^1 uses symbols not in the presentation: q\n")
+
+    @pytest.mark.parametrize("word, factor", [
+        ("m^x", "m^x"), ("m^", "m^"), ("m^^2", "m^^2"), ("^2", "^2"),
+        ("m^1.5", "5"), ("m n", "m n"),
+    ])
+    def test_malformed_word(self, tmp_path, word, factor):
+        wf = tmp_path / "words.txt"
+        wf.write_text(f"m^2\n# comment\n{word}\n")
+        assert run(["verify", "figure8", "--u-exact", "--words", str(wf)]) == (
+            2, "", f"usage error: {wf}: line 3: factor {factor!r} of word {word!r} is "
+                   f"not a symbol with an optional integer exponent, like n^-2\n")
 
     @pytest.mark.parametrize("value", ["1e308", "-1e308"])
     def test_angle_whose_powers_overflow(self, value):

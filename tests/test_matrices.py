@@ -164,9 +164,82 @@ class TestFormDefect:
         assert form_defect(g, siegel_form(4)) > 1e-4
 
 
+def random_laurent(rng, terms=2):
+    return LaurentPoly({int(k): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                        for k in rng.integers(-2, 3, size=terms)})
+
+
+def random_unit_mat(rng, n, d=None):
+    """L * D * U with unitriangular L, U and a diagonal of units, so the
+    determinant is a unit and the exact inverse exists."""
+    def entry():
+        p = random_laurent(rng)
+        if d is None:
+            return p
+        return ExtScalar(d, p, 0, 0, random_laurent(rng, 1))
+
+    ring = "laurent" if d is None else "ext"
+    lower = Mat([[entry() if i > j else int(i == j) for j in range(n)]
+                 for i in range(n)], ring, d)
+    upper = Mat([[entry() if i < j else int(i == j) for j in range(n)]
+                 for i in range(n)], ring, d)
+    diag = Mat.diagonal([LaurentPoly({int(k): Fraction(int(s), 2)})
+                         for k, s in zip(rng.integers(-2, 3, size=n),
+                                         rng.choice([-3, -1, 1, 2], size=n))],
+                        ring, d)
+    return lower @ diag @ upper
+
+
+def cofactor_inverse(A: Mat) -> Mat:
+    """The reference inverse: the adjugate of n^2 cofactor determinants,
+    divided by the determinant (which must be a ring unit)."""
+    n = A.n
+    det_inv = A.det().inverse()
+    if n == 1:
+        return Mat([[det_inv]], A.ring, A.d)
+    cof = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[A.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            m = Mat(sub, A.ring, A.d).det()
+            cof[i][j] = m if (i + j) % 2 == 0 else -m
+    return Mat([[cof[j][i] * det_inv for j in range(n)] for i in range(n)], A.ring, A.d)
+
+
+class TestFaddeevLeVerrierInverse:
+    @given(st.integers(min_value=1, max_value=5), st.sampled_from([None, 2, 6, 7]),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_cofactor_adjugate(self, n, d, seed):
+        A = random_unit_mat(np.random.default_rng(seed), n, d)
+        inv = A.inverse()
+        assert inv == cofactor_inverse(A)
+        assert (A @ inv).is_identity()
+        coeffs, _ = A._charpoly_adjugate()
+        assert coeffs[n] == A._one() and coeffs[0] * (-1) ** n == A.det()
+
+    @pytest.mark.parametrize("rows, ring, d, message", [
+        ([[1 + LaurentPoly.u()]], "laurent", None, "1 + u"),
+        ([[2, LaurentPoly.u()], [1, 1]], "laurent", None, "2 - u"),
+        ([[1, ExtScalar.sqrtd(7)], [ExtScalar.sqrtd(7), LaurentPoly.u()]], "ext", 7,
+         "2401 - 1372*u + 294*u^2 - 28*u^3 + u^4"),
+    ])
+    def test_singular_raises_like_the_determinant(self, rows, ring, d, message):
+        # the norm of the ext determinant u - 7 is (u - 7)^4
+        A = Mat(rows, ring, d)
+        want = f"{message} is not a unit of Q[u,u^-1]"
+        with pytest.raises(ZeroDivisionError) as exc:
+            A.det().inverse()
+        assert str(exc.value) == want
+        with pytest.raises(ZeroDivisionError) as exc:
+            A.inverse()
+        assert str(exc.value) == want
+
+
 class TestExactMatAgainstSympy:
-    """Products, powers, determinants and inverses of small exact
-    matrices against sympy (an independent computer-algebra oracle)."""
+    """Products, powers, determinants, characteristic polynomials and
+    inverses of small exact matrices against sympy (an independent
+    computer-algebra oracle)."""
 
     @pytest.fixture(autouse=True)
     def _sympy(self):
@@ -177,11 +250,12 @@ class TestExactMatAgainstSympy:
         return sum((self.S.Rational(v.numerator, v.denominator) * self.u ** k
                     for k, v in p.items()), self.S.Integer(0))
 
-    def _entry(self, e):
+    def _entry(self, e, sqrt2=None, sqrtd=None):
         if isinstance(e, LaurentPoly):
             return self._laurent(e)
-        radicals = (1, self.S.sqrt(2), self.S.sqrt(e.d), self.S.sqrt(2 * e.d))
-        return sum((self._laurent(p) * r for p, r in zip(e.c, radicals)),
+        sqrt2 = self.S.sqrt(2) if sqrt2 is None else sqrt2
+        sqrtd = self.S.sqrt(e.d) if sqrtd is None else sqrtd
+        return sum((self._laurent(p) * r for p, r in zip(e.c, (1, sqrt2, sqrtd, sqrt2 * sqrtd))),
                    self.S.Integer(0))
 
     def _sym(self, M):
@@ -190,42 +264,40 @@ class TestExactMatAgainstSympy:
     def _same(self, A, B):
         return (A - B).applyfunc(self.S.expand) == self.S.zeros(*A.shape)
 
-    @staticmethod
-    def _random_laurent(rng, terms=2):
-        return LaurentPoly({int(k): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-                            for k in rng.integers(-2, 3, size=terms)})
-
-    def _random_unit_mat(self, rng, n, d=None):
-        """L * D * U with unitriangular L, U and a diagonal of units, so
-        the determinant is a unit and the exact inverse exists."""
-        def entry():
-            p = self._random_laurent(rng)
-            if d is None:
-                return p
-            return ExtScalar(d, p, 0, 0, self._random_laurent(rng, 1))
-
-        ring = "laurent" if d is None else "ext"
-        lower = Mat([[entry() if i > j else int(i == j) for j in range(n)]
-                     for i in range(n)], ring, d)
-        upper = Mat([[entry() if i < j else int(i == j) for j in range(n)]
-                     for i in range(n)], ring, d)
-        diag = Mat.diagonal([LaurentPoly({int(k): Fraction(int(s), 2)})
-                             for k, s in zip(rng.integers(-2, 3, size=n),
-                                             rng.choice([-3, -1, 1, 2], size=n))],
-                            ring, d)
-        return lower @ diag @ upper
+    def _charpoly(self, M):
+        """sympy's characteristic polynomial of M, constant term first.
+        sqrt2 and sqrt d enter as free symbols r and s, where sympy's
+        charpoly is fast; the division-free coefficients are then reduced
+        by r^2 = 2 and s^2 = d."""
+        from sympy.polys.matrices import DomainMatrix
+        S, d = self.S, M.d or 1
+        r, s = S.symbols("r s")
+        dm = DomainMatrix.from_Matrix(S.Matrix([[self._entry(e, r, s) for e in row]
+                                                for row in M.rows]))
+        out = []
+        for c in reversed(dm.charpoly()):
+            poly = S.Poly(S.expand(dm.domain.to_sympy(c)), r, s)
+            out.append(sum((v * 2 ** (i // 2) * d ** (j // 2) * S.sqrt(2) ** (i % 2)
+                            * S.sqrt(d) ** (j % 2) for (i, j), v in poly.terms()),
+                           S.Integer(0)))
+        return out
 
     @pytest.mark.parametrize("n, d, seed", [(2, None, 1), (3, None, 2), (4, None, 3),
-                                            (2, 7, 4), (3, 7, 5), (2, 2, 6), (2, 6, 7)])
+                                            (5, None, 8), (2, 7, 4), (3, 7, 5),
+                                            (5, 7, 9), (2, 2, 6), (3, 2, 10), (2, 6, 7)])
     def test_matmul_det_inverse(self, n, d, seed):
         r = np.random.default_rng(seed)
-        A = self._random_unit_mat(r, n, d)
-        B = self._random_unit_mat(r, n, d)
+        A = random_unit_mat(r, n, d)
+        B = random_unit_mat(r, n, d)
         SA, SB = self._sym(A), self._sym(B)
         assert self._same(self._sym(A @ B), SA * SB)
-        assert self.S.expand(self._entry(A.det()) - SA.det(method="berkowitz")) == 0
         assert self._same(SA * self._sym(A.inverse()), self.S.eye(n))
         assert self._same(self._sym(A ** 2), SA * SA)
+        coeffs, _ = A._charpoly_adjugate()
+        want = self._charpoly(A)
+        assert [self.S.expand(self._entry(c) - w) for c, w in zip(coeffs, want)] == [0] * (n + 1)
+        # det(A) = (-1)^n c_0
+        assert self.S.expand(self._entry(A.det()) - (-1) ** n * want[0]) == 0
 
 
 block_angle = st.one_of(

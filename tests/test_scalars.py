@@ -312,6 +312,53 @@ class TestLaurentKernel:
 
 
 # ---------------------------------------------------------------------------
+# The sparse ExtScalar product against the dense multiplication table
+# ---------------------------------------------------------------------------
+
+def _dense_mul(a: ExtScalar, b: ExtScalar) -> ExtScalar:
+    """The product by the full multiplication table: every one of the
+    16 component products, zero or not, in the kernel's association."""
+    a0, a1, a2, a3 = a.c
+    b0, b1, b2, b3 = b.c
+    d = a.d
+    return ExtScalar(d,
+                     a0 * b0 + (a1 * b1) * 2 + (a2 * b2) * d + (a3 * b3) * (2 * d),
+                     a0 * b1 + a1 * b0 + (a2 * b3 + a3 * b2) * d,
+                     a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * 2,
+                     a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+
+
+@st.composite
+def sparse_exts(draw, d):
+    """An ExtScalar whose components are each zero about half the time."""
+    return ExtScalar(d, *(draw(st.one_of(st.just(0), laurents())) for _ in range(4)))
+
+
+@st.composite
+def ext_pairs(draw):
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 15]))
+    return draw(sparse_exts(d)), draw(sparse_exts(d))
+
+
+class TestSparseExtProduct:
+    @given(ext_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_formula_term_for_term(self, ab):
+        a, b = ab
+        got, want = a * b, _dense_mul(a, b)
+        assert got.d == want.d and got.c == want.c
+        # the same terms in the same order, so evaluation is bit for bit
+        assert [p.unit_terms() for p in got.c] == [p.unit_terms() for p in want.c]
+
+    @pytest.mark.parametrize("d", [12, 1, 0])
+    def test_bad_tag_rejected_every_time(self, d):
+        # a valid tag is checked once; a rejection is not remembered
+        for _ in range(2):
+            with pytest.raises(ValueError, match="squarefree"):
+                ExtScalar.zero(d)
+
+
+# ---------------------------------------------------------------------------
 # Equal values hash equally
 # ---------------------------------------------------------------------------
 

@@ -158,3 +158,7 @@ class TestWordListFile:
         ]
         got = load_word_list(lines)
         assert got == [Word.parse("m.n^-1.m"), Word.parse("n^2")]
+
+    def test_malformed_factor_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^line 3: factor 'n\^x' of word 'm.n\^x'"):
+            load_word_list(["m", "# n^x", "m.n^x"])
