@@ -239,48 +239,40 @@ class TestFaddeevLeVerrierInverse:
 class TestExactMatAgainstSympy:
     """Products, powers, determinants, characteristic polynomials and
     inverses of small exact matrices against sympy (an independent
-    computer-algebra oracle)."""
+    computer-algebra oracle).
+
+    sympy computes in Q[r, s, u, v] with sqrt2 = r, sqrt d = s and
+    u^-1 = v, and values are compared by their normal forms modulo
+    r^2 - 2, s^2 - d, u v - 1: a Groebner basis, since the leading
+    monomials are coprime, so equal values have equal normal forms."""
 
     @pytest.fixture(autouse=True)
     def _sympy(self):
         self.S = pytest.importorskip("sympy")
-        self.u = self.S.Symbol("u")
+        self.DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+
+    def _ring(self, d):
+        R, self.r, self.s, self.u, self.v = self.S.ring("r s u v", self.S.QQ)
+        self.basis = (R.one, self.r, self.s, self.r * self.s)
+        self.G = [self.r ** 2 - 2, self.s ** 2 - (d or 1), self.u * self.v - 1]
+        self.K = R.to_domain()
 
     def _laurent(self, p):
-        return sum((self.S.Rational(v.numerator, v.denominator) * self.u ** k
-                    for k, v in p.items()), self.S.Integer(0))
+        return sum(((self.u ** k if k >= 0 else self.v ** -k)
+                    * self.S.QQ(c.numerator, c.denominator) for k, c in p.items()),
+                   self.K.zero)
 
-    def _entry(self, e, sqrt2=None, sqrtd=None):
+    def _entry(self, e):
         if isinstance(e, LaurentPoly):
             return self._laurent(e)
-        sqrt2 = self.S.sqrt(2) if sqrt2 is None else sqrt2
-        sqrtd = self.S.sqrt(e.d) if sqrtd is None else sqrtd
-        return sum((self._laurent(p) * r for p, r in zip(e.c, (1, sqrt2, sqrtd, sqrt2 * sqrtd))),
-                   self.S.Integer(0))
+        return sum((self._laurent(p) * x for p, x in zip(e.c, self.basis)), self.K.zero)
 
-    def _sym(self, M):
-        return self.S.Matrix([[self._entry(e) for e in row] for row in M.rows])
+    def _dm(self, M):
+        return self.DomainMatrix([[self._entry(e) for e in row] for row in M.rows],
+                                 (M.n, M.n), self.K)
 
-    def _same(self, A, B):
-        return (A - B).applyfunc(self.S.expand) == self.S.zeros(*A.shape)
-
-    def _charpoly(self, M):
-        """sympy's characteristic polynomial of M, constant term first.
-        sqrt2 and sqrt d enter as free symbols r and s, where sympy's
-        charpoly is fast; the division-free coefficients are then reduced
-        by r^2 = 2 and s^2 = d."""
-        from sympy.polys.matrices import DomainMatrix
-        S, d = self.S, M.d or 1
-        r, s = S.symbols("r s")
-        dm = DomainMatrix.from_Matrix(S.Matrix([[self._entry(e, r, s) for e in row]
-                                                for row in M.rows]))
-        out = []
-        for c in reversed(dm.charpoly()):
-            poly = S.Poly(S.expand(dm.domain.to_sympy(c)), r, s)
-            out.append(sum((v * 2 ** (i // 2) * d ** (j // 2) * S.sqrt(2) ** (i % 2)
-                            * S.sqrt(d) ** (j % 2) for (i, j), v in poly.terms()),
-                           S.Integer(0)))
-        return out
+    def _nf(self, X):
+        return [[e.rem(self.G) for e in row] for row in X.to_list()]
 
     @pytest.mark.parametrize("n, d, seed", [(2, None, 1), (3, None, 2), (4, None, 3),
                                             (5, None, 8), (2, 7, 4), (3, 7, 5),
@@ -289,15 +281,15 @@ class TestExactMatAgainstSympy:
         r = np.random.default_rng(seed)
         A = random_unit_mat(r, n, d)
         B = random_unit_mat(r, n, d)
-        SA, SB = self._sym(A), self._sym(B)
-        assert self._same(self._sym(A @ B), SA * SB)
-        assert self._same(SA * self._sym(A.inverse()), self.S.eye(n))
-        assert self._same(self._sym(A ** 2), SA * SA)
+        self._ring(d)
+        SA, SB = self._dm(A), self._dm(B)
+        assert self._nf(self._dm(A @ B)) == self._nf(SA * SB)
+        assert self._nf(SA * self._dm(A.inverse())) == self._nf(self.DomainMatrix.eye(n, self.K))
+        assert self._nf(self._dm(A ** 2)) == self._nf(SA * SA)
+        want = [c.rem(self.G) for c in reversed(SA.charpoly())]  # c_0 first
         coeffs, _ = A._charpoly_adjugate()
-        want = self._charpoly(A)
-        assert [self.S.expand(self._entry(c) - w) for c, w in zip(coeffs, want)] == [0] * (n + 1)
-        # det(A) = (-1)^n c_0
-        assert self.S.expand(self._entry(A.det()) - (-1) ** n * want[0]) == 0
+        assert [self._entry(c).rem(self.G) for c in coeffs] == want
+        assert self._entry(A.det()).rem(self.G) == (-1) ** n * want[0]
 
 
 block_angle = st.one_of(
