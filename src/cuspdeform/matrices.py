@@ -180,12 +180,8 @@ class Mat:
 
     def is_identity(self) -> bool:
         one = self._one()
-        for i in range(self.n):
-            for j in range(self.n):
-                want = one if i == j else self._zero()
-                if self.rows[i][j] != want:
-                    return False
-        return True
+        return all(e == one if i == j else e.is_zero
+                   for i, r in enumerate(self.rows) for j, e in enumerate(r))
 
     def is_scalar(self):
         """Return the scalar s if self == s*Id, else None."""
