@@ -27,10 +27,10 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .heisenberg import CuspParams, RS1Element, rs1_classify
-from .isometry import classify, classify_stack, grid_blocks, sweep_verdict
+from .isometry import IsoClass, classify, classify_stack, grid_blocks, sweep_verdict
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, Mat, UnitPowers, siegel_form)
-from .scalars import Angle, ExtScalar, LaurentPoly, Surd
+from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _squarefree
 from .tolerances import (DECISION_TOL, INDETERMINATE_FACTOR, LATTICE_AT_ONE_TOL,
                          NORM_FLOOR, STRUCTURE_TOL)
 from .words import (Presentation, Rep, builtin_presentation, check_relations,
@@ -42,17 +42,8 @@ ALGEBRA_PROBE_ANGLE = Angle.pi_fraction(1, 5)  # sample angle for symbolic runs
 PRESENTED_D = (2, 7, 11)
 
 
-def _is_squarefree(d: int) -> bool:
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 1
-    return True
-
-
 def validate_bianchi_d(d: int) -> None:
-    if d < 1 or not _is_squarefree(d):
+    if d < 1 or _squarefree(d)[0] != 1:
         raise ValueError(f"d={d} is not a squarefree positive integer")
     if d in (1, 3):
         raise ValueError(f"d={d} has no modular-surface bending family "
@@ -64,8 +55,8 @@ def validate_bianchi_d(d: int) -> None:
 # ---------------------------------------------------------------------------
 
 def su31_centralizer(u) -> MatLike:
-    """Diag(1, 1, u, 1): u may be an Angle (numeric), a complex number,
-    or a LaurentPoly with an extension tag via su31_centralizer_exact."""
+    """Diag(1, 1, u, 1) at a numeric u: an Angle or a complex number.
+    The exact matrix at symbolic u is ``su31_centralizer_exact(d)``."""
     if isinstance(u, Angle):
         u = u.exp_i()
     return np.diag([1.0, 1.0, complex(u), 1.0])
@@ -143,29 +134,23 @@ def _commuting(G: np.ndarray, h: MatLike) -> list[bool]:
             for defect, scale in zip(defects, scales)]
 
 
-def _is_identity(g: MatLike) -> bool:
-    if isinstance(g, Mat):
-        return g.is_identity()
-    g = np.asarray(g, dtype=complex)
-    return float(np.abs(g - np.eye(g.shape[0])).max()) <= STRUCTURE_TOL
-
-
-def _is_identity_at_u1(g: Mat) -> bool:
-    """Exact identity after the substitution u = 1 (the zero parameter
-    of a symbolically bent family)."""
-    for i in range(g.n):
-        for j in range(g.n):
-            e = g[i, j]
-            want = Fraction(1 if i == j else 0)
-            if isinstance(e, LaurentPoly):
-                if e.sum_coeffs() != want:
-                    return False
-            else:
-                if e.c[0].sum_coeffs() != want:
-                    return False
-                if any(p.sum_coeffs() != 0 for p in e.c[1:]):
-                    return False
-    return True
+def _check_zero_param(centralizer: Callable[[object], MatLike], zero_param) -> None:
+    """The centralizer factory must give the identity at the zero
+    parameter: a Mat exactly after the substitution u = 1 (the zero
+    parameter of a symbolically bent family), a numeric matrix within
+    STRUCTURE_TOL."""
+    g = centralizer(zero_param)
+    if isinstance(g, Mat):  # every component of every entry, at u = 1
+        parts = lambda e: [e] if isinstance(e, LaurentPoly) else e.c
+        ok = all(p.sum_coeffs() == int(i == j and k == 0)
+                 for i in range(g.n) for j in range(g.n)
+                 for k, p in enumerate(parts(g[i, j])))
+    else:
+        g = np.asarray(g, dtype=complex)
+        ok = float(np.abs(g - np.eye(g.shape[0])).max()) <= STRUCTURE_TOL
+    if not ok:
+        raise GeometryError("centralizer factory must give the identity "
+                            "at the zero parameter")
 
 
 @dataclass
@@ -187,11 +172,7 @@ class BendDataHNN:
         missing = [s for s in self.edge_gens if s not in self.base]
         if missing:
             raise ValueError(f"edge generators {missing} missing from the base rep")
-        g0 = self.centralizer(self.zero_param)
-        ok = _is_identity(g0) or (isinstance(g0, Mat) and _is_identity_at_u1(g0))
-        if not ok:
-            raise GeometryError("centralizer factory must give the identity "
-                                "at the zero parameter")
+        _check_zero_param(self.centralizer, self.zero_param)
 
 
 def _commute_error(sym: str) -> GeometryError:
@@ -231,11 +212,7 @@ class BendDataAmalgam:
             same = (l == r) if isinstance(l, Mat) else np.array_equal(l, r)
             if not same:
                 raise ValueError(f"factor reps disagree on edge generator {sym!r}")
-        g0 = self.centralizer(self.zero_param)
-        ok = _is_identity(g0) or (isinstance(g0, Mat) and _is_identity_at_u1(g0))
-        if not ok:
-            raise GeometryError("centralizer factory must give the identity "
-                                "at the zero parameter")
+        _check_zero_param(self.centralizer, self.zero_param)
 
 
 def bend_amalgam(data: BendDataAmalgam, t) -> dict[str, MatLike]:
@@ -265,31 +242,14 @@ def bend_amalgam(data: BendDataAmalgam, t) -> dict[str, MatLike]:
 
 def bianchi_lattice_su31(d: int) -> dict[str, Mat]:
     """The lattice embedding: a, t generate the modular subgroup, u is
-    the extra cusp translation (the stable letter of the splitting)."""
-    validate_bianchi_d(d)
-    s2 = Surd(1, 2)
+    the extra cusp translation (the stable letter of the splitting).
+    T and U are the cusp translations of ``cusp_surds(d)``."""
+    a, b1, b2 = cusp_surds(d)
     A = Mat.ext([[0, 0, 0, -1],
                  [0, -1, 0, 0],
                  [0, 0, 1, 0],
                  [-1, 0, 0, 0]], d)
-    T = Mat.ext([[1, -s2, 0, -1],
-                 [0, 1, 0, s2],
-                 [0, 0, 1, 0],
-                 [0, 0, 0, 1]], d)
-    if d % 4 in (1, 2):
-        s2d = Surd(1, 2 * d)
-        U = Mat.ext([[1, 0, s2d, -d],
-                     [0, 1, 0, 0],
-                     [0, 0, 1, -s2d],
-                     [0, 0, 0, 1]], d)
-    else:
-        h2 = Surd(Fraction(1, 2), 2)
-        h2d = Surd(Fraction(1, 2), 2 * d)
-        U = Mat.ext([[1, -h2, h2d, Fraction(-(d + 1), 4)],
-                     [0, 1, 0, h2],
-                     [0, 0, 1, -h2d],
-                     [0, 0, 0, 1]], d)
-    return {"a": A, "t": T, "u": U}
+    return {"a": A, "t": cusp_matrix_T(a, d), "u": cusp_matrix_U(b1, b2, d)}
 
 
 def embed_so41(g: Mat) -> Mat:
@@ -312,18 +272,23 @@ def bianchi_lattice_so41(d: int) -> dict[str, Mat]:
 
 def cusp_surds(d: int) -> tuple[Surd, Surd, Surd]:
     """The normalized cusp data (a, b1, b2) of the lattice: T translates
-    by (a, 0), U by (b1, b2).  Read off the printed matrices, signs
-    included."""
+    by (a, 0), U by (b1, b2).  U is orthogonal to T (b1 = 0) exactly
+    when d is 1 or 2 mod 4."""
     validate_bianchi_d(d)
     if d % 4 in (1, 2):
         return (Surd(1, 2), Surd(0), Surd(-1, 2 * d))
     return (Surd(1, 2), Surd(Fraction(1, 2), 2), Surd(Fraction(-1, 2), 2 * d))
 
 
+def _square(x: Surd) -> Fraction:
+    """x^2 = q^2 k, without the Surd product, which reduces k^2 by trial
+    division: up to the largest prime factor of k, i.e. d for prime d."""
+    return x.q * x.q * x.k
+
+
 def cusp_matrix_T(a: Surd, d: int, size: int = 4) -> Mat:
     """The normalized cusp translation by (a, 0) as an exact matrix."""
-    aa = a * a
-    rows = [[1, -a, 0, -(aa.q) / 2],
+    rows = [[1, -a, 0, -_square(a) / 2],
             [0, 1, 0, a],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
@@ -332,7 +297,7 @@ def cusp_matrix_T(a: Surd, d: int, size: int = 4) -> Mat:
 
 
 def cusp_matrix_U(b1: Surd, b2: Surd, d: int, size: int = 4) -> Mat:
-    norm2 = (b1 * b1).q + (b2 * b2).q
+    norm2 = _square(b1) + _square(b2)
     rows = [[1, -b1, -b2, -norm2 / 2],
             [0, 1, 0, b1],
             [0, 0, 1, b2],
@@ -388,43 +353,28 @@ def bianchi_family(d: int, target: str = "su31", *,
     validate_bianchi_d(d)
     pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
     if target == "su31":
-        base = bianchi_lattice_su31(d)
-        data = BendDataHNN(
-            base={k: v for k, v in base.items() if k != "u"},
-            stable="u",
-            stable_image=base["u"],
-            centralizer=lambda _: su31_centralizer_exact(d),
-            edge_gens=("a", "t"),
-            zero_param=None,
-        )
-        # zero-parameter sanity lives at u=1, i.e. Z(1) = Id numerically
-        images = bend_hnn(data, None)
-        form = siegel_form(4, CONJ_TRANSPOSE)
-        return BianchiFamily(d, "su31", None, images, form, pres, base["u"])
-    if target == "so41":
-        form = siegel_form(5, CONJ_TRANSPOSE)
-        if pythagorean is not None:
-            base = bianchi_lattice_so41(d)
-            cs = pythagorean_pair(pythagorean)
-            data = BendDataHNN(
-                base={k: v for k, v in base.items() if k != "u"},
-                stable="u",
-                stable_image=base["u"],
-                centralizer=lambda p: so41_centralizer_exact(d, p),
-                edge_gens=("a", "t"),
-                zero_param=(Fraction(1), Fraction(0)),
-            )
-            images = bend_hnn(data, cs)
-            return BianchiFamily(d, "so41", cs, images, form, pres, base["u"])
+        param = None  # symbolic u; its zero parameter None stands for u = 1
+        data = _bianchi_hnn(bianchi_lattice_su31(d),
+                            lambda _: su31_centralizer_exact(d), None)
+        images = bend_hnn(data, param)
+    elif target == "so41" and pythagorean is not None:
+        param = pythagorean_pair(pythagorean)
+        data = _bianchi_hnn(bianchi_lattice_so41(d),
+                            lambda p: so41_centralizer_exact(d, p),
+                            (Fraction(1), Fraction(0)))
+        images = bend_hnn(data, param)
+    elif target == "so41":
         if theta is None:
             raise ValueError("so41 family needs either theta or a pythagorean slope")
-        data = _so41_bend_data(d)
+        param, data = theta, _so41_bend_data(d)
         U, failure = _so41_letters(data, [theta])
         if failure is not None:
             raise failure
         images = {**data.base, data.stable: U[0]}
-        return BianchiFamily(d, "so41", theta, images, form, pres, data.stable_image)
-    raise ValueError(f"unknown target {target!r}")
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    form = siegel_form(4 if target == "su31" else 5, CONJ_TRANSPOSE)
+    return BianchiFamily(d, target, param, images, form, pres, data.stable_image)
 
 
 def _so41_letters(data: BendDataHNN, thetas: Sequence[Angle]
@@ -444,18 +394,20 @@ def _so41_letters(data: BendDataHNN, thetas: Sequence[Angle]
     return G[:stop] @ np.asarray(data.stable_image), failure
 
 
+def _bianchi_hnn(lattice: Mapping[str, MatLike], centralizer: Callable[[object], MatLike],
+                 zero_param) -> BendDataHNN:
+    """The HNN splitting of Bi(d) over the modular subgroup <a, t>: the
+    stable letter u of the lattice bent by the centralizer factory."""
+    return BendDataHNN(base={k: v for k, v in lattice.items() if k != "u"},
+                       stable="u", stable_image=lattice["u"], centralizer=centralizer,
+                       edge_gens=("a", "t"), zero_param=zero_param)
+
+
 def _so41_bend_data(d: int) -> BendDataHNN:
     """HNN data of the numeric so41 bending: the lattice evaluated once,
     bent by the rotation R_34(theta) at any angle theta."""
-    base_num = {k: v.evaluate() for k, v in bianchi_lattice_so41(d).items()}
-    return BendDataHNN(
-        base={k: v for k, v in base_num.items() if k != "u"},
-        stable="u",
-        stable_image=base_num["u"],
-        centralizer=so41_centralizer,
-        edge_gens=("a", "t"),
-        zero_param=Angle.zero(),
-    )
+    lattice = {k: v.evaluate() for k, v in bianchi_lattice_so41(d).items()}
+    return _bianchi_hnn(lattice, so41_centralizer, Angle.zero())
 
 
 @dataclass(frozen=True)
@@ -484,11 +436,11 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
     if target == "su31":
         fam = bianchi_family(d, "su31")
         letters = lambda angles: (fam.images["u"].evaluate_stack(UnitPowers(angles)), None)
-        form = fam.form.numeric()
+        form = fam.form
     elif target == "so41":
         data = _so41_bend_data(d)
         letters = lambda angles: _so41_letters(data, angles)
-        form = siegel_form(5, CONJ_TRANSPOSE).numeric()
+        form = siegel_form(5, CONJ_TRANSPOSE)
     else:
         raise ValueError(f"unknown target {target!r}")
 
@@ -569,6 +521,33 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
 # Verification suites
 # ---------------------------------------------------------------------------
 
+def _exact_checks(checks: dict, fam: BianchiFamily, form_info: str,
+                  law: str) -> list[dict] | None:
+    """Record what the exact family decides: form invariance, which its
+    construction validated, and the relations of a presented d (``law``
+    ends their info).  Returns the relation rows, None without a
+    presentation."""
+    rep = fam.rep()  # construction validates exact form invariance
+    record_check(checks, "formInvariance", True, form_info)
+    if not fam.has_presentation:
+        return None
+    results = check_relations(rep, fam.presentation)
+    record_check(checks, "relations", all(r.passed for r in results),
+                 f"{len(results)} relators{law}")
+    return [r.as_dict() for r in results]
+
+
+def _letter_class(U: np.ndarray, form: HermForm,
+                  tol: float) -> tuple[IsoClass | None, str, str]:
+    """The stable letter's class (None when too close to call), its
+    ``classU`` text and its check info."""
+    try:
+        cls = classify(U, form, tol=tol)
+    except IndeterminateError as exc:
+        return None, "indeterminate", f"indeterminate, {exc}"
+    return cls, str(cls), str(cls)
+
+
 def verify_bianchi_su31(d: int, alpha: Angle | None = None,
                         tol: float = DECISION_TOL) -> dict:
     """Verification report for the SU(3,1) bending family of Bi(d).
@@ -581,17 +560,8 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     """
     fam = bianchi_family(d, "su31")
     checks: dict[str, dict] = {}
-
-    rep = fam.rep()  # construction validates exact form invariance
-    record_check(checks, "formInvariance", True,
-                 "all generators preserve the Siegel form exactly")
-
-    relations = None
-    if fam.has_presentation:
-        results = check_relations(rep, fam.presentation)
-        relations = [r.as_dict() for r in results]
-        record_check(checks, "relations", all(r.passed for r in results),
-                     f"{len(results)} relators, projective law")
+    relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly",
+                              ", projective law")
 
     trace_u = fam.images["u"].trace()
     want = LaurentPoly.u() + 3
@@ -611,17 +581,11 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
 
     sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
     num = fam.numeric_images(sample)
-    try:
-        cls = classify(num["u"], fam.form.numeric(), tol=tol)
-    except IndeterminateError as exc:
-        class_u = "indeterminate"
-        record_check(checks, "stableLetterParabolic", False,
-                     f"class at sample angle: indeterminate, {exc}")
-    else:
-        class_u = str(cls)
-        if not sample.is_zero_mod_2pi():
-            record_check(checks, "stableLetterParabolic", cls.kind == "parabolic",
-                         f"class at sample angle: {class_u}")
+    cls, class_u, info = _letter_class(num["u"], fam.form, tol)
+    if cls is None or not sample.is_zero_mod_2pi():
+        record_check(checks, "stableLetterParabolic",
+                     cls is not None and cls.kind == "parabolic",
+                     f"class at sample angle: {info}")
 
     dim, margin = algebra_dimension(list(num.values()), tol=tol, return_margin=True)
     record_check(checks, "irreducible", dim == 16,
@@ -665,25 +629,14 @@ def verify_bianchi_so41(d: int, theta: Angle,
     checks: dict[str, dict] = {}
     relations = None
     if pythagorean is not None:
-        exact_fam = bianchi_family(d, "so41", pythagorean=pythagorean)
-        rep = exact_fam.rep()
-        record_check(checks, "formInvariance", True,
-                     "generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly "
-                     f"(slope {pythagorean})")
-        if exact_fam.has_presentation:
-            results = check_relations(rep, exact_fam.presentation)
-            relations = [r.as_dict() for r in results]
-            record_check(checks, "relations", all(r.passed for r in results),
-                         f"{len(results)} relators at the exact rotation")
+        relations = _exact_checks(
+            checks, bianchi_family(d, "so41", pythagorean=pythagorean),
+            f"generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly (slope {pythagorean})",
+            " at the exact rotation")
 
     fam = bianchi_family(d, "so41", theta=theta)
     a, b1, b2 = cusp_surds(d)
-    try:
-        cls = classify(fam.images["u"], fam.form.numeric(), tol=tol)
-    except IndeterminateError as exc:
-        cls, class_u, info = None, "indeterminate", f"indeterminate, {exc}"
-    else:
-        class_u = info = str(cls)
+    cls, class_u, info = _letter_class(fam.images["u"], fam.form, tol)
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",

@@ -441,11 +441,9 @@ class HermForm:
             J = np.asarray(J, dtype=complex)
             if J.ndim != 2 or J.shape[0] != J.shape[1]:
                 raise ValueError(f"form matrix must be square, got shape {J.shape}")
-            if not np.all(np.isfinite(J)):
-                raise GeometryError(NON_FINITE_FORM)
-            scale = max(np.abs(J).max(), 1.0)
-            if np.abs(J - J.conj().T).max() > STRUCTURE_TOL * scale:
-                raise GeometryError(NOT_HERMITIAN)
+            failure = hermitian_failures(J[None])[0]
+            if failure is not None:
+                raise failure
         self.mat = J
         self.convention = convention
         self._array = None
@@ -464,11 +462,14 @@ class HermForm:
         return self
 
     def array(self) -> np.ndarray:
-        """The numeric form matrix; an exact one is evaluated once, at
-        u = 1, and kept read-only."""
+        """The numeric form matrix; an exact one must be u-free, and is
+        evaluated once and kept read-only."""
         if not isinstance(self.mat, Mat):
             return self.mat
         if self._array is None:
+            if not self.mat.is_u_free():
+                raise TypeError("a u-dependent form has no numeric matrix: "
+                                "evaluate it at an angle first (form.numeric(alpha))")
             self._array = self.mat.evaluate()
             self._array.flags.writeable = False
         return self._array
@@ -523,14 +524,9 @@ class Signature:
 
 def herm_signature(form: HermForm | np.ndarray, tol: float = DECISION_TOL) -> Signature:
     """Counts of eigenvalues above tol, below -tol, within [-tol, tol]."""
-    if isinstance(form, HermForm):
-        if form.is_exact and not form.mat.is_u_free():
-            raise TypeError("signature of a u-dependent form: evaluate at an "
-                            "angle first (form.numeric(alpha))")
-        J = form.array()
-    else:
-        J = HermForm(form).array()  # validates hermitianness
-    return signatures(J[None], tol)[0]
+    if not isinstance(form, HermForm):
+        form = HermForm(form)  # validates hermitianness
+    return signatures(form.array()[None], tol)[0]
 
 
 def signatures(J: np.ndarray, tol: float = DECISION_TOL) -> list[Signature]:

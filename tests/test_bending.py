@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cuspdeform import scalars
 from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 BendDataHNN, algebra_dimension, bend_amalgam,
                                 bend_hnn, bianchi_family,
@@ -68,6 +69,35 @@ class TestBendOperators:
             edge_gens=("a", "t"))
         with pytest.raises(GeometryError):
             bend_hnn(data, 1)
+
+    def test_zero_parameter_must_give_identity(self):
+        # exact: every component of every entry is read at u = 1, so u and
+        # 2 - u on the diagonal pass, a sqrt2 part or an off-diagonal u not
+        lat = bianchi_lattice_su31(2)
+        u = LaurentPoly.u()
+        bent = [[u, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2 - u, 0], [0, 0, 0, 1]]
+        surd = [[1, Surd(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        off = [[1, u, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        for rows, ok in ((bent, True), (surd, False), (off, False)):
+            g = Mat.ext(rows, 2)
+            make = lambda: BendDataHNN(
+                base={"a": lat["a"]}, stable="u", stable_image=lat["u"],
+                centralizer=lambda _: g, edge_gens=("a",), zero_param=None)
+            if ok:
+                make()
+            else:
+                with pytest.raises(GeometryError, match="identity at the zero parameter"):
+                    make()
+        # numeric: within STRUCTURE_TOL of the identity
+        for eps, ok in ((1e-13, True), (1e-11, False)):
+            make = lambda: BendDataAmalgam(
+                left={"x": np.eye(4)}, right={"y": np.eye(4)},
+                centralizer=lambda _: np.eye(4) + eps, edge_gens=())
+            if ok:
+                make()
+            else:
+                with pytest.raises(GeometryError, match="identity at the zero parameter"):
+                    make()
 
     def test_amalgam_toy_instance(self):
         # two loxodromic cyclic factors amalgamated trivially; the axis
@@ -141,6 +171,20 @@ class TestBianchiMatrices:
             with pytest.raises(ValueError):
                 bianchi_family(d, "su31")
 
+    def test_squarefree_rule_against_trial_division(self):
+        for d in range(-5, 3001):
+            if d < 1 or not is_squarefree(d):
+                want = f"d={d} is not a squarefree positive integer"
+            elif d in (1, 3):
+                want = (f"d={d} has no modular-surface bending family "
+                        "(its deformations are classified separately)")
+            else:
+                validate_bianchi_d(d)
+                continue
+            with pytest.raises(ValueError) as err:
+                validate_bianchi_d(d)
+            assert str(err.value) == want
+
     def test_families_without_presentation(self):
         for d in (5, 6, 13):
             fam = bianchi_family(d, "su31")
@@ -150,13 +194,63 @@ class TestBianchiMatrices:
                 == ExtScalar.from_laurent(LaurentPoly.u() + 3, d)
 
 
+def printed_cusp_generators(d: int) -> tuple[Mat, Mat]:
+    """The cusp generators T and U of the Bi(d) lattice as printed, one
+    matrix each for the 1,2 mod 4 and the 3 mod 4 classes: the
+    transcription reference for the lattice built from its cusp data."""
+    s2 = Surd(1, 2)
+    T = Mat.ext([[1, -s2, 0, -1],
+                 [0, 1, 0, s2],
+                 [0, 0, 1, 0],
+                 [0, 0, 0, 1]], d)
+    if d % 4 in (1, 2):
+        s2d = Surd(1, 2 * d)
+        U = Mat.ext([[1, 0, s2d, -d],
+                     [0, 1, 0, 0],
+                     [0, 0, 1, -s2d],
+                     [0, 0, 0, 1]], d)
+    else:
+        h2 = Surd(Fraction(1, 2), 2)
+        h2d = Surd(Fraction(1, 2), 2 * d)
+        U = Mat.ext([[1, -h2, h2d, Fraction(-(d + 1), 4)],
+                     [0, 1, 0, h2],
+                     [0, 0, 1, -h2d],
+                     [0, 0, 0, 1]], d)
+    return T, U
+
+
+def is_squarefree(d: int) -> bool:
+    """Trial division by every p with p^2 <= d: the reference predicate
+    for ``validate_bianchi_d``."""
+    p = 2
+    while p * p <= d:
+        if d % (p * p) == 0:
+            return False
+        p += 1
+    return True
+
+
 class TestCuspData:
-    @pytest.mark.parametrize("d", [2, 5, 7, 11, 6])
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 11, 13, 14, 15, 19, 43])
     def test_parameters_reproduce_lattice_generators(self, d):
+        T, U = printed_cusp_generators(d)
         a, b1, b2 = cusp_surds(d)
         lat = bianchi_lattice_su31(d)
-        assert cusp_matrix_T(a, d) == lat["t"]
-        assert cusp_matrix_U(b1, b2, d) == lat["u"]
+        assert cusp_matrix_T(a, d) == lat["t"] == T
+        assert cusp_matrix_U(b1, b2, d) == lat["u"] == U
+        assert np.array_equal(lat["t"].evaluate(), T.evaluate())
+        assert np.array_equal(lat["u"].evaluate(), U.evaluate())
+
+    def test_large_d_reduces_no_radicand_product(self, monkeypatch):
+        # a Surd product b2 * b2 reduces (2d)^2 by trial division up to d
+        seen = []
+        real = scalars._squarefree
+        monkeypatch.setattr(scalars, "_squarefree", lambda k: seen.append(k) or real(k))
+        d = 100000007
+        T, U = printed_cusp_generators(d)
+        lat = bianchi_lattice_su31(d)
+        assert (lat["t"], lat["u"]) == (T, U)
+        assert max(seen) <= 2 * d
 
     def test_orthogonality_by_class(self):
         assert cusp_surds(2)[1].is_zero

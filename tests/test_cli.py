@@ -340,6 +340,29 @@ class TestOrbitCommand:
         assert code == 0
         assert out == (GOLDEN / name).read_bytes().decode()
 
+    # Generated before the Bianchi suites shared their exact and
+    # stable-letter steps: a skew cusp at an angle, a d without a
+    # presentation, an orthogonal half turn, the undeformed so41 letter
+    # and a stable letter too close to call (exit 1).
+    @pytest.mark.parametrize("name, argv, want", [
+        ("verify_bianchi_d7_su31_alpha_2-5pi.json",
+         ["verify", "bianchi", "--d", "7", "--target", "su31", "--alpha=2/5pi"], 0),
+        ("verify_bianchi_d15_su31_u-exact.json",
+         ["verify", "bianchi", "--d", "15", "--target", "su31", "--u-exact"], 0),
+        ("verify_bianchi_d5_so41_theta_1-1pi_pyth_2-3.json",
+         ["verify", "bianchi", "--d", "5", "--target", "so41", "--theta=1/1pi",
+          "--pythagorean=2/3"], 0),
+        ("verify_bianchi_d11_so41_theta_0_pyth_-3-5.json",
+         ["verify", "bianchi", "--d", "11", "--target", "so41", "--theta=0",
+          "--pythagorean=-3/5"], 0),
+        ("verify_bianchi_d2_su31_alpha_0.0001.json",
+         ["verify", "bianchi", "--d", "2", "--target", "su31", "--alpha=0.0001"], 1),
+    ])
+    def test_bianchi_report_golden(self, name, argv, want):
+        code, out, err = run(argv)
+        assert (code, err) == (want, "")
+        assert out == (GOLDEN / name).read_bytes().decode()
+
     def test_orbit_enumerated_once(self, monkeypatch):
         calls = []
         enumerate_orbit = heisenberg.orbit_points

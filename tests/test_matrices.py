@@ -12,7 +12,7 @@ from cuspdeform import bending
 from cuspdeform.bending import (_so41_bend_data, _so41_letters, bend_hnn,
                                 bianchi_family)
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
-                                det_form_closed, form_matrix, generator_m,
+                                build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
 from cuspdeform.matrices import (GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, eigen, form_defect,
@@ -21,6 +21,7 @@ from cuspdeform.matrices import (GeometryError, HermForm, Mat,
 from cuspdeform.tolerances import CONSTRUCTION_TOL
 from cuspdeform.words import Rep, Word, builtin_presentation
 from cuspdeform.heisenberg import dilation_matrix
+from cuspdeform.isometry import classify
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly
 
 rng = np.random.default_rng(20260809)
@@ -458,6 +459,19 @@ class TestHermFormArray:
         assert len(calls) == 1
         assert second is first and not first.flags.writeable
         assert (first == real(form.mat)).all()
+
+    def test_u_dependent_form_needs_an_angle(self):
+        # the knot form J(u) depends on u: read at u = 1 it would check a
+        # bent generator against J(1) instead of its own J(alpha)
+        alpha = Angle.radians(0.5)
+        M, form = build_family(alpha).M, build_family(None).form
+        for call in (lambda: form_defect(M, form), lambda: classify(M, form),
+                     lambda: herm_signature(form)):
+            with pytest.raises(TypeError, match=r"form\.numeric\(alpha\)"):
+                call()
+        at_alpha = form.numeric(alpha)
+        assert form_defect(M, at_alpha) < 1e-12
+        assert classify(M, at_alpha).kind == "parabolic"
 
     def test_numeric_form_is_its_matrix(self):
         J = siegel_form(4).array().copy()
