@@ -350,6 +350,13 @@ def bianchi_family(d: int, target: str = "su31", *,
     so41: pass either a numeric angle theta or an exact Pythagorean
     slope s (cos, sin = (1-s^2)/(1+s^2), 2s/(1+s^2)).
     """
+    return _bianchi_family(d, target, theta, pythagorean, None)
+
+
+def _bianchi_family(d: int, target: str, theta: Angle | None, pythagorean: Fraction | None,
+                    so41_lattice: dict[str, Mat] | None) -> BianchiFamily:
+    """``bianchi_family``, on ``bianchi_lattice_so41(d)`` when the caller
+    has built it already (``so41_lattice``), else on a new one."""
     validate_bianchi_d(d)
     pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
     if target == "su31":
@@ -357,20 +364,21 @@ def bianchi_family(d: int, target: str = "su31", *,
         data = _bianchi_hnn(bianchi_lattice_su31(d),
                             lambda _: su31_centralizer_exact(d), None)
         images = bend_hnn(data, param)
-    elif target == "so41" and pythagorean is not None:
-        param = pythagorean_pair(pythagorean)
-        data = _bianchi_hnn(bianchi_lattice_so41(d),
-                            lambda p: so41_centralizer_exact(d, p),
-                            (Fraction(1), Fraction(0)))
-        images = bend_hnn(data, param)
     elif target == "so41":
-        if theta is None:
+        if theta is None and pythagorean is None:
             raise ValueError("so41 family needs either theta or a pythagorean slope")
-        param, data = theta, _so41_bend_data(d)
-        U, failure = _so41_letters(data, [theta])
-        if failure is not None:
-            raise failure
-        images = {**data.base, data.stable: U[0]}
+        lattice = bianchi_lattice_so41(d) if so41_lattice is None else so41_lattice
+        if pythagorean is not None:
+            param = pythagorean_pair(pythagorean)
+            data = _bianchi_hnn(lattice, lambda p: so41_centralizer_exact(d, p),
+                                (Fraction(1), Fraction(0)))
+            images = bend_hnn(data, param)
+        else:
+            param, data = theta, _so41_bend_data(lattice)
+            U, failure = _so41_letters(data, [theta])
+            if failure is not None:
+                raise failure
+            images = {**data.base, data.stable: U[0]}
     else:
         raise ValueError(f"unknown target {target!r}")
     form = siegel_form(4 if target == "su31" else 5, CONJ_TRANSPOSE)
@@ -403,11 +411,11 @@ def _bianchi_hnn(lattice: Mapping[str, MatLike], centralizer: Callable[[object],
                        edge_gens=("a", "t"), zero_param=zero_param)
 
 
-def _so41_bend_data(d: int) -> BendDataHNN:
-    """HNN data of the numeric so41 bending: the lattice evaluated once,
-    bent by the rotation R_34(theta) at any angle theta."""
-    lattice = {k: v.evaluate() for k, v in bianchi_lattice_so41(d).items()}
-    return _bianchi_hnn(lattice, so41_centralizer, Angle.zero())
+def _so41_bend_data(lattice: Mapping[str, Mat]) -> BendDataHNN:
+    """HNN data of the numeric so41 bending: the exact so41 lattice
+    evaluated once, bent by the rotation R_34(theta) at any angle theta."""
+    return _bianchi_hnn({k: v.evaluate() for k, v in lattice.items()},
+                        so41_centralizer, Angle.zero())
 
 
 @dataclass(frozen=True)
@@ -438,7 +446,7 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
         letters = lambda angles: (fam.images["u"].evaluate_stack(UnitPowers(angles)), None)
         form = fam.form
     elif target == "so41":
-        data = _so41_bend_data(d)
+        data = _so41_bend_data(bianchi_lattice_so41(d))
         letters = lambda angles: _so41_letters(data, angles)
         form = siegel_form(5, CONJ_TRANSPOSE)
     else:
@@ -628,13 +636,14 @@ def verify_bianchi_so41(d: int, theta: Angle,
     """
     checks: dict[str, dict] = {}
     relations = None
+    lattice = bianchi_lattice_so41(d)  # for the exact family and the one at theta
     if pythagorean is not None:
         relations = _exact_checks(
-            checks, bianchi_family(d, "so41", pythagorean=pythagorean),
+            checks, _bianchi_family(d, "so41", None, pythagorean, lattice),
             f"generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly (slope {pythagorean})",
             " at the exact rotation")
 
-    fam = bianchi_family(d, "so41", theta=theta)
+    fam = _bianchi_family(d, "so41", theta, None, lattice)
     a, b1, b2 = cusp_surds(d)
     cls, class_u, info = _letter_class(fam.images["u"], fam.form, tol)
     kind = cls.kind if cls is not None else None

@@ -337,8 +337,9 @@ def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
 
 
 def _trace_rows(fam: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
-    traces = [(w, fam.rep.trace(w)) for w in (*TRACE_WITNESS_WORDS, *extra_words)]
-    return [{"word": str(w), "trace": tr, "integral": tr.is_integral()} for w, tr in traces]
+    words = (*TRACE_WITNESS_WORDS, *extra_words)
+    return [{"word": str(w), "trace": tr, "integral": tr.is_integral()}
+            for w, tr in zip(words, fam.rep._traces(words))]
 
 
 def figure8_report(alpha: Angle | None = None,

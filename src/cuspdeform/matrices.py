@@ -141,9 +141,11 @@ class Mat:
             raise ValueError("incompatible matrices")
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """The product, each entry one ``_dot`` of the ring over the pairs
+        of nonzero factors: their products add nothing, and a sum started
+        at its first nonzero term is the same exact value."""
         self._compat(other)
-        # Zero entries are skipped: their products add nothing, and a sum
-        # started at its first nonzero term is the same exact value.
+        dot = _DOT[self.ring]
         cols = [{k: b for k, b in enumerate(c) if not b.is_zero}
                 for c in zip(*other.rows)]
         zero = self._zero()
@@ -152,13 +154,8 @@ class Mat:
             terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
             row = []
             for col in cols:
-                acc = None
-                for k, a in terms:
-                    b = col.get(k)
-                    if b is not None:
-                        t = a * b
-                        acc = t if acc is None else acc + t
-                row.append(zero if acc is None else acc)
+                pairs = [(a, col[k]) for k, a in terms if k in col]
+                row.append(dot(pairs) if pairs else zero)
             out.append(row)
         return self._like(out)
 
@@ -355,14 +352,20 @@ class Mat:
         return f"Mat({self.ring}, n={self.n})[\n {body}\n]"
 
 
+# the sum of products of each ring, which every exact product runs on
+_DOT = {"laurent": LaurentPoly._dot, "ext": ExtScalar._dot}
+
+
 def _trace_of_product(A: Mat, B: Mat):
-    """tr(A B) without the off-diagonal entries of the product; zero
-    entries of A are skipped."""
+    """``(A @ B).trace()``, value and term order alike, from the n
+    diagonal entries of the product only.  A zero entry adds nothing to
+    the trace's running sum, so it is skipped."""
+    dot = _DOT[A.ring]
     acc = A._zero()
     for r, col in zip(A.rows, zip(*B.rows)):
-        for a, b in zip(r, col):
-            if not (a.is_zero or b.is_zero):
-                acc = acc + a * b
+        pairs = [(a, b) for a, b in zip(r, col) if not (a.is_zero or b.is_zero)]
+        if pairs:
+            acc = acc + dot(pairs)
     return acc
 
 
@@ -429,7 +432,7 @@ class HermForm:
     input, to STRUCTURE_TOL (relative) for numeric input.
     """
 
-    __slots__ = ("mat", "convention", "_array")
+    __slots__ = ("mat", "convention", "_array", "_lifts")
 
     def __init__(self, J, convention: str = CONJ_TRANSPOSE):
         if convention not in _CONVENTIONS:
@@ -447,6 +450,7 @@ class HermForm:
         self.mat = J
         self.convention = convention
         self._array = None
+        self._lifts: dict[int, Mat] = {}
 
     @property
     def n(self) -> int:
@@ -473,6 +477,16 @@ class HermForm:
             self._array = self.mat.evaluate()
             self._array.flags.writeable = False
         return self._array
+
+    def _exact_in(self, g: Mat) -> Mat:
+        """The exact form matrix over g's ring: a Laurent form is lifted
+        into the ext ring of tag d once, and kept."""
+        J = self.mat
+        if g.ring == "ext" and J.ring == "laurent":
+            if g.d not in self._lifts:
+                self._lifts[g.d] = Mat.ext(J.rows, g.d)
+            return self._lifts[g.d]
+        return J
 
 
 def hermitian_failures(J: np.ndarray) -> list[GeometryError | None]:
@@ -730,11 +744,9 @@ def form_defects(S: np.ndarray, J: np.ndarray, convention: str) -> list[float]:
 def form_preserved(g: Mat, form: HermForm) -> bool:
     """Exact invariance check over the exact backend (star applied to u,
     valid on the unit circle)."""
-    J = form.mat
-    if not isinstance(J, Mat):
+    if not form.is_exact:
         raise TypeError("exact check requires an exact form")
-    if isinstance(J, Mat) and g.ring == "ext" and J.ring == "laurent":
-        J = Mat.ext([[e for e in row] for row in J.rows], g.d)  # lift constants
+    J = form._exact_in(g)
     if form.convention == CONJ_TRANSPOSE:
         lhs = g.star_transpose() @ J @ g
     else:

@@ -321,6 +321,45 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def _dot(pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+        """The sum of a * b over the pairs: the left-to-right
+        ``acc = acc + a * b``, with its value, its denominator and the
+        term order of its numerators, in one dict of int numerators over
+        one running denominator (the lcm of the products'), canonicalised
+        once.  As in that sum, each product adds its terms in the order
+        of its own loop, and a term that a partial sum cancels leaves the
+        order, to re-enter at the end if a later product brings it back."""
+        acc: dict[int, int] = {}
+        den = 1
+        for a, b in pairs:
+            pd = a._d * b._d
+            scale = 1
+            if pd != den:
+                g = math.gcd(den, pd)
+                up, scale = pd // g, den // g
+                if up != 1:
+                    for k in acc:
+                        acc[k] *= up
+                    den *= up
+            bn = b._n
+            if len(bn) == 1:
+                ((k2, v2),) = bn.items()
+                v2 *= scale
+                for k1, v1 in a._n.items():
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + v1 * v2
+            else:
+                terms = bn.items() if scale == 1 else [(k2, v2 * scale)
+                                                       for k2, v2 in bn.items()]
+                for k1, v1 in a._n.items():
+                    for k2, v2 in terms:
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + v1 * v2
+            if 0 in acc.values():
+                acc = {k: v for k, v in acc.items() if v}
+        return _canonical(acc, den)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
@@ -419,8 +458,10 @@ def _canonical(nums: dict[int, int], den: int) -> LaurentPoly:
     return p
 
 
+@functools.lru_cache(maxsize=256)  # a radicand is reduced once, not per Surd
 def _squarefree(k: int) -> tuple[int, int]:
-    """Return (s, m) with k = s^2 * m and m squarefree."""
+    """Return (s, m) with k = s^2 * m and m squarefree, by trial division
+    up to the largest prime factor of a square in k."""
     if k <= 0:
         raise ValueError("radicand must be positive")
     s, m, p = 1, k, 2
@@ -450,6 +491,15 @@ class Surd:
         self.k = m
 
     @classmethod
+    def _reduced(cls, q: Fraction, k: int) -> "Surd":
+        """q*sqrt(k) for a Fraction q and a radicand k already squarefree,
+        without reducing k again."""
+        x = object.__new__(cls)
+        x.q = q
+        x.k = k if q else 1
+        return x
+
+    @classmethod
     def rational(cls, q: Rational) -> "Surd":
         return cls(q, 1)
 
@@ -465,20 +515,23 @@ class Surd:
         return self.value
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.q, self.k)
+        return Surd._reduced(-self.q, self.k)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Surd(self.q * other, self.k)
+            return Surd._reduced(self.q * other, self.k)
         if isinstance(other, Surd):
-            return Surd(self.q * other.q, self.k * other.k)
+            # k1, k2 squarefree: k1 k2 = g^2 (k1/g)(k2/g), the last two
+            # coprime and squarefree, with g = gcd(k1, k2)
+            g = math.gcd(self.k, other.k)
+            return Surd._reduced(self.q * other.q * g, (self.k // g) * (other.k // g))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Surd(self.q / other, self.k)
+            return Surd._reduced(self.q / other, self.k)
         return NotImplemented
 
     def ratio(self, other: "Surd") -> Fraction | None:
@@ -677,6 +730,18 @@ class ExtScalar:
         return _ext(d, tuple(out))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _dot(pairs: Iterable[tuple["ExtScalar", "ExtScalar"]]) -> "ExtScalar":
+        """The sum of a * b over a nonempty sequence of pairs, left to
+        right, each product the sparse one of ``__mul__``.  Fusing the
+        component sums across the products made the Bianchi reports
+        slower, so each product is formed whole."""
+        acc = None
+        for a, b in pairs:
+            t = a * b
+            acc = t if acc is None else acc + t
+        return acc
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .matrices import (GeometryError, HermForm, Mat, form_defect,
+from .matrices import (GeometryError, HermForm, Mat, _trace_of_product, form_defect,
                        form_preserved)
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
@@ -202,11 +202,14 @@ class Rep:
     a block, without a form: a word's image is then the stack of its
     images at each point, bit for bit, since the inverse, the power and
     the product broadcast over the stack.
+
+    Exact generator inverses and powers are formed once per ``Rep``.
     """
 
     images: Mapping[str, MatLike]
     form: HermForm | None = None
     _inv_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _pow_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.images:
@@ -240,6 +243,9 @@ class Rep:
         return g.n if isinstance(g, Mat) else np.shape(g)[-1]
 
     def _power(self, sym: str, exp: int):
+        key = (sym, exp)
+        if key in self._pow_cache:
+            return self._pow_cache[key]
         g = self.images[sym]
         if exp < 0:
             # matrix_power inverts first as well, so the cached inverse
@@ -249,14 +255,18 @@ class Rep:
                                         np.linalg.inv(np.asarray(g, dtype=complex)))
             g, exp = self._inv_cache[sym], -exp
         if isinstance(g, Mat):
-            return g ** exp
+            out = self._pow_cache[key] = g ** exp
+            return out
         return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
 
-    def evaluate(self, w: Word):
-        """Image of a word: the ordered product of generator powers."""
+    def _check_symbols(self, w: Word) -> None:
         missing = w.symbols - set(self.images)
         if missing:
             raise KeyError(f"word uses symbols not in the representation: {missing}")
+
+    def evaluate(self, w: Word):
+        """Image of a word: the ordered product of generator powers."""
+        self._check_symbols(w)
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
             if not w.factors:
@@ -271,10 +281,35 @@ class Rep:
         return out
 
     def trace(self, w: Word):
-        g = self.evaluate(w)
-        if isinstance(g, Mat):
-            return g.trace()
-        return complex(np.trace(g))
+        """Trace of a word's image; exactly ``evaluate(w).trace()``."""
+        if self.is_exact:
+            return self._traces([w])[0]
+        return complex(np.trace(self.evaluate(w)))
+
+    def _traces(self, words: Iterable[Word]) -> list:
+        """``evaluate(w).trace()`` for each word of an exact
+        representation, value and term order alike.  The images of the
+        words' proper prefixes are kept for the length of the call, so a
+        prefix the words share is multiplied out once, and each trace is
+        the trace-only product of the word's longest proper prefix and
+        its last factor."""
+        prefixes: dict[tuple, Mat] = {}
+        out = []
+        for w in words:
+            f = w.factors
+            if len(f) < 2:
+                out.append(self.evaluate(w).trace())
+                continue
+            self._check_symbols(w)
+            j = len(f) - 1  # the longest kept prefix f[:j], or the first factor
+            while j > 1 and f[:j] not in prefixes:
+                j -= 1
+            g = prefixes[f[:j]] if j > 1 else self._power(*f[0])
+            for i in range(j, len(f) - 1):
+                g = g @ self._power(*f[i])
+                prefixes[f[:i + 1]] = g
+            out.append(_trace_of_product(g, self._power(*f[-1])))
+        return out
 
 
 # ---------------------------------------------------------------------------

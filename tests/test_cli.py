@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import cuspdeform
-from cuspdeform import bending, cli, figure8, heisenberg, matrices, words
+from cuspdeform import bending, cli, figure8, heisenberg, matrices, scalars, words
 from cuspdeform.cli import main, parse_angle, schema_path
 from cuspdeform.scalars import Angle
 
@@ -138,14 +138,57 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["--d", "2", "--target", "su31", "--u-exact"],
         ["--d", "7", "--target", "su31", "--alpha", "1/3pi"],
+        ["--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"],
     ])
     def test_lattice_built_once(self, monkeypatch, argv):
         calls = []
-        build = bending.bianchi_lattice_su31
-        monkeypatch.setattr(bending, "bianchi_lattice_su31", lambda *args:
+        builder = "bianchi_lattice_" + argv[argv.index("--target") + 1]
+        build = getattr(bending, builder)
+        monkeypatch.setattr(bending, builder, lambda *args:
                             calls.append(args) or build(*args))
         code, _, _ = run(["verify", "bianchi", *argv])
         assert code == 0 and len(calls) == 1
+
+    def test_exact_products_per_report(self, monkeypatch):
+        # each generator power and word prefix is multiplied out once,
+        # and a trace forms only the diagonal of its last product
+        calls = []
+        matmul = matrices.Mat.__matmul__
+        monkeypatch.setattr(matrices.Mat, "__matmul__", lambda A, B:
+                            calls.append(A.n) or matmul(A, B))
+        code, _, _ = run(["verify", "figure8", "--u-exact"])
+        assert code == 0 and len(calls) <= 31
+
+    def test_form_lifted_once(self, monkeypatch):
+        # the Laurent Siegel form, lifted into the ext ring for the exact
+        # invariance check of every generator
+        lifts, inside = [], []
+        preserved, ext = matrices.form_preserved, matrices.Mat.ext
+
+        def counting_preserved(*args):
+            inside.append(True)
+            try:
+                return preserved(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(words, "form_preserved", counting_preserved)
+        monkeypatch.setattr(matrices.Mat, "ext", classmethod(lambda cls, rows, d: (
+            lifts.append(d) if inside else None) or ext(rows, d)))
+        code, _, _ = run(["verify", "bianchi", "--d", "7", "--target", "su31", "--u-exact"])
+        assert code == 0 and lifts == [7]
+
+    def test_large_d_reduces_each_radicand_once(self, monkeypatch):
+        seen = []
+        reduce = scalars._squarefree
+        reduce.cache_clear()
+        for module in (scalars, bending):
+            monkeypatch.setattr(module, "_squarefree", lambda k:
+                                seen.append(k) or reduce(k))
+        code, out, _ = run(["verify", "bianchi", "--d", "1000000000039", "--target",
+                            "so41", "--theta=1.0"])
+        assert code in (0, 1) and json.loads(out)["d"] == 1000000000039
+        assert reduce.cache_info().misses == len(set(seen)) < len(seen)
 
     @pytest.mark.parametrize("argv, det_callers", [
         (["bianchi", "--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"], []),

@@ -10,12 +10,13 @@ from scipy.linalg import expm
 
 from cuspdeform import bending
 from cuspdeform.bending import (_so41_bend_data, _so41_letters, bend_hnn,
-                                bianchi_family)
+                                bianchi_family, bianchi_lattice_so41)
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
 from cuspdeform.matrices import (GeometryError, HermForm, Mat,
-                                 TRANSPOSE_CONJ, UnitPowers, eigen, form_defect,
+                                 TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
+                                 eigen, form_defect,
                                  form_preserved, herm_signature, hermitian_failures,
                                  siegel_form)
 from cuspdeform.tolerances import CONSTRUCTION_TOL
@@ -205,6 +206,76 @@ def cofactor_inverse(A: Mat) -> Mat:
             m = Mat(sub, A.ring, A.d).det()
             cof[i][j] = m if (i + j) % 2 == 0 else -m
     return Mat([[cof[j][i] * det_inv for j in range(n)] for i in range(n)], A.ring, A.d)
+
+
+def reference_matmul(A: Mat, B: Mat) -> Mat:
+    """The product as one ``acc = acc + a * b`` loop per entry over its
+    pairs of nonzero factors: the sum an exact product reproduces, value
+    and term order alike."""
+    cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*B.rows)]
+    out = []
+    for r in A.rows:
+        terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
+        row = []
+        for col in cols:
+            acc = None
+            for k, a in terms:
+                b = col.get(k)
+                if b is not None:
+                    t = a * b
+                    acc = t if acc is None else acc + t
+            row.append(A._zero() if acc is None else acc)
+        out.append(row)
+    return Mat(out, A.ring, A.d)
+
+
+def term_order(e):
+    """The denominator and numerator terms, in order, of a ring element
+    (per component for the ext ring): what fixes its evaluated bits."""
+    if isinstance(e, LaurentPoly):
+        return e._d, list(e._n.items())
+    return [term_order(p) for p in e.c]
+
+
+def terms_of(M: Mat):
+    return [[term_order(e) for e in r] for r in M.rows]
+
+
+@st.composite
+def cancelling_mat_pairs(draw):
+    """Two n x n matrices over one ring whose entries come from a small
+    pool of polynomials (mixed denominators, exponents in [-2, 2]), their
+    negatives and zero, so that the sums of products often cancel."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.sampled_from([None, 2, 6, 7]))
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    pool = [random_laurent(r, int(r.integers(1, 4))) for _ in range(3)]
+    pool += [-p for p in pool] + [LaurentPoly.zero()]
+
+    def entry():
+        if d is None:
+            return pool[int(r.integers(len(pool)))]
+        return ExtScalar(d, *(pool[int(r.integers(len(pool)))] for _ in range(4)))
+
+    ring = "laurent" if d is None else "ext"
+    return tuple(Mat([[entry() for _ in range(n)] for _ in range(n)], ring, d)
+                 for _ in range(2))
+
+
+class TestExactProduct:
+    @given(cancelling_mat_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop_term_for_term(self, AB):
+        A, B = AB
+        got, want = A @ B, reference_matmul(A, B)
+        assert got == want and terms_of(got) == terms_of(want)
+
+    @given(cancelling_mat_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_trace_only_product_is_the_trace(self, AB):
+        A, B = AB
+        got, want = _trace_of_product(A, B), (A @ B).trace()
+        assert got == want and term_order(got) == term_order(want)
 
 
 class TestFaddeevLeVerrierInverse:
@@ -405,7 +476,7 @@ class TestCompiledEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angles)
     def test_stacked_so41_letter_matches_bend_hnn(self, d, dense, thetas):
-        data = _so41_bend_data(d)
+        data = _so41_bend_data(bianchi_lattice_so41(d))
         if dense:  # a stable letter whose products round differently in another order
             X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
             data = dataclasses.replace(data, stable_image=X)
@@ -417,7 +488,7 @@ class TestCompiledEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angle)
     def test_so41_family_letter_matches_bend_hnn(self, d, dense, theta):
-        data = _so41_bend_data(d)
+        data = _so41_bend_data(bianchi_lattice_so41(d))
         if dense:  # a stable letter whose products round differently in another order
             X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
             data = dataclasses.replace(data, stable_image=X)

@@ -182,6 +182,43 @@ class TestSurd:
         assert Surd(1, 2) * Surd(1, 7) == Surd(1, 14)
         assert Surd(1, 2) * Surd(1, 2) == Surd(2)
 
+    def test_arithmetic_matches_trial_division(self):
+        # every pair of squarefree radicands up to 300: the product's
+        # radicand by gcd against reducing k1*k2 by trial division
+        radicands = [k for k in range(1, 301) if _trial_division(k)[0] == 1]
+        rationals = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 6)]
+        for i, k1 in enumerate(radicands):
+            for j, k2 in enumerate(radicands[i:]):
+                q1, q2 = rationals[i % 5], rationals[(i + j) % 5 - 2]
+                got = Surd(q1, k1) * Surd(q2, k2)
+                _assert_reference(got, q1 * q2, k1 * k2)
+            x = Surd(rationals[i % 5], k1)
+            q = rationals[i % 5 - 1]
+            _assert_reference(-x, -x.q, k1)
+            _assert_reference(x * q, x.q * q, k1)
+            _assert_reference(q * x, x.q * q, k1)
+            if q:
+                _assert_reference(x / q, x.q / q, k1)
+
+
+def _trial_division(k):
+    """The reference reduction (s, m), k = s^2 m with m squarefree."""
+    s, m, p = 1, k, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            s *= p
+        p += 1
+    return s, m
+
+
+def _assert_reference(x, q, k):
+    """x is q*sqrt(k) reduced by trial division, with radicand 1 for 0."""
+    s, m = _trial_division(k)
+    want_q = Fraction(q) * s
+    assert type(x.q) is Fraction and x.q == want_q
+    assert x.k == (m if want_q else 1)
+
 
 class TestAngle:
     def test_exact_trig_closed_forms(self):
@@ -309,6 +346,51 @@ class TestLaurentKernel:
             LaurentPoly({0: 0.5})
         with pytest.raises(TypeError):
             LaurentPoly.const(0.5)
+
+
+def _sequential_dot(pairs):
+    """The reference sum of products: ``acc = acc + a * b``, left to right."""
+    acc = None
+    for a, b in pairs:
+        t = a * b
+        acc = t if acc is None else acc + t
+    return acc
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Pairs whose products often cancel: factors from a small pool of
+    polynomials with mixed denominators, exponents in [-2, 2], and their
+    negatives."""
+    pool = draw(st.lists(st.dictionaries(st.integers(-2, 2), fractions, min_size=1,
+                                         max_size=3).map(LaurentPoly).filter(bool),
+                         min_size=1, max_size=3))
+    factor = st.sampled_from(pool + [-p for p in pool])
+    return draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=8))
+
+
+class TestLaurentDot:
+    @given(cancelling_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_sum_term_for_term(self, pairs):
+        got, want = LaurentPoly._dot(pairs), _sequential_dot(pairs)
+        assert got == want and got._d == want._d
+        assert list(got._n.items()) == list(want._n.items())
+        _as_ref(got)
+
+    def test_cancelled_term_reenters_at_the_end(self):
+        u = LaurentPoly.u()
+        half = Fraction(1, 2)
+        pairs = [(1 + u, LaurentPoly.one()), (-u, LaurentPoly.one()),
+                 (LaurentPoly({2: half, 1: half}), LaurentPoly.const(2))]
+        got = LaurentPoly._dot(pairs)
+        assert list(got._n.items()) == [(0, 1), (2, 1), (1, 1)]
+        assert list(got._n.items()) == list(_sequential_dot(pairs)._n.items())
+
+    def test_full_cancellation_is_canonical_zero(self):
+        p = LaurentPoly({0: Fraction(1, 3), 1: 2})
+        got = LaurentPoly._dot([(p, p), (-p, p)])
+        assert got.is_zero and got._d == 1
 
 
 # ---------------------------------------------------------------------------

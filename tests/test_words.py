@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdeform.bending import bianchi_family
 from cuspdeform.figure8 import build_family, generator_m, generator_n
 from cuspdeform.matrices import GeometryError, Mat
 from cuspdeform.scalars import Angle, LaurentPoly
@@ -69,6 +70,19 @@ class TestPresentations:
             builtin_presentation("bianchi", 5)
 
 
+@st.composite
+def word_batches(draw):
+    """Words that share prefixes: a few stems, each extended by further
+    factors with negative and repeated powers."""
+    stems = draw(st.lists(words(), min_size=1, max_size=3))
+    return [draw(st.sampled_from(stems)) * draw(words())
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def terms(p):
+    return p._d, list(p._n.items())
+
+
 class TestRep:
     def setup_method(self):
         self.rep = Rep({"m": generator_m(), "n": generator_n()})
@@ -79,6 +93,31 @@ class TestRep:
 
     def test_trace_of_product(self):
         assert self.rep.trace(Word.parse("m.n")) == LaurentPoly.u() + 6
+
+    @given(word_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_traces_match_evaluated_traces(self, batch):
+        # value and term order, from a new Rep whose powers and prefixes
+        # are all formed inside the call
+        want = [self.rep.evaluate(w).trace() for w in batch]
+        got = Rep({"m": generator_m(), "n": generator_n()})._traces(batch)
+        assert got == want and list(map(terms, got)) == list(map(terms, want))
+        for w, tr in zip(batch, want):
+            assert terms(self.rep.trace(w)) == terms(tr)
+
+    def test_ext_traces_match_evaluated_traces(self):
+        rep = bianchi_family(7, "su31").rep()
+        batch = [Word.parse(w) for w in ("a.t", "a.t.u^-1", "a.t.u^-1.a.u", "a.t^-2.u",
+                                          "u^3.a", "a.t.u^-1.a.u^2", "t^-1")]
+        want = [rep.evaluate(w).trace() for w in batch]
+        got = rep._traces(batch)
+        assert got == want
+        assert [[terms(p) for p in g.c] for g in got] == [[terms(p) for p in g.c]
+                                                           for g in want]
+
+    def test_missing_symbol_in_a_trace(self):
+        with pytest.raises(KeyError):
+            self.rep._traces([Word.parse("m.n"), Word.parse("m.q")])
 
     def test_missing_symbol(self):
         with pytest.raises(KeyError):
