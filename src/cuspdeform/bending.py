@@ -275,9 +275,12 @@ def cusp_surds(d: int) -> tuple[Surd, Surd, Surd]:
     by (a, 0), U by (b1, b2).  U is orthogonal to T (b1 = 0) exactly
     when d is 1 or 2 mod 4."""
     validate_bianchi_d(d)
+    # d is squarefree, so 2d is too for odd d, and sqrt(2d) = 2 sqrt(d/2) for even d
+    b2 = Surd._reduced(Fraction(-1), 2 * d) if d % 2 else Surd._reduced(Fraction(-2), d // 2)
+    a = Surd._reduced(Fraction(1), 2)
     if d % 4 in (1, 2):
-        return (Surd(1, 2), Surd(0), Surd(-1, 2 * d))
-    return (Surd(1, 2), Surd(Fraction(1, 2), 2), Surd(Fraction(-1, 2), 2 * d))
+        return (a, Surd._reduced(Fraction(0), 1), b2)
+    return (a, a / 2, b2 / 2)
 
 
 def _square(x: Surd) -> Fraction:

@@ -18,10 +18,11 @@ the same matrices and actions apply verbatim.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,15 +49,6 @@ class HeisPoint:
     def __init__(self, z: Sequence[complex], t: float):
         object.__setattr__(self, "z", tuple(complex(w) for w in z))
         object.__setattr__(self, "t", float(t))
-
-    @classmethod
-    def _of(cls, z: tuple[complex, ...], t: float) -> "HeisPoint":
-        """A point from coordinates that already are a tuple of complex
-        and a float (no per-coordinate conversion)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "z", z)
-        object.__setattr__(p, "t", t)
-        return p
 
     @classmethod
     def origin(cls, k: int = 2) -> "HeisPoint":
@@ -159,33 +151,41 @@ def standard_lift(p: HeisPoint, height: float = 0.0) -> np.ndarray:
 def boundary_action(g: np.ndarray, p: HeisPoint) -> HeisPoint:
     """Projective action of a p_infinity-stabilizing matrix on the
     punctured boundary, in Heisenberg coordinates."""
-    Z, t = _boundary_images(g, standard_lift(p)[None, :])
-    return HeisPoint(Z[0], t[0])
+    Z, t = _boundary_images(np.asarray(g, dtype=complex)[None], standard_lift(p)[None, :])
+    return HeisPoint(Z[0, 0], t[0, 0])
 
 
-def _boundary_images(g: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Heisenberg coordinates (rows of Z, and t) of the images under g of
-    the boundary points whose standard lifts are the rows of `lifts`.
+def _boundary_images(G: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Heisenberg coordinates, Z of shape (s, N, k) and t of shape (s, N),
+    of the images under each matrix of the stack G (s, k+2, k+2) of the
+    boundary points whose standard lifts are the N rows of `lifts`.
 
-    g must fix the point at infinity; every image must stay in the chart
-    and on the boundary (height drift within BOUNDARY_TOL).  One matrix product
-    serves all rows; a single row is the matrix-vector product g @ lift.
+    Every matrix must fix the point at infinity; every image must stay in
+    the chart and on the boundary (height drift within BOUNDARY_TOL).  The
+    checks run over the whole stack and raise what one matrix at a time
+    would: the first failing check of the first failing matrix.  One
+    broadcast product serves all; a single row is the matrix-vector
+    product g @ lift.
     """
-    g = np.asarray(g, dtype=complex)
-    if lifts.shape[1] != g.shape[0]:
+    if lifts.shape[1] != G.shape[-1]:
         raise GeometryError("point dimension does not match the matrix")
-    col = g[:, 0]
-    if np.abs(col[1:]).max() > BOUNDARY_TOL * max(np.abs(col).max(), 1.0):
-        raise GeometryError("matrix does not fix the point at infinity")
-    V = lifts @ g.T
-    if (np.abs(V[:, -1]) < CHART_ESCAPE).any():
-        raise GeometryError("image escaped the Heisenberg chart")
-    V = V / V[:, -1:]
-    Z = V[:, 1:-1]
-    zz = (np.abs(Z) ** 2).sum(axis=1)
-    if (np.abs(V[:, 0].real + zz / 2) > BOUNDARY_TOL * np.maximum(1.0, zz)).any():
-        raise GeometryError("image is not a boundary point (height drifted)")
-    return Z, 2.0 * V[:, 0].imag
+    col = np.abs(G[:, :, 0])
+    unfixed = col[:, 1:].max(axis=1) > BOUNDARY_TOL * np.maximum(col.max(axis=1), 1.0)
+    V = lifts @ G.transpose(0, 2, 1)
+    escaped = (np.abs(V[:, :, -1]) < CHART_ESCAPE).any(axis=1)
+    with np.errstate(all="ignore"):
+        V /= V[:, :, -1:]   # an escaped image's quotient is never read
+        Z = V[:, :, 1:-1]
+        zz = (np.abs(Z) ** 2).sum(axis=2)
+        drifted = (np.abs(V[:, :, 0].real + zz / 2)
+                   > BOUNDARY_TOL * np.maximum(1.0, zz)).any(axis=1)
+    failed = unfixed | escaped | drifted
+    if failed.any():
+        i = failed.argmax()
+        raise GeometryError("matrix does not fix the point at infinity" if unfixed[i]
+                            else "image escaped the Heisenberg chart" if escaped[i]
+                            else "image is not a boundary point (height drifted)")
+    return Z, 2.0 * V[:, :, 0].imag
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +401,50 @@ def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
 MAX_ORBIT_RADIUS = 50
 
 
-def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
-                 radius: int) -> list[tuple[int, int, HeisPoint]]:
-    """All points T^m U^n p0 with |m|, |n| <= radius (deterministic (m, n)
-    lexicographic order).
+class _OrbitColumns(Sequence):
+    """(m, n, point) rows kept as columns: the words m and n (lists of
+    int), Z of shape (N, k), complex, and t of shape (N,), float.
 
-    The U^n p0 are iterated boundary actions; each T^m then acts on all
-    of their standard lifts in one matrix product, every image passing
-    the checks of boundary_action.  For the Bianchi cusp translations
-    the product rounds as one boundary_action per point does (the tests
-    compare the two bit for bit).
+    Indexing and iteration give the rows as tuples (m, n, HeisPoint) with
+    the bits of the columns, each point built only when it is read.
+    """
+
+    __slots__ = ("m", "n", "Z", "t")
+
+    def __init__(self, m: list[int], n: list[int], Z: np.ndarray, t: np.ndarray):
+        self.m, self.n, self.Z, self.t = m, n, Z, t
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.m[i], self.n[i], HeisPoint(self.Z[i].tolist(), float(self.t[i]))
+
+
+def _orbit_columns(rows: Iterable[tuple[int, int, HeisPoint]]) -> _OrbitColumns:
+    """The columns of (m, n, point) rows: those of orbit_points as they
+    are, any other rows read once."""
+    if isinstance(rows, _OrbitColumns):
+        return rows
+    rows = list(rows)
+    Z = (np.array([p.z for _, _, p in rows], dtype=complex) if rows
+         else np.empty((0, 2), dtype=complex))
+    return _OrbitColumns([m for m, _, _ in rows], [n for _, n, _ in rows], Z,
+                         np.array([p.t for _, _, p in rows], dtype=float))
+
+
+def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
+                 radius: int) -> Sequence[tuple[int, int, HeisPoint]]:
+    """All points T^m U^n p0 with |m|, |n| <= radius (deterministic (m, n)
+    lexicographic order), as a read-only sequence of (m, n, HeisPoint).
+
+    The U^n p0 are iterated boundary actions; the 2 radius + 1 powers T^m
+    then act on all of their standard lifts in one broadcast product,
+    every image passing the checks of boundary_action.  For the Bianchi
+    cusp translations the product rounds as one boundary_action per point
+    does (the tests compare the two bit for bit).
     """
     if radius < 0 or radius > MAX_ORBIT_RADIUS:
         raise GeometryError(f"word radius must be in [0, {MAX_ORBIT_RADIUS}]")
@@ -422,13 +456,11 @@ def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
         un_points[-n] = boundary_action(gU_inv, un_points[-(n - 1)])
     ns = range(-radius, radius + 1)
     lifts = np.array([standard_lift(un_points[n]) for n in ns])
-    out = []
-    for m in ns:
-        gTm = np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m))
-        Z, t = _boundary_images(gTm, lifts)
-        out.extend((m, n, HeisPoint._of(tuple(z), v))
-                   for n, z, v in zip(ns, Z.tolist(), t.tolist()))
-    return out
+    G = np.array([np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m)) for m in ns],
+                 dtype=complex)
+    Z, t = _boundary_images(G, lifts)
+    return _OrbitColumns([m for m in ns for _ in ns], list(ns) * len(ns),
+                         Z.reshape(-1, Z.shape[-1]), t.reshape(-1))
 
 
 def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
@@ -436,8 +468,8 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
     """Minimum positive pairwise box distance among the (m, n, point) rows
     of orbit_points; pairs closer than dup_tol count as coincident (and
     are excluded, so the reported gap is the positive one)."""
-    Z = np.array([p.z for _, _, p in pts], dtype=complex)
-    t = np.array([p.t for _, _, p in pts])
+    cols = _orbit_columns(pts)
+    Z, t = cols.Z, cols.t
 
     def dist(i, j):
         dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(Z.shape[1]))
@@ -451,27 +483,47 @@ def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
     return orbit_gap(orbit_points(gT, gU, p0, radius), dup_tol)
 
 
+def _csv_rows(cols: _OrbitColumns):
+    """The CSV rows (m, n, re_z1, im_z1, re_z2, im_z2, v) of orbit columns.
+
+    Complex-hyperbolic points (k = 2) pass through; real-hyperbolic
+    points (k = 3) must have real Z and t = 0, and pack as z1 = x,
+    z2 = y + iz, v = 0.  The float columns are read 1024 rows at a time,
+    so only one block of them is alive while the rows are formatted.
+    """
+    Z, t = cols.Z, cols.t
+    k = Z.shape[1]
+    if k not in (2, 3):
+        raise GeometryError("CSV schema covers boundary dimensions 2 and 3 only")
+    if k == 3 and (Z.imag.any() or t.any()):
+        raise GeometryError("a real-hyperbolic boundary point needs real Z and t = 0")
+    for i in range(0, len(t), 1024):
+        block = slice(i, i + 1024)
+        z, v = Z[block], t[block]
+        if k == 2:
+            c = [z[:, 0].real.tolist(), z[:, 0].imag.tolist(),
+                 z[:, 1].real.tolist(), z[:, 1].imag.tolist(), v.tolist()]
+        else:
+            zero = [0.0] * len(v)
+            c = [z[:, 0].real.tolist(), zero, z[:, 1].real.tolist(), z[:, 2].real.tolist(), zero]
+        yield from zip(cols.m[block], cols.n[block], *c)
+
+
 def pack_csv_coords(p: HeisPoint) -> tuple[float, float, float, float, float]:
     """Map a boundary point to the fixed CSV columns (z1, z2, v).
 
     Complex-hyperbolic points (len(Z)=2) pass through; real-hyperbolic
-    points (len(Z)=3, t=0) pack as z1 = x, z2 = y + iz, v = 0.
+    points (len(Z)=3, real Z, t=0) pack as z1 = x, z2 = y + iz, v = 0.
     """
-    if len(p.z) == 2:
-        z1, z2 = p.z
-        return (z1.real, z1.imag, z2.real, z2.imag, p.t)
-    if len(p.z) == 3:
-        x, y, z = p.z
-        return (x.real, 0.0, y.real, z.real, 0.0)
-    raise GeometryError("CSV schema covers boundary dimensions 2 and 3 only")
+    return next(_csv_rows(_orbit_columns([(0, 0, p)])))[2:]
 
 
 def write_orbit_csv(fp, rows: Iterable[tuple[int, int, HeisPoint]],
                     gap: float | None = None) -> None:
     """RFC-4180 dump with mandatory header and an optional trailing gap
     comment (the one place comments are allowed)."""
+    cols = _orbit_columns(rows)
     fp.write("m,n,re_z1,im_z1,re_z2,im_z2,v\r\n")
-    fp.write("".join("%s,%s,%r,%r,%r,%r,%r\r\n" % ((m, n) + pack_csv_coords(p))
-                     for m, n, p in rows))
+    fp.write("".join(["%s,%s,%r,%r,%r,%r,%r\r\n" % row for row in _csv_rows(cols)]))
     if gap is not None:
         fp.write(f"# gap: {gap!r}\r\n")

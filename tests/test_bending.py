@@ -1,10 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cuspdeform import scalars
+from cuspdeform import bending, scalars
 from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 BendDataHNN, algebra_dimension, bend_amalgam,
                                 bend_hnn, bianchi_family,
@@ -251,6 +252,32 @@ class TestCuspData:
         lat = bianchi_lattice_su31(d)
         assert (lat["t"], lat["u"]) == (T, U)
         assert max(seen) <= 2 * d
+
+    def test_cusp_surds_against_trial_division(self):
+        # b2 comes from the parity of the validated d, not from reducing 2d
+        for d in range(2, 1001):
+            if d == 3 or not is_squarefree(d):
+                continue
+            a, b1, b2 = cusp_surds(d)
+            if d % 4 in (1, 2):
+                want = (Surd(1, 2), Surd(0), Surd(-1, 2 * d))
+            else:
+                want = (Surd(1, 2), Surd(Fraction(1, 2), 2), Surd(Fraction(-1, 2), 2 * d))
+            assert [(x.q, x.k) for x in (a, b1, b2)] == [(x.q, x.k) for x in want], d
+            assert all(type(x.q) is Fraction for x in (a, b1, b2))
+
+    def test_large_d_reduces_only_d(self, monkeypatch):
+        # a report at a 13-digit d misses the radicand memo for d alone:
+        # 2d is not reduced again after validate_bianchi_d reduced d
+        missed = []
+        real = scalars._squarefree.__wrapped__
+        memo = functools.lru_cache(maxsize=256)(
+            lambda k: missed.append(k) or real(k))
+        monkeypatch.setattr(scalars, "_squarefree", memo)
+        monkeypatch.setattr(bending, "_squarefree", memo)
+        d = 1000000000039
+        report = verify_bianchi_so41(d, Angle.radians(1.0))
+        assert report["d"] == d and report["checks"] and missed == [d]
 
     def test_orthogonality_by_class(self):
         assert cusp_surds(2)[1].is_zero

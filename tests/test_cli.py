@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -328,6 +329,18 @@ class TestOrbitCommand:
         code, _, _ = run(["orbit", "--d", "2", "--alpha", "1/3pi",
                           "--radius", "51"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "50"],
+         "b55e90ab13b47a23a6d715e1d3a54b8b1141448362aff71e3430324751ced097"),
+        (["orbit", "--d", "7", "--target", "so41", "--theta=1.0", "--radius", "50"],
+         "b1f131d863949726570f621d650f615fad3086d25bf456e821d44858e4243287"),
+    ])
+    def test_radius_50_digest(self, argv, digest):
+        # SHA-256 of the whole dump (10201 rows and the gap line)
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_su31_orbit_builds_no_family(self, monkeypatch):
         calls = []

@@ -410,7 +410,7 @@ class TestBatchedOrbit:
     @settings(max_examples=80, deadline=None)
     @given(target=st.sampled_from(["su31", "so41"]),
            d=st.sampled_from([2, 5, 6, 7, 11, 15, 19]),
-           angle=orbit_angles(), radius=st.integers(0, 6))
+           angle=orbit_angles(), radius=st.integers(0, 12))
     def test_matches_per_point_actions(self, target, d, angle, radius):
         if target == "su31":
             params = CuspParams(*cusp_surds(d), angle)
@@ -453,6 +453,38 @@ class TestBatchedOrbit:
         with pytest.raises(GeometryError, match=message):
             orbit_reference(gT.astype(complex), gU, HeisPoint.origin(2), 3)
 
+    @pytest.mark.parametrize("radius, message", [
+        (6, "height drifted"),
+        (5, "does not fix the point at infinity"),
+        (2, "height drifted"),
+    ])
+    def test_first_failing_power_decides(self, radius, message):
+        # T swaps infinity with the origin (up to sign) and acts on Z by
+        # W = [[i, 1-i], [0, 1]], a non-unitary matrix of order 4: T^m does
+        # not fix infinity for odd m, drifts the height for m = 2 mod 4
+        # and is the identity for m = 0 mod 4.  The first failing m (-radius)
+        # decides the message, even where a later m fails an earlier check.
+        gT = np.zeros((4, 4), dtype=complex)
+        gT[0, 3], gT[3, 0] = -1, 1
+        gT[1:3, 1:3] = [[1j, 1 - 1j], [0, 1]]
+        gU = cusp_translation_U(D7_PARAMS)  # U^n p0 has z1, z2 != 0 for n != 0
+        assert np.allclose(np.linalg.matrix_power(gT, 4), np.eye(4))
+        with pytest.raises(GeometryError, match=message):
+            orbit_points(gT, gU, HeisPoint.origin(2), radius)
+        with pytest.raises(GeometryError, match=message):
+            orbit_reference(gT, gU, HeisPoint.origin(2), radius)
+
+    def test_rows_read_like_a_list(self):
+        pts = orbit_points(cusp_translation_T(D2_PARAMS), bent_cusp_U(D2_PARAMS),
+                           HeisPoint.origin(2), 3)
+        rows = list(pts)
+        assert len(pts) == len(rows) == 49
+        assert [pts[i] for i in range(-49, 49)] == rows + rows
+        assert pts[3:40:5] == rows[3:40:5] and pts[::-1] == rows[::-1]
+        assert [(m, n) for m, n, _ in rows] == list(itertools.product(range(-3, 4), repeat=2))
+        with pytest.raises(IndexError):
+            pts[49]
+
 
 class TestCsv:
     def test_header_and_gap_comment(self):
@@ -470,3 +502,45 @@ class TestCsv:
         from cuspdeform.heisenberg import pack_csv_coords
         vals = pack_csv_coords(HeisPoint((1.0, 2.0, 3.0), 0.0))
         assert vals == (1.0, 0.0, 2.0, 3.0, 0.0)
+
+    @pytest.mark.parametrize("z, t", [((1.0, 2.0 + 1e-300j, 3.0), 0.0),
+                                      ((1.0j, 2.0, 3.0), 0.0),
+                                      ((1.0, 2.0, 3.0), 0.5)])
+    def test_so41_packing_refuses_complex_points(self, z, t):
+        from cuspdeform.heisenberg import pack_csv_coords
+        p = HeisPoint(z, t)
+        with pytest.raises(GeometryError, match="needs real Z and t = 0"):
+            pack_csv_coords(p)
+        with pytest.raises(GeometryError, match="needs real Z and t = 0"):
+            write_orbit_csv(io.StringIO(), [(0, 0, HeisPoint.origin(3)), (0, 1, p)])
+
+    @pytest.mark.parametrize("target", ["su31", "so41"])
+    def test_row_list_input_matches_columns(self, target):
+        if target == "su31":
+            gT, gU = cusp_translation_T(D2_PARAMS), bent_cusp_U(D2_PARAMS)
+            p0 = HeisPoint.origin(2)
+        else:
+            fam = bianchi_family(7, "so41", theta=Angle.radians(1.0))
+            gT = np.asarray(fam.images["t"], dtype=complex)
+            gU = np.asarray(fam.images["u"], dtype=complex)
+            p0 = HeisPoint.origin(3)
+        pts = orbit_points(gT, gU, p0, 6)
+        rows = list(pts)
+        gap = orbit_gap(pts)
+        assert orbit_gap(rows).hex() == gap.hex()
+        dumps = []
+        for given in (pts, rows, iter(rows)):
+            buf = io.StringIO()
+            write_orbit_csv(buf, given, gap=gap)
+            dumps.append(buf.getvalue())
+        assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+        from cuspdeform.heisenberg import pack_csv_coords
+        per_row = "".join("%s,%s,%r,%r,%r,%r,%r\r\n" % ((m, n) + pack_csv_coords(p))
+                          for m, n, p in rows)
+        assert dumps[0].split("\r\n", 1)[1].startswith(per_row)
+
+    def test_empty_rows(self):
+        buf = io.StringIO()
+        write_orbit_csv(buf, [])
+        assert buf.getvalue() == "m,n,re_z1,im_z1,re_z2,im_z2,v\r\n"
+        assert orbit_gap([]) == math.inf
