@@ -10,7 +10,8 @@ the centralizer of the modular subgroup:
 
 * in U(3,1) the centralizer is Diag(1, 1, u, 1), u on the unit circle;
 * in SO(4,1) it is the rotation R_34(theta) of the extra coordinate
-  pair.
+  pair, which is Diag(1, 1, u, 1/u, 1) with u = e^{i theta} in the basis
+  of ``embed_so41_q``; both families are exact at symbolic u.
 
 All lattice and bent matrices are exact over Q(sqrt2, sqrt d) tensor
 Q[u, u^-1]; none are normalized to determinant one, so classification
@@ -71,19 +72,16 @@ def su31_centralizer_exact(d: int) -> Mat:
 
 def so41_centralizer(theta: Angle) -> np.ndarray:
     """The rotation R_34(theta)."""
-    return so41_centralizers([theta])[0]
-
-
-def so41_centralizers(thetas: Sequence[Angle]) -> np.ndarray:
-    """The rotation R_34(theta) at each angle of a block, as a stack."""
-    c = [theta.cos() for theta in thetas]
-    s = [theta.sin() for theta in thetas]
-    g = np.tile(np.eye(5), (len(c), 1, 1))
-    g[:, 2, 2] = c
-    g[:, 2, 3] = [-x for x in s]
-    g[:, 3, 2] = s
-    g[:, 3, 3] = c
+    c, s = theta.cos(), theta.sin()
+    g = np.eye(5)
+    g[2:4, 2:4] = [[c, -s], [s, c]]
     return g
+
+
+def so41_centralizer_q(d: int) -> Mat:
+    """R_34(theta) at symbolic u = e^{i theta}, in the basis of
+    ``embed_so41_q``: Diag(1, 1, u, 1/u, 1)."""
+    return Mat.diagonal([1, 1, LaurentPoly.u(), LaurentPoly.u(-1), 1], "ext", d)
 
 
 def pythagorean_pair(s: Fraction) -> tuple[Fraction, Fraction]:
@@ -118,20 +116,13 @@ def centralizer(target: str, param) -> MatLike:
 # ---------------------------------------------------------------------------
 
 def _commutes(g: MatLike, h: MatLike) -> bool:
+    """Whether g and h commute: exactly for two Mats, else within
+    STRUCTURE_TOL times the product of their largest entries (at least 1)."""
     if isinstance(g, Mat) and isinstance(h, Mat):
         return g @ h == h @ g
-    return _commuting(np.asarray(g)[None], h)[0]
-
-
-def _commuting(G: np.ndarray, h: MatLike) -> list[bool]:
-    """Whether each matrix of a stack (K, n, n) commutes with h, within
-    STRUCTURE_TOL times the product of their largest entries (at least 1)."""
-    G = np.asarray(G, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    scales = (np.abs(G).max(axis=(1, 2)) * np.abs(h).max()).tolist()
-    defects = np.abs(G @ h - h @ G).max(axis=(1, 2)).tolist()
-    return [defect <= STRUCTURE_TOL * max(1.0, scale)
-            for defect, scale in zip(defects, scales)]
+    g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
+    scale = float(np.abs(g).max() * np.abs(h).max())
+    return float(np.abs(g @ h - h @ g).max()) <= STRUCTURE_TOL * max(1.0, scale)
 
 
 def _check_zero_param(centralizer: Callable[[object], MatLike], zero_param) -> None:
@@ -266,8 +257,22 @@ def embed_so41(g: Mat) -> Mat:
     return Mat.ext(rows, g.d)
 
 
-def bianchi_lattice_so41(d: int) -> dict[str, Mat]:
-    return {sym: embed_so41(g) for sym, g in bianchi_lattice_su31(d).items()}
+def embed_so41_q(g: Mat) -> Mat:
+    """``embed_so41(g)`` in the basis where R_34(theta) is Diag(u, 1/u):
+    conjugated as Q* h Q by Q = [[1, 1], [-i, i]]/sqrt2 on span
+    coordinates 2 and 3.  h fixes coordinate 3, so no i enters: row and
+    column 2 of h become rows and columns 2 and 3 over sqrt2, and its
+    entry z = h[2, 2] the block [[z+1, z-1], [z-1, z+1]]/2.  Q is
+    unitary on an identity block of the Siegel form, so the form stays."""
+    h = embed_so41(g)
+    rows = [list(row) for row in h.rows]
+    r = ExtScalar(g.d, 0, Fraction(1, 2))  # 1/sqrt2
+    for k in (0, 1, 4):
+        rows[k][2] = rows[k][3] = h[k, 2] * r
+        rows[2][k] = rows[3][k] = h[2, k] * r
+    rows[2][2] = rows[3][3] = (h[2, 2] + 1) / 2
+    rows[2][3] = rows[3][2] = (h[2, 2] - 1) / 2
+    return Mat.ext(rows, g.d)
 
 
 def cusp_surds(d: int) -> tuple[Surd, Surd, Surd]:
@@ -349,60 +354,42 @@ def bianchi_family(d: int, target: str = "su31", *,
                    pythagorean: Fraction | None = None) -> BianchiFamily:
     """Construct the bending family for Bi(d).
 
-    su31: the parameter stays symbolic (evaluate with numeric_images).
-    so41: pass either a numeric angle theta or an exact Pythagorean
-    slope s (cos, sin = (1-s^2)/(1+s^2), 2s/(1+s^2)).
+    With neither theta nor pythagorean, the parameter stays symbolic
+    (evaluate with numeric_images): su31 is bent by Diag(1, 1, u, 1);
+    so41 by Diag(1, 1, u, 1/u, 1), in the basis of ``embed_so41_q`` where
+    that is R_34(theta) with u = e^{i theta}.  so41 also takes, in the
+    real basis of ``embed_so41``, a numeric angle theta or an exact
+    Pythagorean slope s (cos, sin = (1-s^2)/(1+s^2), 2s/(1+s^2)).
     """
     return _bianchi_family(d, target, theta, pythagorean, None)
 
 
 def _bianchi_family(d: int, target: str, theta: Angle | None, pythagorean: Fraction | None,
-                    so41_lattice: dict[str, Mat] | None) -> BianchiFamily:
-    """``bianchi_family``, on ``bianchi_lattice_so41(d)`` when the caller
-    has built it already (``so41_lattice``), else on a new one."""
+                    lattice: dict[str, Mat] | None) -> BianchiFamily:
+    """``bianchi_family``, on ``bianchi_lattice_su31(d)`` when the caller
+    has built it already (``lattice``), else on a new one."""
     validate_bianchi_d(d)
-    pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
-    if target == "su31":
-        param = None  # symbolic u; its zero parameter None stands for u = 1
-        data = _bianchi_hnn(bianchi_lattice_su31(d),
-                            lambda _: su31_centralizer_exact(d), None)
-        images = bend_hnn(data, param)
-    elif target == "so41":
-        if theta is None and pythagorean is None:
-            raise ValueError("so41 family needs either theta or a pythagorean slope")
-        lattice = bianchi_lattice_so41(d) if so41_lattice is None else so41_lattice
-        if pythagorean is not None:
-            param = pythagorean_pair(pythagorean)
-            data = _bianchi_hnn(lattice, lambda p: so41_centralizer_exact(d, p),
-                                (Fraction(1), Fraction(0)))
-            images = bend_hnn(data, param)
-        else:
-            param, data = theta, _so41_bend_data(lattice)
-            U, failure = _so41_letters(data, [theta])
-            if failure is not None:
-                raise failure
-            images = {**data.base, data.stable: U[0]}
-    else:
+    if target not in ("su31", "so41"):
         raise ValueError(f"unknown target {target!r}")
+    pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
+    lattice = bianchi_lattice_su31(d) if lattice is None else lattice
+    param = None  # symbolic u; its zero parameter None stands for u = 1
+    if target == "su31":
+        data = _bianchi_hnn(lattice, lambda _: su31_centralizer_exact(d), None)
+    elif pythagorean is not None:
+        param = pythagorean_pair(pythagorean)
+        data = _bianchi_hnn({k: embed_so41(g) for k, g in lattice.items()},
+                            lambda p: so41_centralizer_exact(d, p), (Fraction(1), Fraction(0)))
+    elif theta is not None:
+        param = theta
+        data = _bianchi_hnn({k: embed_so41(g).evaluate() for k, g in lattice.items()},
+                            so41_centralizer, Angle.zero())
+    else:
+        data = _bianchi_hnn({k: embed_so41_q(g) for k, g in lattice.items()},
+                            lambda _: so41_centralizer_q(d), None)
+    images = bend_hnn(data, param)
     form = siegel_form(4 if target == "su31" else 5, CONJ_TRANSPOSE)
     return BianchiFamily(d, target, param, images, form, pres, data.stable_image)
-
-
-def _so41_letters(data: BendDataHNN, thetas: Sequence[Angle]
-                  ) -> tuple[np.ndarray, GeometryError | None]:
-    """``bend_hnn(data, theta)["u"]`` at each angle of a block, as one
-    stack: the rotations, their commute checks with the edge generators
-    and the products with the stable letter.  Returns the letters and
-    None; or, at the first angle whose rotation fails to commute, the
-    letters of the earlier angles and the error ``bend_hnn`` raises."""
-    G = so41_centralizers(thetas)
-    stop, failure = len(G), None
-    for sym in data.edge_gens:  # the first failing angle, then symbol
-        for k, ok in enumerate(_commuting(G[:stop], data.base[sym])):
-            if not ok:
-                stop, failure = k, _commute_error(sym)
-                break
-    return G[:stop] @ np.asarray(data.stable_image), failure
 
 
 def _bianchi_hnn(lattice: Mapping[str, MatLike], centralizer: Callable[[object], MatLike],
@@ -412,13 +399,6 @@ def _bianchi_hnn(lattice: Mapping[str, MatLike], centralizer: Callable[[object],
     return BendDataHNN(base={k: v for k, v in lattice.items() if k != "u"},
                        stable="u", stable_image=lattice["u"], centralizer=centralizer,
                        edge_gens=("a", "t"), zero_param=zero_param)
-
-
-def _so41_bend_data(lattice: Mapping[str, Mat]) -> BendDataHNN:
-    """HNN data of the numeric so41 bending: the exact so41 lattice
-    evaluated once, bent by the rotation R_34(theta) at any angle theta."""
-    return _bianchi_hnn({k: v.evaluate() for k, v in lattice.items()},
-                        so41_centralizer, Angle.zero())
 
 
 @dataclass(frozen=True)
@@ -437,32 +417,17 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
     is an angle in radians): the deformation angle alpha for su31, the
     bending angle theta for so41.
 
-    The family is built once.  Per block of points
-    (``isometry.SWEEP_BLOCK``), su31 evaluates only the bent letter, as
-    one stack; so41 only composes the rotations with the numeric lattice
-    letter, still checking that each commutes with the edge generators.
-    Each block of letters is classified in one stacked pass; the first
-    failure in grid order is the one raised.
+    The family is built once, at symbolic u, for either target.  Per
+    block of points (``isometry.SWEEP_BLOCK``) only the bent letter is
+    evaluated, as one stack, and classified in one stacked pass against
+    the family's form; the first failure in grid order is the one raised.
     """
-    if target == "su31":
-        fam = bianchi_family(d, "su31")
-        letters = lambda angles: (fam.images["u"].evaluate_stack(UnitPowers(angles)), None)
-        form = fam.form
-    elif target == "so41":
-        data = _so41_bend_data(bianchi_lattice_so41(d))
-        letters = lambda angles: _so41_letters(data, angles)
-        form = siegel_form(5, CONJ_TRANSPOSE)
-    else:
-        raise ValueError(f"unknown target {target!r}")
-
+    fam = bianchi_family(d, target)
     rows = []
     for angles, values, failure in grid_blocks(params):
-        U, exc = letters(angles)
-        if exc is not None:  # at an earlier point than the grid's failure
-            failure = exc
-        if len(U):
-            results = classify_stack(U, form, tol=tol)
-            for value, result in zip(values, results):
+        if angles:
+            U = fam.images["u"].evaluate_stack(UnitPowers(angles))
+            for value, result in zip(values, classify_stack(U, fam.form, tol=tol)):
                 rows.append(BianchiSweepRow(value, *sweep_verdict(result)))
         if failure is not None:
             raise failure
@@ -632,23 +597,24 @@ def verify_bianchi_so41(d: int, theta: Angle,
     """Verification report for the SO(4,1) bending family of Bi(d).
 
     Exact checks run at a rational point of the circle (the Pythagorean
-    slope); classification and the cusp-group verdict run at theta.
+    slope); the letter of the family at symbolic u, evaluated at theta,
+    is classified there, and the cusp-group verdict is taken at theta.
     The deformed stable letter is elliptic when the cusp is orthogonal
     (b1 = 0) and ellipto-parabolic otherwise; in the latter case the
     R x S^1 trichotomy decides discreteness of the cusp image.
     """
     checks: dict[str, dict] = {}
     relations = None
-    lattice = bianchi_lattice_so41(d)  # for the exact family and the one at theta
+    lattice = bianchi_lattice_su31(d)  # for the exact family and the symbolic one
     if pythagorean is not None:
         relations = _exact_checks(
             checks, _bianchi_family(d, "so41", None, pythagorean, lattice),
             f"generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly (slope {pythagorean})",
             " at the exact rotation")
 
-    fam = _bianchi_family(d, "so41", theta, None, lattice)
+    fam = _bianchi_family(d, "so41", None, None, lattice)
     a, b1, b2 = cusp_surds(d)
-    cls, class_u, info = _letter_class(fam.images["u"], fam.form, tol)
+    cls, class_u, info = _letter_class(fam.images["u"].evaluate(theta), fam.form, tol)
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",

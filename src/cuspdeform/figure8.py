@@ -217,7 +217,9 @@ def expected_arc(alpha: Angle | float, exclusion: float) -> tuple[int, int] | No
     """The signature the arc dictates, or None inside an exclusion zone
     around the transition angles +-2pi/3 and +-pi.  A float is an angle
     in radians.  A pi-rational angle is placed by its exact multiple of
-    pi, so a transition never gets an expectation from rounding."""
+    pi, so a transition never gets an expectation from rounding.  A raw
+    angle past pi is reduced as ``math.cos`` and ``math.sin`` reduce it,
+    the reduction behind the matrices' entries."""
     if isinstance(alpha, Angle):
         if alpha.is_pi_rational:
             f = alpha.pi_frac % 2
@@ -229,7 +231,9 @@ def expected_arc(alpha: Angle | float, exclusion: float) -> tuple[int, int] | No
                 return want
             return None
         alpha = alpha.value
-    a = abs(math.remainder(alpha, 2 * math.pi))
+    a = abs(alpha)
+    if a > math.pi:
+        a = abs(math.atan2(math.sin(alpha), math.cos(alpha)))
     if a < INNER_ARC_BOUND - exclusion:
         return (3, 1)
     if INNER_ARC_BOUND + exclusion < a < math.pi - exclusion:

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspdeform import bending, scalars
 from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 BendDataHNN, algebra_dimension, bend_amalgam,
                                 bend_hnn, bianchi_family,
-                                bianchi_lattice_su31, centralizer,
+                                bianchi_lattice_su31, bianchi_sweep, centralizer,
                                 cusp_matrix_T, cusp_matrix_U, cusp_surds,
+                                embed_so41, embed_so41_q,
                                 pythagorean_pair, so41_centralizer,
                                 su31_centralizer, validate_bianchi_d,
                                 verify_bianchi_so41, verify_bianchi_su31)
@@ -18,6 +20,7 @@ from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.matrices import (GeometryError, Mat, form_preserved,
                                  siegel_form)
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
+from cuspdeform.words import check_relations
 
 
 class TestCentralizers:
@@ -378,3 +381,66 @@ class TestVerifySO41:
         J5 = siegel_form(5)
         for g in fam.images.values():
             assert form_preserved(g, J5)
+
+
+# Q = [[1, 1], [-i, i]]/sqrt2 on span coordinates 2 and 3: the change of
+# basis from the symbolic so41 family back to the real one
+Q = np.eye(5, dtype=complex)
+Q[2:4, 2:4] = np.array([[1, 1], [-1j, 1j]]) / math.sqrt(2)
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_so41(d):
+    return bianchi_family(d, "so41")
+
+
+class TestSymbolicSO41:
+    """The so41 family at symbolic u = e^{i theta}, in the basis where
+    R_34(theta) is Diag(u, 1/u)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]),
+           st.one_of(st.fractions(min_value=-4, max_value=4,
+                                  max_denominator=12).map(Angle.pi_times),
+                     st.floats(min_value=-10, max_value=10).map(Angle.radians)))
+    def test_letter_matches_real_basis_family(self, d, theta):
+        got = Q @ symbolic_so41(d).images["u"].evaluate(theta) @ Q.conj().T
+        want = bianchi_family(d, "so41", theta=theta).images["u"]
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 15, 43])
+    def test_embedding_is_the_real_one_conjugated(self, d):
+        for g in bianchi_lattice_su31(d).values():
+            got = Q @ embed_so41_q(g).evaluate() @ Q.conj().T
+            assert np.abs(got - embed_so41(g).evaluate()).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 7, 11])
+    def test_form_and_swan_relations_exact(self, d):
+        fam = symbolic_so41(d)
+        J = siegel_form(5)
+        assert (fam.form.mat, fam.form.convention) == (J.mat, J.convention)
+        rep = fam.rep()  # validates exact form invariance of every generator
+        results = check_relations(rep, fam.presentation)
+        assert results and all(r.exact for r in results)
+
+    @pytest.mark.parametrize("d", [2, 5, 7, 11])
+    def test_letter_charpoly(self, d):
+        # (x - 1)^3 (x - u)(x - 1/u), coefficients c_0 first
+        want = [LaurentPoly.one()]
+        for root in [LaurentPoly.one()] * 3 + [LaurentPoly.u(), LaurentPoly.u(-1)]:
+            shifted = [LaurentPoly.zero()] + want  # x * want
+            want = [s - root * w for s, w in zip(shifted, want + [LaurentPoly.zero()])]
+        coeffs, _ = symbolic_so41(d).images["u"]._charpoly_adjugate()
+        assert coeffs == [ExtScalar.from_laurent(c, d) for c in want]
+
+    @pytest.mark.parametrize("target", ["su31", "so41"])
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 15, 43])
+    def test_sweep_symmetric_in_theta(self, d, target):
+        # theta and -theta give complex-conjugate letters: the class and
+        # whether a margin is printed agree at mirrored grid points
+        half = [3.14 * k / 314 for k in range(1, 315)]
+        rows = bianchi_sweep(d, target, [-x for x in reversed(half)] + [0.0] + half)
+        assert len(rows) == 629
+        for row, mirror in zip(rows, reversed(rows)):
+            assert row.param == -mirror.param
+            assert (row.class_u, row.margin is None) == (mirror.class_u, mirror.margin is None)

@@ -93,6 +93,15 @@ class TestVerifyCommand:
         code, _, _ = run(["verify", "nosuchfamily"])
         assert code == 2
 
+    @pytest.mark.parametrize("value, want", [("1e17", [2, 2]), ("1e200", [3, 1])])
+    def test_huge_raw_angle_meets_its_arc(self, value, want):
+        # the arc places a raw angle by the reduction its cos and sin use
+        code, out, _ = run(["verify", "figure8", f"--alpha={value}"])
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"]
+        assert doc["signature"] == want + [0]
+        assert doc["checks"]["signatureArc"] == {"pass": True, "info": f"expected {tuple(want)}"}
+
     def test_word_file(self, tmp_path):
         wf = tmp_path / "words.txt"
         wf.write_text("# extras\nm^2\nm^1.n^1.m^1.n^1\n")
@@ -142,10 +151,10 @@ class TestVerifyCommand:
         ["--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"],
     ])
     def test_lattice_built_once(self, monkeypatch, argv):
+        # so41 embeds the one su31 lattice for both of its families
         calls = []
-        builder = "bianchi_lattice_" + argv[argv.index("--target") + 1]
-        build = getattr(bending, builder)
-        monkeypatch.setattr(bending, builder, lambda *args:
+        build = bending.bianchi_lattice_su31
+        monkeypatch.setattr(bending, "bianchi_lattice_su31", lambda *args:
                             calls.append(args) or build(*args))
         code, _, _ = run(["verify", "bianchi", *argv])
         assert code == 0 and len(calls) == 1
@@ -271,7 +280,7 @@ class TestSweepCommand:
         (["figure8", "--start=-3.0", "--end", "3.0", "--count", "60"],
          figure8, "form_matrix"),
         (["bianchi", "--d", "7", "--target", "so41", "--start", "0.1", "--end", "3.0",
-          "--count", "12"], bending, "bianchi_lattice_so41"),
+          "--count", "12"], bending, "bianchi_lattice_su31"),
         (["bianchi", "--d", "7", "--target", "su31", "--start", "0.1", "--end", "3.0",
           "--count", "12"], bending, "bianchi_lattice_su31"),
     ])
@@ -607,7 +616,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("value", ["1e308", "-1e308"])
     def test_angle_whose_powers_overflow(self, value):
-        # the family needs u^k for |k| <= 5, and alpha * k overflows
+        # the family needs u^k for |k| <= 2, and alpha * k overflows
         code, out, err = run(["verify", "figure8", f"--alpha={value}"])
         assert code == 2 and out == ""
         assert err == (f"usage error: angle {float(value)!r} is too large: the power "

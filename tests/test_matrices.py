@@ -1,16 +1,15 @@
 import dataclasses
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from cuspdeform import bending
-from cuspdeform.bending import (_so41_bend_data, _so41_letters, bend_hnn,
-                                bianchi_family, bianchi_lattice_so41)
+from cuspdeform.bending import (_bianchi_hnn, bend_hnn, bianchi_family,
+                                bianchi_lattice_su31, embed_so41, embed_so41_q,
+                                so41_centralizer, so41_centralizer_q)
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
@@ -476,28 +475,32 @@ class TestCompiledEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angles)
     def test_stacked_so41_letter_matches_bend_hnn(self, d, dense, thetas):
-        data = _so41_bend_data(bianchi_lattice_so41(d))
-        if dense:  # a stable letter whose products round differently in another order
-            X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
-            data = dataclasses.replace(data, stable_image=X)
-        letters, failure = _so41_letters(data, thetas)
-        assert failure is None
-        want = np.stack([bend_hnn(data, theta)["u"] for theta in thetas])
-        assert letters.tobytes() == want.tobytes()
+        # the sweep's block of so41 letters is, bit for bit, the letter
+        # that bend_hnn gives at symbolic u, evaluated at each angle
+        lattice = {k: embed_so41_q(g) for k, g in bianchi_lattice_su31(d).items()}
+        data = _bianchi_hnn(lattice, lambda _: so41_centralizer_q(d), None)
+        if dense:  # a letter with more terms per entry, which round differently
+            data = dataclasses.replace(
+                data, stable_image=lattice["u"] @ lattice["a"] @ lattice["u"] @ lattice["t"])
+        U = bend_hnn(data, None)["u"]
+        if not dense:
+            assert U == bianchi_family(d, "so41").images["u"]
+        want = np.stack([U.evaluate(theta) for theta in thetas])
+        assert U.evaluate_stack(UnitPowers(thetas)).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angle)
-    def test_so41_family_letter_matches_bend_hnn(self, d, dense, theta):
-        data = _so41_bend_data(bianchi_lattice_so41(d))
-        if dense:  # a stable letter whose products round differently in another order
-            X = np.random.default_rng(d).normal(size=(5, 5, 2)) @ [1, 1j]
-            data = dataclasses.replace(data, stable_image=X)
-        with mock.patch.object(bending, "_so41_bend_data", lambda _: data):
-            fam = bianchi_family(d, "so41", theta=theta)
+    @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), block_angle)
+    def test_so41_family_letter_matches_bend_hnn(self, d, theta):
+        # the family at an angle is the real-basis lattice, evaluated,
+        # with its stable letter rotated by R_34(theta)
+        lattice = {k: embed_so41(g).evaluate() for k, g in bianchi_lattice_su31(d).items()}
+        data = _bianchi_hnn(lattice, so41_centralizer, Angle.zero())
+        fam = bianchi_family(d, "so41", theta=theta)
         want = bend_hnn(data, theta)
         assert list(fam.images) == list(want)
         for sym, g in fam.images.items():
             assert g.tobytes() == want[sym].tobytes()
+        assert fam.images["u"].tobytes() == (so41_centralizer(theta) @ lattice["u"]).tobytes()
 
 
 class TestHermitianFailures:

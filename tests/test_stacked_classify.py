@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cuspdeform import bending, cli, figure8
+from cuspdeform import cli, figure8
 from cuspdeform.bending import bianchi_family, bianchi_sweep
 from cuspdeform.figure8 import build_family, figure8_sweep
 from cuspdeform.heisenberg import (HeisPoint, dilation_matrix,
@@ -29,7 +29,7 @@ from cuspdeform.isometry import (ELLIPTO_PARABOLIC, UNIPOTENT_STEP2,
                                  classify, classify_stack, elliptic_boundary,
                                  parabolic_subtype)
 from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
-                                 HermForm, IndeterminateError, eigen,
+                                 HermForm, IndeterminateError, Mat, eigen,
                                  eigen_stack, form_defect, siegel_form)
 from cuspdeform.scalars import Angle
 
@@ -552,21 +552,22 @@ class TestSweepBlocks:
     ])
     def test_bianchi_first_failure_in_grid_order(self, monkeypatch, broken, raising,
                                                  expected):
-        real = bending._so41_letters
-        grid = self.GRID
+        # the letter stops preserving the form at grid[broken], and
+        # grid[raising] is no angle
+        real = Mat.evaluate_stack
+        grid = list(self.GRID)
+        grid[raising] = math.nan
+        bad = grid[broken]
 
-        def letters(data, thetas):
-            U, failure = real(data, thetas)
-            values = [theta.value for theta in thetas][:len(U)]
-            if grid[broken] in values:
+        def evaluate_stack(mat, powers):
+            U = real(mat, powers)
+            values = [theta.value for theta in powers.angles]
+            if mat.n == 5 and bad in values:
                 U = U.copy()
-                U[values.index(grid[broken])] *= 2
-            if grid[raising] in values:
-                U = U[:values.index(grid[raising])]
-                failure = ValueError("bending angle rejected")
-            return U, failure
+                U[values.index(bad)] *= 2
+            return U
 
-        monkeypatch.setattr(bending, "_so41_letters", letters)
+        monkeypatch.setattr(Mat, "evaluate_stack", evaluate_stack)
         with pytest.raises(expected) as exc:
             bianchi_sweep(2, "so41", grid)
         assert type(exc.value) is expected
