@@ -26,10 +26,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenCluster, EigenData,
-                       GeometryError, HermForm, IndeterminateError, eigen,
-                       eigen_stack, eye, finite_rows, form_defects,
-                       row_means, shifted, unwrap)
+from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenColumns, GeometryError,
+                       HermForm, IndeterminateError, chain_groups, eigen_columns,
+                       eye, finite_rows, form_defects, moduli, row_means,
+                       shifted, unwrap)
 from .scalars import Angle
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
@@ -86,9 +86,9 @@ def _take(S: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     return S if len(rows) == len(S) else S[rows]
 
 
-def _inf_norms(S: np.ndarray) -> list[float]:
+def _inf_norms(S: np.ndarray) -> np.ndarray:
     """Max-entry norm of each matrix of a nonempty stack, floored at NORM_FLOOR."""
-    return [max(v, NORM_FLOOR) for v in np.abs(S).max(axis=(1, 2)).tolist()]
+    return np.maximum(np.abs(S).max(axis=(1, 2)), NORM_FLOOR)
 
 
 def _square(x: float) -> float:
@@ -100,7 +100,7 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _merge_defective(S: np.ndarray, datas: Sequence[EigenData], tol: float):
+def _merge_defective(S: np.ndarray, cols: EigenColumns, tol: float) -> EigenColumns:
     """Repair eigenvalue-scatter artifacts: computed eigenvalues of a
     defective matrix spread by ~eps^(1/k), which can fake several
     nearby clusters.  Clusters closer than the scatter radius are
@@ -108,46 +108,64 @@ def _merge_defective(S: np.ndarray, datas: Sequence[EigenData], tol: float):
     (kernel nonempty there); if the merged center carries no kernel the
     nearby clusters were genuinely distinct and stay split.
 
-    Runs on a stack with the eigenstructure of each matrix; one
-    singular-value call serves every merge candidate of the stack.
+    Runs on a stack with the clusters of each matrix as columns (at
+    least one per matrix) and returns the merged clusters as columns.
+    The centres of every matrix, NaN-padded to the longest, go through
+    one ``chain_groups`` call at radius 4 eps^(1/n) max(max |c|, 1), so
+    the merged order is the order of the groups.  A group of one keeps
+    its cluster; a group of several (a merge candidate) becomes one
+    cluster at the alg-weighted mean of its members, or stays its
+    members in sorted order.  One singular-value call serves every
+    merge candidate of the stack.
     """
-    n = S.shape[-1]
+    n, P, C = S.shape[-1], len(S), len(cols.row)
     spread = 4.0 * float(np.finfo(float).eps) ** (1.0 / n)
-    grouped = []
-    for data in datas:
-        suspect = spread * max(max(abs(c.value) for c in data.clusters), 1.0)
-        groups: list[list] = []
-        for c in sorted(data.clusters, key=lambda c: (c.value.real, c.value.imag)):
-            for g in groups:
-                if any(abs(c.value - w.value) <= suspect for w in g):
-                    g.append(c)
-                    break
-            else:
-                groups.append([c])
-        grouped.append(groups)
-    cands = [(k, g) for k, groups in enumerate(grouped) for g in groups if len(g) > 1]
-    if cands:
-        rows = [k for k, _ in cands]
-        algs = [sum(c.alg for c in g) for _, g in cands]
-        lams = [sum(c.value * c.alg for c in g) / alg for (_, g), alg in zip(cands, algs)]
-        sv = np.linalg.svd(shifted(S[rows], lams), compute_uv=False)
-        thr = np.array([tol * datas[k].norm for k in rows])[:, None]
-        geos = (n - np.sum(sv > thr, axis=1)).tolist()
-        centres = iter(zip(lams, algs, geos))
-    out = []
-    for groups in grouped:
-        merged = []
-        for g in groups:
-            if len(g) == 1:
-                merged.append(g[0])
-                continue
-            lam, alg, geo = next(centres)
-            if geo == 0:
-                merged.extend(g)  # no kernel at the center: genuinely distinct
-            else:
-                merged.append(EigenCluster(lam, alg, geo))
-        out.append(merged)
-    return out
+    counts = cols.counts()
+    first = counts.cumsum() - counts
+    suspect = spread * np.maximum(np.maximum.reduceat(moduli(cols.value), first), 1.0)
+    m = int(counts.max())
+    slot = np.arange(C) + (cols.row * m - first[cols.row])  # in the padded (P, m) layout
+    padded = np.full(P * m, complex(np.nan, np.nan))
+    padded[slot] = cols.value
+    cluster = np.full(P * m, -1)
+    cluster[slot] = np.arange(C)
+    members, sizes, rows = chain_groups(padded.reshape(P, m), suspect)
+    member = cluster[members]  # -1: padding
+    value, alg, geo = cols.value[member], cols.alg[member], cols.geo[member]
+    keep = member >= 0
+    cands = (sizes > 1).nonzero()[0]
+    if cands.size:
+        # sum(c.value * c.alg for c in g) / alg, term by term from +0.0
+        # (a zero term then changes no bit), divided part by part as
+        # Python divides a complex by an int
+        lead = sizes.cumsum() - sizes  # where each group's members start
+        width = int(sizes[cands].max())
+        inside = np.arange(width) < sizes[cands][:, None]
+        j = member[np.where(inside, lead[cands][:, None] + np.arange(width),
+                            lead[cands][:, None])]
+        weight = np.where(inside, cols.alg[j], 0)
+        terms = cols.value[j]
+        terms_re, terms_im = terms.real * weight, terms.imag * weight
+        re = im = np.zeros(len(cands))
+        for t in range(width):
+            re, im = re + terms_re[:, t], im + terms_im[:, t]
+        total = weight.sum(axis=1)
+        lams = np.empty(len(cands), dtype=complex)
+        lams.real, lams.imag = re / total, im / total
+        on = rows[cands]
+        sv = np.linalg.svd(shifted(S[on], lams), compute_uv=False)
+        kernel = n - np.sum(sv > (tol * cols.norm[on])[:, None], axis=1)
+        # a center with no kernel: the members were genuinely distinct
+        merge = kernel != 0
+        at = lead[cands[merge]]
+        value[at], alg[at], geo[at] = lams[merge], total[merge], kernel[merge]
+        # the merged cluster stands at its group's first member: drop the rest
+        merged = np.zeros(len(sizes), dtype=bool)
+        merged[cands[merge]] = True
+        keep &= ~np.repeat(merged, sizes)
+        keep[at] = True
+    return EigenColumns(members[keep] // m, value[keep], alg[keep], geo[keep], cols.margin,
+                        cols.norm, cols.failed)
 
 
 def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
@@ -161,12 +179,23 @@ def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     cube does; otherwise several genuine clusters mean no unipotent
     lift (ellipto-parabolic).
     """
-    S = np.asarray(A, dtype=complex)[None]
-    subtype = _unipotent_subtypes(S, tol)[0]
+    subtype = _unipotent_subtypes(np.asarray(A, dtype=complex)[None], tol)[0]
     if subtype is None:
-        data = eigen(S[0], tol=tol)
-        subtype = unwrap(_cluster_subtype(_merge_defective(S, [data], tol)[0]))
+        S, cols = _one_row(A, tol)
+        subtype = unwrap(_cluster_subtype(len(_merge_defective(S, cols, tol).row)))
     return subtype
+
+
+def _one_row(A: np.ndarray, tol: float) -> tuple[np.ndarray, EigenColumns]:
+    """A as a one-matrix stack, with its eigen columns; raises what
+    ``eigen`` raises for A."""
+    S = np.asarray(A, dtype=complex)[None]
+    if not finite_rows(S)[0]:
+        raise GeometryError(NON_FINITE)
+    cols = eigen_columns(S, tol)
+    if cols.failed[0]:
+        raise cols.failure(0)
+    return S, cols
 
 
 def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
@@ -183,7 +212,7 @@ def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
     N2 = N @ N
     sq = np.abs(N2).max(axis=(1, 2)).tolist()
     cb = np.abs(N2 @ N).max(axis=(1, 2)).tolist()
-    for k, norm, sq_k, cb_k in zip(rows, _inf_norms(N), sq, cb):
+    for k, norm, sq_k, cb_k in zip(rows, _inf_norms(N).tolist(), sq, cb):
         s2 = max(_square(norm), 1.0)
         # a threshold that overflowed decides nothing
         if sq_k <= tol * s2 < math.inf:
@@ -193,9 +222,10 @@ def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
     return out
 
 
-def _cluster_subtype(clusters) -> str | IndeterminateError:
-    """The subtype of a parabolic with no unipotent lift."""
-    if len(clusters) > 1:
+def _cluster_subtype(clusters: int) -> str | IndeterminateError:
+    """The subtype of a parabolic with no unipotent lift, from its
+    number of merged clusters."""
+    if clusters > 1:
         return ELLIPTO_PARABOLIC
     return IndeterminateError(
         "one-cluster parabolic with no vanishing nilpotent power", 1.0)
@@ -208,47 +238,43 @@ def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = DECISION_TOL) 
     Checked per eigenvalue cluster on the whole eigenspace: the space
     contains a null vector iff its Gram matrix is not definite.
     """
-    S = np.asarray(A, dtype=complex)[None]
-    data = eigen(S[0], tol=tol)
-    return _elliptic_boundaries(S, [data], form.array()[None], form.convention, tol)[0]
+    S, cols = _one_row(A, tol)
+    return bool(_elliptic_boundaries(S, cols, form.array()[None], form.convention, tol)[0])
 
 
-def _elliptic_boundaries(S: np.ndarray, datas: Sequence[EigenData], J: np.ndarray,
-                         convention: str, tol: float) -> list[bool]:
-    """``elliptic_boundary`` of every matrix of a stack from its computed
-    eigenstructure, against a stack of one form matrix, or of one per
-    matrix.  One singular-value call yields the kernel of S[k] - lambda I
-    for every (matrix, cluster) pair; the Gram matrices of the kernels of
+def _elliptic_boundaries(S: np.ndarray, cols: EigenColumns, J: np.ndarray,
+                         convention: str, tol: float) -> np.ndarray:
+    """``elliptic_boundary`` of every matrix of a stack from its eigen
+    columns, against a stack of one form matrix, or of one per matrix.
+    One singular-value call yields the kernel of S[k] - lambda I for
+    every (matrix, cluster) pair; the Gram matrices of the kernels of
     one dimension go through one eigvalsh call."""
-    rows = [k for k, data in enumerate(datas) for _ in data.clusters]
-    out = [False] * len(S)
-    if not rows:
+    out = np.zeros(len(S), dtype=bool)
+    rows = cols.row
+    if not rows.size:
         return out
     n = S.shape[-1]
-    lams = [c.value for data in datas for c in data.clusters]
-    _, sv, vh = np.linalg.svd(shifted(S[rows], lams))
-    thr = tol * np.array([datas[k].norm for k in rows])
+    _, sv, vh = np.linalg.svd(shifted(S[rows], cols.value))
+    thr = tol * cols.norm[rows]
     # singular values come largest first: a kernel is the trailing columns
-    dims = np.sum(sv <= thr[:, None], axis=1).tolist()
+    dims = np.sum(sv <= thr[:, None], axis=1)
     V = np.swapaxes(vh.conj(), 1, 2)
-    for d in sorted(set(dims) - {0}):
-        pairs = [j for j, dim in enumerate(dims) if dim == d]
+    for d in sorted(set(dims.tolist()) - {0}):
+        pairs = np.flatnonzero(dims == d)
         basis = V[pairs][:, :, n - d:]
-        Jp = J if len(J) == 1 else J[[rows[j] for j in pairs]]
+        Jp = J if len(J) == 1 else J[rows[pairs]]
         if convention == CONJ_TRANSPOSE:
             gram = np.swapaxes(basis.conj(), 1, 2) @ Jp @ basis
         else:
             gram = np.swapaxes(basis, 1, 2) @ Jp @ basis.conj()
         gev = np.linalg.eigvalsh((gram + np.swapaxes(gram.conj(), 1, 2)) / 2)
         size = np.abs(gev)
-        for j, lo, hi, top, bottom in zip(pairs, gev[:, 0].tolist(), gev[:, -1].tolist(),
-                                          size.max(axis=1).tolist(),
-                                          size.min(axis=1).tolist()):
-            scale = max(top, 1.0)
-            if lo < -tol * scale and hi > tol * scale:
-                out[rows[j]] = True  # indefinite: null cone meets the eigenspace
-            elif bottom <= tol * scale:
-                out[rows[j]] = True  # degenerate: an eigenvector itself is null
+        scale = np.maximum(size.max(axis=1), 1.0)
+        # indefinite: the null cone meets the eigenspace; degenerate: an
+        # eigenvector itself is null
+        null = (((gev[:, 0] < -tol * scale) & (gev[:, -1] > tol * scale))
+                | (size.min(axis=1) <= tol * scale))
+        out[rows[pairs[null]]] = True
     return out
 
 
@@ -306,7 +332,12 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
                      tol: float = DECISION_TOL) -> list[IsoClass | GeometryError]:
     """``classify_stack`` against hermitian form matrices given as a
     stack J (one for all matrices, or one per matrix) under one
-    convention."""
+    convention.
+
+    Each step decides, by array operations over the matrices still
+    undecided, which of them it settles, and only a settled matrix's
+    class or error becomes an object.  The eigen clusters pass from step
+    to step as columns (``EigenColumns``)."""
     S = _square_stack(S)
     out: list = [None] * len(S)
     if len(S) == 0:
@@ -317,103 +348,96 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     if J.shape[1:] != (n, n):
         raise ValueError(f"form of shape {J.shape[1:]} for matrices of shape {(n, n)}")
 
-    live = []
-    for k, finite in enumerate(finite_rows(S)):
-        if finite:
-            live.append(k)
-        else:
-            out[k] = GeometryError(NON_FINITE)
-    if not live:
+    finite = np.isfinite(S).all(axis=(1, 2))
+    for k in (~finite).nonzero()[0].tolist():
+        out[k] = GeometryError(NON_FINITE)
+    live = finite.nonzero()[0]
+    if not live.size:
         return out
     A = _take(S, live)
     Jl = J if len(J) == 1 else _take(J, live)
 
     # form invariance, on the natural scale
     norms = _inf_norms(A)
-    form_norms = _inf_norms(Jl)
-    rows = []
-    for j, defect in enumerate(form_defects(A, Jl, convention)):
-        scale = max(1.0, _square(norms[j]) * form_norms[j if len(Jl) > 1 else 0])
-        if not (math.isfinite(defect) and math.isfinite(scale)):
-            out[live[j]] = GeometryError(
-                f"form test out of float range: defect {defect:.3g}, scale {scale:.3g}")
-        elif defect > tol * scale:
-            out[live[j]] = GeometryError(
-                f"matrix does not preserve the form: defect {defect:.3g} "
-                f"exceeds {tol:.3g} * {scale:.3g}")
-        else:
-            rows.append(j)
-    if not rows:
+    defects = np.array(form_defects(A, Jl, convention))
+    scales = np.fmax(1.0, np.array([_square(x) for x in norms.tolist()]) * _inf_norms(Jl))
+    ranged = np.isfinite(defects) & np.isfinite(scales)
+    kept = ranged & ~(defects > tol * scales)
+    for j, defect, scale, ok in zip((~kept).nonzero()[0].tolist(), defects[~kept].tolist(),
+                                    scales[~kept].tolist(), ranged[~kept].tolist()):
+        out[live[j]] = GeometryError(
+            f"matrix does not preserve the form: defect {defect:.3g} "
+            f"exceeds {tol:.3g} * {scale:.3g}" if ok else
+            f"form test out of float range: defect {defect:.3g}, scale {scale:.3g}")
+    rows = kept.nonzero()[0]
+    if not rows.size:
         return out
-    A, live, norms = _take(A, rows), [live[j] for j in rows], [norms[j] for j in rows]
+    A, live, norms = _take(A, rows), live[rows], norms[rows]
 
     # scalar multiples of the identity are the identity isometry
     lam0 = row_means(np.diagonal(A, axis1=1, axis2=2))
     offsets = np.abs(A - lam0[:, None, None] * eye(n)).max(axis=(1, 2))
-    rows = []
-    for j, (lam, offset) in enumerate(zip(lam0.tolist(), offsets.tolist())):
-        if lam != 0 and offset <= tol * norms[j]:
-            out[live[j]] = Identity()
-        else:
-            rows.append(j)
-    if not rows:
+    identity = (lam0 != 0) & (offsets <= tol * norms)
+    for k in live[identity].tolist():
+        out[k] = Identity()
+    rows = (~identity).nonzero()[0]
+    if not rows.size:
         return out
-    A, live = _take(A, rows), [live[j] for j in rows]
+    A, live = _take(A, rows), live[rows]
 
-    datas = eigen_stack(A, tol=tol)
-    rows = []
-    for j, data in enumerate(datas):
-        if isinstance(data, IndeterminateError):
-            out[live[j]] = data
-        elif data.rank_margin < INDETERMINATE_FACTOR:
+    cols = eigen_columns(A, tol=tol)
+    undecided = cols.failed | (cols.margin < INDETERMINATE_FACTOR)
+    for j in undecided.nonzero()[0].tolist():
+        out[live[j]] = cols.failure(j) if cols.failed[j] else IndeterminateError(
+            "diagonalizability decision too close to call", cols.margin[j])
+    rows = (~undecided).nonzero()[0]
+    if not rows.size:
+        return out
+    A, live, cols = _take(A, rows), live[rows].tolist(), cols.take(rows)
+
+    # unit-norm test per merged cluster, with its own margin; the first
+    # cluster of a matrix that is too close to call, in merged order,
+    # names its eigenvalue
+    merged = _merge_defective(A, cols, tol)
+    counts = merged.counts()
+    first = counts.cumsum() - counts
+    dev = np.abs(moduli(merged.value) - 1.0)
+    unit = dev <= tol
+    with np.errstate(over="ignore"):
+        margin = np.where(unit, tol / np.maximum(dev, NORM_FLOOR), dev / tol)
+    decided = np.ones(len(A), dtype=bool)
+    close = (margin < INDETERMINATE_FACTOR).nonzero()[0]
+    if close.size:
+        named = close[np.diff(merged.row[close], prepend=-1) != 0]
+        decided[merged.row[named]] = False
+        for j, value, m in zip(merged.row[named].tolist(), merged.value[named].tolist(),
+                               margin[named].tolist()):
             out[live[j]] = IndeterminateError(
-                "diagonalizability decision too close to call", data.rank_margin)
-        else:
-            rows.append(j)
-    if not rows:
-        return out
-    A, live, datas = _take(A, rows), [live[j] for j in rows], [datas[j] for j in rows]
+                f"eigenvalue {value:.6g} too close to the unit-norm threshold", m)
+    parabolic = decided & np.logical_or.reduceat(merged.geo != merged.alg, first)
+    nonunit = np.add.reduceat(np.where(unit, 0, merged.alg), first)
+    diagonal = decided & ~parabolic
+    for j in (diagonal & (nonunit == 2)).nonzero()[0].tolist():
+        out[live[j]] = Loxodromic()
+    other = diagonal & (nonunit != 0) & (nonunit != 2)
+    for j, count in zip(other.nonzero()[0].tolist(), nonunit[other].tolist()):
+        out[live[j]] = GeometryError(
+            f"spectrum with {count} non-unit eigenvalues is "
+            "incompatible with a rank-one form isometry")
 
-    parabolic, elliptic = [], []
-    for j, clusters in enumerate(_merge_defective(A, datas, tol)):
-        # unit-norm test per cluster, with its own margin
-        nonunit_alg = 0
-        for cl in clusters:
-            dev = abs(abs(cl.value) - 1.0)
-            if dev <= tol:
-                margin = tol / max(dev, NORM_FLOOR)
-            else:
-                nonunit_alg += cl.alg
-                margin = dev / tol
-            if margin < INDETERMINATE_FACTOR:
-                out[live[j]] = IndeterminateError(
-                    f"eigenvalue {cl.value:.6g} too close to the unit-norm threshold",
-                    margin)
-                break
-        else:
-            if not all(c.geo == c.alg for c in clusters):
-                parabolic.append((j, clusters))
-            elif nonunit_alg == 0:
-                elliptic.append(j)
-            elif nonunit_alg == 2:
-                out[live[j]] = Loxodromic()
-            else:
-                out[live[j]] = GeometryError(
-                    f"spectrum with {nonunit_alg} non-unit eigenvalues is "
-                    "incompatible with a rank-one form isometry")
-
-    if parabolic:
-        rows = [j for j, _ in parabolic]
+    rows = parabolic.nonzero()[0]
+    if rows.size:
         subtypes = _unipotent_subtypes(_take(A, rows), tol)
-        for (j, clusters), subtype in zip(parabolic, subtypes):
-            subtype = subtype or _cluster_subtype(clusters)
+        for j, subtype, count in zip(rows.tolist(), subtypes, counts[rows].tolist()):
+            subtype = subtype or _cluster_subtype(count)
             out[live[j]] = (subtype if isinstance(subtype, Exception)
                             else Parabolic(subtype))
-    if elliptic:
-        rows = [live[j] for j in elliptic]
-        boundary = _elliptic_boundaries(_take(A, elliptic), [datas[j] for j in elliptic],
-                                        J if len(J) == 1 else J[rows], convention, tol)
-        for k, b in zip(rows, boundary):
+    rows = (diagonal & (nonunit == 0)).nonzero()[0]
+    if rows.size:
+        ks = [live[j] for j in rows.tolist()]
+        boundary = _elliptic_boundaries(_take(A, rows), cols.take(rows),
+                                        J if len(J) == 1 else J[ks], convention, tol)
+        for k, b in zip(ks, boundary.tolist()):
             out[k] = Elliptic(b)
     return out
 

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,12 +29,16 @@ class GeometryError(ValueError):
 
 
 class IndeterminateError(GeometryError):
-    """A numerical decision fell within 10x of its threshold; the caller
-    must not trust a guess."""
+    """A numerical decision fell within 10x of its threshold, or could
+    not be made at all; the caller must not trust a guess."""
 
     def __init__(self, message: str, margin: float):
-        super().__init__(f"{message} (margin {margin:.3g} < {INDETERMINATE_FACTOR})")
         self.margin = float(margin)
+        # "< 10" only where the printed margin is below it: some decisions
+        # give up above the factor
+        shown = f"{self.margin:.3g}"
+        below = f" < {INDETERMINATE_FACTOR}" if float(shown) < INDETERMINATE_FACTOR else ""
+        super().__init__(f"{message} (margin {shown}{below})")
 
 
 def _promote(entry, ring: str, d: int | None):
@@ -571,35 +575,13 @@ class EigenData:
         return sum(c.alg for c in self.clusters)
 
 
-def _cluster_eigenvalues(ev: np.ndarray, rtol: float) -> list[list[complex]]:
-    """Greedy union of eigenvalues within relative distance rtol,
-    chain-linked: joining requires closeness to any member, so a
-    symmetric Jordan scatter around one true value stays together."""
-    scale = max(float(np.abs(ev).max()), 1.0)
-    groups: list[list[complex]] = []
-    for lam in sorted(ev, key=lambda z: (z.real, z.imag)):
-        for g in groups:
-            if any(abs(lam - w) <= rtol * scale for w in g):
-                g.append(complex(lam))
-                break
-        else:
-            groups.append([complex(lam)])
-    return groups
-
-
 NON_FINITE = "matrix has non-finite entries"
+CLUSTERING_FAILED = "eigenvalue clustering never reached consistent multiplicities"
 
 
 def finite_rows(S: np.ndarray) -> list[bool]:
     """Whether each matrix of a stack (N, n, n) has finite entries only."""
     return np.isfinite(S).all(axis=(1, 2)).tolist()
-
-
-def _spectral_norms(S: np.ndarray) -> list[float]:
-    """The spectral norm of each matrix of a finite stack (N, n, n),
-    floored at NORM_FLOOR: one singular-value call."""
-    sv = np.linalg.svd(S, compute_uv=False)  # sorted, largest first
-    return [max(v, NORM_FLOOR) for v in sv[:, 0].tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -622,17 +604,85 @@ def row_means(X: np.ndarray) -> np.ndarray:
     return np.add.reduce(X, axis=1) / X.shape[1]
 
 
-def _centres(groups: list[list[complex]]) -> list[complex]:
-    """The mean of every group, one reduction per group size."""
-    by_size: dict[int, list[int]] = {}
-    for j, g in enumerate(groups):
-        by_size.setdefault(len(g), []).append(j)
-    out = [0j] * len(groups)
-    for idx in by_size.values():
-        X = np.array([groups[j] for j in idx], dtype=complex)
-        for j, centre in zip(idx, row_means(X).tolist()):
-            out[j] = centre
-    return out
+def moduli(z: np.ndarray) -> np.ndarray:
+    """|z| of every entry, bit for bit Python's ``abs`` of a complex
+    (np.abs is not: its complex modulus can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+def chain_groups(values: np.ndarray, radius: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy chain-linked grouping of every row of a (P, m) complex
+    array, within a radius per row.
+
+    A row's entries are taken in (real, imag) order (a stable sort), and
+    each joins the first-created group that holds an entry within the
+    radius of it, or starts a group: joining needs closeness to any
+    member, so a symmetric Jordan scatter around one true value stays
+    together.  NaN entries, the padding of shorter rows, sort last and
+    are close to nothing, so each is a group of its own.
+
+    The i-th entry in sorted order joins the group whose first member
+    is label_i = min(i, min{label_j : j < i, |s_i - s_j| <= r}).  That
+    is the least entry reachable from i by a descending chain of close
+    entries, so every row's labels come from a few boolean squarings of
+    the (P, m, m) reachability matrices instead of a pass per entry.
+
+    Returns the groups, row after row and in order of creation within a
+    row, as ``members`` (flat indices into ``values`` of each group's
+    entries in sorted order, one group after the other), ``sizes`` and
+    ``rows`` (the row of each group)."""
+    P, m = values.shape
+    base = np.arange(0, P * m, m)[:, None]
+    flat = np.lexsort((values.imag, values.real)) + base
+    s = values.ravel()[flat]
+    with np.errstate(invalid="ignore"):  # inf - inf: close to nothing
+        close = moduli(s[:, :, None] - s[:, None, :]) <= radius[:, None, None]
+    step = np.arange(m)[:, None] - np.arange(m)  # i - j
+    # reach[p, i, j]: j is i, or an earlier close entry (one link); the
+    # boolean squarings extend it to chains of up to m - 1 links
+    reach = (close & (step > 0)) | (step == 0)
+    for _ in range(max(m - 2, 0).bit_length()):
+        reach = reach @ reach
+    key = (reach.argmax(axis=2) + base).ravel()  # the least reachable entry
+    sizes = np.bincount(key, minlength=P * m)
+    first = sizes.nonzero()[0]
+    return flat.ravel()[np.argsort(key, kind="stable")], sizes[first], first // m
+
+
+class EigenColumns(NamedTuple):
+    """The clustered eigenstructure of a stack of N matrices as columns:
+    one entry per cluster, matrix after matrix and in cluster order
+    within a matrix (``row`` is the matrix, then ``value``, ``alg``,
+    ``geo``), and per matrix its rank ``margin``, spectral ``norm`` and
+    whether clustering ``failed`` (such a matrix has no clusters)."""
+
+    row: np.ndarray
+    value: np.ndarray
+    alg: np.ndarray
+    geo: np.ndarray
+    margin: np.ndarray
+    norm: np.ndarray
+    failed: np.ndarray
+
+    def counts(self) -> np.ndarray:
+        """The number of clusters of each matrix."""
+        return np.bincount(self.row, minlength=len(self.norm))
+
+    def failure(self, k: int) -> IndeterminateError:
+        """The error of matrix k, whose clustering failed."""
+        return IndeterminateError(CLUSTERING_FAILED, self.margin[k])
+
+    def take(self, rows: np.ndarray) -> "EigenColumns":
+        """The columns of the matrices given by increasing indices."""
+        if len(rows) == len(self.norm):
+            return self
+        keep = np.zeros(len(self.norm), dtype=bool)
+        keep[rows] = True
+        mine = keep[self.row]
+        return EigenColumns((np.cumsum(keep) - 1)[self.row[mine]], self.value[mine],
+                            self.alg[mine], self.geo[mine], self.margin[rows],
+                            self.norm[rows], self.failed[rows])
 
 
 def unwrap(result):
@@ -671,52 +721,83 @@ def eigen_stack(S: np.ndarray,
     entry k is the EigenData of S[k] or the IndeterminateError that
     ``eigen`` raises for it.
 
+    The per-matrix view of ``eigen_columns``, which computes the whole
+    stack in one columnar pass: one eigvals and one norm call, then per
+    clustering radius one ``chain_groups`` call over every spectrum still
+    undecided, one ``row_means`` call per cluster size and one
+    singular-value call, with the ranks, margins and consistency tests
+    as array operations."""
+    cols = eigen_columns(S, tol)
+    ends = cols.counts().cumsum().tolist()
+    clusters = list(map(EigenCluster, cols.value.tolist(), cols.alg.tolist(),
+                        cols.geo.tolist()))
+    return [cols.failure(k) if failed else
+            EigenData(tuple(clusters[start:end]), margin, norm)
+            for k, (start, end, margin, norm, failed) in enumerate(zip(
+                [0] + ends, ends, cols.margin.tolist(), cols.norm.tolist(),
+                cols.failed.tolist()))]
+
+
+def eigen_columns(S: np.ndarray, tol: float = DECISION_TOL) -> EigenColumns:
+    """The eigenstructure of every matrix of a stack (N, n, n) of finite
+    matrices, as columns: what ``eigen`` decides, without an object per
+    matrix or per cluster.
+
     One eigvals call and one singular-value call (the spectral norms)
     serve the stack.  Each clustering radius then costs one
-    singular-value call over every (matrix, cluster centre) pair of the
-    matrices whose multiplicities are still inconsistent.
+    ``chain_groups`` call over the spectra of the matrices whose
+    multiplicities are still inconsistent, one ``row_means`` call per
+    cluster size for the centres (each the mean of its members in sorted
+    order), and one singular-value call over every (matrix, centre) pair;
+    the ranks, margins and consistency tests are array operations.
     """
     S = np.asarray(S, dtype=complex)
-    n = S.shape[-1]
-    out: list = [None] * len(S)
-    if len(S) == 0:
-        return out
+    N, n = len(S), S.shape[-1]
+    margin, failed = np.ones(N), np.zeros(N, dtype=bool)
+    none = np.zeros(0, dtype=np.intp)
+    empty = (none, np.zeros(0, dtype=complex), none, none)
+    if N == 0:
+        return EigenColumns(*empty, margin, np.zeros(0), failed)
     ev = np.linalg.eigvals(S)
-    norms = _spectral_norms(S)
-    thr = [tol * norm for norm in norms]
-    pending = list(range(len(S)))
+    norms = np.maximum(np.linalg.svd(S, compute_uv=False)[:, 0], NORM_FLOOR)
+    thr = tol * norms
+    scale = np.maximum(np.abs(ev).max(axis=1), 1.0)
+    parts = []
+    pending = np.arange(N)
     rtol = CLUSTER_RTOL
-    while pending and rtol <= CLUSTER_RTOL_CEILING:
-        groups = [_cluster_eigenvalues(ev[k], rtol) for k in pending]
-        rows = [k for k, gs in zip(pending, groups) for _ in gs]
-        lams = _centres([g for gs in groups for g in gs])
+    while pending.size and rtol <= CLUSTER_RTOL_CEILING:
+        spectra = ev[pending]
+        members, alg, local = chain_groups(spectra, rtol * scale[pending])
+        rows = pending[local]
+        values = spectra.ravel()[members]
+        starts = alg.cumsum() - alg
+        lams = np.empty(len(alg), dtype=complex)
+        for size in set(alg.tolist()):
+            g = (alg == size).nonzero()[0]
+            lams[g] = row_means(values[starts[g][:, None] + np.arange(size)])
         sv = np.linalg.svd(shifted(S[rows], lams), compute_uv=False)
-        t = np.array([thr[k] for k in rows])[:, None]
+        t = thr[rows][:, None]
         above = sv > t
-        ranks = np.sum(above, axis=1).tolist()
+        geo = n - above.sum(axis=1)
         # the ratio is s / thr above the threshold, thr / max(s, NORM_FLOOR)
         # below it; fmin ignores a NaN ratio
         with np.errstate(over="ignore"):  # an infinite ratio is decisive
             ratios = (np.where(above, sv, t)
                       / np.where(above, t, np.maximum(sv, NORM_FLOOR)))
-        worst = np.fmin.reduce(ratios, axis=1, initial=np.inf).tolist()
-        still, j = [], 0
-        for k, gs in zip(pending, groups):
-            clusters, margin = [], float("inf")
-            for g in gs:
-                clusters.append(EigenCluster(lams[j], len(g), n - ranks[j]))
-                margin = min(margin, worst[j])
-                j += 1
-            out[k] = EigenData(tuple(clusters), margin, norms[k])
-            if not all(1 <= c.geo <= c.alg for c in clusters):
-                still.append(k)
-        pending = still
+        worst = np.fmin.reduce(ratios, axis=1, initial=np.inf)
+        counts = np.bincount(local, minlength=len(pending))
+        first = counts.cumsum() - counts  # each matrix's first cluster
+        margin[pending] = np.minimum.reduceat(worst, first)
+        retry = np.logical_or.reduceat((geo < 1) | (geo > alg), first)
+        done = ~retry[local]
+        parts.append((rows[done], lams[done], alg[done], geo[done]))
+        pending = pending[retry]
         rtol *= 10.0
-    for k in pending:
-        out[k] = IndeterminateError(
-            "eigenvalue clustering never reached consistent multiplicities",
-            out[k].rank_margin if out[k] is not None else 1.0)
-    return out
+    failed[pending] = True
+    row, value, alg, geo = (np.concatenate(part) for part in zip(empty, *parts))
+    order = np.argsort(row, kind="stable")  # the matrices settled at different radii
+    return EigenColumns(row[order], value[order], alg[order], geo[order], margin, norms,
+                        failed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -731,6 +732,45 @@ class TestClassifyInputs:
         assert code in (0, 1) and err == ""
         assert [str(w.message) for w in caught] == []
         jsonschema.validate(json.loads(out), SCHEMA)
+
+
+class TestIndeterminateText:
+    """An indeterminate message prints "< 10" after its margin only where
+    the margin is below that factor: a clustering failure carries the
+    rank margin, which can clear the factor."""
+
+    MARGIN = re.compile(r"\(margin ([^ )]+)( < 10)?\)")
+
+    @pytest.mark.parametrize("argv, margin", [
+        (["classify", "--matrix", "diag.json"], "33.3"),
+        (["verify", "bianchi", "--d", "1000000000039", "--target", "su31", "--alpha=1.0"],
+         "125"),
+    ])
+    def test_margin_above_the_factor(self, tmp_path, monkeypatch, argv, margin):
+        diag = [1e7, 1, 1, 1e-7]
+        (tmp_path / "diag.json").write_text(json.dumps(
+            {"entries": [[x if i == j else 0 for j in range(4)] for i, x in enumerate(diag)]}))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv)
+        assert code == 1 and err == ""
+        found = self.MARGIN.findall(out)
+        assert found == [(margin, "")]
+        assert "eigenvalue clustering never reached consistent multiplicities " \
+            f"(margin {margin})" in out
+
+    @pytest.mark.parametrize("margin, text", [
+        (3.0, "x (margin 3 < 10)"), (9.99, "x (margin 9.99 < 10)"),
+        (9.9996, "x (margin 10)"), (10.0, "x (margin 10)"), (125.0, "x (margin 125)"),
+        (math.inf, "x (margin inf)"), (math.nan, "x (margin nan)")])
+    def test_message_text(self, margin, text):
+        assert str(matrices.IndeterminateError("x", margin)) == text
+
+    def test_margin_below_the_factor(self):
+        code, out, _ = run(["verify", "bianchi", "--d", "2", "--target", "su31",
+                            "--alpha=0.0001"])
+        assert code == 1
+        found = self.MARGIN.findall(out)
+        assert found and all(below and float(m) < 10 for m, below in found)
 
 
 class TestRuntimeDependencies:

@@ -7,8 +7,8 @@ import pytest
 
 from cuspdeform.figure8 import (ARC_TRANSITIONS, L_WORD, TRACE_WITNESS_WORDS,
                                 build_family, det_form_closed, det_form_laurent,
-                                expected_arc, figure8_report, form_matrix,
-                                generator_m,
+                                expected_arc, figure8_report, figure8_sweep,
+                                form_matrix, generator_m,
                                 longitude_matrix, parabolicity_report,
                                 signature_sweep, trace_integrality_check)
 from cuspdeform.isometry import (ELLIPTO_PARABOLIC, Parabolic,
@@ -86,6 +86,24 @@ class TestSignatureSweep:
         rows = signature_sweep(alphas, exclusion=0.02)
         for r in rows:
             assert r.signature.as_tuple() == r.expected + (0,)
+
+
+class TestSweepSymmetry:
+    def test_sweep_symmetric_in_alpha(self):
+        # alpha and -alpha give complex-conjugate representations: the
+        # signature, the classes and whether a margin is printed agree at
+        # mirrored grid points, across both arcs, the transitions and the
+        # indeterminate rows near alpha = 0
+        half = [1.05 * math.pi * k / 3150 for k in range(1, 3151)]
+        rows = figure8_sweep([-x for x in reversed(half)] + [0.0] + half)
+        assert len(rows) == 6225
+        assert {r.classes for r in rows} >= {
+            None, ("indeterminate", "indeterminate"),
+            ("parabolic(unipotent-step3)", "parabolic(ellipto-parabolic)")}
+        for row, mirror in zip(rows, reversed(rows)):
+            assert row.alpha == -mirror.alpha
+            assert (row.signature, row.classes, row.margin is None) == \
+                (mirror.signature, mirror.classes, mirror.margin is None)
 
 
 class TestArcTransitions:

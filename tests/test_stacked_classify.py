@@ -28,9 +28,12 @@ from cuspdeform.isometry import (ELLIPTO_PARABOLIC, UNIPOTENT_STEP2,
                                  Loxodromic, Parabolic, SWEEP_BLOCK,
                                  classify, classify_stack, elliptic_boundary,
                                  parabolic_subtype)
-from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
-                                 HermForm, IndeterminateError, Mat, eigen,
-                                 eigen_stack, form_defect, siegel_form)
+from cuspdeform import isometry, matrices
+from cuspdeform.isometry import _merge_defective
+from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, EigenColumns,
+                                 GeometryError, HermForm, IndeterminateError, Mat,
+                                 chain_groups, eigen, eigen_stack, form_defect,
+                                 siegel_form)
 from cuspdeform.scalars import Angle
 
 # ---------------------------------------------------------------------------
@@ -501,6 +504,252 @@ def _try(fn, *args):
 
 
 # ---------------------------------------------------------------------------
+# The grouping kernel, on adversarial spectra
+# ---------------------------------------------------------------------------
+
+def _kernel_groups(values, radius):
+    """``chain_groups`` of each row, as lists of member values."""
+    values = np.asarray(values, dtype=complex)
+    members, sizes, rows = chain_groups(values, np.asarray(radius, dtype=float))
+    flat = values.ravel()[members].tolist()
+    out = [[] for _ in range(len(values))]
+    at = 0
+    for size, row in zip(sizes.tolist(), rows.tolist()):
+        out[row].append(flat[at:at + size])
+        at += size
+    return out
+
+
+def _group_bits(groups):
+    return [[bits(z) for z in g] for g in groups]
+
+
+def adversarial_spectra(r):
+    """Spectra (n = 2 ... 6) that stress the greedy union at clustering
+    radius r about values of modulus at most 1."""
+    z = complex
+    return {
+        # equal real parts: the imaginary part orders them
+        "real-ties": [z(1, 0.5 * r), z(1, -0.5 * r), z(1, 0), z(1, 2 * r), z(1, 1.2 * r)],
+        # signed zeros tie with each other, stably, and keep their signs
+        "signed-zeros": [z(0.0, 0.0), z(-0.0, 0.0), z(0.0, -0.0), z(-0.0, -0.0),
+                         z(0.5 * r, -0.0)],
+        "signed-zero-parts": [z(-0.0, 0.3 * r), z(0.0, 0.3 * r), z(0.2 * r, -0.0),
+                              z(-0.0, -0.0)],
+        # the last is within reach of both earlier groups: it joins the
+        # first-created one
+        "two-reaches": [z(0, 0), z(0, 1.5 * r), z(0.1 * r, 0.75 * r)],
+        "two-reaches-reversed": [z(0.1 * r, 0.75 * r), z(0, 1.5 * r), z(0, 0)],
+        # a chain whose ends lie far apart
+        "chain": [z(1 + k * 0.9 * r, 0.1 * r * (-1) ** k) for k in (3, 0, 4, 1, 5, 2)],
+        # a Jordan-like scatter around 1 and an interleaved second group
+        "scatter": [1 + 0.6 * r * np.exp(2j * np.pi * k / 3) for k in range(3)]
+                   + [z(1 + 0.3 * r, 5 * r), z(1 - 0.3 * r, 5.5 * r)],
+        "pair": [z(1, 0), z(1 + r, 0)],
+        "apart": [z(-1, 0), z(1, 0), z(0, 1), z(0, -1), z(0.6, 0.8), z(0.6, -0.8)],
+    }
+
+
+class TestGroupingKernel:
+    """``chain_groups`` against the per-matrix greedy union of the
+    reference, ``_ref_cluster_eigenvalues``, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(adversarial_spectra(1e-3)))
+    def test_adversarial_rows(self, name):
+        values = adversarial_spectra(1e-3)[name]
+        scale = max(float(np.abs(np.array(values)).max()), 1.0)
+        want = _group_bits(_ref_cluster_eigenvalues(np.array(values), 1e-3))
+        assert _group_bits(_kernel_groups([values], [1e-3 * scale])[0]) == want
+
+    def test_two_reaches_joins_the_first_group(self):
+        a, b, c = adversarial_spectra(1e-3)["two-reaches"]
+        assert _kernel_groups([[a, b, c]], [1e-3]) == [[[a, c], [b]]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           rows=st.integers(1, 9))
+    def test_random_stacks_with_a_radius_per_row(self, seed, n, rows):
+        # clouds around a few centres, at spreads about the radius, with
+        # exact repeats and signed zeros; every row has its own radius
+        rng = np.random.default_rng(seed)
+        rtols = (10.0 ** rng.uniform(-4, -1, size=rows)).tolist()
+        stack, radius = [], []
+        for rtol in rtols:
+            centres = rng.choice([0j, 1 + 0j, complex(-0.0, 1), complex(-0.0, -0.0)],
+                                 size=rng.integers(1, 3))
+            row = [complex(rng.choice(centres) + rtol * complex(*rng.normal(size=2))
+                           * rng.choice((0.0, 0.3, 0.7, 1.5)))
+                   for _ in range(n)]
+            if rng.random() < 0.3:
+                row[-1] = row[0]
+            stack.append(row)
+            radius.append(rtol * max(float(np.abs(np.array(row)).max()), 1.0))
+        got = _kernel_groups(stack, radius)
+        assert [_group_bits(groups) for groups in got] == [
+            _group_bits(_ref_cluster_eigenvalues(np.array(row), rtol))
+            for row, rtol in zip(stack, rtols)]
+
+    def test_distance_at_the_radius(self):
+        # pairs whose distance np.abs rounds off Python's abs: at either
+        # value as the radius, they join exactly when the reference says
+        rng = np.random.default_rng(3)
+        pairs = []
+        while len(pairs) < 20:
+            a, b = (complex(*rng.uniform(-0.7, 0.7, size=2)) for _ in range(2))
+            if float(np.abs(np.complex128(a - b))) != abs(a - b):
+                pairs.append((a, b))
+        for a, b in pairs:
+            for r in (abs(a - b), float(np.abs(np.complex128(a - b)))):
+                want = _ref_cluster_eigenvalues(np.array([a, b]), r)  # scale 1
+                assert _group_bits(_kernel_groups([[a, b]], [r])[0]) == _group_bits(want)
+
+    def test_moduli_are_python_abs(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=2000) * np.exp(rng.uniform(-30, 30, size=2000)) \
+            + 1j * rng.normal(size=2000)
+        assert [x.hex() for x in matrices.moduli(z).tolist()] == \
+            [abs(w).hex() for w in z.tolist()]
+
+    def test_nan_padding_stands_alone(self):
+        nan = complex(np.nan, np.nan)
+        got = _kernel_groups([[1 + 0j, nan, 1 + 1e-9j], [nan, nan, 2 + 0j]], [1e-3, 1e-3])
+        assert [[len(g) for g in row] for row in got] == [[2, 1], [1, 1, 1]]
+        assert got[0][0] == [1 + 0j, 1 + 1e-9j] and got[1][0] == [2 + 0j]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_eigen_of_adversarial_diagonals(self, n):
+        # the eigenvalues of a diagonal matrix are its diagonal: the
+        # adversarial spectra reach the clustering of eigen_stack as they
+        # are, at its first radius 1e-7
+        rows = [values[:n] for values in adversarial_spectra(1e-7).values()
+                if len(values) >= n]
+        S = np.stack([np.diag(np.array(v, dtype=complex)) for v in rows])
+        assert [eigen_outcome(r) for r in eigen_stack(S)] == [
+            eigen_outcome(_try(reference_eigen, A)) for A in S]
+
+    def test_rows_escalate_to_different_radii(self):
+        # the figure-eight m is consistent at the first radius and the
+        # longitude at alpha = 0.3 only at the second; a diagonal pair
+        # closer than the radius never gets a kernel at its centre and
+        # exhausts the radii; every row keeps to its own
+        fam = build_family(Angle.radians(0.3))
+        for n, rows in ((4, [fam.longitude(), fam.M]),
+                        (5, [so41_letter(7, 3e-2)])):
+            rows = rows + [np.diag([1.0, 1.0 + 5e-8] + [2.0] * (n - 2)).astype(complex)]
+            S = np.stack(rows + rows[::-1])
+            assert [eigen_outcome(r) for r in eigen_stack(S)] == [
+                eigen_outcome(_try(reference_eigen, A)) for A in S]
+            radii = [_stop_radius(A) for A in rows]
+            assert len(set(radii)) == len(radii)
+            assert radii[-1] is None
+
+
+def _stop_radius(A, tol=1e-9):
+    """The clustering radius at which ``reference_eigen`` stops, or None."""
+    n = A.shape[0]
+    ev = np.linalg.eigvals(A)
+    thr = tol * max(float(np.linalg.norm(A, 2)), 1e-300)
+    rtol = 1e-7
+    while rtol <= 1.1e-3:
+        geos = [(len(g), n - int(np.sum(np.linalg.svd(
+            A - complex(np.mean(g)) * np.eye(n), compute_uv=False) > thr)))
+            for g in _ref_cluster_eigenvalues(ev, rtol)]
+        if all(1 <= geo <= alg for alg, geo in geos):
+            return rtol
+        rtol *= 10.0
+    return None
+
+
+def _cluster_columns(rows):
+    """EigenColumns of (matrix, clusters) pairs, with the reference's norms."""
+    clusters = [c for _, cl in rows for c in cl]
+    return EigenColumns(
+        np.array([k for k, (_, cl) in enumerate(rows) for _ in cl]),
+        np.array([c.value for c in clusters], dtype=complex),
+        np.array([c.alg for c in clusters]), np.array([c.geo for c in clusters]),
+        np.ones(len(rows)),
+        np.array([max(float(np.linalg.norm(A, 2)), 1e-300) for A, _ in rows]),
+        np.zeros(len(rows), dtype=bool))
+
+
+def _merge_outcome(rows, tol=1e-9):
+    """The merged clusters of every row, stacked and by the reference."""
+    merged = _merge_defective(np.stack([A for A, _ in rows]), _cluster_columns(rows), tol)
+    got = [[] for _ in rows]
+    for k, value, alg, geo in zip(merged.row.tolist(), merged.value.tolist(),
+                                  merged.alg.tolist(), merged.geo.tolist()):
+        got[k].append((bits(value), alg, geo))
+    want = [[(bits(c.value), c.alg, c.geo) for c in _ref_merge_defective(A, cl, tol)]
+            for A, cl in rows]
+    return got, want
+
+
+class TestMergeKernel:
+    """``_merge_defective`` on columns against ``_ref_merge_defective``,
+    bit for bit, on clusters placed within the scatter radius
+    4 eps^(1/n) max(max |c|, 1)."""
+
+    def test_merged_mean_sorts_before_an_earlier_cluster(self):
+        # sorted a < b < c < d; d joins a's group, which has no kernel at
+        # its centre and stays split; b and c merge, and their centre,
+        # which sorts before d, keeps the place of their group after d
+        a, b, c, d = 1 + 0j, 1 + 1e-5 + 1e-3j, 1 + 2e-5 + 1.1e-3j, 1 + 3e-5 + 0j
+        centre = (b + c) / 2
+        A = np.diag([centre, 5, 6, 7]).astype(complex)
+        rows = [(A, [Cluster(a, 1, 1), Cluster(b, 1, 1), Cluster(c, 1, 1),
+                     Cluster(d, 1, 1)])]
+        got, want = _merge_outcome(rows)
+        assert got == want
+        assert want[0] == [(bits(a), 1, 1), (bits(d), 1, 1), (bits(centre), 2, 1)]
+        assert (centre.real, centre.imag) < (d.real, d.imag)
+
+    def test_weighted_centre_and_padding(self):
+        # rows of 1 to 5 clusters in one stack; merged groups weigh their
+        # members by alg, ties and signed zeros included
+        r = 4.0 * float(np.finfo(float).eps) ** 0.25  # n = 4
+        z = complex
+        groups = [
+            [Cluster(z(1, 0), 2, 1), Cluster(z(1 + 0.3 * r, 0), 1, 1)],
+            [Cluster(z(-0.0, 0.0), 1, 1)],
+            [Cluster(z(0.0, -0.0), 1, 1), Cluster(z(-0.0, 0.2 * r), 3, 1),
+             Cluster(z(0.0, 0.2 * r), 1, 1)],
+            [Cluster(z(1j), 1, 1), Cluster(z(-1j), 1, 1), Cluster(z(0.3 * r, 1), 2, 1),
+             Cluster(z(1), 1, 1), Cluster(z(1 + 0.5 * r, 0.5 * r), 1, 1)],
+        ]
+        rows = []
+        for cl in groups:
+            alg = sum(c.alg for c in cl[:2])
+            centre = sum(c.value * c.alg for c in cl[:2]) / alg
+            rows.append((np.diag([centre, 3, 4, 5]).astype(complex), cl))  # a kernel
+            rows.append((np.diag([7, 3, 4, 5]).astype(complex), cl))  # none
+        got, want = _merge_outcome(rows)
+        assert got == want
+        assert any(len(g) < len(cl) for g, (_, cl) in zip(want, rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           count=st.integers(1, 8))
+    def test_random_clusters(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        spread = 4.0 * float(np.finfo(float).eps) ** (1.0 / n)
+        rows = []
+        for _ in range(count):
+            k = int(rng.integers(1, n + 1))
+            base = np.exp(1j * rng.uniform(-3, 3))
+            clusters = [Cluster(complex(base + spread * complex(*rng.normal(size=2))
+                                        * rng.choice((0.0, 0.2, 0.6, 2.0))),
+                                int(rng.integers(1, 3)), int(rng.integers(0, 2)))
+                        for _ in range(k)]
+            pick = clusters[: int(rng.integers(1, k + 1))]
+            alg = sum(c.alg for c in pick)
+            centre = sum(c.value * c.alg for c in pick) / alg
+            diag = [centre if rng.random() < 0.6 else 7.0] + [3.0] * (n - 1)
+            rows.append((np.diag(diag).astype(complex), clusters))
+        got, want = _merge_outcome(rows)
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
@@ -586,15 +835,30 @@ class TestSweepBlocks:
          "--end", "3.0", "--count", "720"],
     ])
     def test_one_eigvals_call_per_block(self, monkeypatch, argv):
-        calls = []
-        real = np.linalg.eigvals
+        # per block: one eigvals call, and singular-value calls for the
+        # norms, one per clustering radius reached, one for the merge and
+        # one for the elliptic kernels: no numpy call per matrix
+        events = []
 
-        def counting(a):
-            calls.append(np.shape(a))
-            return real(a)
+        def counting(name, real):
+            def call(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(matrices, "chain_groups",
+                            counting("radius", matrices.chain_groups))
+        monkeypatch.setattr(isometry, "chain_groups",
+                            counting("merge", isometry.chain_groups))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
         assert out.getvalue().count("parabolic") + out.getvalue().count("elliptic") > 0
-        assert 0 < len(calls) <= math.ceil(720 / SWEEP_BLOCK)
+        assert events[0] == "eigvals"
+        blocks = "".join(e[0] for e in events).split("e")[1:]
+        assert 0 < len(blocks) <= math.ceil(720 / SWEEP_BLOCK)
+        for block in blocks:
+            radii = block.count("r")
+            assert 1 <= radii <= 5 and block.count("m") <= 1
+            assert block.count("s") <= 1 + radii + 1 + 1
