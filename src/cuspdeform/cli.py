@@ -13,6 +13,10 @@ accepted as rational multiples of pi (``2/3pi``, ``-pi``, ``1/2pi``) or
 raw radians (``0.85``); a negative value may follow its option after a
 space (``--alpha -1/2pi``) or an ``=``.  The default tolerance 1e-9 can
 be overridden with --tol or the CUSPDEFORM_TOL environment variable.
+
+Only numpy-free modules are imported here; a command that computes
+floats imports the numeric modules when it runs, so the exact figure-eight
+report never loads numpy.
 """
 
 from __future__ import annotations
@@ -27,21 +31,17 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bending import (bianchi_family, bianchi_sweep, cusp_surds,
-                      validate_bianchi_d, verify_bianchi_so41, verify_bianchi_su31)
+from .exact import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
+                    siegel_form)
 from .figure8 import figure8_report, figure8_sweep
-from .heisenberg import (CuspParams, HeisPoint, MAX_ORBIT_RADIUS, bent_cusp_U,
-                         cusp_translation_T, orbit_gap, orbit_points,
-                         write_orbit_csv)
-from .isometry import classify
-from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
-                       IndeterminateError, siegel_form)
 from .scalars import Angle
 from .tolerances import DECISION_TOL
 from .words import builtin_presentation, load_word_list
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -128,6 +128,7 @@ def cmd_verify(args) -> int:
                                      f"presentation: {', '.join(sorted(foreign))}")
         report = figure8_report(alpha, extra_words=extra, tol=tol)
     else:
+        from .bending import validate_bianchi_d, verify_bianchi_so41, verify_bianchi_su31
         validate_bianchi_d(args.d)
         if args.target == "su31":
             alpha = parse_angle(args.alpha) if args.alpha and not args.u_exact else None
@@ -172,6 +173,7 @@ def cmd_sweep(args) -> int:
                 f"{r.det_value!r},{_margin_cell(r.margin)}" for r in sweep]
         failures = sum(not r.on_arc for r in sweep)
     else:
+        from .bending import bianchi_sweep, validate_bianchi_d
         validate_bianchi_d(args.d)
         header = "param,class_u,margin"
         rows = [f"{r.param!r},{r.class_u},{_margin_cell(r.margin)}"
@@ -186,6 +188,10 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_orbit(args) -> int:
+    import numpy as np
+    from .bending import bianchi_family, cusp_surds, validate_bianchi_d
+    from .heisenberg import (MAX_ORBIT_RADIUS, CuspParams, HeisPoint, bent_cusp_U,
+                             cusp_translation_T, orbit_gap, orbit_points, write_orbit_csv)
     validate_bianchi_d(args.d)
     if not 0 <= args.radius <= MAX_ORBIT_RADIUS:
         raise ValueError(f"--radius must be in [0, {MAX_ORBIT_RADIUS}]")
@@ -218,6 +224,7 @@ def cmd_orbit(args) -> int:
 def _load_matrix(path: str) -> tuple[np.ndarray, dict]:
     """The matrix of a JSON file with 'entries' (rows of numbers or
     [re, im] pairs), and the whole document."""
+    import numpy as np
     with open(path) as fp:
         doc = json.load(fp)
     if not isinstance(doc, dict) or "entries" not in doc:
@@ -240,6 +247,7 @@ def _load_matrix(path: str) -> tuple[np.ndarray, dict]:
 
 
 def cmd_classify(args) -> int:
+    from .isometry import classify
     A = _load_matrix(args.matrix)[0]
     if args.form:
         J, form_doc = _load_matrix(args.form)

@@ -11,6 +11,9 @@ l = n m^-1 n^-1 m^2 n^-1 m^-1 n; its image has spectrum {u, u, u,
 conj(u)^3} and stays non-diagonalizable, hence parabolic, throughout
 the inner arc.  Traces of group elements land in Z[u, u^-1], which is
 what makes the images discrete at the special roots of unity.
+
+The exact family and its exact checks import no numpy; the functions
+that compute at an angle import the numeric layer when they run.
 """
 
 from __future__ import annotations
@@ -18,19 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .isometry import (IndeterminateError, Parabolic, classify_against, grid_blocks,
-                       sweep_verdict, unwrap)
-from .matrices import (GeometryError, HermForm, Mat, Signature, TRANSPOSE_CONJ,
-                       UnitPowers, eigen, eye, form_defects, hermitian_failures,
-                       signatures)
+from .exact import GeometryError, HermForm, IndeterminateError, Mat, TRANSPOSE_CONJ
 from .scalars import Angle, LaurentPoly
 from .tolerances import CONSTRUCTION_TOL, DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
 from .words import (COMMUTATOR_CONVENTION, Rep, Word, builtin_presentation,
                     record_check)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .matrices import Signature, UnitPowers
 
 _u = LaurentPoly.u
 _c = LaurentPoly.const
@@ -147,6 +149,7 @@ def build_family(alpha: Angle | None = None) -> Fig8Family:
         if not rep.evaluate(RELATOR).is_identity():
             raise AssertionError("internal error: defining relation failed symbolically")
         return Fig8Family(None, M_exact, N_exact, form, rep)
+    from .matrices import UnitPowers
     powers = UnitPowers([alpha])
     J = J_exact.evaluate_stack(powers)
     form = HermForm(J[0], TRANSPOSE_CONJ)  # the hermitian check comes first
@@ -170,6 +173,8 @@ def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat, J: np.ndar
     error for it: a GeometryError for a form defect (the one ``Rep``
     raises), an AssertionError for the relation.
     """
+    import numpy as np
+    from .matrices import eye, form_defects
     M = M_exact.evaluate_stack(powers)
     N = N_exact.evaluate_stack(powers)
     rep = Rep({"m": M, "n": N})
@@ -252,6 +257,7 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     each block (``isometry.SWEEP_BLOCK``) are one ``_evaluate_block``
     step.  The first failure in grid order is the one raised.
     """
+    from .isometry import grid_blocks, sweep_verdict
     M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
     rows = []
     for angles, values, failure in grid_blocks(alphas):
@@ -284,6 +290,9 @@ def _evaluate_block(M_exact: Mat, N_exact: Mat, J_exact: Mat, angles: Sequence[A
     Returns, per angle before the first failure, its signature, its
     determinant and, if classified, the results for m and the longitude
     with the longitude matrix; and the failure, or None."""
+    import numpy as np
+    from .isometry import classify_against
+    from .matrices import UnitPowers, hermitian_failures, signatures
     powers = UnitPowers(angles)
     J = J_exact.evaluate_stack(powers)
     failure = None
@@ -321,6 +330,7 @@ def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
 def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     """Classes of the peripheral generators on the signature-(3,1) arc,
     plus the longitude spectrum clusters."""
+    from .matrices import eigen, unwrap
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
@@ -396,6 +406,8 @@ def figure8_report(alpha: Angle | None = None,
     }
 
     if alpha is not None:
+        from .isometry import Parabolic
+        from .matrices import unwrap
         want = expected_arc(alpha, 0.0)
         points, failure = _evaluate_block(sym.M, sym.N, sym.form.mat, [alpha],
                                           [want == (3, 1)], tol)

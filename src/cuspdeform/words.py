@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-import numpy as np
-
-from .matrices import (GeometryError, HermForm, Mat, _trace_of_product, form_defect,
-                       form_preserved)
+from .exact import GeometryError, HermForm, Mat, _trace_of_product, form_preserved
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMMUTATOR_CONVENTION = "aba^-1b^-1"
 
@@ -190,7 +190,7 @@ def load_word_list(lines: Iterable[str]) -> list[Word]:
 # Representations
 # ---------------------------------------------------------------------------
 
-MatLike = Union[Mat, np.ndarray]
+MatLike = Union[Mat, "np.ndarray"]
 
 
 @dataclass
@@ -204,6 +204,8 @@ class Rep:
     the product broadcast over the stack.
 
     Exact generator inverses and powers are formed once per ``Rep``.
+    Only numeric images import numpy, when they are used: the caller
+    holds arrays already.
     """
 
     images: Mapping[str, MatLike]
@@ -217,13 +219,16 @@ class Rep:
         kinds = {isinstance(g, Mat) for g in self.images.values()}
         if len(kinds) != 1:
             raise ValueError("all generator images must share one backend")
-        dims = {(g.n if isinstance(g, Mat) else np.shape(g)[-1])
-                for g in self.images.values()}
+        exact = kinds == {True}
+        if not exact:
+            import numpy as np
+            from .matrices import form_defect
+        dims = {(g.n if exact else np.shape(g)[-1]) for g in self.images.values()}
         if len(dims) != 1:
             raise ValueError("all generator images must share one dimension")
         if self.form is not None:
             for sym, g in self.images.items():
-                if isinstance(g, Mat):
+                if exact:
                     if not form_preserved(g, self.form):
                         raise GeometryError(
                             f"generator {sym} does not preserve the form (exact)")
@@ -240,24 +245,23 @@ class Rep:
     @property
     def dim(self) -> int:
         g = next(iter(self.images.values()))
-        return g.n if isinstance(g, Mat) else np.shape(g)[-1]
+        if isinstance(g, Mat):
+            return g.n
+        import numpy as np
+        return np.shape(g)[-1]
 
-    def _power(self, sym: str, exp: int):
+    def _power(self, sym: str, exp: int) -> Mat:
+        """The exact image of a generator power, formed once."""
         key = (sym, exp)
         if key in self._pow_cache:
             return self._pow_cache[key]
         g = self.images[sym]
         if exp < 0:
-            # matrix_power inverts first as well, so the cached inverse
-            # gives the same numeric result
             if sym not in self._inv_cache:
-                self._inv_cache[sym] = (g.inverse() if isinstance(g, Mat) else
-                                        np.linalg.inv(np.asarray(g, dtype=complex)))
+                self._inv_cache[sym] = g.inverse()
             g, exp = self._inv_cache[sym], -exp
-        if isinstance(g, Mat):
-            out = self._pow_cache[key] = g ** exp
-            return out
-        return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
+        out = self._pow_cache[key] = g ** exp
+        return out
 
     def _check_symbols(self, w: Word) -> None:
         missing = w.symbols - set(self.images)
@@ -275,15 +279,24 @@ class Rep:
             for sym, exp in w.factors[1:]:
                 out = out @ self._power(sym, exp)
             return out
+        import numpy as np
         out = np.eye(np.shape(first)[-1], dtype=complex)
         for sym, exp in w.factors:
-            out = out @ self._power(sym, exp)
+            g = self.images[sym]
+            if exp < 0:
+                # matrix_power inverts first as well, so the cached
+                # inverse gives the same numeric result
+                if sym not in self._inv_cache:
+                    self._inv_cache[sym] = np.linalg.inv(np.asarray(g, dtype=complex))
+                g, exp = self._inv_cache[sym], -exp
+            out = out @ np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
         return out
 
     def trace(self, w: Word):
         """Trace of a word's image; exactly ``evaluate(w).trace()``."""
         if self.is_exact:
             return self._traces([w])[0]
+        import numpy as np
         return complex(np.trace(self.evaluate(w)))
 
     def _traces(self, words: Iterable[Word]) -> list:
@@ -353,6 +366,8 @@ def check_relations(rep: Rep, pres: Presentation) -> list[RelationResult]:
     the projective (scalar-multiple) pass with the scalar that occurred.
     Numeric backend: report both the linear and projective max-entry
     defects."""
+    if not rep.is_exact:
+        import numpy as np
     results = []
     for r in pres.relators:
         g = rep.evaluate(r)

@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -354,9 +356,8 @@ class TestOrbitCommand:
 
     def test_su31_orbit_builds_no_family(self, monkeypatch):
         calls = []
-        for module in (cli, bending):
-            monkeypatch.setattr(module, "bianchi_family", lambda *args, **kwargs:
-                                calls.append(args))
+        monkeypatch.setattr(bending, "bianchi_family", lambda *args, **kwargs:
+                            calls.append(args))
         code, _, _ = run(["orbit", "--d", "15", "--alpha", "0.7", "--radius", "3"])
         assert code == 0 and calls == []
 
@@ -432,9 +433,8 @@ class TestOrbitCommand:
     def test_orbit_enumerated_once(self, monkeypatch):
         calls = []
         enumerate_orbit = heisenberg.orbit_points
-        for module in (cli, heisenberg):
-            monkeypatch.setattr(module, "orbit_points", lambda *args:
-                                calls.append(args) or enumerate_orbit(*args))
+        monkeypatch.setattr(heisenberg, "orbit_points", lambda *args:
+                            calls.append(args) or enumerate_orbit(*args))
         code, _, _ = run(["orbit", "--d", "2", "--alpha", "1/3pi",
                           "--radius", "3"])
         assert code == 0 and len(calls) == 1
@@ -765,6 +765,14 @@ class TestIndeterminateText:
     def test_message_text(self, margin, text):
         assert str(matrices.IndeterminateError("x", margin)) == text
 
+    @pytest.mark.parametrize("margin", [3.0, 125.0, math.inf])
+    def test_survives_pickle_and_copy(self, margin):
+        # an indeterminate verdict can cross a process boundary
+        exc = matrices.IndeterminateError("x", margin)
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(clone) is matrices.IndeterminateError
+            assert (str(clone), clone.margin, clone.args) == (str(exc), margin, exc.args)
+
     def test_margin_below_the_factor(self):
         code, out, _ = run(["verify", "bianchi", "--d", "2", "--target", "su31",
                             "--alpha=0.0001"])
@@ -773,14 +781,46 @@ class TestIndeterminateText:
         assert found and all(below and float(m) < 10 for m, below in found)
 
 
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a new interpreter that imports this
+    package's source; stdout and stderr are kept as bytes."""
+    src = str(Path(cuspdeform.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True)
+
+
+# the command line with numpy made unimportable
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                 "from cuspdeform.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 class TestRuntimeDependencies:
     def test_import_loads_neither_scipy_nor_jsonschema(self):
-        src = str(Path(cuspdeform.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, cuspdeform; "
                 "print(sorted({'scipy', 'jsonschema'} & "
                 "{m.split('.')[0] for m in sys.modules}))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        proc = fresh_python(code)
+        assert proc.returncode == 0 and proc.stdout.strip() == b"[]"
+
+    def test_import_loads_no_numpy(self):
+        code = "import sys, cuspdeform; print('numpy' in sys.modules)"
+        proc = fresh_python(code)
+        assert proc.returncode == 0 and proc.stdout.strip() == b"False"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "figure8", "--u-exact"], "verify_figure8_u-exact.json"),
+        (["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words.txt")],
+         "verify_figure8_u-exact_words.json"),
+    ])
+    def test_exact_report_without_numpy(self, argv, name):
+        # the exact verdicts rest on no floating point
+        proc = fresh_python(WITHOUT_NUMPY, *argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / name).read_bytes()
+
+    def test_numeric_report_needs_numpy(self):
+        # the block above is real: a report at an angle computes floats
+        proc = fresh_python(WITHOUT_NUMPY, "verify", "figure8", "--alpha", "1/5pi")
+        assert proc.returncode != 0 and b"import of numpy halted" in proc.stderr
