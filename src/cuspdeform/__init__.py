@@ -36,16 +36,18 @@ _EXPORTS = {
                 "bend_amalgam", "bend_hnn", "bianchi_family", "bianchi_sweep",
                 "centralizer", "verify_bianchi_so41", "verify_bianchi_su31"),
 }
-_SUBMODULES = ("bending", "figure8", "heisenberg", "isometry", "matrices", "scalars",
-               "tolerances", "words")
 
 # each exported name -> the module that defines it; a submodule is its own
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_HOME.update((module, module) for module in _SUBMODULES)
+_HOME.update((m, m) for m in (*_EXPORTS, "tolerances") if m != "exact")
 
 __version__ = "0.1.0"
 
 __all__ = sorted(_HOME)
+
+# ``exact`` resolves like the other submodules, but stays out of ``__all__``,
+# which keeps the names the package exported before that module existed
+_HOME["exact"] = "exact"
 
 
 def __getattr__(name: str):

@@ -250,18 +250,24 @@ class Rep:
         import numpy as np
         return np.shape(g)[-1]
 
-    def _power(self, sym: str, exp: int) -> Mat:
-        """The exact image of a generator power, formed once."""
+    def _power(self, sym: str, exp: int):
         key = (sym, exp)
         if key in self._pow_cache:
             return self._pow_cache[key]
         g = self.images[sym]
+        if not isinstance(g, Mat):
+            import numpy as np
         if exp < 0:
+            # matrix_power inverts first as well, so the cached inverse
+            # gives the same numeric result
             if sym not in self._inv_cache:
-                self._inv_cache[sym] = g.inverse()
+                self._inv_cache[sym] = (g.inverse() if isinstance(g, Mat) else
+                                        np.linalg.inv(np.asarray(g, dtype=complex)))
             g, exp = self._inv_cache[sym], -exp
-        out = self._pow_cache[key] = g ** exp
-        return out
+        if isinstance(g, Mat):
+            out = self._pow_cache[key] = g ** exp
+            return out
+        return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
 
     def _check_symbols(self, w: Word) -> None:
         missing = w.symbols - set(self.images)
@@ -282,14 +288,7 @@ class Rep:
         import numpy as np
         out = np.eye(np.shape(first)[-1], dtype=complex)
         for sym, exp in w.factors:
-            g = self.images[sym]
-            if exp < 0:
-                # matrix_power inverts first as well, so the cached
-                # inverse gives the same numeric result
-                if sym not in self._inv_cache:
-                    self._inv_cache[sym] = np.linalg.inv(np.asarray(g, dtype=complex))
-                g, exp = self._inv_cache[sym], -exp
-            out = out @ np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
+            out = out @ self._power(sym, exp)
         return out
 
     def trace(self, w: Word):

@@ -798,7 +798,9 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 
 class TestRuntimeDependencies:
     def test_import_loads_neither_scipy_nor_jsonschema(self):
-        code = ("import sys, cuspdeform; "
+        # the whole runtime, every submodule and the command line, is loaded
+        code = ("import sys, cuspdeform, cuspdeform.cli; "
+                "[getattr(cuspdeform, n) for n in cuspdeform.__all__]; "
                 "print(sorted({'scipy', 'jsonschema'} & "
                 "{m.split('.')[0] for m in sys.modules}))")
         proc = fresh_python(code)

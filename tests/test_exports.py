@@ -99,6 +99,15 @@ def test_each_name_resolves_to_its_module_binding():
     """)
 
 
+def test_exact_resolves_on_first_use():
+    # a submodule outside __all__, resolved like the others
+    run_fresh("""
+        import sys, cuspdeform
+        assert cuspdeform.exact is sys.modules["cuspdeform.exact"]
+        assert "exact" not in cuspdeform.__all__
+    """)
+
+
 def test_star_import_binds_the_same_names():
     run_fresh(f"""
         namespace = {{}}
