@@ -32,8 +32,7 @@ from .isometry import IsoClass, classify, classify_stack, grid_blocks, sweep_ver
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, Mat, UnitPowers, siegel_form)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _squarefree
-from .tolerances import (DECISION_TOL, INDETERMINATE_FACTOR, LATTICE_AT_ONE_TOL,
-                         NORM_FLOOR, STRUCTURE_TOL)
+from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR, STRUCTURE_TOL
 from .words import (Presentation, Rep, builtin_presentation, check_relations,
                     record_check)
 
@@ -125,17 +124,21 @@ def _commutes(g: MatLike, h: MatLike) -> bool:
     return float(np.abs(g @ h - h @ g).max()) <= STRUCTURE_TOL * max(1.0, scale)
 
 
+def _at_u_one(g: Mat) -> list[list[list[Fraction]]]:
+    """Every component of every entry of an exact matrix at u = 1, exactly."""
+    parts = lambda e: [e] if isinstance(e, LaurentPoly) else e.c
+    return [[[p.sum_coeffs() for p in parts(e)] for e in row] for row in g.rows]
+
+
 def _check_zero_param(centralizer: Callable[[object], MatLike], zero_param) -> None:
     """The centralizer factory must give the identity at the zero
     parameter: a Mat exactly after the substitution u = 1 (the zero
     parameter of a symbolically bent family), a numeric matrix within
     STRUCTURE_TOL."""
     g = centralizer(zero_param)
-    if isinstance(g, Mat):  # every component of every entry, at u = 1
-        parts = lambda e: [e] if isinstance(e, LaurentPoly) else e.c
-        ok = all(p.sum_coeffs() == int(i == j and k == 0)
-                 for i in range(g.n) for j in range(g.n)
-                 for k, p in enumerate(parts(g[i, j])))
+    if isinstance(g, Mat):
+        ok = all(parts == [int(i == j)] + [0] * (len(parts) - 1)
+                 for i, row in enumerate(_at_u_one(g)) for j, parts in enumerate(row))
     else:
         g = np.asarray(g, dtype=complex)
         ok = float(np.abs(g - np.eye(g.shape[0])).max()) <= STRUCTURE_TOL
@@ -294,24 +297,22 @@ def _square(x: Surd) -> Fraction:
     return x.q * x.q * x.k
 
 
-def cusp_matrix_T(a: Surd, d: int, size: int = 4) -> Mat:
+def cusp_matrix_T(a: Surd, d: int) -> Mat:
     """The normalized cusp translation by (a, 0) as an exact matrix."""
     rows = [[1, -a, 0, -_square(a) / 2],
             [0, 1, 0, a],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
-    g = Mat.ext(rows, d)
-    return embed_so41(g) if size == 5 else g
+    return Mat.ext(rows, d)
 
 
-def cusp_matrix_U(b1: Surd, b2: Surd, d: int, size: int = 4) -> Mat:
+def cusp_matrix_U(b1: Surd, b2: Surd, d: int) -> Mat:
     norm2 = _square(b1) + _square(b2)
     rows = [[1, -b1, -b2, -norm2 / 2],
             [0, 1, 0, b1],
             [0, 0, 1, b2],
             [0, 0, 0, 1]]
-    g = Mat.ext(rows, d)
-    return embed_so41(g) if size == 5 else g
+    return Mat.ext(rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +545,7 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     trace_ok = trace_u == ExtScalar.from_laurent(want, d)
     record_check(checks, "traceStableLetter", trace_ok, "3 + u separates parameters")
 
-    at_one = fam.images["u"].evaluate(Angle.zero())
-    lattice_u = fam.unbent_u.evaluate()
-    record_check(checks, "latticeAtOne",
-                 bool(np.abs(at_one - lattice_u).max() < LATTICE_AT_ONE_TOL),
+    record_check(checks, "latticeAtOne", _at_u_one(fam.images["u"]) == _at_u_one(fam.unbent_u),
                  "bent generator reduces to the lattice at u=1")
 
     a, b1, b2 = cusp_surds(d)

@@ -110,10 +110,10 @@ def schema_path() -> str:
 
 def cmd_verify(args) -> int:
     tol = args.tol
+    alpha = parse_angle(args.alpha) if args.alpha else None
+    if args.u_exact:
+        alpha = None
     if args.family == "figure8":
-        alpha = parse_angle(args.alpha) if args.alpha else None
-        if args.u_exact:
-            alpha = None
         extra = []
         if args.words:
             with open(args.words) as fp:
@@ -131,7 +131,6 @@ def cmd_verify(args) -> int:
         from .bending import validate_bianchi_d, verify_bianchi_so41, verify_bianchi_su31
         validate_bianchi_d(args.d)
         if args.target == "su31":
-            alpha = parse_angle(args.alpha) if args.alpha and not args.u_exact else None
             report = verify_bianchi_su31(args.d, alpha, tol=tol)
         else:
             if not args.theta:
@@ -230,13 +229,18 @@ def _load_matrix(path: str) -> tuple[np.ndarray, dict]:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'entries'")
 
+    def number(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"not a number: {x!r}")
+        return x
+
     def conv(e):
-        if isinstance(e, (list, tuple)):
-            return complex(e[0], e[1])
-        return complex(e)
+        if isinstance(e, list) and len(e) == 2:
+            return complex(number(e[0]), number(e[1]))
+        return complex(number(e))
     try:
         rows = [[conv(e) for e in row] for row in doc["entries"]]
-    except (TypeError, IndexError):
+    except (TypeError, OverflowError):  # OverflowError: an int past the float range
         rows = None
     if not rows:
         raise ValueError(f"{path}: 'entries' must be a nonempty list of rows "

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import GeometryError, HermForm, IndeterminateError, Mat, TRANSPOSE_CONJ
 from .scalars import Angle, LaurentPoly
-from .tolerances import CONSTRUCTION_TOL, DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
+from .tolerances import DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
 from .words import (COMMUTATOR_CONVENTION, Rep, Word, builtin_presentation,
                     record_check)
 
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 _u = LaurentPoly.u
 _c = LaurentPoly.const
 
-M_WORD = Word.gen("m")
 L_WORD = Word.parse("n.m^-1.n^-1.m^2.n^-1.m^-1.n")
 RELATOR = builtin_presentation("figure8").relators[0]
 
@@ -139,57 +138,30 @@ class Fig8Family:
 
 def build_family(alpha: Angle | None = None) -> Fig8Family:
     """Construct the family symbolically (alpha=None) or at a unit
-    parameter; the defining invariants (relation, form invariance) are
-    verified at construction, numerically to CONSTRUCTION_TOL, and a
-    failure is a transcription bug."""
-    M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
+    parameter.  The defining identities (the relation and invariance of
+    the form under both generators) are decided exactly on the symbolic
+    family, and a failure is a transcription bug; the family at a
+    parameter is the symbolic one evaluated there."""
+    M, N, J = generator_m(), generator_n(), form_matrix()
+    form = HermForm(J, TRANSPOSE_CONJ)
+    rep = Rep({"m": M, "n": N}, form)  # validates invariance
+    if not rep.evaluate(RELATOR).is_identity():
+        raise AssertionError("internal error: defining relation failed symbolically")
     if alpha is None:
-        form = HermForm(J_exact, TRANSPOSE_CONJ)
-        rep = Rep({"m": M_exact, "n": N_exact}, form)  # validates invariance
-        if not rep.evaluate(RELATOR).is_identity():
-            raise AssertionError("internal error: defining relation failed symbolically")
-        return Fig8Family(None, M_exact, N_exact, form, rep)
-    from .matrices import UnitPowers
-    powers = UnitPowers([alpha])
-    J = J_exact.evaluate_stack(powers)
-    form = HermForm(J[0], TRANSPOSE_CONJ)  # the hermitian check comes first
-    M, N, _, failure = _numeric_families(powers, M_exact, N_exact, J, RELATOR)
-    if failure is not None:
-        raise failure
-    return Fig8Family(alpha, M[0], N[0], form, Rep({"m": M[0], "n": N[0]}, form))
+        return Fig8Family(None, M, N, form, rep)
+    form = HermForm(J.evaluate(alpha), TRANSPOSE_CONJ)
+    M, N = M.evaluate(alpha), N.evaluate(alpha)
+    return Fig8Family(alpha, M, N, form, Rep({"m": M, "n": N}, form))
 
 
-def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat, J: np.ndarray,
-                      relator: Word
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
+def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The numeric family at each angle of a block, as stacks: the
-    generators evaluated on the block's powers, checked against the form
-    J already evaluated there (a stack) for invariance of m, then n, and
-    for the defining relation, in that order per angle; and the relator
-    and longitude products over the stacks.
-
-    Returns the M, N and longitude stacks and None; or, at the first
-    angle whose check fails, the stacks of the earlier angles and the
-    error for it: a GeometryError for a form defect (the one ``Rep``
-    raises), an AssertionError for the relation.
-    """
-    import numpy as np
-    from .matrices import eye, form_defects
+    generators evaluated on the block's powers, and the longitude
+    product over them."""
     M = M_exact.evaluate_stack(powers)
     N = N_exact.evaluate_stack(powers)
-    rep = Rep({"m": M, "n": N})
-    checks = (form_defects(M, J, TRANSPOSE_CONJ), form_defects(N, J, TRANSPOSE_CONJ),
-              np.abs(rep.evaluate(relator) - eye(4)).max(axis=(1, 2)).tolist())
-    L = rep.evaluate(L_WORD)
-    for k, (defect_m, defect_n, relation) in enumerate(zip(*checks)):
-        for sym, defect in (("m", defect_m), ("n", defect_n)):
-            if defect > CONSTRUCTION_TOL:  # as Rep checks a form
-                return M[:k], N[:k], L[:k], GeometryError(
-                    f"generator {sym} has form defect {defect:.3g}")
-        if relation > CONSTRUCTION_TOL:
-            return M[:k], N[:k], L[:k], AssertionError(
-                f"internal error: defining relation defect {relation:.3g} at alpha")
-    return M, N, L, None
+    return M, N, Rep({"m": M, "n": N}).evaluate(L_WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +235,7 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     for angles, values, failure in grid_blocks(alphas):
         wants = [expected_arc(a, exclusion) for a in angles]
         kept = [k for k, want in enumerate(wants) if want is not None]
-        points, exc = _evaluate_block(
+        points = _evaluate_block(
             M_exact, N_exact, J_exact, [angles[k] for k in kept],
             [wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE for k in kept], tol)
         for k, (sig, det, pair) in zip(kept, points):
@@ -275,42 +247,34 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
                 classes = ((class_m, class_l) if margin is None
                            else ("indeterminate", "indeterminate"))
             rows.append(SweepRow(values[k], sig, wants[k], det, classes, margin))
-        failure = exc or failure  # exc is at an earlier point
-        if failure is not None:
+        if failure is not None:  # after every earlier point
             raise failure
     return rows
 
 
 def _evaluate_block(M_exact: Mat, N_exact: Mat, J_exact: Mat, angles: Sequence[Angle],
-                    classify_at: Sequence[bool], tol: float
-                    ) -> tuple[list[tuple], Exception | None]:
+                    classify_at: Sequence[bool], tol: float) -> list[tuple]:
     """The family at a block of angles, as stacks: one eigvalsh and one
     det call on the form, and one classify_against call for m and the
     longitude of the numeric family at the angles ``classify_at`` marks.
-    Returns, per angle before the first failure, its signature, its
-    determinant and, if classified, the results for m and the longitude
-    with the longitude matrix; and the failure, or None."""
+    Returns, per angle, its signature, its determinant and, if
+    classified, the results for m and the longitude with the longitude
+    matrix.  No identity of the family is decided here: a report decides
+    them exactly, on the symbolic family."""
     import numpy as np
     from .isometry import classify_against
-    from .matrices import UnitPowers, hermitian_failures, signatures
+    from .matrices import UnitPowers, signatures
     powers = UnitPowers(angles)
     J = J_exact.evaluate_stack(powers)
-    failure = None
-    for j, exc in enumerate(hermitian_failures(J)):
-        if exc is not None:  # the angles before it still count
-            J, failure = J[:j], exc
-            break
-    arc = [j for j in range(len(J)) if classify_at[j]]
-    M, _, L, exc = _numeric_families(powers.take(arc), M_exact, N_exact, J[arc], RELATOR)
-    if exc is not None:  # at an earlier angle than any failure above
-        J, arc, failure = J[:arc[len(M)]], arc[:len(M)], exc
+    arc = [j for j, at in enumerate(classify_at) if at]
+    M, _, L = _numeric_families(powers.take(arc), M_exact, N_exact)
     # M and the longitude of each angle, in turn, against its form
     S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
     results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
     pairs = [None] * len(J)
     for i, j in enumerate(arc):
         pairs[j] = (results[2 * i], results[2 * i + 1], L[i])
-    return list(zip(signatures(J, tol), np.linalg.det(J).real.tolist(), pairs)), failure
+    return list(zip(signatures(J, tol), np.linalg.det(J).real.tolist(), pairs))
 
 
 def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
@@ -334,10 +298,7 @@ def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    points, failure = _evaluate_block(generator_m(), generator_n(), form_matrix(), [alpha],
-                                      [True], tol)
-    if failure is not None:
-        raise failure
+    points = _evaluate_block(generator_m(), generator_n(), form_matrix(), [alpha], [True], tol)
     result_m, result_l, L = points[0][2]
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
@@ -409,11 +370,8 @@ def figure8_report(alpha: Angle | None = None,
         from .isometry import Parabolic
         from .matrices import unwrap
         want = expected_arc(alpha, 0.0)
-        points, failure = _evaluate_block(sym.M, sym.N, sym.form.mat, [alpha],
-                                          [want == (3, 1)], tol)
-        if failure is not None:
-            raise failure
-        sig, det, pair = points[0]
+        sig, det, pair = _evaluate_block(sym.M, sym.N, sym.form.mat, [alpha],
+                                         [want == (3, 1)], tol)[0]
         report["signature"] = list(sig.as_tuple())
         if want is not None:
             record_check(checks, "signatureArc",

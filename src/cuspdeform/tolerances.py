@@ -13,8 +13,8 @@ CLUSTER_RTOL = 1e-7
 # last radius of the x10 escalation from CLUSTER_RTOL; the radii are float
 # products, and the slack over 1e-3 keeps the last one whatever its rounding
 CLUSTER_RTOL_CEILING = 1.1e-3
-# defect a numerically built family may show in its defining relation and
-# form invariance before it is a transcription bug
+# form defect a generator of a numeric ``Rep`` with a form may show; ``Rep``
+# is its only user (every family decides its identities exactly)
 CONSTRUCTION_TOL = 1e-10
 BOUNDARY_TOL = 1e-10  # height drift and fixed-point test of a boundary action
 CHART_ESCAPE = 1e-14  # a smaller last lift coordinate has left the Heisenberg chart
@@ -24,7 +24,6 @@ DUP_TOL = 1e-9  # box distance at which two orbit points count as one
 # hermitian, unitary, commuting, the identity
 STRUCTURE_TOL = 1e-12
 SWEEP_ZERO_ANGLE = 1e-12  # closer to 0, a sweep angle is the undeformed parameter
-LATTICE_AT_ONE_TOL = 1e-14  # the bent su31 letter at u = 1 against the lattice letter
 # a numeric law: the closed-form determinant of the form (relative error)
 # and the projective pass of a numeric relation
 LAW_TOL = 1e-9

@@ -346,6 +346,25 @@ class TestVerifySU31:
         assert rep["relations"] is None
         assert rep["pass"]
 
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_lattice_at_one_is_exact(self, monkeypatch, d):
+        # a lattice letter off by 10^-20 in one entry evaluates to the same
+        # floats, and still fails the exact comparison at u = 1
+        build = bending.bianchi_family
+
+        def family(*args, **kwargs):
+            fam = build(*args, **kwargs)
+            tiny = [[Fraction(1, 10 ** 20) if (i, j) == (0, 3) else 0 for j in range(4)]
+                    for i in range(4)]
+            off = fam.unbent_u + Mat.ext(tiny, d)
+            assert np.array_equal(off.evaluate(), fam.unbent_u.evaluate())
+            fam.unbent_u = off
+            return fam
+
+        assert verify_bianchi_su31(d)["checks"]["latticeAtOne"]["pass"]
+        monkeypatch.setattr(bending, "bianchi_family", family)
+        assert not verify_bianchi_su31(d)["checks"]["latticeAtOne"]["pass"]
+
 
 class TestVerifySO41:
     def test_orthogonal_elliptic(self):

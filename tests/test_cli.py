@@ -147,6 +147,26 @@ class TestVerifyCommand:
         assert len(preserved) == 2
         assert relators.count(True) == 1
 
+    @pytest.mark.parametrize("argv, exact_relators", [
+        (["verify", "figure8", "--alpha=1/5pi"], 1),
+        (["verify", "figure8", "--alpha=-2.5"], 1),
+        (["sweep", "figure8", "--start=-3.0", "--end=3.0", "--count=130"], 0),
+    ])
+    def test_numeric_step_decides_no_identity(self, monkeypatch, argv, exact_relators):
+        # an angle is evaluated and classified: no numeric form is checked
+        # for hermitianness, and the relator is evaluated over exact images
+        # only, by the report's construction (a sweep states no identity)
+        hermitian, relators = [], []
+        monkeypatch.setattr(matrices, "hermitian_failures", lambda J: hermitian.append(J))
+        relator = words.builtin_presentation("figure8").relators[0]
+        evaluate = words.Rep.evaluate
+        monkeypatch.setattr(words.Rep, "evaluate", lambda rep, w: (
+            relators.append(rep.is_exact) if w == relator else None) or evaluate(rep, w))
+        code, _, _ = run(argv)
+        assert code == 0
+        assert hermitian == []
+        assert relators == [True] * exact_relators
+
 
     @pytest.mark.parametrize("argv", [
         ["--d", "2", "--target", "su31", "--u-exact"],
@@ -592,6 +612,9 @@ class TestBadInput:
         ["verify", "figure8", "--alpha", "1/0pi"],
         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0",
          "--pythagorean", "1/0"],
+        # --alpha is parsed whenever it is given, also when --u-exact drops it
+        ["verify", "figure8", "--u-exact", "--alpha=foo"],
+        ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact", "--alpha=foo"],
     ])
     def test_usage_error_line(self, argv):
         code, out, err = run(argv)
@@ -699,7 +722,16 @@ class TestClassifyInputs:
     a usage error; a finite matrix whose norm squared overflows gets a
     report, and never passes the form test on an overflowed scale."""
 
-    @pytest.mark.parametrize("entries", [[1, 2, 3], []])
+    @pytest.mark.parametrize("entries", [
+        [1, 2, 3], [],
+        # entries are non-bool numbers or pairs of exactly two of them
+        [["1", 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        [[[1, 0, 5], 0], [0, 1]],
+        [[[1], 0], [0, 1]],
+        [[[1, None], 0], [0, 1]],
+        [[10 ** 400, 0], [0, 1]],
+    ])
     def test_malformed_entries(self, tmp_path, entries):
         f = tmp_path / "mat.json"
         f.write_text(json.dumps({"entries": entries}))

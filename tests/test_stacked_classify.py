@@ -766,27 +766,27 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("broken, raising, expected", [
         (5, 40, GeometryError),            # one block, classify error first
-        (40, 5, AssertionError),           # one block, evaluation error first
+        (40, 5, ValueError),               # one block, the grid's error first
         (3, SWEEP_BLOCK + 2, GeometryError),
-        (SWEEP_BLOCK + 2, 3, AssertionError),
+        (SWEEP_BLOCK + 2, 3, ValueError),
         (SWEEP_BLOCK - 1, SWEEP_BLOCK, GeometryError),
     ])
     def test_figure8_first_failure_in_grid_order(self, monkeypatch, broken, raising,
                                                   expected):
+        # m stops preserving the form at grid[broken], and grid[raising]
+        # is no angle
         real = figure8._numeric_families
-        grid = self.GRID
+        grid = list(self.GRID)
+        grid[raising] = math.nan
+        bad = grid[broken]
 
-        def families(powers, *args, **kwargs):
-            M, N, L, failure = real(powers, *args, **kwargs)
-            values = [a.value for a in powers.angles][:len(M)]
-            if grid[broken] in values:  # no longer preserves the form
+        def families(powers, *args):
+            M, N, L = real(powers, *args)
+            values = [a.value for a in powers.angles]
+            if bad in values:
                 M = M.copy()
-                M[values.index(grid[broken])] *= 2
-            if grid[raising] in values:
-                k = values.index(grid[raising])
-                M, N, L = M[:k], N[:k], L[:k]
-                failure = AssertionError("internal error: defining relation defect")
-            return M, N, L, failure
+                M[values.index(bad)] *= 2
+            return M, N, L
 
         monkeypatch.setattr(figure8, "_numeric_families", families)
         with pytest.raises(expected) as exc:
