@@ -18,8 +18,6 @@ one-parameter centralizer of <a, t>:
 Run:  python demos/bianchi_bending_tour.py
 """
 
-from fractions import Fraction
-
 from cuspdeform import (Angle, bianchi_family, verify_bianchi_so41,
                         verify_bianchi_su31)
 from cuspdeform.words import check_relations
@@ -54,11 +52,13 @@ for d, theta in [(2, Angle.pi_fraction(1, 3)), (7, Angle.radians(1.0)),
     print(f"  d={d}, theta={label:<9}: class(U)={rep['classU']:<32}"
           f" cusp: {rep['cusp']['verdict']}")
 
-print("\nexact SO(4,1) checks run at rational circle points, e.g. the")
-print("slope 1/2 rotation (cos, sin) = (3/5, 4/5):")
-fam = bianchi_family(7, "so41", pythagorean=Fraction(1, 2))
-res = check_relations(fam.rep(), fam.presentation)
-print("  relators exact:", all(r.exact for r in res))
+print("\nexact SO(4,1) checks hold at symbolic u = e^(i theta), so for")
+print("every theta at once:")
+for d in (2, 7, 11):
+    fam = bianchi_family(d, "so41")
+    res = check_relations(fam.rep(), fam.presentation)
+    print(f"  Bi({d}) -> SO(4,1): {len(res)} relators, all exact:",
+          all(r.exact for r in res))
 
 print("\nfamilies exist for every squarefree d >= 2 except 3; without a")
 print("shipped presentation the relation check is skipped but form,")

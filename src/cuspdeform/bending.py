@@ -83,24 +83,6 @@ def so41_centralizer_q(d: int) -> Mat:
     return Mat.diagonal([1, 1, LaurentPoly.u(), LaurentPoly.u(-1), 1], "ext", d)
 
 
-def pythagorean_pair(s: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact point on the circle: ((1-s^2)/(1+s^2), 2s/(1+s^2))."""
-    s = Fraction(s)
-    den = 1 + s * s
-    return ((1 - s * s) / den, 2 * s / den)
-
-
-def so41_centralizer_exact(d: int, cos_sin: tuple[Fraction, Fraction]) -> Mat:
-    c, s = cos_sin
-    if c * c + s * s != 1:
-        raise ValueError("exact rotation needs cos^2 + sin^2 = 1 exactly")
-    return Mat.ext([[1, 0, 0, 0, 0],
-                    [0, 1, 0, 0, 0],
-                    [0, 0, c, -s, 0],
-                    [0, 0, s, c, 0],
-                    [0, 0, 0, 0, 1]], d)
-
-
 def centralizer(target: str, param) -> MatLike:
     """Dispatcher over the two ambient groups."""
     if target == "su31":
@@ -326,7 +308,7 @@ class BianchiFamily:
 
     d: int
     target: str
-    param: object          # None (symbolic u), Angle, or (cos, sin) Fractions
+    param: Angle | None    # None: symbolic u
     images: dict[str, MatLike]
     form: HermForm
     presentation: Presentation | None
@@ -351,36 +333,23 @@ class BianchiFamily:
 
 
 def bianchi_family(d: int, target: str = "su31", *,
-                   theta: Angle | None = None,
-                   pythagorean: Fraction | None = None) -> BianchiFamily:
+                   theta: Angle | None = None) -> BianchiFamily:
     """Construct the bending family for Bi(d).
 
-    With neither theta nor pythagorean, the parameter stays symbolic
-    (evaluate with numeric_images): su31 is bent by Diag(1, 1, u, 1);
-    so41 by Diag(1, 1, u, 1/u, 1), in the basis of ``embed_so41_q`` where
-    that is R_34(theta) with u = e^{i theta}.  so41 also takes, in the
-    real basis of ``embed_so41``, a numeric angle theta or an exact
-    Pythagorean slope s (cos, sin = (1-s^2)/(1+s^2), 2s/(1+s^2)).
+    Without theta, the parameter stays symbolic (evaluate with
+    numeric_images): su31 is bent by Diag(1, 1, u, 1); so41 by
+    Diag(1, 1, u, 1/u, 1), in the basis of ``embed_so41_q`` where that
+    is R_34(theta) with u = e^{i theta}.  so41 also takes a numeric
+    angle theta, bent by R_34(theta) in the real basis of ``embed_so41``.
     """
-    return _bianchi_family(d, target, theta, pythagorean, None)
-
-
-def _bianchi_family(d: int, target: str, theta: Angle | None, pythagorean: Fraction | None,
-                    lattice: dict[str, Mat] | None) -> BianchiFamily:
-    """``bianchi_family``, on ``bianchi_lattice_su31(d)`` when the caller
-    has built it already (``lattice``), else on a new one."""
     validate_bianchi_d(d)
     if target not in ("su31", "so41"):
         raise ValueError(f"unknown target {target!r}")
     pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
-    lattice = bianchi_lattice_su31(d) if lattice is None else lattice
+    lattice = bianchi_lattice_su31(d)
     param = None  # symbolic u; its zero parameter None stands for u = 1
     if target == "su31":
         data = _bianchi_hnn(lattice, lambda _: su31_centralizer_exact(d), None)
-    elif pythagorean is not None:
-        param = pythagorean_pair(pythagorean)
-        data = _bianchi_hnn({k: embed_so41(g) for k, g in lattice.items()},
-                            lambda p: so41_centralizer_exact(d, p), (Fraction(1), Fraction(0)))
     elif theta is not None:
         param = theta
         data = _bianchi_hnn({k: embed_so41(g).evaluate() for k, g in lattice.items()},
@@ -589,46 +558,34 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     return report
 
 
-def verify_bianchi_so41(d: int, theta: Angle,
-                        pythagorean: Fraction | None = Fraction(1, 2),
-                        tol: float = DECISION_TOL) -> dict:
+def verify_bianchi_so41(d: int, theta: Angle, *, tol: float = DECISION_TOL) -> dict:
     """Verification report for the SO(4,1) bending family of Bi(d).
 
-    Exact checks run at a rational point of the circle (the Pythagorean
-    slope); the letter of the family at symbolic u, evaluated at theta,
-    is classified there, and the cusp-group verdict is taken at theta.
-    The deformed stable letter is elliptic when the cusp is orthogonal
-    (b1 = 0) and ellipto-parabolic otherwise; in the latter case the
-    R x S^1 trichotomy decides discreteness of the cusp image.
+    The family is built once, at symbolic u.  Exact there, so for every
+    theta at once: form invariance of every generator and the relations
+    (d in {2,7,11}).  Its letter, evaluated at theta, is classified, and
+    the cusp-group verdict is taken at theta.  The deformed stable
+    letter is elliptic when the cusp is orthogonal (b1 = 0) and
+    ellipto-parabolic otherwise; in the latter case the R x S^1
+    trichotomy decides discreteness of the cusp image.
     """
+    fam = bianchi_family(d, "so41")
     checks: dict[str, dict] = {}
-    relations = None
-    lattice = bianchi_lattice_su31(d)  # for the exact family and the symbolic one
-    if pythagorean is not None:
-        relations = _exact_checks(
-            checks, _bianchi_family(d, "so41", None, pythagorean, lattice),
-            f"generators preserve 2 x1 x5 + y^2 + z^2 + w^2 exactly (slope {pythagorean})",
-            " at the exact rotation")
-
-    fam = _bianchi_family(d, "so41", None, None, lattice)
+    relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly "
+                              "at symbolic u", " at symbolic u")
     a, b1, b2 = cusp_surds(d)
     cls, class_u, info = _letter_class(fam.images["u"].evaluate(theta), fam.form, tol)
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",
                      kind == "parabolic" and "unipotent" in class_u, info)
+        verdict = "undeformed-lattice-cusp"
     elif b1.is_zero:
         record_check(checks, "stableLetterElliptic", kind == "elliptic", info)
+        verdict = "elliptic-generator (not parabolic-preserving)"
     else:
         record_check(checks, "stableLetterElliptoParabolic",
                      class_u == "parabolic(ellipto-parabolic)", info)
-
-    verdict: str
-    if theta.is_zero_mod_2pi():
-        verdict = "undeformed-lattice-cusp"
-    elif b1.is_zero:
-        verdict = "elliptic-generator (not parabolic-preserving)"
-    else:
         rs1 = rs1_classify(RS1Element(a, Angle.zero()), RS1Element(b1, theta))
         verdict = str(rs1)
         record_check(checks, "cuspTrichotomy", True, f"rs1 verdict: {rs1}")
@@ -638,7 +595,7 @@ def verify_bianchi_so41(d: int, theta: Angle,
                  "strongly parabolic-preserving only at theta in {0, pi}"
                  + (" (this theta qualifies)" if is_strong_angle else ""))
 
-    report = {
+    return {
         "family": "bianchi",
         "d": d,
         "target": "so41",
@@ -655,4 +612,3 @@ def verify_bianchi_so41(d: int, theta: Angle,
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
-    return report

@@ -108,9 +108,17 @@ def schema_path() -> str:
 # verify
 # ---------------------------------------------------------------------------
 
+def _given_angles(args) -> tuple[Angle | None, Angle | None]:
+    """Each given ``--alpha`` and ``--theta``, parsed once before a command
+    branches on family or target: it must parse, also where it is dropped."""
+    return tuple(parse_angle(text) if text else None for text in (args.alpha, args.theta))
+
+
 def cmd_verify(args) -> int:
     tol = args.tol
-    alpha = parse_angle(args.alpha) if args.alpha else None
+    alpha, theta = _given_angles(args)
+    if args.pythagorean:
+        _parse_fraction(args.pythagorean)  # accepted and checked, but unused
     if args.u_exact:
         alpha = None
     if args.family == "figure8":
@@ -133,11 +141,9 @@ def cmd_verify(args) -> int:
         if args.target == "su31":
             report = verify_bianchi_su31(args.d, alpha, tol=tol)
         else:
-            if not args.theta:
+            if theta is None:
                 raise ValueError("so41 verification needs --theta")
-            pyth = _parse_fraction(args.pythagorean) if args.pythagorean else Fraction(1, 2)
-            report = verify_bianchi_so41(args.d, parse_angle(args.theta),
-                                         pythagorean=pyth, tol=tol)
+            report = verify_bianchi_so41(args.d, theta, tol=tol)
     _emit(_json_text(report), args.output)
     return 0 if report["pass"] else 1
 
@@ -191,20 +197,21 @@ def cmd_orbit(args) -> int:
     from .bending import bianchi_family, cusp_surds, validate_bianchi_d
     from .heisenberg import (MAX_ORBIT_RADIUS, CuspParams, HeisPoint, bent_cusp_U,
                              cusp_translation_T, orbit_gap, orbit_points, write_orbit_csv)
+    alpha, theta = _given_angles(args)
     validate_bianchi_d(args.d)
     if not 0 <= args.radius <= MAX_ORBIT_RADIUS:
         raise ValueError(f"--radius must be in [0, {MAX_ORBIT_RADIUS}]")
     if args.target == "su31":
-        if not args.alpha:
+        if alpha is None:
             raise ValueError("su31 orbit needs --alpha")
-        params = CuspParams(*cusp_surds(args.d), parse_angle(args.alpha))
+        params = CuspParams(*cusp_surds(args.d), alpha)
         gT = cusp_translation_T(params)
         gU = bent_cusp_U(params)
         p0 = HeisPoint.origin(2)
     else:
-        if not args.theta:
+        if theta is None:
             raise ValueError("so41 orbit needs --theta")
-        fam = bianchi_family(args.d, "so41", theta=parse_angle(args.theta))
+        fam = bianchi_family(args.d, "so41", theta=theta)
         gT = np.asarray(fam.images["t"], dtype=complex)
         gU = np.asarray(fam.images["u"], dtype=complex)
         p0 = HeisPoint.origin(3)
@@ -302,7 +309,7 @@ def _build_parser(env: str | None) -> argparse.ArgumentParser:
     pv.add_argument("--u-exact", action="store_true",
                     help="keep the parameter symbolic (exact checks only)")
     pv.add_argument("--pythagorean", metavar="S",
-                    help="exact rational slope for so41 rotation checks")
+                    help="a rational slope: must parse, but unused (so41 is exact)")
     pv.add_argument("--d", type=int, default=2, help="Bianchi discriminant tag")
     pv.add_argument("--target", choices=["su31", "so41"], default="su31")
     pv.add_argument("--words", help="extra trace words, word-list file")

@@ -4,12 +4,13 @@ they preserve, and the errors of the geometric layer.
 Exact matrices are ``Mat`` (entries all LaurentPoly or all ExtScalar).
 This module imports no numpy: every verdict reached here is exact.  The
 numeric side of a ``Mat`` or a ``HermForm`` (``Mat.evaluate_stack``, a
-form given as an array) imports the numeric layer, ``matrices``, when
-it runs.
+form given as an array) imports numpy, and reaches the numeric layer,
+``matrices``, through ``_numeric``, when it runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -22,6 +23,13 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .matrices import UnitPowers
+
+
+@functools.cache
+def _numeric():
+    """The numeric layer, ``matrices``, imported on first use and kept."""
+    from . import matrices
+    return matrices
 
 
 class GeometryError(ValueError):
@@ -292,9 +300,8 @@ class Mat:
     def evaluate(self, alpha: Angle | None = None) -> np.ndarray:
         """Numeric matrix at u = e^{i alpha} (alpha may be omitted for
         constant matrices): the one-angle case of ``evaluate_stack``."""
-        from .matrices import UnitPowers
         a = alpha if alpha is not None else Angle.zero()
-        return self.evaluate_stack(UnitPowers([a]))[0]
+        return self.evaluate_stack(_numeric().UnitPowers([a]))[0]
 
     def evaluate_stack(self, powers: UnitPowers) -> np.ndarray:
         """The stack (K, n, n) of the numeric matrices at each angle of a
@@ -410,11 +417,10 @@ class HermForm:
                 raise GeometryError("form matrix is not hermitian (exact check)")
         else:
             import numpy as np
-            from .matrices import hermitian_failures
             J = np.asarray(J, dtype=complex)
             if J.ndim != 2 or J.shape[0] != J.shape[1]:
                 raise ValueError(f"form matrix must be square, got shape {J.shape}")
-            failure = hermitian_failures(J[None])[0]
+            failure = _numeric().hermitian_failures(J[None])[0]
             if failure is not None:
                 raise failure
         self.mat = J

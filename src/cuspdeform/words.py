@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .exact import GeometryError, HermForm, Mat, _trace_of_product, form_preserved
+from .exact import GeometryError, HermForm, Mat, _numeric, _trace_of_product, form_preserved
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
 if TYPE_CHECKING:
@@ -222,7 +222,6 @@ class Rep:
         exact = kinds == {True}
         if not exact:
             import numpy as np
-            from .matrices import form_defect
         dims = {(g.n if exact else np.shape(g)[-1]) for g in self.images.values()}
         if len(dims) != 1:
             raise ValueError("all generator images must share one dimension")
@@ -233,7 +232,7 @@ class Rep:
                         raise GeometryError(
                             f"generator {sym} does not preserve the form (exact)")
                 else:
-                    defect = form_defect(np.asarray(g, dtype=complex), self.form)
+                    defect = _numeric().form_defect(np.asarray(g, dtype=complex), self.form)
                     if defect > CONSTRUCTION_TOL:
                         raise GeometryError(
                             f"generator {sym} has form defect {defect:.3g}")

@@ -24,7 +24,7 @@ from cuspdeform.heisenberg import (CuspParams, HeisPoint, RS1Class,
                                    rs1_probe)
 from cuspdeform.isometry import (ELLIPTO_PARABOLIC, Elliptic, Parabolic,
                                  classify)
-from cuspdeform.matrices import eigen, form_preserved, herm_signature
+from cuspdeform.matrices import eigen, form_preserved, herm_signature, siegel_form
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
 from cuspdeform.words import Word, builtin_presentation, check_relations
 
@@ -52,7 +52,7 @@ def test_criterion_1_exact_relations():
     report(1, ok, f"{count} relators exact at symbolic u in {elapsed:.2f}s")
 
 
-def test_criterion_2_exact_form_invariance():
+def test_criterion_2_exact_form_invariance(pythagorean_so41):
     t0 = time.perf_counter()
     fam = build_family(None)
     ok = form_preserved(fam.M, fam.form) and form_preserved(fam.N, fam.form)
@@ -62,9 +62,8 @@ def test_criterion_2_exact_form_invariance():
         for g in bf.images.values():
             ok = ok and form_preserved(g, bf.form)
             count += 1
-        bf5 = bianchi_family(d, "so41", pythagorean=Fraction(1, 2))
-        for g in bf5.images.values():
-            ok = ok and form_preserved(g, bf5.form)
+        for g in pythagorean_so41(d, Fraction(1, 2)).values():
+            ok = ok and form_preserved(g, siegel_form(5))
             count += 1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0

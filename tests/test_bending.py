@@ -12,15 +12,14 @@ from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 bend_hnn, bianchi_family,
                                 bianchi_lattice_su31, bianchi_sweep, centralizer,
                                 cusp_matrix_T, cusp_matrix_U, cusp_surds,
-                                embed_so41, embed_so41_q,
-                                pythagorean_pair, so41_centralizer,
+                                embed_so41, embed_so41_q, so41_centralizer,
                                 su31_centralizer, validate_bianchi_d,
                                 verify_bianchi_so41, verify_bianchi_su31)
 from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.matrices import (GeometryError, Mat, form_preserved,
                                  siegel_form)
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
-from cuspdeform.words import check_relations
+from cuspdeform.words import Rep, builtin_presentation, check_relations
 
 
 class TestCentralizers:
@@ -44,7 +43,7 @@ class TestCentralizers:
             for sym in ("a", "t"):
                 assert Z @ lat[sym] == lat[sym] @ Z
 
-    def test_pythagorean_pairs(self):
+    def test_pythagorean_pairs(self, pythagorean_pair):
         c, s = pythagorean_pair(Fraction(1, 2))
         assert (c, s) == (Fraction(3, 5), Fraction(4, 5))
         assert c * c + s * s == 1
@@ -389,16 +388,28 @@ class TestVerifySO41:
         assert "unipotent" in rep["classU"]
         assert rep["cusp"]["verdict"] == "undeformed-lattice-cusp"
 
-    @pytest.mark.parametrize("d", [2, 7, 11])
-    def test_exact_relations_at_pythagorean_point(self, d):
-        rep = verify_bianchi_so41(d, Angle.radians(0.5),
-                                  pythagorean=Fraction(2, 3))
-        assert all(r["exact"] for r in rep["relations"])
+    def test_builds_one_symbolic_family(self, monkeypatch):
+        # the exact checks and the class at theta rest on one family, at
+        # symbolic u; a slope passed by position is not taken for tol
+        calls = []
+        build = bending.bianchi_family
+        monkeypatch.setattr(bending, "bianchi_family", lambda *args, **kwargs:
+                            calls.append((args, kwargs)) or build(*args, **kwargs))
+        rep = verify_bianchi_so41(7, Angle.radians(1.0))
+        assert calls == [((7, "so41"), {})]
+        assert rep["checks"]["formInvariance"]["pass"] and rep["checks"]["relations"]["pass"]
+        with pytest.raises(TypeError):
+            verify_bianchi_so41(7, Angle.radians(1.0), Fraction(1, 2))
 
-    def test_so41_form_preserved_exactly(self):
-        fam = bianchi_family(11, "so41", pythagorean=Fraction(1, 3))
+    @pytest.mark.parametrize("d", [2, 7, 11])
+    def test_exact_relations_at_pythagorean_point(self, pythagorean_so41, d):
+        rep = Rep(pythagorean_so41(d, Fraction(2, 3)), siegel_form(5))
+        results = check_relations(rep, builtin_presentation("bianchi", d))
+        assert results and all(r.exact for r in results)
+
+    def test_so41_form_preserved_exactly(self, pythagorean_so41):
         J5 = siegel_form(5)
-        for g in fam.images.values():
+        for g in pythagorean_so41(11, Fraction(1, 3)).values():
             assert form_preserved(g, J5)
 
 
@@ -426,6 +437,16 @@ class TestSymbolicSO41:
         got = Q @ symbolic_so41(d).images["u"].evaluate(theta) @ Q.conj().T
         want = bianchi_family(d, "so41", theta=theta).images["u"]
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(-3, 5), Fraction(2, 3), 7])
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 15, 43])
+    def test_pythagorean_family_is_the_symbolic_one_conjugated(self, pythagorean_so41, d, s):
+        # the exact real-basis family at slope s is the symbolic one at
+        # theta = 2 atan(s), back in the real basis
+        theta = Angle.radians(2 * math.atan(s))
+        for sym, g in pythagorean_so41(d, s).items():
+            got = Q @ symbolic_so41(d).images[sym].evaluate(theta) @ Q.conj().T
+            assert np.abs(got - g.evaluate()).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 15, 43])
     def test_embedding_is_the_real_one_conjugated(self, d):

@@ -174,7 +174,7 @@ class TestVerifyCommand:
         ["--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"],
     ])
     def test_lattice_built_once(self, monkeypatch, argv):
-        # so41 embeds the one su31 lattice for both of its families
+        # so41 embeds the su31 lattice into its one family
         calls = []
         build = bending.bianchi_lattice_su31
         monkeypatch.setattr(bending, "bianchi_lattice_su31", lambda *args:
@@ -404,7 +404,7 @@ class TestOrbitCommand:
           "--start", "0.1", "--end", "3.0", "--count", "36"]),
         ("verify_figure8_alpha_0.5.json", ["verify", "figure8", "--alpha", "0.5"]),
         ("verify_figure8_u-exact.json", ["verify", "figure8", "--u-exact"]),
-        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",   # 1/2 is the default
+        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",   # the slope is unused
          ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0"]),
         ("sweep_figure8_-3_3_60.csv",
          ["sweep", "figure8", "--start", "-3.0", "--end", "3.0", "--count", "60"]),
@@ -513,6 +513,15 @@ class TestDeterminism:
         second = run(argv)
         assert first == second
 
+    def test_so41_report_ignores_slope(self):
+        # the exact checks run at symbolic u: a slope must parse, and
+        # changes no byte
+        argv = ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta=1.0"]
+        want = run(argv)
+        assert want[0] == 0
+        for slope in ["1/2", "-3/5", "2/3"]:
+            assert run([*argv, f"--pythagorean={slope}"]) == want
+
     def test_output_file_matches_stdout(self, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(["verify", "figure8", "--alpha", "0.5",
@@ -615,6 +624,14 @@ class TestBadInput:
         # --alpha is parsed whenever it is given, also when --u-exact drops it
         ["verify", "figure8", "--u-exact", "--alpha=foo"],
         ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact", "--alpha=foo"],
+        # so are --theta and --pythagorean, also where the target drops them
+        ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact", "--theta=foo"],
+        ["verify", "figure8", "--u-exact", "--theta=foo"],
+        ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact",
+         "--pythagorean=1/0"],
+        ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "1", "--theta=foo"],
+        ["orbit", "--d", "2", "--target", "so41", "--theta", "1.0", "--radius", "1",
+         "--alpha=foo"],
     ])
     def test_usage_error_line(self, argv):
         code, out, err = run(argv)
