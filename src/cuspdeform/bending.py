@@ -20,9 +20,11 @@ downstream is scalar-invariant by design.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,8 +35,8 @@ from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
                        IndeterminateError, Mat, UnitPowers, siegel_form)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _squarefree
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR, STRUCTURE_TOL
-from .words import (Presentation, Rep, builtin_presentation, check_relations,
-                    record_check)
+from .words import (Presentation, RelationResult, Rep, builtin_presentation,
+                    check_relations, record_check)
 
 MatLike = Union[Mat, np.ndarray]
 
@@ -301,15 +303,15 @@ def cusp_matrix_U(b1: Surd, b2: Surd, d: int) -> Mat:
 # Instantiated families
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BianchiFamily:
-    """One bending family: exact generator images (the stable letter
-    already bent), the ambient form, and the cusp data."""
+    """One bending family, read-only: exact generator images (the stable letter
+    already bent), the ambient form and the cusp data; it keeps each decision below."""
 
     d: int
     target: str
     param: Angle | None    # None: symbolic u
-    images: dict[str, MatLike]
+    images: Mapping[str, MatLike]
     form: HermForm
     presentation: Presentation | None
     unbent_u: MatLike | None = None  # the stable letter's lattice image
@@ -319,7 +321,22 @@ class BianchiFamily:
         return self.presentation is not None
 
     def rep(self) -> Rep:
+        return self._rep
+
+    @functools.cached_property
+    def _rep(self) -> Rep:  # validated: every generator preserves the form
         return Rep(self.images, self.form)
+
+    @functools.cached_property
+    def relations(self) -> tuple[RelationResult, ...] | None:
+        return tuple(check_relations(self.rep(), self.presentation)) if self.presentation else None
+
+    @functools.cached_property
+    def letter_checks(self) -> tuple[ExtScalar, bool, bool]:
+        """su31: the letter's trace, if it is 3 + u, and if u = 1 gives the lattice."""
+        trace = self.images["u"].trace()
+        return (trace, trace == ExtScalar.from_laurent(LaurentPoly.u() + 3, self.d),
+                _at_u_one(self.images["u"]) == _at_u_one(self.unbent_u))
 
     def numeric_images(self, alpha: Angle | None = None) -> dict[str, np.ndarray]:
         out = {}
@@ -337,29 +354,45 @@ def bianchi_family(d: int, target: str = "su31", *,
     """Construct the bending family for Bi(d).
 
     Without theta, the parameter stays symbolic (evaluate with
-    numeric_images): su31 is bent by Diag(1, 1, u, 1); so41 by
-    Diag(1, 1, u, 1/u, 1), in the basis of ``embed_so41_q`` where that
-    is R_34(theta) with u = e^{i theta}.  so41 also takes a numeric
-    angle theta, bent by R_34(theta) in the real basis of ``embed_so41``.
+    numeric_images), and the family is shared per (d, target) and
+    process: su31 is bent by Diag(1, 1, u, 1); so41 by Diag(1, 1, u,
+    1/u, 1), which is R_34(theta), u = e^{i theta}, in the basis of
+    ``embed_so41_q``.  A numeric so41 theta bends the lattice in the real
+    basis of ``embed_so41``, which is built once per d and read-only.
     """
+    if target != "so41" or theta is None:
+        return _shared_family(d, target)
+    data = _bianchi_hnn(_real_so41_lattice(d), so41_centralizer, Angle.zero())
+    return BianchiFamily(d, target, theta, MappingProxyType(bend_hnn(data, theta)),
+                         siegel_form(5, CONJ_TRANSPOSE), _presentation(d), data.stable_image)
+
+
+def _presentation(d: int) -> Presentation | None:
+    return builtin_presentation("bianchi", d) if d in PRESENTED_D else None
+
+
+@functools.lru_cache(maxsize=64)  # room for both targets of a few dozen d
+def _shared_family(d: int, target: str) -> BianchiFamily:
     validate_bianchi_d(d)
     if target not in ("su31", "so41"):
         raise ValueError(f"unknown target {target!r}")
-    pres = builtin_presentation("bianchi", d) if d in PRESENTED_D else None
     lattice = bianchi_lattice_su31(d)
-    param = None  # symbolic u; its zero parameter None stands for u = 1
     if target == "su31":
         data = _bianchi_hnn(lattice, lambda _: su31_centralizer_exact(d), None)
-    elif theta is not None:
-        param = theta
-        data = _bianchi_hnn({k: embed_so41(g).evaluate() for k, g in lattice.items()},
-                            so41_centralizer, Angle.zero())
     else:
         data = _bianchi_hnn({k: embed_so41_q(g) for k, g in lattice.items()},
                             lambda _: so41_centralizer_q(d), None)
-    images = bend_hnn(data, param)
     form = siegel_form(4 if target == "su31" else 5, CONJ_TRANSPOSE)
-    return BianchiFamily(d, target, param, images, form, pres, data.stable_image)
+    return BianchiFamily(d, target, None, MappingProxyType(bend_hnn(data, None)), form,
+                         _presentation(d), data.stable_image)
+
+
+@functools.lru_cache(maxsize=64)
+def _real_so41_lattice(d: int) -> Mapping[str, np.ndarray]:
+    lattice = {k: embed_so41(g).evaluate() for k, g in bianchi_lattice_su31(d).items()}
+    for g in lattice.values():
+        g.flags.writeable = False
+    return MappingProxyType(lattice)
 
 
 def _bianchi_hnn(lattice: Mapping[str, MatLike], centralizer: Callable[[object], MatLike],
@@ -469,18 +502,16 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
 
 def _exact_checks(checks: dict, fam: BianchiFamily, form_info: str,
                   law: str) -> list[dict] | None:
-    """Record what the exact family decides: form invariance, which its
-    construction validated, and the relations of a presented d (``law``
-    ends their info).  Returns the relation rows, None without a
-    presentation."""
-    rep = fam.rep()  # construction validates exact form invariance
+    """Record the family's exact decisions: form invariance, which its
+    ``rep`` validates, and the relations of a presented d (``law`` ends
+    their info).  Returns the relation rows, None without a presentation."""
+    fam.rep()  # raises unless every generator preserves the form exactly
     record_check(checks, "formInvariance", True, form_info)
-    if not fam.has_presentation:
+    if fam.relations is None:
         return None
-    results = check_relations(rep, fam.presentation)
-    record_check(checks, "relations", all(r.passed for r in results),
-                 f"{len(results)} relators{law}")
-    return [r.as_dict() for r in results]
+    record_check(checks, "relations", all(r.passed for r in fam.relations),
+                 f"{len(fam.relations)} relators{law}")
+    return [r.as_dict() for r in fam.relations]
 
 
 def _letter_class(U: np.ndarray, form: HermForm,
@@ -509,13 +540,9 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly",
                               ", projective law")
 
-    trace_u = fam.images["u"].trace()
-    want = LaurentPoly.u() + 3
-    trace_ok = trace_u == ExtScalar.from_laurent(want, d)
+    trace_u, trace_ok, at_one = fam.letter_checks
     record_check(checks, "traceStableLetter", trace_ok, "3 + u separates parameters")
-
-    record_check(checks, "latticeAtOne", _at_u_one(fam.images["u"]) == _at_u_one(fam.unbent_u),
-                 "bent generator reduces to the lattice at u=1")
+    record_check(checks, "latticeAtOne", at_one, "bent generator reduces to the lattice at u=1")
 
     a, b1, b2 = cusp_surds(d)
     orthogonal = b1.is_zero

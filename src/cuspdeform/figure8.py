@@ -18,9 +18,11 @@ that compute at an angle import the numeric layer when they run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import GeometryError, HermForm, IndeterminateError, Mat, TRANSPOSE_CONJ
@@ -124,34 +126,59 @@ def det_form_closed(alpha: Angle) -> float:
 
 @dataclass(frozen=True)
 class Fig8Family:
-    """The family at one parameter value (symbolic when alpha is None)."""
+    """The family at one parameter value (symbolic when alpha is None);
+    each exact decision below is made on first use and kept on it."""
 
     alpha: Angle | None
     M: Mat | np.ndarray
     N: Mat | np.ndarray
     form: HermForm
-    rep: Rep
+
+    @functools.cached_property
+    def rep(self) -> Rep:  # validated: both generators preserve the form
+        return Rep(MappingProxyType({"m": self.M, "n": self.N}), self.form)
+
+    @functools.cached_property
+    def relation(self) -> bool:
+        return self.rep.evaluate(RELATOR).is_identity()
 
     def longitude(self):
+        return self._longitude
+
+    @functools.cached_property
+    def _longitude(self):
         return self.rep.evaluate(L_WORD)
+
+    @functools.cached_property
+    def identities(self) -> tuple[tuple[str, bool], ...]:
+        L = self.longitude()
+        return (("longitudeTranscription", L == longitude_matrix()),
+                ("longitudeDet", L.det() == LaurentPoly.one()),
+                ("detIdentity", self.form.mat.det() == det_form_laurent()),
+                ("peripheralCommute", self.M @ L == L @ self.M))
+
+    @functools.cached_property
+    def witness_traces(self) -> tuple[LaurentPoly, ...]:
+        return tuple(self.rep._traces(TRACE_WITNESS_WORDS))
+
+
+@functools.lru_cache(maxsize=1)
+def _symbolic_family() -> Fig8Family:
+    return Fig8Family(None, generator_m(), generator_n(),
+                      HermForm(form_matrix(), TRANSPOSE_CONJ))
 
 
 def build_family(alpha: Angle | None = None) -> Fig8Family:
-    """Construct the family symbolically (alpha=None) or at a unit
-    parameter.  The defining identities (the relation and invariance of
-    the form under both generators) are decided exactly on the symbolic
-    family, and a failure is a transcription bug; the family at a
-    parameter is the symbolic one evaluated there."""
-    M, N, J = generator_m(), generator_n(), form_matrix()
-    form = HermForm(J, TRANSPOSE_CONJ)
-    rep = Rep({"m": M, "n": N}, form)  # validates invariance
-    if not rep.evaluate(RELATOR).is_identity():
-        raise AssertionError("internal error: defining relation failed symbolically")
+    """The family symbolically (alpha=None: one shared, read-only instance
+    per process) or at a unit parameter: that family evaluated, once its
+    relation and form invariance hold exactly (else a transcription bug)."""
+    sym = _symbolic_family()
     if alpha is None:
-        return Fig8Family(None, M, N, form, rep)
-    form = HermForm(J.evaluate(alpha), TRANSPOSE_CONJ)
-    M, N = M.evaluate(alpha), N.evaluate(alpha)
-    return Fig8Family(alpha, M, N, form, Rep({"m": M, "n": N}, form))
+        return sym
+    if not sym.relation:
+        raise AssertionError("internal error: defining relation failed symbolically")
+    return Fig8Family(alpha, sym.M.evaluate(alpha), sym.N.evaluate(alpha),
+                      HermForm(sym.form.mat.evaluate(alpha), TRANSPOSE_CONJ))
 
 
 def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat
@@ -225,18 +252,18 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     the peripheral classes on the signature-(3,1) arc away from 0.  A
     signature off its arc is reported in its row (``on_arc``).
 
-    The exact generators and form are built once, and the kept points of
-    each block (``isometry.SWEEP_BLOCK``) are one ``_evaluate_block``
-    step.  The first failure in grid order is the one raised.
+    The kept points of each block (``isometry.SWEEP_BLOCK``) are one
+    ``_evaluate_block`` step of the symbolic family.  The first failure
+    in grid order is the one raised.
     """
     from .isometry import grid_blocks, sweep_verdict
-    M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
+    sym = build_family(None)
     rows = []
     for angles, values, failure in grid_blocks(alphas):
         wants = [expected_arc(a, exclusion) for a in angles]
         kept = [k for k, want in enumerate(wants) if want is not None]
         points = _evaluate_block(
-            M_exact, N_exact, J_exact, [angles[k] for k in kept],
+            sym, [angles[k] for k in kept],
             [wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE for k in kept], tol)
         for k, (sig, det, pair) in zip(kept, points):
             classes = margin = None
@@ -252,22 +279,20 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     return rows
 
 
-def _evaluate_block(M_exact: Mat, N_exact: Mat, J_exact: Mat, angles: Sequence[Angle],
+def _evaluate_block(sym: Fig8Family, angles: Sequence[Angle],
                     classify_at: Sequence[bool], tol: float) -> list[tuple]:
-    """The family at a block of angles, as stacks: one eigvalsh and one
-    det call on the form, and one classify_against call for m and the
-    longitude of the numeric family at the angles ``classify_at`` marks.
-    Returns, per angle, its signature, its determinant and, if
-    classified, the results for m and the longitude with the longitude
-    matrix.  No identity of the family is decided here: a report decides
-    them exactly, on the symbolic family."""
+    """The symbolic family at a block of angles, as stacks, deciding no
+    identity: one eigvalsh and one det call on the form, and one
+    classify_against call for m and the longitude at the angles
+    ``classify_at`` marks.  Per angle: the signature, the determinant and,
+    if classified, the results for m and the longitude, and its matrix."""
     import numpy as np
     from .isometry import classify_against
     from .matrices import UnitPowers, signatures
     powers = UnitPowers(angles)
-    J = J_exact.evaluate_stack(powers)
+    J = sym.form.mat.evaluate_stack(powers)
     arc = [j for j, at in enumerate(classify_at) if at]
-    M, _, L = _numeric_families(powers.take(arc), M_exact, N_exact)
+    M, _, L = _numeric_families(powers.take(arc), sym.M, sym.N)
     # M and the longitude of each angle, in turn, against its form
     S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
     results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
@@ -298,7 +323,7 @@ def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    points = _evaluate_block(generator_m(), generator_n(), form_matrix(), [alpha], [True], tol)
+    points = _evaluate_block(build_family(None), [alpha], [True], tol)
     result_m, result_l, L = points[0][2]
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
@@ -311,10 +336,10 @@ def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
     return _trace_rows(build_family(None), extra_words)
 
 
-def _trace_rows(fam: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
-    words = (*TRACE_WITNESS_WORDS, *extra_words)
+def _trace_rows(sym: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
+    traces = sym.witness_traces + tuple(sym.rep._traces(extra_words))
     return [{"word": str(w), "trace": tr, "integral": tr.is_integral()}
-            for w, tr in zip(words, fam.rep._traces(words))]
+            for w, tr in zip((*TRACE_WITNESS_WORDS, *extra_words), traces)]
 
 
 def figure8_report(alpha: Angle | None = None,
@@ -323,24 +348,18 @@ def figure8_report(alpha: Angle | None = None,
     """Full verification report (JSON-ready dict); ``pass`` says whether
     every check passed.
 
-    Exact checks always run symbolically: the construction decides the
-    relation and form invariance, and the longitude transcription,
-    determinant identity, trace integrality and peripheral commutativity
-    follow.  A numeric parameter adds the signature, classification and
-    determinant-law rows at that angle, from the sweep's block step.
+    The exact checks are decisions of the shared symbolic family (its
+    ``rep`` raises without form invariance); only user words are traced
+    per report.  A numeric parameter adds the signature, classification
+    and determinant-law rows at that angle, from the sweep's block step.
     """
-    sym = build_family(None)  # raises unless the relation and form invariance hold
+    sym = build_family(None)
     checks: dict[str, dict] = {}
-    record_check(checks, "relation", True, f"relator {RELATOR}")
+    record_check(checks, "relation", sym.relation, f"relator {RELATOR}")
     record_check(checks, "formInvarianceM", True)
     record_check(checks, "formInvarianceN", True)
-
-    L = sym.longitude()
-    record_check(checks, "longitudeTranscription", L == longitude_matrix())
-    record_check(checks, "longitudeDet", L.det() == LaurentPoly.one())
-    record_check(checks, "detIdentity", sym.form.mat.det() == det_form_laurent())
-
-    record_check(checks, "peripheralCommute", sym.M @ L == L @ sym.M)
+    for name, ok in sym.identities:
+        record_check(checks, name, ok)
 
     rows = _trace_rows(sym, extra_words)
     record_check(checks, "separatingTrace",
@@ -362,7 +381,7 @@ def figure8_report(alpha: Angle | None = None,
             "M": sym.M.max_denominator(),
             "N": sym.N.max_denominator(),
             "J": sym.form.mat.max_denominator(),
-            "L": L.max_denominator(),
+            "L": sym.longitude().max_denominator(),
         },
     }
 
@@ -370,8 +389,7 @@ def figure8_report(alpha: Angle | None = None,
         from .isometry import Parabolic
         from .matrices import unwrap
         want = expected_arc(alpha, 0.0)
-        sig, det, pair = _evaluate_block(sym.M, sym.N, sym.form.mat, [alpha],
-                                         [want == (3, 1)], tol)[0]
+        sig, det, pair = _evaluate_block(sym, [alpha], [want == (3, 1)], tol)[0]
         report["signature"] = list(sig.as_tuple())
         if want is not None:
             record_check(checks, "signatureArc",

@@ -2,14 +2,28 @@
 a test oracle for ``bianchi_family(d, "so41")``, which is exact at
 symbolic u in the basis of ``embed_so41_q``.  This one is exact at a
 point that is not a root of unity, in the other basis, and is built
-only through the public bending operators."""
+only through the public bending operators.  Every test starts with no
+shared symbolic family built (``cold_families``)."""
 
 from fractions import Fraction
 
 import pytest
 
+from cuspdeform import bending, figure8
 from cuspdeform.bending import BendDataHNN, bend_hnn, bianchi_lattice_su31, embed_so41
 from cuspdeform.matrices import Mat
+
+
+@pytest.fixture(autouse=True)
+def cold_families():
+    """Each test starts with no shared family built, so a test that
+    counts the work of one build sees a cold one."""
+    caches = (figure8._symbolic_family, bending._shared_family, bending._real_so41_lattice)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _pythagorean_pair(s) -> tuple[Fraction, Fraction]:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -188,6 +189,35 @@ class TestBianchiMatrices:
                 validate_bianchi_d(d)
             assert str(err.value) == want
 
+    def test_shared_families_are_read_only(self):
+        # one family per (d, target) and process: no field, image or
+        # decision of it can be reassigned, nor an entry of the real so41
+        # lattice, which every so41 family at an angle of that d shares
+        for target in ("su31", "so41"):
+            fam = bianchi_family(7, target)
+            assert bianchi_family(7, target) is fam
+            for field in ("d", "images", "unbent_u", "relations", "letter_checks"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(fam, field, None)
+            for images in (fam.images, fam.rep().images):
+                with pytest.raises(TypeError):
+                    images["u"] = images["a"]
+                with pytest.raises(TypeError):
+                    del images["a"]
+        t = bianchi_family(7, "so41", theta=Angle.radians(1.0)).images["t"]
+        assert t is bianchi_family(7, "so41", theta=Angle.radians(2.0)).images["t"]
+        with pytest.raises(ValueError):
+            t[0, 0] = 2
+
+    def test_family_caches_are_bounded(self):
+        size = bending._shared_family.cache_info().maxsize
+        ds = [d for d in range(5, 400) if is_squarefree(d)][:size + 3]
+        for d in ds:
+            bianchi_family(d, "su31")
+            bianchi_family(d, "so41", theta=Angle.radians(1.0))
+        for cache in (bending._shared_family, bending._real_so41_lattice):
+            assert cache.cache_info().currsize == cache.cache_info().maxsize == size
+
     def test_families_without_presentation(self):
         for d in (5, 6, 13):
             fam = bianchi_family(d, "su31")
@@ -357,8 +387,7 @@ class TestVerifySU31:
                     for i in range(4)]
             off = fam.unbent_u + Mat.ext(tiny, d)
             assert np.array_equal(off.evaluate(), fam.unbent_u.evaluate())
-            fam.unbent_u = off
-            return fam
+            return dataclasses.replace(fam, unbent_u=off)
 
         assert verify_bianchi_su31(d)["checks"]["latticeAtOne"]["pass"]
         monkeypatch.setattr(bending, "bianchi_family", family)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -211,6 +212,45 @@ class TestVerifyCommand:
         code, _, _ = run(["verify", "bianchi", "--d", "7", "--target", "su31", "--u-exact"])
         assert code == 0 and lifts == [7]
 
+    @pytest.mark.parametrize("argv", [
+        ["figure8", "--u-exact"],
+        ["bianchi", "--d", "7", "--target", "su31", "--u-exact"],
+    ])
+    def test_warm_report_decides_nothing_again(self, monkeypatch, argv):
+        # a second report in the process reads the decisions of the shared
+        # family: no exact product, invariance check or lattice build
+        first = run(["verify", *argv])
+        products, preserved, lattices = [], [], []
+        matmul, trace_of_product = matrices.Mat.__matmul__, words._trace_of_product
+        monkeypatch.setattr(matrices.Mat, "__matmul__", lambda A, B:
+                            products.append(A.n) or matmul(A, B))
+        monkeypatch.setattr(words, "_trace_of_product", lambda A, B:
+                            products.append(A.n) or trace_of_product(A, B))
+        form_preserved = matrices.form_preserved
+        for module in (matrices, words, figure8, bending):
+            if hasattr(module, "form_preserved"):
+                monkeypatch.setattr(module, "form_preserved", lambda *args:
+                                    preserved.append(args) or form_preserved(*args))
+        build = bending.bianchi_lattice_su31
+        monkeypatch.setattr(bending, "bianchi_lattice_su31", lambda *args:
+                            lattices.append(args) or build(*args))
+        assert run(["verify", *argv]) == first and first[0] == 0
+        assert products == preserved == lattices == []
+
+    def test_faulty_family_report_leaves_the_shared_one(self, monkeypatch):
+        # a report over a replaced family decides on that family; the next
+        # plain report still decides on the shared one, and passes
+        argv = ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact"]
+        shared = bending.bianchi_family(2, "su31")
+        faulty = dataclasses.replace(shared, unbent_u=shared.images["a"])
+        monkeypatch.setattr(bending, "bianchi_family", lambda *args, **kwargs: faulty)
+        code, out, _ = run(argv)
+        assert code == 1 and not json.loads(out)["checks"]["latticeAtOne"]["pass"]
+        monkeypatch.undo()
+        code, out, _ = run(argv)
+        assert code == 0
+        assert out == (GOLDEN / "verify_bianchi_d2_su31_u-exact.json").read_bytes().decode()
+
     def test_large_d_reduces_each_radicand_once(self, monkeypatch):
         seen = []
         reduce = scalars._squarefree
@@ -225,11 +265,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, det_callers", [
         (["bianchi", "--d", "7", "--target", "so41", "--theta=1.0", "--pythagorean=1/2"], []),
-        (["figure8", "--u-exact"], ["figure8_report", "figure8_report"]),
+        (["figure8", "--u-exact"], ["identities", "identities"]),
     ])
     def test_det_only_for_determinant_checks(self, monkeypatch, argv, det_callers):
         # the exact inverses (two per report) take no determinant: only
-        # the longitudeDet and detIdentity checks of figure8 call det
+        # the longitudeDet and detIdentity checks of figure8, decided by
+        # its family's identities, call det
         callers, inverses = [], []
         det, inverse = matrices.Mat.det, matrices.Mat.inverse
         monkeypatch.setattr(matrices.Mat, "det", lambda m: callers.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -40,6 +41,15 @@ class TestBuildFamily:
 
     def test_longitude_transcription(self):
         assert build_family(None).longitude() == longitude_matrix()
+
+    def test_symbolic_family_is_shared_and_read_only(self):
+        fam = build_family(None)
+        assert build_family(None) is fam
+        for field in ("alpha", "M", "form", "rep", "relation", "identities"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fam, field, None)
+        with pytest.raises(TypeError):
+            fam.rep.images["m"] = fam.N
 
     def test_entry_denominators(self):
         fam = build_family(None)

@@ -400,9 +400,9 @@ def entrywise(M: Mat, alpha: Angle) -> np.ndarray:
 
 def _numeric_family(alpha: Angle, M_exact: Mat, N_exact: Mat, form: HermForm) -> Fig8Family:
     """The figure-eight family at one angle, built per point with the
-    generators evaluated entrywise (``Rep`` checks form invariance)."""
+    generators evaluated entrywise (its ``rep`` checks form invariance)."""
     M, N = entrywise(M_exact, alpha), entrywise(N_exact, alpha)
-    return Fig8Family(alpha, M, N, form, Rep({"m": M, "n": N}, form))
+    return Fig8Family(alpha, M, N, form)
 
 
 class TestCompiledEvaluate:
