@@ -30,9 +30,9 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .heisenberg import CuspParams, RS1Element, rs1_classify
-from .isometry import IsoClass, classify, classify_stack, grid_blocks, sweep_verdict
-from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm,
-                       IndeterminateError, Mat, UnitPowers, siegel_form)
+from .isometry import IsoClass, classify_stack, grid_blocks, sweep_verdict
+from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
+                       Mat, UnitPowers, siegel_form, unwrap)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _squarefree
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR, STRUCTURE_TOL
 from .words import (Presentation, RelationResult, Rep, builtin_presentation,
@@ -420,21 +420,26 @@ def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
     is an angle in radians): the deformation angle alpha for su31, the
     bending angle theta for so41.
 
-    The family is built once, at symbolic u, for either target.  Per
-    block of points (``isometry.SWEEP_BLOCK``) only the bent letter is
-    evaluated, as one stack, and classified in one stacked pass against
-    the family's form; the first failure in grid order is the one raised.
+    The family is built once, at symbolic u, for either target.  Each
+    block of points (``isometry.SWEEP_BLOCK``) is one ``_letter_classes``
+    step; the first failure in grid order is the one raised.
     """
     fam = bianchi_family(d, target)
     rows = []
-    for angles, values, failure in grid_blocks(params):
-        if angles:
-            U = fam.images["u"].evaluate_stack(UnitPowers(angles))
-            for value, result in zip(values, classify_stack(U, fam.form, tol=tol)):
-                rows.append(BianchiSweepRow(value, *sweep_verdict(result)))
-        if failure is not None:
-            raise failure
+    for angles, values in grid_blocks(params):
+        _, results = _letter_classes(fam, angles, tol)
+        rows.extend(BianchiSweepRow(value, *sweep_verdict(result))
+                    for value, result in zip(values, results))
     return rows
+
+
+def _letter_classes(fam: BianchiFamily, angles: Sequence[Angle],
+                    tol: float) -> tuple[np.ndarray, list]:
+    """The one evaluation and classification of a Bianchi family's bent
+    stable letter: its stack at a block of angles and, in one stacked
+    pass against the family's form, its ``classify_stack`` entries."""
+    U = fam.images["u"].evaluate_stack(UnitPowers(angles))
+    return U, classify_stack(U, fam.form, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +519,28 @@ def _exact_checks(checks: dict, fam: BianchiFamily, form_info: str,
     return [r.as_dict() for r in fam.relations]
 
 
-def _letter_class(U: np.ndarray, form: HermForm,
-                  tol: float) -> tuple[IsoClass | None, str, str]:
-    """The stable letter's class (None when too close to call), its
-    ``classU`` text and its check info."""
-    try:
-        cls = classify(U, form, tol=tol)
-    except IndeterminateError as exc:
-        return None, "indeterminate", f"indeterminate, {exc}"
+def _letter_class(result) -> tuple[IsoClass | None, str, str]:
+    """A report's letter verdict from its ``_letter_classes`` entry: the
+    class (None when too close to call), its ``classU`` text and its
+    check info.  Any other error is raised."""
+    if isinstance(result, IndeterminateError):
+        return None, "indeterminate", f"indeterminate, {result}"
+    cls = unwrap(result)
     return cls, str(cls), str(cls)
+
+
+def _report(fam: BianchiFamily, param: float | None, relations: list[dict] | None,
+            checks: dict, surds: tuple[Surd, Surd, Surd], verdict: str, *,
+            trace_u: str | None, class_u: str, algebra_dim: int | None) -> dict:
+    """The report of a Bianchi family: the keys both targets share, in
+    their order, with the cusp block of ``cusp_surds`` and its verdict."""
+    a, b1, b2 = surds
+    return {"family": "bianchi", "d": fam.d, "target": fam.target, "param": param,
+            "relations": relations, "traceU": trace_u, "classU": class_u,
+            "cusp": {"a": a.value, "b1": b1.value, "b2": b2.value,
+                     "orthogonal": b1.is_zero, "verdict": verdict},
+            "algebraDim": algebra_dim, "checks": checks,
+            "pass": all(c["pass"] for c in checks.values())}
 
 
 def verify_bianchi_su31(d: int, alpha: Angle | None = None,
@@ -550,36 +568,23 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
                  "orthogonal cusp exactly in the 1,2 mod 4 classes")
 
     sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
-    num = fam.numeric_images(sample)
-    cls, class_u, info = _letter_class(num["u"], fam.form, tol)
+    (U,), (result,) = _letter_classes(fam, [sample], tol)
+    cls, class_u, info = _letter_class(result)
     if cls is None or not sample.is_zero_mod_2pi():
         record_check(checks, "stableLetterParabolic",
                      cls is not None and cls.kind == "parabolic",
                      f"class at sample angle: {info}")
 
-    dim, margin = algebra_dimension(list(num.values()), tol=tol, return_margin=True)
+    gens = [fam.images["a"].evaluate(sample), fam.images["t"].evaluate(sample), U]
+    dim, margin = algebra_dimension(gens, tol=tol, return_margin=True)
     record_check(checks, "irreducible", dim == 16,
                  f"matrix algebra dimension {dim}, margin {margin:.3g}")
 
     verdict = ("strongly-parabolic-preserving" if orthogonal
                else "parabolic-preserving")
-    report = {
-        "family": "bianchi",
-        "d": d,
-        "target": "su31",
-        "param": None if alpha is None else alpha.value,
-        "relations": relations,
-        "traceU": str(trace_u),
-        "classU": class_u,
-        "cusp": {
-            "a": a.value, "b1": b1.value, "b2": b2.value,
-            "orthogonal": orthogonal,
-            "verdict": verdict,
-        },
-        "algebraDim": dim,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks.values()),
-    }
+    report = _report(fam, None if alpha is None else alpha.value, relations, checks,
+                     (a, b1, b2), verdict, trace_u=str(trace_u), class_u=class_u,
+                     algebra_dim=dim)
     if alpha is None:
         report["classSampleAlpha"] = ALGEBRA_PROBE_ANGLE.value
     return report
@@ -601,7 +606,8 @@ def verify_bianchi_so41(d: int, theta: Angle, *, tol: float = DECISION_TOL) -> d
     relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly "
                               "at symbolic u", " at symbolic u")
     a, b1, b2 = cusp_surds(d)
-    cls, class_u, info = _letter_class(fam.images["u"].evaluate(theta), fam.form, tol)
+    _, (result,) = _letter_classes(fam, [theta], tol)
+    cls, class_u, info = _letter_class(result)
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",
@@ -621,21 +627,5 @@ def verify_bianchi_so41(d: int, theta: Angle, *, tol: float = DECISION_TOL) -> d
     record_check(checks, "stronglyParabolicOnlyAtHalfTurns", True,
                  "strongly parabolic-preserving only at theta in {0, pi}"
                  + (" (this theta qualifies)" if is_strong_angle else ""))
-
-    return {
-        "family": "bianchi",
-        "d": d,
-        "target": "so41",
-        "param": theta.value,
-        "relations": relations,
-        "traceU": None,
-        "classU": class_u,
-        "cusp": {
-            "a": a.value, "b1": b1.value, "b2": b2.value,
-            "orthogonal": b1.is_zero,
-            "verdict": verdict,
-        },
-        "algebraDim": None,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks.values()),
-    }
+    return _report(fam, theta.value, relations, checks, (a, b1, b2), verdict,
+                   trace_u=None, class_u=class_u, algebra_dim=None)

@@ -259,7 +259,7 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     from .isometry import grid_blocks, sweep_verdict
     sym = build_family(None)
     rows = []
-    for angles, values, failure in grid_blocks(alphas):
+    for angles, values in grid_blocks(alphas):
         wants = [expected_arc(a, exclusion) for a in angles]
         kept = [k for k, want in enumerate(wants) if want is not None]
         points = _evaluate_block(
@@ -274,8 +274,6 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
                 classes = ((class_m, class_l) if margin is None
                            else ("indeterminate", "indeterminate"))
             rows.append(SweepRow(values[k], sig, wants[k], det, classes, margin))
-        if failure is not None:  # after every earlier point
-            raise failure
     return rows
 
 

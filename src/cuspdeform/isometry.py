@@ -443,14 +443,14 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
 
 
 def grid_blocks(points: Iterable[Angle | float]
-                ) -> Iterator[tuple[list[Angle], list, Exception | None]]:
+                ) -> Iterator[tuple[list[Angle], list]]:
     """Walk a sweep grid (a float is an angle in radians) in blocks of
-    SWEEP_BLOCK points.  Yields, per block, the angles, their values and
-    None; or, at the first point that is no angle (or whose iteration
-    raised), the block's earlier points and that exception, and stops.
-    A sweep evaluates and classifies the block's points first and raises
-    the exception only if none of them failed, so the failure raised is
-    the first one in grid order."""
+    SWEEP_BLOCK points, yielding each block's angles and their values.
+    At the first point that is no angle (or whose iteration raised), the
+    block's earlier points come first, and the exception is raised when
+    the sweep asks for the next block: by then the sweep has evaluated
+    and classified every earlier point, so the failure raised is the
+    first one in grid order."""
     angles: list[Angle] = []
     values: list = []
     try:
@@ -459,13 +459,14 @@ def grid_blocks(points: Iterable[Angle | float]
             angles.append(angle)
             values.append(value)
             if len(angles) == SWEEP_BLOCK:
-                yield angles, values, None
+                yield angles, values
                 angles, values = [], []
-    except Exception as exc:
-        yield angles, values, exc
-        return
+    except Exception:
+        if angles:
+            yield angles, values
+        raise
     if angles:
-        yield angles, values, None
+        yield angles, values
 
 
 def sweep_verdict(result) -> tuple[str, float | None]:

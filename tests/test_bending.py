@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdeform import bending, scalars
+from cuspdeform import bending, isometry, scalars
 from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 BendDataHNN, algebra_dimension, bend_amalgam,
                                 bend_hnn, bianchi_family,
@@ -17,6 +17,7 @@ from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 su31_centralizer, validate_bianchi_d,
                                 verify_bianchi_so41, verify_bianchi_su31)
 from cuspdeform.heisenberg import dilation_matrix
+from cuspdeform.isometry import SWEEP_BLOCK
 from cuspdeform.matrices import (GeometryError, Mat, form_preserved,
                                  siegel_form)
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
@@ -440,6 +441,59 @@ class TestVerifySO41:
         J5 = siegel_form(5)
         for g in pythagorean_so41(11, Fraction(1, 3)).values():
             assert form_preserved(g, J5)
+
+
+class TestLetterStep:
+    """The bent stable letter is evaluated and classified in one block
+    step, ``_letter_classes``: once per sweep block, and at its one angle
+    for each report."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        real = bending._letter_classes
+
+        def letter_classes(fam, angles, tol):
+            calls.append((fam.target, [a.value for a in angles]))
+            return real(fam, angles, tol)
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("the letter is classified outside its block step")
+
+        monkeypatch.setattr(bending, "_letter_classes", letter_classes)
+        monkeypatch.setattr(isometry, "classify", no_classify)
+        monkeypatch.setattr(bending, "classify", no_classify, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("target, d, angle", [
+        ("su31", 2, None),
+        ("su31", 7, Angle.pi_fraction(2, 5)),
+        ("su31", 2, Angle.radians(1e-4)),
+        ("so41", 7, Angle.radians(1.0)),
+        ("so41", 2, Angle.zero()),
+        ("so41", 5, Angle.pi_fraction(1, 1)),
+    ])
+    def test_report_is_the_one_point_step(self, steps, target, d, angle):
+        report = verify_bianchi_su31 if target == "su31" else verify_bianchi_so41
+        report(d, angle)
+        assert steps == [(target, [(ALGEBRA_PROBE_ANGLE if angle is None else angle).value])]
+
+    @pytest.mark.parametrize("target", ["su31", "so41"])
+    def test_sweep_steps_once_per_block(self, steps, target):
+        grid = [0.1 + 0.01 * k for k in range(2 * SWEEP_BLOCK + 10)]
+        rows = bianchi_sweep(7, target, grid)
+        assert [len(values) for _, values in steps] == [SWEEP_BLOCK, SWEEP_BLOCK, 10]
+        assert [v for _, values in steps for v in values] == grid == [r.param for r in rows]
+
+    def test_su31_evaluates_each_generator_once(self, monkeypatch):
+        fam = bianchi_family(7, "su31")
+        evaluated = []
+        real = Mat.evaluate_stack
+        monkeypatch.setattr(Mat, "evaluate_stack", lambda mat, powers:
+                            evaluated.append(mat) or real(mat, powers))
+        verify_bianchi_su31(7, Angle.pi_fraction(2, 5))
+        assert {sym: sum(m is g for m in evaluated) for sym, g in fam.images.items()} \
+            == {"a": 1, "t": 1, "u": 1}
 
 
 # Q = [[1, 1], [-i, i]]/sqrt2 on span coordinates 2 and 3: the change of

@@ -821,6 +821,74 @@ class TestSweepBlocks:
             bianchi_sweep(2, "so41", grid)
         assert type(exc.value) is expected
 
+    @staticmethod
+    def _iterating(grid, raising):
+        """The grid as an iterator that raises RuntimeError when asked
+        for point ``raising``."""
+        for k, x in enumerate(grid):
+            if k == raising:
+                raise RuntimeError(f"grid source failed before point {k}")
+            yield x
+
+    @staticmethod
+    def _spy_blocks(monkeypatch, kind, broken):
+        """Record the values of every block a sweep evaluates and, unless
+        ``broken`` is None, break the form at grid point ``broken``."""
+        seen = []
+        bad = None if broken is None else TestSweepBlocks.GRID[broken]
+        if kind == "figure8":
+            real = figure8._numeric_families
+
+            def families(powers, *args):
+                M, N, L = real(powers, *args)
+                values = [a.value for a in powers.angles]
+                seen.extend(values)
+                if bad in values:
+                    M = M.copy()
+                    M[values.index(bad)] *= 2
+                return M, N, L
+
+            monkeypatch.setattr(figure8, "_numeric_families", families)
+            return seen, figure8_sweep
+        letter = bianchi_family(2, kind).images["u"]
+        real = Mat.evaluate_stack
+
+        def evaluate_stack(mat, powers):
+            U = real(mat, powers)
+            if mat is letter:
+                values = [a.value for a in powers.angles]
+                seen.extend(values)
+                if bad in values:
+                    U[values.index(bad)] *= 2
+            return U
+
+        monkeypatch.setattr(Mat, "evaluate_stack", evaluate_stack)
+        return seen, lambda grid: bianchi_sweep(2, kind, grid)
+
+    @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
+    @pytest.mark.parametrize("raising", [0, SWEEP_BLOCK, SWEEP_BLOCK + 6])
+    def test_grid_iterator_raising(self, monkeypatch, kind, raising):
+        # the grid's own error, raised after every earlier point is swept
+        seen, sweep = self._spy_blocks(monkeypatch, kind, None)
+        with pytest.raises(RuntimeError) as exc:
+            sweep(self._iterating(self.GRID, raising))
+        assert type(exc.value) is RuntimeError
+        assert str(exc.value) == f"grid source failed before point {raising}"
+        assert seen == self.GRID[:raising]
+
+    @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
+    @pytest.mark.parametrize("broken, raising, expected", [
+        (3, SWEEP_BLOCK, GeometryError),
+        (SWEEP_BLOCK + 2, SWEEP_BLOCK + 6, GeometryError),
+        (SWEEP_BLOCK + 8, SWEEP_BLOCK + 6, RuntimeError),
+    ])
+    def test_earlier_classification_error_wins(self, monkeypatch, kind, broken, raising,
+                                               expected):
+        _, sweep = self._spy_blocks(monkeypatch, kind, broken)
+        with pytest.raises(expected) as exc:
+            sweep(self._iterating(self.GRID, raising))
+        assert type(exc.value) is expected
+
     def test_unbroken_grid_still_sweeps(self):
         rows = figure8_sweep(self.GRID)
         assert len(rows) == len(self.GRID)
