@@ -27,9 +27,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenColumns, GeometryError,
-                       HermForm, IndeterminateError, chain_groups, eigen_columns,
-                       eye, finite_rows, form_defects, moduli, row_means,
-                       shifted, unwrap)
+                       HermForm, IndeterminateError, eigen_columns, eye,
+                       finite_rows, form_defects, moduli, row_means, shifted,
+                       unwrap)
 from .scalars import Angle
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
@@ -100,74 +100,6 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _merge_defective(S: np.ndarray, cols: EigenColumns, tol: float) -> EigenColumns:
-    """Repair eigenvalue-scatter artifacts: computed eigenvalues of a
-    defective matrix spread by ~eps^(1/k), which can fake several
-    nearby clusters.  Clusters closer than the scatter radius are
-    merged when the merged center really is a (defective) eigenvalue
-    (kernel nonempty there); if the merged center carries no kernel the
-    nearby clusters were genuinely distinct and stay split.
-
-    Runs on a stack with the clusters of each matrix as columns (at
-    least one per matrix) and returns the merged clusters as columns.
-    The centres of every matrix, NaN-padded to the longest, go through
-    one ``chain_groups`` call at radius 4 eps^(1/n) max(max |c|, 1), so
-    the merged order is the order of the groups.  A group of one keeps
-    its cluster; a group of several (a merge candidate) becomes one
-    cluster at the alg-weighted mean of its members, or stays its
-    members in sorted order.  One singular-value call serves every
-    merge candidate of the stack.
-    """
-    n, P, C = S.shape[-1], len(S), len(cols.row)
-    spread = 4.0 * float(np.finfo(float).eps) ** (1.0 / n)
-    counts = cols.counts()
-    first = counts.cumsum() - counts
-    suspect = spread * np.maximum(np.maximum.reduceat(moduli(cols.value), first), 1.0)
-    m = int(counts.max())
-    slot = np.arange(C) + (cols.row * m - first[cols.row])  # in the padded (P, m) layout
-    padded = np.full(P * m, complex(np.nan, np.nan))
-    padded[slot] = cols.value
-    cluster = np.full(P * m, -1)
-    cluster[slot] = np.arange(C)
-    members, sizes, rows = chain_groups(padded.reshape(P, m), suspect)
-    member = cluster[members]  # -1: padding
-    value, alg, geo = cols.value[member], cols.alg[member], cols.geo[member]
-    keep = member >= 0
-    cands = (sizes > 1).nonzero()[0]
-    if cands.size:
-        # sum(c.value * c.alg for c in g) / alg, term by term from +0.0
-        # (a zero term then changes no bit), divided part by part as
-        # Python divides a complex by an int
-        lead = sizes.cumsum() - sizes  # where each group's members start
-        width = int(sizes[cands].max())
-        inside = np.arange(width) < sizes[cands][:, None]
-        j = member[np.where(inside, lead[cands][:, None] + np.arange(width),
-                            lead[cands][:, None])]
-        weight = np.where(inside, cols.alg[j], 0)
-        terms = cols.value[j]
-        terms_re, terms_im = terms.real * weight, terms.imag * weight
-        re = im = np.zeros(len(cands))
-        for t in range(width):
-            re, im = re + terms_re[:, t], im + terms_im[:, t]
-        total = weight.sum(axis=1)
-        lams = np.empty(len(cands), dtype=complex)
-        lams.real, lams.imag = re / total, im / total
-        on = rows[cands]
-        sv = np.linalg.svd(shifted(S[on], lams), compute_uv=False)
-        kernel = n - np.sum(sv > (tol * cols.norm[on])[:, None], axis=1)
-        # a center with no kernel: the members were genuinely distinct
-        merge = kernel != 0
-        at = lead[cands[merge]]
-        value[at], alg[at], geo[at] = lams[merge], total[merge], kernel[merge]
-        # the merged cluster stands at its group's first member: drop the rest
-        merged = np.zeros(len(sizes), dtype=bool)
-        merged[cands[merge]] = True
-        keep &= ~np.repeat(merged, sizes)
-        keep[at] = True
-    return EigenColumns(members[keep] // m, value[keep], alg[keep], geo[keep], cols.margin,
-                        cols.norm, cols.failed)
-
-
 def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     """Subtype of a (previously classified) parabolic matrix.
 
@@ -181,8 +113,7 @@ def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     """
     subtype = _unipotent_subtypes(np.asarray(A, dtype=complex)[None], tol)[0]
     if subtype is None:
-        S, cols = _one_row(A, tol)
-        subtype = unwrap(_cluster_subtype(len(_merge_defective(S, cols, tol).row)))
+        subtype = unwrap(_cluster_subtype(len(_one_row(A, tol)[1].row)))
     return subtype
 
 
@@ -224,7 +155,7 @@ def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
 
 def _cluster_subtype(clusters: int) -> str | IndeterminateError:
     """The subtype of a parabolic with no unipotent lift, from its
-    number of merged clusters."""
+    number of eigenvalue clusters."""
     if clusters > 1:
         return ELLIPTO_PARABOLIC
     return IndeterminateError(
@@ -309,9 +240,9 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
     IndeterminateError) that ``classify`` raises for it.  Each step runs
     as one numpy call over the matrices it still has to decide: the
     finiteness check, the form defect, the identity test, the
-    eigenstructure, the merge of scatter artifacts, the unipotent powers
-    and the boundary-elliptic kernels.  The decisions on their results,
-    with their thresholds and margins, are made per matrix.
+    eigenstructure, the unipotent powers and the boundary-elliptic
+    kernels.  The decisions on their results, with their thresholds and
+    margins, are made per matrix.
     """
     S = _square_stack(S)
     if len(S) == 0:
@@ -395,27 +326,26 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
         return out
     A, live, cols = _take(A, rows), live[rows].tolist(), cols.take(rows)
 
-    # unit-norm test per merged cluster, with its own margin; the first
-    # cluster of a matrix that is too close to call, in merged order,
-    # names its eigenvalue
-    merged = _merge_defective(A, cols, tol)
-    counts = merged.counts()
+    # unit-norm test per cluster, on the clusters eigen_columns settled
+    # on, with its own margin; the first cluster of a matrix that is too
+    # close to call names its eigenvalue
+    counts = cols.counts()
     first = counts.cumsum() - counts
-    dev = np.abs(moduli(merged.value) - 1.0)
+    dev = np.abs(moduli(cols.value) - 1.0)
     unit = dev <= tol
     with np.errstate(over="ignore"):
         margin = np.where(unit, tol / np.maximum(dev, NORM_FLOOR), dev / tol)
     decided = np.ones(len(A), dtype=bool)
     close = (margin < INDETERMINATE_FACTOR).nonzero()[0]
     if close.size:
-        named = close[np.diff(merged.row[close], prepend=-1) != 0]
-        decided[merged.row[named]] = False
-        for j, value, m in zip(merged.row[named].tolist(), merged.value[named].tolist(),
+        named = close[np.diff(cols.row[close], prepend=-1) != 0]
+        decided[cols.row[named]] = False
+        for j, value, m in zip(cols.row[named].tolist(), cols.value[named].tolist(),
                                margin[named].tolist()):
             out[live[j]] = IndeterminateError(
                 f"eigenvalue {value:.6g} too close to the unit-norm threshold", m)
-    parabolic = decided & np.logical_or.reduceat(merged.geo != merged.alg, first)
-    nonunit = np.add.reduceat(np.where(unit, 0, merged.alg), first)
+    parabolic = decided & np.logical_or.reduceat(cols.geo != cols.alg, first)
+    nonunit = np.add.reduceat(np.where(unit, 0, cols.alg), first)
     diagonal = decided & ~parabolic
     for j in (diagonal & (nonunit == 2)).nonzero()[0].tolist():
         out[live[j]] = Loxodromic()

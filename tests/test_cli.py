@@ -74,8 +74,9 @@ class TestVerifyCommand:
         assert doc["cusp"]["verdict"] == "nondiscrete-Z2-rational"
 
     @pytest.mark.parametrize("argv, check", [
-        (["--d", "2", "--target", "su31", "--alpha=0.0001"], "stableLetterParabolic"),
-        (["--d", "7", "--target", "so41", "--theta=0.0005"],
+        (["--d", "1000000000039", "--target", "su31", "--alpha=1.0"],
+         "stableLetterParabolic"),
+        (["--d", "10000019", "--target", "so41", "--theta=1.0"],
          "stableLetterElliptoParabolic"),
     ])
     def test_indeterminate_letter_is_a_failed_report(self, argv, check):
@@ -88,6 +89,17 @@ class TestVerifyCommand:
         assert got["classU"] == "indeterminate" and got["pass"] is False
         assert not got["checks"][check]["pass"]
         assert "margin" in got["checks"][check]["info"]
+
+    def test_so41_letter_near_zero_is_elliptic(self):
+        # for an orthogonal cusp the bent so41 letter is exactly elliptic
+        # at every theta != 0, also within the scatter radius of theta = 0
+        code, out, err = run(["verify", "bianchi", "--d", "5", "--target", "so41",
+                              "--theta=0.002"])
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert got["classU"] == "elliptic(boundary)" and got["pass"] is True
+        assert got["checks"]["stableLetterElliptic"] == {"info": "elliptic(boundary)",
+                                                         "pass": True}
 
     def test_not_squarefree_is_usage_error(self):
         code, _, err = run(["verify", "bianchi", "--d", "4"])
@@ -471,7 +483,8 @@ class TestOrbitCommand:
     # Generated before the Bianchi suites shared their exact and
     # stable-letter steps: a skew cusp at an angle, a d without a
     # presentation, an orthogonal half turn, the undeformed so41 letter
-    # and a stable letter too close to call (exit 1).
+    # and the su31 letter near alpha = 0 (regenerated since: exactly
+    # ellipto-parabolic there, exit 0).
     @pytest.mark.parametrize("name, argv, want", [
         ("verify_bianchi_d7_su31_alpha_2-5pi.json",
          ["verify", "bianchi", "--d", "7", "--target", "su31", "--alpha=2/5pi"], 0),
@@ -484,7 +497,7 @@ class TestOrbitCommand:
          ["verify", "bianchi", "--d", "11", "--target", "so41", "--theta=0",
           "--pythagorean=-3/5"], 0),
         ("verify_bianchi_d2_su31_alpha_0.0001.json",
-         ["verify", "bianchi", "--d", "2", "--target", "su31", "--alpha=0.0001"], 1),
+         ["verify", "bianchi", "--d", "2", "--target", "su31", "--alpha=0.0001"], 0),
     ])
     def test_bianchi_report_golden(self, name, argv, want):
         code, out, err = run(argv)
@@ -864,8 +877,8 @@ class TestIndeterminateText:
             assert (str(clone), clone.margin, clone.args) == (str(exc), margin, exc.args)
 
     def test_margin_below_the_factor(self):
-        code, out, _ = run(["verify", "bianchi", "--d", "2", "--target", "su31",
-                            "--alpha=0.0001"])
+        code, out, _ = run(["verify", "bianchi", "--d", "10000019", "--target", "so41",
+                            "--theta=1.0"])
         assert code == 1
         found = self.MARGIN.findall(out)
         assert found and all(below and float(m) < 10 for m, below in found)

@@ -28,10 +28,9 @@ from cuspdeform.isometry import (ELLIPTO_PARABOLIC, UNIPOTENT_STEP2,
                                  Loxodromic, Parabolic, SWEEP_BLOCK,
                                  classify, classify_stack, elliptic_boundary,
                                  parabolic_subtype)
-from cuspdeform import isometry, matrices
-from cuspdeform.isometry import _merge_defective
-from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, EigenColumns,
-                                 GeometryError, HermForm, IndeterminateError, Mat,
+from cuspdeform import matrices
+from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
+                                 HermForm, IndeterminateError, Mat,
                                  chain_groups, eigen, eigen_stack, form_defect,
                                  siegel_form)
 from cuspdeform.scalars import Angle
@@ -108,37 +107,6 @@ def _ref_form_defect(g, form):
     return float(np.abs(D).max())
 
 
-def _ref_merge_defective(A, clusters, tol):
-    n = A.shape[0]
-    vscale = max(max(abs(c.value) for c in clusters), 1.0)
-    suspect = 4.0 * float(np.finfo(float).eps) ** (1.0 / n) * vscale
-    groups = []
-    for c in sorted(clusters, key=lambda c: (c.value.real, c.value.imag)):
-        for g in groups:
-            if any(abs(c.value - w.value) <= suspect for w in g):
-                g.append(c)
-                break
-        else:
-            groups.append([c])
-    if all(len(g) == 1 for g in groups):
-        return [g[0] for g in groups]
-    thr = tol * max(float(np.linalg.norm(A, 2)), 1e-300)
-    out = []
-    for g in groups:
-        if len(g) == 1:
-            out.append(g[0])
-            continue
-        alg = sum(c.alg for c in g)
-        lam = sum(c.value * c.alg for c in g) / alg
-        sv = np.linalg.svd(A - lam * np.eye(n), compute_uv=False)
-        geo = n - int(np.sum(sv > thr))
-        if geo == 0:
-            out.extend(g)
-        else:
-            out.append(Cluster(lam, alg, geo))
-    return out
-
-
 def _ref_parabolic_subtype(A, clusters, tol, cluster_rtol):
     n = A.shape[0]
     lam = complex(np.trace(A)) / n
@@ -152,8 +120,7 @@ def _ref_parabolic_subtype(A, clusters, tol, cluster_rtol):
         if cb <= tol * s2 * max(_ref_norm(N), 1.0):
             return UNIPOTENT_STEP3
     if clusters is None:
-        data = reference_eigen(A, tol=tol, cluster_rtol=cluster_rtol)
-        clusters = _ref_merge_defective(A, data.clusters, tol)
+        clusters = reference_eigen(A, tol=tol, cluster_rtol=cluster_rtol).clusters
     if len(clusters) > 1:
         return ELLIPTO_PARABOLIC
     raise IndeterminateError(
@@ -198,7 +165,7 @@ def reference_classify(A, form, tol=1e-9, cluster_rtol=1e-7):
     if data.rank_margin < 10:
         raise IndeterminateError("diagonalizability decision too close to call",
                                  data.rank_margin)
-    clusters = _ref_merge_defective(A, data.clusters, tol)
+    clusters = data.clusters
     unit_alg = 0
     nonunit_alg = 0
     for cl in clusters:
@@ -428,7 +395,7 @@ class TestStackEqualsReference:
         assert want[1::2] == [("class", "elliptic(single-point)", None)] * 12
 
     def test_norms_stay_with_their_rows(self):
-        # merges and kernels of the so41 letter near theta = 0 decide on
+        # kernels of the so41 letter near theta = 0 decide on
         # singular values of order theta^2, next to a row of norm 10^6
         rng = np.random.default_rng(4)
         rows = [make_row("large-dilation", 5, rng)]
@@ -660,95 +627,6 @@ def _stop_radius(A, tol=1e-9):
     return None
 
 
-def _cluster_columns(rows):
-    """EigenColumns of (matrix, clusters) pairs, with the reference's norms."""
-    clusters = [c for _, cl in rows for c in cl]
-    return EigenColumns(
-        np.array([k for k, (_, cl) in enumerate(rows) for _ in cl]),
-        np.array([c.value for c in clusters], dtype=complex),
-        np.array([c.alg for c in clusters]), np.array([c.geo for c in clusters]),
-        np.ones(len(rows)),
-        np.array([max(float(np.linalg.norm(A, 2)), 1e-300) for A, _ in rows]),
-        np.zeros(len(rows), dtype=bool))
-
-
-def _merge_outcome(rows, tol=1e-9):
-    """The merged clusters of every row, stacked and by the reference."""
-    merged = _merge_defective(np.stack([A for A, _ in rows]), _cluster_columns(rows), tol)
-    got = [[] for _ in rows]
-    for k, value, alg, geo in zip(merged.row.tolist(), merged.value.tolist(),
-                                  merged.alg.tolist(), merged.geo.tolist()):
-        got[k].append((bits(value), alg, geo))
-    want = [[(bits(c.value), c.alg, c.geo) for c in _ref_merge_defective(A, cl, tol)]
-            for A, cl in rows]
-    return got, want
-
-
-class TestMergeKernel:
-    """``_merge_defective`` on columns against ``_ref_merge_defective``,
-    bit for bit, on clusters placed within the scatter radius
-    4 eps^(1/n) max(max |c|, 1)."""
-
-    def test_merged_mean_sorts_before_an_earlier_cluster(self):
-        # sorted a < b < c < d; d joins a's group, which has no kernel at
-        # its centre and stays split; b and c merge, and their centre,
-        # which sorts before d, keeps the place of their group after d
-        a, b, c, d = 1 + 0j, 1 + 1e-5 + 1e-3j, 1 + 2e-5 + 1.1e-3j, 1 + 3e-5 + 0j
-        centre = (b + c) / 2
-        A = np.diag([centre, 5, 6, 7]).astype(complex)
-        rows = [(A, [Cluster(a, 1, 1), Cluster(b, 1, 1), Cluster(c, 1, 1),
-                     Cluster(d, 1, 1)])]
-        got, want = _merge_outcome(rows)
-        assert got == want
-        assert want[0] == [(bits(a), 1, 1), (bits(d), 1, 1), (bits(centre), 2, 1)]
-        assert (centre.real, centre.imag) < (d.real, d.imag)
-
-    def test_weighted_centre_and_padding(self):
-        # rows of 1 to 5 clusters in one stack; merged groups weigh their
-        # members by alg, ties and signed zeros included
-        r = 4.0 * float(np.finfo(float).eps) ** 0.25  # n = 4
-        z = complex
-        groups = [
-            [Cluster(z(1, 0), 2, 1), Cluster(z(1 + 0.3 * r, 0), 1, 1)],
-            [Cluster(z(-0.0, 0.0), 1, 1)],
-            [Cluster(z(0.0, -0.0), 1, 1), Cluster(z(-0.0, 0.2 * r), 3, 1),
-             Cluster(z(0.0, 0.2 * r), 1, 1)],
-            [Cluster(z(1j), 1, 1), Cluster(z(-1j), 1, 1), Cluster(z(0.3 * r, 1), 2, 1),
-             Cluster(z(1), 1, 1), Cluster(z(1 + 0.5 * r, 0.5 * r), 1, 1)],
-        ]
-        rows = []
-        for cl in groups:
-            alg = sum(c.alg for c in cl[:2])
-            centre = sum(c.value * c.alg for c in cl[:2]) / alg
-            rows.append((np.diag([centre, 3, 4, 5]).astype(complex), cl))  # a kernel
-            rows.append((np.diag([7, 3, 4, 5]).astype(complex), cl))  # none
-        got, want = _merge_outcome(rows)
-        assert got == want
-        assert any(len(g) < len(cl) for g, (_, cl) in zip(want, rows))
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
-           count=st.integers(1, 8))
-    def test_random_clusters(self, seed, n, count):
-        rng = np.random.default_rng(seed)
-        spread = 4.0 * float(np.finfo(float).eps) ** (1.0 / n)
-        rows = []
-        for _ in range(count):
-            k = int(rng.integers(1, n + 1))
-            base = np.exp(1j * rng.uniform(-3, 3))
-            clusters = [Cluster(complex(base + spread * complex(*rng.normal(size=2))
-                                        * rng.choice((0.0, 0.2, 0.6, 2.0))),
-                                int(rng.integers(1, 3)), int(rng.integers(0, 2)))
-                        for _ in range(k)]
-            pick = clusters[: int(rng.integers(1, k + 1))]
-            alg = sum(c.alg for c in pick)
-            centre = sum(c.value * c.alg for c in pick) / alg
-            diag = [centre if rng.random() < 0.6 else 7.0] + [3.0] * (n - 1)
-            rows.append((np.diag(diag).astype(complex), clusters))
-        got, want = _merge_outcome(rows)
-        assert got == want
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -904,8 +782,8 @@ class TestSweepBlocks:
     ])
     def test_one_eigvals_call_per_block(self, monkeypatch, argv):
         # per block: one eigvals call, and singular-value calls for the
-        # norms, one per clustering radius reached, one for the merge and
-        # one for the elliptic kernels: no numpy call per matrix
+        # norms, one per clustering radius reached and one for the
+        # elliptic kernels: no numpy call per matrix
         events = []
 
         def counting(name, real):
@@ -918,8 +796,6 @@ class TestSweepBlocks:
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(matrices, "chain_groups",
                             counting("radius", matrices.chain_groups))
-        monkeypatch.setattr(isometry, "chain_groups",
-                            counting("merge", isometry.chain_groups))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
         assert out.getvalue().count("parabolic") + out.getvalue().count("elliptic") > 0
@@ -928,5 +804,5 @@ class TestSweepBlocks:
         assert 0 < len(blocks) <= math.ceil(720 / SWEEP_BLOCK)
         for block in blocks:
             radii = block.count("r")
-            assert 1 <= radii <= 5 and block.count("m") <= 1
-            assert block.count("s") <= 1 + radii + 1 + 1
+            assert 1 <= radii <= 5
+            assert block.count("s") <= 1 + radii + 1
