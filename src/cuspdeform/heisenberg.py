@@ -80,25 +80,40 @@ def box_distance(p: HeisPoint, q: HeisPoint) -> float:
     return max(dz, math.sqrt(abs(p.t - q.t)))
 
 
-def _closest_pair(keys: np.ndarray, dist, dup_tol: float) -> float:
-    """Minimum dist(i, j) > dup_tol over pairs of rows (math.inf if none).
+def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist,
+                  dup_tol: float) -> float:
+    """Minimum dist(p, q) > dup_tol over pairs of points (math.inf if none).
 
-    Every column of keys must bound the metric from below, |keys[i, c] -
-    keys[j, c]| <= dist(i, j); dist maps two index arrays to the distances
-    of the paired rows.  The rows are sorted along the column with the
-    most distinct values, and rows k places apart are compared for
-    k = 1, 2, ... until every key gap at offset k exceeds the best
-    distance so far (Shamos-Hoey sort-and-sweep).
+    The points are the rows of the columns `cols`; dist maps two lists of
+    such columns, p and q, to the distances of the paired rows.  Every
+    column of keys must bound the metric from below: |keys[i, c] -
+    keys[j, c]| is at most the distance of rows i and j.  The rows are
+    sorted along the key column with the most distinct values, and rows
+    k places apart are compared for k = 1, 2, ... until every key gap at
+    offset k exceeds the best distance so far (Shamos-Hoey sort-and-sweep).
+
+    The sweep reads copies of the columns put in sort order once.  At an
+    offset where at least a quarter of the pairs are candidates (a sort
+    column of few distinct values, as in an so41 orbit), dist runs on the
+    contiguous slices c[:-k] and c[k:] and is masked after; at the others,
+    on the gathered candidates.  dist is elementwise, so either way every
+    distance has the bits it has for its pair alone.
     """
     col = max(range(keys.shape[1]), key=lambda c: np.unique(keys[:, c]).size)
     order = np.argsort(keys[:, col], kind="stable")
     s = keys[order, col]
+    cols = [c[order] for c in cols]
     best = math.inf
     for k in range(1, len(s)):
         near = s[k:] - s[:-k] <= best
-        if not near.any():
+        count = np.count_nonzero(near)
+        if not count:
             break
-        d = dist(order[:-k][near], order[k:][near])
+        if 4 * count < near.size:
+            i = np.flatnonzero(near)
+            d = dist([c[i] for c in cols], [c[i + k] for c in cols])
+        else:
+            d = dist([c[:-k] for c in cols], [c[k:] for c in cols])[near]
         d = d[d > dup_tol]
         if d.size:
             best = min(best, float(d.min()))
@@ -387,11 +402,11 @@ def _distinct_elements(m: np.ndarray, n: np.ndarray, T: RS1Element,
 def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
     """Minimum positive box distance max(|dx|, arc) among points (x, angle);
     the arc is at least the chord, so x, cos and sin all bound it below."""
-    def dist(i, j):
-        d = np.fmod(np.abs(ang[i] - ang[j]), 2 * math.pi)
-        return np.maximum(np.abs(x[i] - x[j]), np.minimum(d, 2 * math.pi - d))
+    def dist(p, q):
+        d = np.fmod(np.abs(p[1] - q[1]), 2 * math.pi)
+        return np.maximum(np.abs(p[0] - q[0]), np.minimum(d, 2 * math.pi - d))
     keys = np.column_stack([x, np.cos(ang), np.sin(ang)])
-    return _closest_pair(keys, dist, 0.0)
+    return _closest_pair(keys, [x, ang], dist, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +485,12 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
     are excluded, so the reported gap is the positive one)."""
     cols = _orbit_columns(pts)
     Z, t = cols.Z, cols.t
+    k = Z.shape[1]
 
-    def dist(i, j):
-        dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(Z.shape[1]))
-        return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
-    return _closest_pair(np.column_stack([Z.real, Z.imag]), dist, dup_tol)
+    def dist(p, q):  # p, q: the Z columns, then t
+        dz2 = sum(np.abs(p[c] - q[c]) ** 2 for c in range(k))
+        return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(p[k] - q[k])))
+    return _closest_pair(np.column_stack([Z.real, Z.imag]), [*Z.T, t], dist, dup_tol)
 
 
 def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
@@ -483,30 +499,36 @@ def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
     return orbit_gap(orbit_points(gT, gU, p0, radius), dup_tol)
 
 
-def _csv_rows(cols: _OrbitColumns):
-    """The CSV rows (m, n, re_z1, im_z1, re_z2, im_z2, v) of orbit columns.
-
-    Complex-hyperbolic points (k = 2) pass through; real-hyperbolic
-    points (k = 3) must have real Z and t = 0, and pack as z1 = x,
-    z2 = y + iz, v = 0.  The float columns are read 1024 rows at a time,
-    so only one block of them is alive while the rows are formatted.
-    """
+def _csv_columns(cols: _OrbitColumns) -> list[np.ndarray]:
+    """The float CSV columns (re_z1, im_z1, re_z2, im_z2, v) of orbit
+    columns, packed as pack_csv_coords says."""
     Z, t = cols.Z, cols.t
     k = Z.shape[1]
     if k not in (2, 3):
         raise GeometryError("CSV schema covers boundary dimensions 2 and 3 only")
     if k == 3 and (Z.imag.any() or t.any()):
         raise GeometryError("a real-hyperbolic boundary point needs real Z and t = 0")
-    for i in range(0, len(t), 1024):
-        block = slice(i, i + 1024)
-        z, v = Z[block], t[block]
-        if k == 2:
-            c = [z[:, 0].real.tolist(), z[:, 0].imag.tolist(),
-                 z[:, 1].real.tolist(), z[:, 1].imag.tolist(), v.tolist()]
-        else:
-            zero = [0.0] * len(v)
-            c = [z[:, 0].real.tolist(), zero, z[:, 1].real.tolist(), z[:, 2].real.tolist(), zero]
-        yield from zip(cols.m[block], cols.n[block], *c)
+    if k == 2:
+        return [Z[:, 0].real, Z[:, 0].imag, Z[:, 1].real, Z[:, 1].imag, t]
+    zero = np.zeros(len(t))
+    return [Z[:, 0].real, zero, Z[:, 1].real, Z[:, 2].real, zero]
+
+
+def _csv_rows(cols: _OrbitColumns):
+    """The CSV rows (m, n, re_z1, im_z1, re_z2, im_z2, v) of orbit columns,
+    each coordinate already formatted as the repr of its float.
+
+    An orbit repeats its coordinates (a column of a radius-50 orbit holds
+    at most a few thousand distinct values in 10201 rows), so each column
+    formats each distinct value once and gathers the strings.  Values are
+    told apart by their bits, not compared as floats, so that -0.0 and
+    0.0 keep their own repr: every row prints what %r of its float does.
+    """
+    def formatted(c: np.ndarray) -> list[str]:
+        bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
+        reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        return reprs[inverse].tolist()
+    return zip(cols.m, cols.n, *map(formatted, _csv_columns(cols)))
 
 
 def pack_csv_coords(p: HeisPoint) -> tuple[float, float, float, float, float]:
@@ -515,7 +537,7 @@ def pack_csv_coords(p: HeisPoint) -> tuple[float, float, float, float, float]:
     Complex-hyperbolic points (len(Z)=2) pass through; real-hyperbolic
     points (len(Z)=3, real Z, t=0) pack as z1 = x, z2 = y + iz, v = 0.
     """
-    return next(_csv_rows(_orbit_columns([(0, 0, p)])))[2:]
+    return tuple(c.item() for c in _csv_columns(_orbit_columns([(0, 0, p)])))
 
 
 def write_orbit_csv(fp, rows: Iterable[tuple[int, int, HeisPoint]],
@@ -524,6 +546,6 @@ def write_orbit_csv(fp, rows: Iterable[tuple[int, int, HeisPoint]],
     comment (the one place comments are allowed)."""
     cols = _orbit_columns(rows)
     fp.write("m,n,re_z1,im_z1,re_z2,im_z2,v\r\n")
-    fp.write("".join(["%s,%s,%r,%r,%r,%r,%r\r\n" % row for row in _csv_rows(cols)]))
+    fp.write("".join(["%s,%s,%s,%s,%s,%s,%s\r\n" % row for row in _csv_rows(cols)]))
     if gap is not None:
         fp.write(f"# gap: {gap!r}\r\n")

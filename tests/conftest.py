@@ -1,12 +1,23 @@
-"""The real-basis so41 family at an exact rational point of the circle:
-a test oracle for ``bianchi_family(d, "so41")``, which is exact at
-symbolic u in the basis of ``embed_so41_q``.  This one is exact at a
-point that is not a root of unity, in the other basis, and is built
-only through the public bending operators.  Every test starts with no
-shared symbolic family built (``cold_families``)."""
+"""Test oracles built another way than the code they check.
 
+The real-basis so41 family at an exact rational point of the circle is
+an oracle for ``bianchi_family(d, "so41")``, which is exact at symbolic
+u in the basis of ``embed_so41_q``.  This one is exact at a point that
+is not a root of unity, in the other basis, and is built only through
+the public bending operators.
+
+The gather sweep is an oracle for the closest-pair kernel of the orbit
+and R x S^1 gap probes, which reads sorted copies of the point columns:
+it sorts an index instead, and gathers the candidate pairs of every
+offset through it.
+
+Every test starts with no shared symbolic family built
+(``cold_families``)."""
+
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cuspdeform import bending, figure8
@@ -59,3 +70,50 @@ def pythagorean_pair():
 @pytest.fixture
 def pythagorean_so41():
     return _pythagorean_so41
+
+
+def _gather_closest_pair(keys, dist, dup_tol: float) -> float:
+    """Minimum dist(i, j) > dup_tol over pairs of rows (math.inf if none),
+    by sort-and-sweep along the key column with the most distinct values;
+    dist maps two index arrays to the distances of the paired rows, which
+    are gathered at every offset k."""
+    col = max(range(keys.shape[1]), key=lambda c: np.unique(keys[:, c]).size)
+    order = np.argsort(keys[:, col], kind="stable")
+    s = keys[order, col]
+    best = math.inf
+    for k in range(1, len(s)):
+        near = s[k:] - s[:-k] <= best
+        if not near.any():
+            break
+        d = dist(order[:-k][near], order[k:][near])
+        d = d[d > dup_tol]
+        if d.size:
+            best = min(best, float(d.min()))
+    return best
+
+
+def _gather_orbit_gap(Z, t, dup_tol: float) -> float:
+    """The orbit gap of points with coordinates Z (N, k) and t (N,)."""
+    def dist(i, j):
+        dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(Z.shape[1]))
+        return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
+    return _gather_closest_pair(np.column_stack([Z.real, Z.imag]), dist, dup_tol)
+
+
+def _gather_rs1_gap(x, ang) -> float:
+    """The R x S^1 gap of the points (x, angle)."""
+    def dist(i, j):
+        d = np.fmod(np.abs(ang[i] - ang[j]), 2 * math.pi)
+        return np.maximum(np.abs(x[i] - x[j]), np.minimum(d, 2 * math.pi - d))
+    keys = np.column_stack([x, np.cos(ang), np.sin(ang)])
+    return _gather_closest_pair(keys, dist, 0.0)
+
+
+@pytest.fixture
+def gather_orbit_gap():
+    return _gather_orbit_gap
+
+
+@pytest.fixture
+def gather_rs1_gap():
+    return _gather_rs1_gap

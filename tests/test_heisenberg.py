@@ -18,9 +18,11 @@ from cuspdeform.heisenberg import (CuspParams, GeometryError, HeisPoint,
                                    shift_point, standard_lift,
                                    translation_matrix, unshift_point,
                                    write_orbit_csv)
-from cuspdeform.heisenberg import _rs1_gap
+from cuspdeform import heisenberg
+from cuspdeform.heisenberg import _rs1_gap, pack_csv_coords
 from cuspdeform.bending import bianchi_family, cusp_surds
 from cuspdeform.scalars import Angle, Surd
+from cuspdeform.tolerances import DUP_TOL
 
 complexes = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                                allow_nan=False, allow_infinity=False)
@@ -266,6 +268,81 @@ class TestClosestPair:
         assert same_gap(got, brute_min(rows, box, 0.0))
 
 
+class TestGapOracle:
+    """Both gap probes against the gather sweep of conftest, bit for bit."""
+
+    @pytest.mark.parametrize("d, target, angle", [
+        (7, "su31", Angle.radians(0.7)), (2, "su31", Angle.pi_fraction(1, 3)),
+        (7, "so41", Angle.radians(1.0)), (5, "so41", Angle.pi_fraction(1, 3))])
+    def test_radius_50_orbits(self, d, target, angle, gather_orbit_gap):
+        if target == "su31":
+            params = CuspParams(*cusp_surds(d), angle)
+            gT, gU, p0 = cusp_translation_T(params), bent_cusp_U(params), HeisPoint.origin(2)
+        else:
+            fam = bianchi_family(d, "so41", theta=angle)
+            gT = np.asarray(fam.images["t"], dtype=complex)
+            gU = np.asarray(fam.images["u"], dtype=complex)
+            p0 = HeisPoint.origin(3)
+        pts = orbit_points(gT, gU, p0, 50)
+        assert orbit_gap(pts).hex() == gather_orbit_gap(pts.Z, pts.t, DUP_TOL).hex()
+
+    @pytest.mark.parametrize("U", [RS1Element(Surd(1, 2), Angle.radians(0.7)),
+                                   RS1Element(Surd(1), Angle.pi_fraction(1, 2)),
+                                   RS1Element(Surd(1), Angle.radians(1.0))])
+    def test_rs1_probe_at_10_4(self, U, gather_rs1_gap, monkeypatch):
+        seen = []
+
+        def spy(x, ang):
+            seen.append((x, ang))
+            return _rs1_gap(x, ang)
+        monkeypatch.setattr(heisenberg, "_rs1_gap", spy)
+        gap = rs1_probe(RS1Element(Surd(1), Angle.zero()), U, 10000)
+        (x, ang), = seen
+        assert gap.hex() == gather_rs1_gap(x, ang).hex()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("cloud", ["tied", "untied", "clustered"])
+    def test_clouds_take_both_paths(self, k, cloud, gather_orbit_gap, monkeypatch):
+        """dist runs on contiguous slices at the offsets where most pairs
+        are candidates, and on the gathered candidates at the others.  A
+        tied cloud (every key column takes four values, and some rows are
+        duplicates) and an untied one take both paths past the first
+        offset; a clustered one (30 close rows, the rest far apart along
+        the sort column) finds its gap on gathered candidates."""
+        rng = np.random.default_rng(k)
+        size = 1200
+        if cloud == "tied":
+            Z = rng.integers(0, 4, (size, k)) + 1j * rng.integers(0, 4, (size, k))
+        else:
+            Z = rng.normal(size=(size, k)) + 1j * rng.normal(size=(size, k))
+        t = rng.normal(size=size)
+        if cloud == "tied":
+            Z[:20], t[:20] = Z[20:40], t[20:40]
+        if cloud == "clustered":
+            Z *= 1e-3
+            t *= 1e-6
+            Z[30:, 0] += 10.0 * np.arange(1, size - 29)
+        calls = []  # (pairs, smallest distance) per offset
+        closest_pair = heisenberg._closest_pair
+
+        def spy(keys, cols, dist, dup_tol):
+            def counted(p, q):
+                d = dist(p, q)
+                calls.append((len(p[0]), d.min()))
+                return d
+            return closest_pair(keys, cols, counted, dup_tol)
+        monkeypatch.setattr(heisenberg, "_closest_pair", spy)
+        rows = [(0, 0, HeisPoint(z, v)) for z, v in zip(Z.tolist(), t.tolist())]
+        gap = orbit_gap(rows)
+        assert gap.hex() == gather_orbit_gap(Z, t, DUP_TOL).hex()
+        dense = [n == size - offset for offset, (n, _) in enumerate(calls, 1)]
+        if cloud == "clustered":
+            found = next(i for i, (_, d) in enumerate(calls) if d == gap)
+            assert found > 0 and not dense[found]
+        else:
+            assert 1 < sum(dense) < len(dense)
+
+
 def rs1_reference(T, U, n_elements):
     """rs1_probe with its Fraction-keyed dedupe, one element at a time."""
     def key(m, n):
@@ -486,6 +563,30 @@ class TestBatchedOrbit:
             pts[49]
 
 
+# Subnormals, signed zeros and magnitudes up to 1e300.
+csv_floats = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+              | st.floats(-1e300, 1e300))
+
+
+@st.composite
+def repeated_orbit_rows(draw):
+    """Up to 30 rows (m, n, point) of boundary dimension 2 or 3; each CSV
+    column draws its values from a pool of at most three, so the rows
+    repeat them heavily."""
+    k = draw(st.sampled_from([2, 3]))
+    pools = [draw(st.lists(csv_floats, min_size=1, max_size=3)) for _ in range(5 if k == 2 else 3)]
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        c = [draw(st.sampled_from(pool)) for pool in pools]
+        if k == 2:
+            p = HeisPoint((complex(c[0], c[1]), complex(c[2], c[3])), c[4])
+        else:  # a signed zero in Im Z and t packs as 0.0
+            zero = st.sampled_from([0.0, -0.0])
+            p = HeisPoint([complex(x, draw(zero)) for x in c], draw(zero))
+        rows.append((draw(st.integers(-50, 50)), draw(st.integers(-50, 50)), p))
+    return rows
+
+
 class TestCsv:
     def test_header_and_gap_comment(self):
         gT = cusp_translation_T(D2_PARAMS)
@@ -499,7 +600,6 @@ class TestCsv:
         assert len(pts) == 25
 
     def test_so41_packing(self):
-        from cuspdeform.heisenberg import pack_csv_coords
         vals = pack_csv_coords(HeisPoint((1.0, 2.0, 3.0), 0.0))
         assert vals == (1.0, 0.0, 2.0, 3.0, 0.0)
 
@@ -507,7 +607,6 @@ class TestCsv:
                                       ((1.0j, 2.0, 3.0), 0.0),
                                       ((1.0, 2.0, 3.0), 0.5)])
     def test_so41_packing_refuses_complex_points(self, z, t):
-        from cuspdeform.heisenberg import pack_csv_coords
         p = HeisPoint(z, t)
         with pytest.raises(GeometryError, match="needs real Z and t = 0"):
             pack_csv_coords(p)
@@ -534,10 +633,22 @@ class TestCsv:
             write_orbit_csv(buf, given, gap=gap)
             dumps.append(buf.getvalue())
         assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
-        from cuspdeform.heisenberg import pack_csv_coords
         per_row = "".join("%s,%s,%r,%r,%r,%r,%r\r\n" % ((m, n) + pack_csv_coords(p))
                           for m, n, p in rows)
         assert dumps[0].split("\r\n", 1)[1].startswith(per_row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_orbit_rows())
+    @example([])
+    @example([(0, 0, HeisPoint((0j, 0j), 0.0)),       # a memo keyed by value
+              (0, 1, HeisPoint((complex(-0.0, -0.0), 0j), -0.0)),  # gives both
+              (1, 0, HeisPoint((0j, complex(-0.0, 0.0)), 0.0))])   # one repr
+    def test_bytes_match_per_row_reference(self, rows):
+        buf = io.StringIO()
+        write_orbit_csv(buf, rows)
+        per_row = "".join("%s,%s,%r,%r,%r,%r,%r\r\n" % ((m, n) + pack_csv_coords(p))
+                          for m, n, p in rows)
+        assert buf.getvalue() == "m,n,re_z1,im_z1,re_z2,im_z2,v\r\n" + per_row
 
     def test_empty_rows(self):
         buf = io.StringIO()
