@@ -25,12 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .heisenberg import CuspParams, RS1Element, rs1_classify
-from .isometry import IsoClass, classify_stack, grid_blocks, sweep_verdict
+from .isometry import (VERDICT_TEXTS, IsoClass, Verdicts, classify_columns, grid_blocks,
+                       sweep_codes)
 from .matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
                        Mat, UnitPowers, siegel_form, unwrap)
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _squarefree
@@ -414,32 +415,57 @@ class BianchiSweepRow:
     margin: float | None = None
 
 
+class BianchiSweep(NamedTuple):
+    """A Bianchi sweep as columns, one entry per grid point: the grid
+    value ``param``, the letter's sweep verdict ``code`` (an index into
+    ``isometry.VERDICT_TEXTS``) and the ``margin`` of each indeterminate
+    point, by its index."""
+
+    param: list
+    code: np.ndarray
+    margin: dict[int, float]
+
+    def rows(self) -> list[BianchiSweepRow]:
+        """The columns as one ``BianchiSweepRow`` per grid point."""
+        return [BianchiSweepRow(param, VERDICT_TEXTS[code], self.margin.get(k))
+                for k, (param, code) in enumerate(zip(self.param, self.code.tolist()))]
+
+
 def bianchi_sweep(d: int, target: str, params: Iterable[Angle | float],
                   tol: float = DECISION_TOL) -> list[BianchiSweepRow]:
     """Class of the bent stable letter across a parameter grid (a float
     is an angle in radians): the deformation angle alpha for su31, the
-    bending angle theta for so41.
+    bending angle theta for so41.  The row view of ``bianchi_columns``."""
+    return bianchi_columns(d, target, params, tol).rows()
+
+
+def bianchi_columns(d: int, target: str, params: Iterable[Angle | float],
+                    tol: float = DECISION_TOL) -> BianchiSweep:
+    """``bianchi_sweep`` as columns.
 
     The family is built once, at symbolic u, for either target.  Each
     block of points (``isometry.SWEEP_BLOCK``) is one ``_letter_classes``
     step; the first failure in grid order is the one raised.
     """
     fam = bianchi_family(d, target)
-    rows = []
+    param: list = []
+    codes = [np.zeros(0, dtype=int)]
+    margins: dict[int, float] = {}
     for angles, values in grid_blocks(params):
-        _, results = _letter_classes(fam, angles, tol)
-        rows.extend(BianchiSweepRow(value, *sweep_verdict(result))
-                    for value, result in zip(values, results))
-    return rows
+        code, found = sweep_codes(_letter_classes(fam, angles, tol)[1])
+        margins.update((len(param) + k, m) for k, m in found.items())
+        param += values
+        codes.append(code[:, 0])
+    return BianchiSweep(param, np.concatenate(codes), margins)
 
 
-def _letter_classes(fam: BianchiFamily, angles: Sequence[Angle],
-                    tol: float) -> tuple[np.ndarray, list]:
+def _letter_classes(fam: BianchiFamily, angles: Sequence[Angle | float],
+                    tol: float) -> tuple[np.ndarray, Verdicts]:
     """The one evaluation and classification of a Bianchi family's bent
     stable letter: its stack at a block of angles and, in one stacked
-    pass against the family's form, its ``classify_stack`` entries."""
+    pass against the family's form, its classes as columns."""
     U = fam.images["u"].evaluate_stack(UnitPowers(angles))
-    return U, classify_stack(U, fam.form, tol=tol)
+    return U, classify_columns(U, fam.form.array()[None], fam.form.convention, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +594,8 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
                  "orthogonal cusp exactly in the 1,2 mod 4 classes")
 
     sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
-    (U,), (result,) = _letter_classes(fam, [sample], tol)
-    cls, class_u, info = _letter_class(result)
+    (U,), verdicts = _letter_classes(fam, [sample], tol)
+    cls, class_u, info = _letter_class(verdicts.results()[0])
     if cls is None or not sample.is_zero_mod_2pi():
         record_check(checks, "stableLetterParabolic",
                      cls is not None and cls.kind == "parabolic",
@@ -606,8 +632,7 @@ def verify_bianchi_so41(d: int, theta: Angle, *, tol: float = DECISION_TOL) -> d
     relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly "
                               "at symbolic u", " at symbolic u")
     a, b1, b2 = cusp_surds(d)
-    _, (result,) = _letter_classes(fam, [theta], tol)
-    cls, class_u, info = _letter_class(result)
+    cls, class_u, info = _letter_class(_letter_classes(fam, [theta], tol)[1].results()[0])
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",

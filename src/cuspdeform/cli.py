@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .exact import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
                     siegel_form)
-from .figure8 import figure8_report, figure8_sweep
+from .figure8 import figure8_columns, figure8_report
 from .scalars import Angle
 from .tolerances import DECISION_TOL
 from .words import builtin_presentation, load_word_list
@@ -156,11 +156,21 @@ def _csv_lines(header: str, rows: list[str]) -> str:
     return "\r\n".join([header] + rows) + "\r\n"
 
 
-def _margin_cell(margin: float | None) -> str:
-    return "" if margin is None else repr(margin)
+def _cells(keys: list, text) -> list[str]:
+    """``text`` of each key, each distinct key formatted once."""
+    table = {key: text(key) for key in set(keys)}
+    return list(map(table.__getitem__, keys))
+
+
+def _margin_cells(margins: dict[int, float], count: int) -> list[str]:
+    cells = [""] * count
+    for k, margin in margins.items():
+        cells[k] = repr(margin)
+    return cells
 
 
 def cmd_sweep(args) -> int:
+    from .isometry import VERDICT_TEXTS
     tol = args.tol
     if args.count < 1:
         raise ValueError("--count must be >= 1")
@@ -172,19 +182,23 @@ def cmd_sweep(args) -> int:
 
     if args.family == "figure8":
         header = "alpha,sig_plus,sig_minus,sig_zero,class_m,class_l,det,margin"
-        sweep = figure8_sweep(grid, args.exclude_radius, tol=tol)
-        rows = [f"{r.alpha!r},{r.signature.plus},{r.signature.minus},"
-                f"{r.signature.zero},{','.join(r.classes or ('', ''))},"
-                f"{r.det_value!r},{_margin_cell(r.margin)}" for r in sweep]
-        failures = sum(not r.on_arc for r in sweep)
+        sweep = figure8_columns(grid, args.exclude_radius, tol=tol)
+        columns = (map(repr, sweep.alpha),
+                   _cells(list(map(tuple, sweep.sig.tolist())),
+                          lambda counts: ",".join(map(str, counts))),
+                   _cells(list(map(tuple, sweep.classes.tolist())), lambda pair: ",".join(
+                       VERDICT_TEXTS[c] if c >= 0 else "" for c in pair)),
+                   map(repr, sweep.det), _margin_cells(sweep.margin, len(sweep.alpha)))
+        failures = int(sweep.off_arc().sum())
     else:
-        from .bending import bianchi_sweep, validate_bianchi_d
+        from .bending import bianchi_columns, validate_bianchi_d
         validate_bianchi_d(args.d)
         header = "param,class_u,margin"
-        rows = [f"{r.param!r},{r.class_u},{_margin_cell(r.margin)}"
-                for r in bianchi_sweep(args.d, args.target, grid, tol=tol)]
+        sweep = bianchi_columns(args.d, args.target, grid, tol=tol)
+        columns = (map(repr, sweep.param), _cells(sweep.code.tolist(), VERDICT_TEXTS.__getitem__),
+                   _margin_cells(sweep.margin, len(sweep.param)))
         failures = 0
-    _emit(_csv_lines(header, rows), args.output)
+    _emit(_csv_lines(header, list(map(",".join, zip(*columns)))), args.output)
     return 0 if failures == 0 else 1
 
 

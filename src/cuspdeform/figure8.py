@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import GeometryError, HermForm, IndeterminateError, Mat, TRANSPOSE_CONJ
 from .scalars import Angle, LaurentPoly
@@ -34,6 +34,7 @@ from .words import (COMMUTATOR_CONVENTION, Rep, Word, builtin_presentation,
 if TYPE_CHECKING:
     import numpy as np
 
+    from .isometry import Verdicts
     from .matrices import Signature, UnitPowers
 
 _u = LaurentPoly.u
@@ -161,6 +162,19 @@ class Fig8Family:
     def witness_traces(self) -> tuple[LaurentPoly, ...]:
         return tuple(self.rep._traces(TRACE_WITNESS_WORDS))
 
+    @functools.cached_property
+    def witness_texts(self) -> tuple[tuple[str, str, bool], ...]:
+        """Each witness word and its trace as text, and whether the trace
+        is integral: the report's rows."""
+        return _trace_texts(TRACE_WITNESS_WORDS, self.witness_traces)
+
+    @functools.cached_property
+    def denominators(self) -> tuple[tuple[str, int], ...]:
+        """The largest entry denominator of M, N, the form and the longitude."""
+        return (("M", self.M.max_denominator()), ("N", self.N.max_denominator()),
+                ("J", self.form.mat.max_denominator()),
+                ("L", self.longitude().max_denominator()))
+
 
 @functools.lru_cache(maxsize=1)
 def _symbolic_family() -> Fig8Family:
@@ -215,34 +229,78 @@ class SweepRow:
 
 
 ARC_TRANSITIONS = (Fraction(2, 3), Fraction(1), Fraction(4, 3))  # multiples of pi, mod 2
+ARCS = ((3, 1), (2, 2))  # the signature each arc dictates, by its code
 
 
 def expected_arc(alpha: Angle | float, exclusion: float) -> tuple[int, int] | None:
     """The signature the arc dictates, or None inside an exclusion zone
     around the transition angles +-2pi/3 and +-pi.  A float is an angle
-    in radians.  A pi-rational angle is placed by its exact multiple of
-    pi, so a transition never gets an expectation from rounding.  A raw
-    angle past pi is reduced as ``math.cos`` and ``math.sin`` reduce it,
-    the reduction behind the matrices' entries."""
-    if isinstance(alpha, Angle):
-        if alpha.is_pi_rational:
+    in radians.  The one-point case of ``_arc_codes``."""
+    code = int(_arc_codes([alpha], [alpha.value if isinstance(alpha, Angle) else alpha],
+                          exclusion)[0])
+    return ARCS[code] if code >= 0 else None
+
+
+def _arc_codes(angles: Sequence[Angle | float], values: Sequence[float],
+               exclusion: float) -> np.ndarray:
+    """``expected_arc`` of every point of a block (``values[j]`` is the
+    value of ``angles[j]``), as its code in ARCS, -1 for None.
+
+    A raw angle past pi is reduced as ``math.cos`` and ``math.sin``
+    reduce it, the reduction behind the matrices' entries.  A
+    pi-rational angle is placed by its exact multiple of pi, so a
+    transition never gets an expectation from rounding; with a positive
+    exclusion, its value must also lie outside the zones."""
+    import numpy as np
+    a = np.abs(np.array(values, dtype=float))
+    far = (a > math.pi).nonzero()[0].tolist()
+    if far:
+        x = [values[j] for j in far]
+        a[far] = np.abs(list(map(math.atan2, map(math.sin, x), map(math.cos, x))))
+    codes = np.where(a < INNER_ARC_BOUND - exclusion, 0, np.where(
+        (INNER_ARC_BOUND + exclusion < a) & (a < math.pi - exclusion), 1, -1))
+    for j, alpha in enumerate(angles):
+        if isinstance(alpha, Angle) and alpha.is_pi_rational:
             f = alpha.pi_frac % 2
-            if f in ARC_TRANSITIONS:
-                return None
-            want = ((3, 1) if f < ARC_TRANSITIONS[0] or f > ARC_TRANSITIONS[2]
-                    else (2, 2))
-            if exclusion <= 0 or expected_arc(alpha.value, exclusion) == want:
-                return want
-            return None
-        alpha = alpha.value
-    a = abs(alpha)
-    if a > math.pi:
-        a = abs(math.atan2(math.sin(alpha), math.cos(alpha)))
-    if a < INNER_ARC_BOUND - exclusion:
-        return (3, 1)
-    if INNER_ARC_BOUND + exclusion < a < math.pi - exclusion:
-        return (2, 2)
-    return None
+            want = 0 if f < ARC_TRANSITIONS[0] or f > ARC_TRANSITIONS[2] else 1
+            codes[j] = (want if f not in ARC_TRANSITIONS and (exclusion <= 0 or codes[j] == want)
+                        else -1)
+    return codes
+
+
+class Fig8Sweep(NamedTuple):
+    """A figure-eight sweep as columns, one entry per grid point kept:
+    the grid value ``alpha``; the form's signature counts ``sig`` (an
+    (N, 3) array, see ``signature_counts``); the ``arc`` code (its
+    signature in ARCS); the form's ``det``; the ``classes`` of m and the
+    longitude (an (N, 2) array of sweep verdict codes, see
+    ``isometry.VERDICT_TEXTS``, -1 where not classified); and the
+    ``margin`` of each indeterminate row, by its index."""
+
+    alpha: list
+    sig: np.ndarray
+    arc: np.ndarray
+    det: list[float]
+    classes: np.ndarray
+    margin: dict[int, float]
+
+    def off_arc(self) -> np.ndarray:
+        """Whether each row's signature is off its arc."""
+        import numpy as np
+        want = np.array([(*sig, 0) for sig in ARCS])
+        return (self.sig != want[self.arc]).any(axis=1)
+
+    def rows(self) -> list[SweepRow]:
+        """The columns as one ``SweepRow`` per grid point kept."""
+        from .isometry import VERDICT_TEXTS
+        from .matrices import Signature
+        sigs = list(map(tuple, self.sig.tolist()))
+        signature = {counts: Signature(*counts) for counts in set(sigs)}
+        classes = [None if m < 0 else (VERDICT_TEXTS[m], VERDICT_TEXTS[l])
+                   for m, l in self.classes.tolist()]
+        return [SweepRow(alpha, signature[counts], ARCS[arc], det, pair, self.margin.get(k))
+                for k, (alpha, counts, arc, det, pair) in enumerate(
+                    zip(self.alpha, sigs, self.arc.tolist(), self.det, classes))]
 
 
 def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
@@ -250,54 +308,74 @@ def figure8_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     """Signature and determinant of the form across a parameter grid
     (a float is an angle in radians), skipping the exclusion zones, plus
     the peripheral classes on the signature-(3,1) arc away from 0.  A
-    signature off its arc is reported in its row (``on_arc``).
+    signature off its arc is reported in its row (``on_arc``).  The row
+    view of ``figure8_columns``."""
+    return figure8_columns(alphas, exclusion, tol).rows()
+
+
+def figure8_columns(alphas: Iterable[Angle | float], exclusion: float = 0.01,
+                    tol: float = DECISION_TOL) -> Fig8Sweep:
+    """``figure8_sweep`` as columns.
 
     The kept points of each block (``isometry.SWEEP_BLOCK``) are one
     ``_evaluate_block`` step of the symbolic family.  The first failure
     in grid order is the one raised.
     """
-    from .isometry import grid_blocks, sweep_verdict
+    import numpy as np
+    from .isometry import grid_blocks, sweep_codes
     sym = build_family(None)
-    rows = []
+    alpha: list = []
+    parts = []
+    margins: dict[int, float] = {}
     for angles, values in grid_blocks(alphas):
-        wants = [expected_arc(a, exclusion) for a in angles]
-        kept = [k for k, want in enumerate(wants) if want is not None]
-        points = _evaluate_block(
-            sym, [angles[k] for k in kept],
-            [wants[k] == (3, 1) and abs(values[k]) > SWEEP_ZERO_ANGLE for k in kept], tol)
-        for k, (sig, det, pair) in zip(kept, points):
-            classes = margin = None
-            if pair is not None:
-                class_m, margin = sweep_verdict(pair[0])
-                if margin is None:  # the longitude's class counts only then
-                    class_l, margin = sweep_verdict(pair[1])
-                classes = ((class_m, class_l) if margin is None
-                           else ("indeterminate", "indeterminate"))
-            rows.append(SweepRow(values[k], sig, wants[k], det, classes, margin))
-    return rows
+        arc = _arc_codes(angles.points, values, exclusion)
+        kept = (arc >= 0).nonzero()[0].tolist()
+        arc = arc[kept]
+        x = [values[j] for j in kept]
+        block = _evaluate_block(
+            sym, [angles.points[j] for j in kept],
+            (arc == 0) & (np.abs(np.array(x, dtype=float)) > SWEEP_ZERO_ANGLE), tol)
+        codes, found = sweep_codes(block.verdicts, 2)
+        classes = np.full((len(kept), 2), -1)
+        classes[block.arc] = codes
+        margins.update((len(alpha) + int(block.arc[j]), m) for j, m in found.items())
+        alpha += x
+        parts.append((block.sig, arc, block.det, classes))
+    sig, arc, det, classes = (np.concatenate(part) for part in zip(
+        (np.zeros((0, 3), dtype=int), np.zeros(0, dtype=int), np.zeros(0),
+         np.zeros((0, 2), dtype=int)), *parts))
+    return Fig8Sweep(alpha, sig, arc, det.tolist(), classes, margins)
 
 
-def _evaluate_block(sym: Fig8Family, angles: Sequence[Angle],
-                    classify_at: Sequence[bool], tol: float) -> list[tuple]:
+class _Block(NamedTuple):
+    """The columns of ``_evaluate_block``: per angle the form's signature
+    counts and determinant; the angles classified (``arc``), the results
+    for m and the longitude at each in turn, and the longitudes."""
+
+    sig: np.ndarray
+    det: np.ndarray
+    arc: np.ndarray
+    verdicts: Verdicts
+    L: np.ndarray
+
+
+def _evaluate_block(sym: Fig8Family, angles: Sequence[Angle | float],
+                    classify_at: Sequence[bool], tol: float) -> _Block:
     """The symbolic family at a block of angles, as stacks, deciding no
     identity: one eigvalsh and one det call on the form, and one
-    classify_against call for m and the longitude at the angles
-    ``classify_at`` marks.  Per angle: the signature, the determinant and,
-    if classified, the results for m and the longitude, and its matrix."""
+    classify_columns call for m and the longitude at the angles
+    ``classify_at`` marks."""
     import numpy as np
-    from .isometry import classify_against
-    from .matrices import UnitPowers, signatures
+    from .isometry import classify_columns
+    from .matrices import UnitPowers, signature_counts
     powers = UnitPowers(angles)
     J = sym.form.mat.evaluate_stack(powers)
-    arc = [j for j, at in enumerate(classify_at) if at]
+    arc = np.flatnonzero(classify_at)
     M, _, L = _numeric_families(powers.take(arc), sym.M, sym.N)
     # M and the longitude of each angle, in turn, against its form
     S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
-    results = classify_against(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
-    pairs = [None] * len(J)
-    for i, j in enumerate(arc):
-        pairs[j] = (results[2 * i], results[2 * i + 1], L[i])
-    return list(zip(signatures(J, tol), np.linalg.det(J).real.tolist(), pairs))
+    verdicts = classify_columns(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
+    return _Block(signature_counts(J, tol), np.linalg.det(J).real, arc, verdicts, L)
 
 
 def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
@@ -321,10 +399,10 @@ def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    points = _evaluate_block(build_family(None), [alpha], [True], tol)
-    result_m, result_l, L = points[0][2]
+    block = _evaluate_block(build_family(None), [alpha], [True], tol)
+    result_m, result_l = block.verdicts.results()
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
-    spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
+    spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(block.L[0], tol=tol).clusters]
     return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
 
 
@@ -338,6 +416,11 @@ def _trace_rows(sym: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
     traces = sym.witness_traces + tuple(sym.rep._traces(extra_words))
     return [{"word": str(w), "trace": tr, "integral": tr.is_integral()}
             for w, tr in zip((*TRACE_WITNESS_WORDS, *extra_words), traces)]
+
+
+def _trace_texts(words: Sequence[Word], traces: Sequence[LaurentPoly]
+                 ) -> tuple[tuple[str, str, bool], ...]:
+    return tuple((str(w), str(tr), tr.is_integral()) for w, tr in zip(words, traces))
 
 
 def figure8_report(alpha: Angle | None = None,
@@ -359,12 +442,12 @@ def figure8_report(alpha: Angle | None = None,
     for name, ok in sym.identities:
         record_check(checks, name, ok)
 
-    rows = _trace_rows(sym, extra_words)
     record_check(checks, "separatingTrace",
-                 rows[TRACE_WITNESS_WORDS.index(Word.parse("m.n"))]["trace"] == _u() + 6,
+                 sym.witness_traces[TRACE_WITNESS_WORDS.index(Word.parse("m.n"))] == _u() + 6,
                  "trace of the m*n image is 6+u, injective on the circle")
-    traces = {row["word"]: str(row["trace"]) for row in rows}
-    all_integral = all(row["integral"] for row in rows)
+    rows = sym.witness_texts + _trace_texts(extra_words, sym.rep._traces(extra_words))
+    traces = {word: trace for word, trace, _ in rows}
+    all_integral = all(integral for _, _, integral in rows)
     record_check(checks, "traceIntegrality", all_integral)
 
     report: dict = {
@@ -375,31 +458,28 @@ def figure8_report(alpha: Angle | None = None,
         "traces": traces,
         "checks": checks,
         "commutatorConvention": COMMUTATOR_CONVENTION,
-        "entryDenominators": {
-            "M": sym.M.max_denominator(),
-            "N": sym.N.max_denominator(),
-            "J": sym.form.mat.max_denominator(),
-            "L": sym.longitude().max_denominator(),
-        },
+        "entryDenominators": dict(sym.denominators),
     }
 
     if alpha is not None:
         from .isometry import Parabolic
         from .matrices import unwrap
         want = expected_arc(alpha, 0.0)
-        sig, det, pair = _evaluate_block(sym, [alpha], [want == (3, 1)], tol)[0]
-        report["signature"] = list(sig.as_tuple())
+        block = _evaluate_block(sym, [alpha], [want == (3, 1)], tol)
+        sig = block.sig[0].tolist()
+        report["signature"] = sig
         if want is not None:
-            record_check(checks, "signatureArc",
-                         (sig.plus, sig.minus) == want and sig.zero == 0, f"expected {want}")
+            record_check(checks, "signatureArc", tuple(sig) == want + (0,),
+                         f"expected {want}")
         closed = det_form_closed(alpha)
-        rel_err = abs(closed - det) / max(abs(closed), 1.0)
+        rel_err = abs(closed - float(block.det[0])) / max(abs(closed), 1.0)
         record_check(checks, "detClosedForm", rel_err <= LAW_TOL,
                      f"relative error {rel_err:.3g}")
 
-        if pair is not None:
+        if len(block.arc):
             try:
-                cls = {"m": unwrap(pair[0]), "l": unwrap(pair[1])}
+                result_m, result_l = block.verdicts.results()
+                cls = {"m": unwrap(result_m), "l": unwrap(result_l)}
                 report["classes"] = {k: str(v) for k, v in cls.items()}
                 record_check(checks, "peripheralParabolic",
                              all(isinstance(v, Parabolic) for v in cls.values()),

@@ -20,9 +20,11 @@ matter near the undeformed parameter.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,13 +32,18 @@ from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenColumns, GeometryError,
                        HermForm, IndeterminateError, eigen_columns, eye,
                        finite_rows, form_defects, moduli, row_means, shifted,
                        unwrap)
-from .scalars import Angle
+from .scalars import Angle, AngleColumn
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
-SWEEP_BLOCK = 64
+SWEEP_BLOCK = 256
 """Grid points a sweep evaluates as one stack and classifies in one
-stacked pass: larger blocks save little numpy call overhead and cost
-memory."""
+stacked pass.  Larger blocks save numpy call overhead: against 64, a
+block of 256 cut a warm 720-point figure-eight sweep by 15% and a
+180-point so41 sweep by 14%, and 1024 cut a 360-point su31 sweep by 19%
+(x86-64 Linux, Python 3.11, numpy 2.4, one BLAS thread).  The block
+also bounds a sweep's memory: there, a 20,000-point figure-eight sweep
+peaks 10.4 MB above a 30-point one at 256, and 32.7 MB above it at
+4096."""
 
 UNIPOTENT_STEP2 = "unipotent-step2"
 UNIPOTENT_STEP3 = "unipotent-step3"
@@ -81,6 +88,32 @@ class Loxodromic(IsoClass):
     kind = "loxodromic"
 
 
+CLASSES: tuple[IsoClass, ...] = (
+    Identity(), Loxodromic(), Elliptic(False), Elliptic(True), Parabolic(UNIPOTENT_STEP2),
+    Parabolic(UNIPOTENT_STEP3), Parabolic(ELLIPTO_PARABOLIC))
+"""The classes ``classify_columns`` decides, each at its code: its index here."""
+_IDENTITY, _LOXODROMIC, _ELLIPTIC, _STEP2, _STEP3, _ELLIPTO = 0, 1, 2, 4, 5, 6
+
+INDETERMINATE = len(CLASSES)
+"""The code of a sweep verdict too close to call."""
+VERDICT_TEXTS = (*map(str, CLASSES), "indeterminate")
+"""The text of each sweep verdict, by its code."""
+
+
+class Verdicts(NamedTuple):
+    """The classes of a stack of matrices as columns: per matrix its
+    class ``code`` (an index into CLASSES), or -1 where ``classify``
+    raises, with the error in ``errors`` under the matrix's index."""
+
+    code: np.ndarray
+    errors: dict[int, GeometryError]
+
+    def results(self) -> list[IsoClass | GeometryError]:
+        """The ``classify_stack`` entries: a class or an error per matrix."""
+        return [CLASSES[c] if c >= 0 else self.errors[k]
+                for k, c in enumerate(self.code.tolist())]
+
+
 def _take(S: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """The rows of a stack given by increasing indices (S itself if all)."""
     return S if len(rows) == len(S) else S[rows]
@@ -100,6 +133,11 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``_square`` of every entry, with its bits."""
+    return np.array(list(map(_square, x.tolist())), dtype=float)
+
+
 def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     """Subtype of a (previously classified) parabolic matrix.
 
@@ -111,10 +149,12 @@ def parabolic_subtype(A: np.ndarray, tol: float = DECISION_TOL) -> str:
     cube does; otherwise several genuine clusters mean no unipotent
     lift (ellipto-parabolic).
     """
-    subtype = _unipotent_subtypes(np.asarray(A, dtype=complex)[None], tol)[0]
-    if subtype is None:
-        subtype = unwrap(_cluster_subtype(len(_one_row(A, tol)[1].row)))
-    return subtype
+    step = int(_unipotent_subtypes(np.asarray(A, dtype=complex)[None], tol)[0])
+    if step >= 0:
+        return CLASSES[step].subtype
+    if len(_one_row(A, tol)[1].row) > 1:
+        return ELLIPTO_PARABOLIC
+    raise _no_unipotent_lift()
 
 
 def _one_row(A: np.ndarray, tol: float) -> tuple[np.ndarray, EigenColumns]:
@@ -129,37 +169,44 @@ def _one_row(A: np.ndarray, tol: float) -> tuple[np.ndarray, EigenColumns]:
     return S, cols
 
 
-def _unipotent_subtypes(S: np.ndarray, tol: float) -> list[str | None]:
+def _unipotent_subtypes(S: np.ndarray, tol: float) -> np.ndarray:
     """The unipotent step of each matrix of a stack, read off the
-    powers of S[k]/lambda - I with lambda = trace/n (None: neither the
-    square nor the cube vanishes, or the trace is zero)."""
+    powers of S[k]/lambda - I with lambda = trace/n: the code of its
+    Parabolic class, or -1 where neither the square nor the cube
+    vanishes, or the trace is zero."""
     n = S.shape[-1]
-    lams = [complex(t) / n for t in S.trace(axis1=1, axis2=2).tolist()]
-    rows = [k for k, lam in enumerate(lams) if lam != 0]
-    out: list[str | None] = [None] * len(S)
-    if not rows:
+    lams = _trace_means(S)
+    out = np.full(len(S), -1)
+    rows = (lams != 0).nonzero()[0]
+    if not rows.size:
         return out
-    N = _take(S, rows) / np.array([lams[k] for k in rows])[:, None, None] - eye(n)
+    N = _take(S, rows) / _take(lams, rows)[:, None, None] - eye(n)
     N2 = N @ N
-    sq = np.abs(N2).max(axis=(1, 2)).tolist()
-    cb = np.abs(N2 @ N).max(axis=(1, 2)).tolist()
-    for k, norm, sq_k, cb_k in zip(rows, _inf_norms(N).tolist(), sq, cb):
-        s2 = max(_square(norm), 1.0)
+    sq = np.abs(N2).max(axis=(1, 2))
+    cb = np.abs(N2 @ N).max(axis=(1, 2))
+    norms = _inf_norms(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        thr2 = tol * np.maximum(_squares(norms), 1.0)
+        thr3 = thr2 * np.maximum(norms, 1.0)
         # a threshold that overflowed decides nothing
-        if sq_k <= tol * s2 < math.inf:
-            out[k] = UNIPOTENT_STEP2
-        elif cb_k <= tol * s2 * max(norm, 1.0) < math.inf:
-            out[k] = UNIPOTENT_STEP3
+        step2 = (sq <= thr2) & (thr2 < math.inf)
+        step3 = ~step2 & (cb <= thr3) & (thr3 < math.inf)
+    out[rows[step2]] = _STEP2
+    out[rows[step3]] = _STEP3
     return out
 
 
-def _cluster_subtype(clusters: int) -> str | IndeterminateError:
-    """The subtype of a parabolic with no unipotent lift, from its
-    number of eigenvalue clusters."""
-    if clusters > 1:
-        return ELLIPTO_PARABOLIC
-    return IndeterminateError(
-        "one-cluster parabolic with no vanishing nilpotent power", 1.0)
+def _trace_means(S: np.ndarray) -> np.ndarray:
+    """trace / n of each matrix of a stack (N, n, n), as Python divides
+    a complex by an int (numpy's complex division rounds otherwise)."""
+    return np.array(list(map(operator.truediv, S.trace(axis1=1, axis2=2).tolist(),
+                             itertools.repeat(S.shape[-1]))), dtype=complex)
+
+
+def _no_unipotent_lift() -> IndeterminateError:
+    """The error of a parabolic with one eigenvalue cluster and no
+    unipotent lift."""
+    return IndeterminateError("one-cluster parabolic with no vanishing nilpotent power", 1.0)
 
 
 def elliptic_boundary(A: np.ndarray, form: HermForm, tol: float = DECISION_TOL) -> bool:
@@ -242,13 +289,13 @@ def classify_stack(S: np.ndarray, form: HermForm | Sequence[HermForm],
     finiteness check, the form defect, the identity test, the
     eigenstructure, the unipotent powers and the boundary-elliptic
     kernels.  The decisions on their results, with their thresholds and
-    margins, are made per matrix.
+    margins per matrix, are array operations (``classify_columns``).
     """
     S = _square_stack(S)
     if len(S) == 0:
         return []
     J, convention = _form_matrix(form)
-    return classify_against(S, J, convention, tol)
+    return classify_columns(S, J, convention, tol).results()
 
 
 def _square_stack(S: np.ndarray) -> np.ndarray:
@@ -259,18 +306,19 @@ def _square_stack(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
-                     tol: float = DECISION_TOL) -> list[IsoClass | GeometryError]:
+def classify_columns(S: np.ndarray, J: np.ndarray, convention: str,
+                     tol: float = DECISION_TOL) -> Verdicts:
     """``classify_stack`` against hermitian form matrices given as a
     stack J (one for all matrices, or one per matrix) under one
-    convention.
+    convention, as columns: a class code per matrix, and an error
+    object only for a matrix that ``classify`` rejects.
 
     Each step decides, by array operations over the matrices still
-    undecided, which of them it settles, and only a settled matrix's
-    class or error becomes an object.  The eigen clusters pass from step
-    to step as columns (``EigenColumns``)."""
+    undecided, which of them it settles, and writes their codes.  The
+    eigen clusters pass from step to step as columns (``EigenColumns``)."""
     S = _square_stack(S)
-    out: list = [None] * len(S)
+    out = Verdicts(np.full(len(S), -1), {})
+    code, errors = out
     if len(S) == 0:
         return out
     n = S.shape[-1]
@@ -281,7 +329,7 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
 
     finite = np.isfinite(S).all(axis=(1, 2))
     for k in (~finite).nonzero()[0].tolist():
-        out[k] = GeometryError(NON_FINITE)
+        errors[k] = GeometryError(NON_FINITE)
     live = finite.nonzero()[0]
     if not live.size:
         return out
@@ -291,12 +339,12 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     # form invariance, on the natural scale
     norms = _inf_norms(A)
     defects = np.array(form_defects(A, Jl, convention))
-    scales = np.fmax(1.0, np.array([_square(x) for x in norms.tolist()]) * _inf_norms(Jl))
+    scales = np.fmax(1.0, _squares(norms) * _inf_norms(Jl))
     ranged = np.isfinite(defects) & np.isfinite(scales)
     kept = ranged & ~(defects > tol * scales)
-    for j, defect, scale, ok in zip((~kept).nonzero()[0].tolist(), defects[~kept].tolist(),
+    for k, defect, scale, ok in zip(live[~kept].tolist(), defects[~kept].tolist(),
                                     scales[~kept].tolist(), ranged[~kept].tolist()):
-        out[live[j]] = GeometryError(
+        errors[k] = GeometryError(
             f"matrix does not preserve the form: defect {defect:.3g} "
             f"exceeds {tol:.3g} * {scale:.3g}" if ok else
             f"form test out of float range: defect {defect:.3g}, scale {scale:.3g}")
@@ -309,8 +357,7 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     lam0 = row_means(np.diagonal(A, axis1=1, axis2=2))
     offsets = np.abs(A - lam0[:, None, None] * eye(n)).max(axis=(1, 2))
     identity = (lam0 != 0) & (offsets <= tol * norms)
-    for k in live[identity].tolist():
-        out[k] = Identity()
+    code[live[identity]] = _IDENTITY
     rows = (~identity).nonzero()[0]
     if not rows.size:
         return out
@@ -319,12 +366,12 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     cols = eigen_columns(A, tol=tol)
     undecided = cols.failed | (cols.margin < INDETERMINATE_FACTOR)
     for j in undecided.nonzero()[0].tolist():
-        out[live[j]] = cols.failure(j) if cols.failed[j] else IndeterminateError(
+        errors[int(live[j])] = cols.failure(j) if cols.failed[j] else IndeterminateError(
             "diagonalizability decision too close to call", cols.margin[j])
     rows = (~undecided).nonzero()[0]
     if not rows.size:
         return out
-    A, live, cols = _take(A, rows), live[rows].tolist(), cols.take(rows)
+    A, live, cols = _take(A, rows), live[rows], cols.take(rows)
 
     # unit-norm test per cluster, on the clusters eigen_columns settled
     # on, with its own margin; the first cluster of a matrix that is too
@@ -340,68 +387,85 @@ def classify_against(S: np.ndarray, J: np.ndarray, convention: str,
     if close.size:
         named = close[np.diff(cols.row[close], prepend=-1) != 0]
         decided[cols.row[named]] = False
-        for j, value, m in zip(cols.row[named].tolist(), cols.value[named].tolist(),
+        for k, value, m in zip(live[cols.row[named]].tolist(), cols.value[named].tolist(),
                                margin[named].tolist()):
-            out[live[j]] = IndeterminateError(
+            errors[k] = IndeterminateError(
                 f"eigenvalue {value:.6g} too close to the unit-norm threshold", m)
     parabolic = decided & np.logical_or.reduceat(cols.geo != cols.alg, first)
     nonunit = np.add.reduceat(np.where(unit, 0, cols.alg), first)
     diagonal = decided & ~parabolic
-    for j in (diagonal & (nonunit == 2)).nonzero()[0].tolist():
-        out[live[j]] = Loxodromic()
+    code[live[diagonal & (nonunit == 2)]] = _LOXODROMIC
     other = diagonal & (nonunit != 0) & (nonunit != 2)
-    for j, count in zip(other.nonzero()[0].tolist(), nonunit[other].tolist()):
-        out[live[j]] = GeometryError(
+    for k, count in zip(live[other].tolist(), nonunit[other].tolist()):
+        errors[k] = GeometryError(
             f"spectrum with {count} non-unit eigenvalues is "
             "incompatible with a rank-one form isometry")
 
     rows = parabolic.nonzero()[0]
     if rows.size:
-        subtypes = _unipotent_subtypes(_take(A, rows), tol)
-        for j, subtype, count in zip(rows.tolist(), subtypes, counts[rows].tolist()):
-            subtype = subtype or _cluster_subtype(count)
-            out[live[j]] = (subtype if isinstance(subtype, Exception)
-                            else Parabolic(subtype))
+        steps = _unipotent_subtypes(_take(A, rows), tol)
+        # no unipotent lift: ellipto-parabolic with several clusters
+        steps[(steps < 0) & (counts[rows] > 1)] = _ELLIPTO
+        code[live[rows]] = steps
+        for k in live[rows[steps < 0]].tolist():
+            errors[k] = _no_unipotent_lift()
     rows = (diagonal & (nonunit == 0)).nonzero()[0]
     if rows.size:
-        ks = [live[j] for j in rows.tolist()]
-        boundary = _elliptic_boundaries(_take(A, rows), cols.take(rows),
-                                        J if len(J) == 1 else J[ks], convention, tol)
-        for k, b in zip(ks, boundary.tolist()):
-            out[k] = Elliptic(b)
+        ks = live[rows]
+        code[ks] = _ELLIPTIC + _elliptic_boundaries(
+            _take(A, rows), cols.take(rows), J if len(J) == 1 else J[ks], convention, tol)
     return out
 
 
 def grid_blocks(points: Iterable[Angle | float]
-                ) -> Iterator[tuple[list[Angle], list]]:
+                ) -> Iterator[tuple[AngleColumn, list]]:
     """Walk a sweep grid (a float is an angle in radians) in blocks of
-    SWEEP_BLOCK points, yielding each block's angles and their values.
-    At the first point that is no angle (or whose iteration raised), the
-    block's earlier points come first, and the exception is raised when
-    the sweep asks for the next block: by then the sweep has evaluated
-    and classified every earlier point, so the failure raised is the
-    first one in grid order."""
-    angles: list[Angle] = []
+    SWEEP_BLOCK points, yielding each block's angles, as a column, and
+    their values.  At the first point that is no angle (or whose
+    iteration raised), the block's earlier points come first, and the
+    exception is raised when the sweep asks for the next block: by then
+    the sweep has evaluated and classified every earlier point, so the
+    failure raised is the first one in grid order."""
+    angles: list = []
     values: list = []
     try:
         for x in points:
-            angle, value = (x, x.value) if isinstance(x, Angle) else (Angle.radians(x), x)
-            angles.append(angle)
-            values.append(value)
+            if isinstance(x, Angle):
+                angles.append(x)
+                values.append(x.value)
+            elif math.isfinite(x):  # what Angle.radians checks, and raises
+                angles.append(float(x))
+                values.append(x)
+            else:
+                raise ValueError("angle must be finite")
             if len(angles) == SWEEP_BLOCK:
-                yield angles, values
+                yield AngleColumn(angles), values
                 angles, values = [], []
     except Exception:
         if angles:
-            yield angles, values
+            yield AngleColumn(angles), values
         raise
     if angles:
-        yield angles, values
+        yield AngleColumn(angles), values
 
 
-def sweep_verdict(result) -> tuple[str, float | None]:
-    """A sweep cell from a ``classify_stack`` entry: the class, or
-    "indeterminate" with its margin.  Any other error is raised."""
-    if isinstance(result, IndeterminateError):
-        return "indeterminate", result.margin
-    return str(unwrap(result)), None
+def sweep_codes(verdicts: Verdicts, width: int = 1) -> tuple[np.ndarray, dict[int, float]]:
+    """The sweep verdicts of a stack of ``width`` matrices per grid
+    point, point after point: the (points, width) array of their class
+    codes, INDETERMINATE throughout a point whose first error is an
+    IndeterminateError, and the margin of that error by the point's
+    index.  Any other error is raised, the first in stack order; an
+    error after an indeterminate one of its point is not read."""
+    code = verdicts.code.reshape(-1, width)
+    margins: dict[int, float] = {}
+    for k in sorted(verdicts.errors):
+        point = k // width
+        if point not in margins:
+            error = verdicts.errors[k]
+            if not isinstance(error, IndeterminateError):
+                raise error
+            margins[point] = error.margin
+    if margins:
+        code = code.copy()
+        code[list(margins)] = INDETERMINATE
+    return code, margins

@@ -23,7 +23,7 @@ import numpy as np
 from .exact import (_CONVENTIONS, _DOT, CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
                     HermForm, IndeterminateError, Mat, _promote, _trace_of_product,
                     form_preserved, siegel_form)
-from .scalars import Angle
+from .scalars import Angle, AngleColumn
 from .tolerances import (CLUSTER_RTOL, CLUSTER_RTOL_CEILING, DECISION_TOL, NORM_FLOOR,
                          STRUCTURE_TOL)
 
@@ -31,46 +31,64 @@ from .tolerances import (CLUSTER_RTOL, CLUSTER_RTOL_CEILING, DECISION_TOL, NORM_
 class UnitPowers:
     """The powers u^k = e^{i k alpha} at each angle of a block, computed
     once per (angle, exponent) and shared by every matrix evaluated on
-    the block."""
+    the block.  A float of the block is a finite angle in radians, read
+    as ``Angle.radians`` reads it (0.0 is the exact zero); it becomes an
+    Angle only where ``angles`` is read."""
 
-    __slots__ = ("angles", "_columns")
+    __slots__ = ("_points", "_raw", "_exact", "_columns")
 
-    def __init__(self, angles: Sequence[Angle]):
-        self.angles = list(angles)
+    def __init__(self, angles: Sequence[Angle | float]):
+        self._points = list(angles.points if isinstance(angles, AngleColumn) else angles)
+        # the raw radians of each angle (0.0 at an exact one), and the exact ones
+        raw = [a.raw if isinstance(a, Angle) else a or None for a in self._points]
+        self._exact = [j for j, x in enumerate(raw) if x is None]
+        self._raw = [0.0 if x is None else x for x in raw] if self._exact else raw
         self._columns: dict[int, np.ndarray] = {}
+
+    @property
+    def angles(self) -> AngleColumn:
+        return AngleColumn(self._points)
 
     def table(self, exponents: Sequence[int]) -> np.ndarray:
         """The (K, len(exponents)) complex array of the powers.
 
         Each is ``alpha.times(k).exp_i()``, the power ``eval_unit``
-        takes, with the same bits: u^0 is the 1+0j that it gives; for a
-        raw angle x, x*k is never 0 when k is not, so it is
-        cos(x*k) + i sin(x*k) without the exact angle arithmetic."""
+        takes, with the same bits.  The missing columns are built one
+        exponent after the other, by the same IEEE products and libm
+        calls for every raw angle x: x*k is never 0 when k is not, so
+        u^k is cos(x*k) + i sin(x*k) without the exact angle arithmetic;
+        u^0 is the 1+0j that ``eval_unit`` gives, and only the exact
+        angles take ``times(k).exp_i()``."""
         missing = [k for k in exponents if k not in self._columns]
         if missing:
+            size = len(self._points)
+            xs = [x * k for k in missing for x in self._raw]
             try:
-                values = np.array([[1 + 0j if k == 0 else
-                                    a.times(k).exp_i() if a.raw is None else
-                                    complex(math.cos(a.raw * k), math.sin(a.raw * k))
-                                    for k in missing] for a in self.angles],
-                                  dtype=complex).reshape(len(self.angles), len(missing))
-            except ValueError:  # math.cos of an infinite a.raw * k
-                x, k = next((a.raw, k) for a in self.angles for k in missing
-                            if a.raw is not None and math.isinf(a.raw * k))
+                flat = list(map(complex, map(math.cos, xs), map(math.sin, xs)))
+            except ValueError:  # math.cos of an infinite x * k
+                x, k = next((x, k) for j, x in enumerate(self._raw) for k in missing
+                            if j not in self._exact and math.isinf(x * k))
                 raise ValueError(f"angle {x!r} is too large: the power u^{k} needs "
                                  f"{x!r} * {k}, which overflows a float") from None
-            for j, k in enumerate(missing):
-                self._columns[k] = values[:, j]
+            for i, k in enumerate(missing):
+                if k == 0:
+                    flat[i * size:(i + 1) * size] = [1 + 0j] * size
+                    continue
+                for j in self._exact:
+                    a = self._points[j]
+                    flat[i * size + j] = a.times(k).exp_i() if isinstance(a, Angle) else 1 + 0j
+            values = np.array(flat, dtype=complex).reshape(len(missing), size)
+            for i, k in enumerate(missing):
+                self._columns[k] = values[i]
         if not exponents:
-            return np.zeros((len(self.angles), 0), dtype=complex)
+            return np.zeros((len(self._points), 0), dtype=complex)
         return np.stack([self._columns[k] for k in exponents], axis=1)
 
     def take(self, rows: Sequence[int]) -> "UnitPowers":
         """The powers at the angles of the given rows."""
-        out = UnitPowers([self.angles[j] for j in rows])
+        out = UnitPowers([self._points[j] for j in rows])
         out._columns = {k: col[rows] for k, col in self._columns.items()}
         return out
-
 
 
 NON_FINITE_FORM = "form matrix has non-finite entries"
@@ -121,13 +139,18 @@ def herm_signature(form: HermForm | np.ndarray, tol: float = DECISION_TOL) -> Si
 
 
 def signatures(J: np.ndarray, tol: float = DECISION_TOL) -> list[Signature]:
-    """``herm_signature`` of every hermitian matrix of a stack (N, n, n),
-    from one eigvalsh call."""
+    """``herm_signature`` of every hermitian matrix of a stack (N, n, n):
+    the per-matrix view of ``signature_counts``."""
+    return [Signature(*counts) for counts in signature_counts(J, tol).tolist()]
+
+
+def signature_counts(J: np.ndarray, tol: float = DECISION_TOL) -> np.ndarray:
+    """The signatures of a stack (N, n, n) of hermitian matrices as an
+    (N, 3) array: per matrix, the counts of eigenvalues above tol, below
+    -tol and within [-tol, tol], from one eigvalsh call."""
     ev = np.linalg.eigvalsh(J)
-    n = ev.shape[-1]
-    plus = np.sum(ev > tol, axis=-1).tolist()
-    minus = np.sum(ev < -tol, axis=-1).tolist()
-    return [Signature(p, m, n - p - m) for p, m in zip(plus, minus)]
+    plus, minus = np.sum(ev > tol, axis=-1), np.sum(ev < -tol, axis=-1)
+    return np.stack([plus, minus, ev.shape[-1] - plus - minus], axis=-1)
 
 
 @dataclass(frozen=True)

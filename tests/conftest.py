@@ -11,6 +11,12 @@ and R x S^1 gap probes, which reads sorted copies of the point columns:
 it sorts an index instead, and gathers the candidate pairs of every
 offset through it.
 
+The per-matrix unipotent decision, the per-angle power table and the
+per-point arc rule are oracles for the classifier's array decision, for
+``UnitPowers``, which builds its table one exponent column at a time,
+and for the figure-eight sweep's arc codes: they are the loops these ran
+as before, one matrix, one (angle, exponent) or one point at a time.
+
 Every test starts with no shared symbolic family built
 (``cold_families``)."""
 
@@ -22,7 +28,9 @@ import pytest
 
 from cuspdeform import bending, figure8
 from cuspdeform.bending import BendDataHNN, bend_hnn, bianchi_lattice_su31, embed_so41
-from cuspdeform.matrices import Mat
+from cuspdeform.figure8 import ARC_TRANSITIONS, INNER_ARC_BOUND
+from cuspdeform.matrices import Mat, eye
+from cuspdeform.scalars import Angle
 
 
 @pytest.fixture(autouse=True)
@@ -117,3 +125,89 @@ def gather_orbit_gap():
 @pytest.fixture
 def gather_rs1_gap():
     return _gather_rs1_gap
+
+
+def _square(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _loop_unipotent_subtypes(S, tol: float) -> tuple[list, list[complex]]:
+    """The unipotent step of each matrix of a stack (None: neither the
+    square nor the cube of S[k]/lambda - I vanishes, or lambda = trace/n
+    is zero), decided one matrix at a time, and the lambdas."""
+    n = S.shape[-1]
+    lams = [complex(t) / n for t in S.trace(axis1=1, axis2=2).tolist()]
+    rows = [k for k, lam in enumerate(lams) if lam != 0]
+    out = [None] * len(S)
+    if not rows:
+        return out, lams
+    N = S[rows] / np.array([lams[k] for k in rows])[:, None, None] - eye(n)
+    N2 = N @ N
+    sq = np.abs(N2).max(axis=(1, 2)).tolist()
+    cb = np.abs(N2 @ N).max(axis=(1, 2)).tolist()
+    norms = np.maximum(np.abs(N).max(axis=(1, 2)), 1e-300).tolist()
+    for k, norm, sq_k, cb_k in zip(rows, norms, sq, cb):
+        s2 = max(_square(norm), 1.0)
+        if sq_k <= tol * s2 < math.inf:
+            out[k] = "unipotent-step2"
+        elif cb_k <= tol * s2 * max(norm, 1.0) < math.inf:
+            out[k] = "unipotent-step3"
+    return out, lams
+
+
+def _angle_power_table(angles, exponents) -> list[list[complex]]:
+    """u^k at each angle (rows) and exponent (columns), one entry at a
+    time, angle after angle; an infinite x * k raises the ValueError
+    that names the first such (angle, exponent)."""
+    try:
+        return [[1 + 0j if k == 0 else
+                 a.times(k).exp_i() if a.raw is None else
+                 complex(math.cos(a.raw * k), math.sin(a.raw * k))
+                 for k in exponents] for a in angles]
+    except ValueError:
+        x, k = next((a.raw, k) for a in angles for k in exponents
+                    if a.raw is not None and math.isinf(a.raw * k))
+        raise ValueError(f"angle {x!r} is too large: the power u^{k} needs "
+                         f"{x!r} * {k}, which overflows a float") from None
+
+
+@pytest.fixture(scope="session")
+def loop_unipotent_subtypes():
+    return _loop_unipotent_subtypes
+
+
+@pytest.fixture(scope="session")
+def angle_power_table():
+    return _angle_power_table
+
+
+def _point_expected_arc(alpha, exclusion: float):
+    """The signature the figure-eight arc dictates at one point, or None
+    in an exclusion zone, decided by comparisons on Python floats."""
+    if isinstance(alpha, Angle):
+        if alpha.is_pi_rational:
+            f = alpha.pi_frac % 2
+            if f in ARC_TRANSITIONS:
+                return None
+            want = ((3, 1) if f < ARC_TRANSITIONS[0] or f > ARC_TRANSITIONS[2]
+                    else (2, 2))
+            if exclusion <= 0 or _point_expected_arc(alpha.value, exclusion) == want:
+                return want
+            return None
+        alpha = alpha.value
+    a = abs(alpha)
+    if a > math.pi:
+        a = abs(math.atan2(math.sin(alpha), math.cos(alpha)))
+    if a < INNER_ARC_BOUND - exclusion:
+        return (3, 1)
+    if INNER_ARC_BOUND + exclusion < a < math.pi - exclusion:
+        return (2, 2)
+    return None
+
+
+@pytest.fixture(scope="session")
+def point_expected_arc():
+    return _point_expected_arc

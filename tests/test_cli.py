@@ -474,6 +474,11 @@ class TestOrbitCommand:
          ["orbit", "--d", "15", "--alpha", "0.7", "--radius", "10"]),
         ("orbit_d5_so41_theta_1-3pi_r10.csv",
          ["orbit", "--d", "5", "--target", "so41", "--theta=1/3pi", "--radius", "10"]),
+        # Generated before sweeps became columns: an su31 sweep of more
+        # than two blocks
+        ("sweep_bianchi_d7_su31_-3_3_600.csv",
+         ["sweep", "bianchi", "--d", "7", "--target", "su31", "--start=-3.0", "--end=3.0",
+          "--count", "600"]),
     ])
     def test_golden_output(self, name, argv):
         code, out, _ = run(argv)
@@ -892,6 +897,29 @@ def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True)
+
+
+class TestSweepMemory:
+    """A sweep's memory is bounded by its block, not by its grid."""
+
+    @staticmethod
+    def _peak_kb(count: int, output) -> int:
+        code = ("import resource, sys; from cuspdeform.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        proc = fresh_python(code, "sweep", "figure8", "--start=-3.0", "--end=3.0",
+                            "--count", str(count), "--output", str(output))
+        rc, peak = proc.stdout.split()
+        assert (proc.returncode, rc, proc.stderr) == (0, b"0", b"")
+        return int(peak)
+
+    def test_large_grid_peak(self, tmp_path):
+        # ru_maxrss is in KiB; in a fresh interpreter each, a 20,000-point
+        # sweep peaks about 10 MB above a 30-point one with blocks of 256,
+        # and 33 MB above it with blocks of 4096
+        small = self._peak_kb(30, tmp_path / "small.csv")
+        large = self._peak_kb(20000, tmp_path / "large.csv")
+        assert len((tmp_path / "large.csv").read_bytes().splitlines()) > 19000
+        assert large - small < 25 * 1024
 
 
 # the command line with numpy made unimportable

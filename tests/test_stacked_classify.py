@@ -18,22 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cuspdeform import cli, figure8
+from cuspdeform import cli, figure8, isometry
 from cuspdeform.bending import bianchi_family, bianchi_sweep
 from cuspdeform.figure8 import build_family, figure8_sweep
 from cuspdeform.heisenberg import (HeisPoint, dilation_matrix,
                                    rotation_matrix, translation_matrix)
-from cuspdeform.isometry import (ELLIPTO_PARABOLIC, UNIPOTENT_STEP2,
+from cuspdeform.isometry import (CLASSES, ELLIPTO_PARABOLIC, UNIPOTENT_STEP2,
                                  UNIPOTENT_STEP3, Elliptic, Identity,
                                  Loxodromic, Parabolic, SWEEP_BLOCK,
-                                 classify, classify_stack, elliptic_boundary,
-                                 parabolic_subtype)
+                                 _trace_means, _unipotent_subtypes, classify,
+                                 classify_stack, elliptic_boundary, parabolic_subtype)
 from cuspdeform import matrices
 from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
-                                 HermForm, IndeterminateError, Mat,
+                                 HermForm, IndeterminateError, Mat, UnitPowers,
                                  chain_groups, eigen, eigen_stack, form_defect,
                                  siegel_form)
-from cuspdeform.scalars import Angle
+from cuspdeform.scalars import Angle, AngleColumn
 
 # ---------------------------------------------------------------------------
 # The per-matrix reference
@@ -638,18 +638,26 @@ def _grid(start, end, count):
 
 class TestSweepBlocks:
     """The sweeps evaluate and classify per block; a failure is raised
-    only after every earlier point is known not to fail."""
+    only after every earlier point is known not to fail.  The boundary
+    cases sit at multiples of BLOCK, which the tests that use them set as
+    the block size (``blocks``); TestBlockSizeInvariance covers the
+    default."""
 
-    GRID = _grid(0.1, 1.9, 2 * SWEEP_BLOCK + 10)  # on the (3,1) arc
+    BLOCK = 64
+    GRID = _grid(0.1, 1.9, 2 * BLOCK + 10)  # on the (3,1) arc
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(isometry, "SWEEP_BLOCK", self.BLOCK)
 
     @pytest.mark.parametrize("broken, raising, expected", [
         (5, 40, GeometryError),            # one block, classify error first
         (40, 5, ValueError),               # one block, the grid's error first
-        (3, SWEEP_BLOCK + 2, GeometryError),
-        (SWEEP_BLOCK + 2, 3, ValueError),
-        (SWEEP_BLOCK - 1, SWEEP_BLOCK, GeometryError),
+        (3, BLOCK + 2, GeometryError),
+        (BLOCK + 2, 3, ValueError),
+        (BLOCK - 1, BLOCK, GeometryError),
     ])
-    def test_figure8_first_failure_in_grid_order(self, monkeypatch, broken, raising,
+    def test_figure8_first_failure_in_grid_order(self, monkeypatch, blocks, broken, raising,
                                                   expected):
         # m stops preserving the form at grid[broken], and grid[raising]
         # is no angle
@@ -674,10 +682,10 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("broken, raising, expected", [
         (7, 30, GeometryError),
         (30, 7, ValueError),
-        (SWEEP_BLOCK + 1, 2, ValueError),
-        (2, SWEEP_BLOCK + 1, GeometryError),
+        (BLOCK + 1, 2, ValueError),
+        (2, BLOCK + 1, GeometryError),
     ])
-    def test_bianchi_first_failure_in_grid_order(self, monkeypatch, broken, raising,
+    def test_bianchi_first_failure_in_grid_order(self, monkeypatch, blocks, broken, raising,
                                                  expected):
         # the letter stops preserving the form at grid[broken], and
         # grid[raising] is no angle
@@ -744,8 +752,8 @@ class TestSweepBlocks:
         return seen, lambda grid: bianchi_sweep(2, kind, grid)
 
     @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
-    @pytest.mark.parametrize("raising", [0, SWEEP_BLOCK, SWEEP_BLOCK + 6])
-    def test_grid_iterator_raising(self, monkeypatch, kind, raising):
+    @pytest.mark.parametrize("raising", [0, BLOCK, BLOCK + 6])
+    def test_grid_iterator_raising(self, monkeypatch, blocks, kind, raising):
         # the grid's own error, raised after every earlier point is swept
         seen, sweep = self._spy_blocks(monkeypatch, kind, None)
         with pytest.raises(RuntimeError) as exc:
@@ -756,12 +764,12 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
     @pytest.mark.parametrize("broken, raising, expected", [
-        (3, SWEEP_BLOCK, GeometryError),
-        (SWEEP_BLOCK + 2, SWEEP_BLOCK + 6, GeometryError),
-        (SWEEP_BLOCK + 8, SWEEP_BLOCK + 6, RuntimeError),
+        (3, BLOCK, GeometryError),
+        (BLOCK + 2, BLOCK + 6, GeometryError),
+        (BLOCK + 8, BLOCK + 6, RuntimeError),
     ])
-    def test_earlier_classification_error_wins(self, monkeypatch, kind, broken, raising,
-                                               expected):
+    def test_earlier_classification_error_wins(self, monkeypatch, blocks, kind, broken,
+                                               raising, expected):
         _, sweep = self._spy_blocks(monkeypatch, kind, broken)
         with pytest.raises(expected) as exc:
             sweep(self._iterating(self.GRID, raising))
@@ -806,3 +814,198 @@ class TestSweepBlocks:
             radii = block.count("r")
             assert 1 <= radii <= 5
             assert block.count("s") <= 1 + radii + 1
+
+
+# ---------------------------------------------------------------------------
+# Array decisions against the loops they replaced
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unipotent_stacks(draw):
+    """A stack of 1 to 12 matrices lam (I + N) + E of size 4 or 5: N a
+    step-2 or step-3 nilpotent, or dense, at a scale up to past 1e154,
+    where the square of the norm overflows; lam of any size, down to one
+    whose quotient overflows; E a perturbation near the thresholds.
+    Some rows have a trace of exactly zero."""
+    n = draw(st.sampled_from([4, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["step2", "step3", "dense", "zero-trace"]))
+        N = np.zeros((n, n), dtype=complex)
+        if kind == "step2":
+            N[0, n - 1] = 1.0
+        elif kind == "step3":
+            N[0, 1] = N[1, 2] = 1.0
+        else:
+            N = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        N *= 10.0 ** draw(st.sampled_from([0.0, 3.0, 153.5, 154.0, 154.2, 160.0]))
+        lam = complex(*rng.normal(size=2)) * 10.0 ** draw(st.sampled_from([0.0, -8.0, 8.0, -300.0]))
+        A = lam * (np.eye(n) + N)
+        A = A + 10.0 ** draw(st.sampled_from([-16.0, -12.0, -8.0, -4.0])) * rng.normal(size=(n, n))
+        if kind == "zero-trace":
+            A[n - 1, n - 1] = -sum(A[j, j] for j in range(n - 1))
+        rows.append(A)
+    return np.stack(rows)
+
+
+class TestColumnsEqualLoops:
+    """The array decisions give, bit for bit, what the per-matrix and
+    per-angle loops they replaced gave (the oracles of conftest)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unipotent_stacks(), st.sampled_from([1e-9, 1e-6, 1e-3]))
+    def test_unipotent_subtypes(self, loop_unipotent_subtypes, S, tol):
+        with np.errstate(all="ignore"):
+            want, lams = loop_unipotent_subtypes(S, tol)
+            got = _unipotent_subtypes(S, tol).tolist()
+        assert [CLASSES[c].subtype if c >= 0 else None for c in got] == want
+        assert [(z.real.hex(), z.imag.hex()) for z in _trace_means(S).tolist()] == [
+            (z.real.hex(), z.imag.hex()) for z in lams]
+
+    def test_zero_traces_and_overflowing_norms_occur(self, loop_unipotent_subtypes):
+        # the strategy's edge rows, one of each
+        N = np.zeros((4, 4))
+        N[0, 1] = N[1, 2] = 1e154  # step 3, whose square of the norm overflows
+        S = np.stack([np.diag([1.0, -1.0, 2.0, -2.0]).astype(complex),
+                      np.eye(4) + N, np.eye(4) + N / 1e154])
+        assert loop_unipotent_subtypes(S, 1e-9)[0] == [None, None, "unipotent-step3"]
+        assert _unipotent_subtypes(S, 1e-9).tolist() == [-1, -1, CLASSES.index(
+            Parabolic(UNIPOTENT_STEP3))]
+
+    block_point = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e300, -1.7e308, 5e-324]),
+        st.floats(min_value=-10, max_value=10, allow_nan=False),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12).map(Angle.pi_times),
+        st.floats(min_value=-10, max_value=10, allow_nan=False).map(Angle.radians))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(block_point, min_size=1, max_size=40),
+           st.lists(st.integers(-6, 6), max_size=8), st.integers(0, 8))
+    def test_power_table(self, angle_power_table, points, exponents, first):
+        # a float is a grid point, read as Angle.radians reads it; the
+        # table may be asked for some exponents before the rest
+        angles = [a if isinstance(a, Angle) else Angle.radians(a) for a in points]
+        try:
+            want = [[(z.real.hex(), z.imag.hex()) for z in row]
+                    for row in angle_power_table(angles, exponents)]
+        except ValueError as exc:
+            want = str(exc)
+        powers = UnitPowers(AngleColumn(points))
+        try:
+            powers.table(exponents[:first])
+            got = powers.table(exponents)
+            assert got.shape == (len(points), len(exponents))
+            got = [[(z.real.hex(), z.imag.hex()) for z in row] for row in got.tolist()]
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+
+    arc_point = st.one_of(
+        st.floats(min_value=-1e13, max_value=1e13, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 2 * math.pi / 3, math.pi, -math.pi, 2.0944, 3.1416]),
+        st.floats(min_value=-10, max_value=10).map(Angle.radians),
+        st.fractions(min_value=-8, max_value=8, max_denominator=30).map(Angle.pi_times))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(arc_point, min_size=1, max_size=30),
+           st.sampled_from([0.0, 0.01, 1e-9, 0.5, 3.0, -0.01, -1.0]))
+    def test_arc_codes(self, point_expected_arc, points, exclusion):
+        # negative and wide exclusions make the zones overlap or cover all
+        values = [a.value if isinstance(a, Angle) else a for a in points]
+        codes = figure8._arc_codes(points, values, exclusion).tolist()
+        assert [figure8.ARCS[c] if c >= 0 else None for c in codes] == [
+            point_expected_arc(a, exclusion) for a in points]
+
+    def test_overflow_names_the_first_angle(self, angle_power_table):
+        points = [0.5, Angle.pi_fraction(1, 3), 1e308, -1.5e308]
+        with pytest.raises(ValueError) as want:
+            angle_power_table([a if isinstance(a, Angle) else Angle.radians(a)
+                               for a in points], [1, -3, 2])
+        with pytest.raises(ValueError) as got:
+            UnitPowers(points).table([1, -3, 2])
+        assert str(got.value) == str(want.value) == (
+            "angle 1e+308 is too large: the power u^-3 needs 1e+308 * -3, "
+            "which overflows a float")
+
+
+# ---------------------------------------------------------------------------
+# Block size
+# ---------------------------------------------------------------------------
+
+class TestBlockSizeInvariance:
+    """A sweep's rows, its CSV and the first failure it raises do not
+    depend on how many points a block holds."""
+
+    SIZES = (1, 7, 64, SWEEP_BLOCK)
+
+    @staticmethod
+    def _each_size(monkeypatch, fn):
+        out = []
+        for size in TestBlockSizeInvariance.SIZES:
+            monkeypatch.setattr(isometry, "SWEEP_BLOCK", size)
+            out.append(fn())
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        # indeterminate rows near alpha = 0
+        ["figure8", "--start=-1e-6", "--end=1e-6", "--count", "201"],
+        ["figure8", "--start=-3.0", "--end=3.0", "--count", "150"],
+        ["bianchi", "--d", "2", "--target", "su31", "--start=-1e-6", "--end=1e-6",
+         "--count", "101"],
+        ["bianchi", "--d", "7", "--target", "su31", "--start=-3.0", "--end=3.0",
+         "--count", "90"],
+        # across theta = pi, orthogonal and skew cusps
+        ["bianchi", "--d", "5", "--target", "so41", "--start=3.0", "--end=3.3",
+         "--count", "90"],
+        ["bianchi", "--d", "15", "--target", "so41", "--start=3.0", "--end=3.3",
+         "--count", "90"],
+        ["bianchi", "--d", "7", "--target", "so41", "--start=-1e-6", "--end=1e-6",
+         "--count", "101"],
+    ])
+    def test_csv_bytes(self, monkeypatch, argv):
+        def sweep():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(["sweep", *argv])
+            return code, out.getvalue()
+        outs = self._each_size(monkeypatch, sweep)
+        assert "indeterminate" in outs[0][1] or "1e-06" not in argv[-3]
+        assert outs == [outs[0]] * len(outs)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda grid: figure8_sweep(grid),
+        lambda grid: bianchi_sweep(2, "su31", grid),
+        lambda grid: bianchi_sweep(7, "su31", grid),
+        lambda grid: bianchi_sweep(5, "so41", grid),
+        lambda grid: bianchi_sweep(15, "so41", grid),
+    ])
+    def test_rows(self, monkeypatch, sweep):
+        grid = _grid(-1e-6, 1e-6, 41) + _grid(2.9, 3.4, 40) + [Angle.pi_fraction(1, 3), 0.0]
+        rows = self._each_size(monkeypatch, lambda: sweep(grid))
+        assert rows == [rows[0]] * len(rows)
+
+    @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
+    @pytest.mark.parametrize("bad, raising", [(40, 100), (100, 40), (70, 71), (250, 260),
+                                              (260, 250)])
+    def test_first_failure(self, monkeypatch, kind, bad, raising):
+        # grid[bad] is no angle, and the grid's iterator raises when asked
+        # for point ``raising``: the same first error at every block size
+        grid = _grid(0.1, 1.9, 270)
+        grid[bad] = math.nan
+
+        def points():
+            for k, x in enumerate(grid):
+                if k == raising:
+                    raise RuntimeError(f"grid source failed before point {k}")
+                yield x
+
+        def sweep():
+            with pytest.raises(Exception) as exc:
+                if kind == "figure8":
+                    figure8_sweep(points())
+                else:
+                    bianchi_sweep(7, kind, points())
+            return type(exc.value), str(exc.value)
+        errors = self._each_size(monkeypatch, sweep)
+        assert errors[0][0] is (ValueError if bad < raising else RuntimeError)
+        assert errors == [errors[0]] * len(errors)
