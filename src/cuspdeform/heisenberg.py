@@ -159,15 +159,53 @@ def dilation_matrix(r: float, k: int = 2) -> np.ndarray:
 def standard_lift(p: HeisPoint, height: float = 0.0) -> np.ndarray:
     """The standard lift ((-|Z|^2 - u + it)/2, Z, 1) at horospherical
     height u (0 on the boundary)."""
-    zz = sum(abs(w) ** 2 for w in p.z)
-    return np.array([(-zz - height + 1j * p.t) / 2, *p.z, 1.0], dtype=complex)
+    return _lift(p.z, p.t, height)
+
+
+def _lift(z: Sequence[complex], t: float, height: float = 0.0) -> np.ndarray:
+    """standard_lift of the point (z, t), given as Python complex and float."""
+    zz = sum(abs(w) ** 2 for w in z)
+    return np.array([(-zz - height + 1j * t) / 2, *z, 1.0], dtype=complex)
 
 
 def boundary_action(g: np.ndarray, p: HeisPoint) -> HeisPoint:
     """Projective action of a p_infinity-stabilizing matrix on the
-    punctured boundary, in Heisenberg coordinates."""
-    Z, t = _boundary_images(np.asarray(g, dtype=complex)[None], standard_lift(p)[None, :])
-    return HeisPoint(Z[0, 0], t[0, 0])
+    punctured boundary, in Heisenberg coordinates: one matrix-vector
+    step on the standard lift of p."""
+    g = np.asarray(g, dtype=complex)
+    return HeisPoint(*_act(g, standard_lift(p), _unfixed(g[None])[0]))
+
+
+def _unfixed(G: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack G (s, k+2, k+2) move the point at
+    infinity: their first column is not along e_0 within BOUNDARY_TOL."""
+    col = np.abs(G[:, :, 0])
+    return col[:, 1:].max(axis=1) > BOUNDARY_TOL * np.maximum(col.max(axis=1), 1.0)
+
+
+def _act(g: np.ndarray, lift: np.ndarray, unfixed: bool) -> tuple[list[complex], float]:
+    """Heisenberg coordinates (Z, t), as Python complex and float, of the
+    image of one boundary point under g (complex), given its standard lift
+    and the fixed-point test of g (_unfixed).
+
+    The one-point case of _boundary_images, with the same bits: the
+    product g @ lift divided by its last entry, and the same checks in the
+    same order, here on Python scalars.
+    """
+    if len(lift) != g.shape[-1]:
+        raise GeometryError("point dimension does not match the matrix")
+    v = g @ lift
+    if unfixed:
+        raise GeometryError("matrix does not fix the point at infinity")
+    if abs(v[-1]) < CHART_ESCAPE:
+        raise GeometryError("image escaped the Heisenberg chart")
+    with np.errstate(all="ignore"):   # as in _boundary_images: the quotient may overflow
+        v = (v / v[-1]).tolist()
+    z = v[1:-1]
+    zz = sum(a * a for a in map(abs, z))   # numpy's ** 2 is a * a, Python's is pow
+    if abs(v[0].real + zz / 2) > BOUNDARY_TOL * max(1.0, zz):
+        raise GeometryError("image is not a boundary point (height drifted)")
+    return z, 2.0 * v[0].imag
 
 
 def _boundary_images(G: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +222,7 @@ def _boundary_images(G: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, np.n
     """
     if lifts.shape[1] != G.shape[-1]:
         raise GeometryError("point dimension does not match the matrix")
-    col = np.abs(G[:, :, 0])
-    unfixed = col[:, 1:].max(axis=1) > BOUNDARY_TOL * np.maximum(col.max(axis=1), 1.0)
+    unfixed = _unfixed(G)
     V = lifts @ G.transpose(0, 2, 1)
     escaped = (np.abs(V[:, :, -1]) < CHART_ESCAPE).any(axis=1)
     with np.errstate(all="ignore"):
@@ -450,30 +487,71 @@ def _orbit_columns(rows: Iterable[tuple[int, int, HeisPoint]]) -> _OrbitColumns:
                          np.array([p.t for _, _, p in rows], dtype=float))
 
 
+def _matrix_powers(a: np.ndarray, top: int) -> list[np.ndarray]:
+    """a^0, ..., a^top, each with the bits of np.linalg.matrix_power(a, k).
+
+    That function multiplies a^3 as (a @ a) @ a, and any other k > 0 over
+    the bits of k from the lowest: it squares a along the way and
+    multiplies each square whose bit is set into the result.  Here the
+    squares are shared by all k, and so is each partial result, keyed by
+    the low bits of k it covers: a^0..a^top take about top products.
+    """
+    a = np.asanyarray(a)
+    powers = [np.eye(a.shape[-1], dtype=a.dtype)]
+    squares = [a]
+    partial: dict[int, np.ndarray] = {}
+    for k in range(1, top + 1):
+        low, result = 0, None
+        for j in range(k.bit_length()):
+            if j == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if k >> j & 1:
+                low |= 1 << j
+                if low not in partial:
+                    partial[low] = squares[j] if result is None else result @ squares[j]
+                result = partial[low]
+        powers.append(squares[1] @ a if k == 3 else result)
+    return powers
+
+
 def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
                  radius: int) -> Sequence[tuple[int, int, HeisPoint]]:
     """All points T^m U^n p0 with |m|, |n| <= radius (deterministic (m, n)
     lexicographic order), as a read-only sequence of (m, n, HeisPoint).
 
-    The U^n p0 are iterated boundary actions; the 2 radius + 1 powers T^m
-    then act on all of their standard lifts in one broadcast product,
-    every image passing the checks of boundary_action.  For the Bianchi
-    cusp translations the product rounds as one boundary_action per point
-    does (the tests compare the two bit for bit).
+    The U^n p0 come one matrix-vector step at a time (the step of
+    boundary_action, forward step n before backward step n), each kept as
+    its standard lift; the 2 radius + 1 powers T^m, as
+    np.linalg.matrix_power rounds them, then act on all of those lifts in
+    one broadcast product, every image passing the checks of
+    boundary_action.  For the Bianchi cusp translations the product
+    rounds as one boundary_action per point does (the tests compare the
+    two bit for bit).
     """
     if radius < 0 or radius > MAX_ORBIT_RADIUS:
         raise GeometryError(f"word radius must be in [0, {MAX_ORBIT_RADIUS}]")
     gU_inv = np.linalg.inv(gU)
     gT_inv = np.linalg.inv(gT)
-    un_points = {0: p0}
+    gs = np.array([gU, gU_inv], dtype=complex)
+    steps = list(zip((1, -1), gs, _unfixed(gs)))
+    lifts = {0: standard_lift(p0)}
+    # A point is lifted when the next step reads it, as boundary_action
+    # would lift it: a lift that overflows raises after the other
+    # direction's step of the same n.
+    images = {}
     for n in range(1, radius + 1):
-        un_points[n] = boundary_action(gU, un_points[n - 1])
-        un_points[-n] = boundary_action(gU_inv, un_points[-(n - 1)])
+        for sign, g, g_unfixed in steps:
+            prev = sign * (n - 1)
+            if prev not in lifts:
+                lifts[prev] = _lift(*images[prev])
+            images[sign * n] = _act(g, lifts[prev], g_unfixed)
+    for n in (-radius, radius):
+        if n not in lifts:
+            lifts[n] = _lift(*images[n])
     ns = range(-radius, radius + 1)
-    lifts = np.array([standard_lift(un_points[n]) for n in ns])
-    G = np.array([np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m)) for m in ns],
+    G = np.array(_matrix_powers(gT_inv, radius)[:0:-1] + _matrix_powers(gT, radius),
                  dtype=complex)
-    Z, t = _boundary_images(G, lifts)
+    Z, t = _boundary_images(G, np.array([lifts[n] for n in ns]))
     return _OrbitColumns([m for m in ns for _ in ns], list(ns) * len(ns),
                          Z.reshape(-1, Z.shape[-1]), t.reshape(-1))
 

@@ -420,6 +420,12 @@ class TestOrbitCommand:
          "b55e90ab13b47a23a6d715e1d3a54b8b1141448362aff71e3430324751ced097"),
         (["orbit", "--d", "7", "--target", "so41", "--theta=1.0", "--radius", "50"],
          "b1f131d863949726570f621d650f615fad3086d25bf456e821d44858e4243287"),
+        # a skew su31 cusp at a raw angle, an orthogonal so41 one at a
+        # negative raw angle
+        (["orbit", "--d", "15", "--alpha=0.7", "--radius", "50"],
+         "65d58098f8482e25dce78eb98e13f32472bf9ea6ef837783fcaa94f007000bfd"),
+        (["orbit", "--d", "6", "--target", "so41", "--theta=-2.5", "--radius", "50"],
+         "76fc7f4b7f8541e13734324a2ed12e3e2838df41fcfd166619e80eb8fbe225a6"),
     ])
     def test_radius_50_digest(self, argv, digest):
         # SHA-256 of the whole dump (10201 rows and the gap line)

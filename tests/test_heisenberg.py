@@ -268,6 +268,16 @@ class TestClosestPair:
         assert same_gap(got, brute_min(rows, box, 0.0))
 
 
+def cusp_generators(target, d, angle):
+    """(gT, gU, p0) of the orbit command for a Bianchi cusp."""
+    if target == "su31":
+        params = CuspParams(*cusp_surds(d), angle)
+        return cusp_translation_T(params), bent_cusp_U(params), HeisPoint.origin(2)
+    fam = bianchi_family(d, "so41", theta=angle)
+    return (np.asarray(fam.images["t"], dtype=complex),
+            np.asarray(fam.images["u"], dtype=complex), HeisPoint.origin(3))
+
+
 class TestGapOracle:
     """Both gap probes against the gather sweep of conftest, bit for bit."""
 
@@ -275,15 +285,7 @@ class TestGapOracle:
         (7, "su31", Angle.radians(0.7)), (2, "su31", Angle.pi_fraction(1, 3)),
         (7, "so41", Angle.radians(1.0)), (5, "so41", Angle.pi_fraction(1, 3))])
     def test_radius_50_orbits(self, d, target, angle, gather_orbit_gap):
-        if target == "su31":
-            params = CuspParams(*cusp_surds(d), angle)
-            gT, gU, p0 = cusp_translation_T(params), bent_cusp_U(params), HeisPoint.origin(2)
-        else:
-            fam = bianchi_family(d, "so41", theta=angle)
-            gT = np.asarray(fam.images["t"], dtype=complex)
-            gU = np.asarray(fam.images["u"], dtype=complex)
-            p0 = HeisPoint.origin(3)
-        pts = orbit_points(gT, gU, p0, 50)
+        pts = orbit_points(*cusp_generators(target, d, angle), 50)
         assert orbit_gap(pts).hex() == gather_orbit_gap(pts.Z, pts.t, DUP_TOL).hex()
 
     @pytest.mark.parametrize("U", [RS1Element(Surd(1, 2), Angle.radians(0.7)),
@@ -461,6 +463,24 @@ def orbit_reference(gT, gU, p0, radius):
             for m in span for n in span]
 
 
+def stack_kernel_reference(gT, gU, p0, radius):
+    """The (Z, t) columns of orbit_points, with each U^n p0 from the stack
+    kernel _boundary_images on one matrix and one lift, re-lifted through
+    a HeisPoint, and each T^m from np.linalg.matrix_power."""
+    gT_inv, gU_inv = np.linalg.inv(gT), np.linalg.inv(gU)
+    un = {0: p0}
+    for n in range(1, radius + 1):
+        for k, g in ((n, gU), (-n, gU_inv)):
+            prev = standard_lift(un[k - 1 if k > 0 else k + 1])
+            Z, t = heisenberg._boundary_images(np.asarray(g, dtype=complex)[None], prev[None])
+            un[k] = HeisPoint(Z[0, 0], t[0, 0])
+    span = range(-radius, radius + 1)
+    G = np.array([np.linalg.matrix_power(gT if m >= 0 else gT_inv, abs(m)) for m in span],
+                 dtype=complex)
+    Z, t = heisenberg._boundary_images(G, np.array([standard_lift(un[n]) for n in span]))
+    return Z.reshape(-1, Z.shape[-1]), t.reshape(-1)
+
+
 def orbit_arrays(pts):
     """The (m, n) words, Z and t of an orbit, as arrays."""
     return (np.array([(m, n) for m, n, _ in pts]).reshape(-1, 2),
@@ -489,15 +509,7 @@ class TestBatchedOrbit:
            d=st.sampled_from([2, 5, 6, 7, 11, 15, 19]),
            angle=orbit_angles(), radius=st.integers(0, 12))
     def test_matches_per_point_actions(self, target, d, angle, radius):
-        if target == "su31":
-            params = CuspParams(*cusp_surds(d), angle)
-            gT, gU = cusp_translation_T(params), bent_cusp_U(params)
-            p0 = HeisPoint.origin(2)
-        else:
-            fam = bianchi_family(d, "so41", theta=angle)
-            gT = np.asarray(fam.images["t"], dtype=complex)
-            gU = np.asarray(fam.images["u"], dtype=complex)
-            p0 = HeisPoint.origin(3)
+        gT, gU, p0 = cusp_generators(target, d, angle)
         got = orbit_points(gT, gU, p0, radius)
         want = orbit_reference(gT, gU, p0, radius)
         for a, b in zip(orbit_arrays(got), orbit_arrays(want)):
@@ -505,6 +517,42 @@ class TestBatchedOrbit:
             assert a.tobytes() == b.tobytes()  # signed zeros too
         for _, _, p in got:
             assert type(p.t) is float and all(type(w) is complex for w in p.z)
+
+    @pytest.mark.parametrize("target, d", [("su31", 15), ("su31", 2), ("so41", 6), ("so41", 7)])
+    @pytest.mark.parametrize("angle", [Angle.radians(0.7), Angle.radians(-2.5),
+                                       Angle.pi_fraction(1, 3), Angle.pi_fraction(-5, 7),
+                                       Angle.radians(3e-9), Angle.radians(-1e-13)],
+                             ids=["raw", "raw-negative", "pi", "pi-negative",
+                                  "near-zero", "near-zero-negative"])
+    def test_radius_50_matches_stack_kernel(self, target, d, angle):
+        gT, gU, p0 = cusp_generators(target, d, angle)
+        pts = orbit_points(gT, gU, p0, 50)
+        Z, t = stack_kernel_reference(gT, gU, p0, 50)
+        assert pts.Z.tobytes() == Z.tobytes() and pts.t.tobytes() == t.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(target=st.sampled_from(["su31", "so41"]),
+           d=st.sampled_from([2, 5, 6, 7, 11, 15, 19]),
+           angle=orbit_angles(), radius=st.integers(13, 50))
+    def test_long_range_matches_stack_kernel(self, target, d, angle, radius):
+        gT, gU, p0 = cusp_generators(target, d, angle)
+        pts = orbit_points(gT, gU, p0, radius)
+        Z, t = stack_kernel_reference(gT, gU, p0, radius)
+        assert pts.Z.tobytes() == Z.tobytes() and pts.t.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("target, d, angle", [
+        ("su31", 15, Angle.radians(0.7)), ("su31", 7, Angle.pi_fraction(2, 5)),
+        ("so41", 6, Angle.radians(-2.5)), ("so41", 11, Angle.radians(1e-7))])
+    def test_powers_match_matrix_power(self, target, d, angle):
+        gT, _, _ = cusp_generators(target, d, angle)
+        for a in (gT, np.linalg.inv(gT)):
+            powers = heisenberg._matrix_powers(a, 50)
+            assert len(powers) == 51
+            for k, got in enumerate(powers):
+                want = np.linalg.matrix_power(a, k)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+        assert [p.tobytes() for p in heisenberg._matrix_powers(gT, 2)] == \
+               [np.linalg.matrix_power(gT, k).tobytes() for k in range(3)]
 
     def test_single_point_action_unchanged(self):
         g = bent_cusp_U(D7_PARAMS)
@@ -550,6 +598,66 @@ class TestBatchedOrbit:
             orbit_points(gT, gU, HeisPoint.origin(2), radius)
         with pytest.raises(GeometryError, match=message):
             orbit_reference(gT, gU, HeisPoint.origin(2), radius)
+
+    # Bent generators that fail the checks of the U-chain.  Each fixes
+    # infinity except SWAP (an involution, so its inverse does not either);
+    # the others act on (z2, 1) of a lift by [[0, 1], [1, 1]] or its
+    # inverse [[-1, 1], [1, 0]].  From the origin, DRIFT maps the lift
+    # (0, 0, 0, 1) to (0, 0, 1, 1), off the boundary, and ESCAPE maps it to
+    # (0, 0, 1, 0), out of the chart; each is the other's inverse.  PASS is
+    # DRIFT with the height corrected, so its first image (0, 1; 0) is a
+    # boundary point, but its inverse escapes at n = 1 and PASS itself
+    # drifts at n = 2.
+    SWAP = np.array([[0, 0, 0, -1], [0, -1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]], dtype=complex)
+    DRIFT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]], dtype=complex)
+    ESCAPE = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, 0]], dtype=complex)
+    PASS = np.array([[1, 0, 0, -0.5], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]], dtype=complex)
+    # PASS with z1 = 1.5e154 added to its first image, which is still a
+    # boundary point, but whose standard lift overflows: |z1|^2 > 1.8e308
+    HUGE = np.array([[1, 0, 0, -0.75e154 * 1.5e154], [0, 1, 0, 1.5e154], [0, 0, 0, 1],
+                     [0, 0, 1, 1]], dtype=complex)
+
+    @pytest.mark.parametrize("gU, radii, message", [
+        (SWAP, [1, 2, 50], "does not fix the point at infinity"),
+        # forward step 1 is checked before backward step 1, which fails
+        # the other way
+        (ESCAPE, [1, 2, 50], "escaped the Heisenberg chart"),
+        (DRIFT, [1, 2, 50], "height drifted"),
+        # backward step 1 is checked before forward step 2
+        (PASS, [1, 2, 50], "escaped the Heisenberg chart"),
+        # and a point is lifted when the next step reads it, so the
+        # overflow of the first forward lift comes after backward step 1
+        (HUGE, [1, 2, 50], "escaped the Heisenberg chart"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar power")
+    def test_chain_failures(self, gU, radii, message):
+        gT = cusp_translation_T(D2_PARAMS)
+        p0 = HeisPoint.origin(2)
+        for radius in radii:
+            with pytest.raises(GeometryError, match=message):
+                orbit_points(gT, gU, p0, radius)
+            with pytest.raises(GeometryError, match=message):
+                orbit_reference(gT, gU, p0, radius)
+        # no step at radius 0, so nothing of gU is checked
+        assert len(orbit_points(gT, gU, p0, 0)) == 1
+
+    def test_chain_failure_messages_of_single_steps(self):
+        p0 = HeisPoint.origin(2)
+        with pytest.raises(GeometryError, match="does not fix the point at infinity"):
+            boundary_action(self.SWAP, p0)
+        with pytest.raises(GeometryError, match="escaped the Heisenberg chart"):
+            boundary_action(self.ESCAPE, p0)
+        with pytest.raises(GeometryError, match="height drifted"):
+            boundary_action(self.DRIFT, p0)
+        assert boundary_action(self.PASS, p0) == HeisPoint((0, 1), 0.0)
+        with pytest.raises(GeometryError, match="height drifted"):
+            boundary_action(self.PASS, HeisPoint((0, 1), 0.0))
+        with pytest.raises(GeometryError, match="escaped the Heisenberg chart"):
+            boundary_action(np.linalg.inv(self.PASS), p0)
+        with pytest.raises(GeometryError, match="point dimension does not match"):
+            boundary_action(self.PASS, HeisPoint.origin(3))
+        with pytest.raises(OverflowError):
+            standard_lift(boundary_action(self.HUGE, p0))
 
     def test_rows_read_like_a_list(self):
         pts = orbit_points(cusp_translation_T(D2_PARAMS), bent_cusp_U(D2_PARAMS),
