@@ -480,6 +480,16 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
     Equals n^2 exactly when the matrices act irreducibly.  A rank
     decision within INDETERMINATE_FACTOR of the threshold raises
     IndeterminateError.
+
+    For a full-rank span the margin is set by rounding, not by the
+    algebra: it is tol / r for the residual r, about 1e-16, that the
+    Gram-Schmidt passes leave of a candidate already in the span
+    (9.46e+06 in the d = 2 su31 report).  r depends on the summation
+    order of BLAS ``zdotc`` behind ``np.vdot``, and the report goldens
+    print the margin, so the loop keeps its order although the probe
+    takes a few milliseconds of each su31 report (2.0 ms for d = 2 on a
+    2-core x86-64 host, Python 3.11).  An exact span that would replace
+    this margin is ROADMAP item 3.
     """
     if not gens or len(gens) > 8:
         raise ValueError("between 1 and 8 generators")

@@ -11,11 +11,15 @@ tests validate it against the alternative on the undeformed lattice.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .exact import GeometryError, HermForm, Mat, _numeric, _trace_of_product, form_preserved
+from .scalars import LaurentPoly, _canonical
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
 if TYPE_CHECKING:
@@ -193,6 +197,47 @@ def load_word_list(lines: Iterable[str]) -> list[Word]:
 MatLike = Union[Mat, "np.ndarray"]
 
 
+def _quantized(width: int) -> int:
+    """A packing width rounded up to a multiple of 32 bits, or of an
+    eighth of the power of two above it if that is more: up to 256 bits
+    there are 8 widths, and then 4 per doubling."""
+    step = 1 << max(5, width.bit_length() - 3)
+    return -(-width // step) * step
+
+
+def _matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, r, c)) for c in cols] for r in A]
+
+
+class _Packed:
+    """One exact laurent-ring generator power P = u^lo Q(u) / den: den
+    the lcm of its entries' denominators, lo their lowest exponent, Q an
+    n x n matrix of integer polynomials of degree at most ``span``, and
+    ``norm`` the largest row sum of the l1 norms of Q's entries.  ``at``
+    gives Q's entries at u = 2^width, packed once per width.  A zero
+    matrix (a nilpotent image's power, say) is lo = span = 0, Q = 0."""
+
+    __slots__ = ("den", "lo", "span", "norm", "_polys", "_at")
+
+    def __init__(self, P: Mat):
+        entries = [e for r in P.rows for e in r]
+        self.den = math.lcm(*(e._d for e in entries))
+        self.lo = min((k for e in entries for k in e._n), default=0)
+        self.span = max((k for e in entries for k in e._n), default=0) - self.lo
+        self._polys = [[{k - self.lo: v * (self.den // e._d) for k, v in e._n.items()}
+                        for e in r] for r in P.rows]
+        self.norm = max(sum(sum(map(abs, q.values())) for q in r) for r in self._polys)
+        self._at: dict[int, list[list[int]]] = {}
+
+    def at(self, width: int) -> list[list[int]]:
+        packed = self._at.get(width)
+        if packed is None:
+            packed = self._at[width] = [[sum(v << width * k for k, v in q.items()) for q in r]
+                                        for r in self._polys]
+        return packed
+
+
 @dataclass
 class Rep:
     """Generator images over one backend, with an optional invariant
@@ -206,12 +251,41 @@ class Rep:
     Exact generator inverses and powers are formed once per ``Rep``.
     Only numeric images import numpy, when they are used: the caller
     holds arrays already.
+
+    Exact laurent-ring word images are products of n x n matrices of
+    Python ints (Kronecker substitution).  Each generator power is
+    P = u^lo Q(u) / den (``_Packed``), and its entries are packed as the
+    integers Q_ij(2^B), once per width B.  Evaluation at 2^B is a ring
+    homomorphism Z[X] -> Z, so the packed product of a word's factors is
+    the product of their Q's evaluated at 2^B.  An entry that is read is
+    decoded from its balanced base-2^B digits c_k in [-2^(B-1), 2^(B-1)),
+    shifted by the factors' summed lo, over the product of their den,
+    and canonicalised: its terms come in ascending exponent order.  The
+    digits are the coefficients whenever every |c| < 2^(B-1).
+
+    The width is B = bitlen(x) + 1 for x = prod ||Q_i||, with the norm
+    ||Q|| = max_i sum_j |Q_ij|_1.  Since |ab|_1 <= |a|_1 |b|_1 for
+    polynomials, |(QR)_ij|_1 <= sum_k |Q_ik|_1 |R_kj|_1, and summing over
+    j, sum_j |(QR)_ij|_1 <= sum_k |Q_ik|_1 ||R|| <= ||Q|| ||R||: the norm
+    is submultiplicative.  So every coefficient of an entry of
+    Q_1 ... Q_r is at most x in absolute value, and 2^(B-1) = 2^bitlen(x)
+    > x.  Only entries are decoded (a trace sums its decoded diagonal),
+    so no wider sum needs the bound.  A larger width decodes the same
+    digits, so B is rounded up to a few steps (``_quantized``) and each
+    power is packed at a few widths.
+
+    The ext ring's images multiply with ``Mat @``.  ``Mat @`` itself keeps
+    the term order of ``LaurentPoly._dot``, because the matrices it forms
+    (a bent letter, say) are evaluated at angles term by term, bit for
+    bit; a word image here is only compared, reduced or printed, and
+    ``LaurentPoly.__str__`` sorts its terms.
     """
 
     images: Mapping[str, MatLike]
     form: HermForm | None = None
     _inv_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _pow_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _packed_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.images:
@@ -242,6 +316,12 @@ class Rep:
         return isinstance(next(iter(self.images.values())), Mat)
 
     @property
+    def _packs(self) -> bool:
+        """Whether word images multiply packed: exact laurent-ring images."""
+        g = next(iter(self.images.values()))
+        return isinstance(g, Mat) and g.ring == "laurent"
+
+    @property
     def dim(self) -> int:
         g = next(iter(self.images.values()))
         if isinstance(g, Mat):
@@ -268,18 +348,61 @@ class Rep:
             return out
         return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
 
+    def _packed(self, sym: str, exp: int) -> _Packed:
+        key = (sym, exp)
+        if key not in self._packed_cache:
+            self._packed_cache[key] = _Packed(self._power(sym, exp))
+        return self._packed_cache[key]
+
+    def _width(self, words: Iterable[Word]) -> int:
+        """The width B = bitlen(prod ||Q_i||) + 1 that decodes every entry
+        of each word's image (see the class)."""
+        top = max((math.prod(self._packed(*f).norm for f in w.factors) for w in words),
+                  default=1)
+        return top.bit_length() + 1
+
+    def _unpacked(self, values: Iterable[int], factors: tuple, width: int) -> list[LaurentPoly]:
+        """The entries of the image of a word with these factors whose
+        packed values at ``width`` are ``values``, read from their
+        balanced digits: a bias of 2^(width-1) in every digit makes them
+        the bytes of the nonnegative value + bias."""
+        packed = [self._packed(*f) for f in factors]
+        shift = sum(p.lo for p in packed)
+        den = math.prod(p.den for p in packed)
+        digits = sum(p.span for p in packed) + 1
+        step, half = width // 8, 1 << (width - 1)
+        bias = int.from_bytes((bytes(step - 1) + b"\x80") * digits, "little")
+        out = []
+        for v in values:
+            raw = (v + bias).to_bytes(step * digits, "little")
+            nums = {}
+            for k, i in enumerate(range(0, len(raw), step), shift):
+                c = int.from_bytes(raw[i:i + step], "little") - half
+                if c:
+                    nums[k] = c
+            out.append(_canonical(nums, den))
+        return out
+
     def _check_symbols(self, w: Word) -> None:
         missing = w.symbols - set(self.images)
         if missing:
             raise KeyError(f"word uses symbols not in the representation: {missing}")
 
     def evaluate(self, w: Word):
-        """Image of a word: the ordered product of generator powers."""
+        """Image of a word: the ordered product of generator powers
+        (exact laurent-ring images: packed, see the class)."""
         self._check_symbols(w)
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
             if not w.factors:
                 return Mat.identity(first.n, first.ring, first.d)
+            if self._packs:
+                width = _quantized(self._width([w]))
+                g = self._packed(*w.factors[0]).at(width)
+                for f in w.factors[1:]:
+                    g = _matmul(g, self._packed(*f).at(width))
+                entries = iter(self._unpacked([v for r in g for v in r], w.factors, width))
+                return first._like([[next(entries) for _ in r] for r in g])
             out = self._power(*w.factors[0])
             for sym, exp in w.factors[1:]:
                 out = out @ self._power(sym, exp)
@@ -303,24 +426,55 @@ class Rep:
         words' proper prefixes are kept for the length of the call, so a
         prefix the words share is multiplied out once, and each trace is
         the trace-only product of the word's longest proper prefix and
-        its last factor."""
-        prefixes: dict[tuple, Mat] = {}
+        its last factor.
+
+        Laurent-ring prefixes are kept packed, at one width for the whole
+        batch; a trace decodes the n diagonal entries of its trace-only
+        product and sums them as ``Mat.trace`` does, so its terms come in
+        the order of ``evaluate(w).trace()``."""
+        words = list(words)
+        for w in words:
+            self._check_symbols(w)
+        if self._packs:
+            width = _quantized(self._width([w for w in words if len(w.factors) > 1]))
+
+            def factor(f):
+                return self._packed(*f).at(width)
+            mul, last_trace = _matmul, partial(self._packed_trace, width=width)
+        else:
+            def factor(f):
+                return self._power(*f)
+
+            def last_trace(g, f):
+                return _trace_of_product(g, factor(f[-1]))
+            mul = operator.matmul
+        prefixes = {}
         out = []
         for w in words:
             f = w.factors
             if len(f) < 2:
                 out.append(self.evaluate(w).trace())
                 continue
-            self._check_symbols(w)
             j = len(f) - 1  # the longest kept prefix f[:j], or the first factor
             while j > 1 and f[:j] not in prefixes:
                 j -= 1
-            g = prefixes[f[:j]] if j > 1 else self._power(*f[0])
+            g = prefixes[f[:j]] if j > 1 else factor(f[0])
             for i in range(j, len(f) - 1):
-                g = g @ self._power(*f[i])
+                g = mul(g, factor(f[i]))
                 prefixes[f[:i + 1]] = g
-            out.append(_trace_of_product(g, self._power(*f[-1])))
+            out.append(last_trace(g, f))
         return out
+
+    def _packed_trace(self, g: list[list[int]], factors: tuple, width: int) -> LaurentPoly:
+        """The trace of the image of a word with these factors, from the
+        packed image g of all but its last: the n diagonal entries of the
+        product with the last, decoded and summed as ``Mat.trace`` sums."""
+        last = self._packed(*factors[-1]).at(width)
+        diag = [sum(map(operator.mul, r, c)) for r, c in zip(g, zip(*last))]
+        acc = LaurentPoly.zero()
+        for e in self._unpacked(diag, factors, width):
+            acc = acc + e
+        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ per-point arc rule are oracles for the classifier's array decision, for
 and for the figure-eight sweep's arc codes: they are the loops these ran
 as before, one matrix, one (angle, exponent) or one point at a time.
 
+The left-to-right ``Mat @`` product of a word's generator powers, each
+formed by ``Mat.__pow__``, is an oracle for ``Rep``'s exact word images,
+which multiply packed integers.
+
 Every test starts with no shared symbolic family built
 (``cold_families``)."""
 
@@ -125,6 +129,22 @@ def gather_orbit_gap():
 @pytest.fixture
 def gather_rs1_gap():
     return _gather_rs1_gap
+
+
+def _mat_chain(images, w) -> Mat:
+    """The exact image of the word w under the generator images: the
+    left-to-right ``Mat @`` product of its factors' powers ``g ** e``."""
+    g = next(iter(images.values()))
+    out = None
+    for sym, e in w.factors:
+        p = images[sym] ** e
+        out = p if out is None else out @ p
+    return Mat.identity(g.n, g.ring, g.d) if out is None else out
+
+
+@pytest.fixture(scope="session")
+def mat_chain():
+    return _mat_chain
 
 
 def _square(x: float) -> float:

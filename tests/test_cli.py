@@ -485,6 +485,10 @@ class TestOrbitCommand:
         ("sweep_bianchi_d7_su31_-3_3_600.csv",
          ["sweep", "bianchi", "--d", "7", "--target", "su31", "--start=-3.0", "--end=3.0",
           "--count", "600"]),
+        # Generated before word images were multiplied as packed integers:
+        # seeded words of length 48, 96 and 120, and the relator
+        ("verify_figure8_u-exact_words_long.json",
+         ["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words_long.txt")]),
     ])
     def test_golden_output(self, name, argv):
         code, out, _ = run(argv)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -640,6 +641,38 @@ class TestBatchedOrbit:
                 orbit_reference(gT, gU, p0, radius)
         # no step at radius 0, so nothing of gU is checked
         assert len(orbit_points(gT, gU, p0, 0)) == 1
+
+    # A dilation that fixes infinity, (x, z, 1) -> (lam x, z, 1 / lam), from
+    # a point far out.  At lam = 1e10 the first quotient overflows, which
+    # its guard keeps silent, and the next lift raises OverflowError.  At
+    # lam = 1e3 no quotient overflows, but the second product does, and
+    # warns (numpy 2: overflow, then invalid value, in matmul) as a product
+    # outside the quotient's guard does, before the OverflowError.
+    @pytest.mark.parametrize("lam, z", [(1e10, 1e147), (1e3, 1e150)])
+    def test_chain_warns_as_its_single_steps(self, lam, z):
+        gU = np.diag([lam, 1, 1, 1 / lam]).astype(complex)
+        gT = cusp_translation_T(D2_PARAMS)
+        p0 = HeisPoint((z, 0), 0.0)
+
+        def steps():
+            gU_inv = np.linalg.inv(gU)
+            un = {0: p0}
+            for n in range(1, 4):
+                un[n] = boundary_action(gU, un[n - 1])
+                un[-n] = boundary_action(gU_inv, un[1 - n])
+
+        def outcome(run, action):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises((OverflowError, RuntimeWarning)) as raised:
+                    run()
+            return raised.type, [str(w.message) for w in caught]
+
+        for action in ("always", "error"):
+            want = outcome(steps, action)
+            assert outcome(lambda: orbit_points(gT, gU, p0, 3), action) == want
+        if lam == 1e10:
+            assert want == (OverflowError, [])
 
     def test_chain_failure_messages_of_single_steps(self):
         p0 = HeisPoint.origin(2)

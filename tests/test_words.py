@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdeform.bending import bianchi_family
-from cuspdeform.figure8 import build_family, generator_m, generator_n
+from cuspdeform.figure8 import (L_WORD, RELATOR, build_family, generator_m, generator_n,
+                                longitude_matrix)
 from cuspdeform.matrices import GeometryError, Mat
 from cuspdeform.scalars import Angle, LaurentPoly
 from cuspdeform.words import (Presentation, Rep, Word, builtin_presentation,
@@ -149,6 +153,133 @@ class TestRep:
                                              [0, 0, 1, 0], [0, 1, 0, 1]])}
         with pytest.raises(GeometryError):
             Rep(bad, fam.form)
+
+
+@st.composite
+def long_words(draw, max_length=120):
+    """Words in m, n of length up to max_length, exponents up to +-5."""
+    factors, length = [], 0
+    for _ in range(draw(st.integers(0, 60))):
+        e = draw(st.integers(-5, 5).filter(bool))
+        if length + abs(e) > max_length:
+            break
+        factors.append((draw(st.sampled_from("mn")), e))
+        length += abs(e)
+    return Word(factors)
+
+
+def packed_coefficients(rep, w, image):
+    """The integers that the packed product of w's factors carries: the
+    numerators of the image's entries, over the product of the factors'
+    common denominators."""
+    den = math.prod(math.lcm(*(e._d for r in rep._power(*f).rows for e in r))
+                    for f in w.factors)
+    return [v * (den // e._d) for r in image.rows for e in r for v in e._n.values()]
+
+
+def assert_within_width(rep, w, image):
+    top = max(map(abs, packed_coefficients(rep, w, image)), default=0)
+    assert top < 2 ** (rep._width([w]) - 1)
+
+
+class TestPackedImages:
+    """Exact word images, traces and batches of traces against the
+    left-to-right ``Mat @`` product, by value, and the packing width
+    against the coefficients it must hold."""
+
+    def setup_method(self):
+        self.images = {"m": generator_m(), "n": generator_n()}
+        self.rep = Rep(self.images)
+
+    @given(st.lists(long_words(), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_images_and_traces_match_the_mat_chain(self, mat_chain, batch):
+        want = [mat_chain(self.images, w) for w in batch]
+        assert [self.rep.evaluate(w) for w in batch] == want
+        assert [self.rep.trace(w) for w in batch] == [g.trace() for g in want]
+        assert Rep(self.images)._traces(batch) == [g.trace() for g in want]
+        for w, g in zip(batch, want):
+            assert_within_width(self.rep, w, g)
+
+    def test_relator_and_its_cyclic_shifts_are_the_identity(self, mat_chain):
+        shifts = [RELATOR]
+        while len(shifts) < RELATOR.length():
+            shifts.append(shifts[-1].cyclic_shift())
+        for w in shifts:
+            assert self.rep.evaluate(w).is_identity()
+            assert_within_width(self.rep, w, mat_chain(self.images, w))
+        assert self.rep._traces(shifts) == [LaurentPoly.const(4)] * len(shifts)
+
+    def test_longitude(self, mat_chain):
+        L = self.rep.evaluate(L_WORD)
+        assert L == longitude_matrix() == mat_chain(self.images, L_WORD)
+        assert self.rep.trace(L_WORD) == L.trace()
+        assert_within_width(self.rep, L_WORD, L)
+
+    # (m n)^k grows fastest among the (m^a n^b)^k with |a|, |b| <= 5
+    @pytest.mark.parametrize("text, k", [("m.n", 60), ("m^-1.n^-1", 60), ("m^2.n^2", 30),
+                                         ("m.n^2", 40), ("m^5.n^-5", 12)])
+    def test_fastest_growing_words(self, mat_chain, text, k):
+        w = Word.parse(text) ** k
+        g = mat_chain(self.images, w)
+        assert self.rep.evaluate(w) == g
+        assert self.rep.trace(w) == g.trace()
+        assert_within_width(self.rep, w, g)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_scalar_images_attain_the_width_bound(self, n):
+        # the diagonal entries of a word in 2 I and u I are prod ||Q_i||
+        # itself, so a width one bit narrower could not hold them
+        rep = Rep({"a": Mat.diagonal([2] * n), "b": Mat.diagonal([LaurentPoly.u()] * n)})
+        for text, scale in [("a^3.b^-2", 8), ("a^-3.b", Fraction(1, 8)), ("a^2.b^3.a^-1", 2),
+                            ("b^-1", 1)]:
+            w = Word.parse(text)
+            g = rep.evaluate(w)
+            assert g.is_scalar().sum_coeffs() == scale    # the scalar 2^k u^j
+            assert rep.trace(w) == g.trace()
+            top = max(map(abs, packed_coefficients(rep, w, g)))
+            assert top == math.prod(rep._packed(*f).norm for f in w.factors)
+            assert_within_width(rep, w, g)
+
+    @pytest.mark.parametrize("text", ["a^6", "a^7.b", "a^-2.b^-1.a^14", "a^15", "a^23.b^-3"])
+    def test_decodes_at_the_width_bound(self, monkeypatch, mat_chain, text):
+        # widths rounded up only to whole bytes, which the decoder reads: a
+        # word in diag(-2, 2) and diag(u, 1) whose B is a multiple of 8
+        # (2^6: B = 8) then decodes at B itself, and one a bit past it
+        # (2^7: B = 9) at the next byte, where a width one bit short would
+        # read a wrong digit
+        monkeypatch.setattr("cuspdeform.words._quantized", lambda width: -(-width // 8) * 8)
+        images = {"a": Mat.diagonal([-2, 2]), "b": Mat.diagonal([LaurentPoly.u(), 1])}
+        rep, w = Rep(images), Word.parse(text)
+        g = mat_chain(images, w)
+        assert rep.evaluate(w) == g
+        assert rep.trace(w) == rep._traces([w])[0] == g.trace()
+
+    def test_nilpotent_images(self, mat_chain):
+        # a power whose image is zero packs as zero
+        images = {"a": Mat([[0, LaurentPoly.u()], [0, 0]], "laurent"),
+                  "b": Mat([[1, 0], [Fraction(1, 2), LaurentPoly.u(-1)]], "laurent"),
+                  "z": Mat([[0, 0], [0, 0]], "laurent")}
+        rep = Rep(images)
+        for text in ["a", "a^2", "a^3.b", "b.a.b^2", "b.a^2.b", "z", "b^-1.z.b^2", "b.a.b.a"]:
+            w = Word.parse(text)
+            g = mat_chain(images, w)
+            assert rep.evaluate(w) == g
+            assert rep.trace(w) == g.trace()
+        assert rep.evaluate(Word.parse("a^2")) == Mat([[0, 0], [0, 0]], "laurent")
+        assert rep.trace(Word.parse("b.a^2")) == LaurentPoly.zero()
+
+    def test_entries_list_terms_in_ascending_order(self):
+        g = self.rep.evaluate(Word.parse("m^2.n^-3.m.n^2"))
+        assert all(list(e._n) == sorted(e._n) for r in g.rows for e in r)
+
+    def test_each_power_is_packed_at_few_widths(self):
+        for length in range(1, 121):
+            w = Word([("m" if i % 2 else "n", 1 if i % 3 else -1) for i in range(length)])
+            self.rep.trace(w)
+        widths = {k for p in self.rep._packed_cache.values() for k in p._at}
+        assert all(k % 32 == 0 for k in widths)
+        assert max(len(p._at) for p in self.rep._packed_cache.values()) <= 9
 
 
 class TestCheckRelations:
