@@ -18,7 +18,7 @@ the same matrices and actions apply verbatim.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -80,44 +80,108 @@ def box_distance(p: HeisPoint, q: HeisPoint) -> float:
     return max(dz, math.sqrt(abs(p.t - q.t)))
 
 
-def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist,
-                  dup_tol: float) -> float:
+def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: float,
+                  bounds: Sequence[tuple[np.ndarray, Callable[[float], float]]] = ()) -> float:
     """Minimum dist(p, q) > dup_tol over pairs of points (math.inf if none).
 
     The points are the rows of the columns `cols`; dist maps two lists of
-    such columns, p and q, to the distances of the paired rows.  Every
-    column of keys must bound the metric from below: |keys[i, c] -
-    keys[j, c]| is at most the distance of rows i and j.  The rows are
-    sorted along the key column with the most distinct values, and rows
-    k places apart are compared for k = 1, 2, ... until every key gap at
-    offset k exceeds the best distance so far (Shamos-Hoey sort-and-sweep).
+    such columns, p and q, to the distances of the paired rows.  Two kinds
+    of columns bound the metric from below:
+
+    * key columns, those of keys: |keys[i, c] - keys[j, c]| is at most
+      the distance of rows i and j;
+    * columns bounded through a monotone function: for each (column,
+      reach) of bounds, rows at distance at most b differ in the column
+      by at most reach(b).
+
+    The rows are sorted along the key column with the most distinct
+    values, and rows k places apart are compared for k = 1, 2, ... until
+    every key gap at offset k exceeds the best distance so far
+    (Shamos-Hoey sort-and-sweep).  Before dist runs at an offset, every
+    pair is dropped that some other column places too far apart: a key
+    column by a gap beyond _key_reach(best), a bounded column by one
+    beyond reach(best).  Each limit is at least the largest gap, as the
+    columns round it, of a pair whose dist, as dist rounds it, is at most
+    best; so no such pair is dropped, and the result is the minimum over
+    all pairs, with the bits dist gives that pair.  A constant column
+    drops nothing and is skipped.
 
     The sweep reads copies of the columns put in sort order once.  At an
-    offset where at least a quarter of the pairs are candidates (a sort
-    column of few distinct values, as in an so41 orbit), dist runs on the
-    contiguous slices c[:-k] and c[k:] and is masked after; at the others,
-    on the gathered candidates.  dist is elementwise, so either way every
-    distance has the bits it has for its pair alone.
+    offset where at least a quarter of the pairs are near in the sort
+    column, the bounds run on the contiguous slices c[k:] and c[:-k] of
+    all the other columns at once; at the others, one column at a time on
+    the gathered candidates, until none is left.  dist runs only on the
+    pairs that pass every bound, on contiguous slices where every pair
+    does (as at the first offset) and on gathered ones elsewhere; it is
+    elementwise, so either way each distance has the bits it has for its
+    pair alone.
     """
-    col = max(range(keys.shape[1]), key=lambda c: np.unique(keys[:, c]).size)
+    if len(keys) < 2:
+        return math.inf
+    sizes = [np.unique(c).size for c in keys.T]
+    col = sizes.index(max(sizes))
     order = np.argsort(keys[:, col], kind="stable")
     s = keys[order, col]
+    filters = ([(c, reach) for c, reach in bounds if c.min() < c.max()]
+               + [(keys[:, c], _key_reach) for c in range(len(sizes))
+                  if c != col and sizes[c] > 1])
+    reaches = [reach for _, reach in filters]
+    F = np.array([c[order] for c, _ in filters]).reshape(len(filters), len(s))
     cols = [c[order] for c in cols]
     best = math.inf
+    lims = np.full((len(filters), 1), math.inf)
     for k in range(1, len(s)):
         near = s[k:] - s[:-k] <= best
         count = np.count_nonzero(near)
         if not count:
             break
-        if 4 * count < near.size:
-            i = np.flatnonzero(near)
-            d = dist([c[i] for c in cols], [c[i + k] for c in cols])
+        if 4 * count >= near.size:
+            near &= (np.abs(F[:, k:] - F[:, :-k]) <= lims).all(0)
+            i = near.nonzero()[0]
+            j = i + k
         else:
-            d = dist([c[:-k] for c in cols], [c[k:] for c in cols])[near]
+            i = near.nonzero()[0]
+            j = i + k
+            for c, lim in zip(F, lims[:, 0]):
+                keep = np.abs(c[j] - c[i]) <= lim
+                i, j = i[keep], j[keep]
+                if not i.size:
+                    break
+        if not i.size:
+            continue
+        if i.size == near.size:  # every pair passes: slices, not gathers
+            d = dist([c[:-k] for c in cols], [c[k:] for c in cols])
+        else:
+            d = dist([c[i] for c in cols], [c[j] for c in cols])
         d = d[d > dup_tol]
-        if d.size:
-            best = min(best, float(d.min()))
+        if d.size and d.min() < best:
+            best = float(d.min())
+            lims = np.array([reach(best) for reach in reaches])[:, None]
     return best
+
+
+def _key_reach(b: float) -> float:
+    """The limit of a key-column gap at best distance b: b widened by
+    2^-46 relative and 2^-46 absolute.  That is more than the rounding by
+    which a key gap can exceed the distance that dist computes: the
+    underflow of squares of gaps below 1e-154 in the orbit metric, and
+    np.cos and np.sin against the rounded arc of the R x S^1 metric (a
+    few ulps of 1 and of 2 pi, below 2^-48).  The sort column itself is
+    compared with best as it is."""
+    return b * (1 + 2.0 ** -46) + 2.0 ** -46
+
+
+def _root_reach(b: float) -> float:
+    """An upper bound on every |dt| with fl(sqrt(|dt|)) <= b, for the
+    vertical coordinate of the box metric max(|dZ|, sqrt|dt|).
+
+    sqrt rounds to nearest, so fl(sqrt(x)) <= b gives sqrt(x) <= b +
+    ulp(b)/2, and x <= b^2 (1 + 2^-51) for a normal b (a subnormal b
+    leaves only x = 0).  fl(b * b) is within 2^-53 of b^2, relative, or
+    within 2^-1075, absolute, where b^2 is subnormal.  The factor
+    1 + 2^-49 covers the relative case and the 2^-1072 added after it the
+    subnormal one, each through the rounding of its own operation."""
+    return b * b * (1 + 2.0 ** -49) + 2.0 ** -1072
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +471,21 @@ def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
     m = 0.0 - np.rint(n * b / a)  # an integral float, never -0.0
     keep = _distinct_elements(m, n, T, U)
     x = (m * a + n * b)[keep]
-    ang = np.array([math.remainder(v, 2 * math.pi)
-                    for v in (n[keep] * U.angle.value).tolist()])
+    ang = _remainder(n[keep] * U.angle.value, 2 * math.pi)
     return _rs1_gap(x, ang)
+
+
+def _remainder(v: np.ndarray, y: float) -> np.ndarray:
+    """math.remainder(v, y) of each entry of v, bit for bit (y > 0 finite).
+
+    fmod is exact and keeps the sign of v (of a zero too).  Where |f| is
+    past y/2, or at y/2 with an odd quotient (then |fmod(v, 2y)| >= y), the
+    nearest multiple, ties to even, lies on the other side: subtracting
+    copysign(y, f) is exact there, as y/2 <= |f| < y (Sterbenz)."""
+    f = np.fmod(v, y)
+    a = np.abs(f)
+    away = (a > y / 2) | ((a == y / 2) & (np.abs(np.fmod(v, 2 * y)) >= y))
+    return np.where(away, f - np.copysign(y, f), f)
 
 
 def _distinct_elements(m: np.ndarray, n: np.ndarray, T: RS1Element,
@@ -559,8 +635,11 @@ def orbit_points(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
 def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
               dup_tol: float = DUP_TOL) -> float:
     """Minimum positive pairwise box distance among the (m, n, point) rows
-    of orbit_points; pairs closer than dup_tol count as coincident (and
-    are excluded, so the reported gap is the positive one)."""
+    of orbit_points; pairs at most dup_tol apart count as coincident (and
+    are excluded, so the reported gap is the positive one).
+
+    The sweep bounds each pair by its Z coordinates (the key columns) and
+    by t, through sqrt|dt| <= distance (_root_reach)."""
     cols = _orbit_columns(pts)
     Z, t = cols.Z, cols.t
     k = Z.shape[1]
@@ -568,7 +647,8 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
     def dist(p, q):  # p, q: the Z columns, then t
         dz2 = sum(np.abs(p[c] - q[c]) ** 2 for c in range(k))
         return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(p[k] - q[k])))
-    return _closest_pair(np.column_stack([Z.real, Z.imag]), [*Z.T, t], dist, dup_tol)
+    return _closest_pair(np.column_stack([Z.real, Z.imag]), [*Z.T, t], dist, dup_tol,
+                         [(t, _root_reach)])
 
 
 def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,

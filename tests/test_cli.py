@@ -426,6 +426,14 @@ class TestOrbitCommand:
          "65d58098f8482e25dce78eb98e13f32472bf9ea6ef837783fcaa94f007000bfd"),
         (["orbit", "--d", "6", "--target", "so41", "--theta=-2.5", "--radius", "50"],
          "76fc7f4b7f8541e13734324a2ed12e3e2838df41fcfd166619e80eb8fbe225a6"),
+        # where the gap sweep's column bounds prune most differently: a
+        # pi-rational so41 orbit dense with near-duplicate rows, and an
+        # orthogonal su31 one whose Z columns tie along each row, so that
+        # t tells the points apart
+        (["orbit", "--d", "5", "--target", "so41", "--theta=1/3pi", "--radius", "50"],
+         "6c424042f24e30d91e4772b8b2ac4a2e987731a6cbcbd295ea581cf64db9b100"),
+        (["orbit", "--d", "2", "--alpha=-2.5", "--radius", "50"],
+         "c2e5e57569b70aaad7145e264168bc816d3273ee9d4deac6a9f5e4a57f3a9121"),
     ])
     def test_radius_50_digest(self, argv, digest):
         # SHA-256 of the whole dump (10201 rows and the gap line)

@@ -49,6 +49,48 @@ def tied_clouds(draw, width):
     return rows + [list(rows[i]) for i in dups]
 
 
+@st.composite
+def t_only_clouds(draw):
+    """2-40 rows (z1, z2, t) with one Z for all and distinct t: only the
+    vertical coordinate tells the points apart."""
+    z = (draw(complexes), draw(complexes))
+    ts = draw(st.lists(st.floats(-3, 3), min_size=2, max_size=40, unique=True))
+    return [HeisPoint(z, t) for t in ts]
+
+
+@st.composite
+def on_bound_clouds(draw, k):
+    """Clouds whose gap g sits exactly on the bound of one column, met
+    after a pair one ulp farther apart has set the best distance.
+
+    Every coordinate is dyadic, so each distance is exact.  The sort
+    column (re z1, the key with the most distinct values) holds 0 and
+    next(g), a pair at distance next(g) one place apart; then, at 40,
+    three rows one place apart in sort order: the outer two differ by g
+    in one other key column (|dkey| = g) or, for k = 2, by g^2 in t
+    (|dt| = g^2), the middle one is far from both.  Filler rows, 100
+    apart far out along the sort column, end the cloud: every distance
+    that can be the gap is that of one coordinate, which box_distance and
+    the numpy metric round alike."""
+    g = draw(st.integers(2 ** 19, 2 ** 20 - 1)) / 2 ** draw(st.integers(16, 22))
+    shift = draw(st.integers(-8, 8)) / 4
+    where = draw(st.sampled_from(["t", "key"] if k == 2 else ["key"]))
+    col = draw(st.integers(1, 2 * k - 1 if k == 2 else k - 1))
+
+    def row(x, dkey=0.0, t=0.0):
+        r = [x, 0.0, 0.0, 0.0] if k == 2 else [x, 0.0, 0.0]
+        r[col] += dkey
+        if k == 2:
+            return HeisPoint((complex(r[0], r[2]), complex(r[1], r[3])), t + shift)
+        return HeisPoint(r, 0.0)
+    lo, hi = (row(40.0), row(40.0, dkey=g)) if where == "key" else \
+        (row(40.0), row(40.0, t=g * g))
+    far = row(40.0, dkey=1000.0) if k == 3 or where == "key" else row(40.0, t=1000.0)
+    filler = [row(1e4 + 100.0 * i, dkey=v) for i, v in
+              enumerate(draw(st.lists(st.floats(-3, 3), max_size=10)))]
+    return [row(0.0), row(math.nextafter(g, math.inf)), lo, far, hi] + filler
+
+
 def brute_min(points, dist, dup_tol):
     ds = (dist(p, q) for p, q in itertools.combinations(points, 2))
     return min((d for d in ds if d > dup_tol), default=math.inf)
@@ -241,10 +283,19 @@ class TestClosestPair:
     """Both probes' sort-and-sweep kernel against all pairs."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_orbit_gap_matches_all_pairs(self, k, data):
-        if k == 2:  # complex hyperbolic: (z1, z2, t)
+        """Tied clouds, clouds that only t tells apart (k = 2; t is 0 for
+        k = 3), and clouds whose gap sits exactly on a column bound; the
+        last are dyadic, so their gap must come out exactly."""
+        cloud = data.draw(st.sampled_from(["tied", "t-only", "on-bound"] if k == 2
+                                          else ["tied", "on-bound"]))
+        if cloud == "t-only":
+            pts = data.draw(t_only_clouds())
+        elif cloud == "on-bound":
+            pts = data.draw(on_bound_clouds(k))
+        elif k == 2:  # complex hyperbolic: (z1, z2, t)
             rows = data.draw(tied_clouds(5))
             pts = [HeisPoint((complex(a, b), complex(c, d)), t)
                    for a, b, c, d, t in rows]
@@ -253,8 +304,9 @@ class TestClosestPair:
             pts = [HeisPoint(r, 0.0) for r in rows]
         dup_tol = data.draw(st.sampled_from([0.0, 1e-9, 0.25]))
         got = orbit_gap([(0, 0, p) for p in pts], dup_tol)
+        want = brute_min(pts, box_distance, dup_tol)
         assert type(got) is float
-        assert same_gap(got, brute_min(pts, box_distance, dup_tol))
+        assert got == want if cloud == "on-bound" else same_gap(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(tied_clouds(2))
@@ -306,12 +358,17 @@ class TestGapOracle:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("cloud", ["tied", "untied", "clustered"])
     def test_clouds_take_both_paths(self, k, cloud, gather_orbit_gap, monkeypatch):
-        """dist runs on contiguous slices at the offsets where most pairs
-        are candidates, and on the gathered candidates at the others.  A
-        tied cloud (every key column takes four values, and some rows are
-        duplicates) and an untied one take both paths past the first
-        offset; a clustered one (30 close rows, the rest far apart along
-        the sort column) finds its gap on gathered candidates."""
+        """The bounds run on contiguous slices at the offsets where at
+        least a quarter of the pairs are near in the sort column, and on
+        the gathered candidates at the others; dist sees only the pairs
+        that pass them.  The spy tags each row with its index, so that a
+        dist call tells its offset, and the test replays the sweep: at
+        every offset, dist saw no pair outside a bound of the best
+        distance so far and missed no pair within that distance.  A tied
+        cloud (every key column takes four values, and some rows are
+        duplicates) and an untied one take both paths; a clustered one
+        (30 close rows, the rest far apart along the sort column) finds
+        its gap on gathered candidates, past the first offset."""
         rng = np.random.default_rng(k)
         size = 1200
         if cloud == "tied":
@@ -325,25 +382,55 @@ class TestGapOracle:
             Z *= 1e-3
             t *= 1e-6
             Z[30:, 0] += 10.0 * np.arange(1, size - 29)
-        calls = []  # (pairs, smallest distance) per offset
+        calls = {}  # offset -> (rows i, rows j, distances) of its dist call
         closest_pair = heisenberg._closest_pair
 
-        def spy(keys, cols, dist, dup_tol):
+        def spy(keys, cols, dist, dup_tol, bounds):
             def counted(p, q):
-                d = dist(p, q)
-                calls.append((len(p[0]), d.min()))
+                d = dist(p[:-1], q[:-1])
+                i, j = p[-1].astype(int), q[-1].astype(int)
+                offset, = set((pos[j] - pos[i]).tolist())
+                assert offset not in calls
+                calls[offset] = i, j, d
                 return d
-            return closest_pair(keys, cols, counted, dup_tol)
+            return closest_pair(keys, [*cols, np.arange(len(keys), dtype=float)],
+                                counted, dup_tol, bounds)
+        keys = np.column_stack([Z.real, Z.imag])
+        col = max(range(2 * k), key=lambda c: np.unique(keys[:, c]).size)
+        order = np.argsort(keys[:, col], kind="stable")
+        pos = np.argsort(order)
         monkeypatch.setattr(heisenberg, "_closest_pair", spy)
         rows = [(0, 0, HeisPoint(z, v)) for z, v in zip(Z.tolist(), t.tolist())]
         gap = orbit_gap(rows)
         assert gap.hex() == gather_orbit_gap(Z, t, DUP_TOL).hex()
-        dense = [n == size - offset for offset, (n, _) in enumerate(calls, 1)]
+
+        def box(i, j):  # the metric of orbit_gap
+            dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(k))
+            return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
+        s = keys[order, col]
+        best, dense = math.inf, {}
+        for offset in range(1, size):
+            near = np.flatnonzero(s[offset:] - s[:-offset] <= best)
+            if not near.size:
+                break
+            dense[offset] = 4 * near.size >= size - offset
+            i, j = order[near], order[near + offset]
+            within = box(i, j) <= best
+            seen_i, seen_j, d = calls.get(offset, (i[:0], j[:0], np.empty(0)))
+            assert set(zip(i[within].tolist(), j[within].tolist())) \
+                <= set(zip(seen_i.tolist(), seen_j.tolist()))
+            reach = best * (1 + 2.0 ** -40) + 2.0 ** -40
+            assert (np.abs(keys[seen_j] - keys[seen_i]) <= reach).all()
+            assert (np.sqrt(np.abs(t[seen_j] - t[seen_i])) <= reach).all()
+            d = d[d > DUP_TOL]
+            if d.size:
+                best = min(best, float(d.min()))
+        assert set(calls) <= set(dense) and best == gap
         if cloud == "clustered":
-            found = next(i for i, (_, d) in enumerate(calls) if d == gap)
-            assert found > 0 and not dense[found]
+            found = min(o for o, (_, _, d) in calls.items() if (d == gap).any())
+            assert found > 1 and not dense[found]
         else:
-            assert 1 < sum(dense) < len(dense)
+            assert 1 < sum(dense.values()) < len(dense)
 
 
 def rs1_reference(T, U, n_elements):
@@ -421,6 +508,27 @@ class TestRS1:
         got = rs1_probe(T, U, n_elements)
         assert type(got) is float
         assert got.hex() == rs1_reference(T, U, n_elements).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    @example([5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e300, -1e300])
+    def test_array_remainder_is_math_remainder(self, vs):
+        y = 2 * math.pi
+        got = heisenberg._remainder(np.array(vs), y).tolist()
+        assert [g.hex() for g in got] == [math.remainder(v, y).hex() for v in vs]
+
+    def test_array_remainder_at_zeros_multiples_and_ties(self):
+        """Signed zeros, exact multiples of 2 pi, and exact half-multiples
+        (ties, which round the quotient to even) of both parities."""
+        y = 2 * math.pi
+        multiples = [v for v in (k * y * 2.0 ** e for k in range(-7, 8) for e in range(60))
+                     if (Fraction(v) / Fraction(y)).denominator == 1]
+        ties = [(k, v) for k, v in ((k, (2 * k + 1) * y / 2) for k in range(-8, 8))
+                if Fraction(v) / Fraction(y) == Fraction(2 * k + 1, 2)]
+        assert len(multiples) > 500 and {k % 2 for k, _ in ties} == {0, 1}
+        vs = [0.0, -0.0, *multiples, *(v for _, v in ties)]
+        got = heisenberg._remainder(np.array(vs), y).tolist()
+        assert [g.hex() for g in got] == [math.remainder(v, y).hex() for v in vs]
 
     def test_probe_agrees_on_three_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
