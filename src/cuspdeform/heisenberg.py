@@ -96,25 +96,36 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
 
     The rows are sorted along the key column with the most distinct
     values, and rows k places apart are compared for k = 1, 2, ... until
-    every key gap at offset k exceeds the best distance so far
-    (Shamos-Hoey sort-and-sweep).  Before dist runs at an offset, every
-    pair is dropped that some other column places too far apart: a key
-    column by a gap beyond _key_reach(best), a bounded column by one
+    every gap in that sort column at offset k exceeds the best distance
+    so far (Shamos-Hoey sort-and-sweep).  Before dist runs at an offset,
+    every pair is dropped that some other column places too far apart: a
+    key column by a gap beyond _key_reach(best), a bounded column by one
     beyond reach(best).  Each limit is at least the largest gap, as the
     columns round it, of a pair whose dist, as dist rounds it, is at most
-    best; so no such pair is dropped, and the result is the minimum over
-    all pairs, with the bits dist gives that pair.  A constant column
-    drops nothing and is skipped.
+    best; so the bounds drop no such pair.  A constant column drops
+    nothing and is skipped.
 
-    The sweep reads copies of the columns put in sort order once.  At an
-    offset where at least a quarter of the pairs are near in the sort
-    column, the bounds run on the contiguous slices c[k:] and c[:-k] of
-    all the other columns at once; at the others, one column at a time on
-    the gathered candidates, until none is left.  dist runs only on the
-    pairs that pass every bound, on contiguous slices where every pair
-    does (as at the first offset) and on gathered ones elsewhere; it is
-    elementwise, so either way each distance has the bits it has for its
-    pair alone.
+    The sort column ends the sweep with no such widening: its gap is
+    compared with best as it is.  The result is the minimum over all
+    pairs, with the bits dist gives that pair, where the sort column's
+    computed gap is at most the computed dist of its pair.  The orbit's
+    Z columns are: a coordinate gap is at most the rounded root of a sum
+    of squares that holds its square, unless that square underflows.
+    The cos and sin columns of the R x S^1 metric hold only to within a
+    few ulps of the rounded arc, so there a pair whose arc is the gap to
+    within an ulp can be passed over.
+
+    The sweep reads copies of the columns put in sort order once.  The
+    bounds run on the contiguous slices c[k:] and c[:-k] of all the other
+    columns at once where at least a quarter of the pairs at offset k are
+    near in the sort column, and one column at a time on the gathered
+    candidates, until none is left, elsewhere.  A gather costs more per
+    pair than a slice, while the slices cost the same however few pairs
+    are near: on the orbit gaps the two passes take equal time between
+    1/8 and 1/4 of the pairs.  dist runs only on the pairs that pass every
+    bound, on contiguous slices where every pair does (as at the first
+    offset) and on gathered ones elsewhere; it is elementwise, so either
+    way each distance has the bits it has for its pair alone.
     """
     if len(keys) < 2:
         return math.inf
@@ -481,7 +492,11 @@ def _remainder(v: np.ndarray, y: float) -> np.ndarray:
     fmod is exact and keeps the sign of v (of a zero too).  Where |f| is
     past y/2, or at y/2 with an odd quotient (then |fmod(v, 2y)| >= y), the
     nearest multiple, ties to even, lies on the other side: subtracting
-    copysign(y, f) is exact there, as y/2 <= |f| < y (Sterbenz)."""
+    copysign(y, f) is exact there, as y/2 <= |f| < y (Sterbenz).  An
+    infinite entry raises ValueError, as math.remainder does; a nan
+    stays nan."""
+    if np.isinf(v).any():
+        raise ValueError("math domain error")
     f = np.fmod(v, y)
     a = np.abs(f)
     away = (a > y / 2) | ((a == y / 2) & (np.abs(np.fmod(v, 2 * y)) >= y))

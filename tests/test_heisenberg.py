@@ -358,17 +358,21 @@ class TestGapOracle:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("cloud", ["tied", "untied", "clustered"])
     def test_clouds_take_both_paths(self, k, cloud, gather_orbit_gap, monkeypatch):
-        """The bounds run on contiguous slices at the offsets where at
-        least a quarter of the pairs are near in the sort column, and on
-        the gathered candidates at the others; dist sees only the pairs
-        that pass them.  The spy tags each row with its index, so that a
-        dist call tells its offset, and the test replays the sweep: at
-        every offset, dist saw no pair outside a bound of the best
-        distance so far and missed no pair within that distance.  A tied
-        cloud (every key column takes four values, and some rows are
-        duplicates) and an untied one take both paths; a clustered one
-        (30 close rows, the rest far apart along the sort column) finds
-        its gap on gathered candidates, past the first offset."""
+        """The bounds run on contiguous slices of the stacked columns at
+        the offsets where at least a quarter of the pairs are near in the
+        sort column, and on the gathered candidates at the others; dist
+        sees only the pairs that pass them, on slices where every pair
+        does.  The spy records what the kernel did: each 2-D abs, which
+        only the stacked pass takes, tells its offset by its width, and
+        each row carries its index, so that a dist call tells its offset,
+        and whether it ran on slices (views) or gathers.  The test replays
+        the sweep: at every offset, dist saw no pair outside a bound of the
+        best distance so far and missed no pair within that distance.  A
+        tied cloud (every key column takes four values, and some rows are
+        duplicates) and an untied one take both passes at more than one
+        offset each; a clustered one (30 close rows, the rest far apart
+        along the sort column) finds its gap on gathered candidates, past
+        the first offset."""
         rng = np.random.default_rng(k)
         size = 1200
         if cloud == "tied":
@@ -382,8 +386,18 @@ class TestGapOracle:
             Z *= 1e-3
             t *= 1e-6
             Z[30:, 0] += 10.0 * np.arange(1, size - 29)
-        calls = {}  # offset -> (rows i, rows j, distances) of its dist call
+        calls = {}  # offset -> (rows i, rows j, distances, on slices) of its dist call
+        stacked = set()  # the offsets of the stacked bound pass
         closest_pair = heisenberg._closest_pair
+
+        class NumpySpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x):
+                if x.ndim == 2:
+                    stacked.add(size - x.shape[1])
+                return np.abs(x)
 
         def spy(keys, cols, dist, dup_tol, bounds):
             def counted(p, q):
@@ -391,10 +405,14 @@ class TestGapOracle:
                 i, j = p[-1].astype(int), q[-1].astype(int)
                 offset, = set((pos[j] - pos[i]).tolist())
                 assert offset not in calls
-                calls[offset] = i, j, d
+                calls[offset] = i, j, d, p[-1].base is not None
                 return d
-            return closest_pair(keys, [*cols, np.arange(len(keys), dtype=float)],
-                                counted, dup_tol, bounds)
+            monkeypatch.setattr(heisenberg, "np", NumpySpy())
+            try:
+                return closest_pair(keys, [*cols, np.arange(len(keys), dtype=float)],
+                                    counted, dup_tol, bounds)
+            finally:
+                monkeypatch.setattr(heisenberg, "np", np)
         keys = np.column_stack([Z.real, Z.imag])
         col = max(range(2 * k), key=lambda c: np.unique(keys[:, c]).size)
         order = np.argsort(keys[:, col], kind="stable")
@@ -408,15 +426,15 @@ class TestGapOracle:
             dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(k))
             return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
         s = keys[order, col]
-        best, dense = math.inf, {}
+        best, near_count = math.inf, {}
         for offset in range(1, size):
             near = np.flatnonzero(s[offset:] - s[:-offset] <= best)
             if not near.size:
                 break
-            dense[offset] = 4 * near.size >= size - offset
+            near_count[offset] = near.size
             i, j = order[near], order[near + offset]
             within = box(i, j) <= best
-            seen_i, seen_j, d = calls.get(offset, (i[:0], j[:0], np.empty(0)))
+            seen_i, seen_j, d, _ = calls.get(offset, (i[:0], j[:0], np.empty(0), False))
             assert set(zip(i[within].tolist(), j[within].tolist())) \
                 <= set(zip(seen_i.tolist(), seen_j.tolist()))
             reach = best * (1 + 2.0 ** -40) + 2.0 ** -40
@@ -425,13 +443,16 @@ class TestGapOracle:
             d = d[d > DUP_TOL]
             if d.size:
                 best = min(best, float(d.min()))
-        assert set(calls) <= set(dense) and best == gap
+        assert set(calls) <= set(near_count) and best == gap
+        assert stacked == {o for o, n in near_count.items() if 4 * n >= size - o}
+        assert all(on_slices == (len(i) == size - o)
+                   for o, (i, _, _, on_slices) in calls.items())
+        assert calls[1][3]  # no bound is known at the first offset
         if cloud == "clustered":
-            found = min(o for o, (_, _, d) in calls.items() if (d == gap).any())
-            assert found > 1 and not dense[found]
+            found = min(o for o, (_, _, d, _) in calls.items() if (d == gap).any())
+            assert found > 1 and found not in stacked
         else:
-            assert 1 < sum(dense.values()) < len(dense)
-
+            assert 1 < len(stacked) < len(near_count) - 1
 
 def rs1_reference(T, U, n_elements):
     """rs1_probe with its Fraction-keyed dedupe, one element at a time."""
@@ -529,6 +550,23 @@ class TestRS1:
         vs = [0.0, -0.0, *multiples, *(v for _, v in ties)]
         got = heisenberg._remainder(np.array(vs), y).tolist()
         assert [g.hex() for g in got] == [math.remainder(v, y).hex() for v in vs]
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf])
+    def test_array_remainder_raises_where_math_remainder_does(self, v):
+        """An infinite entry raises ValueError, as math.remainder does (a
+        nan passes through as nan); so does rs1_probe where n * theta
+        overflows a raw angle."""
+        y = 2 * math.pi
+        with pytest.raises(ValueError):
+            math.remainder(v, y)
+        with pytest.raises(ValueError):
+            heisenberg._remainder(np.array([1.0, v, 2.0]), y)
+        assert math.isnan(heisenberg._remainder(np.array([math.nan]), y)[0])
+        assert math.isnan(math.remainder(math.nan, y))
+        T = RS1Element(Surd(1), Angle.zero())
+        U = RS1Element(Surd(1, 2), Angle.radians(math.copysign(1e305, v)))
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            rs1_probe(T, U, 10000)
 
     def test_probe_agrees_on_three_cases(self):
         T = RS1Element(Surd(1), Angle.zero())
