@@ -472,6 +472,13 @@ def _letter_classes(fam: BianchiFamily, angles: Sequence[Angle | float],
 # Burnside probe
 # ---------------------------------------------------------------------------
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous complex vector, bit for bit: its
+    own formula for that case, without its argument handling."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
                       return_margin: bool = False):
     """Dimension of the matrix algebra generated by the given matrices,
@@ -486,10 +493,16 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
     Gram-Schmidt passes leave of a candidate already in the span
     (9.46e+06 in the d = 2 su31 report).  r depends on the summation
     order of BLAS ``zdotc`` behind ``np.vdot``, and the report goldens
-    print the margin, so the loop keeps its order although the probe
-    takes a few milliseconds of each su31 report (2.0 ms for d = 2 on a
-    2-core x86-64 host, Python 3.11).  An exact span that would replace
-    this margin is ROADMAP item 3.
+    print the margin, so the loop keeps its candidates, their order and
+    every arithmetic operation although the probe takes a few
+    milliseconds of each su31 report (1.7 ms for d = 2, the least
+    process CPU time of 400 runs on a 2-core x86-64 host, Python 3.11,
+    numpy 2.4).  It sheds only call overhead: the norm is ``_norm``, and
+    each Gram-Schmidt step updates the candidate in place, bit for bit
+    ``w - vdot(q, w) * q`` on fresh arrays (the product keeps its
+    operand order: numpy's complex multiply may fuse, and q * c then
+    rounds differently).  An exact span that would replace this margin
+    is ROADMAP item 3.
     """
     if not gens or len(gens) > 8:
         raise ValueError("between 1 and 8 generators")
@@ -504,15 +517,17 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
     def try_add(mat: np.ndarray) -> bool:
         nonlocal margin
         v = mat.reshape(-1)
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         if nv == 0.0:
             return False
         w = v / nv
-        for q in basis_vecs:
-            w = w - np.vdot(q, w) * q
-        for q in basis_vecs:  # second pass for orthogonality stability
-            w = w - np.vdot(q, w) * q
-        r = float(np.linalg.norm(w))
+        c, step = np.empty((), dtype=complex), np.empty_like(w)
+        for q in basis_vecs * 2:  # a second pass for orthogonality stability
+            # w = w - vdot(q, w) * q in place: numpy multiplies by a 0-d
+            # array faster than by the scalar vdot returns, with its bits
+            c[()] = np.vdot(q, w)
+            np.subtract(w, np.multiply(c, q, step), w)
+        r = _norm(w)
         margin = min(margin, (r / tol) if r > tol else (tol / max(r, NORM_FLOOR)))
         if r > tol:
             basis_vecs.append(w / r)

@@ -407,7 +407,7 @@ class HermForm:
     numeric layer, ``matrices.hermitian_failures``).
     """
 
-    __slots__ = ("mat", "convention", "_array", "_lifts")
+    __slots__ = ("mat", "convention", "_array", "_lifts", "_adjoints")
 
     def __init__(self, J, convention: str = CONJ_TRANSPOSE):
         if convention not in _CONVENTIONS:
@@ -427,6 +427,7 @@ class HermForm:
         self.convention = convention
         self._array = None
         self._lifts: dict[int, Mat] = {}
+        self._adjoints: dict[tuple, tuple[Mat, Mat] | None] = {}
 
     @property
     def n(self) -> int:
@@ -464,6 +465,33 @@ class HermForm:
             return self._lifts[g.d]
         return J
 
+    def _adjoint_in(self, g: Mat) -> tuple[Mat, Mat] | None:
+        """(K^-1, K) over g's ring, for the form adjoint g^-1 = K^-1 g* K
+        of a g that preserves this exact form: K = J for CONJ_TRANSPOSE,
+        and K = star(J) for TRANSPOSE_CONJ, since g^T J conj(g) = J,
+        conjugated, is g* star(J) g = star(J).  Formed once per ring, and
+        kept.
+
+        Only a K with one nonzero entry in each row, as the Siegel forms
+        have, is inverted.  Being Hermitian, K then has one in each
+        column too, so its determinant is plus or minus the product of
+        those entries, and K has an inverse over the ring exactly when
+        each of them is a unit; None where one is not, and for any denser
+        K.  So a denser form, such as the figure-eight form (whose
+        determinant is not a unit), costs no inversion that may fail, and
+        its generators go to ``Mat.inverse``."""
+        key = (g.ring, g.d)
+        if key not in self._adjoints:
+            J = self._exact_in(g)
+            K = J if self.convention == CONJ_TRANSPOSE else J.star()
+            self._adjoints[key] = None
+            if all(sum(not e.is_zero for e in r) == 1 for r in K.rows):
+                try:
+                    self._adjoints[key] = (K.inverse(), K)
+                except ZeroDivisionError:
+                    pass
+        return self._adjoints[key]
+
 
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
     """The antidiagonal-corner form 2 Re(z1 conj(z_size)) + sum |z_i|^2,
@@ -478,12 +506,26 @@ def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
 
 def form_preserved(g: Mat, form: HermForm) -> bool:
     """Exact invariance check over the exact backend (star applied to u,
-    valid on the unit circle)."""
+    valid on the unit circle).
+
+    J is Hermitian (checked exactly when the form is built), so the
+    product g* J g, or g^T J conj(g), is Hermitian too, and its entries
+    on and above the diagonal decide: only those are formed, and the
+    check returns at the first that differs from J's."""
     if not form.is_exact:
         raise TypeError("exact check requires an exact form")
     J = form._exact_in(g)
     if form.convention == CONJ_TRANSPOSE:
-        lhs = g.star_transpose() @ J @ g
+        left, right = g.star_transpose() @ J, g
     else:
-        lhs = g.transpose() @ J @ g.star()
-    return lhs == J
+        left, right = g.transpose() @ J, g.star()
+    dot, zero = _DOT[g.ring], g._zero()
+    cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*right.rows)]
+    for i, (r, target) in enumerate(zip(left.rows, J.rows)):
+        terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
+        for j in range(i, g.n):
+            col = cols[j]
+            pairs = [(a, col[k]) for k, a in terms if k in col]
+            if (dot(pairs) if pairs else zero) != target[j]:
+                return False
+    return True

@@ -469,9 +469,12 @@ def rs1_classify(T: RS1Element, U: RS1Element) -> RS1Class:
 
 
 def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
-    """Density probe: the exact minimum positive pairwise distance
-    (box metric max(|dx|, arc)) among n_elements group elements T^m U^n,
-    with m chosen as the closest return of the translation part.
+    """Density probe: the minimum positive pairwise distance (box metric
+    max(|dx|, arc)) among n_elements group elements T^m U^n, with m
+    chosen as the closest return of the translation part.  Where the
+    sweep sorts on cos or sin of the angle it is exact only to within an
+    ulp: rounding can put their computed gap above the computed arc of
+    the pair, which then goes unmeasured (``_closest_pair``).
 
     A value well below the discreteness scale is evidence (not proof)
     of non-discreteness; coincident elements are removed exactly first.

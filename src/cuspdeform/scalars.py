@@ -404,8 +404,13 @@ class LaurentPoly:
         return _canonical({-k: self._d if v > 0 else -self._d}, abs(v))
 
     def star(self) -> "LaurentPoly":
-        """The involution u -> u^-1 (conjugation on the unit circle)."""
-        return _canonical({-k: v for k, v in self._n.items()}, self._d)
+        """The involution u -> u^-1 (conjugation on the unit circle): the
+        numerators move, the denominator stays, and the form stays
+        canonical."""
+        p = object.__new__(LaurentPoly)
+        p._n = {-k: v for k, v in self._n.items()}
+        p._d = self._d
+        return p
 
     # -- evaluation --------------------------------------------------------
 
@@ -795,7 +800,7 @@ class ExtScalar:
 
     def star(self) -> "ExtScalar":
         """u -> u^-1 on every component (the radicals are real)."""
-        return _ext(self.d, tuple(p.star() for p in self.c))
+        return _ext(self.d, tuple(p.star() if p._n else p for p in self.c))
 
     # -- evaluation -----------------------------------------------------------
 

@@ -248,7 +248,14 @@ class Rep:
     images at each point, bit for bit, since the inverse, the power and
     the product broadcast over the stack.
 
-    Exact generator inverses and powers are formed once per ``Rep``.
+    Exact generator inverses and powers are formed once per ``Rep``.  An
+    exact generator's inverse is its form adjoint K^-1 g* K (K = J, or
+    star(J) for ``TRANSPOSE_CONJ``) where K has one nonzero entry in each
+    row and is invertible over the generators' ring, as the Siegel forms
+    of the Bianchi families are, with K^-1 formed once per form and ring
+    (``HermForm._adjoint_in``).  It is ``Mat.inverse`` without a form and
+    for a denser form, such as the figure-eight form, whose determinant
+    -(u+1)^4 (u^2+u+1)^3 / u^5 is not a unit.
     Only numeric images import numpy, when they are used: the caller
     holds arrays already.
 
@@ -340,13 +347,23 @@ class Rep:
             # matrix_power inverts first as well, so the cached inverse
             # gives the same numeric result
             if sym not in self._inv_cache:
-                self._inv_cache[sym] = (g.inverse() if isinstance(g, Mat) else
+                self._inv_cache[sym] = (self._exact_inverse(g) if isinstance(g, Mat) else
                                         np.linalg.inv(np.asarray(g, dtype=complex)))
             g, exp = self._inv_cache[sym], -exp
         if isinstance(g, Mat):
             out = self._pow_cache[key] = g ** exp
             return out
         return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
+
+    def _exact_inverse(self, g: Mat) -> Mat:
+        """g^-1 for an exact generator: the form adjoint K^-1 g* K where
+        ``HermForm._adjoint_in`` gives K^-1, exact because construction
+        proved g* K g = K; else ``Mat.inverse``."""
+        adjoint = None if self.form is None else self.form._adjoint_in(g)
+        if adjoint is None:
+            return g.inverse()
+        K_inv, K = adjoint
+        return K_inv @ g.star_transpose() @ K
 
     def _packed(self, sym: str, exp: int) -> _Packed:
         key = (sym, exp)

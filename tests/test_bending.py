@@ -22,6 +22,7 @@ from cuspdeform.isometry import SWEEP_BLOCK
 from cuspdeform.matrices import (GeometryError, Mat, form_preserved,
                                  siegel_form)
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
+from cuspdeform.tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 from cuspdeform.words import Rep, builtin_presentation, check_relations
 
 
@@ -349,6 +350,67 @@ class TestAlgebraDimension:
     def test_too_many_generators(self):
         with pytest.raises(ValueError):
             algebra_dimension([np.eye(2)] * 9)
+
+    @staticmethod
+    def reference_span(gens, tol=DECISION_TOL):
+        """The probe's span loop as it was written first, through
+        ``np.linalg.norm`` and fresh arrays: (dim, margin), unraised."""
+        mats = [np.asarray(g, dtype=complex) for g in gens]
+        basis_vecs, margin = [], math.inf
+
+        def try_add(mat):
+            nonlocal margin
+            v = mat.reshape(-1)
+            nv = float(np.linalg.norm(v))
+            if nv == 0.0:
+                return False
+            w = v / nv
+            for q in basis_vecs:
+                w = w - np.vdot(q, w) * q
+            for q in basis_vecs:
+                w = w - np.vdot(q, w) * q
+            r = float(np.linalg.norm(w))
+            margin = min(margin, (r / tol) if r > tol else (tol / max(r, NORM_FLOOR)))
+            if r > tol:
+                basis_vecs.append(w / r)
+                return True
+            return False
+
+        n = mats[0].shape[0]
+        frontier, eye = [], np.eye(n, dtype=complex)
+        if try_add(eye):
+            frontier.append(eye)
+        while frontier and len(basis_vecs) < n * n:
+            nxt = []
+            for b in frontier:
+                for g in mats:
+                    prod = b @ g
+                    if try_add(prod):
+                        nxt.append(prod)
+            frontier = nxt
+        return len(basis_vecs), margin
+
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 11, 13, 15, 43])
+    def test_margin_is_the_reference_loops_bit_for_bit(self, d):
+        # the report goldens print the margin, a rounding residual: the
+        # probe keeps every operation of the reference loop, in order
+        draw = np.random.default_rng(d)
+        angles = [Angle.pi_fraction(1, 5), Angle.pi_fraction(2, 5), Angle.radians(0.0001)]
+        angles += [Angle.radians(float(x)) for x in draw.uniform(-math.pi, math.pi, 3)]
+        fam = bianchi_family(d, "su31")
+        for angle in angles:
+            gens = [fam.images[s].evaluate(angle) for s in ("a", "t", "u")]
+            want = self.reference_span(gens)
+            assert want[1] >= INDETERMINATE_FACTOR  # so the probe returns it
+            assert algebra_dimension(gens, return_margin=True) == want
+
+    def test_inline_norm_is_numpys(self):
+        draw = np.random.default_rng(16)
+        for scale in (1e-160, 1e-8, 1.0, 3.0, 1e8, 1e150):
+            for _ in range(50):
+                v = scale * (draw.standard_normal(16) + 1j * draw.standard_normal(16))
+                assert bending._norm(v) == float(np.linalg.norm(v))
+        assert bending._norm(np.zeros(16, dtype=complex)) == 0.0
 
 
 class TestVerifySU31:

@@ -13,7 +13,7 @@ from cuspdeform.bending import (_bianchi_hnn, bend_hnn, bianchi_family,
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
-from cuspdeform.matrices import (GeometryError, HermForm, Mat,
+from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
                                  eigen, form_defect,
                                  form_preserved, herm_signature, hermitian_failures,
@@ -162,6 +162,74 @@ class TestFormDefect:
         g = random_siegel_isometry()
         g[1, 2] += 1e-3
         assert form_defect(g, siegel_form(4)) > 1e-4
+
+
+def full_decision(g, form):
+    """The invariance decision from the whole product g* J g (or
+    g^T J conj(g)) against J."""
+    J = form._exact_in(g)
+    if form.convention == TRANSPOSE_CONJ:
+        return g.transpose() @ J @ g.star() == J
+    return g.star_transpose() @ J @ g == J
+
+
+def _invariance_cases():
+    """(generator, form, preserved): every generator of the figure-eight
+    family and of the Bianchi families at a few d, in both conventions."""
+    cases = []
+    fig8 = build_family(None)
+    for g in (fig8.M, fig8.N):
+        cases.append((g, fig8.form, True))
+        cases.append((g, HermForm(fig8.form.mat), None))  # the other convention
+    for d in (2, 7, 15):
+        for target in ("su31", "so41"):
+            fam = bianchi_family(d, target)
+            for g in fam.images.values():
+                for convention in (CONJ_TRANSPOSE, TRANSPOSE_CONJ):
+                    cases.append((g, siegel_form(fam.form.n, convention), True))
+    return cases
+
+
+INVARIANCE_CASES = _invariance_cases()
+
+
+def _exponents(e):
+    parts = [e] if isinstance(e, LaurentPoly) else e.c
+    return [k for p in parts for k in p._n]
+
+
+class TestUpperTriangleInvariance:
+    """``form_preserved`` forms the product's upper triangle only: its
+    decision is the whole product's."""
+
+    @pytest.mark.parametrize("k", range(len(INVARIANCE_CASES)))
+    def test_family_generators(self, k):
+        g, form, preserved = INVARIANCE_CASES[k]
+        assert form_preserved(g, form) == full_decision(g, form)
+        if preserved is not None:
+            assert form_preserved(g, form) is preserved
+
+    @given(st.integers(0, len(INVARIANCE_CASES) - 1), st.integers(0, 24),
+           st.fractions().filter(bool), st.integers(0, 3), st.booleans(),
+           st.integers(-2, 2), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_single_entry_perturbations(self, k, at, c, part, near, shift, far):
+        g, form, _ = INVARIANCE_CASES[k]
+        n = g.n
+        i, j = divmod(at % (n * n), n)
+        # past twice the exponents of g and J, the perturbation leaves
+        # terms in the product that nothing cancels: it is not preserved
+        top = sum(max(abs(x) for r in m.rows for e in r for x in _exponents(e))
+                  for m in (g, form.mat))
+        power = LaurentPoly.u(shift if near else (2 * top + far) * (-1) ** far) * c
+        delta = power if g.ring == "laurent" else \
+            ExtScalar(g.d, *[power if m == part else 0 for m in range(4)])
+        rows = [list(r) for r in g.rows]
+        rows[i][j] = rows[i][j] + delta
+        h = Mat(rows, g.ring, g.d)
+        assert form_preserved(h, form) == full_decision(h, form)
+        if not near:
+            assert not form_preserved(h, form)
 
 
 def random_laurent(rng, terms=2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cuspdeform.bending import bianchi_family
 from cuspdeform.figure8 import (L_WORD, RELATOR, build_family, generator_m, generator_n,
                                 longitude_matrix)
-from cuspdeform.matrices import GeometryError, Mat
+from cuspdeform.matrices import TRANSPOSE_CONJ, GeometryError, HermForm, Mat, siegel_form
 from cuspdeform.scalars import Angle, LaurentPoly
 from cuspdeform.words import (Presentation, Rep, Word, builtin_presentation,
                               check_relations, commutator, load_word_list)
@@ -153,6 +153,75 @@ class TestRep:
                                              [0, 0, 1, 0], [0, 1, 0, 1]])}
         with pytest.raises(GeometryError):
             Rep(bad, fam.form)
+
+
+BIANCHI_TARGETS = [(d, target) for d in (2, 5, 7, 11, 15) for target in ("su31", "so41")]
+
+
+@st.composite
+def bianchi_words(draw):
+    """A short word in the Bianchi generators, exponents up to +-2."""
+    return Word([(draw(st.sampled_from("atu")), draw(st.integers(-2, 2)))
+                 for _ in range(draw(st.integers(1, 4)))])
+
+
+class TestFormAdjointInverses:
+    """Exact generator inverses of a Rep with an invertible form are form
+    adjoints; the others go through ``Mat.inverse``."""
+
+    @pytest.mark.parametrize("d, target", BIANCHI_TARGETS)
+    def test_generator_inverses(self, d, target):
+        fam = bianchi_family(d, target)
+        n = fam.form.n
+        # conjugated by D = Diag(2u, 1, ..., 1), the images preserve the
+        # u-dependent form J = D* J_siegel D, which is not its own inverse,
+        # and in the other convention its transpose, whose star is J
+        D = Mat.diagonal([LaurentPoly.u() * 2] + [1] * (n - 1), "ext", d)
+        D_inv = Mat.diagonal([LaurentPoly.u(-1) / 2] + [1] * (n - 1), "ext", d)
+        bent = {sym: D_inv @ g @ D for sym, g in fam.images.items()}
+        J = D.star_transpose() @ fam.form._exact_in(D) @ D
+        for images, form in ((fam.images, fam.form),
+                             (fam.images, siegel_form(n, TRANSPOSE_CONJ)),
+                             (bent, HermForm(J)),
+                             (bent, HermForm(J.transpose(), TRANSPOSE_CONJ))):
+            rep = Rep(images, form)
+            assert form._adjoint_in(D) is not None
+            for sym, g in images.items():
+                inverse = rep._power(sym, -1)
+                assert inverse == g.inverse()
+                assert (inverse @ g).is_identity()
+
+    @given(st.sampled_from(BIANCHI_TARGETS), bianchi_words())
+    @settings(max_examples=25, deadline=None)
+    def test_word_inverses(self, case, w):
+        rep = bianchi_family(*case).rep()
+        g, inverse = rep.evaluate(w), rep.evaluate(w.inverse())
+        assert inverse == g.inverse()
+        assert (inverse @ g).is_identity()
+
+    def test_figure8_and_formless_reps_invert_their_generators(self, monkeypatch):
+        inverted = []
+        inverse = Mat.inverse
+        monkeypatch.setattr(Mat, "inverse", lambda m: inverted.append(m) or inverse(m))
+        fam = build_family(None)
+        form = HermForm(fam.form.mat, TRANSPOSE_CONJ)  # fresh: nothing kept on it yet
+        rep = Rep({"m": fam.M, "n": fam.N}, form)
+        assert rep._power("m", -1) == inverse(fam.M)
+        # the form is dense, and not inverted
+        assert inverted == [fam.M] and form._adjoint_in(fam.M) is None
+        assert rep._power("n", -2) == inverse(fam.N) @ inverse(fam.N)
+        assert inverted[1:] == [fam.N]
+        bianchi = bianchi_family(7, "so41").images
+        assert Rep(bianchi)._power("u", -1) == inverse(bianchi["u"])
+        assert inverted[2:] == [bianchi["u"]]
+
+    def test_a_sparse_form_without_an_inverse_has_no_adjoint(self):
+        # one nonzero entry in each row, but u^-1 + 1 + u is not a unit
+        u = LaurentPoly.u()
+        form = HermForm(Mat.laurent([[u.star() + 1 + u, 0], [0, 1]]))
+        assert form._adjoint_in(Mat.identity(2)) is None
+        g = Mat.laurent([[1, 0], [0, u]])
+        assert Rep({"g": g}, form)._power("g", -1) == g.inverse()
 
 
 @st.composite
