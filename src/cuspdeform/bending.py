@@ -339,6 +339,18 @@ class BianchiFamily:
         return (trace, trace == ExtScalar.from_laurent(LaurentPoly.u() + 3, self.d),
                 _at_u_one(self.images["u"]) == _at_u_one(self.unbent_u))
 
+    def sample_decisions(self, tol: float) -> "SampleDecisions":
+        """su31 at symbolic u: the letter class and the span probe at
+        ``ALGEBRA_PROBE_ANGLE``, decided once per tol, and kept."""
+        kept = self._samples
+        if tol not in kept:
+            kept[tol] = _sample_decisions(self, ALGEBRA_PROBE_ANGLE, tol)
+        return kept[tol]
+
+    @functools.cached_property
+    def _samples(self) -> dict[float, "SampleDecisions"]:
+        return {}
+
     def numeric_images(self, alpha: Angle | None = None) -> dict[str, np.ndarray]:
         out = {}
         for sym, g in self.images.items():
@@ -379,10 +391,13 @@ def _shared_family(d: int, target: str) -> BianchiFamily:
         raise ValueError(f"unknown target {target!r}")
     lattice = bianchi_lattice_su31(d)
     if target == "su31":
-        data = _bianchi_hnn(lattice, lambda _: su31_centralizer_exact(d), None)
+        bend = su31_centralizer_exact(d)
     else:
-        data = _bianchi_hnn({k: embed_so41_q(g) for k, g in lattice.items()},
-                            lambda _: so41_centralizer_q(d), None)
+        lattice = {k: embed_so41_q(g) for k, g in lattice.items()}
+        bend = so41_centralizer_q(d)
+    # the factory runs for the zero-parameter check and for the bending:
+    # both read the one centralizer built here
+    data = _bianchi_hnn(lattice, lambda _: bend, None)
     form = siegel_form(4 if target == "su31" else 5, CONJ_TRANSPOSE)
     return BianchiFamily(d, target, None, MappingProxyType(bend_hnn(data, None)), form,
                          _presentation(d), data.stable_image)
@@ -495,14 +510,15 @@ def algebra_dimension(gens: Sequence[np.ndarray], tol: float = DECISION_TOL,
     order of BLAS ``zdotc`` behind ``np.vdot``, and the report goldens
     print the margin, so the loop keeps its candidates, their order and
     every arithmetic operation although the probe takes a few
-    milliseconds of each su31 report (1.7 ms for d = 2, the least
+    milliseconds of a su31 report (1.7 ms for d = 2, the least
     process CPU time of 400 runs on a 2-core x86-64 host, Python 3.11,
     numpy 2.4).  It sheds only call overhead: the norm is ``_norm``, and
     each Gram-Schmidt step updates the candidate in place, bit for bit
     ``w - vdot(q, w) * q`` on fresh arrays (the product keeps its
     operand order: numpy's complex multiply may fuse, and q * c then
-    rounds differently).  An exact span that would replace this margin
-    is ROADMAP item 3.
+    rounds differently).  A symbolic su31 report runs it once per family
+    and tol (the family keeps its result); a report at an angle, every
+    time.  An exact span that would replace this margin is ROADMAP item 3.
     """
     if not gens or len(gens) > 8:
         raise ValueError("between 1 and 8 generators")
@@ -580,6 +596,37 @@ def _letter_class(result) -> tuple[IsoClass | None, str, str]:
     return cls, str(cls), str(cls)
 
 
+class SampleDecisions(NamedTuple):
+    """A su31 report's decisions at one angle: the letter verdict of
+    ``_letter_class``, and the span probe's dimension and margin, or the
+    message and margin of the IndeterminateError it raised (``dim`` None)."""
+
+    letter: tuple[IsoClass | None, str, str]
+    dim: int | None
+    margin: float
+    error: str | None = None
+
+    def span(self) -> tuple[int, float]:
+        """The probe's ``(dim, margin)``; a kept error is raised afresh."""
+        if self.error is not None:
+            raise IndeterminateError(self.error, self.margin)
+        return self.dim, self.margin
+
+
+def _sample_decisions(fam: BianchiFamily, sample: Angle, tol: float) -> SampleDecisions:
+    """The su31 letter class at ``sample``, from its one-point
+    ``_letter_classes`` step, and the Burnside probe on a, t and that
+    letter.  A letter error other than IndeterminateError is raised."""
+    (U,), verdicts = _letter_classes(fam, [sample], tol)
+    letter = _letter_class(verdicts.results()[0])
+    gens = [fam.images["a"].evaluate(sample), fam.images["t"].evaluate(sample), U]
+    try:
+        dim, margin = algebra_dimension(gens, tol=tol, return_margin=True)
+    except IndeterminateError as exc:
+        return SampleDecisions(letter, None, exc.margin, exc.message)
+    return SampleDecisions(letter, dim, margin)
+
+
 def _report(fam: BianchiFamily, param: float | None, relations: list[dict] | None,
             checks: dict, surds: tuple[Surd, Surd, Surd], verdict: str, *,
             trace_u: str | None, class_u: str, algebra_dim: int | None) -> dict:
@@ -603,6 +650,9 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     and the bent matrix against its lattice value at u=1.  At a numeric
     parameter (or the fixed sample angle for symbolic runs): the
     stable-letter classification and the Burnside irreducibility probe.
+    A symbolic report reads these two from the shared family, which
+    decides them once per tol (``BianchiFamily.sample_decisions``); a
+    report at alpha decides them afresh.
     """
     fam = bianchi_family(d, "su31")
     checks: dict[str, dict] = {}
@@ -618,16 +668,17 @@ def verify_bianchi_su31(d: int, alpha: Angle | None = None,
     record_check(checks, "cuspOrthogonality", orthogonal == (d % 4 in (1, 2)),
                  "orthogonal cusp exactly in the 1,2 mod 4 classes")
 
-    sample = alpha if alpha is not None else ALGEBRA_PROBE_ANGLE
-    (U,), verdicts = _letter_classes(fam, [sample], tol)
-    cls, class_u, info = _letter_class(verdicts.results()[0])
+    if alpha is None:
+        sample, decided = ALGEBRA_PROBE_ANGLE, fam.sample_decisions(tol)
+    else:
+        sample, decided = alpha, _sample_decisions(fam, alpha, tol)
+    cls, class_u, info = decided.letter
     if cls is None or not sample.is_zero_mod_2pi():
         record_check(checks, "stableLetterParabolic",
                      cls is not None and cls.kind == "parabolic",
                      f"class at sample angle: {info}")
 
-    gens = [fam.images["a"].evaluate(sample), fam.images["t"].evaluate(sample), U]
-    dim, margin = algebra_dimension(gens, tol=tol, return_margin=True)
+    dim, margin = decided.span()
     record_check(checks, "irreducible", dim == 16,
                  f"matrix algebra dimension {dim}, margin {margin:.3g}")
 

@@ -407,7 +407,7 @@ class HermForm:
     numeric layer, ``matrices.hermitian_failures``).
     """
 
-    __slots__ = ("mat", "convention", "_array", "_lifts", "_adjoints")
+    __slots__ = ("mat", "convention", "_array", "_lifts", "_adjoints", "_ones")
 
     def __init__(self, J, convention: str = CONJ_TRANSPOSE):
         if convention not in _CONVENTIONS:
@@ -428,6 +428,9 @@ class HermForm:
         self._array = None
         self._lifts: dict[int, Mat] = {}
         self._adjoints: dict[tuple, tuple[Mat, Mat] | None] = {}
+        # where J is a permutation matrix of ones, star(J), its lifts and
+        # their inverses are too: products by them reindex (``_times_ones``)
+        self._ones = _ones_columns(J) if isinstance(J, Mat) else None
 
     @property
     def n(self) -> int:
@@ -492,6 +495,52 @@ class HermForm:
                     pass
         return self._adjoints[key]
 
+    def _adjoint(self, g: Mat) -> Mat | None:
+        """g^-1 = K^-1 g* K for a g that preserves this exact form, where
+        ``_adjoint_in`` gives K^-1; None where it gives none.  A K of ones
+        reindexes g* instead of multiplying it twice."""
+        adjoint = self._adjoint_in(g)
+        if adjoint is None:
+            return None
+        K_inv, K = adjoint
+        if self._ones is None:
+            return K_inv @ g.star_transpose() @ K
+        # a Hermitian K of ones is symmetric, so K^-1 = K^T = K: both
+        # products reindex by the same columns
+        return _times_ones(_ones_times(K_inv, self._ones, g.star_transpose()), K, self._ones)
+
+
+def _ones_columns(K: Mat) -> tuple[int, ...] | None:
+    """For a permutation matrix K of the ring's ones, as the Siegel forms
+    are, the column of each row's one; None for any other K."""
+    one, cols = K._one(), []
+    for r in K.rows:
+        nonzero = [j for j, e in enumerate(r) if not e.is_zero]
+        if len(nonzero) != 1 or r[nonzero[0]] != one:
+            return None
+        cols.append(nonzero[0])
+    return tuple(cols) if len(set(cols)) == K.n else None
+
+
+def _times_ones(A: Mat, K: Mat, cols: Sequence[int]) -> Mat:
+    """A @ K for K with ``_ones_columns`` cols: column cols[k] of the
+    product is column k of A.  The general product's entry is the
+    one-term dot a * 1, which is a, term for term and in a's term order,
+    so each entry is A's own."""
+    A._compat(K)
+    out = [[None] * A.n for _ in A.rows]
+    for r, row in zip(out, A.rows):
+        for j, a in zip(cols, row):
+            r[j] = a
+    return A._like(out)
+
+
+def _ones_times(K: Mat, cols: Sequence[int], A: Mat) -> Mat:
+    """K @ A for K with ``_ones_columns`` cols: row i of the product is
+    row cols[i] of A, entry for entry (see ``_times_ones``)."""
+    K._compat(A)
+    return A._like([A.rows[c] for c in cols])
+
 
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
     """The antidiagonal-corner form 2 Re(z1 conj(z_size)) + sum |z_i|^2,
@@ -516,9 +565,10 @@ def form_preserved(g: Mat, form: HermForm) -> bool:
         raise TypeError("exact check requires an exact form")
     J = form._exact_in(g)
     if form.convention == CONJ_TRANSPOSE:
-        left, right = g.star_transpose() @ J, g
+        left, right = g.star_transpose(), g
     else:
-        left, right = g.transpose() @ J, g.star()
+        left, right = g.transpose(), g.star()
+    left = left @ J if form._ones is None else _times_ones(left, J, form._ones)
     dot, zero = _DOT[g.ring], g._zero()
     cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*right.rows)]
     for i, (r, target) in enumerate(zip(left.rows, J.rows)):

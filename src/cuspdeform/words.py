@@ -253,9 +253,10 @@ class Rep:
     star(J) for ``TRANSPOSE_CONJ``) where K has one nonzero entry in each
     row and is invertible over the generators' ring, as the Siegel forms
     of the Bianchi families are, with K^-1 formed once per form and ring
-    (``HermForm._adjoint_in``).  It is ``Mat.inverse`` without a form and
-    for a denser form, such as the figure-eight form, whose determinant
-    -(u+1)^4 (u^2+u+1)^3 / u^5 is not a unit.
+    (``HermForm._adjoint_in``); a K of ones, as theirs are, reindexes g*.
+    It is ``Mat.inverse`` without a form and for a denser form, such as
+    the figure-eight form, whose determinant -(u+1)^4 (u^2+u+1)^3 / u^5
+    is not a unit.
     Only numeric images import numpy, when they are used: the caller
     holds arrays already.
 
@@ -359,11 +360,8 @@ class Rep:
         """g^-1 for an exact generator: the form adjoint K^-1 g* K where
         ``HermForm._adjoint_in`` gives K^-1, exact because construction
         proved g* K g = K; else ``Mat.inverse``."""
-        adjoint = None if self.form is None else self.form._adjoint_in(g)
-        if adjoint is None:
-            return g.inverse()
-        K_inv, K = adjoint
-        return K_inv @ g.star_transpose() @ K
+        adjoint = None if self.form is None else self.form._adjoint(g)
+        return g.inverse() if adjoint is None else adjoint
 
     def _packed(self, sym: str, exp: int) -> _Packed:
         key = (sym, exp)

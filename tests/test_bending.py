@@ -19,7 +19,7 @@ from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 verify_bianchi_so41, verify_bianchi_su31)
 from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.isometry import SWEEP_BLOCK
-from cuspdeform.matrices import (GeometryError, Mat, form_preserved,
+from cuspdeform.matrices import (GeometryError, IndeterminateError, Mat, form_preserved,
                                  siegel_form)
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
 from cuspdeform.tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
@@ -536,10 +536,18 @@ class TestLetterStep:
         ("so41", 2, Angle.zero()),
         ("so41", 5, Angle.pi_fraction(1, 1)),
     ])
-    def test_report_is_the_one_point_step(self, steps, target, d, angle):
+    def test_report_is_the_one_point_step(self, monkeypatch, steps, target, d, angle):
+        # on a fresh family (nothing decided on it yet), a report at an
+        # angle is one step each time; a symbolic su31 report steps at the
+        # sample angle once, and the next report reads what it kept
+        fresh = dataclasses.replace(bianchi_family(d, target))
+        monkeypatch.setattr(bending, "bianchi_family", lambda *args, **kwargs: fresh)
         report = verify_bianchi_su31 if target == "su31" else verify_bianchi_so41
-        report(d, angle)
-        assert steps == [(target, [(ALGEBRA_PROBE_ANGLE if angle is None else angle).value])]
+        first = report(d, angle)
+        step = (target, [(ALGEBRA_PROBE_ANGLE if angle is None else angle).value])
+        assert steps == [step]
+        assert report(d, angle) == first
+        assert steps == [step] * (1 if angle is None else 2)
 
     @pytest.mark.parametrize("target", ["su31", "so41"])
     def test_sweep_steps_once_per_block(self, steps, target):
@@ -557,6 +565,105 @@ class TestLetterStep:
         verify_bianchi_su31(7, Angle.pi_fraction(2, 5))
         assert {sym: sum(m is g for m in evaluated) for sym, g in fam.images.items()} \
             == {"a": 1, "t": 1, "u": 1}
+
+
+class TestKeptSampleDecisions:
+    """A symbolic su31 report reads the letter class and the span probe at
+    ALGEBRA_PROBE_ANGLE from its family, which decides them once per tol;
+    a report at an angle decides them each time."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        # each letter step and span probe, by its angle or its tol
+        calls = []
+        step, probe = bending._letter_classes, bending.algebra_dimension
+
+        def letter_classes(fam, angles, tol):
+            calls.append(("step", [a.value for a in angles], tol))
+            return step(fam, angles, tol)
+
+        def algebra_dimension(gens, tol=DECISION_TOL, return_margin=False):
+            calls.append(("probe", tol))
+            return probe(gens, tol, return_margin)
+
+        monkeypatch.setattr(bending, "_letter_classes", letter_classes)
+        monkeypatch.setattr(bending, "algebra_dimension", algebra_dimension)
+        return calls
+
+    def test_second_symbolic_report_decides_nothing(self, decided):
+        first = verify_bianchi_su31(15)
+        sample = [ALGEBRA_PROBE_ANGLE.value]
+        assert decided == [("step", sample, DECISION_TOL), ("probe", DECISION_TOL)]
+        decided.clear()
+        assert verify_bianchi_su31(15) == first and decided == []
+
+    def test_each_tol_decides_once(self, decided):
+        sample = [ALGEBRA_PROBE_ANGLE.value]
+        verify_bianchi_su31(7)
+        tight = verify_bianchi_su31(7, tol=1e-8)
+        verify_bianchi_su31(7)
+        assert verify_bianchi_su31(7, tol=1e-8) == tight
+        assert decided == [("step", sample, DECISION_TOL), ("probe", DECISION_TOL),
+                           ("step", sample, 1e-8), ("probe", 1e-8)]
+        # the decisions are the instance's: a replaced family decides again,
+        # to the same result
+        shared = bianchi_family(7, "su31")
+        fresh = dataclasses.replace(shared)
+        decided.clear()
+        assert fresh.sample_decisions(1e-8) == shared.sample_decisions(1e-8)
+        assert decided == [("step", sample, 1e-8), ("probe", 1e-8)]
+
+    @pytest.mark.parametrize("alpha", [ALGEBRA_PROBE_ANGLE, Angle.pi_fraction(2, 5),
+                                       Angle.radians(ALGEBRA_PROBE_ANGLE.value),
+                                       Angle.zero()])
+    def test_angle_reports_decide_each_time(self, decided, alpha):
+        # at the sample angle too: an angle's report reads nothing kept
+        verify_bianchi_su31(2)
+        decided.clear()
+        first = verify_bianchi_su31(2, alpha)
+        assert verify_bianchi_su31(2, alpha) == first
+        assert decided == [("step", [alpha.value], DECISION_TOL), ("probe", DECISION_TOL)] * 2
+        assert bianchi_family(2, "su31")._samples.keys() == {DECISION_TOL}
+
+    def test_kept_probe_error_is_raised_afresh(self, monkeypatch):
+        def too_close(gens, tol=DECISION_TOL, return_margin=False):
+            raise IndeterminateError("algebra span rank decision too close", 3.25)
+
+        monkeypatch.setattr(bending, "algebra_dimension", too_close)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(IndeterminateError) as info:
+                verify_bianchi_su31(2)
+            raised.append(info.value)
+        first, second = raised
+        assert first is not second
+        assert str(first) == str(second) == \
+            "algebra span rank decision too close (margin 3.25 < 10)"
+        assert (first.message, first.margin) == (second.message, second.margin)
+
+    def test_letter_error_is_not_kept(self, monkeypatch):
+        # an error other than IndeterminateError leaves nothing kept, and
+        # the next report decides again
+        fault = GeometryError("letter failed")
+        step = bending._letter_classes
+        monkeypatch.setattr(bending, "_letter_classes", lambda fam, angles, tol:
+                            (step(fam, angles, tol)[0],
+                             isometry.Verdicts(np.array([-1]), {0: fault})))
+        with pytest.raises(GeometryError, match="letter failed"):
+            verify_bianchi_su31(5)
+        assert bianchi_family(5, "su31")._samples == {}
+        monkeypatch.undo()
+        assert verify_bianchi_su31(5)["pass"]
+
+    @pytest.mark.parametrize("target, factory", [("su31", "su31_centralizer_exact"),
+                                                 ("so41", "so41_centralizer_q")])
+    def test_cold_family_builds_its_centralizer_once(self, monkeypatch, target, factory):
+        calls = []
+        build = getattr(bending, factory)
+        monkeypatch.setattr(bending, factory, lambda d: calls.append(d) or build(d))
+        for d in (2, 15):
+            bending._shared_family(d, target)
+        assert calls == [2, 15]
 
 
 # Q = [[1, 1], [-i, i]]/sqrt2 on span coordinates 2 and 3: the change of

@@ -249,6 +249,60 @@ class TestVerifyCommand:
         assert run(["verify", *argv]) == first and first[0] == 0
         assert products == preserved == lattices == []
 
+    @pytest.fixture
+    def sample_steps(self, monkeypatch):
+        # each letter step and span probe of a su31 report
+        calls = []
+        step, probe = bending._letter_classes, bending.algebra_dimension
+        monkeypatch.setattr(bending, "_letter_classes", lambda fam, angles, tol:
+                            calls.append("step") or step(fam, angles, tol))
+        monkeypatch.setattr(bending, "algebra_dimension", lambda *args, **kwargs:
+                            calls.append("probe") or probe(*args, **kwargs))
+        return calls
+
+    def test_warm_symbolic_su31_report_is_golden(self, sample_steps):
+        # the second report reads the letter class and the span probe the
+        # family kept, and prints the golden bytes
+        argv = ["verify", "bianchi", "--d", "15", "--target", "su31", "--u-exact"]
+        golden = (GOLDEN / "verify_bianchi_d15_su31_u-exact.json").read_text()
+        assert run(argv) == (0, golden, "") and sample_steps == ["step", "probe"]
+        sample_steps.clear()
+        assert run(argv) == (0, golden, "") and sample_steps == []
+
+    @pytest.mark.parametrize("d, tol", [(7, "1e-8"), (2, "1e-15")])
+    def test_other_tol_prints_what_a_fresh_process_prints(self, sample_steps, d, tol):
+        # d = 2 at 1e-15: the probe is too close to call, and exits 2
+        argv = ["verify", "bianchi", "--d", str(d), "--target", "su31", "--u-exact"]
+        assert run(argv)[0] == 0
+        sample_steps.clear()
+        first = run([*argv, "--tol", tol])
+        assert sample_steps == ["step", "probe"]
+        assert run([*argv, "--tol", tol]) == first and sample_steps == ["step", "probe"]
+        proc = fresh_python(WITH_NUMPY, *argv, "--tol", tol)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == first
+        assert first[0] == (0 if d == 7 else 2)
+
+    @pytest.mark.parametrize("alpha", ["--alpha=1/5pi", "--alpha=2/5pi", "--alpha=0.7",
+                                       "--alpha=0"])
+    def test_alpha_report_steps_each_time(self, sample_steps, alpha):
+        argv = ["verify", "bianchi", "--d", "7", "--target", "su31"]
+        run([*argv, "--u-exact"])
+        sample_steps.clear()
+        first = run([*argv, alpha])
+        assert run([*argv, alpha]) == first and first[0] == 0
+        assert sample_steps == ["step", "probe"] * 2
+
+    def test_kept_probe_error_prints_the_same(self, monkeypatch):
+        def too_close(*args, **kwargs):
+            raise matrices.IndeterminateError("algebra span rank decision too close", 4.5)
+
+        monkeypatch.setattr(bending, "algebra_dimension", too_close)
+        argv = ["verify", "bianchi", "--d", "6", "--target", "su31", "--u-exact"]
+        first = run(argv)
+        assert first == (2, "", "usage error: algebra span rank decision too close "
+                                "(margin 4.5 < 10)\n")
+        assert run(argv) == first
+
     def test_faulty_family_report_leaves_the_shared_one(self, monkeypatch):
         # a report over a replaced family decides on that family; the next
         # plain report still decides on the shared one, and passes
@@ -942,6 +996,9 @@ class TestSweepMemory:
         assert len((tmp_path / "large.csv").read_bytes().splitlines()) > 19000
         assert large - small < 25 * 1024
 
+
+# the command line in a fresh interpreter
+WITH_NUMPY = "import sys; from cuspdeform.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # the command line with numpy made unimportable
 WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "

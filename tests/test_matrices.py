@@ -13,6 +13,7 @@ from cuspdeform.bending import (_bianchi_hnn, bend_hnn, bianchi_family,
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
+from cuspdeform.exact import _ones_columns, _ones_times, _times_ones
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
                                  eigen, form_defect,
@@ -342,6 +343,73 @@ class TestExactProduct:
         A, B = AB
         got, want = _trace_of_product(A, B), (A @ B).trace()
         assert got == want and term_order(got) == term_order(want)
+
+
+class TestProductsByFormsOfOnes:
+    """A product by a permutation matrix of the ring's ones, as the Siegel
+    forms and their inverses are, reindexes its other factor: each entry
+    is the general product's, term for term and in the same term order."""
+
+    @given(cancelling_mat_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_reindexing_is_the_general_product(self, AB, random):
+        A = AB[0]
+        cols = list(range(A.n))
+        random.shuffle(cols)
+        K = Mat([[int(j == c) for j in range(A.n)] for c in cols], A.ring, A.d)
+        assert _ones_columns(K) == tuple(cols)
+        for got, want in ((_times_ones(A, K, cols), A @ K), (_ones_times(K, cols, A), K @ A)):
+            assert got == want and terms_of(got) == terms_of(want)
+
+    @pytest.mark.parametrize("convention", [CONJ_TRANSPOSE, TRANSPOSE_CONJ])
+    @pytest.mark.parametrize("d, target", [(d, t) for d in (2, 7, 15) for t in ("su31", "so41")])
+    def test_siegel_forms(self, monkeypatch, d, target, convention):
+        fam = bianchi_family(d, target)
+        form = siegel_form(fam.form.n, convention)
+        assert form._ones is not None
+        products = []
+        matmul = Mat.__matmul__
+        for g in fam.images.values():
+            J = form._exact_in(g)
+            K_inv, K = form._adjoint_in(g)
+            inv_cols = _ones_columns(K_inv)
+            for A in (g.star_transpose(), g.transpose()):
+                for got, want in ((_times_ones(A, J, form._ones), A @ J),
+                                  (_times_ones(A, K, form._ones), A @ K),
+                                  (_ones_times(K_inv, inv_cols, A), K_inv @ A)):
+                    assert got == want and terms_of(got) == terms_of(want)
+            want = K_inv @ g.star_transpose() @ K
+            monkeypatch.setattr(Mat, "__matmul__", lambda A, B: products.append(A) or
+                                matmul(A, B))
+            got = form._adjoint(g)
+            assert form_preserved(g, form)
+            monkeypatch.undo()
+            assert got == want == g.inverse() and terms_of(got) == terms_of(want)
+        assert products == []
+
+    def test_a_unit_other_than_one_keeps_the_multiply(self, monkeypatch):
+        # D* J D for D = Diag(u, 1, 1, 1): u and u^-1 in the corners, units
+        # but not one; the conjugated generators preserve it
+        fam = bianchi_family(7, "su31")
+        D = Mat.diagonal([LaurentPoly.u(), 1, 1, 1], "ext", 7)
+        D_inv = Mat.diagonal([LaurentPoly.u(-1), 1, 1, 1], "ext", 7)
+        form = HermForm(D.star_transpose() @ fam.form._exact_in(D) @ D)
+        assert form._ones is None and form._adjoint_in(D) is not None
+        products = []
+        matmul = Mat.__matmul__
+        for g in fam.images.values():
+            h = D_inv @ g @ D
+            monkeypatch.setattr(Mat, "__matmul__", lambda A, B: products.append(A) or
+                                matmul(A, B))
+            assert form_preserved(h, form)
+            got = form._adjoint(h)
+            monkeypatch.undo()
+            assert got == h.inverse()
+        assert len(products) == 3 * 3  # g* J, then K^-1 g* and its K
+
+    def test_a_product_of_the_wrong_size_is_refused(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            form_preserved(Mat.identity(3), siegel_form(4))
 
 
 class TestFaddeevLeVerrierInverse:
