@@ -219,16 +219,18 @@ def bend_amalgam(data: BendDataAmalgam, t) -> dict[str, MatLike]:
 # The Bianchi lattices in the Siegel models
 # ---------------------------------------------------------------------------
 
-def bianchi_lattice_su31(d: int) -> dict[str, Mat]:
+@functools.lru_cache(maxsize=64)  # as many d as the shared families
+def bianchi_lattice_su31(d: int) -> Mapping[str, Mat]:
     """The lattice embedding: a, t generate the modular subgroup, u is
     the extra cusp translation (the stable letter of the splitting).
-    T and U are the cusp translations of ``cusp_surds(d)``."""
+    T and U are the cusp translations of ``cusp_surds(d)``.  Built once
+    per d and process, as a read-only mapping that both targets share."""
     a, b1, b2 = cusp_surds(d)
     A = Mat.ext([[0, 0, 0, -1],
                  [0, -1, 0, 0],
                  [0, 0, 1, 0],
                  [-1, 0, 0, 0]], d)
-    return {"a": A, "t": cusp_matrix_T(a, d), "u": cusp_matrix_U(b1, b2, d)}
+    return MappingProxyType({"a": A, "t": cusp_matrix_T(a, d), "u": cusp_matrix_U(b1, b2, d)})
 
 
 def embed_so41(g: Mat) -> Mat:

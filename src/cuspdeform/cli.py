@@ -31,6 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .exact import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
@@ -97,7 +98,69 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)``
+    writes it, and a newline, from one recursive pass (``json`` takes its
+    pure-Python encoder whenever it indents).  Keys must be strings: any
+    other key, and any value ``json`` would not encode, raises TypeError."""
+    out: list[str] = []
+    _json_value(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_value(value, newline: str, emit) -> None:
+    """Emit the JSON text of value, whose nested lines start with
+    ``newline`` (a line break and the indent of value's own line)."""
+    if isinstance(value, str):
+        emit(_json_string(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        emit(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _json_value(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            emit(sep + _json_string(key) + ": ")
+            _json_value(value[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN and +-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def schema_path() -> str:

@@ -460,12 +460,10 @@ class HermForm:
 
     def _exact_in(self, g: Mat) -> Mat:
         """The exact form matrix over g's ring: a Laurent form is lifted
-        into the ext ring of tag d once, and kept."""
+        into the ext ring of tag d once, and kept (``_kept``)."""
         J = self.mat
         if g.ring == "ext" and J.ring == "laurent":
-            if g.d not in self._lifts:
-                self._lifts[g.d] = Mat.ext(J.rows, g.d)
-            return self._lifts[g.d]
+            return _kept(self._lifts, g.d, lambda: Mat.ext(J.rows, g.d))
         return J
 
     def _adjoint_in(self, g: Mat) -> tuple[Mat, Mat] | None:
@@ -473,27 +471,31 @@ class HermForm:
         of a g that preserves this exact form: K = J for CONJ_TRANSPOSE,
         and K = star(J) for TRANSPOSE_CONJ, since g^T J conj(g) = J,
         conjugated, is g* star(J) g = star(J).  Formed once per ring, and
-        kept.
+        kept (``_kept``).
 
-        Only a K with one nonzero entry in each row, as the Siegel forms
-        have, is inverted.  Being Hermitian, K then has one in each
-        column too, so its determinant is plus or minus the product of
-        those entries, and K has an inverse over the ring exactly when
-        each of them is a unit; None where one is not, and for any denser
-        K.  So a denser form, such as the figure-eight form (whose
-        determinant is not a unit), costs no inversion that may fail, and
-        its generators go to ``Mat.inverse``."""
-        key = (g.ring, g.d)
-        if key not in self._adjoints:
-            J = self._exact_in(g)
-            K = J if self.convention == CONJ_TRANSPOSE else J.star()
-            self._adjoints[key] = None
-            if all(sum(not e.is_zero for e in r) == 1 for r in K.rows):
-                try:
-                    self._adjoints[key] = (K.inverse(), K)
-                except ZeroDivisionError:
-                    pass
-        return self._adjoints[key]
+        A K of ones, as the Siegel forms are, is a Hermitian permutation
+        matrix, so symmetric, and its own inverse: nothing is inverted.
+        Any other K is inverted only if it has one nonzero entry in each
+        row.  Being Hermitian, K then has one in each column too, so its
+        determinant is plus or minus the product of those entries, and K
+        has an inverse over the ring exactly when each of them is a unit;
+        None where one is not, and for any denser K.  So a denser form,
+        such as the figure-eight form (whose determinant is not a unit),
+        costs no inversion that may fail, and its generators go to
+        ``Mat.inverse``."""
+        return _kept(self._adjoints, (g.ring, g.d), lambda: self._form_adjoint(g))
+
+    def _form_adjoint(self, g: Mat) -> tuple[Mat, Mat] | None:
+        J = self._exact_in(g)
+        K = J if self.convention == CONJ_TRANSPOSE else J.star()
+        if self._ones is not None:
+            return K, K
+        if all(sum(not e.is_zero for e in r) == 1 for r in K.rows):
+            try:
+                return K.inverse(), K
+            except ZeroDivisionError:
+                pass
+        return None
 
     def _adjoint(self, g: Mat) -> Mat | None:
         """g^-1 = K^-1 g* K for a g that preserves this exact form, where
@@ -505,9 +507,24 @@ class HermForm:
         K_inv, K = adjoint
         if self._ones is None:
             return K_inv @ g.star_transpose() @ K
-        # a Hermitian K of ones is symmetric, so K^-1 = K^T = K: both
-        # products reindex by the same columns
+        # K^-1 = K: both products reindex by the same columns
         return _times_ones(_ones_times(K_inv, self._ones, g.star_transpose()), K, self._ones)
+
+
+# The ext-ring tags whose lift and form adjoint a form keeps: a shared
+# Siegel form meets every tag of the process.
+_KEPT_TAGS = 64
+
+
+def _kept(store: dict, key, make):
+    """store[key], made on first use and kept; once the store holds
+    ``_KEPT_TAGS`` entries, the oldest goes first."""
+    if key in store:
+        return store[key]
+    if len(store) >= _KEPT_TAGS:
+        del store[next(iter(store))]
+    value = store[key] = make()
+    return value
 
 
 def _ones_columns(K: Mat) -> tuple[int, ...] | None:
@@ -544,7 +561,15 @@ def _ones_times(K: Mat, cols: Sequence[int], A: Mat) -> Mat:
 
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
     """The antidiagonal-corner form 2 Re(z1 conj(z_size)) + sum |z_i|^2,
-    as an exact Mat over Q[u,u^-1]."""
+    as an exact Mat over Q[u,u^-1]: one form per (size, convention) and
+    process, shared, and read-only (its matrix is an immutable ``Mat``,
+    its numeric array is not writeable, and it keeps only the bounded
+    lifts and adjoints it derives from them)."""
+    return _siegel_form(size, convention)
+
+
+@functools.lru_cache(maxsize=8)  # both conventions of the sizes in use
+def _siegel_form(size: int, convention: str) -> HermForm:
     rows = [[0] * size for _ in range(size)]
     rows[0][size - 1] = 1
     rows[size - 1][0] = 1

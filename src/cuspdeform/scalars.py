@@ -624,15 +624,16 @@ class ExtScalar:
 
     @classmethod
     def rational(cls, q: Rational, d: int) -> "ExtScalar":
-        return cls(d, q)
+        """The shared constant q at tag d (``_ext_rational``)."""
+        return _ext_rational(q, d)
 
     @classmethod
     def zero(cls, d: int) -> "ExtScalar":
-        return cls(d, 0)
+        return _ext_rational(0, d)
 
     @classmethod
     def one(cls, d: int) -> "ExtScalar":
-        return cls(d, 1)
+        return _ext_rational(1, d)
 
     @classmethod
     def sqrt2(cls, d: int) -> "ExtScalar":
@@ -688,7 +689,7 @@ class ExtScalar:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+            return _ext_rational(other, self.d)
         if isinstance(other, LaurentPoly):
             zero = LaurentPoly.zero()
             return _ext(self.d, (other, zero, zero, zero))
@@ -855,6 +856,17 @@ _ZERO = LaurentPoly.zero()
 def _check_tag(d: int) -> None:
     if d < 2 or _squarefree(d)[0] != 1:
         raise ValueError(f"d must be squarefree >= 2, got {d}")
+
+
+# A scalar is never changed once made, so one object per (rational, tag)
+# serves every matrix entry, zero, one and coercion of that constant.  The
+# bound holds the constants of a few dozen lattices, forms and identities;
+# typed, so that a float key such as 1.0 is refused as it always was.
+@functools.lru_cache(maxsize=512, typed=True)
+def _ext_rational(q: Rational, d: int) -> ExtScalar:
+    """The ExtScalar of the rational q at tag d, built once and shared."""
+    return ExtScalar(d, q)
+
 
 # The basis is 1, sqrt2, sqrt d, sqrt(2d), i.e. sqrt(2^(i&1) d^(i>>1)) for
 # i = 0..3: basis elements i and j multiply to basis element i ^ j times

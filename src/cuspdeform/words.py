@@ -11,6 +11,7 @@ tests validate it against the alternative on the undeformed lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -148,8 +149,10 @@ class Presentation:
                 raise ValueError(f"relator {r} uses undeclared generators")
 
 
+@functools.lru_cache(maxsize=8)  # figure8 and the three Bianchi d
 def builtin_presentation(name: str, d: int | None = None) -> Presentation:
-    """The built-in presentations.
+    """The built-in presentations, each built once per process (a
+    ``Presentation`` is frozen, and its words are never changed).
 
     * "figure8": generators m, n with the single relation m w = w n,
       w = [n, m^-1] (relator m w n^-1 w^-1).
@@ -195,6 +198,15 @@ def load_word_list(lines: Iterable[str]) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 MatLike = Union[Mat, "np.ndarray"]
+
+
+def _period(factors: tuple) -> tuple:
+    """The shortest prefix of the factors of which they are whole copies."""
+    n = len(factors)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and factors == factors[:p] * (n // p):
+            return factors[:p]
+    return factors
 
 
 def _quantized(width: int) -> int:
@@ -286,7 +298,11 @@ class Rep:
     the term order of ``LaurentPoly._dot``, because the matrices it forms
     (a bent letter, say) are evaluated at angles term by term, bit for
     bit; a word image here is only compared, reduced or printed, and
-    ``LaurentPoly.__str__`` sorts its terms.
+    ``LaurentPoly.__str__`` sorts its terms.  So a word whose factors
+    are k >= 2 copies of a shortest period w, as the Bianchi torsion
+    relators are, is the image of w raised to the k-th power by
+    ``Mat.__pow__``: the same exact value in fewer products, (a t u^-1 a
+    u)^3 in 6 instead of 14.
     """
 
     images: Mapping[str, MatLike]
@@ -405,7 +421,8 @@ class Rep:
 
     def evaluate(self, w: Word):
         """Image of a word: the ordered product of generator powers
-        (exact laurent-ring images: packed, see the class)."""
+        (exact laurent-ring images: packed, and an exact ext-ring word
+        w^k: the image of its period w, raised; see the class)."""
         self._check_symbols(w)
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
@@ -418,10 +435,11 @@ class Rep:
                     g = _matmul(g, self._packed(*f).at(width))
                 entries = iter(self._unpacked([v for r in g for v in r], w.factors, width))
                 return first._like([[next(entries) for _ in r] for r in g])
-            out = self._power(*w.factors[0])
-            for sym, exp in w.factors[1:]:
+            period = _period(w.factors)
+            out = self._power(*period[0])
+            for sym, exp in period[1:]:
                 out = out @ self._power(sym, exp)
-            return out
+            return out ** (len(w.factors) // len(period))
         import numpy as np
         out = np.eye(np.shape(first)[-1], dtype=complex)
         for sym, exp in w.factors:

@@ -22,7 +22,7 @@ formed by ``Mat.__pow__``, is an oracle for ``Rep``'s exact word images,
 which multiply packed integers.
 
 Every test starts with no shared symbolic family built
-(``cold_families``)."""
+and none of the objects they share (``cold_families``)."""
 
 import math
 from fractions import Fraction
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspdeform import bending, figure8
+from cuspdeform import bending, exact, figure8, scalars, words
 from cuspdeform.bending import BendDataHNN, bend_hnn, bianchi_lattice_su31, embed_so41
 from cuspdeform.figure8 import ARC_TRANSITIONS, INNER_ARC_BOUND
 from cuspdeform.matrices import Mat, eye
@@ -39,9 +39,13 @@ from cuspdeform.scalars import Angle
 
 @pytest.fixture(autouse=True)
 def cold_families():
-    """Each test starts with no shared family built, so a test that
-    counts the work of one build sees a cold one."""
-    caches = (figure8._symbolic_family, bending._shared_family, bending._real_so41_lattice)
+    """Each test starts with no shared family built, and none of the
+    objects that families share (the ext-ring constants, the Siegel
+    forms, the lattices and the presentations), so a test that counts
+    the work of one build sees a cold one."""
+    caches = (figure8._symbolic_family, bending._shared_family, bending._real_so41_lattice,
+              bending.bianchi_lattice_su31, exact._siegel_form, scalars._ext_rational,
+              words.builtin_presentation)
     for cache in caches:
         cache.cache_clear()
     yield

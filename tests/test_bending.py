@@ -211,6 +211,24 @@ class TestBianchiMatrices:
         assert t is bianchi_family(7, "so41", theta=Angle.radians(2.0)).images["t"]
         with pytest.raises(ValueError):
             t[0, 0] = 2
+        # and the lattice, which both targets of a d share
+        lattice = bianchi_lattice_su31(7)
+        assert bianchi_lattice_su31(7) is lattice
+        with pytest.raises(TypeError):
+            lattice["u"] = lattice["a"]
+        with pytest.raises(TypeError):
+            del lattice["a"]
+
+    def test_both_targets_build_one_lattice(self, monkeypatch):
+        built = []
+        translation = bending.cusp_matrix_T
+        monkeypatch.setattr(bending, "cusp_matrix_T", lambda *args: built.append(args)
+                            or translation(*args))
+        for target in ("su31", "so41"):
+            bianchi_family(7, target)
+        bianchi_family(7, "so41", theta=Angle.radians(1.0))
+        assert len(built) == 1
+        assert bianchi_family(7, "su31").unbent_u is bianchi_lattice_su31(7)["u"]
 
     def test_family_caches_are_bounded(self):
         size = bending._shared_family.cache_info().maxsize
@@ -218,7 +236,8 @@ class TestBianchiMatrices:
         for d in ds:
             bianchi_family(d, "su31")
             bianchi_family(d, "so41", theta=Angle.radians(1.0))
-        for cache in (bending._shared_family, bending._real_so41_lattice):
+        for cache in (bending._shared_family, bending._real_so41_lattice,
+                      bending.bianchi_lattice_su31):
             assert cache.cache_info().currsize == cache.cache_info().maxsize == size
 
     def test_families_without_presentation(self):

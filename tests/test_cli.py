@@ -15,7 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuspdeform
 from cuspdeform import bending, cli, figure8, heisenberg, matrices, scalars, words
@@ -24,6 +26,13 @@ from cuspdeform.scalars import Angle
 
 SCHEMA = json.load(open(schema_path()))
 GOLDEN = Path(__file__).parent / "golden"
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2 ** 130), 2 ** 130),
+                        st.floats(), st.floats().map(np.float64), st.text(),
+                        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+json_trees = st.recursive(json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=8), kids, max_size=4)), max_leaves=24)
 
 
 def run(argv):
@@ -336,10 +345,10 @@ class TestVerifyCommand:
     def test_det_only_for_determinant_checks(self, monkeypatch, argv, det_callers):
         # the exact inverses take no determinant: only the longitudeDet and
         # detIdentity checks of figure8, decided by its family's
-        # identities, call det.  The so41 report inverts its Siegel form
-        # once, and its generator inverses are form adjoints; figure8
-        # inverts m and n
-        inverted = {"bianchi": [5], "figure8": [4, 4]}[argv[0]]
+        # identities, call det.  The so41 report inverts nothing: its
+        # Siegel form of ones is its own inverse, and its generator
+        # inverses are form adjoints; figure8 inverts m and n
+        inverted = {"bianchi": [], "figure8": [4, 4]}[argv[0]]
         callers, inverses = [], []
         det, inverse = matrices.Mat.det, matrices.Mat.inverse
         monkeypatch.setattr(matrices.Mat, "det", lambda m: callers.append(
@@ -632,6 +641,85 @@ class TestClassifyCommand:
                             "--form", str(form_f)])
         assert code == 0
         assert json.loads(out)["class"] == "parabolic(ellipto-parabolic)"
+
+
+class TestSharedObjects:
+    """Reports share what depends only on d, a form size or a presentation
+    name (the ext-ring constants, the Siegel forms, the lattices and the
+    presentations) within a process, and print what a cold process prints."""
+
+    CASES = [
+        ("verify_bianchi_d7_su31_alpha_2-5pi.json",
+         ["verify", "bianchi", "--d", "7", "--target", "su31", "--alpha=2/5pi"]),
+        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",
+         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0",
+          "--pythagorean", "1/2"]),
+        ("verify_bianchi_d2_su31_u-exact.json",
+         ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact"]),
+        ("sweep_bianchi_d2_so41_0.1_3.0_12.csv",
+         ["sweep", "bianchi", "--d", "2", "--target", "so41", "--start", "0.1",
+          "--end", "3.0", "--count", "12"]),
+    ]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_both_targets_of_one_d_in_either_order(self, tmp_path, order):
+        # both targets of d = 7 and of d = 2, each order, with a classify
+        # of a 4 x 4 and a 5 x 5 matrix (whose default forms the families
+        # share) before the first report and after each one
+        from cuspdeform.heisenberg import HeisPoint, translation_matrix
+        classify = []
+        for k, g in enumerate((translation_matrix(HeisPoint((0.5, 0.1), 0.7)),
+                               bending.bianchi_family(5, "so41", theta=Angle.radians(1.0))
+                               .images["u"])):
+            f = tmp_path / f"m{k}.json"
+            f.write_text(json.dumps({"entries": [[[z.real, z.imag] for z in row]
+                                                 for row in g.tolist()]}))
+            classify.append(["classify", "--matrix", str(f)])
+        cold = [run(argv) for argv in classify]
+        assert [c[0] for c in cold] == [0, 0]
+        for k in order:
+            name, argv = self.CASES[k]
+            assert run(argv) == (0, (GOLDEN / name).read_bytes().decode(), "")
+            assert [run(argv) for argv in classify] == cold
+
+
+class TestJsonText:
+    """``_json_text`` writes what ``json.dumps(.., indent=2, sort_keys=True)``
+    writes, and a newline."""
+
+    @staticmethod
+    def dumps(obj) -> str:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_reports(self, name):
+        text = (GOLDEN / name).read_bytes().decode()
+        report = json.loads(text)
+        assert cli._json_text(report) == self.dumps(report) == text
+
+    @given(json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_trees(self, tree):
+        assert cli._json_text(tree) == self.dumps(tree)
+
+    def test_edge_values(self):
+        tree = {"": [0.0, -0.0, math.inf, -math.inf, math.nan, 10 ** 40, -(10 ** 40), True,
+                     False, None, [], {}, (), (1, [2]), np.float64(0.1), np.float64(-0.0),
+                     "\x00\x1f\x7f\u00e9\u2028\U0001f600\"\\/"]}
+        assert cli._json_text(tree) == self.dumps(tree)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), 1j, np.int64(3), b"x", np.bool_(True)])
+    def test_unsupported_value_raises_as_json_does(self, value):
+        with pytest.raises(TypeError) as ours:
+            cli._json_text({"a": [value]})
+        with pytest.raises(TypeError) as theirs:
+            self.dumps({"a": [value]})
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_non_str_key_raises(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json_text({"a": {key: 1}})
 
 
 class TestDeterminism:

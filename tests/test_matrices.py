@@ -13,6 +13,7 @@ from cuspdeform.bending import (_bianchi_hnn, bend_hnn, bianchi_family,
 from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
+from cuspdeform import exact
 from cuspdeform.exact import _ones_columns, _ones_times, _times_ones
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
@@ -22,7 +23,7 @@ from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
 from cuspdeform.words import Rep, builtin_presentation
 from cuspdeform.heisenberg import dilation_matrix
 from cuspdeform.isometry import classify
-from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly
+from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, _squarefree
 
 rng = np.random.default_rng(20260809)
 
@@ -371,7 +372,10 @@ class TestProductsByFormsOfOnes:
         matmul = Mat.__matmul__
         for g in fam.images.values():
             J = form._exact_in(g)
+            monkeypatch.setattr(Mat, "inverse", lambda A: products.append(A))
             K_inv, K = form._adjoint_in(g)
+            monkeypatch.undo()
+            assert K_inv is K  # a Hermitian permutation matrix is its own inverse
             inv_cols = _ones_columns(K_inv)
             for A in (g.star_transpose(), g.transpose()):
                 for got, want in ((_times_ones(A, J, form._ones), A @ J),
@@ -410,6 +414,33 @@ class TestProductsByFormsOfOnes:
     def test_a_product_of_the_wrong_size_is_refused(self):
         with pytest.raises(ValueError, match="incompatible"):
             form_preserved(Mat.identity(3), siegel_form(4))
+
+
+class TestSharedSiegelForms:
+    def test_one_form_per_size_and_convention(self):
+        form = siegel_form(4)
+        assert siegel_form(4, CONJ_TRANSPOSE) is form is bianchi_family(7, "su31").form
+        assert siegel_form(4, TRANSPOSE_CONJ) is not form
+        assert bianchi_family(7, "so41").form is siegel_form(5)
+        assert bianchi_family(7, "so41", theta=Angle.radians(1.0)).form is siegel_form(5)
+        assert not form.array().flags.writeable
+        bound = exact._siegel_form.cache_info().maxsize
+        for size in range(1, bound + 4):
+            siegel_form(size)
+        assert exact._siegel_form.cache_info().currsize == bound
+
+    def test_kept_lifts_and_adjoints_are_bounded(self):
+        # a shared form meets every tag of the process: it keeps the lift
+        # and the adjoint of the most recent ones
+        form = siegel_form(4)
+        tags = [d for d in range(2, 400) if _squarefree(d)[0] == 1][:exact._KEPT_TAGS + 5]
+        for d in tags:
+            g = Mat.identity(4, "ext", d)
+            assert form._exact_in(g) == Mat.ext(form.mat.rows, d)
+            assert form._adjoint(g) == g
+        assert len(form._lifts) == len(form._adjoints) == exact._KEPT_TAGS
+        assert list(form._lifts) == tags[5:]
+        assert list(form._adjoints) == [("ext", d) for d in tags[5:]]
 
 
 class TestFaddeevLeVerrierInverse:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdeform import scalars
 from cuspdeform.scalars import Angle, ExtScalar, LaurentPoly, Surd
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -438,6 +439,51 @@ class TestSparseExtProduct:
         for _ in range(2):
             with pytest.raises(ValueError, match="squarefree"):
                 ExtScalar.zero(d)
+
+
+class TestSharedConstants:
+    """The ext-ring constants are built once per (rational, tag) and
+    shared by matrix entries, zeros, ones and coercion."""
+
+    @staticmethod
+    def terms(x: ExtScalar):
+        return [(p._d, list(p._n.items())) for p in x.c]
+
+    @pytest.mark.parametrize("d", [2, 7, 15])
+    @pytest.mark.parametrize("q", [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 10 ** 30,
+                                   Fraction(7, 10 ** 20), True])
+    def test_shared_constant_is_a_fresh_one(self, q, d):
+        shared = ExtScalar.rational(q, d)
+        fresh = ExtScalar(d, q)
+        assert shared is not fresh and shared is ExtScalar.rational(q, d)
+        assert shared == fresh and self.terms(shared) == self.terms(fresh)
+        assert hash(shared) == hash(fresh)
+        x = ExtScalar(d, LaurentPoly.u(), Fraction(1, 3))
+        for got, want in ((x + q, x + fresh), (x * q, x * fresh), (q - x, fresh - x)):
+            assert got == want and self.terms(got) == self.terms(want)
+
+    def test_zero_one_and_matrix_entries_are_shared(self):
+        from cuspdeform.exact import Mat
+        one, zero = ExtScalar.one(7), ExtScalar.zero(7)
+        assert one is ExtScalar.rational(1, 7) and zero is ExtScalar.rational(0, 7)
+        I = Mat.identity(5, "ext", 7)
+        assert all(e is (one if i == j else zero)
+                   for i, r in enumerate(I.rows) for j, e in enumerate(r))
+        assert I._one() is one and I._zero() is zero
+        assert Mat.ext([[Fraction(1, 2)]], 7)[0, 0] is ExtScalar.rational(Fraction(1, 2), 7)
+
+    def test_refused_input_is_refused_after_a_shared_equal(self):
+        assert ExtScalar.rational(1, 7) == 1
+        with pytest.raises(TypeError, match="bad component"):
+            ExtScalar.rational(1.0, 7)
+        with pytest.raises(ValueError, match="squarefree"):
+            ExtScalar.rational(1, 12)
+
+    def test_bounded(self):
+        bound = scalars._ext_rational.cache_info().maxsize
+        for q in range(bound + 5):
+            ExtScalar.rational(q, 7)
+        assert scalars._ext_rational.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------

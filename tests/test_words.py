@@ -9,7 +9,7 @@ from cuspdeform.figure8 import (L_WORD, RELATOR, build_family, generator_m, gene
                                 longitude_matrix)
 from cuspdeform.matrices import TRANSPOSE_CONJ, GeometryError, HermForm, Mat, siegel_form
 from cuspdeform.scalars import Angle, LaurentPoly
-from cuspdeform.words import (Presentation, Rep, Word, builtin_presentation,
+from cuspdeform.words import (Presentation, Rep, Word, _period, builtin_presentation,
                               check_relations, commutator, load_word_list)
 
 
@@ -72,6 +72,16 @@ class TestPresentations:
     def test_unsupported_d(self):
         with pytest.raises(ValueError):
             builtin_presentation("bianchi", 5)
+
+    def test_built_once_per_process(self):
+        pres = builtin_presentation("bianchi", 7)
+        assert builtin_presentation("bianchi", 7) is pres
+        assert bianchi_family(7, "su31").presentation is pres
+        assert bianchi_family(7, "so41").presentation is pres
+        bound = builtin_presentation.cache_info().maxsize
+        for d in range(bound + 3):
+            assert builtin_presentation("figure8", d).relators == (RELATOR,)
+        assert builtin_presentation.cache_info().currsize == bound
 
 
 @st.composite
@@ -249,6 +259,51 @@ def packed_coefficients(rep, w, image):
 def assert_within_width(rep, w, image):
     top = max(map(abs, packed_coefficients(rep, w, image)), default=0)
     assert top < 2 ** (rep._width([w]) - 1)
+
+
+class TestPeriodicExtWords:
+    """An exact ext-ring word w^k is the image of its period w raised by
+    ``Mat.__pow__``: the same value as the left-to-right product."""
+
+    @pytest.mark.parametrize("target", ["su31", "so41"])
+    @pytest.mark.parametrize("d, products", [(2, 4), (7, 5), (11, 6)])
+    def test_relators(self, monkeypatch, mat_chain, d, target, products):
+        # the torsion relator (a u^-1 a u)^2, (a t u^-1 a u)^2 or ^3 takes
+        # 3 + 1, 4 + 1 or 4 + 2 products once its generator powers are
+        # formed, where the left-to-right product takes 7, 9 or 14
+        fam = bianchi_family(d, target)
+        rep = Rep(fam.images, fam.form)
+        relators = fam.presentation.relators
+        assert [len(_period(r.factors)) for r in relators] == [4, 1, 2, len(relators[3].factors)
+                                                               // (2 if d < 11 else 3)]
+        for r in relators:
+            assert rep.evaluate(r) == mat_chain(fam.images, r)
+        counted = []
+        matmul = Mat.__matmul__
+        monkeypatch.setattr(Mat, "__matmul__", lambda A, B: counted.append(A) or matmul(A, B))
+        assert rep.evaluate(relators[3]).is_scalar() is not None
+        assert len(counted) == products
+
+    @pytest.mark.parametrize("text, period", [
+        ("a^2", 1), ("a.t.a.t.a.t", 2), ("a.t.u^-1.a.u.a.t.u^-1.a.u", 5),
+        ("a.t.a.t.u.t", 6), ("a.t.a.t.u.t.a.t.a.t.u.t", 6), ("a.t.u.a.t.u^2", 6)])
+    def test_period(self, mat_chain, text, period):
+        # whole copies only: a.t.a.t.u.t starts with two copies of a.t
+        w = Word.parse(text)
+        assert len(_period(w.factors)) == period
+        fam = bianchi_family(7, "su31")
+        assert fam.rep().evaluate(w) == mat_chain(fam.images, w)
+
+    @given(st.sampled_from([(2, "su31"), (7, "so41"), (15, "su31")]), bianchi_words(),
+           st.integers(2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_powers_of_random_words(self, mat_chain, case, w, k):
+        fam = bianchi_family(*case)
+        words_ = [w ** k, (w * Word.gen("a") * w.inverse()) ** k, w]
+        for word in words_:
+            period = _period(word.factors)
+            assert period * (len(word.factors) // max(len(period), 1)) == word.factors
+            assert fam.rep().evaluate(word) == mat_chain(fam.images, word)
 
 
 class TestPackedImages:
