@@ -407,7 +407,7 @@ class HermForm:
     numeric layer, ``matrices.hermitian_failures``).
     """
 
-    __slots__ = ("mat", "convention", "_array", "_lifts", "_adjoints", "_ones")
+    __slots__ = ("mat", "convention", "_array", "_ones")
 
     def __init__(self, J, convention: str = CONJ_TRANSPOSE):
         if convention not in _CONVENTIONS:
@@ -426,10 +426,8 @@ class HermForm:
         self.mat = J
         self.convention = convention
         self._array = None
-        self._lifts: dict[int, Mat] = {}
-        self._adjoints: dict[tuple, tuple[Mat, Mat] | None] = {}
-        # where J is a permutation matrix of ones, star(J), its lifts and
-        # their inverses are too: products by them reindex (``_times_ones``)
+        # a permutation matrix of ones is the same matrix in every ring: the
+        # exact layer reads it as the column of each row's one, and reindexes
         self._ones = _ones_columns(J) if isinstance(J, Mat) else None
 
     @property
@@ -458,73 +456,21 @@ class HermForm:
             self._array.flags.writeable = False
         return self._array
 
-    def _exact_in(self, g: Mat) -> Mat:
-        """The exact form matrix over g's ring: a Laurent form is lifted
-        into the ext ring of tag d once, and kept (``_kept``)."""
-        J = self.mat
-        if g.ring == "ext" and J.ring == "laurent":
-            return _kept(self._lifts, g.d, lambda: Mat.ext(J.rows, g.d))
-        return J
-
-    def _adjoint_in(self, g: Mat) -> tuple[Mat, Mat] | None:
-        """(K^-1, K) over g's ring, for the form adjoint g^-1 = K^-1 g* K
-        of a g that preserves this exact form: K = J for CONJ_TRANSPOSE,
-        and K = star(J) for TRANSPOSE_CONJ, since g^T J conj(g) = J,
-        conjugated, is g* star(J) g = star(J).  Formed once per ring, and
-        kept (``_kept``).
-
-        A K of ones, as the Siegel forms are, is a Hermitian permutation
-        matrix, so symmetric, and its own inverse: nothing is inverted.
-        Any other K is inverted only if it has one nonzero entry in each
-        row.  Being Hermitian, K then has one in each column too, so its
-        determinant is plus or minus the product of those entries, and K
-        has an inverse over the ring exactly when each of them is a unit;
-        None where one is not, and for any denser K.  So a denser form,
-        such as the figure-eight form (whose determinant is not a unit),
-        costs no inversion that may fail, and its generators go to
-        ``Mat.inverse``."""
-        return _kept(self._adjoints, (g.ring, g.d), lambda: self._form_adjoint(g))
-
-    def _form_adjoint(self, g: Mat) -> tuple[Mat, Mat] | None:
-        J = self._exact_in(g)
-        K = J if self.convention == CONJ_TRANSPOSE else J.star()
-        if self._ones is not None:
-            return K, K
-        if all(sum(not e.is_zero for e in r) == 1 for r in K.rows):
-            try:
-                return K.inverse(), K
-            except ZeroDivisionError:
-                pass
-        return None
-
     def _adjoint(self, g: Mat) -> Mat | None:
-        """g^-1 = K^-1 g* K for a g that preserves this exact form, where
-        ``_adjoint_in`` gives K^-1; None where it gives none.  A K of ones
-        reindexes g* instead of multiplying it twice."""
-        adjoint = self._adjoint_in(g)
-        if adjoint is None:
+        """g^-1 for a g that preserves this exact form, where J is a
+        permutation matrix of ones, as the Siegel forms are; None for any
+        other form, whose generators go to ``Mat.inverse``.
+
+        Such a J is Hermitian, so symmetric, and its own inverse, and
+        star(J) = J: g* J g = J, and g^T J conj(g) = J conjugated, give
+        g^-1 = J g* J in both conventions, in every ring.  Entry (i, j) of
+        J g* J is entry (c_i, c_j) of g*, star(g[c_j][c_i]), for c the
+        column of each row's one: the one-term entries of the general
+        product, term for term."""
+        c = self._ones
+        if c is None:
             return None
-        K_inv, K = adjoint
-        if self._ones is None:
-            return K_inv @ g.star_transpose() @ K
-        # K^-1 = K: both products reindex by the same columns
-        return _times_ones(_ones_times(K_inv, self._ones, g.star_transpose()), K, self._ones)
-
-
-# The ext-ring tags whose lift and form adjoint a form keeps: a shared
-# Siegel form meets every tag of the process.
-_KEPT_TAGS = 64
-
-
-def _kept(store: dict, key, make):
-    """store[key], made on first use and kept; once the store holds
-    ``_KEPT_TAGS`` entries, the oldest goes first."""
-    if key in store:
-        return store[key]
-    if len(store) >= _KEPT_TAGS:
-        del store[next(iter(store))]
-    value = store[key] = make()
-    return value
+        return g._like([[g.rows[cj][ci].star() for cj in c] for ci in c])
 
 
 def _ones_columns(K: Mat) -> tuple[int, ...] | None:
@@ -539,32 +485,11 @@ def _ones_columns(K: Mat) -> tuple[int, ...] | None:
     return tuple(cols) if len(set(cols)) == K.n else None
 
 
-def _times_ones(A: Mat, K: Mat, cols: Sequence[int]) -> Mat:
-    """A @ K for K with ``_ones_columns`` cols: column cols[k] of the
-    product is column k of A.  The general product's entry is the
-    one-term dot a * 1, which is a, term for term and in a's term order,
-    so each entry is A's own."""
-    A._compat(K)
-    out = [[None] * A.n for _ in A.rows]
-    for r, row in zip(out, A.rows):
-        for j, a in zip(cols, row):
-            r[j] = a
-    return A._like(out)
-
-
-def _ones_times(K: Mat, cols: Sequence[int], A: Mat) -> Mat:
-    """K @ A for K with ``_ones_columns`` cols: row i of the product is
-    row cols[i] of A, entry for entry (see ``_times_ones``)."""
-    K._compat(A)
-    return A._like([A.rows[c] for c in cols])
-
-
 def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
     """The antidiagonal-corner form 2 Re(z1 conj(z_size)) + sum |z_i|^2,
     as an exact Mat over Q[u,u^-1]: one form per (size, convention) and
     process, shared, and read-only (its matrix is an immutable ``Mat``,
-    its numeric array is not writeable, and it keeps only the bounded
-    lifts and adjoints it derives from them)."""
+    and its numeric array is not writeable)."""
     return _siegel_form(size, convention)
 
 
@@ -585,18 +510,31 @@ def form_preserved(g: Mat, form: HermForm) -> bool:
     J is Hermitian (checked exactly when the form is built), so the
     product g* J g, or g^T J conj(g), is Hermitian too, and its entries
     on and above the diagonal decide: only those are formed, and the
-    check returns at the first that differs from J's."""
+    check returns at the first that differs from J's.  A J of ones
+    multiplies by reindexing: J g, or J conj(g), is its right factor's
+    rows in the order of J's columns, and J's entries are the ring's one
+    and zero.  Any other J multiplies its left factor, lifted into the
+    ext ring of g's tag where g is over that ring."""
     if not form.is_exact:
         raise TypeError("exact check requires an exact form")
-    J = form._exact_in(g)
     if form.convention == CONJ_TRANSPOSE:
         left, right = g.star_transpose(), g
     else:
         left, right = g.transpose(), g.star()
-    left = left @ J if form._ones is None else _times_ones(left, J, form._ones)
-    dot, zero = _DOT[g.ring], g._zero()
-    cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*right.rows)]
-    for i, (r, target) in enumerate(zip(left.rows, J.rows)):
+    J, rows, zero = form.mat, right.rows, g._zero()
+    if form._ones is not None:
+        if J.n != g.n:
+            raise ValueError("incompatible matrices")
+        rows = [rows[c] for c in form._ones]
+        one = g._one()
+        targets = [[one if j == c else zero for j in range(g.n)] for c in form._ones]
+    else:
+        if g.ring == "ext" and J.ring == "laurent":
+            J = Mat.ext(J.rows, g.d)
+        left, targets = left @ J, J.rows
+    dot = _DOT[g.ring]
+    cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*rows)]
+    for i, (r, target) in enumerate(zip(left.rows, targets)):
         terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
         for j in range(i, g.n):
             col = cols[j]

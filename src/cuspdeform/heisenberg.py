@@ -96,24 +96,16 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
 
     The rows are sorted along the key column with the most distinct
     values, and rows k places apart are compared for k = 1, 2, ... until
-    every gap in that sort column at offset k exceeds the best distance
-    so far (Shamos-Hoey sort-and-sweep).  Before dist runs at an offset,
-    every pair is dropped that some other column places too far apart: a
-    key column by a gap beyond _key_reach(best), a bounded column by one
-    beyond reach(best).  Each limit is at least the largest gap, as the
-    columns round it, of a pair whose dist, as dist rounds it, is at most
-    best; so the bounds drop no such pair.  A constant column drops
+    every gap in that sort column at offset k exceeds _key_reach(best),
+    for the best distance so far (Shamos-Hoey sort-and-sweep).  Before
+    dist runs at an offset, every pair is dropped that some other column
+    places too far apart: a key column by a gap beyond _key_reach(best),
+    a bounded column by one beyond reach(best).  Each limit is at least
+    the largest gap, as the columns round it, of a pair whose dist, as
+    dist rounds it, is at most best; so neither the end of the sweep nor
+    the bounds drop such a pair, and the result is the minimum over all
+    pairs, with the bits dist gives that pair.  A constant column drops
     nothing and is skipped.
-
-    The sort column ends the sweep with no such widening: its gap is
-    compared with best as it is.  The result is the minimum over all
-    pairs, with the bits dist gives that pair, where the sort column's
-    computed gap is at most the computed dist of its pair.  The orbit's
-    Z columns are: a coordinate gap is at most the rounded root of a sum
-    of squares that holds its square, unless that square underflows.
-    The cos and sin columns of the R x S^1 metric hold only to within a
-    few ulps of the rounded arc, so there a pair whose arc is the gap to
-    within an ulp can be passed over.
 
     The sweep reads copies of the columns put in sort order once.  The
     bounds run on the contiguous slices c[k:] and c[:-k] of all the other
@@ -139,10 +131,10 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
     reaches = [reach for _, reach in filters]
     F = np.array([c[order] for c, _ in filters]).reshape(len(filters), len(s))
     cols = [c[order] for c in cols]
-    best = math.inf
+    best = reach = math.inf
     lims = np.full((len(filters), 1), math.inf)
     for k in range(1, len(s)):
-        near = s[k:] - s[:-k] <= best
+        near = s[k:] - s[:-k] <= reach
         count = np.count_nonzero(near)
         if not count:
             break
@@ -167,7 +159,8 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
         d = d[d > dup_tol]
         if d.size and d.min() < best:
             best = float(d.min())
-            lims = np.array([reach(best) for reach in reaches])[:, None]
+            reach = _key_reach(best)
+            lims = np.array([r(best) for r in reaches])[:, None]
     return best
 
 
@@ -177,8 +170,7 @@ def _key_reach(b: float) -> float:
     which a key gap can exceed the distance that dist computes: the
     underflow of squares of gaps below 1e-154 in the orbit metric, and
     np.cos and np.sin against the rounded arc of the R x S^1 metric (a
-    few ulps of 1 and of 2 pi, below 2^-48).  The sort column itself is
-    compared with best as it is."""
+    few ulps of 1 and of 2 pi, below 2^-48)."""
     return b * (1 + 2.0 ** -46) + 2.0 ** -46
 
 
@@ -471,10 +463,7 @@ def rs1_classify(T: RS1Element, U: RS1Element) -> RS1Class:
 def rs1_probe(T: RS1Element, U: RS1Element, n_elements: int = 10000) -> float:
     """Density probe: the minimum positive pairwise distance (box metric
     max(|dx|, arc)) among n_elements group elements T^m U^n, with m
-    chosen as the closest return of the translation part.  Where the
-    sweep sorts on cos or sin of the angle it is exact only to within an
-    ulp: rounding can put their computed gap above the computed arc of
-    the pair, which then goes unmeasured (``_closest_pair``).
+    chosen as the closest return of the translation part.
 
     A value well below the discreteness scale is evidence (not proof)
     of non-discreteness; coincident elements are removed exactly first.

@@ -180,7 +180,7 @@ def finite_rows(S: np.ndarray) -> list[bool]:
     return np.isfinite(S).all(axis=(1, 2)).tolist()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)  # a few sizes: classify --matrix input sets n
 def eye(n: int) -> np.ndarray:
     """The n x n identity (float, read-only, shared)."""
     out = np.eye(n)

@@ -16,10 +16,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .exact import GeometryError, HermForm, Mat, _numeric, _trace_of_product, form_preserved
+from .exact import GeometryError, HermForm, Mat, _numeric, form_preserved
 from .scalars import LaurentPoly, _canonical
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
@@ -260,15 +259,12 @@ class Rep:
     images at each point, bit for bit, since the inverse, the power and
     the product broadcast over the stack.
 
-    Exact generator inverses and powers are formed once per ``Rep``.  An
-    exact generator's inverse is its form adjoint K^-1 g* K (K = J, or
-    star(J) for ``TRANSPOSE_CONJ``) where K has one nonzero entry in each
-    row and is invertible over the generators' ring, as the Siegel forms
-    of the Bianchi families are, with K^-1 formed once per form and ring
-    (``HermForm._adjoint_in``); a K of ones, as theirs are, reindexes g*.
-    It is ``Mat.inverse`` without a form and for a denser form, such as
-    the figure-eight form, whose determinant -(u+1)^4 (u^2+u+1)^3 / u^5
-    is not a unit.
+    Exact generator inverses and powers are formed once per ``Rep``.
+    Where the form J is a permutation matrix of ones, as the Siegel forms
+    of the Bianchi families are, an exact generator's inverse is its form
+    adjoint J g* J, which reindexes g* (``HermForm._adjoint``); nothing
+    is kept per form or ring.  It is ``Mat.inverse`` without a form and
+    for any other form, such as the dense figure-eight form.
     Only numeric images import numpy, when they are used: the caller
     holds arrays already.
 
@@ -373,9 +369,9 @@ class Rep:
         return np.linalg.matrix_power(np.asarray(g, dtype=complex), exp)
 
     def _exact_inverse(self, g: Mat) -> Mat:
-        """g^-1 for an exact generator: the form adjoint K^-1 g* K where
-        ``HermForm._adjoint_in`` gives K^-1, exact because construction
-        proved g* K g = K; else ``Mat.inverse``."""
+        """g^-1 for an exact generator: the form adjoint J g* J of a form
+        of ones, exact because construction proved that g preserves it;
+        else ``Mat.inverse``."""
         adjoint = None if self.form is None else self.form._adjoint(g)
         return g.inverse() if adjoint is None else adjoint
 
@@ -448,39 +444,30 @@ class Rep:
 
     def trace(self, w: Word):
         """Trace of a word's image; exactly ``evaluate(w).trace()``."""
-        if self.is_exact:
+        if self._packs:
             return self._traces([w])[0]
+        g = self.evaluate(w)
+        if isinstance(g, Mat):
+            return g.trace()
         import numpy as np
-        return complex(np.trace(self.evaluate(w)))
+        return complex(np.trace(g))
 
     def _traces(self, words: Iterable[Word]) -> list:
-        """``evaluate(w).trace()`` for each word of an exact
-        representation, value and term order alike.  The images of the
-        words' proper prefixes are kept for the length of the call, so a
-        prefix the words share is multiplied out once, and each trace is
-        the trace-only product of the word's longest proper prefix and
-        its last factor.
-
-        Laurent-ring prefixes are kept packed, at one width for the whole
-        batch; a trace decodes the n diagonal entries of its trace-only
-        product and sums them as ``Mat.trace`` does, so its terms come in
-        the order of ``evaluate(w).trace()``."""
+        """``evaluate(w).trace()`` for each word of an exact laurent-ring
+        (packed) representation, value and term order alike.  The packed
+        images of the words' proper prefixes are kept for the length of
+        the call, at one width for the whole batch, so a prefix the words
+        share is multiplied out once.  Each trace decodes the n diagonal
+        entries of the product of the word's longest proper prefix and
+        its last factor, and sums them as ``Mat.trace`` does, so its terms
+        come in the order of ``evaluate(w).trace()``."""
         words = list(words)
         for w in words:
             self._check_symbols(w)
-        if self._packs:
-            width = _quantized(self._width([w for w in words if len(w.factors) > 1]))
+        width = _quantized(self._width([w for w in words if len(w.factors) > 1]))
 
-            def factor(f):
-                return self._packed(*f).at(width)
-            mul, last_trace = _matmul, partial(self._packed_trace, width=width)
-        else:
-            def factor(f):
-                return self._power(*f)
-
-            def last_trace(g, f):
-                return _trace_of_product(g, factor(f[-1]))
-            mul = operator.matmul
+        def factor(f):
+            return self._packed(*f).at(width)
         prefixes = {}
         out = []
         for w in words:
@@ -493,9 +480,9 @@ class Rep:
                 j -= 1
             g = prefixes[f[:j]] if j > 1 else factor(f[0])
             for i in range(j, len(f) - 1):
-                g = mul(g, factor(f[i]))
+                g = _matmul(g, factor(f[i]))
                 prefixes[f[:i + 1]] = g
-            out.append(last_trace(g, f))
+            out.append(self._packed_trace(g, f, width))
         return out
 
     def _packed_trace(self, g: list[list[int]], factors: tuple, width: int) -> LaurentPoly:

@@ -33,6 +33,7 @@ import pytest
 from cuspdeform import bending, exact, figure8, scalars, words
 from cuspdeform.bending import BendDataHNN, bend_hnn, bianchi_lattice_su31, embed_so41
 from cuspdeform.figure8 import ARC_TRANSITIONS, INNER_ARC_BOUND
+from cuspdeform.heisenberg import _key_reach
 from cuspdeform.matrices import Mat, eye
 from cuspdeform.scalars import Angle
 
@@ -90,15 +91,16 @@ def pythagorean_so41():
 
 def _gather_closest_pair(keys, dist, dup_tol: float) -> float:
     """Minimum dist(i, j) > dup_tol over pairs of rows (math.inf if none),
-    by sort-and-sweep along the key column with the most distinct values;
-    dist maps two index arrays to the distances of the paired rows, which
-    are gathered at every offset k."""
+    by sort-and-sweep along the key column with the most distinct values,
+    until every gap in it at offset k exceeds the best distance widened
+    past rounding (``_key_reach``); dist maps two index arrays to the
+    distances of the paired rows, which are gathered at every offset k."""
     col = max(range(keys.shape[1]), key=lambda c: np.unique(keys[:, c]).size)
     order = np.argsort(keys[:, col], kind="stable")
     s = keys[order, col]
     best = math.inf
     for k in range(1, len(s)):
-        near = s[k:] - s[:-k] <= best
+        near = s[k:] - s[:-k] <= _key_reach(best)
         if not near.any():
             break
         d = dist(order[:-k][near], order[k:][near])

@@ -214,24 +214,27 @@ class TestVerifyCommand:
         code, _, _ = run(["verify", "figure8", "--u-exact"])
         assert code == 0 and len(calls) <= 31
 
-    def test_form_lifted_once(self, monkeypatch):
-        # the Laurent Siegel form, lifted into the ext ring for the exact
-        # invariance check of every generator
+    def test_form_never_lifted(self, monkeypatch):
+        # the Laurent Siegel form is a permutation matrix of ones: the exact
+        # invariance check of every ext-ring generator reindexes, and lifts
+        # nothing into the ext ring
         lifts, inside = [], []
         preserved, ext = matrices.form_preserved, matrices.Mat.ext
 
         def counting_preserved(*args):
+            counting_preserved.calls += 1
             inside.append(True)
             try:
                 return preserved(*args)
             finally:
                 inside.pop()
 
+        counting_preserved.calls = 0
         monkeypatch.setattr(words, "form_preserved", counting_preserved)
         monkeypatch.setattr(matrices.Mat, "ext", classmethod(lambda cls, rows, d: (
             lifts.append(d) if inside else None) or ext(rows, d)))
         code, _, _ = run(["verify", "bianchi", "--d", "7", "--target", "su31", "--u-exact"])
-        assert code == 0 and lifts == [7]
+        assert code == 0 and lifts == [] and counting_preserved.calls
 
     @pytest.mark.parametrize("argv", [
         ["figure8", "--u-exact"],
@@ -242,11 +245,11 @@ class TestVerifyCommand:
         # family: no exact product, invariance check or lattice build
         first = run(["verify", *argv])
         products, preserved, lattices = [], [], []
-        matmul, trace_of_product = matrices.Mat.__matmul__, words._trace_of_product
+        matmul, inverse = matrices.Mat.__matmul__, matrices.Mat.inverse
         monkeypatch.setattr(matrices.Mat, "__matmul__", lambda A, B:
                             products.append(A.n) or matmul(A, B))
-        monkeypatch.setattr(words, "_trace_of_product", lambda A, B:
-                            products.append(A.n) or trace_of_product(A, B))
+        monkeypatch.setattr(matrices.Mat, "inverse", lambda A:
+                            products.append(A.n) or inverse(A))
         form_preserved = matrices.form_preserved
         for module in (matrices, words, figure8, bending):
             if hasattr(module, "form_preserved"):
@@ -641,6 +644,19 @@ class TestClassifyCommand:
                             "--form", str(form_f)])
         assert code == 0
         assert json.loads(out)["class"] == "parabolic(ellipto-parabolic)"
+
+
+    def test_identities_of_many_sizes_keep_a_bounded_eye(self, tmp_path):
+        # the size of a classify --matrix input sets the shared identity's
+        matrices.eye.cache_clear()
+        for n in range(2, 30):
+            f = tmp_path / f"eye{n}.json"
+            f.write_text(json.dumps({"entries": [[int(i == j) for j in range(n)]
+                                                 for i in range(n)]}))
+            code, out, _ = run(["classify", "--matrix", str(f)])
+            assert (code, json.loads(out)["class"]) == (0, "identity")
+        info = matrices.eye.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 
 class TestSharedObjects:

@@ -355,6 +355,44 @@ class TestGapOracle:
         (x, ang), = seen
         assert gap.hex() == gather_rs1_gap(x, ang).hex()
 
+    @staticmethod
+    def all_pairs_rs1_gap(x, ang):
+        """The minimum positive box distance over every pair, each with the
+        bits of the kernel's elementwise metric."""
+        i, j = np.triu_indices(len(x), 1)
+        d = np.fmod(np.abs(ang[i] - ang[j]), 2 * math.pi)
+        d = np.maximum(np.abs(x[i] - x[j]), np.minimum(d, 2 * math.pi - d))
+        d = d[d > 0]
+        return float(d.min()) if d.size else math.inf
+
+    def test_rs1_gap_where_the_sort_column_overshoots_the_arc(self):
+        # near the quarter turn, cos is the sort column, and the rounded
+        # cos gap of the pair (a, b) exceeds its computed arc; a pair
+        # (c, c) at x distance between the two is found first, one offset
+        # nearer, and the pair (a, b) is two offsets apart, with a far
+        # point between them
+        a = float.fromhex("0x1.921fb5643b7bbp+0")
+        b = float.fromhex("0x1.921fb5645aa27p+0")
+        arc, gap = b - a, abs(math.cos(a) - math.cos(b))
+        c = math.pi / 2 - 1e-3
+        x = np.array([0.0, 0.0, 1.0, 0.0, (arc + gap) / 2])
+        ang = np.array([a, b, (a + b) / 2, c, c])
+        assert arc < x[-1] < gap
+        assert _rs1_gap(x, ang) == self.all_pairs_rs1_gap(x, ang) == arc
+
+    @given(st.integers(0, 2 ** 32), st.sampled_from([1, -1]), st.floats(-12, -4),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_rs1_gap_near_quarter_turns_is_the_all_pairs_minimum(self, seed, side, scale,
+                                                                 xs):
+        # angles within 10^scale of a quarter turn, where cos or sin is the
+        # sort column, and a few x values, many of them tied
+        r = np.random.default_rng(seed)
+        ang = side * math.pi / 2 + 10.0 ** scale * r.standard_normal(80)
+        x = r.integers(0, xs, 80) * 10.0 ** (scale + r.integers(-1, 2))
+        got = _rs1_gap(x, ang)
+        assert got.hex() == self.all_pairs_rs1_gap(x, ang).hex()
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("cloud", ["tied", "untied", "clustered"])
     def test_clouds_take_both_paths(self, k, cloud, gather_orbit_gap, monkeypatch):
@@ -428,7 +466,7 @@ class TestGapOracle:
         s = keys[order, col]
         best, near_count = math.inf, {}
         for offset in range(1, size):
-            near = np.flatnonzero(s[offset:] - s[:-offset] <= best)
+            near = np.flatnonzero(s[offset:] - s[:-offset] <= heisenberg._key_reach(best))
             if not near.size:
                 break
             near_count[offset] = near.size

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import warnings
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
 from cuspdeform import exact
-from cuspdeform.exact import _ones_columns, _ones_times, _times_ones
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
                                  TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
                                  eigen, form_defect,
@@ -166,10 +167,16 @@ class TestFormDefect:
         assert form_defect(g, siegel_form(4)) > 1e-4
 
 
+def exact_form_in(form, g):
+    """The exact form matrix over g's ring."""
+    J = form.mat
+    return Mat.ext(J.rows, g.d) if g.ring == "ext" and J.ring == "laurent" else J
+
+
 def full_decision(g, form):
     """The invariance decision from the whole product g* J g (or
     g^T J conj(g)) against J."""
-    J = form._exact_in(g)
+    J = exact_form_in(form, g)
     if form.convention == TRANSPOSE_CONJ:
         return g.transpose() @ J @ g.star() == J
     return g.star_transpose() @ J @ g == J
@@ -346,74 +353,108 @@ class TestExactProduct:
         assert got == want and term_order(got) == term_order(want)
 
 
-class TestProductsByFormsOfOnes:
-    """A product by a permutation matrix of the ring's ones, as the Siegel
-    forms and their inverses are, reindexes its other factor: each entry
-    is the general product's, term for term and in the same term order."""
+FORM_OF_ONES_DS = (2, 5, 7, 11, 15, 43)
 
-    @given(cancelling_mat_pairs(), st.randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_reindexing_is_the_general_product(self, AB, random):
-        A = AB[0]
-        cols = list(range(A.n))
-        random.shuffle(cols)
-        K = Mat([[int(j == c) for j in range(A.n)] for c in cols], A.ring, A.d)
-        assert _ones_columns(K) == tuple(cols)
-        for got, want in ((_times_ones(A, K, cols), A @ K), (_ones_times(K, cols, A), K @ A)):
-            assert got == want and terms_of(got) == terms_of(want)
+
+@st.composite
+def forms_of_ones(draw):
+    """(g, form): a Bianchi generator moved onto a random permutation form
+    of ones and times one of its diagonal isometries, in either convention.
+
+    P^T J P is a symmetric permutation matrix of ones for every
+    permutation P, and P^T g P preserves it.  A diagonal D preserves it
+    where D_kk = c u^a, D_ll = u^a / c on each pair (k, l) it swaps and
+    D_kk = u^a on each point it fixes; g preserves J under g^T J conj(g)
+    = J exactly when star(g) preserves it under g* J g = J."""
+    d, target = draw(st.sampled_from([(2, "su31"), (7, "so41"), (15, "su31")]))
+    fam = bianchi_family(d, target)
+    g = fam.images[draw(st.sampled_from(sorted(fam.images)))]
+    n = g.n
+    perm = draw(st.permutations(range(n)))
+    P = Mat([[int(j == perm[i]) for j in range(n)] for i in range(n)], "ext", d)
+    J = P.transpose() @ Mat.ext(fam.form.mat.rows, d) @ P
+    cols = [r.index(next(e for e in r if not e.is_zero)) for r in J.rows]
+    diag = [None] * n
+    for k, l in enumerate(cols):
+        if diag[k] is None:
+            a = LaurentPoly.u(draw(st.integers(-2, 2)))
+            c = draw(st.sampled_from([1, 2, Fraction(-1, 3)])) if k != l else 1
+            diag[k], diag[l] = a * c, a * Fraction(1, c)
+    g = P.transpose() @ g @ P @ Mat.diagonal(diag, "ext", d)
+    convention = draw(st.sampled_from([CONJ_TRANSPOSE, TRANSPOSE_CONJ]))
+    if convention == TRANSPOSE_CONJ:
+        g = g.star()
+    form = HermForm(J if draw(st.booleans()) else
+                    Mat.laurent([[int(not e.is_zero) for e in r] for r in J.rows]), convention)
+    return g, form
+
+
+class TestProductsByFormsOfOnes:
+    """A Siegel form is a symmetric permutation matrix of ones: it is its
+    own inverse and its own star in every ring, so the form adjoint and
+    the invariance check reindex, and no other form has an adjoint."""
 
     @pytest.mark.parametrize("convention", [CONJ_TRANSPOSE, TRANSPOSE_CONJ])
-    @pytest.mark.parametrize("d, target", [(d, t) for d in (2, 7, 15) for t in ("su31", "so41")])
-    def test_siegel_forms(self, monkeypatch, d, target, convention):
+    @pytest.mark.parametrize("d, target", [(d, t) for d in FORM_OF_ONES_DS
+                                           for t in ("su31", "so41")])
+    def test_siegel_forms(self, d, target, convention):
         fam = bianchi_family(d, target)
         form = siegel_form(fam.form.n, convention)
-        assert form._ones is not None
-        products = []
-        matmul = Mat.__matmul__
+        K = Mat.ext(form.mat.rows, d)
+        assert K.star() == K == K.transpose()
         for g in fam.images.values():
-            J = form._exact_in(g)
-            monkeypatch.setattr(Mat, "inverse", lambda A: products.append(A))
-            K_inv, K = form._adjoint_in(g)
-            monkeypatch.undo()
-            assert K_inv is K  # a Hermitian permutation matrix is its own inverse
-            inv_cols = _ones_columns(K_inv)
-            for A in (g.star_transpose(), g.transpose()):
-                for got, want in ((_times_ones(A, J, form._ones), A @ J),
-                                  (_times_ones(A, K, form._ones), A @ K),
-                                  (_ones_times(K_inv, inv_cols, A), K_inv @ A)):
-                    assert got == want and terms_of(got) == terms_of(want)
-            want = K_inv @ g.star_transpose() @ K
-            monkeypatch.setattr(Mat, "__matmul__", lambda A, B: products.append(A) or
-                                matmul(A, B))
-            got = form._adjoint(g)
-            assert form_preserved(g, form)
-            monkeypatch.undo()
-            assert got == want == g.inverse() and terms_of(got) == terms_of(want)
-        assert products == []
+            assert form_preserved(g, form)  # in either convention
+            got, want = form._adjoint(g), K @ g.star_transpose() @ K
+            assert got == g.inverse() == want and terms_of(got) == terms_of(want)
+
+    @given(forms_of_ones(), st.integers(0, 24), st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_reindexing_is_the_general_product(self, case, at, far, part):
+        g, form = case
+        assert form._ones is not None
+        assert form_preserved(g, form) and full_decision(g, form)
+        assert form._adjoint(g) == g.inverse()
+        # a term past twice the exponents of g is left uncancelled
+        n = g.n
+        i, j = divmod(at % (n * n), n)
+        top = max(abs(x) for r in g.rows for e in r for x in _exponents(e))
+        power = LaurentPoly.u((2 * top + far) * (-1) ** far)
+        rows = [list(r) for r in g.rows]
+        rows[i][j] = rows[i][j] + ExtScalar(g.d, *[power if m == part else 0
+                                                  for m in range(4)])
+        h = Mat(rows, g.ring, g.d)
+        assert not form_preserved(h, form) and not full_decision(h, form)
 
     def test_a_unit_other_than_one_keeps_the_multiply(self, monkeypatch):
         # D* J D for D = Diag(u, 1, 1, 1): u and u^-1 in the corners, units
-        # but not one; the conjugated generators preserve it
+        # but not one; the conjugated generators preserve it, each check
+        # multiplies by it once, and their inverses go to Mat.inverse, with
+        # the values of the form adjoint K^-1 h* K
         fam = bianchi_family(7, "su31")
         D = Mat.diagonal([LaurentPoly.u(), 1, 1, 1], "ext", 7)
         D_inv = Mat.diagonal([LaurentPoly.u(-1), 1, 1, 1], "ext", 7)
-        form = HermForm(D.star_transpose() @ fam.form._exact_in(D) @ D)
-        assert form._ones is None and form._adjoint_in(D) is not None
-        products = []
-        matmul = Mat.__matmul__
-        for g in fam.images.values():
-            h = D_inv @ g @ D
-            monkeypatch.setattr(Mat, "__matmul__", lambda A, B: products.append(A) or
-                                matmul(A, B))
-            assert form_preserved(h, form)
-            got = form._adjoint(h)
-            monkeypatch.undo()
-            assert got == h.inverse()
-        assert len(products) == 3 * 3  # g* J, then K^-1 g* and its K
+        K = D.star_transpose() @ Mat.ext(fam.form.mat.rows, 7) @ D
+        form = HermForm(K)
+        assert form._ones is None
+        bent = {sym: D_inv @ g @ D for sym, g in fam.images.items()}
+        products, inverted = [], []
+        matmul, inverse = Mat.__matmul__, Mat.inverse
+        monkeypatch.setattr(Mat, "__matmul__", lambda A, B: products.append(B) or matmul(A, B))
+        rep = Rep(bent, form)
+        assert products == [K] * 3
+        monkeypatch.setattr(Mat, "inverse", lambda A: inverted.append(A) or inverse(A))
+        for sym, h in bent.items():
+            assert form._adjoint(h) is None
+            got = rep._power(sym, -1)
+            assert got == inverse(K) @ h.star_transpose() @ K
+            assert (got @ h).is_identity()
+        assert inverted == list(bent.values())
 
     def test_a_product_of_the_wrong_size_is_refused(self):
         with pytest.raises(ValueError, match="incompatible"):
             form_preserved(Mat.identity(3), siegel_form(4))
+        with pytest.raises(ValueError, match="incompatible"):
+            form_preserved(Mat.identity(3), HermForm(Mat.diagonal([2, 1, 1, 1])))
 
 
 class TestSharedSiegelForms:
@@ -429,18 +470,23 @@ class TestSharedSiegelForms:
             siegel_form(size)
         assert exact._siegel_form.cache_info().currsize == bound
 
-    def test_kept_lifts_and_adjoints_are_bounded(self):
-        # a shared form meets every tag of the process: it keeps the lift
-        # and the adjoint of the most recent ones
+    def test_reports_at_many_d_leave_the_shared_form_as_it_was(self):
+        # a shared form meets every d of the process, and keeps nothing
+        # of any: its slots hold what they held after its first report
+        from cuspdeform.cli import main
         form = siegel_form(4)
-        tags = [d for d in range(2, 400) if _squarefree(d)[0] == 1][:exact._KEPT_TAGS + 5]
+        assert not hasattr(form, "__dict__")
+        tags = [d for d in range(2, 200) if _squarefree(d)[0] == 1 and d != 3][:70]
+        before = None
         for d in tags:
-            g = Mat.identity(4, "ext", d)
-            assert form._exact_in(g) == Mat.ext(form.mat.rows, d)
-            assert form._adjoint(g) == g
-        assert len(form._lifts) == len(form._adjoints) == exact._KEPT_TAGS
-        assert list(form._lifts) == tags[5:]
-        assert list(form._adjoints) == [("ext", d) for d in tags[5:]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["verify", "bianchi", "--d", str(d), "--target", "su31",
+                             "--u-exact"]) in (0, 1)
+            after = {slot: getattr(form, slot) for slot in type(form).__slots__}
+            assert after == (before or after)
+            before = after
+        assert len(tags) == 70 and type(form).__slots__ == ("mat", "convention", "_array",
+                                                            "_ones")
 
 
 class TestFaddeevLeVerrierInverse:
