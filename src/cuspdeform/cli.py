@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .exact import (CONJ_TRANSPOSE, GeometryError, HermForm, IndeterminateError,
-                    siegel_form)
+                    _new_siegel_form)
 from .figure8 import figure8_columns, figure8_report
 from .scalars import Angle
 from .tolerances import DECISION_TOL
@@ -341,7 +341,7 @@ def cmd_classify(args) -> int:
         J, form_doc = _load_matrix(args.form)
         form = HermForm(J, form_doc.get("convention", CONJ_TRANSPOSE))
     else:
-        form = siegel_form(A.shape[0], CONJ_TRANSPOSE)
+        form = _new_siegel_form(A.shape[0], CONJ_TRANSPOSE)
     try:
         cls = classify(A, form, tol=args.tol)
         _emit(_json_text({"class": str(cls), "error": None}), args.output)

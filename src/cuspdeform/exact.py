@@ -159,11 +159,10 @@ class Mat:
             raise ValueError("incompatible matrices")
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The product, each entry one ``_dot`` of the ring over the pairs
-        of nonzero factors: their products add nothing, and a sum started
-        at its first nonzero term is the same exact value."""
+        """The product, each entry one ``_dot`` over the pairs of nonzero
+        factors: their products add nothing, and a sum started at its
+        first nonzero term is the same exact value."""
         self._compat(other)
-        dot = _DOT[self.ring]
         cols = [{k: b for k, b in enumerate(c) if not b.is_zero}
                 for c in zip(*other.rows)]
         zero = self._zero()
@@ -173,7 +172,7 @@ class Mat:
             row = []
             for col in cols:
                 pairs = [(a, col[k]) for k, a in terms if k in col]
-                row.append(dot(pairs) if pairs else zero)
+                row.append(_dot(pairs) if pairs else zero)
             out.append(row)
         return self._like(out)
 
@@ -211,34 +210,10 @@ class Mat:
         return s
 
     def det(self):
-        """Exact determinant by cofactor expansion with column-subset
-        memoization (fine for the n <= 6 sizes this package meets)."""
-        n = self.n
-        rows = self.rows
-        memo: dict[int, object] = {}
-
-        def minor(mask: int):
-            # determinant of rows r.. using the columns present in mask,
-            # where r = n - popcount(mask)
-            if mask in memo:
-                return memo[mask]
-            cols = [j for j in range(n) if mask & (1 << j)]
-            r = n - len(cols)
-            if not cols:
-                return self._one()
-            acc = self._zero()
-            sign = 1
-            for idx, j in enumerate(cols):
-                e = rows[r][j]
-                if not e.is_zero:
-                    sub = minor(mask & ~(1 << j))
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[mask] = acc
-            return acc
-
-        return minor((1 << n) - 1)
+        """Exact determinant, (-1)^n c_0 of the characteristic polynomial
+        (``_charpoly_adjugate``)."""
+        c0 = self._charpoly_adjugate()[0][0]
+        return c0 if self.n % 2 == 0 else -c0
 
     def inverse(self) -> "Mat":
         """Exact inverse, adj(A) / det(A); det must be a ring unit."""
@@ -253,9 +228,8 @@ class Mat:
 
             M_k = A M_(k-1) + c_(n-k+1) I,   c_(n-k) = -tr(A M_k) / k,
 
-        with adj(A) = (-1)^(n-1) M_n.  A M_1 is A itself and only the
-        trace of A M_n is needed, so this takes n - 2 matrix products and
-        one trace-only product, and divides only by the integers 2..n."""
+        with adj(A) = (-1)^(n-1) M_n.  A M_1 is A itself, so this takes
+        n - 1 matrix products, and divides only by the integers 2..n."""
         n = self.n
         coeffs = [None] * (n + 1)
         coeffs[n] = self._one()
@@ -264,11 +238,8 @@ class Mat:
         AM = self
         for k in range(2, n + 1):
             M = AM._plus_scalar(coeffs[n - k + 1])
-            if k < n:
-                AM = self @ M
-                coeffs[n - k] = AM.trace() / -k
-            else:
-                coeffs[0] = _trace_of_product(self, M) / -n
+            AM = self @ M
+            coeffs[n - k] = AM.trace() / -k
         return coeffs, (M if n % 2 else -M)
 
     def _plus_scalar(self, s) -> "Mat":
@@ -372,20 +343,13 @@ class Mat:
         return f"Mat({self.ring}, n={self.n})[\n {body}\n]"
 
 
-# the sum of products of each ring, which every exact product runs on
-_DOT = {"laurent": LaurentPoly._dot, "ext": ExtScalar._dot}
-
-
-def _trace_of_product(A: Mat, B: Mat):
-    """``(A @ B).trace()``, value and term order alike, from the n
-    diagonal entries of the product only.  A zero entry adds nothing to
-    the trace's running sum, so it is skipped."""
-    dot = _DOT[A.ring]
-    acc = A._zero()
-    for r, col in zip(A.rows, zip(*B.rows)):
-        pairs = [(a, b) for a, b in zip(r, col) if not (a.is_zero or b.is_zero)]
-        if pairs:
-            acc = acc + dot(pairs)
+def _dot(pairs):
+    """The sum of a * b over a nonempty sequence of pairs of one ring,
+    left to right: the sum of products that every exact product runs on."""
+    acc = None
+    for a, b in pairs:
+        t = a * b
+        acc = t if acc is None else acc + t
     return acc
 
 
@@ -493,14 +457,20 @@ def siegel_form(size: int, convention: str = CONJ_TRANSPOSE) -> HermForm:
     return _siegel_form(size, convention)
 
 
-@functools.lru_cache(maxsize=8)  # both conventions of the sizes in use
-def _siegel_form(size: int, convention: str) -> HermForm:
+def _new_siegel_form(size: int, convention: str) -> HermForm:
+    """A Siegel form built anew, outside the shared ones: ``classify
+    --matrix`` takes one of its input's size, which would otherwise push
+    the families' forms out of the shared cache."""
     rows = [[0] * size for _ in range(size)]
     rows[0][size - 1] = 1
     rows[size - 1][0] = 1
     for i in range(1, size - 1):
         rows[i][i] = 1
     return HermForm(Mat.laurent(rows), convention)
+
+
+# both conventions of the sizes in use
+_siegel_form = functools.lru_cache(maxsize=8)(_new_siegel_form)
 
 
 def form_preserved(g: Mat, form: HermForm) -> bool:
@@ -532,13 +502,12 @@ def form_preserved(g: Mat, form: HermForm) -> bool:
         if g.ring == "ext" and J.ring == "laurent":
             J = Mat.ext(J.rows, g.d)
         left, targets = left @ J, J.rows
-    dot = _DOT[g.ring]
     cols = [{k: b for k, b in enumerate(c) if not b.is_zero} for c in zip(*rows)]
     for i, (r, target) in enumerate(zip(left.rows, targets)):
         terms = [(k, a) for k, a in enumerate(r) if not a.is_zero]
         for j in range(i, g.n):
             col = cols[j]
             pairs = [(a, col[k]) for k, a in terms if k in col]
-            if (dot(pairs) if pairs else zero) != target[j]:
+            if (_dot(pairs) if pairs else zero) != target[j]:
                 return False
     return True

@@ -160,7 +160,7 @@ class Fig8Family:
 
     @functools.cached_property
     def witness_traces(self) -> tuple[LaurentPoly, ...]:
-        return tuple(self.rep._traces(TRACE_WITNESS_WORDS))
+        return tuple(map(self.rep.trace, TRACE_WITNESS_WORDS))
 
     @functools.cached_property
     def witness_texts(self) -> tuple[tuple[str, str, bool], ...]:
@@ -413,7 +413,7 @@ def trace_integrality_check(extra_words: Sequence[Word] = ()) -> list[dict]:
 
 
 def _trace_rows(sym: Fig8Family, extra_words: Sequence[Word]) -> list[dict]:
-    traces = sym.witness_traces + tuple(sym.rep._traces(extra_words))
+    traces = sym.witness_traces + tuple(map(sym.rep.trace, extra_words))
     return [{"word": str(w), "trace": tr, "integral": tr.is_integral()}
             for w, tr in zip((*TRACE_WITNESS_WORDS, *extra_words), traces)]
 
@@ -445,7 +445,7 @@ def figure8_report(alpha: Angle | None = None,
     record_check(checks, "separatingTrace",
                  sym.witness_traces[TRACE_WITNESS_WORDS.index(Word.parse("m.n"))] == _u() + 6,
                  "trace of the m*n image is 6+u, injective on the circle")
-    rows = sym.witness_texts + _trace_texts(extra_words, sym.rep._traces(extra_words))
+    rows = sym.witness_texts + _trace_texts(extra_words, list(map(sym.rep.trace, extra_words)))
     traces = {word: trace for word, trace, _ in rows}
     all_integral = all(integral for _, _, integral in rows)
     record_check(checks, "traceIntegrality", all_integral)

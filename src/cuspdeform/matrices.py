@@ -20,9 +20,8 @@ import numpy as np
 
 # the exact layer, bound here too, so that every name this module defined
 # before the split resolves to the same object
-from .exact import (_CONVENTIONS, _DOT, CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
-                    HermForm, IndeterminateError, Mat, _promote, _trace_of_product,
-                    form_preserved, siegel_form)
+from .exact import (_CONVENTIONS, CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError, HermForm,
+                    IndeterminateError, Mat, _promote, form_preserved, siegel_form)
 from .scalars import Angle, AngleColumn
 from .tolerances import (CLUSTER_RTOL, CLUSTER_RTOL_CEILING, DECISION_TOL, NORM_FLOOR,
                          STRUCTURE_TOL)

@@ -341,45 +341,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _dot(pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
-        """The sum of a * b over the pairs: the left-to-right
-        ``acc = acc + a * b``, with its value, its denominator and the
-        term order of its numerators, in one dict of int numerators over
-        one running denominator (the lcm of the products'), canonicalised
-        once.  As in that sum, each product adds its terms in the order
-        of its own loop, and a term that a partial sum cancels leaves the
-        order, to re-enter at the end if a later product brings it back."""
-        acc: dict[int, int] = {}
-        den = 1
-        for a, b in pairs:
-            pd = a._d * b._d
-            scale = 1
-            if pd != den:
-                g = math.gcd(den, pd)
-                up, scale = pd // g, den // g
-                if up != 1:
-                    for k in acc:
-                        acc[k] *= up
-                    den *= up
-            bn = b._n
-            if len(bn) == 1:
-                ((k2, v2),) = bn.items()
-                v2 *= scale
-                for k1, v1 in a._n.items():
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + v1 * v2
-            else:
-                terms = bn.items() if scale == 1 else [(k2, v2 * scale)
-                                                       for k2, v2 in bn.items()]
-                for k1, v1 in a._n.items():
-                    for k2, v2 in terms:
-                        k = k1 + k2
-                        acc[k] = acc.get(k, 0) + v1 * v2
-            if 0 in acc.values():
-                acc = {k: v for k, v in acc.items() if v}
-        return _canonical(acc, den)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
@@ -756,18 +717,6 @@ class ExtScalar:
         return _ext(d, tuple(out))
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _dot(pairs: Iterable[tuple["ExtScalar", "ExtScalar"]]) -> "ExtScalar":
-        """The sum of a * b over a nonempty sequence of pairs, left to
-        right, each product the sparse one of ``__mul__``.  Fusing the
-        component sums across the products made the Bianchi reports
-        slower, so each product is formed whole."""
-        acc = None
-        for a, b in pairs:
-            t = a * b
-            acc = t if acc is None else acc + t
-        return acc
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -199,15 +199,6 @@ def load_word_list(lines: Iterable[str]) -> list[Word]:
 MatLike = Union[Mat, "np.ndarray"]
 
 
-def _period(factors: tuple) -> tuple:
-    """The shortest prefix of the factors of which they are whole copies."""
-    n = len(factors)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and factors == factors[:p] * (n // p):
-            return factors[:p]
-    return factors
-
-
 def _quantized(width: int) -> int:
     """A packing width rounded up to a multiple of 32 bits, or of an
     eighth of the power of two above it if that is more: up to 256 bits
@@ -257,16 +248,14 @@ class Rep:
     Numeric images may also be stacks (K, n, n), one matrix per point of
     a block, without a form: a word's image is then the stack of its
     images at each point, bit for bit, since the inverse, the power and
-    the product broadcast over the stack.
+    the product broadcast over the stack, and its trace the traces at
+    each point.
 
-    Exact generator inverses and powers are formed once per ``Rep``.
-    Where the form J is a permutation matrix of ones, as the Siegel forms
-    of the Bianchi families are, an exact generator's inverse is its form
-    adjoint J g* J, which reindexes g* (``HermForm._adjoint``); nothing
-    is kept per form or ring.  It is ``Mat.inverse`` without a form and
-    for any other form, such as the dense figure-eight form.
-    Only numeric images import numpy, when they are used: the caller
-    holds arrays already.
+    Exact generator inverses and powers are formed once per ``Rep``.  An
+    exact generator's inverse is its form adjoint J g* J, a reindexing
+    (``HermForm._adjoint``), where the form J is a permutation matrix of
+    ones, as the Siegel forms are, and ``Mat.inverse`` otherwise.  Only
+    numeric images import numpy, when they are used.
 
     Exact laurent-ring word images are products of n x n matrices of
     Python ints (Kronecker substitution).  Each generator power is
@@ -290,15 +279,7 @@ class Rep:
     digits, so B is rounded up to a few steps (``_quantized``) and each
     power is packed at a few widths.
 
-    The ext ring's images multiply with ``Mat @``.  ``Mat @`` itself keeps
-    the term order of ``LaurentPoly._dot``, because the matrices it forms
-    (a bent letter, say) are evaluated at angles term by term, bit for
-    bit; a word image here is only compared, reduced or printed, and
-    ``LaurentPoly.__str__`` sorts its terms.  So a word whose factors
-    are k >= 2 copies of a shortest period w, as the Bianchi torsion
-    relators are, is the image of w raised to the k-th power by
-    ``Mat.__pow__``: the same exact value in fewer products, (a t u^-1 a
-    u)^3 in 6 instead of 14.
+    The ext ring's images multiply with ``Mat @``, left to right.
     """
 
     images: Mapping[str, MatLike]
@@ -381,12 +362,17 @@ class Rep:
             self._packed_cache[key] = _Packed(self._power(sym, exp))
         return self._packed_cache[key]
 
-    def _width(self, words: Iterable[Word]) -> int:
+    def _width(self, w: Word) -> int:
         """The width B = bitlen(prod ||Q_i||) + 1 that decodes every entry
-        of each word's image (see the class)."""
-        top = max((math.prod(self._packed(*f).norm for f in w.factors) for w in words),
-                  default=1)
-        return top.bit_length() + 1
+        of the word's image (see the class)."""
+        return math.prod(self._packed(*f).norm for f in w.factors).bit_length() + 1
+
+    def _packed_product(self, factors: tuple, width: int) -> list[list[int]]:
+        """The product of these (one or more) factors' packed powers."""
+        g = self._packed(*factors[0]).at(width)
+        for f in factors[1:]:
+            g = _matmul(g, self._packed(*f).at(width))
+        return g
 
     def _unpacked(self, values: Iterable[int], factors: tuple, width: int) -> list[LaurentPoly]:
         """The entries of the image of a word with these factors whose
@@ -417,25 +403,21 @@ class Rep:
 
     def evaluate(self, w: Word):
         """Image of a word: the ordered product of generator powers
-        (exact laurent-ring images: packed, and an exact ext-ring word
-        w^k: the image of its period w, raised; see the class)."""
+        (exact laurent-ring images: packed, see the class)."""
         self._check_symbols(w)
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
             if not w.factors:
                 return Mat.identity(first.n, first.ring, first.d)
             if self._packs:
-                width = _quantized(self._width([w]))
-                g = self._packed(*w.factors[0]).at(width)
-                for f in w.factors[1:]:
-                    g = _matmul(g, self._packed(*f).at(width))
+                width = _quantized(self._width(w))
+                g = self._packed_product(w.factors, width)
                 entries = iter(self._unpacked([v for r in g for v in r], w.factors, width))
                 return first._like([[next(entries) for _ in r] for r in g])
-            period = _period(w.factors)
-            out = self._power(*period[0])
-            for sym, exp in period[1:]:
+            out = self._power(*w.factors[0])
+            for sym, exp in w.factors[1:]:
                 out = out @ self._power(sym, exp)
-            return out ** (len(w.factors) // len(period))
+            return out
         import numpy as np
         out = np.eye(np.shape(first)[-1], dtype=complex)
         for sym, exp in w.factors:
@@ -443,47 +425,23 @@ class Rep:
         return out
 
     def trace(self, w: Word):
-        """Trace of a word's image; exactly ``evaluate(w).trace()``."""
-        if self._packs:
-            return self._traces([w])[0]
+        """Trace of a word's image: exactly ``evaluate(w).trace()``, value
+        and term order alike, for an exact one; a complex for a numeric
+        one, and the array of the traces at each point for a stack.  A
+        packed word of two or more factors multiplies out all but its
+        last, at its own width, and decodes only the diagonal of the
+        product with the last."""
+        if self._packs and len(w.factors) > 1:
+            self._check_symbols(w)
+            width = _quantized(self._width(w))
+            return self._packed_trace(self._packed_product(w.factors[:-1], width),
+                                      w.factors, width)
         g = self.evaluate(w)
         if isinstance(g, Mat):
             return g.trace()
         import numpy as np
-        return complex(np.trace(g))
-
-    def _traces(self, words: Iterable[Word]) -> list:
-        """``evaluate(w).trace()`` for each word of an exact laurent-ring
-        (packed) representation, value and term order alike.  The packed
-        images of the words' proper prefixes are kept for the length of
-        the call, at one width for the whole batch, so a prefix the words
-        share is multiplied out once.  Each trace decodes the n diagonal
-        entries of the product of the word's longest proper prefix and
-        its last factor, and sums them as ``Mat.trace`` does, so its terms
-        come in the order of ``evaluate(w).trace()``."""
-        words = list(words)
-        for w in words:
-            self._check_symbols(w)
-        width = _quantized(self._width([w for w in words if len(w.factors) > 1]))
-
-        def factor(f):
-            return self._packed(*f).at(width)
-        prefixes = {}
-        out = []
-        for w in words:
-            f = w.factors
-            if len(f) < 2:
-                out.append(self.evaluate(w).trace())
-                continue
-            j = len(f) - 1  # the longest kept prefix f[:j], or the first factor
-            while j > 1 and f[:j] not in prefixes:
-                j -= 1
-            g = prefixes[f[:j]] if j > 1 else factor(f[0])
-            for i in range(j, len(f) - 1):
-                g = _matmul(g, factor(f[i]))
-                prefixes[f[:i + 1]] = g
-            out.append(self._packed_trace(g, f, width))
-        return out
+        t = np.trace(g, axis1=-2, axis2=-1)
+        return complex(t) if t.ndim == 0 else t
 
     def _packed_trace(self, g: list[list[int]], factors: tuple, width: int) -> LaurentPoly:
         """The trace of the image of a word with these factors, from the

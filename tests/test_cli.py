@@ -566,6 +566,10 @@ class TestOrbitCommand:
         # seeded words of length 48, 96 and 120, and the relator
         ("verify_figure8_u-exact_words_long.json",
          ["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words_long.txt")]),
+        # Generated while ext-ring word images still raised a word's period:
+        # the torsion relator (a t u^-1 a u)^3 of d = 11, a cube of its period
+        ("verify_bianchi_d11_su31_u-exact.json",
+         ["verify", "bianchi", "--d", "11", "--target", "su31", "--u-exact"]),
     ])
     def test_golden_output(self, name, argv):
         code, out, _ = run(argv)
@@ -680,8 +684,9 @@ class TestSharedObjects:
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
     def test_both_targets_of_one_d_in_either_order(self, tmp_path, order):
         # both targets of d = 7 and of d = 2, each order, with a classify
-        # of a 4 x 4 and a 5 x 5 matrix (whose default forms the families
-        # share) before the first report and after each one
+        # of a 4 x 4 and a 5 x 5 matrix (whose default forms are the
+        # families' Siegel forms, built anew) before the first report and
+        # after each one
         from cuspdeform.heisenberg import HeisPoint, translation_matrix
         classify = []
         for k, g in enumerate((translation_matrix(HeisPoint((0.5, 0.1), 0.7)),

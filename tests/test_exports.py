@@ -44,8 +44,8 @@ TOP_LEVEL = {
 # every name defined in matrices before the split; the first row moved to exact
 MATRICES = {
     "exact": ["CONJ_TRANSPOSE", "TRANSPOSE_CONJ", "GeometryError", "HermForm",
-              "IndeterminateError", "Mat", "_CONVENTIONS", "_DOT", "_promote",
-              "_trace_of_product", "form_preserved", "siegel_form"],
+              "IndeterminateError", "Mat", "_CONVENTIONS", "_promote", "form_preserved",
+              "siegel_form"],
     "matrices": ["CLUSTERING_FAILED", "EigenCluster", "EigenColumns", "EigenData",
                  "NON_FINITE", "NON_FINITE_FORM", "NOT_HERMITIAN", "Signature",
                  "UnitPowers", "chain_groups", "eigen", "eigen_columns", "eigen_stack",

@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import io
+import itertools
+import json
 import warnings
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
                                 generator_n, longitude_matrix)
 from cuspdeform import exact
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
-                                 TRANSPOSE_CONJ, UnitPowers, _trace_of_product,
+                                 TRANSPOSE_CONJ, UnitPowers,
                                  eigen, form_defect,
                                  form_preserved, herm_signature, hermitian_failures,
                                  siegel_form)
@@ -267,18 +269,34 @@ def random_unit_mat(rng, n, d=None):
     return lower @ diag @ upper
 
 
+def leibniz_det(A: Mat):
+    """The reference determinant: the sum over all permutations p of
+    sign(p) times the product of the entries (i, p(i)), which shares no
+    step with ``Mat.det``."""
+    n = A.n
+    acc = A._zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = A._one()
+        for i, j in enumerate(perm):
+            term = term * A.rows[i][j]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
 def cofactor_inverse(A: Mat) -> Mat:
     """The reference inverse: the adjugate of n^2 cofactor determinants,
-    divided by the determinant (which must be a ring unit)."""
+    divided by the determinant (which must be a ring unit), all of them
+    Leibniz determinants."""
     n = A.n
-    det_inv = A.det().inverse()
+    det_inv = leibniz_det(A).inverse()
     if n == 1:
         return Mat([[det_inv]], A.ring, A.d)
     cof = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             sub = [[A.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            m = Mat(sub, A.ring, A.d).det()
+            m = leibniz_det(Mat(sub, A.ring, A.d))
             cof[i][j] = m if (i + j) % 2 == 0 else -m
     return Mat([[cof[j][i] * det_inv for j in range(n)] for i in range(n)], A.ring, A.d)
 
@@ -345,12 +363,31 @@ class TestExactProduct:
         got, want = A @ B, reference_matmul(A, B)
         assert got == want and terms_of(got) == terms_of(want)
 
-    @given(cancelling_mat_pairs())
-    @settings(max_examples=150, deadline=None)
-    def test_trace_only_product_is_the_trace(self, AB):
-        A, B = AB
-        got, want = _trace_of_product(A, B), (A @ B).trace()
-        assert got == want and term_order(got) == term_order(want)
+
+@st.composite
+def det_mats(draw):
+    """A 1x1 to 5x5 matrix over Q[u,u^-1] or, for d in {2, 6, 7}, over
+    Q(sqrt2, sqrt d) tensor Q[u,u^-1], with entries of up to two terms
+    (some zero, some of mixed denominators)."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.sampled_from([None, 2, 6, 7]))
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def poly():
+        return random_laurent(r, int(r.integers(0, 3)))
+
+    def entry():
+        return poly() if d is None else ExtScalar(d, *(poly() for _ in range(4)))
+
+    return Mat([[entry() for _ in range(n)] for _ in range(n)],
+               "laurent" if d is None else "ext", d)
+
+
+class TestDeterminantAgainstLeibniz:
+    @given(det_mats())
+    @settings(max_examples=60, deadline=None)
+    def test_det_is_the_permutation_sum(self, A):
+        assert A.det() == leibniz_det(A)
 
 
 FORM_OF_ONES_DS = (2, 5, 7, 11, 15, 43)
@@ -470,6 +507,22 @@ class TestSharedSiegelForms:
             siegel_form(size)
         assert exact._siegel_form.cache_info().currsize == bound
 
+    def test_classify_of_any_size_keeps_the_shared_forms(self, tmp_path):
+        # classify --matrix builds the form of its input's size outside the
+        # shared cache, so ten sizes push out neither the su31 nor the so41
+        # families' form, and the next family gets the same one
+        from cuspdeform.cli import main
+        forms = {target: bianchi_family(7, target).form for target in ("su31", "so41")}
+        for n in range(6, 16):
+            f = tmp_path / f"eye{n}.json"
+            f.write_text(json.dumps({"entries": np.eye(n).tolist()}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["classify", "--matrix", str(f)]) == 0
+        assert bianchi_family(7, "su31").form is siegel_form(4) is forms["su31"]
+        assert bianchi_family(7, "so41").form is siegel_form(5) is forms["so41"]
+        assert bianchi_family(11, "su31").form is forms["su31"]
+        assert bianchi_family(11, "so41").form is forms["so41"]
+
     def test_reports_at_many_d_leave_the_shared_form_as_it_was(self):
         # a shared form meets every d of the process, and keeps nothing
         # of any: its slots hold what they held after its first report
@@ -499,7 +552,7 @@ class TestFaddeevLeVerrierInverse:
         assert inv == cofactor_inverse(A)
         assert (A @ inv).is_identity()
         coeffs, _ = A._charpoly_adjugate()
-        assert coeffs[n] == A._one() and coeffs[0] * (-1) ** n == A.det()
+        assert coeffs[n] == A._one() and coeffs[0] * (-1) ** n == leibniz_det(A)
 
     @pytest.mark.parametrize("rows, ring, d, message", [
         ([[1 + LaurentPoly.u()]], "laurent", None, "1 + u"),

@@ -349,51 +349,6 @@ class TestLaurentKernel:
             LaurentPoly.const(0.5)
 
 
-def _sequential_dot(pairs):
-    """The reference sum of products: ``acc = acc + a * b``, left to right."""
-    acc = None
-    for a, b in pairs:
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
-@st.composite
-def cancelling_pairs(draw):
-    """Pairs whose products often cancel: factors from a small pool of
-    polynomials with mixed denominators, exponents in [-2, 2], and their
-    negatives."""
-    pool = draw(st.lists(st.dictionaries(st.integers(-2, 2), fractions, min_size=1,
-                                         max_size=3).map(LaurentPoly).filter(bool),
-                         min_size=1, max_size=3))
-    factor = st.sampled_from(pool + [-p for p in pool])
-    return draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=8))
-
-
-class TestLaurentDot:
-    @given(cancelling_pairs())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_sequential_sum_term_for_term(self, pairs):
-        got, want = LaurentPoly._dot(pairs), _sequential_dot(pairs)
-        assert got == want and got._d == want._d
-        assert list(got._n.items()) == list(want._n.items())
-        _as_ref(got)
-
-    def test_cancelled_term_reenters_at_the_end(self):
-        u = LaurentPoly.u()
-        half = Fraction(1, 2)
-        pairs = [(1 + u, LaurentPoly.one()), (-u, LaurentPoly.one()),
-                 (LaurentPoly({2: half, 1: half}), LaurentPoly.const(2))]
-        got = LaurentPoly._dot(pairs)
-        assert list(got._n.items()) == [(0, 1), (2, 1), (1, 1)]
-        assert list(got._n.items()) == list(_sequential_dot(pairs)._n.items())
-
-    def test_full_cancellation_is_canonical_zero(self):
-        p = LaurentPoly({0: Fraction(1, 3), 1: 2})
-        got = LaurentPoly._dot([(p, p), (-p, p)])
-        assert got.is_zero and got._d == 1
-
-
 # ---------------------------------------------------------------------------
 # The sparse ExtScalar product against the dense multiplication table
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdeform.bending import bianchi_family
 from cuspdeform.figure8 import (L_WORD, RELATOR, build_family, generator_m, generator_n,
                                 longitude_matrix)
-from cuspdeform.matrices import TRANSPOSE_CONJ, GeometryError, HermForm, Mat, siegel_form
+from cuspdeform.matrices import (TRANSPOSE_CONJ, GeometryError, HermForm, Mat, UnitPowers,
+                                 siegel_form)
 from cuspdeform.scalars import Angle, LaurentPoly
-from cuspdeform.words import (Presentation, Rep, Word, _period, builtin_presentation,
-                              check_relations, commutator, load_word_list)
+from cuspdeform.words import (Presentation, Rep, Word, builtin_presentation, check_relations,
+                              commutator, load_word_list)
 
 
 @st.composite
@@ -111,28 +113,46 @@ class TestRep:
     @given(word_batches())
     @settings(max_examples=40, deadline=None)
     def test_traces_match_evaluated_traces(self, batch):
-        # value and term order, from a new Rep whose powers and prefixes
-        # are all formed inside the call
+        # value and term order, from a new Rep whose powers are all formed
+        # inside the calls
         want = [self.rep.evaluate(w).trace() for w in batch]
-        got = Rep({"m": generator_m(), "n": generator_n()})._traces(batch)
+        rep = Rep({"m": generator_m(), "n": generator_n()})
+        got = [rep.trace(w) for w in batch]
         assert got == want and list(map(terms, got)) == list(map(terms, want))
         for w, tr in zip(batch, want):
             assert terms(self.rep.trace(w)) == terms(tr)
 
     def test_ext_traces_match_evaluated_traces(self, monkeypatch):
         # the ext ring's images are not packed: a trace is the trace of
-        # the evaluated image, which shares no prefixes
+        # the evaluated image, and never reads a packed power
         rep = bianchi_family(7, "su31").rep()
-        monkeypatch.setattr(Rep, "_traces", None)
+        monkeypatch.setattr(Rep, "_packed", None)
         for text in ("a.t", "a.t.u^-1", "a.t.u^-1.a.u", "a.t^-2.u", "u^3.a", "t^-1", "e"):
             w = Word.parse(text)
             got, want = rep.trace(w), rep.evaluate(w).trace()
             assert got == want
             assert [terms(p) for p in got.c] == [terms(p) for p in want.c]
 
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_stacked_numeric_traces(self, K):
+        # a Rep of stacks (K, n, n) traces each point's image
+        powers = UnitPowers([Angle.radians(0.4 * k - 0.5) for k in range(K)])
+        rep = Rep({"m": generator_m().evaluate_stack(powers),
+                   "n": generator_n().evaluate_stack(powers)})
+        for text in ("m.n", "m^-2.n.m", "n^3"):
+            w = Word.parse(text)
+            got = rep.trace(w)
+            assert got.shape == (K,)
+            assert got.tolist() == [complex(np.trace(x)) for x in rep.evaluate(w)]
+        single = Rep({"m": generator_m().evaluate(Angle.radians(0.3)),
+                      "n": generator_n().evaluate(Angle.radians(0.3))})
+        w = Word.parse("m.n")
+        assert type(single.trace(w)) is complex
+        assert single.trace(w) == complex(np.trace(single.evaluate(w)))
+
     def test_missing_symbol_in_a_trace(self):
         with pytest.raises(KeyError):
-            self.rep._traces([Word.parse("m.n"), Word.parse("m.q")])
+            self.rep.trace(Word.parse("m.q"))
 
     def test_missing_symbol(self):
         with pytest.raises(KeyError):
@@ -260,58 +280,65 @@ def packed_coefficients(rep, w, image):
 
 def assert_within_width(rep, w, image):
     top = max(map(abs, packed_coefficients(rep, w, image)), default=0)
-    assert top < 2 ** (rep._width([w]) - 1)
+    assert top < 2 ** (rep._width(w) - 1)
 
 
 class TestPeriodicExtWords:
-    """An exact ext-ring word w^k is the image of its period w raised by
-    ``Mat.__pow__``: the same value as the left-to-right product."""
+    """An exact ext-ring word w^k, such as a Bianchi torsion relator, has
+    the left-to-right product's image, which is the k-th power of w's."""
 
     @pytest.mark.parametrize("target", ["su31", "so41"])
     @pytest.mark.parametrize("d, products", [(2, 4), (7, 5), (11, 6)])
     def test_relators(self, monkeypatch, mat_chain, d, target, products):
-        # the torsion relator (a u^-1 a u)^2, (a t u^-1 a u)^2 or ^3 takes
-        # 3 + 1, 4 + 1 or 4 + 2 products once its generator powers are
-        # formed, where the left-to-right product takes 7, 9 or 14
+        # the torsion relator (a u^-1 a u)^2, (a t u^-1 a u)^2 or ^3 is the
+        # square or cube of its period's image, which ``Mat.__pow__`` forms
+        # by squaring: 3 + 1, 4 + 1 or 4 + 2 products once the generator
+        # powers are formed
         fam = bianchi_family(d, target)
         rep = Rep(fam.images, fam.form)
         relators = fam.presentation.relators
-        assert [len(_period(r.factors)) for r in relators] == [4, 1, 2, len(relators[3].factors)
-                                                               // (2 if d < 11 else 3)]
         for r in relators:
             assert rep.evaluate(r) == mat_chain(fam.images, r)
+        torsion, k = relators[3], 2 if d < 11 else 3
+        period = Word(torsion.factors[:len(torsion.factors) // k])
+        assert period ** k == torsion
+        want = rep.evaluate(torsion)
+        assert want.is_scalar() is not None
         counted = []
         matmul = Mat.__matmul__
         monkeypatch.setattr(Mat, "__matmul__", lambda A, B: counted.append(A) or matmul(A, B))
-        assert rep.evaluate(relators[3]).is_scalar() is not None
+        assert rep.evaluate(period) ** k == want
         assert len(counted) == products
 
     @pytest.mark.parametrize("text, period", [
         ("a^2", 1), ("a.t.a.t.a.t", 2), ("a.t.u^-1.a.u.a.t.u^-1.a.u", 5),
         ("a.t.a.t.u.t", 6), ("a.t.a.t.u.t.a.t.a.t.u.t", 6), ("a.t.u.a.t.u^2", 6)])
     def test_period(self, mat_chain, text, period):
-        # whole copies only: a.t.a.t.u.t starts with two copies of a.t
+        # w is whole copies of its first `period` factors: a.t.a.t.u.t
+        # starts with two copies of a.t, but is not three
         w = Word.parse(text)
-        assert len(_period(w.factors)) == period
+        k, rest = divmod(len(w.factors), period)
+        assert rest == 0 and Word(w.factors[:period]) ** k == w
         fam = bianchi_family(7, "su31")
-        assert fam.rep().evaluate(w) == mat_chain(fam.images, w)
+        want = mat_chain(fam.images, w)
+        assert fam.rep().evaluate(w) == want
+        assert fam.rep().evaluate(Word(w.factors[:period])) ** k == want
 
     @given(st.sampled_from([(2, "su31"), (7, "so41"), (15, "su31")]), bianchi_words(),
            st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
     def test_powers_of_random_words(self, mat_chain, case, w, k):
         fam = bianchi_family(*case)
-        words_ = [w ** k, (w * Word.gen("a") * w.inverse()) ** k, w]
-        for word in words_:
-            period = _period(word.factors)
-            assert period * (len(word.factors) // max(len(period), 1)) == word.factors
-            assert fam.rep().evaluate(word) == mat_chain(fam.images, word)
+        for base in (w, w * Word.gen("a") * w.inverse()):
+            want = mat_chain(fam.images, base ** k)
+            assert fam.rep().evaluate(base ** k) == want
+            assert fam.rep().evaluate(base) ** k == want
 
 
 class TestPackedImages:
-    """Exact word images, traces and batches of traces against the
-    left-to-right ``Mat @`` product, by value, and the packing width
-    against the coefficients it must hold."""
+    """Exact word images and traces against the left-to-right ``Mat @``
+    product, by value, and the packing width against the coefficients it
+    must hold."""
 
     def setup_method(self):
         self.images = {"m": generator_m(), "n": generator_n()}
@@ -323,7 +350,8 @@ class TestPackedImages:
         want = [mat_chain(self.images, w) for w in batch]
         assert [self.rep.evaluate(w) for w in batch] == want
         assert [self.rep.trace(w) for w in batch] == [g.trace() for g in want]
-        assert Rep(self.images)._traces(batch) == [g.trace() for g in want]
+        fresh = Rep(self.images)
+        assert [fresh.trace(w) for w in batch] == [g.trace() for g in want]
         for w, g in zip(batch, want):
             assert_within_width(self.rep, w, g)
 
@@ -334,7 +362,7 @@ class TestPackedImages:
         for w in shifts:
             assert self.rep.evaluate(w).is_identity()
             assert_within_width(self.rep, w, mat_chain(self.images, w))
-        assert self.rep._traces(shifts) == [LaurentPoly.const(4)] * len(shifts)
+        assert [self.rep.trace(w) for w in shifts] == [LaurentPoly.const(4)] * len(shifts)
 
     def test_longitude(self, mat_chain):
         L = self.rep.evaluate(L_WORD)
@@ -379,7 +407,7 @@ class TestPackedImages:
         rep, w = Rep(images), Word.parse(text)
         g = mat_chain(images, w)
         assert rep.evaluate(w) == g
-        assert rep.trace(w) == rep._traces([w])[0] == g.trace()
+        assert rep.trace(w) == g.trace() and terms(rep.trace(w)) == terms(g.trace())
 
     def test_nilpotent_images(self, mat_chain):
         # a power whose image is zero packs as zero
