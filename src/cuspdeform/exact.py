@@ -1,7 +1,8 @@
 """Dense square matrices over the exact backends, the Hermitian forms
 they preserve, and the errors of the geometric layer.
 
-Exact matrices are ``Mat`` (entries all LaurentPoly or all ExtScalar).
+Exact matrices are ``Mat`` (entries all LaurentPoly or all ExtScalar);
+``chain`` and ``chain_trace`` multiply and trace runs of them.
 This module imports no numpy: every verdict reached here is exact.  The
 numeric side of a ``Mat`` or a ``HermForm`` (``Mat.evaluate_stack``, a
 form given as an array) imports numpy, and reaches the numeric layer,
@@ -16,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .scalars import Angle, ExtScalar, LaurentPoly, Surd, power
+from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _canonical, power
 from .tolerances import INDETERMINATE_FACTOR
 
 if TYPE_CHECKING:
@@ -78,7 +79,7 @@ def _promote(entry, ring: str, d: int | None):
 class Mat:
     """Immutable dense square matrix over one exact scalar ring."""
 
-    __slots__ = ("n", "rows", "ring", "d", "_plan")
+    __slots__ = ("n", "rows", "ring", "d", "_plan", "_packing")
 
     def __init__(self, rows: Sequence[Sequence], ring: str, d: int | None = None):
         n = len(rows)
@@ -92,7 +93,7 @@ class Mat:
         self.ring = ring
         self.d = d
         self.rows = tuple(tuple(_promote(e, ring, d) for e in r) for r in rows)
-        self._plan = None
+        self._plan = self._packing = None
 
     @classmethod
     def laurent(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -125,7 +126,7 @@ class Mat:
         m.ring = self.ring
         m.d = self.d
         m.rows = tuple(map(tuple, rows))
-        m._plan = None
+        m._plan = m._packing = None
         return m
 
     def __getitem__(self, ij: tuple[int, int]):
@@ -351,6 +352,138 @@ def _dot(pairs):
         t = a * b
         acc = t if acc is None else acc + t
     return acc
+
+
+def chain(factors: Sequence[Mat]) -> Mat:
+    """The left-to-right product of one or more matrices of one ring:
+    packed for the laurent ring, even for one factor (``_Packing``), so
+    its entries' terms come in ascending exponent order; ``Mat @`` for
+    the ext ring."""
+    if factors[0].ring != "laurent":
+        return functools.reduce(operator.matmul, factors)
+    packings, width = _packings(factors)
+    g = _packed_product(packings, width)
+    entries = iter(_unpacked([v for r in g for v in r], packings, width))
+    return factors[0]._like([[next(entries) for _ in r] for r in g])
+
+
+def chain_trace(factors: Sequence[Mat]):
+    """``chain(factors).trace()``, value and term order alike.  Two or
+    more laurent-ring factors multiply out all but the last, packed, and
+    decode only the diagonal of the product with the last, summed as
+    ``Mat.trace`` sums it."""
+    if len(factors) < 2 or factors[0].ring != "laurent":
+        return chain(factors).trace()
+    packings, width = _packings(factors)
+    last = packings[-1].at(width)
+    g = _packed_product(packings[:-1], width)
+    diag = [sum(map(operator.mul, r, c)) for r, c in zip(g, zip(*last))]
+    acc = LaurentPoly.zero()
+    for e in _unpacked(diag, packings, width):
+        acc = acc + e
+    return acc
+
+
+class _Packing:
+    """A laurent-ring matrix P = u^lo Q(u) / den, packed (Kronecker
+    substitution): den the lcm of its entries' denominators, lo their
+    lowest exponent, Q an n x n matrix of integer polynomials of degree
+    at most ``span``, and ``norm`` the largest row sum of the l1 norms of
+    Q's entries.  ``at`` gives Q's entries at u = 2^width, packed once
+    per width; evaluation at 2^B is a ring homomorphism Z[X] -> Z, so the
+    product of packed factors is the packed product of their Q's.  A zero
+    matrix (a nilpotent image's power, say) is lo = span = 0, Q = 0."""
+
+    __slots__ = ("den", "lo", "span", "norm", "_polys", "_at")
+
+    def __init__(self, P: Mat):
+        entries = [e for r in P.rows for e in r]
+        self.den = math.lcm(*(e._d for e in entries))
+        self.lo = min((k for e in entries for k in e._n), default=0)
+        self.span = max((k for e in entries for k in e._n), default=0) - self.lo
+        self._polys = [[{k - self.lo: v * (self.den // e._d) for k, v in e._n.items()}
+                        for e in r] for r in P.rows]
+        self.norm = max(sum(sum(map(abs, q.values())) for q in r) for r in self._polys)
+        self._at: dict[int, list[list[int]]] = {}
+
+    def at(self, width: int) -> list[list[int]]:
+        packed = self._at.get(width)
+        if packed is None:
+            packed = self._at[width] = [[sum(v << width * k for k, v in q.items()) for q in r]
+                                        for r in self._polys]
+        return packed
+
+
+def _packing(m: Mat) -> _Packing:
+    """A laurent-ring matrix's packing, made on first use and kept."""
+    if m._packing is None:
+        m._packing = _Packing(m)
+    return m._packing
+
+
+def _packings(factors: Sequence[Mat]) -> tuple[list[_Packing], int]:
+    """The factors' packings, and the width that decodes their product."""
+    for f in factors[1:]:
+        factors[0]._compat(f)
+    packings = [_packing(f) for f in factors]
+    return packings, _quantized(_width(packings))
+
+
+def _width(packings: Sequence[_Packing]) -> int:
+    """The width B = bitlen(x) + 1, x = prod ||Q_i||, that decodes every
+    entry of the product of these packings, for ||Q|| = max_i sum_j
+    |Q_ij|_1.  Since |ab|_1 <= |a|_1 |b|_1 for polynomials, |(QR)_ij|_1
+    <= sum_k |Q_ik|_1 |R_kj|_1, and summing over j, sum_j |(QR)_ij|_1 <=
+    sum_k |Q_ik|_1 ||R|| <= ||Q|| ||R||: the norm is submultiplicative.
+    So every coefficient of an entry of Q_1 ... Q_r is at most x in
+    absolute value, and 2^(B-1) = 2^bitlen(x) > x, which is what the
+    balanced digits of ``_unpacked`` need.  Only entries are decoded (a
+    trace sums its decoded diagonal), so no wider sum needs the bound.
+    A larger width decodes the same digits, so B is rounded up to a few
+    steps (``_quantized``) and each matrix is packed at a few widths."""
+    return math.prod(p.norm for p in packings).bit_length() + 1
+
+
+def _quantized(width: int) -> int:
+    """A packing width rounded up to a multiple of 32 bits, or of an
+    eighth of the power of two above it if that is more: up to 256 bits
+    there are 8 widths, and then 4 per doubling."""
+    step = 1 << max(5, width.bit_length() - 3)
+    return -(-width // step) * step
+
+
+def _packed_product(packings: Sequence[_Packing], width: int) -> list[list[int]]:
+    """The product of one or more packings at ``width``."""
+    g = packings[0].at(width)
+    for p in packings[1:]:
+        cols = list(zip(*p.at(width)))
+        g = [[sum(map(operator.mul, r, c)) for c in cols] for r in g]
+    return g
+
+
+def _unpacked(values: Sequence[int], packings: Sequence[_Packing],
+              width: int) -> list[LaurentPoly]:
+    """The entries of the product of these packings whose packed values
+    at ``width`` are ``values``: each read from its balanced base-2^width
+    digits c_k in [-2^(width-1), 2^(width-1)), shifted by the summed lo,
+    over the product of the den, and canonicalised, its terms in
+    ascending exponent order.  A bias of 2^(width-1) in every digit makes
+    them the bytes of the nonnegative value + bias."""
+    shift = sum(p.lo for p in packings)
+    den = math.prod(p.den for p in packings)
+    digits = sum(p.span for p in packings) + 1
+    step, half = width // 8, 1 << (width - 1)
+    bias = int.from_bytes((bytes(step - 1) + b"\x80") * digits, "little")
+    out = []
+    for v in values:
+        raw = (v + bias).to_bytes(step * digits, "little")
+        nums = {}
+        for k, i in enumerate(range(0, len(raw), step), shift):
+            c = int.from_bytes(raw[i:i + step], "little") - half
+            if c:
+                nums[k] = c
+        out.append(_canonical(nums, den))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,11 @@ tests validate it against the alternative on the undeformed lattice.
 from __future__ import annotations
 
 import functools
-import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .exact import GeometryError, HermForm, Mat, _numeric, form_preserved
-from .scalars import LaurentPoly, _canonical
+from .exact import GeometryError, HermForm, Mat, _numeric, chain, chain_trace, form_preserved
 from .tolerances import CONSTRUCTION_TOL, LAW_TOL
 
 if TYPE_CHECKING:
@@ -199,47 +196,6 @@ def load_word_list(lines: Iterable[str]) -> list[Word]:
 MatLike = Union[Mat, "np.ndarray"]
 
 
-def _quantized(width: int) -> int:
-    """A packing width rounded up to a multiple of 32 bits, or of an
-    eighth of the power of two above it if that is more: up to 256 bits
-    there are 8 widths, and then 4 per doubling."""
-    step = 1 << max(5, width.bit_length() - 3)
-    return -(-width // step) * step
-
-
-def _matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*B))
-    return [[sum(map(operator.mul, r, c)) for c in cols] for r in A]
-
-
-class _Packed:
-    """One exact laurent-ring generator power P = u^lo Q(u) / den: den
-    the lcm of its entries' denominators, lo their lowest exponent, Q an
-    n x n matrix of integer polynomials of degree at most ``span``, and
-    ``norm`` the largest row sum of the l1 norms of Q's entries.  ``at``
-    gives Q's entries at u = 2^width, packed once per width.  A zero
-    matrix (a nilpotent image's power, say) is lo = span = 0, Q = 0."""
-
-    __slots__ = ("den", "lo", "span", "norm", "_polys", "_at")
-
-    def __init__(self, P: Mat):
-        entries = [e for r in P.rows for e in r]
-        self.den = math.lcm(*(e._d for e in entries))
-        self.lo = min((k for e in entries for k in e._n), default=0)
-        self.span = max((k for e in entries for k in e._n), default=0) - self.lo
-        self._polys = [[{k - self.lo: v * (self.den // e._d) for k, v in e._n.items()}
-                        for e in r] for r in P.rows]
-        self.norm = max(sum(sum(map(abs, q.values())) for q in r) for r in self._polys)
-        self._at: dict[int, list[list[int]]] = {}
-
-    def at(self, width: int) -> list[list[int]]:
-        packed = self._at.get(width)
-        if packed is None:
-            packed = self._at[width] = [[sum(v << width * k for k, v in q.items()) for q in r]
-                                        for r in self._polys]
-        return packed
-
-
 @dataclass
 class Rep:
     """Generator images over one backend, with an optional invariant
@@ -257,36 +213,14 @@ class Rep:
     ones, as the Siegel forms are, and ``Mat.inverse`` otherwise.  Only
     numeric images import numpy, when they are used.
 
-    Exact laurent-ring word images are products of n x n matrices of
-    Python ints (Kronecker substitution).  Each generator power is
-    P = u^lo Q(u) / den (``_Packed``), and its entries are packed as the
-    integers Q_ij(2^B), once per width B.  Evaluation at 2^B is a ring
-    homomorphism Z[X] -> Z, so the packed product of a word's factors is
-    the product of their Q's evaluated at 2^B.  An entry that is read is
-    decoded from its balanced base-2^B digits c_k in [-2^(B-1), 2^(B-1)),
-    shifted by the factors' summed lo, over the product of their den,
-    and canonicalised: its terms come in ascending exponent order.  The
-    digits are the coefficients whenever every |c| < 2^(B-1).
-
-    The width is B = bitlen(x) + 1 for x = prod ||Q_i||, with the norm
-    ||Q|| = max_i sum_j |Q_ij|_1.  Since |ab|_1 <= |a|_1 |b|_1 for
-    polynomials, |(QR)_ij|_1 <= sum_k |Q_ik|_1 |R_kj|_1, and summing over
-    j, sum_j |(QR)_ij|_1 <= sum_k |Q_ik|_1 ||R|| <= ||Q|| ||R||: the norm
-    is submultiplicative.  So every coefficient of an entry of
-    Q_1 ... Q_r is at most x in absolute value, and 2^(B-1) = 2^bitlen(x)
-    > x.  Only entries are decoded (a trace sums its decoded diagonal),
-    so no wider sum needs the bound.  A larger width decodes the same
-    digits, so B is rounded up to a few steps (``_quantized``) and each
-    power is packed at a few widths.
-
-    The ext ring's images multiply with ``Mat @``, left to right.
+    Exact word images and traces are ``exact.chain`` and
+    ``exact.chain_trace`` of the generator powers.
     """
 
     images: Mapping[str, MatLike]
     form: HermForm | None = None
     _inv_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _pow_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _packed_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.images:
@@ -301,6 +235,8 @@ class Rep:
         if len(dims) != 1:
             raise ValueError("all generator images must share one dimension")
         if self.form is not None:
+            if not exact and any(np.ndim(g) != 2 for g in self.images.values()):
+                raise ValueError("a Rep of numeric stacks (K, n, n) takes no form")
             for sym, g in self.images.items():
                 if exact:
                     if not form_preserved(g, self.form):
@@ -315,12 +251,6 @@ class Rep:
     @property
     def is_exact(self) -> bool:
         return isinstance(next(iter(self.images.values())), Mat)
-
-    @property
-    def _packs(self) -> bool:
-        """Whether word images multiply packed: exact laurent-ring images."""
-        g = next(iter(self.images.values()))
-        return isinstance(g, Mat) and g.ring == "laurent"
 
     @property
     def dim(self) -> int:
@@ -356,103 +286,35 @@ class Rep:
         adjoint = None if self.form is None else self.form._adjoint(g)
         return g.inverse() if adjoint is None else adjoint
 
-    def _packed(self, sym: str, exp: int) -> _Packed:
-        key = (sym, exp)
-        if key not in self._packed_cache:
-            self._packed_cache[key] = _Packed(self._power(sym, exp))
-        return self._packed_cache[key]
-
-    def _width(self, w: Word) -> int:
-        """The width B = bitlen(prod ||Q_i||) + 1 that decodes every entry
-        of the word's image (see the class)."""
-        return math.prod(self._packed(*f).norm for f in w.factors).bit_length() + 1
-
-    def _packed_product(self, factors: tuple, width: int) -> list[list[int]]:
-        """The product of these (one or more) factors' packed powers."""
-        g = self._packed(*factors[0]).at(width)
-        for f in factors[1:]:
-            g = _matmul(g, self._packed(*f).at(width))
-        return g
-
-    def _unpacked(self, values: Iterable[int], factors: tuple, width: int) -> list[LaurentPoly]:
-        """The entries of the image of a word with these factors whose
-        packed values at ``width`` are ``values``, read from their
-        balanced digits: a bias of 2^(width-1) in every digit makes them
-        the bytes of the nonnegative value + bias."""
-        packed = [self._packed(*f) for f in factors]
-        shift = sum(p.lo for p in packed)
-        den = math.prod(p.den for p in packed)
-        digits = sum(p.span for p in packed) + 1
-        step, half = width // 8, 1 << (width - 1)
-        bias = int.from_bytes((bytes(step - 1) + b"\x80") * digits, "little")
-        out = []
-        for v in values:
-            raw = (v + bias).to_bytes(step * digits, "little")
-            nums = {}
-            for k, i in enumerate(range(0, len(raw), step), shift):
-                c = int.from_bytes(raw[i:i + step], "little") - half
-                if c:
-                    nums[k] = c
-            out.append(_canonical(nums, den))
-        return out
-
-    def _check_symbols(self, w: Word) -> None:
+    def _powers(self, w: Word) -> list:
+        """The generator powers of a word's factors, in order."""
         missing = w.symbols - set(self.images)
         if missing:
             raise KeyError(f"word uses symbols not in the representation: {missing}")
+        return [self._power(*f) for f in w.factors]
 
     def evaluate(self, w: Word):
-        """Image of a word: the ordered product of generator powers
-        (exact laurent-ring images: packed, see the class)."""
-        self._check_symbols(w)
+        """Image of a word: the ordered product of its generator powers."""
+        powers = self._powers(w)
         first = next(iter(self.images.values()))
         if isinstance(first, Mat):
-            if not w.factors:
-                return Mat.identity(first.n, first.ring, first.d)
-            if self._packs:
-                width = _quantized(self._width(w))
-                g = self._packed_product(w.factors, width)
-                entries = iter(self._unpacked([v for r in g for v in r], w.factors, width))
-                return first._like([[next(entries) for _ in r] for r in g])
-            out = self._power(*w.factors[0])
-            for sym, exp in w.factors[1:]:
-                out = out @ self._power(sym, exp)
-            return out
+            return chain(powers) if powers else Mat.identity(first.n, first.ring, first.d)
         import numpy as np
-        out = np.eye(np.shape(first)[-1], dtype=complex)
-        for sym, exp in w.factors:
-            out = out @ self._power(sym, exp)
-        return out
+        out = np.broadcast_to(np.eye(np.shape(first)[-1], dtype=complex), np.shape(first))
+        for g in powers:
+            out = out @ g
+        return out if powers else out.copy()
 
     def trace(self, w: Word):
         """Trace of a word's image: exactly ``evaluate(w).trace()``, value
         and term order alike, for an exact one; a complex for a numeric
-        one, and the array of the traces at each point for a stack.  A
-        packed word of two or more factors multiplies out all but its
-        last, at its own width, and decodes only the diagonal of the
-        product with the last."""
-        if self._packs and len(w.factors) > 1:
-            self._check_symbols(w)
-            width = _quantized(self._width(w))
-            return self._packed_trace(self._packed_product(w.factors[:-1], width),
-                                      w.factors, width)
-        g = self.evaluate(w)
-        if isinstance(g, Mat):
-            return g.trace()
+        one, and the array of the traces at each point for a stack."""
+        if self.is_exact:
+            powers = self._powers(w)
+            return chain_trace(powers) if powers else self.evaluate(w).trace()
         import numpy as np
-        t = np.trace(g, axis1=-2, axis2=-1)
+        t = np.trace(self.evaluate(w), axis1=-2, axis2=-1)
         return complex(t) if t.ndim == 0 else t
-
-    def _packed_trace(self, g: list[list[int]], factors: tuple, width: int) -> LaurentPoly:
-        """The trace of the image of a word with these factors, from the
-        packed image g of all but its last: the n diagonal entries of the
-        product with the last, decoded and summed as ``Mat.trace`` sums."""
-        last = self._packed(*factors[-1]).at(width)
-        diag = [sum(map(operator.mul, r, c)) for r, c in zip(g, zip(*last))]
-        acc = LaurentPoly.zero()
-        for e in self._unpacked(diag, factors, width):
-            acc = acc + e
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +360,9 @@ def check_relations(rep: Rep, pres: Presentation) -> list[RelationResult]:
     defects."""
     if not rep.is_exact:
         import numpy as np
+        if any(np.ndim(g) != 2 for g in rep.images.values()):
+            raise ValueError("check_relations takes single matrices, not numeric stacks "
+                             "(K, n, n): a RelationResult holds one defect per relator")
     results = []
     for r in pres.relators:
         g = rep.evaluate(r)

@@ -390,6 +390,66 @@ class TestDeterminantAgainstLeibniz:
         assert A.det() == leibniz_det(A)
 
 
+@st.composite
+def mat_chains(draw):
+    """1 to 6 n x n matrices over one ring: entries of up to four terms
+    with exponents in [-6, 6] and denominators up to 9, some zero; some
+    factors all zero, some strictly upper triangular (nilpotent)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.sampled_from([None, None, 2, 6, 7]))
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def poly():
+        size = int(r.integers(0, 5))
+        return LaurentPoly({int(k): Fraction(int(p), int(q)) for k, p, q in
+                            zip(r.integers(-6, 7, size), r.integers(-9, 10, size),
+                                r.integers(1, 10, size))})
+
+    def entry():
+        return poly() if d is None else ExtScalar(d, *(poly() for _ in range(4)))
+
+    def factor(kind):
+        return Mat([[0 if kind == "zero" or (kind == "nilpotent" and i >= j) else entry()
+                     for j in range(n)] for i in range(n)], "laurent" if d is None else "ext", d)
+
+    kinds = draw(st.lists(st.sampled_from(["dense"] * 4 + ["zero", "nilpotent"]),
+                          min_size=1, max_size=6))
+    return [factor(kind) for kind in kinds]
+
+
+class TestChain:
+    """``exact.chain`` and ``exact.chain_trace`` against the left-to-right
+    ``Mat @`` fold."""
+
+    @given(mat_chains())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_mat_fold(self, factors):
+        want = factors[0]
+        for f in factors[1:]:
+            want = want @ f
+        got = exact.chain(factors)
+        assert got == want
+        if got.ring == "ext":
+            # the fold itself, term for term
+            assert terms_of(got) == terms_of(want)
+        else:
+            # decoded: the fold's terms, in ascending exponent order
+            assert terms_of(got) == [[(e._d, sorted(e._n.items())) for e in r]
+                                     for r in want.rows]
+        trace = exact.chain_trace(factors)
+        assert trace == want.trace()
+        assert term_order(trace) == term_order(got.trace())
+
+    def test_mixed_rings_and_sizes_are_refused(self):
+        A = Mat.laurent([[1, 0], [0, LaurentPoly.u()]])
+        for other in (Mat.identity(2, "ext", 2), Mat.identity(3)):
+            for factors in ([A, other], [other, A]):
+                with pytest.raises(ValueError, match="incompatible"):
+                    exact.chain(factors)
+                with pytest.raises(ValueError, match="incompatible"):
+                    exact.chain_trace(factors)
+
+
 FORM_OF_ONES_DS = (2, 5, 7, 11, 15, 43)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdeform import exact
 from cuspdeform.bending import bianchi_family
 from cuspdeform.figure8 import (L_WORD, RELATOR, build_family, generator_m, generator_n,
                                 longitude_matrix)
@@ -124,9 +125,9 @@ class TestRep:
 
     def test_ext_traces_match_evaluated_traces(self, monkeypatch):
         # the ext ring's images are not packed: a trace is the trace of
-        # the evaluated image, and never reads a packed power
+        # the evaluated image, and never packs a power
         rep = bianchi_family(7, "su31").rep()
-        monkeypatch.setattr(Rep, "_packed", None)
+        monkeypatch.setattr(exact, "_Packing", None)
         for text in ("a.t", "a.t.u^-1", "a.t.u^-1.a.u", "a.t^-2.u", "u^3.a", "t^-1", "e"):
             w = Word.parse(text)
             got, want = rep.trace(w), rep.evaluate(w).trace()
@@ -149,6 +150,24 @@ class TestRep:
         w = Word.parse("m.n")
         assert type(single.trace(w)) is complex
         assert single.trace(w) == complex(np.trace(single.evaluate(w)))
+
+    def test_stacked_empty_word(self):
+        # the empty word's image is the identity at each point of a stack
+        K = 3
+        powers = UnitPowers([Angle.radians(0.4 * k - 0.5) for k in range(K)])
+        rep = Rep({"m": generator_m().evaluate_stack(powers),
+                   "n": generator_n().evaluate_stack(powers)})
+        g = rep.evaluate(Word.identity())
+        assert g.shape == (K, 4, 4) and (g == np.eye(4)).all()
+        g[0, 0, 0] = 2  # a fresh array, not a view of a shared one
+        assert rep.trace(Word.identity()).tolist() == [4] * K
+
+    def test_stacks_take_no_form(self):
+        fam = build_family(Angle.pi_fraction(1, 5))
+        stacks = {"m": np.stack([fam.M] * 3), "n": np.stack([fam.N] * 3)}
+        with pytest.raises(ValueError, match="stacks .* takes no form"):
+            Rep(stacks, fam.form)
+        Rep({"m": fam.M, "n": fam.N}, fam.form)  # fine
 
     def test_missing_symbol_in_a_trace(self):
         with pytest.raises(KeyError):
@@ -278,9 +297,13 @@ def packed_coefficients(rep, w, image):
     return [v * (den // e._d) for r in image.rows for e in r for v in e._n.values()]
 
 
+def packings(rep, w):
+    return [exact._packing(rep._power(*f)) for f in w.factors]
+
+
 def assert_within_width(rep, w, image):
     top = max(map(abs, packed_coefficients(rep, w, image)), default=0)
-    assert top < 2 ** (rep._width(w) - 1)
+    assert top < 2 ** (exact._width(packings(rep, w)) - 1)
 
 
 class TestPeriodicExtWords:
@@ -392,7 +415,7 @@ class TestPackedImages:
             assert g.is_scalar().sum_coeffs() == scale    # the scalar 2^k u^j
             assert rep.trace(w) == g.trace()
             top = max(map(abs, packed_coefficients(rep, w, g)))
-            assert top == math.prod(rep._packed(*f).norm for f in w.factors)
+            assert top == math.prod(p.norm for p in packings(rep, w))
             assert_within_width(rep, w, g)
 
     @pytest.mark.parametrize("text", ["a^6", "a^7.b", "a^-2.b^-1.a^14", "a^15", "a^23.b^-3"])
@@ -402,7 +425,7 @@ class TestPackedImages:
         # (2^6: B = 8) then decodes at B itself, and one a bit past it
         # (2^7: B = 9) at the next byte, where a width one bit short would
         # read a wrong digit
-        monkeypatch.setattr("cuspdeform.words._quantized", lambda width: -(-width // 8) * 8)
+        monkeypatch.setattr(exact, "_quantized", lambda width: -(-width // 8) * 8)
         images = {"a": Mat.diagonal([-2, 2]), "b": Mat.diagonal([LaurentPoly.u(), 1])}
         rep, w = Rep(images), Word.parse(text)
         g = mat_chain(images, w)
@@ -431,9 +454,10 @@ class TestPackedImages:
         for length in range(1, 121):
             w = Word([("m" if i % 2 else "n", 1 if i % 3 else -1) for i in range(length)])
             self.rep.trace(w)
-        widths = {k for p in self.rep._packed_cache.values() for k in p._at}
+        packed = [g._packing for g in self.rep._pow_cache.values() if g._packing is not None]
+        widths = {k for p in packed for k in p._at}
         assert all(k % 32 == 0 for k in widths)
-        assert max(len(p._at) for p in self.rep._packed_cache.values()) <= 9
+        assert max(len(p._at) for p in packed) <= 9
 
 
 class TestCheckRelations:
@@ -457,6 +481,14 @@ class TestCheckRelations:
         res = check_relations(rep, builtin_presentation("figure8"))
         assert 1e-5 < res[0].projective_defect < 1.0
         assert not res[0].passed
+
+    def test_stacks_are_refused(self):
+        # a RelationResult holds one defect per relator, not one per point
+        powers = UnitPowers([Angle.radians(0.3), Angle.radians(0.7), Angle.zero()])
+        rep = Rep({"m": generator_m().evaluate_stack(powers),
+                   "n": generator_n().evaluate_stack(powers)})
+        with pytest.raises(ValueError, match="not numeric stacks"):
+            check_relations(rep, builtin_presentation("figure8"))
 
     def test_ground_truth_anchor_at_undeformed_parameter(self):
         # every built-in presentation passes on its built-in family at
