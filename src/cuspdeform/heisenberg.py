@@ -81,6 +81,7 @@ def box_distance(p: HeisPoint, q: HeisPoint) -> float:
 
 
 def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: float,
+                  key_reach: Callable[[float], float],
                   bounds: Sequence[tuple[np.ndarray, Callable[[float], float]]] = ()) -> float:
     """Minimum dist(p, q) > dup_tol over pairs of points (math.inf if none).
 
@@ -88,18 +89,19 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
     such columns, p and q, to the distances of the paired rows.  Two kinds
     of columns bound the metric from below:
 
-    * key columns, those of keys: |keys[i, c] - keys[j, c]| is at most
-      the distance of rows i and j;
+    * key columns, those of keys: rows at distance at most b, as dist
+      rounds it, differ in each by at most key_reach(b), as the column
+      rounds it; the caller proves that reach for its own metric;
     * columns bounded through a monotone function: for each (column,
       reach) of bounds, rows at distance at most b differ in the column
       by at most reach(b).
 
     The rows are sorted along the key column with the most distinct
     values, and rows k places apart are compared for k = 1, 2, ... until
-    every gap in that sort column at offset k exceeds _key_reach(best),
+    every gap in that sort column at offset k exceeds key_reach(best),
     for the best distance so far (Shamos-Hoey sort-and-sweep).  Before
     dist runs at an offset, every pair is dropped that some other column
-    places too far apart: a key column by a gap beyond _key_reach(best),
+    places too far apart: a key column by a gap beyond key_reach(best),
     a bounded column by one beyond reach(best).  Each limit is at least
     the largest gap, as the columns round it, of a pair whose dist, as
     dist rounds it, is at most best; so neither the end of the sweep nor
@@ -126,7 +128,7 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
     order = np.argsort(keys[:, col], kind="stable")
     s = keys[order, col]
     filters = ([(c, reach) for c, reach in bounds if c.min() < c.max()]
-               + [(keys[:, c], _key_reach) for c in range(len(sizes))
+               + [(keys[:, c], key_reach) for c in range(len(sizes))
                   if c != col and sizes[c] > 1])
     reaches = [reach for _, reach in filters]
     F = np.array([c[order] for c, _ in filters]).reshape(len(filters), len(s))
@@ -159,19 +161,40 @@ def _closest_pair(keys: np.ndarray, cols: Sequence[np.ndarray], dist, dup_tol: f
         d = d[d > dup_tol]
         if d.size and d.min() < best:
             best = float(d.min())
-            reach = _key_reach(best)
+            reach = key_reach(best)
             lims = np.array([r(best) for r in reaches])[:, None]
     return best
 
 
 def _key_reach(b: float) -> float:
-    """The limit of a key-column gap at best distance b: b widened by
-    2^-46 relative and 2^-46 absolute.  That is more than the rounding by
-    which a key gap can exceed the distance that dist computes: the
-    underflow of squares of gaps below 1e-154 in the orbit metric, and
-    np.cos and np.sin against the rounded arc of the R x S^1 metric (a
+    """The limit of a key-column gap (x, cos or sin) at best distance b in
+    the R x S^1 metric max(|dx|, arc) of _rs1_gap: b widened by 2^-46
+    relative and 2^-46 absolute.  The x gap is the |dx| that dist
+    computes; a cos or sin gap is at most the chord, so at most the arc,
+    up to the rounding of np.cos and np.sin against the rounded arc (a
     few ulps of 1 and of 2 pi, below 2^-48)."""
     return b * (1 + 2.0 ** -46) + 2.0 ** -46
+
+
+def _orbit_reach(b: float) -> float:
+    """The limit of a key-column gap (Re or Im of a Z coordinate) at best
+    distance b in the orbit metric max(sqrt(sum_c |dZ_c|^2), sqrt|dt|) of
+    orbit_gap: b widened by 2^-50 relative and 2^-510 absolute.
+
+    A key gap x is, up to sign, the very rounded difference that dist
+    reads as the real or imaginary part of dZ_c.  Let x > 2^-510.  Then
+    hypot (within 1 ulp) gives h >= x (1 - 2^-52) > 2^-511, so h^2 is
+    normal, and so is every later value: the square, at most two sums of
+    non-negative squares and the sqrt each lose at most 2^-53 relative.
+    The computed distance is thus at least x (1 - 2^-52) (1 - 2^-53)^(5/2)
+    > x (1 - 2^-50 / 1.7), and fl(dist) <= b gives x < b (1 + 2^-50 / 1.6),
+    which the rounded product b * (1 + 2^-50) still exceeds.  (In binary,
+    fl(sqrt(fl(h * h))) = h while h * h is normal, so only a hypot that
+    rounds below its larger argument needs the relative term.)  The term
+    added covers a gap of at most 2^-510: its square may be subnormal, so
+    that dist comes out below the gap, or 0 while t tells the points
+    apart (with dup_tol = 0)."""
+    return b * (1 + 2.0 ** -50) + 2.0 ** -510
 
 
 def _root_reach(b: float) -> float:
@@ -504,7 +527,14 @@ def _distinct_elements(m: np.ndarray, n: np.ndarray, T: RS1Element,
     angle is a rational multiple of pi; otherwise n is determined by the
     sqrt(b.k) part of the translation or by the raw angle.  When they
     can, T^m U^n is the integer pair (m A + n B, p n mod 2q), where
-    a.q = A/D, b.q = B/D and theta = (p/q) pi, kept exact in Python ints.
+    a.q = A/D, b.q = B/D and theta = (p/q) pi, keyed here by the one
+    integer (m A + n B) 2q + (p n mod 2q).
+
+    The keys are int64 where a bound on every value that forms them,
+    taken in Python ints, is below 2^63 (B != 0 makes the bound cover
+    (p mod 2q) n too), and Python ints in an object array otherwise, so
+    they are exact either way; one np.unique takes the first occurrence
+    of each.
     """
     a, b, theta = T.translation, U.translation, U.angle
     if a.k != b.k or theta.pi_frac is None:
@@ -512,11 +542,16 @@ def _distinct_elements(m: np.ndarray, n: np.ndarray, T: RS1Element,
     den = math.lcm(a.q.denominator, b.q.denominator)
     A = a.q.numerator * (den // a.q.denominator)
     B = b.q.numerator * (den // b.q.denominator)
-    p, two_q = theta.pi_frac.numerator, 2 * theta.pi_frac.denominator
-    first: dict[tuple[int, int], int] = {}
-    for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
-        first.setdefault((int(mi) * A + ni * B, p * ni % two_q), i)
-    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    two_q = 2 * theta.pi_frac.denominator
+    p = theta.pi_frac.numerator % two_q
+    top_m = int(np.abs(m).max()) if m.size else 0
+    top_n = int(np.abs(n).max()) if n.size else 0
+    if ((top_m + 1) * abs(A) + (top_n + 1) * abs(B) + 1) * two_q < 2 ** 63:
+        m, n = m.astype(np.int64), n.astype(np.int64)
+    else:
+        m, n = (np.array([int(v) for v in c.tolist()], dtype=object) for c in (m, n))
+    keys = (m * A + n * B) * two_q + n * p % two_q
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
@@ -526,7 +561,7 @@ def _rs1_gap(x: np.ndarray, ang: np.ndarray) -> float:
         d = np.fmod(np.abs(p[1] - q[1]), 2 * math.pi)
         return np.maximum(np.abs(p[0] - q[0]), np.minimum(d, 2 * math.pi - d))
     keys = np.column_stack([x, np.cos(ang), np.sin(ang)])
-    return _closest_pair(keys, [x, ang], dist, 0.0)
+    return _closest_pair(keys, [x, ang], dist, 0.0, _key_reach)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +680,9 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
     of orbit_points; pairs at most dup_tol apart count as coincident (and
     are excluded, so the reported gap is the positive one).
 
-    The sweep bounds each pair by its Z coordinates (the key columns) and
-    by t, through sqrt|dt| <= distance (_root_reach)."""
+    The sweep bounds each pair by its Z coordinates (the key columns,
+    through _orbit_reach) and by t, through sqrt|dt| <= distance
+    (_root_reach)."""
     cols = _orbit_columns(pts)
     Z, t = cols.Z, cols.t
     k = Z.shape[1]
@@ -655,7 +691,7 @@ def orbit_gap(pts: Sequence[tuple[int, int, HeisPoint]],
         dz2 = sum(np.abs(p[c] - q[c]) ** 2 for c in range(k))
         return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(p[k] - q[k])))
     return _closest_pair(np.column_stack([Z.real, Z.imag]), [*Z.T, t], dist, dup_tol,
-                         [(t, _root_reach)])
+                         _orbit_reach, [(t, _root_reach)])
 
 
 def orbit_gap_probe(gT: np.ndarray, gU: np.ndarray, p0: HeisPoint,
@@ -711,6 +747,6 @@ def write_orbit_csv(fp, rows: Iterable[tuple[int, int, HeisPoint]],
     comment (the one place comments are allowed)."""
     cols = _orbit_columns(rows)
     fp.write("m,n,re_z1,im_z1,re_z2,im_z2,v\r\n")
-    fp.write("".join(["%s,%s,%s,%s,%s,%s,%s\r\n" % row for row in _csv_rows(cols)]))
+    fp.write("".join(map("%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, _csv_rows(cols))))
     if gap is not None:
         fp.write(f"# gap: {gap!r}\r\n")

@@ -201,11 +201,11 @@ class Rep:
     """Generator images over one backend, with an optional invariant
     form (validated at construction: exactly or within CONSTRUCTION_TOL).
 
-    Numeric images may also be stacks (K, n, n), one matrix per point of
-    a block, without a form: a word's image is then the stack of its
-    images at each point, bit for bit, since the inverse, the power and
-    the product broadcast over the stack, and its trace the traces at
-    each point.
+    Numeric images may also be stacks (K, n, n), all of one length K, one
+    matrix per point of a block, without a form: a word's image is then
+    the stack of its images at each point, bit for bit, since the
+    inverse, the power and the product broadcast over the stack, and its
+    trace the traces at each point.
 
     Exact generator inverses and powers are formed once per ``Rep``.  An
     exact generator's inverse is its form adjoint J g* J, a reindexing
@@ -234,6 +234,9 @@ class Rep:
         dims = {(g.n if exact else np.shape(g)[-1]) for g in self.images.values()}
         if len(dims) != 1:
             raise ValueError("all generator images must share one dimension")
+        if not exact and len({np.shape(g) for g in self.images.values()}) != 1:
+            raise ValueError("numeric generator images must share one shape: all (n, n), "
+                             "or all stacks (K, n, n) of one length K")
         if self.form is not None:
             if not exact and any(np.ndim(g) != 2 for g in self.images.values()):
                 raise ValueError("a Rep of numeric stacks (K, n, n) takes no form")

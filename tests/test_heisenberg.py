@@ -320,6 +320,56 @@ class TestClosestPair:
         assert type(got) is float
         assert same_gap(got, brute_min(rows, box, 0.0))
 
+    # A Z gap of 1.025e-160 squares to a subnormal rounded down, so the
+    # distance computed for it falls below the key gap by about 1e-4.
+    SUBNORMAL_SQUARE_GAP = 1.0249999999999998e-160
+
+    @staticmethod
+    def measured_pairs(rows, dup_tol, monkeypatch):
+        """orbit_gap of the (m, n, point) rows, and the pairs (i, j) of
+        row indices that its sweep passed to dist."""
+        seen = set()
+        closest_pair = heisenberg._closest_pair
+
+        def spy(keys, cols, dist, dup_tol, key_reach, bounds):
+            def counted(p, q):
+                seen.update(zip(p[-1].astype(int).tolist(), q[-1].astype(int).tolist()))
+                return dist(p[:-1], q[:-1])
+            return closest_pair(keys, [*cols, np.arange(len(keys), dtype=float)], counted,
+                                dup_tol, key_reach, bounds)
+        monkeypatch.setattr(heisenberg, "_closest_pair", spy)
+        return orbit_gap(rows, dup_tol), seen
+
+    def test_orbit_sweep_measures_a_pair_whose_square_is_subnormal(self, monkeypatch):
+        """With dup_tol = 0, the minimum pair (rows 0 and 2) is 1.025e-160
+        apart in Re z1, the sort column, and 5e-324 in t; its distance is
+        computed about 1e-4 below that key gap.  A pair with the same
+        distance (rows 3 and 4, tied in Re z1) sets the best distance at
+        offset 1, and row 1 (far in Im z2) puts the minimum pair at offset
+        2, where only the absolute term of the reach keeps it near."""
+        x = self.SUBNORMAL_SQUARE_GAP
+        rows = [(0, 0, HeisPoint(z, t)) for z, t in [
+            ((0, 0), 0.0), ((x / 2, 1j), 0.0), ((x, 0), 5e-324),
+            ((1.0, 0), 0.0), ((1.0, x), 0.0)]]
+        gap, seen = self.measured_pairs(rows, 0.0, monkeypatch)
+        assert gap < x * (1 - 1e-5)
+        assert gap == orbit_gap(rows[:1] + rows[2:3], 0.0) == orbit_gap(rows[3:], 0.0)
+        assert {(0, 1), (1, 2), (2, 3), (3, 4)} <= seen
+        assert (0, 2) in seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e-150, 1e-150) | st.floats(-4, 4), min_size=4, max_size=4),
+           st.floats(0, 1e-300))
+    @example([SUBNORMAL_SQUARE_GAP, 0.0, 0.0, 0.0], 5e-324)
+    def test_orbit_reach_bounds_every_key_gap(self, parts, dt):
+        """Each key gap (Re or Im of a Z coordinate) of a pair is at most
+        _orbit_reach of the distance that orbit_gap computes for it, also
+        where that distance is below the gap: a square that is subnormal."""
+        z = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+        p, q = HeisPoint((0, 0), 0.0), HeisPoint(z, dt)
+        d = orbit_gap([(0, 0, p), (0, 0, q)], 0.0)
+        assert max(map(abs, parts)) <= heisenberg._orbit_reach(d)
+
 
 def cusp_generators(target, d, angle):
     """(gT, gU, p0) of the orbit command for a Bianchi cusp."""
@@ -404,13 +454,14 @@ class TestGapOracle:
         only the stacked pass takes, tells its offset by its width, and
         each row carries its index, so that a dist call tells its offset,
         and whether it ran on slices (views) or gathers.  The test replays
-        the sweep: at every offset, dist saw no pair outside a bound of the
-        best distance so far and missed no pair within that distance.  A
-        tied cloud (every key column takes four values, and some rows are
-        duplicates) and an untied one take both passes at more than one
-        offset each; a clustered one (30 close rows, the rest far apart
-        along the sort column) finds its gap on gathered candidates, past
-        the first offset."""
+        the sweep, with the key reach that orbit_gap passes: at every
+        offset, dist saw no pair outside a bound of the best distance so
+        far and missed no pair within that distance.  A tied cloud (every
+        key column takes four values, and some rows are duplicates) and an
+        untied one take both passes at more than one offset each; a
+        clustered one (30 close rows, the rest far apart along the sort
+        column) finds its gap on gathered candidates, past the first
+        offset."""
         rng = np.random.default_rng(k)
         size = 1200
         if cloud == "tied":
@@ -426,6 +477,7 @@ class TestGapOracle:
             Z[30:, 0] += 10.0 * np.arange(1, size - 29)
         calls = {}  # offset -> (rows i, rows j, distances, on slices) of its dist call
         stacked = set()  # the offsets of the stacked bound pass
+        key_reaches = []  # the key reach that orbit_gap passes
         closest_pair = heisenberg._closest_pair
 
         class NumpySpy:
@@ -437,7 +489,8 @@ class TestGapOracle:
                     stacked.add(size - x.shape[1])
                 return np.abs(x)
 
-        def spy(keys, cols, dist, dup_tol, bounds):
+        def spy(keys, cols, dist, dup_tol, key_reach, bounds):
+            key_reaches.append(key_reach)
             def counted(p, q):
                 d = dist(p[:-1], q[:-1])
                 i, j = p[-1].astype(int), q[-1].astype(int)
@@ -448,7 +501,7 @@ class TestGapOracle:
             monkeypatch.setattr(heisenberg, "np", NumpySpy())
             try:
                 return closest_pair(keys, [*cols, np.arange(len(keys), dtype=float)],
-                                    counted, dup_tol, bounds)
+                                    counted, dup_tol, key_reach, bounds)
             finally:
                 monkeypatch.setattr(heisenberg, "np", np)
         keys = np.column_stack([Z.real, Z.imag])
@@ -464,9 +517,10 @@ class TestGapOracle:
             dz2 = sum(np.abs(Z[i, c] - Z[j, c]) ** 2 for c in range(k))
             return np.maximum(np.sqrt(dz2), np.sqrt(np.abs(t[i] - t[j])))
         s = keys[order, col]
+        key_reach, = key_reaches
         best, near_count = math.inf, {}
         for offset in range(1, size):
-            near = np.flatnonzero(s[offset:] - s[:-offset] <= heisenberg._key_reach(best))
+            near = np.flatnonzero(s[offset:] - s[:-offset] <= key_reach(best))
             if not near.size:
                 break
             near_count[offset] = near.size
@@ -567,6 +621,53 @@ class TestRS1:
         got = rs1_probe(T, U, n_elements)
         assert type(got) is float
         assert got.hex() == rs1_reference(T, U, n_elements).hex()
+
+    @staticmethod
+    def half_turn_gens(A, q):
+        """T = (A, 0) and U = (A // 2 + 1, pi/q): elements coincide, and the
+        translations m A + n B of the closest returns reach about A/2."""
+        return (RS1Element(Surd(A), Angle.zero()),
+                RS1Element(Surd(A // 2 + 1), Angle.pi_fraction(1, q)))
+
+    @staticmethod
+    def largest_key(T, U, n_elements):
+        """The largest |(m A + n B) 2q + (p n mod 2q)| over the elements,
+        in Python ints (T, U of integral translations)."""
+        A, B = T.translation.q.numerator, U.translation.q.numerator
+        a, b = T.translation.value, U.translation.value
+        p, q = U.angle.pi_frac.numerator, U.angle.pi_frac.denominator
+        return max((abs((-round(n * b / a) * A + n * B) * 2 * q + p * n % (2 * q))
+                    for n in range(n_elements)), default=0)
+
+    @pytest.mark.parametrize("case", [
+        "translations of 2^64", "translations of 2^64, no elements", "no elements",
+        "bound just below 2^63", "bound just above 2^63",
+        "keys just below 2^63", "keys just above 2^63", "A = 2^63 - 1, keys above 2^63"])
+    def test_dedupe_on_both_sides_of_the_int64_bound(self, case):
+        """The integer keys of the dedupe are int64 only where a bound on
+        every value that forms them is below 2^63, and exact Python ints
+        otherwise.  The bound cases (7 elements, pi/3) sit 26 below and 40
+        above 2^63; the key cases (300 elements, a half turn) reach keys
+        3501 below, 299 above and 297 above 2^63."""
+        two64 = Fraction(1 << 64)
+        T, U, n_elements = {
+            "translations of 2^64": (RS1Element(Surd(two64 / 5), Angle.zero()),
+                                     RS1Element(Surd(two64 * 3 / 10), Angle.pi_fraction(1, 2)),
+                                     500),
+            "translations of 2^64, no elements": (RS1Element(Surd(two64 / 5), Angle.zero()),
+                                                  RS1Element(Surd(two64), Angle.pi_fraction(1, 2)),
+                                                  0),
+            "no elements": (RS1Element(Surd(1), Angle.zero()),
+                            RS1Element(Surd(Fraction(1, 2)), Angle.pi_fraction(1, 2)), 0),
+            "bound just below 2^63": (*self.half_turn_gens(204963823041217239, 3), 7),
+            "bound just above 2^63": (*self.half_turn_gens(204963823041217240, 3), 7),
+            "keys just below 2^63": (*self.half_turn_gens(2 ** 63 - 4096, 1), 300),
+            "keys just above 2^63": (*self.half_turn_gens(2 ** 63 + 1, 1), 300),
+            "A = 2^63 - 1, keys above 2^63": (*self.half_turn_gens(2 ** 63 - 1, 1), 300),
+        }[case]
+        if "keys" in case:
+            assert (self.largest_key(T, U, n_elements) < 2 ** 63) == ("below" in case)
+        assert rs1_probe(T, U, n_elements).hex() == rs1_reference(T, U, n_elements).hex()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))

@@ -162,6 +162,16 @@ class TestRep:
         g[0, 0, 0] = 2  # a fresh array, not a view of a shared one
         assert rep.trace(Word.identity()).tolist() == [4] * K
 
+    def test_stacks_of_different_lengths_are_refused(self):
+        # m at three angles and n at two: no word mixing them has a stack
+        m = generator_m().evaluate_stack(UnitPowers([Angle.radians(x) for x in (0.1, 0.2, 0.3)]))
+        n = generator_n().evaluate_stack(UnitPowers([Angle.radians(x) for x in (0.1, 0.2)]))
+        with pytest.raises(ValueError, match=r"one shape: .* of one length K"):
+            Rep({"m": m, "n": n})
+        with pytest.raises(ValueError, match=r"one shape"):
+            Rep({"m": m, "n": n[0]})
+        assert Rep({"m": m, "n": m}).evaluate(Word.parse("m.n")).shape == (3, 4, 4)
+
     def test_stacks_take_no_form(self):
         fam = build_family(Angle.pi_fraction(1, 5))
         stacks = {"m": np.stack([fam.M] * 3), "n": np.stack([fam.N] * 3)}
