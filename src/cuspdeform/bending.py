@@ -468,20 +468,20 @@ def bianchi_columns(d: int, target: str, params: Iterable[Angle | float],
     param: list = []
     codes = [np.zeros(0, dtype=int)]
     margins: dict[int, float] = {}
-    for angles, values in grid_blocks(params):
-        code, found = sweep_codes(_letter_classes(fam, angles, tol)[1])
+    for powers, values in grid_blocks(params):
+        code, found = sweep_codes(_letter_classes(fam, powers, tol)[1])
         margins.update((len(param) + k, m) for k, m in found.items())
         param += values
         codes.append(code[:, 0])
     return BianchiSweep(param, np.concatenate(codes), margins)
 
 
-def _letter_classes(fam: BianchiFamily, angles: Sequence[Angle | float],
+def _letter_classes(fam: BianchiFamily, powers: UnitPowers,
                     tol: float) -> tuple[np.ndarray, Verdicts]:
     """The one evaluation and classification of a Bianchi family's bent
     stable letter: its stack at a block of angles and, in one stacked
     pass against the family's form, its classes as columns."""
-    U = fam.images["u"].evaluate_stack(UnitPowers(angles))
+    U = fam.images["u"].evaluate_stack(powers)
     return U, classify_columns(U, fam.form.array()[None], fam.form.convention, tol)
 
 
@@ -618,10 +618,13 @@ class SampleDecisions(NamedTuple):
 def _sample_decisions(fam: BianchiFamily, sample: Angle, tol: float) -> SampleDecisions:
     """The su31 letter class at ``sample``, from its one-point
     ``_letter_classes`` step, and the Burnside probe on a, t and that
-    letter.  A letter error other than IndeterminateError is raised."""
-    (U,), verdicts = _letter_classes(fam, [sample], tol)
+    letter, all three evaluated on one block.  A letter error other than
+    IndeterminateError is raised."""
+    powers = UnitPowers([sample])
+    (U,), verdicts = _letter_classes(fam, powers, tol)
     letter = _letter_class(verdicts.results()[0])
-    gens = [fam.images["a"].evaluate(sample), fam.images["t"].evaluate(sample), U]
+    gens = [fam.images["a"].evaluate_stack(powers)[0],
+            fam.images["t"].evaluate_stack(powers)[0], U]
     try:
         dim, margin = algebra_dimension(gens, tol=tol, return_margin=True)
     except IndeterminateError as exc:
@@ -710,7 +713,8 @@ def verify_bianchi_so41(d: int, theta: Angle, *, tol: float = DECISION_TOL) -> d
     relations = _exact_checks(checks, fam, "all generators preserve the Siegel form exactly "
                               "at symbolic u", " at symbolic u")
     a, b1, b2 = cusp_surds(d)
-    cls, class_u, info = _letter_class(_letter_classes(fam, [theta], tol)[1].results()[0])
+    cls, class_u, info = _letter_class(
+        _letter_classes(fam, UnitPowers([theta]), tol)[1].results()[0])
     kind = cls.kind if cls is not None else None
     if theta.is_zero_mod_2pi():
         record_check(checks, "undeformedUnipotent",

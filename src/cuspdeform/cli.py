@@ -67,16 +67,30 @@ def parse_angle(text: str) -> Angle:
     return Angle.radians(float(t))
 
 
-def _parse_tol(text: str) -> float:
-    """A tolerance: a finite positive number."""
+def _float(text: str) -> float:
+    """``float(text)``, or the message argparse gives for a malformed float."""
     try:
-        tol = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _parse_tol(text: str) -> float:
+    """A tolerance: a finite positive number."""
+    tol = _float(text)
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be finite and positive, got {text!r}")
     return tol
+
+
+def _parse_radius(text: str) -> float:
+    """An exclusion radius: any finite number (zero or less drops no
+    sweep row)."""
+    radius = _float(text)
+    if not math.isfinite(radius):
+        raise argparse.ArgumentTypeError(f"exclusion radius must be finite, got {text!r}")
+    return radius
 
 
 def _default_tol(env: str | None) -> float:
@@ -399,7 +413,7 @@ def _build_parser(env: str | None) -> argparse.ArgumentParser:
     ps.add_argument("--start", type=float, required=True)
     ps.add_argument("--end", type=float, required=True)
     ps.add_argument("--count", type=int, required=True)
-    ps.add_argument("--exclude-radius", type=float, default=0.01,
+    ps.add_argument("--exclude-radius", type=_parse_radius, default=0.01,
                     help="skip grid points this close to signature transitions")
     ps.add_argument("--d", type=int, default=2)
     ps.add_argument("--target", choices=["su31", "so41"], default="su31")

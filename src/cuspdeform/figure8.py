@@ -327,13 +327,13 @@ def figure8_columns(alphas: Iterable[Angle | float], exclusion: float = 0.01,
     alpha: list = []
     parts = []
     margins: dict[int, float] = {}
-    for angles, values in grid_blocks(alphas):
-        arc = _arc_codes(angles.points, values, exclusion)
+    for powers, values in grid_blocks(alphas):
+        arc = _arc_codes(powers.points, values, exclusion)
         kept = (arc >= 0).nonzero()[0].tolist()
         arc = arc[kept]
         x = [values[j] for j in kept]
         block = _evaluate_block(
-            sym, [angles.points[j] for j in kept],
+            sym, powers.take(kept),
             (arc == 0) & (np.abs(np.array(x, dtype=float)) > SWEEP_ZERO_ANGLE), tol)
         codes, found = sweep_codes(block.verdicts, 2)
         classes = np.full((len(kept), 2), -1)
@@ -359,7 +359,7 @@ class _Block(NamedTuple):
     L: np.ndarray
 
 
-def _evaluate_block(sym: Fig8Family, angles: Sequence[Angle | float],
+def _evaluate_block(sym: Fig8Family, powers: UnitPowers,
                     classify_at: Sequence[bool], tol: float) -> _Block:
     """The symbolic family at a block of angles, as stacks, deciding no
     identity: one eigvalsh and one det call on the form, and one
@@ -367,8 +367,7 @@ def _evaluate_block(sym: Fig8Family, angles: Sequence[Angle | float],
     ``classify_at`` marks."""
     import numpy as np
     from .isometry import classify_columns
-    from .matrices import UnitPowers, signature_counts
-    powers = UnitPowers(angles)
+    from .matrices import signature_counts
     J = sym.form.mat.evaluate_stack(powers)
     arc = np.flatnonzero(classify_at)
     M, _, L = _numeric_families(powers.take(arc), sym.M, sym.N)
@@ -395,11 +394,11 @@ def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
 def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     """Classes of the peripheral generators on the signature-(3,1) arc,
     plus the longitude spectrum clusters."""
-    from .matrices import eigen, unwrap
+    from .matrices import UnitPowers, eigen, unwrap
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    block = _evaluate_block(build_family(None), [alpha], [True], tol)
+    block = _evaluate_block(build_family(None), UnitPowers([alpha]), [True], tol)
     result_m, result_l = block.verdicts.results()
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(block.L[0], tol=tol).clusters]
@@ -463,9 +462,9 @@ def figure8_report(alpha: Angle | None = None,
 
     if alpha is not None:
         from .isometry import Parabolic
-        from .matrices import unwrap
+        from .matrices import UnitPowers, unwrap
         want = expected_arc(alpha, 0.0)
-        block = _evaluate_block(sym, [alpha], [want == (3, 1)], tol)
+        block = _evaluate_block(sym, UnitPowers([alpha]), [want == (3, 1)], tol)
         sig = block.sig[0].tolist()
         report["signature"] = sig
         if want is not None:

@@ -246,16 +246,15 @@ def dilation_matrix(r: float, k: int = 2) -> np.ndarray:
     return g
 
 
-def standard_lift(p: HeisPoint, height: float = 0.0) -> np.ndarray:
-    """The standard lift ((-|Z|^2 - u + it)/2, Z, 1) at horospherical
-    height u (0 on the boundary)."""
-    return _lift(p.z, p.t, height)
+def standard_lift(p: HeisPoint) -> np.ndarray:
+    """The standard lift ((-|Z|^2 + it)/2, Z, 1) of a boundary point."""
+    return _lift(p.z, p.t)
 
 
-def _lift(z: Sequence[complex], t: float, height: float = 0.0) -> np.ndarray:
+def _lift(z: Sequence[complex], t: float) -> np.ndarray:
     """standard_lift of the point (z, t), given as Python complex and float."""
     zz = sum(abs(w) ** 2 for w in z)
-    return np.array([(-zz - height + 1j * t) / 2, *z, 1.0], dtype=complex)
+    return np.array([(-zz + 1j * t) / 2, *z, 1.0], dtype=complex)
 
 
 def boundary_action(g: np.ndarray, p: HeisPoint) -> HeisPoint:

@@ -29,10 +29,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenColumns, GeometryError,
-                       HermForm, IndeterminateError, eigen_columns, eye,
-                       finite_rows, form_defects, moduli, row_means, shifted,
-                       unwrap)
-from .scalars import Angle, AngleColumn
+                       HermForm, IndeterminateError, UnitPowers, eigen_columns, eye,
+                       finite_rows, form_defects, moduli, row_means, shifted, unwrap)
+from .scalars import Angle
 from .tolerances import DECISION_TOL, INDETERMINATE_FACTOR, NORM_FLOOR
 
 SWEEP_BLOCK = 256
@@ -418,10 +417,10 @@ def classify_columns(S: np.ndarray, J: np.ndarray, convention: str,
 
 
 def grid_blocks(points: Iterable[Angle | float]
-                ) -> Iterator[tuple[AngleColumn, list]]:
+                ) -> Iterator[tuple[UnitPowers, list]]:
     """Walk a sweep grid (a float is an angle in radians) in blocks of
-    SWEEP_BLOCK points, yielding each block's angles, as a column, and
-    their values.  At the first point that is no angle (or whose
+    SWEEP_BLOCK points, yielding each block, as ``UnitPowers``, and the
+    values of its points.  At the first point that is no angle (or whose
     iteration raised), the block's earlier points come first, and the
     exception is raised when the sweep asks for the next block: by then
     the sweep has evaluated and classified every earlier point, so the
@@ -439,14 +438,14 @@ def grid_blocks(points: Iterable[Angle | float]
             else:
                 raise ValueError("angle must be finite")
             if len(angles) == SWEEP_BLOCK:
-                yield AngleColumn(angles), values
+                yield UnitPowers(angles), values
                 angles, values = [], []
     except Exception:
         if angles:
-            yield AngleColumn(angles), values
+            yield UnitPowers(angles), values
         raise
     if angles:
-        yield AngleColumn(angles), values
+        yield UnitPowers(angles), values
 
 
 def sweep_codes(verdicts: Verdicts, width: int = 1) -> tuple[np.ndarray, dict[int, float]]:

@@ -22,31 +22,27 @@ import numpy as np
 # before the split resolves to the same object
 from .exact import (_CONVENTIONS, CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError, HermForm,
                     IndeterminateError, Mat, _promote, form_preserved, siegel_form)
-from .scalars import Angle, AngleColumn
+from .scalars import Angle
 from .tolerances import (CLUSTER_RTOL, CLUSTER_RTOL_CEILING, DECISION_TOL, NORM_FLOOR,
                          STRUCTURE_TOL)
 
 
 class UnitPowers:
-    """The powers u^k = e^{i k alpha} at each angle of a block, computed
-    once per (angle, exponent) and shared by every matrix evaluated on
-    the block.  A float of the block is a finite angle in radians, read
-    as ``Angle.radians`` reads it (0.0 is the exact zero); it becomes an
-    Angle only where ``angles`` is read."""
+    """A block of angles, and the powers u^k = e^{i k alpha} at each,
+    computed once per (angle, exponent) and shared by every matrix
+    evaluated on the block.  ``points`` is the block as given: each an
+    Angle, or a float, a finite angle in radians as ``Angle.radians``
+    reads it (0.0 is the exact zero)."""
 
-    __slots__ = ("_points", "_raw", "_exact", "_columns")
+    __slots__ = ("points", "_raw", "_exact", "_columns")
 
-    def __init__(self, angles: Sequence[Angle | float]):
-        self._points = list(angles.points if isinstance(angles, AngleColumn) else angles)
+    def __init__(self, points: Sequence[Angle | float]):
+        self.points = list(points)
         # the raw radians of each angle (0.0 at an exact one), and the exact ones
-        raw = [a.raw if isinstance(a, Angle) else a or None for a in self._points]
+        raw = [a.raw if isinstance(a, Angle) else a or None for a in self.points]
         self._exact = [j for j, x in enumerate(raw) if x is None]
         self._raw = [0.0 if x is None else x for x in raw] if self._exact else raw
         self._columns: dict[int, np.ndarray] = {}
-
-    @property
-    def angles(self) -> AngleColumn:
-        return AngleColumn(self._points)
 
     def table(self, exponents: Sequence[int]) -> np.ndarray:
         """The (K, len(exponents)) complex array of the powers.
@@ -60,7 +56,7 @@ class UnitPowers:
         angles take ``times(k).exp_i()``."""
         missing = [k for k in exponents if k not in self._columns]
         if missing:
-            size = len(self._points)
+            size = len(self.points)
             xs = [x * k for k in missing for x in self._raw]
             try:
                 flat = list(map(complex, map(math.cos, xs), map(math.sin, xs)))
@@ -74,18 +70,18 @@ class UnitPowers:
                     flat[i * size:(i + 1) * size] = [1 + 0j] * size
                     continue
                 for j in self._exact:
-                    a = self._points[j]
+                    a = self.points[j]
                     flat[i * size + j] = a.times(k).exp_i() if isinstance(a, Angle) else 1 + 0j
             values = np.array(flat, dtype=complex).reshape(len(missing), size)
             for i, k in enumerate(missing):
                 self._columns[k] = values[i]
         if not exponents:
-            return np.zeros((len(self._points), 0), dtype=complex)
+            return np.zeros((len(self.points), 0), dtype=complex)
         return np.stack([self._columns[k] for k in exponents], axis=1)
 
     def take(self, rows: Sequence[int]) -> "UnitPowers":
         """The powers at the angles of the given rows."""
-        out = UnitPowers([self._points[j] for j in rows])
+        out = UnitPowers([self.points[j] for j in rows])
         out._columns = {k: col[rows] for k, col in self._columns.items()}
         return out
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -159,25 +158,6 @@ class Angle:
         if self.pi_frac is not None:
             return f"Angle({self.pi_frac}*pi)"
         return f"Angle({self.raw} rad)"
-
-
-class AngleColumn(Sequence):
-    """A block of angles as one list: each an Angle, or a float, a finite
-    angle in radians as ``Angle.radians`` reads it (0.0 is the exact
-    zero).  It reads as a sequence of Angles, each made when it is read;
-    ``points`` is the list as given."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: list):
-        self.points = points
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, j: int) -> Angle:
-        a = self.points[j]
-        return a if isinstance(a, Angle) else Angle.radians(a)
 
 
 class LaurentPoly:

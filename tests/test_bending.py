@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdeform import bending, isometry, scalars
+from cuspdeform import bending, isometry, matrices, scalars
 from cuspdeform.bending import (ALGEBRA_PROBE_ANGLE, BendDataAmalgam,
                                 BendDataHNN, algebra_dimension, bend_amalgam,
                                 bend_hnn, bianchi_family,
@@ -525,6 +525,11 @@ class TestVerifySO41:
             assert form_preserved(g, J5)
 
 
+def _values(powers):
+    """The values of a block's points (a float is its own value)."""
+    return [a.value if isinstance(a, Angle) else a for a in powers.points]
+
+
 class TestLetterStep:
     """The bent stable letter is evaluated and classified in one block
     step, ``_letter_classes``: once per sweep block, and at its one angle
@@ -535,9 +540,9 @@ class TestLetterStep:
         calls = []
         real = bending._letter_classes
 
-        def letter_classes(fam, angles, tol):
-            calls.append((fam.target, [a.value for a in angles]))
-            return real(fam, angles, tol)
+        def letter_classes(fam, powers, tol):
+            calls.append((fam.target, _values(powers)))
+            return real(fam, powers, tol)
 
         def no_classify(*args, **kwargs):
             raise AssertionError("the letter is classified outside its block step")
@@ -586,6 +591,46 @@ class TestLetterStep:
             == {"a": 1, "t": 1, "u": 1}
 
 
+class TestOneBlock:
+    """A block of angles is one ``UnitPowers``: a report at an angle
+    builds one and evaluates every generator on it, and a sweep's letter
+    step takes the very block that ``grid_blocks`` yields."""
+
+    def test_su31_report_at_an_angle_builds_one_block(self, monkeypatch):
+        # the first report also builds the form's constant array, once
+        # per process; each later one builds the one block of its angle
+        alpha = Angle.pi_fraction(2, 5)
+        first = verify_bianchi_su31(7, alpha)
+        blocks = []
+        init = matrices.UnitPowers.__init__
+
+        def spy(powers, points):
+            blocks.append(list(points))
+            init(powers, points)
+
+        monkeypatch.setattr(matrices.UnitPowers, "__init__", spy)
+        assert verify_bianchi_su31(7, alpha) == first and blocks == [[alpha]]
+        assert verify_bianchi_su31(7, alpha) == first and blocks == [[alpha]] * 2
+
+    @pytest.mark.parametrize("target", ["su31", "so41"])
+    def test_sweep_steps_on_the_yielded_blocks(self, monkeypatch, target):
+        yielded, stepped = [], []
+        walk, step = bending.grid_blocks, bending._letter_classes
+
+        def grid_blocks(points):
+            for powers, values in walk(points):
+                yielded.append(powers)
+                yield powers, values
+
+        monkeypatch.setattr(bending, "grid_blocks", grid_blocks)
+        monkeypatch.setattr(bending, "_letter_classes", lambda fam, powers, tol:
+                            stepped.append(powers) or step(fam, powers, tol))
+        bianchi_sweep(7, target, [0.1 + 0.01 * k for k in range(2 * SWEEP_BLOCK + 10)])
+        assert len(yielded) == len(stepped) == 3
+        assert all(isinstance(p, matrices.UnitPowers) for p in yielded)
+        assert all(p is q for p, q in zip(yielded, stepped))
+
+
 class TestKeptSampleDecisions:
     """A symbolic su31 report reads the letter class and the span probe at
     ALGEBRA_PROBE_ANGLE from its family, which decides them once per tol;
@@ -597,9 +642,9 @@ class TestKeptSampleDecisions:
         calls = []
         step, probe = bending._letter_classes, bending.algebra_dimension
 
-        def letter_classes(fam, angles, tol):
-            calls.append(("step", [a.value for a in angles], tol))
-            return step(fam, angles, tol)
+        def letter_classes(fam, powers, tol):
+            calls.append(("step", _values(powers), tol))
+            return step(fam, powers, tol)
 
         def algebra_dimension(gens, tol=DECISION_TOL, return_margin=False):
             calls.append(("probe", tol))
@@ -665,8 +710,8 @@ class TestKeptSampleDecisions:
         # the next report decides again
         fault = GeometryError("letter failed")
         step = bending._letter_classes
-        monkeypatch.setattr(bending, "_letter_classes", lambda fam, angles, tol:
-                            (step(fam, angles, tol)[0],
+        monkeypatch.setattr(bending, "_letter_classes", lambda fam, powers, tol:
+                            (step(fam, powers, tol)[0],
                              isometry.Verdicts(np.array([-1]), {0: fault})))
         with pytest.raises(GeometryError, match="letter failed"):
             verify_bianchi_su31(5)

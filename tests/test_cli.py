@@ -26,6 +26,21 @@ from cuspdeform.scalars import Angle
 
 SCHEMA = json.load(open(schema_path()))
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
+
+
+def _golden_commands() -> list[tuple[str, list[str], int, str]]:
+    """The rows of ``golden/commands.txt``, each (golden file, argv, exit
+    code, mark), in the file's order; a path in argv is relative to ROOT."""
+    rows = []
+    for line in (GOLDEN / "commands.txt").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, code, mark, *argv = line.split()
+            rows.append((name, argv, int(code), mark))
+    return rows
+
+
+GOLDEN_COMMANDS = _golden_commands()
 
 json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2 ** 130), 2 ** 130),
                         st.floats(), st.floats().map(np.float64), st.text(),
@@ -266,8 +281,8 @@ class TestVerifyCommand:
         # each letter step and span probe of a su31 report
         calls = []
         step, probe = bending._letter_classes, bending.algebra_dimension
-        monkeypatch.setattr(bending, "_letter_classes", lambda fam, angles, tol:
-                            calls.append("step") or step(fam, angles, tol))
+        monkeypatch.setattr(bending, "_letter_classes", lambda fam, powers, tol:
+                            calls.append("step") or step(fam, powers, tol))
         monkeypatch.setattr(bending, "algebra_dimension", lambda *args, **kwargs:
                             calls.append("probe") or probe(*args, **kwargs))
         return calls
@@ -421,6 +436,32 @@ class TestSweepCommand:
                           "--end", "1", "--count", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family", [["figure8"], ["bianchi", "--d", "2", "--target", "so41"]])
+    def test_non_finite_exclusion_radius_is_a_usage_error(self, monkeypatch, family, value):
+        # it once dropped every figure-eight row, exit 0; a Bianchi sweep
+        # does not use it, but a given option must parse
+        monkeypatch.setattr(cli, "figure8_columns", None)  # never reached
+        code, out, err = run(["sweep", *family, "--start=-1", "--end=1", "--count", "5",
+                              f"--exclude-radius={value}"])
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: argument --exclude-radius: exclusion radius must be finite, got '{value}'\n")
+
+    def test_exclusion_radius_not_above_zero_keeps_every_row(self):
+        # 2.1 lies within the default 0.01 of the transition at 2pi/3; a
+        # negative radius widens the arcs until they overlap
+        argv = ["sweep", "figure8", "--start=2.0", "--end=2.2", "--count", "5"]
+        grid = ["2.0", "2.05", "2.1", "2.1500000000000004", "2.2"]
+
+        def alphas(out):
+            return [line.split(",")[0] for line in out.split("\r\n")[1:-1]]
+
+        assert alphas(run(argv)[1]) == grid[:2] + grid[3:]
+        for radius in ("0", "-0.5", "-1e300"):
+            code, out, err = run([*argv, f"--exclude-radius={radius}"])
+            assert code in (0, 1) and err == "" and alphas(out) == grid
+
     @pytest.mark.parametrize("argv, module, builder", [
         (["figure8", "--start=-3.0", "--end", "3.0", "--count", "60"],
          figure8, "form_matrix"),
@@ -517,88 +558,30 @@ class TestOrbitCommand:
         code, _, _ = run(["orbit", "--d", "15", "--alpha", "0.7", "--radius", "3"])
         assert code == 0 and calls == []
 
-    # Generated before the integer-numerator exact kernel landed.  The
-    # README verify/sweep commands, the acceptance CLI_COMMANDS and one
-    # pi-rational verify; the sweep det column pins the summation order.
-    @pytest.mark.parametrize("name, argv", [
-        ("orbit_d2_alpha_1-3pi_r20.csv",
-         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "20"]),
-        ("orbit_d7_so41_theta_1.0_r20.csv",
-         ["orbit", "--d", "7", "--target", "so41", "--theta", "1.0", "--radius", "20"]),
-        ("verify_figure8_alpha_1-5pi.json", ["verify", "figure8", "--alpha=1/5pi"]),
-        ("verify_figure8_u-exact_words.json",
-         ["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words.txt")]),
-        ("verify_bianchi_d2_su31_u-exact.json",
-         ["verify", "bianchi", "--d", "2", "--target", "su31", "--u-exact"]),
-        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",
-         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0",
-          "--pythagorean", "1/2"]),
-        ("sweep_figure8_-3_3_360.csv",
-         ["sweep", "figure8", "--start", "-3.0", "--end", "3.0", "--count", "360"]),
-        ("sweep_bianchi_d2_so41_0.1_3.0_36.csv",
-         ["sweep", "bianchi", "--d", "2", "--target", "so41",
-          "--start", "0.1", "--end", "3.0", "--count", "36"]),
-        ("verify_figure8_alpha_0.5.json", ["verify", "figure8", "--alpha", "0.5"]),
-        ("verify_figure8_u-exact.json", ["verify", "figure8", "--u-exact"]),
-        ("verify_bianchi_d7_so41_theta_1.0_pyth_1-2.json",   # the slope is unused
-         ["verify", "bianchi", "--d", "7", "--target", "so41", "--theta", "1.0"]),
-        ("sweep_figure8_-3_3_60.csv",
-         ["sweep", "figure8", "--start", "-3.0", "--end", "3.0", "--count", "60"]),
-        ("sweep_bianchi_d2_so41_0.1_3.0_12.csv",
-         ["sweep", "bianchi", "--d", "2", "--target", "so41",
-          "--start", "0.1", "--end", "3.0", "--count", "12"]),
-        ("orbit_d2_alpha_1-3pi_r8.csv",
-         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "8"]),
-        # Generated before the orbit layer was batched: no gap line at
-        # radius 0, a skew cusp at a raw angle, a pi-rational so41 bend.
-        ("orbit_d2_alpha_1-3pi_r0.csv",
-         ["orbit", "--d", "2", "--alpha", "1/3pi", "--radius", "0"]),
-        ("orbit_d15_alpha_0.7_r10.csv",
-         ["orbit", "--d", "15", "--alpha", "0.7", "--radius", "10"]),
-        ("orbit_d5_so41_theta_1-3pi_r10.csv",
-         ["orbit", "--d", "5", "--target", "so41", "--theta=1/3pi", "--radius", "10"]),
-        # Generated before sweeps became columns: an su31 sweep of more
-        # than two blocks
-        ("sweep_bianchi_d7_su31_-3_3_600.csv",
-         ["sweep", "bianchi", "--d", "7", "--target", "su31", "--start=-3.0", "--end=3.0",
-          "--count", "600"]),
-        # Generated before word images were multiplied as packed integers:
-        # seeded words of length 48, 96 and 120, and the relator
-        ("verify_figure8_u-exact_words_long.json",
-         ["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words_long.txt")]),
-        # Generated while ext-ring word images still raised a word's period:
-        # the torsion relator (a t u^-1 a u)^3 of d = 11, a cube of its period
-        ("verify_bianchi_d11_su31_u-exact.json",
-         ["verify", "bianchi", "--d", "11", "--target", "su31", "--u-exact"]),
-    ])
-    def test_golden_output(self, name, argv):
+    # each row keeps the test id pytest gives a (name, argv) pair
+    @pytest.mark.parametrize("name, argv, want", [
+        pytest.param(name, argv, want, id=f"{name}-argv{k}") for k, (name, argv, want) in
+        enumerate(row[:3] for row in GOLDEN_COMMANDS if row[3] != "report")])
+    def test_golden_output(self, monkeypatch, name, argv, want):
+        monkeypatch.chdir(ROOT)
         code, out, _ = run(argv)
-        assert code == 0
+        assert code == want
         assert out == (GOLDEN / name).read_bytes().decode()
 
-    # Generated before the Bianchi suites shared their exact and
-    # stable-letter steps: a skew cusp at an angle, a d without a
-    # presentation, an orthogonal half turn, the undeformed so41 letter
-    # and the su31 letter near alpha = 0 (regenerated since: exactly
-    # ellipto-parabolic there, exit 0).
-    @pytest.mark.parametrize("name, argv, want", [
-        ("verify_bianchi_d7_su31_alpha_2-5pi.json",
-         ["verify", "bianchi", "--d", "7", "--target", "su31", "--alpha=2/5pi"], 0),
-        ("verify_bianchi_d15_su31_u-exact.json",
-         ["verify", "bianchi", "--d", "15", "--target", "su31", "--u-exact"], 0),
-        ("verify_bianchi_d5_so41_theta_1-1pi_pyth_2-3.json",
-         ["verify", "bianchi", "--d", "5", "--target", "so41", "--theta=1/1pi",
-          "--pythagorean=2/3"], 0),
-        ("verify_bianchi_d11_so41_theta_0_pyth_-3-5.json",
-         ["verify", "bianchi", "--d", "11", "--target", "so41", "--theta=0",
-          "--pythagorean=-3/5"], 0),
-        ("verify_bianchi_d2_su31_alpha_0.0001.json",
-         ["verify", "bianchi", "--d", "2", "--target", "su31", "--alpha=0.0001"], 0),
-    ])
+    @pytest.mark.parametrize("name, argv, want",
+                             [row[:3] for row in GOLDEN_COMMANDS if row[3] == "report"])
     def test_bianchi_report_golden(self, name, argv, want):
         code, out, err = run(argv)
         assert (code, err) == (want, "")
         assert out == (GOLDEN / name).read_bytes().decode()
+
+    def test_every_golden_has_a_command(self):
+        # a file no command names is an input of one (a word list)
+        inputs = {Path(arg).name for _, argv, _, _ in GOLDEN_COMMANDS for arg in argv
+                  if (ROOT / arg).parent == GOLDEN}
+        outputs = {p.name for p in GOLDEN.iterdir()} - inputs - {"commands.txt"}
+        assert outputs == {name for name, _, _, _ in GOLDEN_COMMANDS}
+        assert {mark for _, _, _, mark in GOLDEN_COMMANDS} == {"-", "numpy-free", "report"}
 
     def test_orbit_enumerated_once(self, monkeypatch):
         calls = []

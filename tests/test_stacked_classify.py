@@ -33,7 +33,7 @@ from cuspdeform.matrices import (CONJ_TRANSPOSE, TRANSPOSE_CONJ, GeometryError,
                                  HermForm, IndeterminateError, Mat, UnitPowers,
                                  chain_groups, eigen, eigen_stack, form_defect,
                                  siegel_form)
-from cuspdeform.scalars import Angle, AngleColumn
+from cuspdeform.scalars import Angle
 
 # ---------------------------------------------------------------------------
 # The per-matrix reference
@@ -636,6 +636,11 @@ def _grid(start, end, count):
     return [start + k * step for k in range(count)]
 
 
+def _values(powers):
+    """The values of a block's points (a float is its own value)."""
+    return [a.value if isinstance(a, Angle) else a for a in powers.points]
+
+
 class TestSweepBlocks:
     """The sweeps evaluate and classify per block; a failure is raised
     only after every earlier point is known not to fail.  The boundary
@@ -668,7 +673,7 @@ class TestSweepBlocks:
 
         def families(powers, *args):
             M, N, L = real(powers, *args)
-            values = [a.value for a in powers.angles]
+            values = _values(powers)
             if bad in values:
                 M = M.copy()
                 M[values.index(bad)] *= 2
@@ -696,7 +701,7 @@ class TestSweepBlocks:
 
         def evaluate_stack(mat, powers):
             U = real(mat, powers)
-            values = [theta.value for theta in powers.angles]
+            values = _values(powers)
             if mat.n == 5 and bad in values:
                 U = U.copy()
                 U[values.index(bad)] *= 2
@@ -727,7 +732,7 @@ class TestSweepBlocks:
 
             def families(powers, *args):
                 M, N, L = real(powers, *args)
-                values = [a.value for a in powers.angles]
+                values = _values(powers)
                 seen.extend(values)
                 if bad in values:
                     M = M.copy()
@@ -742,7 +747,7 @@ class TestSweepBlocks:
         def evaluate_stack(mat, powers):
             U = real(mat, powers)
             if mat is letter:
-                values = [a.value for a in powers.angles]
+                values = _values(powers)
                 seen.extend(values)
                 if bad in values:
                     U[values.index(bad)] *= 2
@@ -891,7 +896,7 @@ class TestColumnsEqualLoops:
                     for row in angle_power_table(angles, exponents)]
         except ValueError as exc:
             want = str(exc)
-        powers = UnitPowers(AngleColumn(points))
+        powers = UnitPowers(points)
         try:
             powers.table(exponents[:first])
             got = powers.table(exponents)
