@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .scalars import Angle, ExtScalar, LaurentPoly, Surd, _canonical, power
 from .tolerances import INDETERMINATE_FACTOR
@@ -31,6 +31,11 @@ def _numeric():
     """The numeric layer, ``matrices``, imported on first use and kept."""
     from . import matrices
     return matrices
+
+
+UNIPOTENT_STEP2 = "unipotent-step2"
+UNIPOTENT_STEP3 = "unipotent-step3"
+ELLIPTO_PARABOLIC = "ellipto-parabolic"
 
 
 class GeometryError(ValueError):
@@ -242,6 +247,30 @@ class Mat:
             AM = self @ M
             coeffs[n - k] = AM.trace() / -k
         return coeffs, (M if n % 2 else -M)
+
+    def rank(self) -> int:
+        """The rank over Q(u) of a laurent-ring matrix, with no numpy.
+
+        A = u^lo Q / den (``_Packing``) has the rank of Q, a matrix of
+        integer polynomials, and evaluating Q at u = 2^B maps each minor of
+        Q to its value there.  So Q at 2^B has Q's rank over Q(u) when no
+        nonzero minor of Q vanishes at 2^B, which B = bitlen(||Q||^n)
+        (``_rank_width``) ensures:
+
+        * a k x k minor is a signed sum of products of one entry from each
+          of its rows, so its l1 norm is at most the product of those
+          rows' l1 sums, at most ||Q||^k <= ||Q||^n < 2^B;
+        * an integer polynomial p != 0 with |p|_1 < 2^B does not vanish
+          at 2^B: if c is its lowest nonzero coefficient, at u^j, then
+          p(2^B) = 2^(Bj) (c + 2^B m) for an integer m, which is 0 only
+          if 2^B divides c, and then |c| >= 2^B > |p|_1 >= |c|.
+
+        The rank of the integer matrix is then ``_bareiss_rank``'s.  (The
+        ``+ 1`` of ``_width`` is for decoding balanced digits, which a
+        rank does not do.)"""
+        if self.ring != "laurent":
+            raise TypeError("rank is over Q(u): a laurent-ring matrix only")
+        return _bareiss_rank(_packing(self).at(_rank_width(self)))
 
     def _plus_scalar(self, s) -> "Mat":
         """self + s I."""
@@ -484,6 +513,139 @@ def _unpacked(values: Sequence[int], packings: Sequence[_Packing],
                 nums[k] = c
         out.append(_canonical(nums, den))
     return out
+
+
+def _rank_width(m: Mat) -> int:
+    """The width B = bitlen(||Q||^n) at which ``Mat.rank`` evaluates a
+    laurent-ring matrix's packing (0 for the zero matrix)."""
+    return (_packing(m).norm ** m.n).bit_length()
+
+
+def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of an integer matrix, by fraction-free (Bareiss)
+    elimination with row swaps.  Once rows r_1..r_k have pivoted in
+    columns c_1..c_k, each entry (i, j) below them is the minor on rows
+    r_1..r_k, i and columns c_1..c_k, j, so each division by the previous
+    pivot is exact; a column with no nonzero entry left is skipped."""
+    a = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev, rank = p, rank + 1
+    return rank
+
+
+class Jordan(NamedTuple):
+    """One eigenvalue c u^k (c = +-1) of a laurent-ring matrix A, its
+    algebraic ``multiplicity``, and the ``ranks`` of (A - c u^k I)^j for
+    j = 1, 2, ... down to n - multiplicity, each found by ``Mat.rank`` at
+    the width in ``widths``: the Jordan data, and its certificate."""
+
+    sign: int
+    exponent: int
+    multiplicity: int
+    ranks: tuple[int, ...]
+    widths: tuple[int, ...]
+
+
+class GenericClass(NamedTuple):
+    """``classify_generic``'s answer: the parabolic ``subtype`` (a
+    ``Parabolic`` subtype of ``isometry.CLASSES``), or None where it
+    decides none, and the ``eigenvalues`` it rests on, empty where the
+    characteristic polynomial does not split into factors x - c u^k."""
+
+    subtype: str | None
+    eigenvalues: tuple[Jordan, ...]
+
+
+def _root_division(coeffs: Sequence[LaurentPoly], root: LaurentPoly
+                   ) -> tuple[list[LaurentPoly], LaurentPoly]:
+    """The quotient of sum coeffs[j] x^j by x - root (its coefficients,
+    lowest first), and the remainder, the value at root: synthetic
+    division."""
+    acc = coeffs[-1]
+    out = [acc]
+    for a in reversed(coeffs[:-1]):
+        acc = a + root * acc
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
+
+
+def _linear_factors(coeffs: Sequence[LaurentPoly]) -> list[tuple[int, int, int]] | None:
+    """The factors (x - c u^k)^mult, c = +-1, as (c, k, mult), of a monic
+    sum coeffs[j] x^j of degree >= 1, or None where it has another factor.
+
+    With E the largest |exponent| of the coefficients, every such root
+    has |k| <= 2E: for k > 2E the term coeffs[0] has its lowest exponent
+    at most E, below every exponent of coeffs[j] u^(kj), j >= 1, which are
+    at least k - E > E, so the value at c u^k is not 0 (and the mirror
+    argument on the highest exponents holds for k < -2E).  A zero
+    coeffs[0] (the root 0) is another factor."""
+    coeffs = list(coeffs)
+    bound = 2 * max((abs(k) for c in coeffs for k in c._n), default=0)
+    factors = []
+    for k in range(-bound, bound + 1):
+        for c in (1, -1):
+            mult = 0
+            while len(coeffs) > 1:
+                quotient, remainder = _root_division(coeffs, _canonical({k: c}, 1))
+                if not remainder.is_zero:
+                    break
+                coeffs, mult = quotient, mult + 1
+            if mult:
+                factors.append((c, k, mult))
+    return factors if len(coeffs) == 1 else None
+
+
+def classify_generic(A: Mat) -> GenericClass:
+    """The parabolic subtype of a laurent-ring matrix A at every
+    transcendental u, from exact data, with the data as its certificate.
+
+    The eigenvalues come from the characteristic polynomial
+    (``_charpoly_adjugate``), where it splits into factors x - c u^k
+    (``_linear_factors``); the Jordan data from the ranks over Q(u) of
+    the powers of A - c u^k I (``Mat.rank``).  The rules are those of
+    ``isometry.classify_columns``: one eigenvalue whose block needs the
+    second or third power to vanish is ``unipotent-step2`` or ``-step3``;
+    several eigenvalues, one with a nontrivial block, ellipto-parabolic;
+    anything else (no nontrivial block, a longer one, another factor)
+    None.  At a transcendental u (e^{i alpha} for a nonzero float alpha,
+    by Hermite-Lindemann) no nonzero polynomial in u vanishes, so the
+    eigenvalues stay distinct and no rank drops: the class holds there.
+    Whether A is an isometry at all is the caller's to know (a family
+    proves its form invariance exactly)."""
+    if A.ring != "laurent":
+        raise TypeError("classify_generic takes a laurent-ring matrix")
+    factors = _linear_factors(A._charpoly_adjugate()[0])
+    if factors is None:
+        return GenericClass(None, ())
+    eigenvalues = []
+    for c, k, mult in factors:
+        N = A._plus_scalar(_canonical({k: -c}, 1))
+        P, ranks, widths = N, [], []
+        while True:
+            ranks.append(P.rank())
+            widths.append(_rank_width(P))
+            if ranks[-1] == A.n - mult:
+                break
+            P = P @ N
+        eigenvalues.append(Jordan(c, k, mult, tuple(ranks), tuple(widths)))
+    jordan = tuple(eigenvalues)
+    if all(e.ranks[0] == A.n - e.multiplicity for e in jordan):
+        return GenericClass(None, jordan)
+    if len(jordan) > 1:
+        return GenericClass(ELLIPTO_PARABOLIC, jordan)
+    step = {2: UNIPOTENT_STEP2, 3: UNIPOTENT_STEP3}.get(len(jordan[0].ranks))
+    return GenericClass(step, jordan)
 
 
 # ---------------------------------------------------------------------------

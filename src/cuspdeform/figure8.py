@@ -25,7 +25,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import GeometryError, HermForm, IndeterminateError, Mat, TRANSPOSE_CONJ
+from .exact import (GenericClass, GeometryError, HermForm, IndeterminateError, Mat,
+                    TRANSPOSE_CONJ, classify_generic)
 from .scalars import Angle, LaurentPoly
 from .tolerances import DECISION_TOL, LAW_TOL, SWEEP_ZERO_ANGLE
 from .words import (COMMUTATOR_CONVENTION, Rep, Word, builtin_presentation,
@@ -159,6 +160,12 @@ class Fig8Family:
                 ("peripheralCommute", self.M @ L == L @ self.M))
 
     @functools.cached_property
+    def generic_classes(self) -> tuple[GenericClass, GenericClass]:
+        """The exact classes of m and the longitude at every raw angle
+        (``classify_generic``; the symbolic family only)."""
+        return classify_generic(self.M), classify_generic(self.longitude())
+
+    @functools.cached_property
     def witness_traces(self) -> tuple[LaurentPoly, ...]:
         return tuple(map(self.rep.trace, TRACE_WITNESS_WORDS))
 
@@ -214,7 +221,7 @@ class SweepRow:
     """One grid point of a figure-eight sweep.  ``classes`` holds the
     classes of m and the longitude, computed on the signature-(3,1) arc
     away from alpha = 0 (both "indeterminate", with ``margin``, when a
-    decision was too close to call)."""
+    numeric decision at a pi-rational angle was too close to call)."""
 
     alpha: float
     signature: Signature
@@ -250,15 +257,17 @@ def _arc_codes(angles: Sequence[Angle | float], values: Sequence[float],
     reduce it, the reduction behind the matrices' entries.  A
     pi-rational angle is placed by its exact multiple of pi, so a
     transition never gets an expectation from rounding; with a positive
-    exclusion, its value must also lie outside the zones."""
+    exclusion, its value must also lie outside the zones.  An exclusion
+    of zero or less is read as zero: the arcs never move."""
     import numpy as np
     a = np.abs(np.array(values, dtype=float))
     far = (a > math.pi).nonzero()[0].tolist()
     if far:
         x = [values[j] for j in far]
         a[far] = np.abs(list(map(math.atan2, map(math.sin, x), map(math.cos, x))))
-    codes = np.where(a < INNER_ARC_BOUND - exclusion, 0, np.where(
-        (INNER_ARC_BOUND + exclusion < a) & (a < math.pi - exclusion), 1, -1))
+    r = max(exclusion, 0.0)
+    codes = np.where(a < INNER_ARC_BOUND - r, 0, np.where(
+        (INNER_ARC_BOUND + r < a) & (a < math.pi - r), 1, -1))
     for j, alpha in enumerate(angles):
         if isinstance(alpha, Angle) and alpha.is_pi_rational:
             f = alpha.pi_frac % 2
@@ -349,32 +358,52 @@ def figure8_columns(alphas: Iterable[Angle | float], exclusion: float = 0.01,
 
 class _Block(NamedTuple):
     """The columns of ``_evaluate_block``: per angle the form's signature
-    counts and determinant; the angles classified (``arc``), the results
-    for m and the longitude at each in turn, and the longitudes."""
+    counts and determinant; the angles classified (``arc``), and the
+    results for m and the longitude at each in turn."""
 
     sig: np.ndarray
     det: np.ndarray
     arc: np.ndarray
     verdicts: Verdicts
-    L: np.ndarray
+
+
+def _is_raw(alpha: Angle | float) -> bool:
+    """Whether an angle is raw radians other than 0: a nonzero finite
+    float is rational, so u = e^{i alpha} is transcendental there
+    (Hermite-Lindemann), and no exceptional point of an exact class."""
+    x = alpha.raw if isinstance(alpha, Angle) else alpha
+    return x is not None and x != 0
 
 
 def _evaluate_block(sym: Fig8Family, powers: UnitPowers,
                     classify_at: Sequence[bool], tol: float) -> _Block:
     """The symbolic family at a block of angles, as stacks, deciding no
-    identity: one eigvalsh and one det call on the form, and one
-    classify_columns call for m and the longitude at the angles
-    ``classify_at`` marks."""
+    identity: one eigvalsh and one det call on the form, and the classes
+    of m and the longitude at the angles ``classify_at`` marks.  A raw
+    angle (``_is_raw``) takes the family's exact classes
+    (``generic_classes``), decided once; the generators preserve the form
+    exactly there too.  The pi-rational angles take one classify_columns
+    call on the numeric m and longitude."""
     import numpy as np
-    from .isometry import classify_columns
+    from .isometry import CLASSES, Parabolic, Verdicts, classify_columns
     from .matrices import signature_counts
     J = sym.form.mat.evaluate_stack(powers)
     arc = np.flatnonzero(classify_at)
-    M, _, L = _numeric_families(powers.take(arc), sym.M, sym.N)
-    # M and the longitude of each angle, in turn, against its form
-    S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
-    verdicts = classify_columns(S, np.repeat(J[arc], 2, axis=0), TRANSPOSE_CONJ, tol)
-    return _Block(signature_counts(J, tol), np.linalg.det(J).real, arc, verdicts, L)
+    raw = np.array([_is_raw(powers.points[j]) for j in arc.tolist()], dtype=bool)
+    verdicts = Verdicts(np.full(2 * len(arc), -1), {})
+    if raw.any():
+        verdicts.code.reshape(-1, 2)[raw] = [
+            CLASSES.index(Parabolic(c.subtype)) for c in sym.generic_classes]
+    numeric = arc[~raw]
+    if numeric.size:
+        M, _, L = _numeric_families(powers.take(numeric), sym.M, sym.N)
+        # M and the longitude of each angle, in turn, against its form
+        S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
+        found = classify_columns(S, np.repeat(J[numeric], 2, axis=0), TRANSPOSE_CONJ, tol)
+        where = np.flatnonzero(np.repeat(~raw, 2))
+        verdicts.code[where] = found.code
+        verdicts.errors.update((int(where[k]), e) for k, e in found.errors.items())
+    return _Block(signature_counts(J, tol), np.linalg.det(J).real, arc, verdicts)
 
 
 def signature_sweep(alphas: Iterable[Angle | float], exclusion: float = 0.01,
@@ -398,10 +427,12 @@ def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     if expected_arc(alpha, 0.0) != (3, 1):
         raise GeometryError("peripheral classification is stated only on the "
                             "|alpha| < 2pi/3 arc")
-    block = _evaluate_block(build_family(None), UnitPowers([alpha]), [True], tol)
+    sym, powers = build_family(None), UnitPowers([alpha])
+    block = _evaluate_block(sym, powers, [True], tol)
     result_m, result_l = block.verdicts.results()
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
-    spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(block.L[0], tol=tol).clusters]
+    L = _numeric_families(powers, sym.M, sym.N)[2][0]
+    spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
     return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
 
 

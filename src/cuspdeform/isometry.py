@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .exact import ELLIPTO_PARABOLIC, UNIPOTENT_STEP2, UNIPOTENT_STEP3
 from .matrices import (CONJ_TRANSPOSE, NON_FINITE, EigenColumns, GeometryError,
                        HermForm, IndeterminateError, UnitPowers, eigen_columns, eye,
                        finite_rows, form_defects, moduli, row_means, shifted, unwrap)
@@ -43,10 +44,6 @@ block of 256 cut a warm 720-point figure-eight sweep by 15% and a
 also bounds a sweep's memory: there, a 20,000-point figure-eight sweep
 peaks 10.4 MB above a 30-point one at 256, and 32.7 MB above it at
 4096."""
-
-UNIPOTENT_STEP2 = "unipotent-step2"
-UNIPOTENT_STEP3 = "unipotent-step3"
-ELLIPTO_PARABOLIC = "ellipto-parabolic"
 
 
 class IsoClass:

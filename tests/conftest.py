@@ -212,7 +212,9 @@ def angle_power_table():
 
 def _point_expected_arc(alpha, exclusion: float):
     """The signature the figure-eight arc dictates at one point, or None
-    in an exclusion zone, decided by comparisons on Python floats."""
+    in an exclusion zone, decided by comparisons on Python floats; an
+    exclusion of zero or less is zero."""
+    exclusion = max(exclusion, 0.0)
     if isinstance(alpha, Angle):
         if alpha.is_pi_rational:
             f = alpha.pi_frac % 2

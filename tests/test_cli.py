@@ -450,7 +450,8 @@ class TestSweepCommand:
 
     def test_exclusion_radius_not_above_zero_keeps_every_row(self):
         # 2.1 lies within the default 0.01 of the transition at 2pi/3; a
-        # negative radius widens the arcs until they overlap
+        # negative radius is read as zero, so it moves no arc: 2.1 and
+        # above stay on the (2,2) arc, unclassified
         argv = ["sweep", "figure8", "--start=2.0", "--end=2.2", "--count", "5"]
         grid = ["2.0", "2.05", "2.1", "2.1500000000000004", "2.2"]
 
@@ -458,9 +459,12 @@ class TestSweepCommand:
             return [line.split(",")[0] for line in out.split("\r\n")[1:-1]]
 
         assert alphas(run(argv)[1]) == grid[:2] + grid[3:]
-        for radius in ("0", "-0.5", "-1e300"):
-            code, out, err = run([*argv, f"--exclude-radius={radius}"])
-            assert code in (0, 1) and err == "" and alphas(out) == grid
+        zero = run([*argv, "--exclude-radius=0"])
+        assert zero[0] == 0 and zero[2] == "" and alphas(zero[1]) == grid
+        assert [line.split(",")[1:6] for line in zero[1].split("\r\n")[3:-1]] == [
+            ["2", "2", "0", "", ""]] * 3
+        for radius in ("-0.5", "-1e300"):
+            assert run([*argv, f"--exclude-radius={radius}"]) == zero
 
     @pytest.mark.parametrize("argv, module, builder", [
         (["figure8", "--start=-3.0", "--end", "3.0", "--count", "60"],
@@ -481,8 +485,6 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv", [
         ["bianchi", "--d", "43", "--target", "su31",
          "--start=-3e-6", "--end", "3e-6"],
-        ["figure8", "--start", repr(math.pi / 2 - 6e-5),
-         "--end", repr(math.pi / 2 + 6e-5)],
     ])
     def test_indeterminate_margin_is_a_number(self, argv):
         code, out, _ = run(["sweep", *argv, "--count", "7"])
@@ -494,6 +496,23 @@ class TestSweepCommand:
             assert (r[-1] != "") == (r in indeterminate)
             if r[-1]:
                 assert float(r[-1]) < 10
+
+    @pytest.mark.parametrize("start, end", [
+        (math.pi / 2 - 6e-5, math.pi / 2 + 6e-5), (-6e-4, 6e-4)], ids=["half-pi", "zero"])
+    def test_raw_figure8_rows_are_exact(self, start, end):
+        # the rows near the float pi/2 and near 0 that the numeric
+        # classifier left indeterminate: a raw angle is never exceptional,
+        # so each classified row reads the exact classes, with no margin
+        code, out, _ = run(["sweep", "figure8", f"--start={start!r}", f"--end={end!r}",
+                            "--count", "7"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
+        classified = [r for r in rows if abs(float(r[0])) > 1e-12]
+        assert len(rows) == 7 and len(classified) >= 6
+        for r in rows:
+            assert r[-1] == ""
+            assert r[4:6] == (["parabolic(unipotent-step3)", "parabolic(ellipto-parabolic)"]
+                              if r in classified else ["", ""])
 
 
 class TestOrbitCommand:
@@ -1056,13 +1075,14 @@ class TestIndeterminateText:
         assert found and all(below and float(m) < 10 for m, below in found)
 
 
-def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+def fresh_python(code: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
     """``python -c code argv...`` in a new interpreter that imports this
-    package's source; stdout and stderr are kept as bytes."""
+    package's source, in ``cwd`` if given; stdout and stderr are kept as
+    bytes."""
     src = str(Path(cuspdeform.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
                           capture_output=True)
 
 
@@ -1112,15 +1132,15 @@ class TestRuntimeDependencies:
         proc = fresh_python(code)
         assert proc.returncode == 0 and proc.stdout.strip() == b"False"
 
-    @pytest.mark.parametrize("argv, name", [
-        (["verify", "figure8", "--u-exact"], "verify_figure8_u-exact.json"),
-        (["verify", "figure8", "--u-exact", "--words", str(GOLDEN / "extra_words.txt")],
-         "verify_figure8_u-exact_words.json"),
-    ])
-    def test_exact_report_without_numpy(self, argv, name):
+    # the golden rows marked numpy-free, by name, each with the test id
+    # pytest gives an (argv, name) pair
+    @pytest.mark.parametrize("argv, name, want", [
+        pytest.param(argv, name, want, id=f"argv{k}-{name}") for k, (name, argv, want) in
+        enumerate(sorted(row[:3] for row in GOLDEN_COMMANDS if row[3] == "numpy-free"))])
+    def test_exact_report_without_numpy(self, argv, name, want):
         # the exact verdicts rest on no floating point
-        proc = fresh_python(WITHOUT_NUMPY, *argv)
-        assert (proc.returncode, proc.stderr) == (0, b"")
+        proc = fresh_python(WITHOUT_NUMPY, *argv, cwd=ROOT)
+        assert (proc.returncode, proc.stderr) == (want, b"")
         assert proc.stdout == (GOLDEN / name).read_bytes()
 
     def test_numeric_report_needs_numpy(self):
