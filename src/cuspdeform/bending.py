@@ -375,8 +375,10 @@ def bianchi_family(d: int, target: str = "su31", *,
     ``embed_so41_q``.  A numeric so41 theta bends the lattice in the real
     basis of ``embed_so41``, which is built once per d and read-only.
     """
-    if target != "so41" or theta is None:
+    if theta is None:
         return _shared_family(d, target)
+    if target != "so41":
+        raise ValueError(f"theta bends only the so41 target, not {target!r}")
     data = _bianchi_hnn(_real_so41_lattice(d), so41_centralizer, Angle.zero())
     return BianchiFamily(d, target, theta, MappingProxyType(bend_hnn(data, theta)),
                          siegel_form(5, CONJ_TRANSPOSE), _presentation(d), data.stable_image)

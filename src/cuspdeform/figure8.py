@@ -57,11 +57,6 @@ TRACE_WITNESS_WORDS = (
     Word.parse("m.n^-1.m.n"),
 )
 
-SPECIAL_DISCRETE_FRACTIONS = (
-    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2),
-    Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-2, 3),
-)
-
 INNER_ARC_BOUND = 2 * math.pi / 3
 
 
@@ -126,6 +121,16 @@ def det_form_closed(alpha: Angle) -> float:
     return -4.0 * (c + 1.0) ** 2 * (2.0 * c + 1.0) ** 3
 
 
+def _exact_decision(method):
+    """A cached exact decision, which a numeric family refuses."""
+    @functools.wraps(method)
+    def decide(self):
+        if not isinstance(self.M, Mat):
+            raise TypeError(f"{method.__name__} is an exact decision: use build_family(None)")
+        return method(self)
+    return functools.cached_property(decide)
+
+
 @dataclass(frozen=True)
 class Fig8Family:
     """The family at one parameter value (symbolic when alpha is None);
@@ -140,7 +145,7 @@ class Fig8Family:
     def rep(self) -> Rep:  # validated: both generators preserve the form
         return Rep(MappingProxyType({"m": self.M, "n": self.N}), self.form)
 
-    @functools.cached_property
+    @_exact_decision
     def relation(self) -> bool:
         return self.rep.evaluate(RELATOR).is_identity()
 
@@ -151,7 +156,7 @@ class Fig8Family:
     def _longitude(self):
         return self.rep.evaluate(L_WORD)
 
-    @functools.cached_property
+    @_exact_decision
     def identities(self) -> tuple[tuple[str, bool], ...]:
         L = self.longitude()
         return (("longitudeTranscription", L == longitude_matrix()),
@@ -159,7 +164,7 @@ class Fig8Family:
                 ("detIdentity", self.form.mat.det() == det_form_laurent()),
                 ("peripheralCommute", self.M @ L == L @ self.M))
 
-    @functools.cached_property
+    @_exact_decision
     def generic_classes(self) -> tuple[GenericClass, GenericClass]:
         """The exact classes of m and the longitude at every raw angle
         (``classify_generic``; the symbolic family only)."""
@@ -169,13 +174,13 @@ class Fig8Family:
     def witness_traces(self) -> tuple[LaurentPoly, ...]:
         return tuple(map(self.rep.trace, TRACE_WITNESS_WORDS))
 
-    @functools.cached_property
+    @_exact_decision
     def witness_texts(self) -> tuple[tuple[str, str, bool], ...]:
         """Each witness word and its trace as text, and whether the trace
         is integral: the report's rows."""
         return _trace_texts(TRACE_WITNESS_WORDS, self.witness_traces)
 
-    @functools.cached_property
+    @_exact_decision
     def denominators(self) -> tuple[tuple[str, int], ...]:
         """The largest entry denominator of M, N, the form and the longitude."""
         return (("M", self.M.max_denominator()), ("N", self.N.max_denominator()),
@@ -200,16 +205,6 @@ def build_family(alpha: Angle | None = None) -> Fig8Family:
         raise AssertionError("internal error: defining relation failed symbolically")
     return Fig8Family(alpha, sym.M.evaluate(alpha), sym.N.evaluate(alpha),
                       HermForm(sym.form.mat.evaluate(alpha), TRANSPOSE_CONJ))
-
-
-def _numeric_families(powers: UnitPowers, M_exact: Mat, N_exact: Mat
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numeric family at each angle of a block, as stacks: the
-    generators evaluated on the block's powers, and the longitude
-    product over them."""
-    M = M_exact.evaluate_stack(powers)
-    N = N_exact.evaluate_stack(powers)
-    return M, N, Rep({"m": M, "n": N}).evaluate(L_WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -367,39 +362,33 @@ class _Block(NamedTuple):
     verdicts: Verdicts
 
 
-def _is_raw(alpha: Angle | float) -> bool:
-    """Whether an angle is raw radians other than 0: a nonzero finite
-    float is rational, so u = e^{i alpha} is transcendental there
-    (Hermite-Lindemann), and no exceptional point of an exact class."""
-    x = alpha.raw if isinstance(alpha, Angle) else alpha
-    return x is not None and x != 0
-
-
 def _evaluate_block(sym: Fig8Family, powers: UnitPowers,
                     classify_at: Sequence[bool], tol: float) -> _Block:
     """The symbolic family at a block of angles, as stacks, deciding no
     identity: one eigvalsh and one det call on the form, and the classes
     of m and the longitude at the angles ``classify_at`` marks.  A raw
-    angle (``_is_raw``) takes the family's exact classes
-    (``generic_classes``), decided once; the generators preserve the form
-    exactly there too.  The pi-rational angles take one classify_columns
-    call on the numeric m and longitude."""
+    angle (not ``powers.exact``), where u is no exceptional point of an
+    exact class, takes the family's exact classes (``generic_classes``),
+    decided once; the generators preserve the form exactly there too.
+    The exact angles take one classify_columns call on the exact m and
+    longitude, evaluated there."""
     import numpy as np
     from .isometry import CLASSES, Parabolic, Verdicts, classify_columns
     from .matrices import signature_counts
     J = sym.form.mat.evaluate_stack(powers)
     arc = np.flatnonzero(classify_at)
-    raw = np.array([_is_raw(powers.points[j]) for j in arc.tolist()], dtype=bool)
+    raw = ~np.array(powers.exact, dtype=bool)[arc]
     verdicts = Verdicts(np.full(2 * len(arc), -1), {})
     if raw.any():
         verdicts.code.reshape(-1, 2)[raw] = [
             CLASSES.index(Parabolic(c.subtype)) for c in sym.generic_classes]
-    numeric = arc[~raw]
-    if numeric.size:
-        M, _, L = _numeric_families(powers.take(numeric), sym.M, sym.N)
+    exact = arc[~raw]
+    if exact.size:
+        at = powers.take(exact)
+        M, L = sym.M.evaluate_stack(at), sym.longitude().evaluate_stack(at)
         # M and the longitude of each angle, in turn, against its form
         S = np.stack((M, L), axis=1).reshape(-1, 4, 4)
-        found = classify_columns(S, np.repeat(J[numeric], 2, axis=0), TRANSPOSE_CONJ, tol)
+        found = classify_columns(S, np.repeat(J[exact], 2, axis=0), TRANSPOSE_CONJ, tol)
         where = np.flatnonzero(np.repeat(~raw, 2))
         verdicts.code[where] = found.code
         verdicts.errors.update((int(where[k]), e) for k, e in found.errors.items())
@@ -431,7 +420,7 @@ def parabolicity_report(alpha: Angle, tol: float = DECISION_TOL) -> dict:
     block = _evaluate_block(sym, powers, [True], tol)
     result_m, result_l = block.verdicts.results()
     classes = {"m": unwrap(result_m), "l": unwrap(result_l)}
-    L = _numeric_families(powers, sym.M, sym.N)[2][0]
+    L = sym.longitude().evaluate_stack(powers)[0]
     spectrum = [(cl.value, cl.alg, cl.geo) for cl in eigen(L, tol=tol).clusters]
     return {"classes": classes, "l_spectrum": spectrum, "alpha": alpha.value}
 
@@ -518,8 +507,8 @@ def figure8_report(alpha: Angle | None = None,
                 report["classes"] = {"m": "indeterminate", "l": "indeterminate"}
                 record_check(checks, "peripheralParabolic", False, str(exc))
 
-        special = alpha.is_pi_rational and (
-            alpha.pi_frac % 2 in {f % 2 for f in SPECIAL_DISCRETE_FRACTIONS})
+        # u has order (pi_frac / 2).denominator: these are the n with phi(n) <= 2
+        special = alpha.is_pi_rational and (alpha.pi_frac / 2).denominator in {1, 2, 3, 4, 6}
         report["specialPoint"] = {
             "is": special,
             "discreteImage": all_integral if special else None,

@@ -43,7 +43,10 @@ block of 256 cut a warm 720-point figure-eight sweep by 15% and a
 (x86-64 Linux, Python 3.11, numpy 2.4, one BLAS thread).  The block
 also bounds a sweep's memory: there, a 20,000-point figure-eight sweep
 peaks 10.4 MB above a 30-point one at 256, and 32.7 MB above it at
-4096."""
+4096.  The figure-eight figures date from when a raw-angle sweep still
+classified every point numerically; its raw angles now take the
+family's exact classes, and only its exact angles are classified per
+block."""
 
 
 class IsoClass:

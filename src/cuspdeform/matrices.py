@@ -32,16 +32,17 @@ class UnitPowers:
     computed once per (angle, exponent) and shared by every matrix
     evaluated on the block.  ``points`` is the block as given: each an
     Angle, or a float, a finite angle in radians as ``Angle.radians``
-    reads it (0.0 is the exact zero)."""
+    reads it.  ``exact[j]`` says whether point j is a multiple of pi or a
+    raw zero, the exact zero of ``Angle.radians``; at a raw point u is
+    transcendental (Hermite-Lindemann)."""
 
-    __slots__ = ("points", "_raw", "_exact", "_columns")
+    __slots__ = ("points", "exact", "_raw", "_columns")
 
     def __init__(self, points: Sequence[Angle | float]):
         self.points = list(points)
-        # the raw radians of each angle (0.0 at an exact one), and the exact ones
-        raw = [a.raw if isinstance(a, Angle) else a or None for a in self.points]
-        self._exact = [j for j, x in enumerate(raw) if x is None]
-        self._raw = [0.0 if x is None else x for x in raw] if self._exact else raw
+        raw = [a.raw if isinstance(a, Angle) else a for a in self.points]
+        self.exact = [not x for x in raw]
+        self._raw = [x or 0.0 for x in raw]
         self._columns: dict[int, np.ndarray] = {}
 
     def table(self, exponents: Sequence[int]) -> np.ndarray:
@@ -61,15 +62,15 @@ class UnitPowers:
             try:
                 flat = list(map(complex, map(math.cos, xs), map(math.sin, xs)))
             except ValueError:  # math.cos of an infinite x * k
-                x, k = next((x, k) for j, x in enumerate(self._raw) for k in missing
-                            if j not in self._exact and math.isinf(x * k))
+                x, k = next((x, k) for x in self._raw for k in missing if math.isinf(x * k))
                 raise ValueError(f"angle {x!r} is too large: the power u^{k} needs "
                                  f"{x!r} * {k}, which overflows a float") from None
+            exact = [j for j, e in enumerate(self.exact) if e]
             for i, k in enumerate(missing):
                 if k == 0:
                     flat[i * size:(i + 1) * size] = [1 + 0j] * size
                     continue
-                for j in self._exact:
+                for j in exact:
                     a = self.points[j]
                     flat[i * size + j] = a.times(k).exp_i() if isinstance(a, Angle) else 1 + 0j
             values = np.array(flat, dtype=complex).reshape(len(missing), size)

@@ -240,6 +240,12 @@ class TestBianchiMatrices:
                       bending.bianchi_lattice_su31):
             assert cache.cache_info().currsize == cache.cache_info().maxsize == size
 
+    def test_theta_is_refused_off_so41(self):
+        # the su31 family is symbolic: a theta it would drop is refused
+        with pytest.raises(ValueError, match="so41"):
+            bianchi_family(2, "su31", theta=Angle.radians(1.0))
+        assert bianchi_family(2, "su31", theta=None) is bianchi_family(2, "su31")
+
     def test_families_without_presentation(self):
         for d in (5, 6, 13):
             fam = bianchi_family(d, "su31")

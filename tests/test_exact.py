@@ -18,10 +18,11 @@ import cuspdeform
 from cuspdeform import exact
 from cuspdeform.exact import (ELLIPTO_PARABOLIC, UNIPOTENT_STEP2, UNIPOTENT_STEP3,
                               GenericClass, Jordan, Mat, TRANSPOSE_CONJ, classify_generic)
-from cuspdeform.figure8 import _numeric_families, build_family, figure8_columns
+from cuspdeform.figure8 import L_WORD, build_family, figure8_columns
 from cuspdeform.isometry import CLASSES, Parabolic, classify_columns
 from cuspdeform.matrices import UnitPowers
 from cuspdeform.scalars import ExtScalar, LaurentPoly
+from cuspdeform.words import Rep
 
 u = LaurentPoly.u
 
@@ -254,7 +255,8 @@ class TestClassifyGeneric:
         want = [CLASSES.index(Parabolic(c.subtype)) for c in sym.generic_classes]
         powers = UnitPowers(points)
         J = sym.form.mat.evaluate_stack(powers)
-        M, _, L = _numeric_families(powers, sym.M, sym.N)
+        M, N = sym.M.evaluate_stack(powers), sym.N.evaluate_stack(powers)
+        L = Rep({"m": M, "n": N}).evaluate(L_WORD)
         found = classify_columns(np.stack((M, L), axis=1).reshape(-1, 4, 4),
                                  np.repeat(J, 2, axis=0), TRANSPOSE_CONJ)
         code = found.code.reshape(-1, 2)

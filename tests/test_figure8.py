@@ -51,6 +51,18 @@ class TestBuildFamily:
         with pytest.raises(TypeError):
             fam.rep.images["m"] = fam.N
 
+    @pytest.mark.parametrize("name", ["relation", "identities", "generic_classes",
+                                      "witness_texts", "denominators"])
+    def test_numeric_family_refuses_exact_decisions(self, name):
+        # the exact decisions are the symbolic family's; a numeric family
+        # names it instead of failing on an array
+        fam = build_family(Angle.radians(0.3))
+        with pytest.raises(TypeError, match=r"build_family\(None\)"):
+            getattr(fam, name)
+        with pytest.raises(TypeError, match=name):
+            getattr(fam, name)  # refused again: nothing was cached
+        assert getattr(build_family(None), name) is not None
+
     def test_entry_denominators(self):
         fam = build_family(None)
         assert fam.M.max_denominator() == 2
@@ -245,3 +257,38 @@ class TestReport:
         assert rep["specialPoint"] == {"is": True, "discreteImage": True}
         rep2 = figure8_report(Angle.pi_fraction(1, 5))
         assert rep2["specialPoint"]["is"] is False
+
+    def test_special_points_are_the_small_orders(self):
+        # the orders n of u with phi(n) <= 2, against the hand-written
+        # table of multiples of pi that they replace
+        table = {f % 2 for f in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2),
+                                 Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3),
+                                 Fraction(-2, 3))}
+        fracs = {Fraction(p, q) for q in range(1, 61) for p in range(-2 * q + 1, 2 * q)}
+        fracs |= {Fraction(p, q) for p, q in ((7, 3), (-13, 6), (5, 2), (9, 4), (-4, 1))}
+        for f in sorted(fracs):
+            special = figure8_report(Angle.pi_times(f))["specialPoint"]
+            assert special["is"] is (f % 2 in table), f
+            assert (special["discreteImage"] is None) is not special["is"], f
+        assert figure8_report(Angle.radians(math.pi / 2))["specialPoint"]["is"] is False
+
+    @pytest.mark.parametrize("den", [10 ** 4, 10 ** 6, 10 ** 7])
+    def test_small_pi_rational_angles_are_decided(self, den):
+        # the longitude is the exact one evaluated, so its numeric class
+        # near 0 is decided: the generic classes, which hold at every
+        # order of u but 1, 2 and 4
+        rep = figure8_report(Angle.pi_fraction(1, den))
+        assert rep["classes"] == {"m": "parabolic(unipotent-step3)",
+                                  "l": "parabolic(ellipto-parabolic)"}
+        assert rep["checks"]["peripheralParabolic"] == {"pass": True, "info": ""}
+        assert rep["pass"] is True
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the numeric class of the longitude at a pi-rational angle near pi/2, where "
+        "u has order 2*10**6 or 2*10**7, none of L's exceptional orders 1, 2 and 4, "
+        "reads parabolic(unipotent-step3)"))
+    @pytest.mark.parametrize("frac", [Fraction(499999, 10 ** 6), Fraction(-499999, 10 ** 6),
+                                      Fraction(4999999, 10 ** 7)])
+    def test_near_quarter_turn_longitude(self, frac):
+        assert figure8_report(Angle.pi_times(frac))["classes"]["l"] == (
+            "parabolic(ellipto-parabolic)")

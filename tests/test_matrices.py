@@ -14,8 +14,7 @@ from scipy.linalg import expm
 from cuspdeform.bending import (_bianchi_hnn, bend_hnn, bianchi_family,
                                 bianchi_lattice_su31, embed_so41, embed_so41_q,
                                 so41_centralizer, so41_centralizer_q)
-from cuspdeform.figure8 import (L_WORD, Fig8Family, _numeric_families,
-                                build_family, det_form_closed, form_matrix, generator_m,
+from cuspdeform.figure8 import (L_WORD, Fig8Family, build_family, det_form_closed, form_matrix, generator_m,
                                 generator_n, longitude_matrix)
 from cuspdeform import exact
 from cuspdeform.matrices import (CONJ_TRANSPOSE, GeometryError, HermForm, Mat,
@@ -758,15 +757,18 @@ class TestCompiledEvaluate:
     @given(block_angles)
     def test_stacked_word_products_match_per_point(self, angles):
         # the figure-eight relator and longitude over stacks of M and N,
-        # against Rep.evaluate at each point, and the block family
-        # against the per-point reference
+        # against Rep.evaluate at each point and the per-point family;
+        # the block's longitude, the exact one evaluated, against its
+        # entrywise eval_unit
         M_exact, N_exact, J_exact = generator_m(), generator_n(), form_matrix()
+        L_exact = build_family(None).longitude()
         relator = builtin_presentation("figure8").relators[0]
         powers = UnitPowers(angles)
         M, N = M_exact.evaluate_stack(powers), N_exact.evaluate_stack(powers)
         stacked = Rep({"m": M, "n": N})
         J = J_exact.evaluate_stack(powers)
-        fam_M, fam_N, fam_L = _numeric_families(powers, M_exact, N_exact)
+        stacked_L = stacked.evaluate(L_WORD)
+        block_L = L_exact.evaluate_stack(powers)
         # dense images too, whose products round differently in another order
         X = np.random.default_rng(len(angles)).normal(size=(2, 4, 4, 2)) @ [1, 1j]
         dense = Rep({"m": M @ (X[0] + 4 * np.eye(4)), "n": N @ (X[1] + 4 * np.eye(4))})
@@ -779,10 +781,11 @@ class TestCompiledEvaluate:
             form = HermForm(entrywise(J_exact, a), TRANSPOSE_CONJ)
             assert J[k].tobytes() == form.array().tobytes()
             fam = _numeric_family(a, M_exact, N_exact, form)
-            assert fam_M[k].tobytes() == fam.M.tobytes()
-            assert fam_N[k].tobytes() == fam.N.tobytes()
-            assert fam_L[k].tobytes() == fam.longitude().tobytes()
-        assert len(fam_M) == len(fam_N) == len(fam_L) == len(angles)
+            assert M[k].tobytes() == fam.M.tobytes()
+            assert N[k].tobytes() == fam.N.tobytes()
+            assert stacked_L[k].tobytes() == fam.longitude().tobytes()
+            assert block_L[k].tobytes() == entrywise(L_exact, a).tobytes()
+        assert len(M) == len(N) == len(stacked_L) == len(block_L) == len(angles)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 5, 6, 7, 11, 15, 43]), st.booleans(), block_angles)

@@ -11,7 +11,7 @@ import io
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -678,22 +678,11 @@ class TestSweepBlocks:
                                                   expected):
         # m stops preserving the form at grid[broken], and grid[raising]
         # is no angle
-        real = figure8._numeric_families
+        _, sweep = self._spy_blocks(monkeypatch, "figure8", broken)
         grid = list(self.PI_GRID)
         grid[raising] = math.nan
-        bad = grid[broken].value
-
-        def families(powers, *args):
-            M, N, L = real(powers, *args)
-            values = _values(powers)
-            if bad in values:
-                M = M.copy()
-                M[values.index(bad)] *= 2
-            return M, N, L
-
-        monkeypatch.setattr(figure8, "_numeric_families", families)
         with pytest.raises(expected) as exc:
-            figure8_sweep(grid)
+            sweep(grid)
         assert type(exc.value) is expected
 
     @pytest.mark.parametrize("broken, raising, expected", [
@@ -741,25 +730,15 @@ class TestSweepBlocks:
         seen = []
         bad = None if broken is None else _values_of(TestSweepBlocks._grid_of(kind))[broken]
         if kind == "figure8":
-            real = figure8._numeric_families
-
-            def families(powers, *args):
-                M, N, L = real(powers, *args)
-                values = _values(powers)
-                seen.extend(values)
-                if bad in values:
-                    M = M.copy()
-                    M[values.index(bad)] *= 2
-                return M, N, L
-
-            monkeypatch.setattr(figure8, "_numeric_families", families)
-            return seen, figure8_sweep
-        letter = bianchi_family(2, kind).images["u"]
+            broken_mat, sweep = build_family(None).M, figure8_sweep
+        else:
+            broken_mat = bianchi_family(2, kind).images["u"]
+            sweep = partial(bianchi_sweep, 2, kind)
         real = Mat.evaluate_stack
 
         def evaluate_stack(mat, powers):
             U = real(mat, powers)
-            if mat is letter:
+            if mat is broken_mat:
                 values = _values(powers)
                 seen.extend(values)
                 if bad in values:
@@ -767,7 +746,7 @@ class TestSweepBlocks:
             return U
 
         monkeypatch.setattr(Mat, "evaluate_stack", evaluate_stack)
-        return seen, lambda grid: bianchi_sweep(2, kind, grid)
+        return seen, sweep
 
     @pytest.mark.parametrize("kind", ["figure8", "su31", "so41"])
     @pytest.mark.parametrize("raising", [0, BLOCK, BLOCK + 6])
@@ -939,6 +918,24 @@ class TestColumnsEqualLoops:
         codes = figure8._arc_codes(points, values, exclusion).tolist()
         assert [figure8.ARCS[c] if c >= 0 else None for c in codes] == [
             point_expected_arc(a, exclusion) for a in points]
+
+    def test_raw_zero_is_exact(self):
+        # a raw zero is the exact zero, as Angle.radians(0.0) and
+        # Angle.times read it: its powers are the exact zero's, with the
+        # bits of the power eval_unit takes (1+0j, also for k < 0)
+        points = [Angle(None, 0.0), Angle(None, -0.0), 0.0, -0.0, Angle.zero(),
+                  Angle.radians(0.5), 0.5, Angle.pi_fraction(1, 3), 5e-324]
+        powers = UnitPowers(points)
+        assert powers.exact == [True] * 5 + [False, False, True, False]
+        assert powers.take([7, 0, 5]).exact == [True, True, False]
+        exponents = [-3, -1, 0, 1, 2]
+        got = [[(z.real.hex(), z.imag.hex()) for z in row]
+               for row in powers.table(exponents).tolist()]
+        want = [[(z.real.hex(), z.imag.hex()) for z in
+                 ((a if isinstance(a, Angle) else Angle.radians(a)).times(k).exp_i()
+                  for k in exponents)] for a in points]
+        assert got == want
+        assert got[0] == got[4] == [("0x1.0000000000000p+0", "0x0.0p+0")] * len(exponents)
 
     def test_overflow_names_the_first_angle(self, angle_power_table):
         points = [0.5, Angle.pi_fraction(1, 3), 1e308, -1.5e308]
